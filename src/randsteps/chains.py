@@ -1,11 +1,12 @@
 """Step-chain executors: flat, spherical, hyperbolic, and operator products.
 
-Each run_* function plays one trial of a chain and returns the observable
-whose expectation :mod:`randsteps.predictors` computes in closed form.  The
-heavy lifting lives in private kernels that the Monte Carlo engine calls
-directly; the kernels draw each step's Gaussians in one block, which
-consumes the stream exactly like per-step draws would, so a chain's outcome
-is a pure function of (inputs, stream address) no matter how it is invoked.
+Each run_* function plays one trial of a chain on full vectors and returns the
+observable whose expectation :mod:`randsteps.predictors` computes in closed
+form; the Monte Carlo engine samples the same laws in dimension-reduced
+form, and tests check the two against each other.  The private kernels
+draw each step's Gaussians in one block, which consumes the stream exactly
+like per-step draws would, so a chain's outcome is a pure function of
+(inputs, stream address) no matter how it is invoked.
 
 The operator product uses an exact O(N)-per-factor factorization instead of
 materializing conjugated matrices: for A = U^T diag(s) U with U Haar and a
@@ -186,11 +187,12 @@ def _operator_kernel(values_list, u0, gen):
     image's component along the input, beta the orthogonal remainder, and the
     orthogonal part points uniformly within the input's complement.  Scalar
     spectra short-circuit exactly without consuming draws, mirroring the
-    dense sampler.
+    dense sampler.  Every factor is linear and its law is symmetric under
+    v -> -v, so the sign of negative scalar factors is carried separately
+    and applied to the final direction.
     """
     v = u0
     sign = 1.0
-    moved = False
     ratio = 1.0
     for s in values_list:
         n = s.shape[0]
@@ -199,8 +201,7 @@ def _operator_kernel(values_list, u0, gen):
             if abs(c) <= _DEGENERATE_NORM:
                 return 0.0, math.nan, True, None
             ratio *= abs(c)
-            if c < 0.0:
-                sign = -sign
+            sign = -sign if c < 0.0 else sign
             continue
         g = gen.standard_normal((2, n))
         gx = g[0]
@@ -216,10 +217,6 @@ def _operator_kernel(values_list, u0, gen):
         r = math.sqrt(alpha * alpha + beta * beta)
         if r <= _DEGENERATE_NORM:
             return 0.0, math.nan, True, None
-        if not moved:
-            v = sign * v
-            sign = 1.0
-            moved = True
         gz = g[1]
         gz -= (gz @ v) * v
         nz = math.sqrt(float(gz @ gz))
@@ -230,10 +227,10 @@ def _operator_kernel(values_list, u0, gen):
         w = alpha * v + beta * (gz / nz)
         v = w / float(np.linalg.norm(w))
         ratio *= r
-    if moved:
-        return ratio, float(v @ u0), False, v
-    # Only scalar factors: the direction is u0 up to sign, exactly.
-    return ratio, sign, False, sign * u0
+    if v is u0:
+        # Only scalar factors: the direction is u0 up to sign, exactly.
+        return ratio, sign, False, sign * u0
+    return ratio, sign * float(v @ u0), False, sign * v
 
 
 def run_sphere_chain(u0, thetas, rng, trace=False, keep_final=False):

@@ -1,17 +1,28 @@
 """Deterministic Monte Carlo engine for chain experiments.
 
-estimate() runs exactly `trials` independent trials of an experiment, each a
-pure function of the stream address (seed, trial_index), and aggregates the
-observable's mean and standard deviation.  Trials are processed in fixed
-chunks of 2048 whose statistics are computed by exact compensated summation
-and merged in chunk order, so the result is bitwise identical no matter how
-many workers participate or how the OS schedules them.
+estimate() runs exactly `trials` independent trials of an experiment in
+fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
+from the stream addressed by (seed, k); chunk statistics are computed by
+exact compensated summation and merged in chunk order, so the result is
+bitwise identical no matter how many workers participate or how the OS
+schedules them.
 
-Chains start from deterministic configurations: the first basis vector e1 on
-the sphere and hyperboloid (their distributions are rotation and boost
-invariant, so nothing is lost), the origin in flat space, and e1 as the
-operator-product input.  compare() turns an estimate plus a closed-form
-Prediction into a pass/fail/indeterminate verdict on standardized z-scores.
+Chains start from e1 on the sphere and hyperboloid (their laws are rotation
+and boost invariant), the origin in flat space, and e1 as the operator
+input.  Each observable then follows a one-dimensional recursion with the
+law of the full walk, driven by one coordinate t of a uniform point on the
+unit sphere of R^m per step, drawn as B = (1 + t)/2 ~ Beta((m-1)/2, (m-1)/2).
+With c = cos phi, r2 = ||x||^2 and a = cosh eta:
+
+    sphere      c'  = cos(phi + theta) + 2B sin(phi) sin(theta),  m = n - 1
+    flat        r2' = (sqrt(r2) - d)^2 + 4B d sqrt(r2),           m = n
+    hyperbolic  a'  = cosh(eta - xi) + 2B sinh(eta) sinh(xi),     m = n - 1
+
+These forms keep |c| <= 1, r2 >= 0 and a >= 1 up to rounding, and one-step
+chains report their constant exactly.  The full-vector kernels behind
+chains.run_* sample the same laws and serve as the reference in tests.
+compare() turns an estimate plus a closed-form Prediction into a
+pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math
@@ -21,15 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import (
-    _flat_kernel,
-    _hyperbolic_kernel,
-    _operator_kernel,
-    _schedule,
-    _sphere_kernel,
-)
+from .chains import _schedule
 from .predictors import Prediction
-from .sampling import RandomStream, Spectrum
+from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum
 
 __all__ = [
     "GEOMETRIES",
@@ -52,11 +57,15 @@ GEOMETRIES = (
 
 _OPERATOR_GEOMETRIES = ("operator", "operator_product")
 _OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
-_MONOMIAL_KINDS = ("x1_sq", "x1_4", "x1sq_x2sq")
+# Powers (p0, p1) of the first two sphere coordinates in each monomial.
+_MONOMIALS = {"x1_sq": (2, 0), "x1_4": (4, 0), "x1sq_x2sq": (2, 2)}
+_MONOMIAL_KINDS = tuple(_MONOMIALS)
 
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
 # part of the determinism contract and never depends on the worker count.
 _CHUNK = 2048
+# Gaussian rows are drawn in blocks of about this many doubles (1 MiB).
+_BLOCK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -201,122 +210,121 @@ class ComparisonReport:
     verdict: str
 
 
-class _TrialPool:
-    """Reusable Philox generator readdressed to (seed, trial_index) per trial.
-
-    Resetting the key and counter of one bit generator reproduces, bitwise,
-    the draws of a freshly constructed RandomStream(seed, index) at a small
-    fraction of the construction cost.  Not thread-safe; one pool per worker.
-    """
-
-    __slots__ = ("_bg", "_gen", "_state", "_key", "_counter")
-
-    def __init__(self, seed):
-        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        state = self._bg.state
-        self._state = state
-        self._key = state["state"]["key"]
-        self._counter = state["state"]["counter"]
-
-    def generator_for(self, index):
-        self._key[1] = index
-        self._counter[:] = 0
-        state = self._state
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
-        return self._gen
+def _beta_coordinate(gen, m, shape):
+    # B = (1 + t)/2 for t one coordinate of a uniform point on the unit
+    # sphere of R^m: Beta((m-1)/2, (m-1)/2), a fair coin on {0, 1} at m = 1.
+    if m == 1:
+        return (gen.random(shape) < 0.5).astype(np.float64)
+    return gen.beta((m - 1) / 2.0, (m - 1) / 2.0, shape)
 
 
-def _make_trial_fn(geometry, n_dim, schedule, observable):
-    # Build the per-trial observable function for a payload; called once per
-    # chunk, so precomputing schedules and basis vectors here is cheap.
-    if geometry == "sphere":
-        if not schedule:
-            return lambda gen: 1.0
-        steps = [(math.cos(t), math.sin(t)) for t in schedule]
-        e1 = np.zeros(n_dim)
-        e1[0] = 1.0
-        return lambda gen: float(_sphere_kernel(e1, steps, gen)[0])
-    if geometry == "flat":
-        if not schedule:
-            return lambda gen: 0.0
-        return lambda gen: _flat_kernel(schedule, n_dim, gen)[1]
-    if geometry == "hyperbolic":
-        if not schedule:
-            return lambda gen: 1.0
-        steps = [(math.cosh(x), math.sinh(x)) for x in schedule]
-        e1 = np.zeros(n_dim)
-        e1[0] = 1.0
-        return lambda gen: float(_hyperbolic_kernel(e1, steps, gen)[0])
-    if geometry in _OPERATOR_GEOMETRIES:
-        values = [np.asarray(s, dtype=np.float64) for s in schedule]
-        e1 = np.zeros(n_dim)
-        e1[0] = 1.0
-        want_ratio = observable == "norm_ratio"
+def _cos_step(phi, theta, b):
+    # Cosine to a fixed point after a step of angle theta, in the direction
+    # with Beta coordinate b, from a point at angle phi from it.
+    return np.cos(phi + theta) + 2.0 * b * np.sin(phi) * np.sin(theta)
 
-        def fn(gen):
-            ratio, cosine, _, _ = _operator_kernel(values, e1, gen)
-            return ratio if want_ratio else cosine
 
-        return fn
-    if geometry == "monomial":
-        kind = schedule
-        return _coordinate_fn(
-            n_dim,
-            {
-                "x1_sq": lambda t0, t1: t0 * t0,
-                "x1_4": lambda t0, t1: (t0 * t0) * (t0 * t0),
-                "x1sq_x2sq": lambda t0, t1: (t0 * t0) * (t1 * t1),
-            }[kind],
+def _unit_blocks(gen, count, n):
+    # Yield (g, nrm) for count Gaussian rows of length n, in row blocks so
+    # the working set stays small at any n; g / nrm are uniform unit rows,
+    # and rows of degenerate norm (probability zero) are redrawn in place.
+    rows = max(1, _BLOCK_DRAWS // n)
+    for lo in range(0, count, rows):
+        g = gen.standard_normal((min(rows, count - lo), n))
+        nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
+        bad = np.flatnonzero(nrm <= _DEGENERATE_NORM)
+        while bad.size:
+            g[bad] = gen.standard_normal((bad.size, n))
+            nrm[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
+            bad = bad[nrm[bad] <= _DEGENERATE_NORM]
+        yield g, nrm
+
+
+def _chain_values(gen, count, geometry, n, steps):
+    # The recursions of the module docstring.  The first step from the start
+    # is deterministic and taken exactly; state is phi, sqrt(r2) or eta.
+    first = {"sphere": math.cos, "flat": lambda d: d * d, "hyperbolic": math.cosh}
+    value = np.full(count, first[geometry](steps[0]))
+    state = steps[0]
+    m = n if geometry == "flat" else n - 1
+    for step, b in zip(steps[1:], _beta_coordinate(gen, m, (len(steps) - 1, count))):
+        if geometry == "sphere":
+            value = _cos_step(state, step, b)
+            state = np.arccos(np.clip(value, -1.0, 1.0))
+        elif geometry == "flat":
+            value = (state - step) ** 2 + 4.0 * step * b * state
+            state = np.sqrt(value)
+        else:
+            value = np.cosh(state - step) + 2.0 * b * np.sinh(state) * math.sinh(step)
+            state = np.arccosh(value)
+    return value
+
+
+def _operator_values(gen, count, n, spectra, observable):
+    # Per non-scalar factor with spectrum s: x uniform on the sphere of the
+    # factor's eigenframe gives the image's component alpha = x.diag(s)x
+    # along the input and beta orthogonal to it, pointing uniformly within
+    # the input's complement (see chains._operator_kernel).  So the cosine
+    # takes a sphere step of angle atan2(beta, alpha) and the norm grows by
+    # hypot(alpha, beta).  Moments about the spectrum's mean keep beta^2 =
+    # E[s^2] - E[s]^2 free of cancellation.  Scalar factors act exactly and
+    # draw nothing, as in the dense sampler.
+    ratio, c = np.ones(count), np.ones(count)
+    dead = np.zeros(count, dtype=bool)
+    for s in (sp.values for sp in spectra):
+        if np.all(s == s[0]):
+            dead |= abs(s[0]) <= _DEGENERATE_NORM
+            ratio *= abs(s[0])
+            c = -c if s[0] < 0.0 else c
+            continue
+        shift = float(np.mean(s))
+        w = np.stack([s - shift, (s - shift) ** 2], axis=1)
+        mom = np.concatenate(
+            [(g * g) @ w / (nrm * nrm)[:, None] for g, nrm in _unit_blocks(gen, count, n)]
         )
-    # marginal
-    power = schedule
-    return _coordinate_fn(n_dim, lambda t0, t1: t0**power)
+        alpha = shift + mom[:, 0]
+        beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
+        r = np.hypot(alpha, beta)
+        dead |= r <= _DEGENERATE_NORM
+        phi = np.arccos(np.clip(c, -1.0, 1.0))
+        c = _cos_step(phi, np.arctan2(beta, alpha), _beta_coordinate(gen, n - 1, count))
+        ratio *= r
+    if observable == "norm_ratio":
+        return np.where(dead, 0.0, ratio)
+    return np.where(dead, math.nan, c)
 
 
-def _coordinate_fn(n_dim, reduce_fn):
-    # Observable depending on the first two coordinates of a uniform point on
-    # the sphere in R^n_dim.
-    def fn(gen):
-        g = gen.standard_normal(n_dim)
-        nrm = math.sqrt(float(g @ g))
-        while nrm <= 1e-150:
-            g = gen.standard_normal(n_dim)
-            nrm = math.sqrt(float(g @ g))
-        return reduce_fn(float(g[0]) / nrm, float(g[1]) / nrm)
-
-    return fn
+def _trial_values(spec, index, count):
+    """Observables of count trials of spec, all drawn from the stream (seed, index)."""
+    geometry, n, schedule = spec.geometry, spec.n_dim, spec.schedule
+    gen = RandomStream(spec.seed, index).generator
+    if geometry in _OPERATOR_GEOMETRIES:
+        return _operator_values(gen, count, n, schedule, spec.observable)
+    if geometry in ("monomial", "marginal"):
+        # Powers of the first two coordinates of uniform points on S^(n-1).
+        p0, p1 = _MONOMIALS[schedule] if geometry == "monomial" else (schedule, 0)
+        t = np.concatenate([g[:, :2] / nrm[:, None] for g, nrm in _unit_blocks(gen, count, n)])
+        return t[:, 0] ** p0 * t[:, 1] ** p1
+    if not schedule:
+        return np.full(count, 0.0 if geometry == "flat" else 1.0)
+    return _chain_values(gen, count, geometry, n, schedule)
 
 
 def _chunk_stats(task):
     """Exact (count, mean, M2) for one chunk of trials; pure in the task."""
-    (geometry, n_dim, schedule, seed, observable), start, stop = task
-    fn = _make_trial_fn(geometry, n_dim, schedule, observable)
-    pool = _TrialPool(seed)
-    values = [fn(pool.generator_for(i)) for i in range(start, stop)]
+    values = _trial_values(*task).tolist()
     count = len(values)
     mean = math.fsum(values) / count
     m2 = math.fsum((v - mean) ** 2 for v in values)
     return count, mean, m2
 
 
-def _payload(spec):
-    if spec.geometry in _OPERATOR_GEOMETRIES:
-        schedule = tuple(tuple(float(v) for v in sp.values) for sp in spec.schedule)
-    else:
-        schedule = spec.schedule
-    return (spec.geometry, spec.n_dim, schedule, spec.seed, spec.observable)
-
-
 def estimate(spec, workers=1):
     """Run spec.trials independent trials and aggregate the observable.
 
-    Trial i draws from the stream (spec.seed, i); results are bitwise
-    independent of the worker count because chunk statistics are exact and
-    merged in a fixed order.
+    Chunk k (trials 2048 k onward) draws from the stream (spec.seed, k);
+    results are bitwise independent of the worker count because chunk
+    statistics are exact and merged in a fixed order.
 
     Parameters
     ----------
@@ -328,10 +336,9 @@ def estimate(spec, workers=1):
         raise TypeError(f"expected ExperimentSpec, got {type(spec).__name__}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    payload = _payload(spec)
     tasks = [
-        (payload, start, min(start + _CHUNK, spec.trials))
-        for start in range(0, spec.trials, _CHUNK)
+        (spec, index, min(_CHUNK, spec.trials - start))
+        for index, start in enumerate(range(0, spec.trials, _CHUNK))
     ]
     if workers == 1 or len(tasks) == 1:
         stats = [_chunk_stats(t) for t in tasks]
@@ -347,22 +354,15 @@ def estimate(spec, workers=1):
         count = total
     if count != spec.trials:
         raise AssertionError(f"aggregated {count} of {spec.trials} trials")
-    if spec.trials >= 2:
-        sample_std = math.sqrt(max(m2 / (spec.trials - 1), 0.0))
-        return MonteCarloEstimate(
-            mean=mean,
-            sample_std=sample_std,
-            std_error=sample_std / math.sqrt(spec.trials),
-            trials=spec.trials,
-            seed=spec.seed,
-        )
+    single = spec.trials < 2
+    sample_std = 0.0 if single else math.sqrt(max(m2 / (spec.trials - 1), 0.0))
     return MonteCarloEstimate(
         mean=mean,
-        sample_std=0.0,
-        std_error=0.0,
+        sample_std=sample_std,
+        std_error=sample_std / math.sqrt(spec.trials),
         trials=spec.trials,
         seed=spec.seed,
-        insufficient_trials=True,
+        insufficient_trials=single,
     )
 
 

@@ -71,8 +71,8 @@ class RandomStream:
     def substream(self, index):
         """Member `index` of the flat family this stream's seed identifies.
 
-        The Monte Carlo engine derives trial i's stream as substream(i) of
-        the experiment seed, so results do not depend on worker scheduling.
+        The Monte Carlo engine draws chunk k of an experiment from
+        substream(k) of its seed, so results do not depend on scheduling.
         """
         return RandomStream(self.seed, index)
 

@@ -196,3 +196,19 @@ class TestOperatorProduct:
             fast.std(ddof=1) / math.sqrt(trials), dense.std(ddof=1) / math.sqrt(trials)
         )
         assert abs(gap) < 4 * se
+
+    def test_negative_scalar_after_non_scalar_keeps_sign(self):
+        # a scalar factor -1 after a non-scalar one flips the image: the
+        # O(N) kernel and the dense sampler must agree on the sign
+        n, trials = 6, 2000
+        spectra = [Spectrum(np.linspace(0.2, 1.0, n)), Spectrum((-1.0,) * n)]
+        u = _e1(n)
+        fast = np.array(
+            [run_operator_product(spectra, u, RandomStream(48, i)).cosine for i in range(trials)]
+        )
+        dense = np.array(
+            [_operator_product_dense(spectra, u, RandomStream(49, i)).cosine for i in range(trials)]
+        )
+        assert np.all(fast < 0.0) and np.all(dense < 0.0)
+        se = math.hypot(fast.std(ddof=1), dense.std(ddof=1)) / math.sqrt(trials)
+        assert abs(fast.mean() - dense.mean()) < 4 * se

@@ -228,6 +228,20 @@ class TestCompare:
         assert rows[0]["verdict"] == "pass"
         assert 0.9 <= float(rows[0]["std_ratio"]) <= 1.1
 
+    def test_hyperbolic_long_arcs_finish(self, capsys):
+        # arcs of 5 at n=10 reach Minkowski products near 1e6; the scalar
+        # recursion has no sheet to drift off, so this is a verdict, not a
+        # configuration error
+        code, out, _ = run_cli(
+            capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "10",
+            "--arcs", "5,5,5", "--trials", "2048", "--seed", "23", "--output", "csv",
+        )
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        _, rows = parse_row_csv(out)
+        assert len(rows) == 1
+        for key in ("prediction_mean", "mc_mean", "mc_std", "std_error", "z_mean"):
+            assert math.isfinite(float(rows[0][key]))
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):

@@ -4,17 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from randsteps.chains import (
+    _operator_product_dense,
+    run_flat_chain,
+    run_hyperbolic_chain,
+    run_sphere_chain,
+)
+from randsteps.geometry import HyperboloidPoint, UnitVector
 from randsteps.montecarlo import (
     GEOMETRIES,
     ComparisonReport,
     ExperimentSpec,
     MonteCarloEstimate,
+    _trial_values,
     compare,
     estimate,
 )
 from randsteps.predictors import Prediction, prediction_for
-from randsteps.sampling import Spectrum
+from randsteps.sampling import RandomStream, Spectrum
 
 
 class TestExperimentSpec:
@@ -88,6 +97,16 @@ class TestEstimate:
         assert est.mean == math.cos(math.pi / 3)
         assert est.sample_std == 0.0
         assert est.std_error == 0.0
+
+    def test_single_step_flat_deterministic(self):
+        est = estimate(ExperimentSpec("flat", 7, (1.5,), 100, 5))
+        assert est.mean == 1.5 * 1.5
+        assert est.sample_std == 0.0 and est.std_error == 0.0
+
+    def test_single_step_hyperbolic_deterministic(self):
+        est = estimate(ExperimentSpec("hyperbolic", 9, (0.8,), 100, 5))
+        assert est.mean == math.cosh(0.8)
+        assert est.sample_std == 0.0 and est.std_error == 0.0
 
     def test_std_error_scales_with_trials(self):
         small = estimate(ExperimentSpec("flat", 20, (1.0, 1.0, 1.0), 4096, 31))
@@ -189,3 +208,114 @@ class TestMonteCarloEstimateValidation:
     def test_rejects_std_error_above_sample_std(self):
         with pytest.raises(ValueError, match="exceed"):
             MonteCarloEstimate(mean=0.0, sample_std=0.1, std_error=0.2, trials=2, seed=1)
+
+
+def _linear(n, low=0.2, high=1.0):
+    return Spectrum(np.linspace(low, high, n))
+
+
+class TestChunkStreams:
+    # Chunk k of 2048 trials draws from the stream (seed, k): partial last
+    # chunks and chunk boundaries must not depend on the worker count.
+    SPECS = (
+        ("sphere", 10, (0.7, 1.1, 2.0), None),
+        ("operator_product", 6, (_linear(6), Spectrum((-1.0,) * 6), _linear(6, -1.0, 0.5)), "cosine"),
+        ("marginal", 5, 3, None),
+    )
+
+    @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("geometry, n, schedule, observable", SPECS)
+    def test_workers_and_reruns_bitwise(self, trials, geometry, n, schedule, observable):
+        spec = ExperimentSpec(geometry, n, schedule, trials, 29, observable)
+        one = estimate(spec, workers=1)
+        assert estimate(spec, workers=1) == one
+        assert estimate(spec, workers=2) == one
+
+    def test_chunk_draws_from_its_own_stream(self):
+        spec = ExperimentSpec("sphere", 10, (0.7, 1.1), 2049, 29)
+        first = _trial_values(spec, 0, 2048)
+        last = _trial_values(spec, 1, 1)
+        values = np.concatenate([first, last])
+        # equal up to the rounding of the chunk-order merge
+        assert estimate(spec).mean == pytest.approx(math.fsum(values.tolist()) / 2049, rel=1e-12)
+        # a shorter chunk on the same stream is a prefix of the longer one
+        np.testing.assert_array_equal(_trial_values(spec, 0, 2047), first[:2047])
+
+
+def _e1(n):
+    v = np.zeros(n)
+    v[0] = 1.0
+    return v
+
+
+class TestChunkKernelLaw:
+    # The dimension-reduced chunk kernels and the full-vector chains draw
+    # different numbers from the same law; two-sample KS tests at fixed
+    # seeds compare them, including n = 3, steps of 0 and pi, and the
+    # two-dimensional operator, whose direction coordinate is a fair sign.
+    TRIALS = 3000
+    P_MIN = 1e-4
+
+    def _chunk(self, geometry, n, schedule, observable=None):
+        spec = ExperimentSpec(geometry, n, schedule, self.TRIALS, 61, observable)
+        return _trial_values(spec, 0, self.TRIALS)
+
+    def _check(self, chunk, full):
+        full = np.asarray(full)
+        if np.ptp(full) <= 1e-12 * np.max(np.abs(full)):
+            # A point mass (the norm of a reflection at n = 2): the two
+            # samplers differ only in rounding, which KS would resolve.
+            np.testing.assert_allclose(chunk, full[0], rtol=1e-12)
+            return
+        result = ks_2samp(chunk, full)
+        assert result.pvalue > self.P_MIN, result
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    @pytest.mark.parametrize(
+        "thetas", [(1.0, 2.0), (0.4, math.pi, 1.1), (0.0, 2.5, 0.7, 1.3)]
+    )
+    def test_sphere(self, n, thetas):
+        u0 = UnitVector(_e1(n))
+        full = [
+            run_sphere_chain(u0, thetas, RandomStream(62, i)).observable
+            for i in range(self.TRIALS)
+        ]
+        self._check(self._chunk("sphere", n, thetas), full)
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    @pytest.mark.parametrize("ds", [(1.0, 0.5, 2.0), (0.0, 1.0, 1.0)])
+    def test_flat(self, n, ds):
+        full = [
+            run_flat_chain(ds, n, RandomStream(63, i)).observable
+            for i in range(self.TRIALS)
+        ]
+        self._check(self._chunk("flat", n, ds), full)
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    @pytest.mark.parametrize("xis", [(0.5, 1.0, 0.3), (0.0, 1.2, 0.7)])
+    def test_hyperbolic(self, n, xis):
+        u0 = HyperboloidPoint(_e1(n))
+        full = [
+            run_hyperbolic_chain(u0, xis, RandomStream(64, i)).observable
+            for i in range(self.TRIALS)
+        ]
+        self._check(self._chunk("hyperbolic", n, xis), full)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    @pytest.mark.parametrize("case", ["single", "negative_scalar_last", "indefinite_triple"])
+    def test_operator(self, n, case):
+        spectra = {
+            "single": [_linear(n)],
+            "negative_scalar_last": [_linear(n), Spectrum((-1.0,) * n)],
+            "indefinite_triple": [_linear(n, -1.0, 1.0)] * 3,
+        }[case]
+        u0 = UnitVector(_e1(n))
+        dense = [_operator_product_dense(spectra, u0, RandomStream(65, i)) for i in range(self.TRIALS)]
+        self._check(
+            self._chunk("operator_product", n, spectra, "norm_ratio"),
+            [r.norm_ratio for r in dense],
+        )
+        self._check(
+            self._chunk("operator_product", n, spectra, "cosine"),
+            [r.cosine for r in dense],
+        )

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from randsteps.geometry import HyperboloidPoint, UnitVector, euclid_inner, minkowski_inner
-from randsteps.montecarlo import _TrialPool
 from randsteps.sampling import (
     RandomStream,
     Spectrum,
@@ -48,22 +47,6 @@ class TestRandomStream:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             RandomStream(1.5)
-
-
-class TestTrialPool:
-    def test_matches_fresh_streams(self):
-        pool = _TrialPool(555)
-        for index in (0, 1, 17, 2**63, 2**64 - 1):
-            got = pool.generator_for(index).standard_normal(32)
-            want = RandomStream(555, index).generator.standard_normal(32)
-            np.testing.assert_array_equal(got, want)
-
-    def test_reuse_resets_state(self):
-        pool = _TrialPool(555)
-        first = pool.generator_for(3).standard_normal(16)
-        pool.generator_for(4).standard_normal(16)
-        again = pool.generator_for(3).standard_normal(16)
-        np.testing.assert_array_equal(first, again)
 
 
 class TestSphereStep:
