@@ -20,6 +20,7 @@ import math
 import secrets
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -386,9 +387,7 @@ def _schedule_cell(geometry, schedule):
         return "|".join(
             ";".join(_fmt17(v) for v in factor.values) for factor in schedule
         )
-    if geometry == "monomial":
-        return str(schedule)
-    if geometry == "marginal":
+    if geometry in ("monomial", "marginal"):
         return str(schedule)
     return ";".join(_fmt17(v) for v in schedule)
 
@@ -736,7 +735,9 @@ def _add_compare_flags(sub):
     )
 
 
+@cache
 def build_parser():
+    # Built once per process: parse_args reads the tree and never changes it.
     parser = argparse.ArgumentParser(
         prog="randsteps",
         description="Closed-form predictions and Monte Carlo checks for accumulated random steps.",

@@ -19,13 +19,18 @@ With c = cos phi, r2 = ||x||^2 and a = cosh eta:
     hyperbolic  a'  = cosh(eta - xi) + 2B sinh(eta) sinh(xi),     m = n - 1
 
 These forms keep |c| <= 1, r2 >= 0 and a >= 1 up to rounding, and one-step
-chains report their constant exactly.  The full-vector kernels behind
-chains.run_* sample the same laws and serve as the reference in tests.
+chains report their constant exactly.  Monomial and marginal trials draw
+the first two coordinates of a uniform point on the sphere of R^n in O(1):
+t0 = g / sqrt(g^2 + X) with g standard normal and X ~ chi2(n - 1), which has
+the law of 2B - 1 (m = n), and, if needed, t1 = sqrt(1 - t0^2) times the
+same draw in R^(n-1).  The full-vector kernels behind chains.run_* sample
+the same laws and serve as the reference in tests.
 compare() turns an estimate plus a closed-form Prediction into a
 pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import _schedule
-from .predictors import Prediction
+from .predictors import _MONOMIAL_KINDS, _MONOMIALS, Prediction
 from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum
 
 __all__ = [
@@ -57,14 +62,11 @@ GEOMETRIES = (
 
 _OPERATOR_GEOMETRIES = ("operator", "operator_product")
 _OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
-# Powers (p0, p1) of the first two sphere coordinates in each monomial.
-_MONOMIALS = {"x1_sq": (2, 0), "x1_4": (4, 0), "x1sq_x2sq": (2, 2)}
-_MONOMIAL_KINDS = tuple(_MONOMIALS)
 
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
 # part of the determinism contract and never depends on the worker count.
 _CHUNK = 2048
-# Gaussian rows are drawn in blocks of about this many doubles (1 MiB).
+# Operator factors draw Gaussian rows in blocks of about this many doubles (1 MiB).
 _BLOCK_DRAWS = 1 << 17
 
 
@@ -95,8 +97,8 @@ class ExperimentSpec:
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         RandomStream(self.seed)  # validates the 64-bit seed range
-        if not isinstance(self.n_dim, (int, np.integer)):
-            raise ValueError(f"n_dim must be an integer, got {self.n_dim!r}")
+        if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim > sys.float_info.max:
+            raise ValueError(f"n_dim must be an integer in the double range, got {self.n_dim!r}")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "n_dim", int(self.n_dim))
@@ -224,6 +226,25 @@ def _cos_step(phi, theta, b):
     return np.cos(phi + theta) + 2.0 * b * np.sin(phi) * np.sin(theta)
 
 
+def _sphere_coordinate(gen, m, count):
+    # (t, sqrt(1 - t^2)) for one coordinate t of count uniform points on the
+    # sphere of R^m.  Unlike 2B - 1, both keep full relative precision at any
+    # m, which moments as small as 1/m need.
+    g = gen.standard_normal(count)
+    rest = 2.0 * gen.standard_gamma((m - 1) / 2.0, count)
+    r = np.sqrt(g * g + rest)
+    return g / r, np.sqrt(rest) / r
+
+
+def _coordinate_values(gen, n, count, p0, p1):
+    # t0^p0 t1^p1 for count uniform points on the sphere of R^n; t1 is drawn
+    # after t0, and only when p1 > 0.
+    t0, radius = _sphere_coordinate(gen, n, count)
+    if not p1:
+        return t0**p0
+    return t0**p0 * (radius * _sphere_coordinate(gen, n - 1, count)[0]) ** p1
+
+
 def _unit_blocks(gen, count, n):
     # Yield (g, nrm) for count Gaussian rows of length n, in row blocks so
     # the working set stays small at any n; g / nrm are uniform unit rows,
@@ -301,10 +322,8 @@ def _trial_values(spec, index, count):
     if geometry in _OPERATOR_GEOMETRIES:
         return _operator_values(gen, count, n, schedule, spec.observable)
     if geometry in ("monomial", "marginal"):
-        # Powers of the first two coordinates of uniform points on S^(n-1).
         p0, p1 = _MONOMIALS[schedule] if geometry == "monomial" else (schedule, 0)
-        t = np.concatenate([g[:, :2] / nrm[:, None] for g, nrm in _unit_blocks(gen, count, n)])
-        return t[:, 0] ** p0 * t[:, 1] ** p1
+        return _coordinate_values(gen, n, count, p0, p1)
     if not schedule:
         return np.full(count, 0.0 if geometry == "flat" else 1.0)
     return _chain_values(gen, count, geometry, n, schedule)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .geometry import as_vector, pnorm_pi
 
@@ -66,6 +64,7 @@ __all__ = [
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class PrecisionLossError(ArithmeticError):
@@ -242,7 +241,7 @@ def flat_sigma_bound(ds, n):
 
 
 def _log_cosh(x):
-    return float(np.logaddexp(x, -x)) - math.log(2.0)
+    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
 
 def _log_sinh(x):
@@ -253,7 +252,7 @@ def _log_sinh(x):
 def hyperbolic_log_expected_cosh(xis):
     """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs."""
     x = _arcs(xis)
-    return float(sum(_log_cosh(v) for v in x))
+    return float(sum(_log_cosh(v) for v in x.tolist()))
 
 
 def hyperbolic_expected_cosh(xis):
@@ -297,7 +296,7 @@ def hyperbolic_sigma(xis, n):
     rounding = 8.0 * _EPS * (m + 2)
     if float(np.sum(2.0 * x)) + m * math.log(2.0) < 600.0:
         a, b, p2 = 1.0, 0.0, 1.0
-        for xi in x:
+        for xi in x.tolist():
             ch = math.cosh(xi)
             sh = math.sinh(xi)
             s = sh * sh / (n - 1)
@@ -315,7 +314,7 @@ def hyperbolic_sigma(xis, n):
     la = 0.0
     lb = -math.inf
     lp2 = 0.0
-    for xi in x:
+    for xi in x.tolist():
         lc = 2.0 * _log_cosh(xi)
         # c = cosh^2 (1 + tanh^2/(n-1))
         tq = math.tanh(xi) ** 2 / (n - 1)
@@ -496,7 +495,25 @@ def pnorm_proposition_bounds(v):
     )
 
 
-_MONOMIAL_KINDS = ("x1_sq", "x1_4", "x1sq_x2sq")
+# Powers (p0, p1) of the first two sphere coordinates in each monomial.
+_MONOMIALS = {"x1_sq": (2, 0), "x1_4": (4, 0), "x1sq_x2sq": (2, 2)}
+_MONOMIAL_KINDS = tuple(_MONOMIALS)
+
+
+def _sphere_moment(n, p0, p1=0):
+    # E[t0^p0 t1^p1] for the first two coordinates of a uniform point on the
+    # sphere in R^n: (p0-1)!! (p1-1)!! / prod_{j < (p0+p1)/2} (n + 2j) for even
+    # powers, else 0, as a product of ratios; a result below the double range raises.
+    if p0 % 2 or p1 % 2:
+        return 0.0
+    out = 1.0
+    for j in range(p0 // 2):
+        out *= (2 * j + 1) / (n + 2 * j)
+    for j in range(p1 // 2):
+        out *= (2 * j + 1) / (n + p0 + 2 * j)
+    if out < _TINY:
+        raise PrecisionLossError(f"E[t0^{p0} t1^{p1}] underflows the double range at this n")
+    return out
 
 
 def monomial_integral(kind, n):
@@ -510,13 +527,9 @@ def monomial_integral(kind, n):
         raise ValueError(f"unknown monomial kind {kind!r}; expected one of {_MONOMIAL_KINDS}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if kind == "x1_sq":
-        return 1.0 / n
     if kind == "x1sq_x2sq" and n < 3:
         raise ValueError("the mixed moment needs n >= 3")
-    if kind == "x1_4":
-        return 3.0 / (n * (n + 2))
-    return 1.0 / (n * (n + 2))
+    return _sphere_moment(n, *_MONOMIALS[kind])
 
 
 def coordinate_marginal_density(t, n):
@@ -530,7 +543,7 @@ def coordinate_marginal_density(t, n):
         raise ValueError(f"n must be >= 2, got {n}")
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
-    log_z = gammaln(n / 2.0) - gammaln((n - 1) / 2.0) - 0.5 * math.log(math.pi)
+    log_z = math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)
     z = math.exp(log_z)
     q = 1.0 - t * t
     ex = (n - 3) / 2.0
@@ -696,38 +709,36 @@ def monomial_prediction(kind, n):
     )
 
 
-def _marginal_density_moment(power, n):
-    log_z = gammaln(n / 2.0) - gammaln((n - 1) / 2.0) - 0.5 * math.log(math.pi)
-    z = math.exp(log_z)
-    ex = (n - 3) / 2.0
-
-    def integrand(t):
-        return t**power * z * (1.0 - t * t) ** ex
-
-    value, _ = quad(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return value
-
-
 def marginal_moment_prediction(power, n):
     """Prediction for E[t^power], t a single coordinate of a uniform sphere point.
 
-    The mean is adaptive quadrature of t^power against the coordinate
-    marginal density; sigma_exact is the distribution's own standard
-    deviation of t^power, from the 2*power moment.
+    (1 + t)/2 ~ Beta((n-1)/2, (n-1)/2), so E[t^(2k)] = prod_{j<k} (2j+1)/(n+2j)
+    and odd moments are 0.  sigma_exact is the standard deviation of
+    t^power: sqrt(E[t^(2 power)]) for odd powers, and mean * sqrt(R - 1) for
+    even ones, with R = E[t^(2 power)] / mean^2 >= 3/2 formed as a product
+    of ratios, so it neither cancels nor underflows.
+
+    Raises PrecisionLossError when a moment it needs underflows the double
+    range, as E[t^(2k)] does once n^k exceeds about 1e308.
     """
     if not isinstance(power, (int, np.integer)) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    mean = _marginal_density_moment(power, n)
-    second = _marginal_density_moment(2 * power, n)
-    var = max(second - mean * mean, 0.0)
+    if power % 2:
+        mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * power))
+    else:
+        mean = _sphere_moment(n, power)
+        ratio = 1.0
+        for j in range(power // 2):
+            ratio *= ((2 * j + power + 1) / (2 * j + 1)) * ((n + 2 * j) / (n + 2 * j + power))
+        sigma = mean * math.sqrt(ratio - 1.0)
     return Prediction(
         observable=f"t^{power}",
         mean=mean,
-        sigma_exact=math.sqrt(var),
+        sigma_exact=sigma,
         sigma_bound=None,
-        deviation_order="exact moment by quadrature",
+        deviation_order="exact Beta moment",
     )
 
 

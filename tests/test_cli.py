@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randsteps
 from randsteps.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, main
 from randsteps.montecarlo import ExperimentSpec, estimate
 from randsteps.predictors import CurvaturePath, kappa_cosine_product, kappa_norm_product
@@ -98,6 +101,15 @@ class TestPredict:
         code, _, err = run_cli(
             capsys, "predict", "--geometry", "hyperbolic", "--n-dim", "3",
             "--arcs", "1e-9,1e-9",
+        )
+        assert code == EXIT_NUMERIC
+        assert "numeric failure" in err
+
+    def test_underflowing_moment_exit_code(self, capsys):
+        # E[t^2] = 1/n is below the double range
+        code, _, err = run_cli(
+            capsys, "predict", "--geometry", "marginal", "--n-dim", str(10**400),
+            "--power", "2",
         )
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
@@ -344,6 +356,29 @@ class TestParsing:
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["predict", "--bogus"]) == EXIT_CONFIG
 
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        # main() reuses one parser per process: repeated --spectrum flags of
+        # one call must not reach the next, and usage errors still exit 2.
+        code, out, _ = run_cli(
+            capsys, "predict", "--geometry", "operator_product",
+            "--spectrum", "1,2,3", "--spectrum", "0.5,1,2", "--output", "csv",
+        )
+        assert code == EXIT_PASS
+        two_factors = float(parse_field_csv(out)["mean"])
+        code, _, err = run_cli(
+            capsys, "predict", "--geometry", "sphere", "--n-dim", "5", "--angles", "0.5",
+        )
+        assert code == EXIT_PASS, err
+        assert main(["predict", "--geometry", "sphere", "--bogus"]) == EXIT_CONFIG
+        code, out, _ = run_cli(
+            capsys, "predict", "--geometry", "operator_product",
+            "--spectrum", "1,2,3", "--output", "csv",
+        )
+        assert code == EXIT_PASS
+        one_factor = float(parse_field_csv(out)["mean"])
+        assert one_factor == pytest.approx(2.0 / math.sqrt(14.0 / 3.0), rel=1e-15)
+        assert two_factors != one_factor
+
     def test_output_path_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run_cli(
@@ -361,3 +396,16 @@ class TestParsing:
         )
         assert proc.returncode == EXIT_PASS
         assert "expected_norm" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported lazily, by selftest only; a fresh interpreter
+        # importing the package and its CLI must not load it.
+        src = str(Path(randsteps.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import randsteps, randsteps.cli, sys; "
+             "assert not any(m.startswith('scipy') for m in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

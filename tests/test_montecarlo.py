@@ -18,12 +18,13 @@ from randsteps.montecarlo import (
     ComparisonReport,
     ExperimentSpec,
     MonteCarloEstimate,
+    _coordinate_values,
     _trial_values,
     compare,
     estimate,
 )
 from randsteps.predictors import Prediction, prediction_for
-from randsteps.sampling import RandomStream, Spectrum
+from randsteps.sampling import RandomStream, Spectrum, uniform_unit_sphere
 
 
 class TestExperimentSpec:
@@ -49,6 +50,11 @@ class TestExperimentSpec:
     def test_rejects_observable_outside_operator(self):
         with pytest.raises(ValueError, match="observable"):
             ExperimentSpec("sphere", 5, (0.5,), 10, 1, observable="cosine")
+
+    def test_rejects_dimension_beyond_double_range(self):
+        # the samplers take (n - 1)/2 as a double shape parameter
+        with pytest.raises(ValueError, match="double range"):
+            ExperimentSpec("marginal", 10**400, 2, 10, 1)
 
     def test_operator_defaults_to_cosine(self):
         spec = ExperimentSpec("operator", 3, Spectrum([1.0, 2.0, 3.0]), 10, 1)
@@ -319,3 +325,26 @@ class TestChunkKernelLaw:
             self._chunk("operator_product", n, spectra, "cosine"),
             [r.cosine for r in dense],
         )
+
+
+class TestCoordinateSamplerLaw:
+    # The O(1) coordinate sampler against the first two coordinates of full
+    # uniform_unit_sphere draws; the product t0 t1 checks the joint law, and
+    # n = 2 reaches the fair sign of the second coordinate.
+    TRIALS = 3000
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
+    @pytest.mark.parametrize("p0, p1", [(1, 0), (0, 1), (1, 1)])
+    def test_first_two_coordinates(self, n, p0, p1):
+        chunk = _coordinate_values(RandomStream(66).generator, n, self.TRIALS, p0, p1)
+        stream = RandomStream(67)
+        full = np.array([uniform_unit_sphere(n, stream).values[:2] for _ in range(self.TRIALS)])
+        result = ks_2samp(chunk, full[:, 0] ** p0 * full[:, 1] ** p1)
+        assert result.pvalue > TestChunkKernelLaw.P_MIN, result
+
+    def test_relative_precision_at_huge_n(self):
+        # At n = 1e32 a coordinate is about 1e-16: 2B - 1 would resolve it
+        # only to the rounding of B near 1/2 and bias t^2 by about 10 %.
+        n = 10**32
+        est = estimate(ExperimentSpec("marginal", n, 2, 20000, 1))
+        assert compare(prediction_for("marginal", 2, n), est).verdict == "pass"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from randsteps.sampling import Spectrum
 from randsteps.predictors import (
+    _sphere_moment,
     CurvaturePath,
     PrecisionLossError,
     Prediction,
@@ -332,6 +333,37 @@ class TestSphereMoments:
         np.testing.assert_allclose(
             marginal_moment_prediction(4, 10).mean, 0.025, rtol=1e-11
         )
+
+    @pytest.mark.parametrize("n", [2, 3, 10**4, 10**6])
+    def test_marginal_closed_form(self, n):
+        def moment(p):
+            return 0.0 if p % 2 else math.prod((2 * j + 1) / (n + 2 * j) for j in range(p // 2))
+
+        for p in range(1, 9):
+            pred = marginal_moment_prediction(p, n)
+            if p % 2:
+                assert pred.mean == 0.0
+            np.testing.assert_allclose(pred.mean, moment(p), rtol=1e-12)
+            sigma = math.sqrt(moment(2 * p) - moment(p) ** 2)
+            np.testing.assert_allclose(pred.sigma_exact, sigma, rtol=1e-12)
+
+    def test_monomials_are_coordinate_moments(self):
+        for n in (3, 10, 10**6):
+            assert monomial_integral("x1_sq", n) == _sphere_moment(n, 2)
+            assert monomial_integral("x1_4", n) == _sphere_moment(n, 4)
+            assert monomial_integral("x1sq_x2sq", n) == _sphere_moment(n, 2, 2)
+            np.testing.assert_allclose(_sphere_moment(n, 2), 1 / n, rtol=1e-15)
+            np.testing.assert_allclose(_sphere_moment(n, 4), 3 / (n * (n + 2)), rtol=1e-15)
+            np.testing.assert_allclose(_sphere_moment(n, 2, 2), 1 / (n * (n + 2)), rtol=1e-15)
+        assert monomial_prediction("x1_4", 10).sigma_exact is None
+
+    def test_underflowing_moment_raises(self):
+        with pytest.raises(PrecisionLossError):
+            marginal_moment_prediction(8, 10**80)
+        with pytest.raises(PrecisionLossError):
+            marginal_moment_prediction(1, 10**400)  # sigma needs E[t^2] = 1/n
+        with pytest.raises(PrecisionLossError):
+            monomial_integral("x1sq_x2sq", 10**160)
 
     def test_odd_marginal_moment_vanishes(self):
         np.testing.assert_allclose(marginal_moment_prediction(3, 8).mean, 0.0, atol=1e-13)
