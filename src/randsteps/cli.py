@@ -685,7 +685,7 @@ def _add_io_flags(sub):
     sub.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     sub.add_argument("--output", choices=("csv", "json", "pretty"), help="render format")
     sub.add_argument("--output-path", help="also write the rendered output to this file")
-    sub.add_argument("--workers", type=int, help="worker cap for Monte Carlo chunks")
+    sub.add_argument("--workers", type=int, help="Monte Carlo threads; results do not depend on it")
 
 
 def _add_schedule_flags(sub):

@@ -31,7 +31,7 @@ pass/fail/indeterminate verdict on standardized z-scores.
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -329,12 +329,15 @@ def _trial_values(spec, index, count):
     return _chain_values(gen, count, geometry, n, schedule)
 
 
-def _chunk_stats(task):
-    """Exact (count, mean, M2) for one chunk of trials; pure in the task."""
-    values = _trial_values(*task).tolist()
-    count = len(values)
-    mean = math.fsum(values) / count
-    m2 = math.fsum((v - mean) ** 2 for v in values)
+def _chunk_stats(spec, index, count):
+    """Exact (count, mean, M2) for chunk index of spec; pure in its arguments."""
+    values = _trial_values(spec, index, count)
+    mean = math.fsum(values.tolist()) / count
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = values - mean
+        m2 = math.fsum((d * d).tolist())
+    if m2 == math.inf:
+        raise OverflowError(f"squared deviation from the chunk mean {mean!r} overflows")
     return count, mean, m2
 
 
@@ -349,7 +352,9 @@ def estimate(spec, workers=1):
     ----------
     spec : ExperimentSpec
     workers : int
-        Process count for fanning out chunks; 1 runs in-process.
+        Cap on chunks running at once, each on a thread of this process
+        (numpy releases the interpreter lock while it draws and computes);
+        1 runs them serially on the calling thread.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"expected ExperimentSpec, got {type(spec).__name__}")
@@ -360,10 +365,13 @@ def estimate(spec, workers=1):
         for index, start in enumerate(range(0, spec.trials, _CHUNK))
     ]
     if workers == 1 or len(tasks) == 1:
-        stats = [_chunk_stats(t) for t in tasks]
+        stats = [_chunk_stats(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
-            stats = list(pool.map(_chunk_stats, tasks))
+        # Results are read once the pool has joined: waiting on each chunk in
+        # turn would wake this thread per chunk to contend for the GIL.
+        with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
+            futures = [pool.submit(_chunk_stats, *task) for task in tasks]
+        stats = [f.result() for f in futures]
     count, mean, m2 = stats[0]
     for k, m, s2 in stats[1:]:
         total = count + k

@@ -240,6 +240,14 @@ def flat_sigma_bound(ds, n):
     return math.sqrt(2.0 * (n - 1)) / n * float(d @ d)
 
 
+def _exp_or_inf(x):
+    # exp(x), or inf where it exceeds the double range.
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _log_cosh(x):
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
@@ -262,10 +270,7 @@ def hyperbolic_expected_cosh(xis):
     hyperbolic_log_expected_cosh; returns inf when the product exceeds the
     double range (the log form stays finite).
     """
-    try:
-        return math.exp(hyperbolic_log_expected_cosh(xis))
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(hyperbolic_log_expected_cosh(xis))
 
 
 def hyperbolic_sigma(xis, n):
@@ -278,7 +283,8 @@ def hyperbolic_sigma(xis, n):
         a_k = c_k a_{k-1},   b_k = -s_k a_{k-1} + b_{k-1}
 
     and sigma^2 = a_M + b_M - (prod cosh xi_i)^2.  Large schedules are
-    evaluated in log space to avoid overflow.
+    evaluated in log space to avoid overflow; returns inf when sigma itself
+    exceeds the double range.
 
     Raises
     ------
@@ -331,14 +337,15 @@ def hyperbolic_sigma(xis, n):
         raise PrecisionLossError(
             f"sigma^2 cancellation in log space: bracket={bracket!r}"
         )
-    return math.exp(0.5 * (la + math.log(bracket)))
+    return _exp_or_inf(0.5 * (la + math.log(bracket)))
 
 
 def hyperbolic_sigma_bound(xis, n):
     """Bound sigma <= sqrt((n/(n-1))^(M-1) - 1) * prod_i cosh(xi_i).
 
-    Holds for every schedule; the first factor is evaluated with expm1 so
-    short schedules do not lose precision.
+    Holds for every schedule; the first factor is evaluated with expm1 and
+    log1p so short schedules and large n do not lose precision.  Returns
+    inf when the bound exceeds the double range.
     """
     x = _arcs(xis)
     if n < 3:
@@ -346,8 +353,15 @@ def hyperbolic_sigma_bound(xis, n):
     m = x.shape[0]
     if m < 1:
         raise ValueError("the bound needs at least one step")
-    growth = math.expm1((m - 1) * math.log(n / (n - 1.0)))
-    return math.sqrt(growth) * math.exp(hyperbolic_log_expected_cosh(x))
+    growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1.0)))
+    if growth == 0.0:
+        return 0.0
+    log_cosh = hyperbolic_log_expected_cosh(x)
+    try:
+        return math.sqrt(growth) * math.exp(log_cosh)
+    except OverflowError:
+        # A small first factor can keep the product in range.
+        return _exp_or_inf(0.5 * math.log(growth) + log_cosh)
 
 
 def _spectrum_values(spectrum):

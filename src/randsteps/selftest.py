@@ -490,8 +490,8 @@ def _c14_determinism(c2_est, ratio_est, rows_so_far, elapsed, workers):
 def run_battery(workers=1):
     """Run all fourteen checks and return their CriterionResult rows.
 
-    workers only parallelizes the Monte Carlo chunks; every reported number
-    is bitwise independent of it.
+    workers caps the threads that run Monte Carlo chunks at once; every
+    reported number is bitwise independent of it.
     """
     start = time.perf_counter()
     rows = []

@@ -114,6 +114,17 @@ class TestPredict:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
 
+    def test_hyperbolic_overflow_reports_inf(self, capsys):
+        code, out, err = run_cli(
+            capsys, "predict", "--geometry", "hyperbolic", "--n-dim", "10",
+            "--arcs", "300,300,300", "--output", "json",
+        )
+        assert code == EXIT_PASS
+        assert err == ""
+        payload = json.loads(out)
+        for key in ("mean", "sigma_exact", "sigma_bound"):
+            assert payload[key] == math.inf
+
     def test_missing_schedule_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--geometry", "sphere", "--n-dim", "5")
         assert code == EXIT_CONFIG
@@ -397,15 +408,24 @@ class TestParsing:
         assert proc.returncode == EXIT_PASS
         assert "expected_norm" in proc.stdout
 
-    def test_import_loads_no_scipy(self):
-        # scipy is imported lazily, by selftest only; a fresh interpreter
-        # importing the package and its CLI must not load it.
+    @staticmethod
+    def _fresh_import(check):
+        # Run check in a new interpreter after importing the package and its CLI.
         src = str(Path(randsteps.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import randsteps, randsteps.cli, sys; "
-             "assert not any(m.startswith('scipy') for m in sys.modules)"],
+            [sys.executable, "-c", "import randsteps, randsteps.cli, sys; " + check],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported lazily, by selftest only.
+        self._fresh_import("assert not any(m.startswith('scipy') for m in sys.modules)")
+
+    def test_import_loads_no_process_machinery(self):
+        # Monte Carlo chunks fan out to threads, so nothing loads multiprocessing.
+        self._fresh_import(
+            "loaded = [m for m in sys.modules if m.startswith('multiprocessing') "
+            "or m == 'concurrent.futures.process']; assert not loaded, loaded"
+        )

@@ -1,11 +1,15 @@
 """The seeded Monte Carlo engine and the prediction comparator."""
 
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from randsteps import montecarlo
 from randsteps.chains import (
     _operator_product_dense,
     run_flat_chain,
@@ -18,6 +22,7 @@ from randsteps.montecarlo import (
     ComparisonReport,
     ExperimentSpec,
     MonteCarloEstimate,
+    _chunk_stats,
     _coordinate_values,
     _trial_values,
     compare,
@@ -237,6 +242,33 @@ class TestChunkStreams:
         assert estimate(spec, workers=1) == one
         assert estimate(spec, workers=2) == one
 
+    # The geometries SPECS leaves out, at four chunks; 8 workers exceed them.
+    FAN_SPECS = (
+        ("flat", 12, (1.0, 0.5, 2.0), None),
+        ("hyperbolic", 9, (0.4, 1.2, 0.8), None),
+        ("operator", 7, _linear(7, -0.5, 2.0), "norm_ratio"),
+    )
+
+    @pytest.mark.parametrize("geometry, n, schedule, observable", FAN_SPECS)
+    def test_worker_counts_bitwise(self, geometry, n, schedule, observable):
+        spec = ExperimentSpec(geometry, n, schedule, 3 * 2048 + 100, 31, observable)
+        one = estimate(spec, workers=1)
+        for workers in (2, 3, 8):
+            assert estimate(spec, workers=workers) == one
+
+    def test_chunks_run_in_the_calling_process(self, monkeypatch):
+        seen = []
+
+        def recording(*task):
+            seen.append((os.getpid(), multiprocessing.active_children()))
+            return _chunk_stats(*task)
+
+        monkeypatch.setattr(montecarlo, "_chunk_stats", recording)
+        spec = ExperimentSpec("sphere", 10, (0.7, 1.1), 4 * 2048 + 1, 29)
+        estimate(spec, workers=2)
+        assert seen == [(os.getpid(), [])] * 5
+        assert multiprocessing.active_children() == []
+
     def test_chunk_draws_from_its_own_stream(self):
         spec = ExperimentSpec("sphere", 10, (0.7, 1.1), 2049, 29)
         first = _trial_values(spec, 0, 2048)
@@ -246,6 +278,32 @@ class TestChunkStreams:
         assert estimate(spec).mean == pytest.approx(math.fsum(values.tolist()) / 2049, rel=1e-12)
         # a shorter chunk on the same stream is a prefix of the longer one
         np.testing.assert_array_equal(_trial_values(spec, 0, 2047), first[:2047])
+
+
+class TestChunkStats:
+    def test_m2_matches_the_scalar_loop(self):
+        # The reference squares each deviation as a Python float; x ** 2 there
+        # is libm pow, which can be one ulp off the exact square d * d.
+        spec = ExperimentSpec("hyperbolic", 9, (0.4, 1.2, 0.8), 2048, 3)
+        values = _trial_values(spec, 0, 2048).tolist()
+        mean = math.fsum(values) / len(values)
+        want = math.fsum((v - mean) ** 2 for v in values)
+        assert _chunk_stats(spec, 0, 2048) == (2048, mean, pytest.approx(want, rel=1e-15))
+
+    def test_overflowing_square_raises_without_warning(self):
+        spec = ExperimentSpec("flat", 3, (1e150, 1e150), 100, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                estimate(spec)
+
+    def test_infinite_observable_gives_nan_spread_without_warning(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: np.array([1.0, math.inf]))
+        spec = ExperimentSpec("flat", 3, (1.0,), 2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count, mean, m2 = _chunk_stats(spec, 0, 2)
+        assert mean == math.inf and math.isnan(m2)
 
 
 def _e1(n):

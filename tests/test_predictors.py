@@ -178,6 +178,24 @@ class TestHyperbolicPredictors:
         want = math.exp(2 * (xi - math.log(2.0)) - 0.5 * math.log(n - 1))
         np.testing.assert_allclose(hyperbolic_sigma((xi, xi), n), want, rtol=1e-12)
 
+    def test_sigma_huge_arcs_overflow_to_inf(self):
+        assert hyperbolic_sigma((300.0, 300.0, 300.0), 10) == math.inf
+        assert hyperbolic_sigma((400.0, 400.0), 10) == math.inf
+
+    def test_sigma_bound_huge_arcs_overflow_to_inf(self):
+        assert hyperbolic_sigma_bound((300.0, 300.0, 300.0), 10) == math.inf
+
+    def test_sigma_bound_in_range_past_cosh_overflow(self):
+        # prod cosh = e^720 / 4 overflows; the first factor 1e-6 keeps the bound finite
+        n, xi = 10**12 + 1, 360.0
+        want = math.exp(0.5 * math.log(1e-12) + 2.0 * (xi - math.log(2.0)))
+        np.testing.assert_allclose(hyperbolic_sigma_bound((xi, xi), n), want, rtol=1e-12)
+
+    def test_sigma_bound_keeps_its_first_factor_at_huge_n(self):
+        # n / (n - 1) rounds to 1 here; the factor is sqrt(1e-20), not 0
+        want = 1e-10 * math.cosh(1.0) ** 2
+        np.testing.assert_allclose(hyperbolic_sigma_bound((1.0, 1.0), 10**20 + 1), want, rtol=1e-14)
+
     def test_sigma_single_arc_deterministic(self):
         assert hyperbolic_sigma((2.0,), 10) == 0.0
         assert hyperbolic_sigma((0.0, 0.0), 10) == 0.0
