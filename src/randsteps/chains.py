@@ -3,10 +3,11 @@
 Each run_* function plays one trial of a chain on full vectors and returns the
 observable whose expectation :mod:`randsteps.predictors` computes in closed
 form; the Monte Carlo engine samples the same laws in dimension-reduced
-form, and tests check the two against each other.  The private kernels
-draw each step's Gaussians in one block, which consumes the stream exactly
-like per-step draws would, so a chain's outcome is a pure function of
-(inputs, stream address) no matter how it is invoked.
+form, and tests check the two against each other.  The runners loop over
+the step cores of :mod:`randsteps.sampling`, the same ones behind
+sphere_step, flat_step and hyperbolic_step, feeding them one block of
+Gaussians drawn up front; a chain's outcome is a pure function of (inputs,
+stream address).
 
 The operator product uses an exact O(N)-per-factor factorization instead of
 materializing conjugated matrices: for A = U^T diag(s) U with U Haar and a
@@ -24,16 +25,15 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    CONSTRUCTION_TOL,
-    HyperboloidPoint,
-    UnitVector,
-    as_vector,
-)
+from .geometry import HyperboloidPoint, UnitVector, as_vector
 from .sampling import (
     _DEGENERATE_NORM,
     Spectrum,
     _gen_of,
+    _hyperbolic_step_raw,
+    _sphere_step_raw,
+    _tangent_raw,
+    _unit_raw,
     random_symmetric_with_spectrum,
 )
 
@@ -89,94 +89,21 @@ def _schedule(values, name, upper=None):
     return v
 
 
-def _sphere_kernel(u0, steps, gen):
-    # One trial of the sphere chain; u0 must be unit, steps a list of
-    # (cos theta, sin theta).  Draws all step Gaussians in one block.
-    # No per-step renormalization: each step maps an exactly unit vector to
-    # one of norm 1 + O(eps), so the drift stays ~ M*eps, and skipping it
-    # keeps single-step observables exactly deterministic.
-    n = u0.shape[0]
-    u = u0
-    g = gen.standard_normal((len(steps), n))
-    buf = np.empty(n)
-    for k, (cth, sth) in enumerate(steps):
-        gk = g[k]
-        np.multiply(u, gk @ u, out=buf)
-        gk -= buf
-        nrm = math.sqrt(float(gk @ gk))
-        while nrm <= _DEGENERATE_NORM:
-            # Tangential part vanished to machine precision; redraw.
-            gk = gen.standard_normal(n)
-            np.multiply(u, gk @ u, out=buf)
-            gk -= buf
-            nrm = math.sqrt(float(gk @ gk))
-        gk *= sth / nrm
-        np.multiply(u, cth, out=buf)
-        gk += buf
-        u = gk
-    return u
-
-
-def _flat_kernel(ds, n, gen, x=None, r2=0.0):
-    # One or more flat-chain steps from (x, r2), defaulting to the origin.
-    # Returns the endpoint and the squared norm accumulated incrementally:
-    # each step contributes its exact d^2 plus the cross term, treating the
-    # unit direction's square as exactly 1, so single-step observables are
-    # exactly deterministic.
-    if x is None:
-        x = np.zeros(n)
-    else:
-        x = x.copy()
-    g = gen.standard_normal((len(ds), n))
-    buf = np.empty(n)
-    for k, d in enumerate(ds):
-        gk = g[k]
-        nrm = math.sqrt(float(gk @ gk))
-        while nrm <= _DEGENERATE_NORM:
-            gk = gen.standard_normal(n)
-            nrm = math.sqrt(float(gk @ gk))
-        gk /= nrm
-        r2 = r2 + 2.0 * d * float(x @ gk) + d * d
-        np.multiply(gk, d, out=buf)
-        x += buf
-    return x, r2
-
-
-def _hyperbolic_kernel(u0, steps, gen):
-    # One trial of the hyperboloid chain; steps a list of (cosh xi, sinh xi).
-    # Each step is sampled at the base point e1 and pushed to the current
-    # position by the boost.  The Minkowski square is guarded but not
-    # renormalized: the boost preserves it up to O(eps) per step, and not
-    # dividing keeps single-step observables exactly deterministic.
-    n = u0.shape[0]
-    u = u0
-    g = gen.standard_normal((len(steps), n - 1))
-    y = np.empty(n)
-    for k, (ch, sh) in enumerate(steps):
-        gk = g[k]
-        nrm = math.sqrt(float(gk @ gk))
-        while nrm <= _DEGENERATE_NORM:
-            gk = gen.standard_normal(n - 1)
-            nrm = math.sqrt(float(gk @ gk))
-        gk /= nrm
-        gk *= sh
-        y[0] = ch
-        y[1:] = gk
-        # Boost taking e1 to u, applied via its rank-one structure; matches
-        # geometry.apply_boost_from_e1 without per-step validation overhead.
-        spatial = u[1:]
-        a = float(spatial @ y[1:])
-        out = np.empty(n)
-        out[0] = u[0] * y[0] + a
-        np.multiply(spatial, y[0] + a / (1.0 + u[0]), out=out[1:])
-        out[1:] += y[1:]
-        if not out[0] > 0.0:
-            raise ValueError("hyperbolic step left the future sheet")
-        q = float(out[0] * out[0] - out[1:] @ out[1:])
-        if not abs(q - 1.0) <= CONSTRUCTION_TOL:
-            raise ValueError(f"hyperbolic step drifted off the sheet: Minkowski square {q!r}")
-        u = out
-    return u
+def _walk(start, steps, width, core, gen, trace):
+    # Play steps, a list of (cos, sin) or (cosh, sinh) pairs, from start:
+    # core(u, c, s, row, gen) takes one row of a block of Gaussians of the
+    # given width drawn up front, which consumes the stream like per-step
+    # draws would.  Returns the endpoint and, if trace, every visited point.
+    g = gen.standard_normal((len(steps), width))
+    path = np.empty((len(steps) + 1, start.shape[0])) if trace else None
+    u = start
+    if trace:
+        path[0] = start
+    for k, (c, s) in enumerate(steps):
+        u = core(u, c, s, g[k], gen)
+        if trace:
+            path[k + 1] = u
+    return u, path
 
 
 def _operator_kernel(values_list, u0, gen):
@@ -204,12 +131,7 @@ def _operator_kernel(values_list, u0, gen):
             sign = -sign if c < 0.0 else sign
             continue
         g = gen.standard_normal((2, n))
-        gx = g[0]
-        nx = math.sqrt(float(gx @ gx))
-        while nx <= _DEGENERATE_NORM:
-            gx = gen.standard_normal(n)
-            nx = math.sqrt(float(gx @ gx))
-        x = gx / nx
+        x = _unit_raw(g[0], gen)
         sx = s * x
         alpha = float(x @ sx)
         perp = sx - alpha * x
@@ -217,14 +139,8 @@ def _operator_kernel(values_list, u0, gen):
         r = math.sqrt(alpha * alpha + beta * beta)
         if r <= _DEGENERATE_NORM:
             return 0.0, math.nan, True, None
-        gz = g[1]
-        gz -= (gz @ v) * v
-        nz = math.sqrt(float(gz @ gz))
-        while nz <= _DEGENERATE_NORM:
-            gz = gen.standard_normal(n)
-            gz -= (gz @ v) * v
-            nz = math.sqrt(float(gz @ gz))
-        w = alpha * v + beta * (gz / nz)
+        z, nz = _tangent_raw(v, g[1], gen)
+        w = alpha * v + beta * (z / nz)
         v = w / float(np.linalg.norm(w))
         ratio *= r
     if v is u0:
@@ -259,18 +175,8 @@ def run_sphere_chain(u0, thetas, rng, trace=False, keep_final=False):
         raise ValueError(f"sphere chains need dimension >= 3, got {u0.dim}")
     t = _schedule(thetas, "thetas", upper=math.pi)
     steps = [(math.cos(th), math.sin(th)) for th in t]
-    gen = _gen_of(rng)
     start = u0.values
-    if trace:
-        path = np.empty((len(steps) + 1, u0.dim))
-        path[0] = start
-        u = start
-        for k, step in enumerate(steps):
-            u = _sphere_kernel(u, [step], gen)
-            path[k + 1] = u
-    else:
-        path = None
-        u = _sphere_kernel(start, steps, gen)
+    u, path = _walk(start, steps, u0.dim, _sphere_step_raw, _gen_of(rng), trace)
     observable = 1.0 if not steps else float(u @ start)
     return ChainResult(
         observable=observable,
@@ -299,17 +205,19 @@ def run_flat_chain(ds, n, rng, trace=False, keep_final=False):
         raise ValueError(f"flat chains need dimension >= 2, got {n}")
     d = _schedule(ds, "ds")
     gen = _gen_of(rng)
-    if trace:
-        path = np.empty((d.shape[0] + 1, n))
-        path[0] = 0.0
-        x = np.zeros(n)
-        r2 = 0.0
-        for k, step in enumerate(d):
-            x, r2 = _flat_kernel([step], n, gen, x, r2)
+    g = gen.standard_normal((d.shape[0], n))
+    x = np.zeros(n)
+    path = np.zeros((d.shape[0] + 1, n)) if trace else None
+    # ||x||^2 accumulates incrementally: each step adds its exact d^2 plus
+    # the cross term, taking the unit direction's square as exactly 1, so
+    # one-step observables are exactly deterministic.
+    r2 = 0.0
+    for k, dk in enumerate(d):
+        w = _unit_raw(g[k], gen)
+        r2 = r2 + 2.0 * dk * float(x @ w) + dk * dk
+        x += dk * w
+        if trace:
             path[k + 1] = x
-    else:
-        path = None
-        x, r2 = _flat_kernel(d, n, gen)
     return ChainResult(
         observable=r2,
         final_point=x.copy() if keep_final else None,
@@ -342,18 +250,8 @@ def run_hyperbolic_chain(u0, xis, rng, trace=False, keep_final=False):
         raise ValueError(f"hyperbolic chains need dimension >= 3, got {u0.dim}")
     x = _schedule(xis, "xis")
     steps = [(math.cosh(xi), math.sinh(xi)) for xi in x]
-    gen = _gen_of(rng)
     start = u0.values
-    if trace:
-        path = np.empty((len(steps) + 1, u0.dim))
-        path[0] = start
-        u = start
-        for k, step in enumerate(steps):
-            u = _hyperbolic_kernel(u, [step], gen)
-            path[k + 1] = u
-    else:
-        path = None
-        u = _hyperbolic_kernel(start, steps, gen)
+    u, path = _walk(start, steps, u0.dim - 1, _hyperbolic_step_raw, _gen_of(rng), trace)
     if not steps:
         observable = 1.0
     else:

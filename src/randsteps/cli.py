@@ -145,6 +145,21 @@ def _fmt10(value):
     return "%.10g" % value
 
 
+def _json(payload):
+    # Strict JSON (RFC 8259) has no Infinity or NaN: non-finite floats are
+    # written as the CSV's text for them, the strings "inf", "-inf", "nan".
+    def strict(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return _fmt17(value)
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(item) for item in value]
+        return value
+
+    return json.dumps(strict(payload), indent=2, allow_nan=False)
+
+
 def _float_list(raw, field):
     """Comma string or number sequence to a list of floats."""
     if isinstance(raw, str):
@@ -416,7 +431,7 @@ def _emit(text, cfg):
 def _render_fields(fields, cfg):
     """Render an ordered field->value mapping for predict-style output."""
     if cfg.output == "json":
-        return json.dumps(fields, indent=2)
+        return _json(fields)
     if cfg.output == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -445,7 +460,7 @@ def _render_fields(fields, cfg):
 def _render_rows(rows, cfg):
     """Render comparison/simulation rows in the unified column schema."""
     if cfg.output == "json":
-        return json.dumps(rows, indent=2)
+        return _json(rows)
     if cfg.output == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -654,7 +669,7 @@ def cmd_selftest(cfg):
     if cfg.output == "csv":
         text = render_csv(results).rstrip("\n")
     elif cfg.output == "json":
-        text = json.dumps(
+        text = _json(
             [
                 {
                     "criterion": r.criterion,
@@ -663,8 +678,7 @@ def cmd_selftest(cfg):
                     "detail": r.detail,
                 }
                 for r in results
-            ],
-            indent=2,
+            ]
         )
     else:
         text = render_table(results)

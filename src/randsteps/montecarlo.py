@@ -23,8 +23,8 @@ chains report their constant exactly.  Monomial and marginal trials draw
 the first two coordinates of a uniform point on the sphere of R^n in O(1):
 t0 = g / sqrt(g^2 + X) with g standard normal and X ~ chi2(n - 1), which has
 the law of 2B - 1 (m = n), and, if needed, t1 = sqrt(1 - t0^2) times the
-same draw in R^(n-1).  The full-vector kernels behind chains.run_* sample
-the same laws and serve as the reference in tests.
+same draw in R^(n-1).  chains.run_* sample the same laws on full vectors,
+through the step cores in sampling, and serve as the reference in tests.
 compare() turns an estimate plus a closed-form Prediction into a
 pass/fail/indeterminate verdict on standardized z-scores.
 """

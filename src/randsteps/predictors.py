@@ -252,11 +252,6 @@ def _log_cosh(x):
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
 
-def _log_sinh(x):
-    # x > 0 required.
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-
-
 def hyperbolic_log_expected_cosh(xis):
     """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs."""
     x = _arcs(xis)
@@ -300,9 +295,11 @@ def hyperbolic_sigma(xis, n):
         return 0.0
     err_rel_budget = 1e-2
     rounding = 8.0 * _EPS * (m + 2)
-    if float(np.sum(2.0 * x)) + m * math.log(2.0) < 600.0:
+    arcs = x.tolist()
+    # A Python sum, unlike np.sum, reaches inf without an overflow warning.
+    if 2.0 * sum(arcs) + m * math.log(2.0) < 600.0:
         a, b, p2 = 1.0, 0.0, 1.0
-        for xi in x.tolist():
+        for xi in arcs:
             ch = math.cosh(xi)
             sh = math.sinh(xi)
             s = sh * sh / (n - 1)
@@ -316,22 +313,24 @@ def hyperbolic_sigma(xis, n):
                 f"sigma^2 cancellation: a={a!r}, computed variance {var!r}"
             )
         return math.sqrt(var)
-    # Log-space evaluation of the identical recursion.
+    # Log-space evaluation of the identical recursion.  It tracks the ratios
+    # x1 = log(b / a) and x2 = log(p2 / a), which stay in range however large
+    # the arcs; log a enters only the final exponent.  With tq = tanh^2/(n-1),
+    # c = cosh^2 (1 + tq) and s / c = tq / (1 + tq).
+    log_n1 = math.log(n - 1)
     la = 0.0
-    lb = -math.inf
-    lp2 = 0.0
-    for xi in x.tolist():
-        lc = 2.0 * _log_cosh(xi)
-        # c = cosh^2 (1 + tanh^2/(n-1))
-        tq = math.tanh(xi) ** 2 / (n - 1)
-        lck = lc + math.log1p(tq)
-        if xi > 0.0:
-            ls = 2.0 * _log_sinh(xi) - math.log(n - 1)
-            lb = float(np.logaddexp(lb, ls + la))
+    x1 = -math.inf
+    x2 = 0.0
+    for xi in arcs:
+        if xi == 0.0:
+            continue
+        t = math.tanh(xi)
+        tq = t * t / (n - 1)
+        l1p = math.log1p(tq)
+        lck = 2.0 * _log_cosh(xi) + l1p
+        x1 = float(np.logaddexp(x1 - lck, 2.0 * math.log(t) - log_n1 - l1p))
+        x2 -= l1p
         la += lck
-        lp2 += lc
-    x1 = lb - la
-    x2 = lp2 - la
     bracket = -math.expm1(x2) - math.exp(x1)
     if bracket <= 0.0 or rounding / bracket > err_rel_budget:
         raise PrecisionLossError(

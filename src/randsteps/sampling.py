@@ -136,13 +136,26 @@ def gaussian_vector(n, rng):
     return _gen_of(rng).standard_normal(n)
 
 
-def _unit_sphere_raw(n, gen):
-    # Gaussian direction normalized; redraw the zero-probability degenerate case.
+def _unit_raw(g, gen):
+    # A uniform direction: the Gaussian row g normalized.  The degenerate
+    # row, probability zero in exact arithmetic, is redrawn from gen.
     while True:
-        g = gen.standard_normal(n)
         nrm = math.sqrt(float(g @ g))
         if nrm > _DEGENERATE_NORM:
             return g / nrm
+        g = gen.standard_normal(g.shape[0])
+
+
+def _tangent_raw(u, g, gen):
+    # A uniform tangent direction at unit u, returned unnormalized with its
+    # norm: the Gaussian row g (overwritten) less its component along u.
+    # A projection that vanishes to machine precision is redrawn from gen.
+    while True:
+        g -= (g @ u) * u
+        nrm = math.sqrt(float(g @ g))
+        if nrm > _DEGENERATE_NORM:
+            return g, nrm
+        g = gen.standard_normal(u.shape[0])
 
 
 def uniform_unit_sphere(n, rng):
@@ -153,20 +166,17 @@ def uniform_unit_sphere(n, rng):
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return UnitVector(_unit_sphere_raw(n, _gen_of(rng)))
+    gen = _gen_of(rng)
+    return UnitVector(_unit_raw(gen.standard_normal(n), gen))
 
 
-def _sphere_step_raw(u, theta, gen):
-    # One step on the sphere: move angle theta from u in a uniform tangent
-    # direction.  u must be unit; the result is unit to machine precision.
-    g = gen.standard_normal(u.shape[0])
-    g -= (g @ u) * u
-    nrm = math.sqrt(float(g @ g))
-    while nrm <= _DEGENERATE_NORM:
-        g = gen.standard_normal(u.shape[0])
-        g -= (g @ u) * u
-        nrm = math.sqrt(float(g @ g))
-    return math.cos(theta) * u + (math.sin(theta) / nrm) * g
+def _sphere_step_raw(u, cos, sin, g, gen):
+    # One sphere step of angle theta = atan2(sin, cos) from unit u, driven
+    # by the Gaussian row g of length n.  Not renormalized: an exactly unit
+    # u maps to norm 1 + O(eps), so a chain drifts by about M*eps, and
+    # skipping the division keeps one-step observables exactly deterministic.
+    g, nrm = _tangent_raw(u, g, gen)
+    return cos * u + (sin / nrm) * g
 
 
 def sphere_step(u, theta, rng):
@@ -191,7 +201,9 @@ def sphere_step(u, theta, rng):
         raise ValueError(f"sphere_step needs dimension >= 3, got {u.dim}")
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    return UnitVector(_sphere_step_raw(u.values, theta, _gen_of(rng)))
+    gen = _gen_of(rng)
+    g = gen.standard_normal(u.dim)
+    return UnitVector(_sphere_step_raw(u.values, math.cos(theta), math.sin(theta), g, gen))
 
 
 def flat_step(x, d, rng):
@@ -205,20 +217,28 @@ def flat_step(x, d, rng):
         raise ValueError(f"flat_step needs dimension >= 2, got {xv.shape[0]}")
     if not (d >= 0.0 and math.isfinite(d)):
         raise ValueError(f"step length must be a finite real >= 0, got {d!r}")
-    return xv + d * _unit_sphere_raw(xv.shape[0], _gen_of(rng))
+    gen = _gen_of(rng)
+    return xv + d * _unit_raw(gen.standard_normal(xv.shape[0]), gen)
 
 
-def _hyperbolic_step_raw(u, xi, gen):
-    # Sample the step at the base point e1, where the arc-xi sphere is
-    # (cosh xi, sinh xi * w) with w uniform on S^(n-2), then push it to u by
-    # the boost taking e1 to u.  The boost restricts to an isometry between
-    # the two spheres, so uniformity is preserved.
-    n = u.shape[0]
-    w = _unit_sphere_raw(n - 1, gen)
-    y = np.empty(n)
-    y[0] = math.cosh(xi)
-    y[1:] = math.sinh(xi) * w
-    return apply_boost_from_e1(u, y)
+def _hyperbolic_step_raw(u, cosh, sinh, g, gen):
+    # One hyperboloid step of arc xi (cosh, sinh given) from u, driven by the
+    # Gaussian row g of length n - 1.  The step is sampled at the base point
+    # e1, where the arc-xi sphere is (cosh xi, sinh xi * w) with w uniform on
+    # S^(n-2), then pushed to u by the boost taking e1 to u; the boost is an
+    # isometry between the two spheres, so uniformity is preserved.  The
+    # Minkowski square is guarded but not renormalized, for the reason given
+    # in _sphere_step_raw.
+    y = np.empty(u.shape[0])
+    y[0] = cosh
+    y[1:] = sinh * _unit_raw(g, gen)
+    out = apply_boost_from_e1(u, y)
+    if not out[0] > 0.0:
+        raise ValueError("hyperbolic step left the future sheet")
+    q = float(out[0] * out[0] - out[1:] @ out[1:])
+    if not abs(q - 1.0) <= CONSTRUCTION_TOL:
+        raise ValueError(f"hyperbolic step drifted off the sheet: Minkowski square {q!r}")
+    return out
 
 
 def hyperbolic_step(u, xi, rng):
@@ -242,7 +262,9 @@ def hyperbolic_step(u, xi, rng):
         raise ValueError(f"hyperbolic_step needs dimension >= 3, got {u.dim}")
     if not (xi >= 0.0 and math.isfinite(xi)):
         raise ValueError(f"arc length must be a finite real >= 0, got {xi!r}")
-    return HyperboloidPoint(_hyperbolic_step_raw(u.values, xi, _gen_of(rng)))
+    gen = _gen_of(rng)
+    g = gen.standard_normal(u.dim - 1)
+    return HyperboloidPoint(_hyperbolic_step_raw(u.values, math.cosh(xi), math.sinh(xi), g, gen))
 
 
 def _haar_raw(n, gen):

@@ -1,4 +1,4 @@
-"""Chain trial kernels: exactness, determinism, and cross-checks."""
+"""Full-vector chain runners: exactness, determinism, and cross-checks."""
 
 import math
 
@@ -12,7 +12,7 @@ from randsteps.chains import (
     run_operator_product,
     run_sphere_chain,
 )
-from randsteps.geometry import HyperboloidPoint, UnitVector
+from randsteps.geometry import HyperboloidPoint, UnitVector, minkowski_inner
 from randsteps.sampling import (
     RandomStream,
     Spectrum,
@@ -34,7 +34,7 @@ def _h0(n):
 
 class TestSingleStepExactness:
     # From the e1 start a one-step observable is a deterministic constant,
-    # reproduced bitwise because the kernels skip renormalization.
+    # reproduced bitwise because the step cores skip renormalization.
 
     def test_sphere(self):
         for seed in (1, 2, 3):
@@ -65,7 +65,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.final_point, b.final_point)
 
     def test_trace_matches_plain(self):
-        # per-step kernel invocations consume the stream identically
+        # the traced and plain runs consume the stream identically
         sched = (0.4, 0.9, 2.0)
         a = run_sphere_chain(_e1(8), sched, RandomStream(11), trace=True)
         b = run_sphere_chain(_e1(8), sched, RandomStream(11))
@@ -78,20 +78,30 @@ class TestDeterminism:
         assert h.observable == k.observable
 
     def test_trace_layout(self):
+        # One row per visited point, start first and final_point last; each
+        # consecutive pair is one step apart in its geometry's own measure.
         sched = (0.4, 0.9, 2.0)
-        r = run_sphere_chain(_e1(8), sched, RandomStream(11), trace=True, keep_final=True)
-        assert r.path.shape == (4, 8)
-        np.testing.assert_array_equal(r.path[0], _e1(8).values)
-        np.testing.assert_array_equal(r.path[-1], r.final_point)
-        for k, theta in enumerate(sched):
-            dot = float(r.path[k + 1] @ r.path[k])
-            np.testing.assert_allclose(dot, math.cos(theta), rtol=0, atol=1e-11)
+        chains = [
+            (run_sphere_chain(_e1(8), sched, RandomStream(11), trace=True, keep_final=True),
+             _e1(8).values, lambda p, q: float(p @ q), math.cos),
+            (run_flat_chain(sched, 8, RandomStream(11), trace=True, keep_final=True),
+             np.zeros(8), lambda p, q: float(np.linalg.norm(p - q)), lambda d: d),
+            (run_hyperbolic_chain(_h0(8), sched, RandomStream(11), trace=True, keep_final=True),
+             _h0(8).values, minkowski_inner, math.cosh),
+        ]
+        for r, start, measure, want in chains:
+            assert r.path.shape == (4, 8)
+            np.testing.assert_array_equal(r.path[0], start)
+            np.testing.assert_array_equal(r.path[-1], r.final_point)
+            for k, step in enumerate(sched):
+                got = measure(r.path[k + 1], r.path[k])
+                np.testing.assert_allclose(got, want(step), rtol=0, atol=1e-11)
 
 
 class TestStepFunctionParity:
-    # The fused kernels replay the same draws as the public step functions;
-    # the paths agree bitwise for flat chains and to within the wrappers'
-    # renormalization (about one ulp per step) elsewhere.
+    # The runners and the public step functions call the same step cores on
+    # the same draws; the paths agree bitwise for flat chains and to within
+    # the wrappers' renormalization (about one ulp per step) elsewhere.
 
     def test_flat_bitwise(self):
         ds = (1.0, 0.5, 2.0)

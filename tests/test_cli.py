@@ -30,6 +30,15 @@ def parse_field_csv(text):
     return dict(rows[1:])
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not valid JSON")
+
+
+def parse_json(text):
+    # Strict RFC 8259: Infinity, -Infinity and NaN are rejected.
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_row_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], [dict(zip(rows[0], r)) for r in rows[1:]]
@@ -60,7 +69,7 @@ class TestPredict:
             "--output", "json",
         )
         assert code == EXIT_PASS
-        payload = json.loads(out)
+        payload = parse_json(out)
         assert payload["mean"] == pytest.approx(math.cosh(1.0) ** 2, rel=1e-12)
         assert payload["sigma_exact"] is None
 
@@ -70,7 +79,7 @@ class TestPredict:
             "--angles", "1.5707963267948966,1.5707963267948966", "--output", "json",
         )
         assert code == EXIT_PASS
-        payload = json.loads(out)
+        payload = parse_json(out)
         assert payload["mean"] == 0.0
         assert payload["sigma_exact"] == pytest.approx(0.1, rel=1e-12)
 
@@ -82,7 +91,7 @@ class TestPredict:
             "--curvature-file", str(path_file), "--output", "json",
         )
         assert code == EXIT_PASS
-        payload = json.loads(out)
+        payload = parse_json(out)
         want = CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))])
         assert payload["norm_product"] == pytest.approx(kappa_norm_product(want), rel=1e-14)
         assert payload["cosine_product"] == pytest.approx(kappa_cosine_product(want), rel=1e-14)
@@ -121,9 +130,9 @@ class TestPredict:
         )
         assert code == EXIT_PASS
         assert err == ""
-        payload = json.loads(out)
+        payload = parse_json(out)
         for key in ("mean", "sigma_exact", "sigma_bound"):
-            assert payload[key] == math.inf
+            assert payload[key] == "inf"
 
     def test_missing_schedule_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--geometry", "sphere", "--n-dim", "5")
@@ -191,7 +200,7 @@ class TestSimulate:
             "--steps", "1,1", "--trials", "1", "--seed", "3", "--output", "json",
         )
         assert code == EXIT_PASS
-        payload = json.loads(out)
+        payload = parse_json(out)
         assert payload[0]["insufficient_trials"] is True
 
     def test_operator_spectrum_flag(self, capsys):

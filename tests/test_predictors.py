@@ -1,6 +1,7 @@
 """Closed-form predictors against hand-computed and independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,8 +180,28 @@ class TestHyperbolicPredictors:
         np.testing.assert_allclose(hyperbolic_sigma((xi, xi), n), want, rtol=1e-12)
 
     def test_sigma_huge_arcs_overflow_to_inf(self):
-        assert hyperbolic_sigma((300.0, 300.0, 300.0), 10) == math.inf
-        assert hyperbolic_sigma((400.0, 400.0), 10) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hyperbolic_sigma((300.0, 300.0, 300.0), 10) == math.inf
+            assert hyperbolic_sigma((400.0, 400.0), 10) == math.inf
+            for arc in (1e15, 1e16, 1e100, 1e200, 1e308):
+                assert hyperbolic_sigma((arc, arc), 10) == math.inf
+                assert hyperbolic_sigma((arc, 0.5, arc), 3) == math.inf
+
+    @pytest.mark.parametrize(
+        "xis, n, want",
+        [
+            # 50-digit values of the same recursion evaluated in mpmath
+            ((150.0, 160.0), 10, "3.5653990461426029767323021327617237232438909493648e+133"),
+            ((100.0,) * 4, 3, "5.0292657611969009705671250470241305517651538566966e+172"),
+            ((300.0, 2.5, 50.0), 1000, "6.8637931534684815747876037512244679621620111159785e+150"),
+            ((200.0, 0.0, 0.5, 120.0), 4, "1.7385439138691305657266082783208795445857406939852e+138"),
+            ((350.0, 1.0), 10**6, "5.9176750215542211794843027713388186965235918211871e+148"),
+            ((40.0,) * 10, 7, "8.8381381926701512057300264008797534580606526046491e+170"),
+        ],
+    )
+    def test_sigma_log_branch_against_high_precision(self, xis, n, want):
+        np.testing.assert_allclose(hyperbolic_sigma(xis, n), float(want), rtol=1e-11)
 
     def test_sigma_bound_huge_arcs_overflow_to_inf(self):
         assert hyperbolic_sigma_bound((300.0, 300.0, 300.0), 10) == math.inf

@@ -15,6 +15,8 @@ from randsteps.sampling import (
     hyperbolic_step,
     random_symmetric_with_spectrum,
     sphere_step,
+    _tangent_raw,
+    _unit_raw,
     uniform_unit_sphere,
 )
 
@@ -141,6 +143,28 @@ class TestUniformUnitSphere:
     def test_gaussian_vector_shape(self):
         g = gaussian_vector(7, RandomStream(20))
         assert g.shape == (7,)
+
+
+class TestDegenerateRedraw:
+    # A row whose direction vanishes has probability zero; the step cores
+    # replace it with the next row drawn from the generator.
+
+    def test_unit_direction_redraws_zero_row(self):
+        n = 6
+        got = _unit_raw(np.zeros(n), RandomStream(31).generator)
+        g = RandomStream(31).generator.standard_normal(n)
+        np.testing.assert_array_equal(got, g / math.sqrt(float(g @ g)))
+
+    def test_tangent_direction_redraws_normal_row(self):
+        n = 6
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        got, nrm = _tangent_raw(e1, e1.copy(), RandomStream(32).generator)
+        g = RandomStream(32).generator.standard_normal(n)
+        g -= (g @ e1) * e1
+        np.testing.assert_array_equal(got, g)
+        assert nrm == math.sqrt(float(g @ g))
+        assert got[0] == 0.0
 
 
 class TestHaarOrthogonal:
