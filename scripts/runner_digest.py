@@ -1,11 +1,23 @@
-"""Print one SHA-256 digest of the full-vector runners' outputs.
+"""Print SHA-256 digests of the runners', the engine's and the predictors' outputs.
 
-Runs run_sphere_chain, run_flat_chain and run_hyperbolic_chain (trace on and
-off, final point kept), run_operator_product (final vector kept; every fifth
-seed puts a negative scalar factor second) and the public step functions over
-seeds 0-199 and n in {3, 5, 10, 50}, and hashes the bytes of every output.
-Run it on two commits to check that a change leaves these outputs
-byte-identical:
+Line 1 digests the full-vector runners: run_sphere_chain, run_flat_chain and
+run_hyperbolic_chain (trace on and off, final point kept),
+run_operator_product (final vector kept; every fifth seed puts a negative
+scalar factor second) and the public step functions, over seeds 0-199 and n
+in {3, 5, 10, 50}.
+
+Line 2 digests estimate() over a fixed grid of the sphere, flat,
+hyperbolic, operator, operator_product, monomial and marginal geometries:
+two seeds, 2049 trials (so the last chunk is partial), small and large n,
+one-factor operator specs, a product with a negative scalar factor, and the
+edge schedules of the benchmark's sweep (one step; n = 3 with theta = 0 or
+pi).
+
+Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
+prediction_for over normal-range schedules of the same seven geometries.
+
+Each line is "<values hashed> <hex digest>".  Run it on two commits to check
+that a change leaves these outputs byte-identical:
 
     PYTHONPATH=src python scripts/runner_digest.py
 """
@@ -18,16 +30,22 @@ import numpy as np
 import randsteps as rs
 
 
-def main():
-    digest = hashlib.sha256()
-    count = 0
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
 
-    def feed(*values):
-        nonlocal count
+    def feed(self, *values):
         for value in values:
-            count += 1
-            digest.update(b"None" if value is None else np.asarray(value, dtype=np.float64).tobytes())
+            self.count += 1
+            self.sha.update(b"None" if value is None else np.asarray(value, dtype=np.float64).tobytes())
 
+    def line(self):
+        return f"{self.count} {self.sha.hexdigest()}"
+
+
+def runner_digest():
+    out = Digest()
     for n in (3, 5, 10, 50):
         e1 = np.zeros(n)
         e1[0] = 1.0
@@ -44,19 +62,93 @@ def main():
                     rs.run_flat_chain(ds, n, rs.RandomStream(seed, n), trace, True),
                     rs.run_hyperbolic_chain(h, xis, rs.RandomStream(seed, n), trace, True),
                 ):
-                    feed(r.observable, r.final_point, r.path)
+                    out.feed(r.observable, r.final_point, r.path)
             spectra = [gen.normal(size=n) for _ in range(m)]
             if seed % 5 == 0:
                 spectra.insert(1, np.full(n, -1.5))
             r = rs.run_operator_product(spectra, u, rs.RandomStream(seed, n), keep_final=True)
-            feed(r.norm_ratio, r.cosine, r.degenerate, r.final_vector)
-            feed(
+            out.feed(r.norm_ratio, r.cosine, r.degenerate, r.final_vector)
+            out.feed(
                 rs.sphere_step(u, thetas[0], rs.RandomStream(seed, 1)).values,
                 rs.flat_step(e1, ds[0], rs.RandomStream(seed, 2)),
                 rs.hyperbolic_step(h, xis[0], rs.RandomStream(seed, 3)).values,
                 rs.uniform_unit_sphere(n, rs.RandomStream(seed, 4)).values,
             )
-    print(count, digest.hexdigest())
+    return out.line()
+
+
+def _estimate_grid():
+    # (geometry, n, schedule, observable)
+    gen = np.random.default_rng(2049)
+    grid = []
+    for n in (3, 200):
+        grid += [
+            ("sphere", n, (0.7, 1.1, 2.0), None),
+            ("sphere", n, (1.0,), None),
+            ("flat", n, (1.0, 0.5, 2.0), None),
+            ("flat", n, (1.5,), None),
+            ("hyperbolic", n, (0.5, 1.0, 0.2), None),
+            ("hyperbolic", n, (0.8,), None),
+        ]
+        spectrum = rs.Spectrum(gen.uniform(-0.5, 2.0, n))
+        other = rs.Spectrum(gen.uniform(0.05, 1.0, n))
+        for observable in ("cosine", "norm_ratio"):
+            grid += [
+                ("operator", n, (spectrum,), observable),
+                ("operator", n, (rs.Spectrum(np.full(n, -1.5)),), observable),
+                ("operator_product", n, (spectrum, other), observable),
+                ("operator_product", n, (spectrum, rs.Spectrum(np.full(n, -1.5)), other), observable),
+            ]
+    for theta in (0.0, math.pi):
+        for m in (1, 2, 5):
+            grid.append(("sphere", 3, (theta,) * m, None))
+    grid.append(("flat", 2, (1.0, 1.0), None))
+    for n in (3, 1000):
+        grid += [("monomial", n, kind, None) for kind in ("x1_sq", "x1_4", "x1sq_x2sq")]
+    for n in (2, 10**6):
+        grid += [("marginal", n, power, None) for power in (1, 2, 3, 4, 8)]
+    return grid
+
+
+def estimate_digest():
+    out = Digest()
+    for geometry, n, schedule, observable in _estimate_grid():
+        for seed in (0, 2**63 + 5):
+            est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, 2049, seed, observable))
+            out.feed(est.mean, est.sample_std, est.std_error, est.trials, est.insufficient_trials)
+    return out.line()
+
+
+def prediction_digest():
+    out = Digest()
+    gen = np.random.default_rng(7)
+    points = []
+    for n in (3, 10, 1000):
+        for m in range(1, 7):
+            points += [
+                ("sphere", tuple(gen.uniform(0.0, math.pi, m)), n, None),
+                ("flat", tuple(gen.uniform(0.0, 3.0, m)), n, None),
+                ("hyperbolic", tuple(gen.uniform(0.05, 2.0, m)), n, None),
+            ]
+        for observable in ("cosine", "norm_ratio"):
+            spectra = tuple(rs.Spectrum(gen.uniform(0.05, 1.0, n)) for _ in range(3))
+            points += [
+                ("operator", spectra[0], n, observable),
+                ("operator", spectra[:1], n, observable),
+                ("operator_product", spectra, n, observable),
+            ]
+        points += [("monomial", kind, n, None) for kind in ("x1_sq", "x1_4", "x1sq_x2sq")]
+        points += [("marginal", power, n, None) for power in range(1, 9)]
+    for geometry, schedule, n, observable in points:
+        pred = rs.prediction_for(geometry, schedule, n, observable)
+        out.feed(pred.mean, pred.sigma_exact, pred.sigma_bound)
+    return out.line()
+
+
+def main():
+    print(runner_digest())
+    print(estimate_digest())
+    print(prediction_digest())
 
 
 if __name__ == "__main__":

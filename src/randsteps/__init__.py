@@ -28,6 +28,7 @@ from .montecarlo import (
     MonteCarloEstimate,
     compare,
     estimate,
+    prediction_for,
 )
 from .predictors import (
     CurvaturePath,
@@ -59,7 +60,6 @@ from .predictors import (
     operator_product_cosine,
     operator_product_prediction,
     pnorm_proposition_bounds,
-    prediction_for,
     sphere_expected_cosine,
     sphere_prediction,
     sphere_sigma,

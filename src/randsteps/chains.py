@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HyperboloidPoint, UnitVector, as_vector
+from .geometry import HyperboloidPoint, UnitVector, _schedule_vector
 from .sampling import (
     _DEGENERATE_NORM,
-    Spectrum,
     _gen_of,
     _hyperbolic_step_raw,
+    _prepare_spectra,
     _sphere_step_raw,
     _tangent_raw,
     _unit_raw,
@@ -76,17 +76,6 @@ class OperatorProductResult:
     cosine: float
     degenerate: bool
     final_vector: Optional[np.ndarray] = None
-
-
-def _schedule(values, name, upper=None):
-    if len(values) == 0:
-        return np.empty(0)
-    v = as_vector(values, name)
-    if np.any(v < 0.0):
-        raise ValueError(f"{name} entries must be >= 0")
-    if upper is not None and np.any(v > upper):
-        raise ValueError(f"{name} entries must be <= {upper!r}")
-    return v
 
 
 def _walk(start, steps, width, core, gen, trace):
@@ -173,7 +162,7 @@ def run_sphere_chain(u0, thetas, rng, trace=False, keep_final=False):
         u0 = UnitVector(u0)
     if u0.dim < 3:
         raise ValueError(f"sphere chains need dimension >= 3, got {u0.dim}")
-    t = _schedule(thetas, "thetas", upper=math.pi)
+    t = _schedule_vector(thetas, "angles", upper=math.pi)
     steps = [(math.cos(th), math.sin(th)) for th in t]
     start = u0.values
     u, path = _walk(start, steps, u0.dim, _sphere_step_raw, _gen_of(rng), trace)
@@ -203,7 +192,7 @@ def run_flat_chain(ds, n, rng, trace=False, keep_final=False):
     """
     if n < 2:
         raise ValueError(f"flat chains need dimension >= 2, got {n}")
-    d = _schedule(ds, "ds")
+    d = _schedule_vector(ds, "steps")
     gen = _gen_of(rng)
     g = gen.standard_normal((d.shape[0], n))
     x = np.zeros(n)
@@ -248,7 +237,7 @@ def run_hyperbolic_chain(u0, xis, rng, trace=False, keep_final=False):
         u0 = HyperboloidPoint(u0)
     if u0.dim < 3:
         raise ValueError(f"hyperbolic chains need dimension >= 3, got {u0.dim}")
-    x = _schedule(xis, "xis")
+    x = _schedule_vector(xis, "arcs")
     steps = [(math.cosh(xi), math.sinh(xi)) for xi in x]
     start = u0.values
     u, path = _walk(start, steps, u0.dim - 1, _hyperbolic_step_raw, _gen_of(rng), trace)
@@ -265,19 +254,6 @@ def run_hyperbolic_chain(u0, xis, rng, trace=False, keep_final=False):
         final_point=u.copy() if keep_final else None,
         path=path,
     )
-
-
-def _prepare_spectra(spectra, dim=None):
-    prepared = []
-    for sp in spectra:
-        if not isinstance(sp, Spectrum):
-            sp = Spectrum(sp)
-        if dim is not None and sp.n != dim:
-            raise ValueError(
-                f"spectrum length {sp.n} does not match dimension {dim}"
-            )
-        prepared.append(sp)
-    return prepared
 
 
 def run_operator_product(spectra, u, rng, keep_final=False):

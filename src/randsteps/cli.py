@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,18 +25,15 @@ from functools import cache
 
 import numpy as np
 
-from .montecarlo import GEOMETRIES, ExperimentSpec, compare, estimate
+from .montecarlo import GEOMETRIES, ExperimentSpec, _geometry, compare, estimate, prediction_for
 from .predictors import (
     CurvaturePath,
     PrecisionLossError,
     _MONOMIAL_KINDS,
+    _OPERATOR_OBSERVABLES,
     flat_expected_norm,
-    flat_expected_sq_norm,
-    hyperbolic_expected_cosh,
     kappa_cosine_product,
     kappa_norm_product,
-    prediction_for,
-    sphere_expected_cosine,
 )
 from .sampling import Spectrum
 from .selftest import battery_passed, render_csv, render_table, run_battery
@@ -62,10 +60,6 @@ _CSV_COLUMNS = (
     "std_ratio",
     "verdict",
 )
-
-_SIM_GEOMETRIES = GEOMETRIES
-_ALL_GEOMETRIES = GEOMETRIES + ("kappa",)
-
 
 class ConfigError(Exception):
     """Invalid flag, config field, or input file; exits with code 2."""
@@ -101,40 +95,8 @@ class RunConfig:
     sweep_m: object = None
 
 
-_CONFIG_DEFAULTS = {
-    "angle_unit": "radians",
-    "workers": 1,
-    "output": "pretty",
-    "z_threshold": 4.0,
-    "std_tolerance": 0.1,
-    "require_std": False,
-}
-
-_CONFIG_KEYS = (
-    "geometry",
-    "n_dim",
-    "angles",
-    "steps",
-    "arcs",
-    "spectrum",
-    "spectra_file",
-    "curvature_file",
-    "angle_unit",
-    "kind",
-    "power",
-    "observable",
-    "trials",
-    "seed",
-    "workers",
-    "output",
-    "output_path",
-    "expect_mean",
-    "z_threshold",
-    "std_tolerance",
-    "require_std",
-    "sweep_n_dim",
-    "sweep_m",
-)
+# Every RunConfig field but command is a config-file key.
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "command")
 
 
 def _fmt17(value):
@@ -277,41 +239,22 @@ def _resolve(args):
     file_cfg = {}
     if getattr(args, "config", None) is not None:
         file_cfg = _load_config_file(args.config)
-    merged = {"command": args.command}
+    merged = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_cfg.get(key)
-    for key, default in _CONFIG_DEFAULTS.items():
-        if merged[key] is None:
-            merged[key] = default
-    cfg = RunConfig(**merged)
-    if cfg.geometry is not None and cfg.geometry not in _ALL_GEOMETRIES:
-        raise ConfigError(f"field geometry: unknown geometry {cfg.geometry!r}")
+        value = flag if flag is not None else file_cfg.get(key)
+        if value is not None:
+            merged[key] = value
+    cfg = RunConfig(args.command, **merged)  # fields left unset keep their defaults
+    if cfg.geometry is not None:
+        _geometry(cfg.geometry)  # rejects an unknown geometry
     if cfg.angle_unit not in ("radians", "degrees"):
         raise ConfigError(f"field angle_unit: expected radians or degrees, got {cfg.angle_unit!r}")
     if cfg.output not in ("csv", "json", "pretty"):
         raise ConfigError(f"field output: expected csv, json, or pretty, got {cfg.output!r}")
-    if cfg.observable is not None and cfg.observable not in ("cosine", "norm_ratio"):
+    if cfg.observable is not None and cfg.observable not in _OPERATOR_OBSERVABLES:
         raise ConfigError(f"field observable: expected cosine or norm_ratio, got {cfg.observable!r}")
-    if cfg.kind is not None and cfg.kind not in _MONOMIAL_KINDS:
-        raise ConfigError(f"field kind: expected one of {_MONOMIAL_KINDS}, got {cfg.kind!r}")
     return cfg
-
-
-def _reject_unused_schedule_flags(cfg, used):
-    provided = {
-        "angles": cfg.angles,
-        "steps": cfg.steps,
-        "arcs": cfg.arcs,
-        "spectrum": cfg.spectrum,
-        "spectra_file": cfg.spectra_file,
-        "curvature_file": cfg.curvature_file,
-        "kind": cfg.kind,
-        "power": cfg.power,
-    }
-    for field, value in provided.items():
-        if value is not None and field not in used:
-            raise ConfigError(f"field {field}: not used by geometry {cfg.geometry!r}")
 
 
 def _spectra_from_config(cfg):
@@ -335,76 +278,61 @@ def _spectra_from_config(cfg):
             files = [files]
         for path in files:
             factors.append(_read_column_file(path, "spectra_file"))
-    if not factors:
-        raise ConfigError("field spectrum: operator geometries need --spectrum or --spectra-file")
-    return [Spectrum(np.asarray(values)) for values in factors]
+    return factors
+
+
+def _angles_from_config(cfg):
+    values = _float_list(cfg.angles, "angles")
+    if cfg.angle_unit == "degrees":
+        values = [math.radians(v) for v in values]
+    return values
+
+
+# How the schedule fields of the geometry table are read; a geometry with
+# several fields (spectrum and spectra_file) is read by its first's reader.
+_SCHEDULE_READERS = {
+    "angles": _angles_from_config,
+    "steps": lambda cfg: _float_list(cfg.steps, "steps"),
+    "arcs": lambda cfg: _float_list(cfg.arcs, "arcs"),
+    "spectrum": _spectra_from_config,
+    "curvature_file": lambda cfg: _read_curvature_file(cfg.curvature_file, "curvature_file"),
+    "kind": lambda cfg: cfg.kind,
+    "power": lambda cfg: int(cfg.power),
+}
+_SCHEDULE_FIELDS = tuple(dict.fromkeys(f for g in GEOMETRIES for f in _geometry(g).fields))
 
 
 def _schedule_from_config(cfg):
-    """(schedule, n_dim) for the configured geometry; n_dim may stay None."""
-    geometry = cfg.geometry
-    if geometry is None:
+    """(schedule as read, schedule as parsed, n_dim) for the configured geometry.
+
+    The geometry's parser validates the schedule and, for spectra and
+    curvature paths, supplies n_dim when none is configured; otherwise
+    n_dim may stay None.
+    """
+    if cfg.geometry is None:
         raise ConfigError("field geometry: required")
-    if geometry == "sphere":
-        _reject_unused_schedule_flags(cfg, ("angles",))
-        if cfg.angles is None:
-            raise ConfigError("field angles: required for sphere geometry")
-        values = _float_list(cfg.angles, "angles")
-        if cfg.angle_unit == "degrees":
-            values = [math.radians(v) for v in values]
-        return tuple(values), cfg.n_dim
-    if geometry == "flat":
-        _reject_unused_schedule_flags(cfg, ("steps",))
-        if cfg.steps is None:
-            raise ConfigError("field steps: required for flat geometry")
-        return tuple(_float_list(cfg.steps, "steps")), cfg.n_dim
-    if geometry == "hyperbolic":
-        _reject_unused_schedule_flags(cfg, ("arcs",))
-        if cfg.arcs is None:
-            raise ConfigError("field arcs: required for hyperbolic geometry")
-        return tuple(_float_list(cfg.arcs, "arcs")), cfg.n_dim
-    if geometry in ("operator", "operator_product"):
-        _reject_unused_schedule_flags(cfg, ("spectrum", "spectra_file"))
-        factors = _spectra_from_config(cfg)
-        if geometry == "operator" and len(factors) != 1:
-            raise ConfigError("field spectrum: operator geometry takes exactly one spectrum")
-        n_dim = cfg.n_dim
-        for factor in factors:
-            width = factor.values.shape[0]
-            if n_dim is None:
-                n_dim = width
-            elif width != n_dim:
-                raise ConfigError(
-                    f"field n_dim: spectrum has {width} values but n_dim is {n_dim}"
-                )
-        return tuple(factors), n_dim
-    if geometry == "monomial":
-        _reject_unused_schedule_flags(cfg, ("kind",))
-        if cfg.kind is None:
-            raise ConfigError("field kind: required for monomial geometry")
-        return cfg.kind, cfg.n_dim
-    if geometry == "marginal":
-        _reject_unused_schedule_flags(cfg, ("power",))
-        if cfg.power is None:
-            raise ConfigError("field power: required for marginal geometry")
-        return int(cfg.power), cfg.n_dim
-    if geometry == "kappa":
-        _reject_unused_schedule_flags(cfg, ("curvature_file",))
-        if cfg.curvature_file is None:
-            raise ConfigError("field curvature_file: required for kappa geometry")
-        return _read_curvature_file(cfg.curvature_file, "curvature_file"), cfg.n_dim
-    raise ConfigError(f"field geometry: unknown geometry {geometry!r}")
+    row = _geometry(cfg.geometry)
+    for field in _SCHEDULE_FIELDS:
+        if getattr(cfg, field) is not None and field not in row.fields:
+            raise ConfigError(f"field {field}: not used by geometry {cfg.geometry!r}")
+    if all(getattr(cfg, field) is None for field in row.fields):
+        raise ConfigError(f"field {row.fields[0]}: required for {cfg.geometry} geometry")
+    raw = _SCHEDULE_READERS[row.fields[0]](cfg)
+    return (raw, *row.parse(raw, cfg.n_dim))
 
 
-def _schedule_cell(geometry, schedule):
+def _schedule_cell(schedule):
     """Schedule column text: ';' within a factor, '|' between factors."""
-    if geometry in ("operator", "operator_product"):
-        return "|".join(
-            ";".join(_fmt17(v) for v in factor.values) for factor in schedule
-        )
-    if geometry in ("monomial", "marginal"):
-        return str(schedule)
+    if not isinstance(schedule, tuple):
+        return str(schedule)  # a monomial kind or a marginal power
+    if schedule and isinstance(schedule[0], Spectrum):
+        return "|".join(";".join(_fmt17(v) for v in factor.values) for factor in schedule)
     return ";".join(_fmt17(v) for v in schedule)
+
+
+def _observable(cfg):
+    # --observable applies to the geometries that have observables only.
+    return cfg.observable if _geometry(cfg.geometry).observables else None
 
 
 def _require_seed(cfg):
@@ -498,7 +426,7 @@ def _comparison_row(experiment, spec, pred, est, report):
         "experiment": experiment,
         "geometry": spec.geometry,
         "n_dim": spec.n_dim,
-        "schedule": _schedule_cell(spec.geometry, spec.schedule),
+        "schedule": _schedule_cell(spec.schedule),
         "trials": spec.trials,
         "seed": spec.seed,
         "prediction_mean": None if pred is None else pred.mean,
@@ -523,44 +451,42 @@ def _strip_json_only(rows, cfg):
 
 
 def _build_spec(cfg, schedule, n_dim, seed, trials):
-    if cfg.geometry not in _SIM_GEOMETRIES:
-        raise ConfigError(f"field geometry: {cfg.geometry!r} supports predict only")
     if n_dim is None:
         raise ConfigError("field n_dim: required")
-    observable = cfg.observable if cfg.geometry in ("operator", "operator_product") else None
     return ExperimentSpec(
         geometry=cfg.geometry,
         n_dim=n_dim,
         schedule=schedule,
         trials=trials,
         seed=seed,
-        observable=observable,
+        observable=_observable(cfg),
     )
 
 
 def _prediction(cfg, schedule, n_dim):
-    pred = prediction_for(cfg.geometry, schedule, n_dim, observable=cfg.observable)
+    pred = prediction_for(cfg.geometry, schedule, n_dim, observable=_observable(cfg))
     if cfg.expect_mean is not None:
         pred = replace(pred, mean=float(cfg.expect_mean))
     return pred
 
 
 def cmd_predict(cfg):
-    schedule, n_dim = _schedule_from_config(cfg)
+    raw, schedule, n_dim = _schedule_from_config(cfg)
     if cfg.geometry == "kappa":
         fields = {
             "observable": "curvature_products",
-            "steps": len(schedule.steps),
-            "norm_product": kappa_norm_product(schedule),
-            "cosine_product": kappa_cosine_product(schedule),
+            "steps": len(raw.steps),
+            "norm_product": kappa_norm_product(raw),
+            "cosine_product": kappa_cosine_product(raw),
         }
         _emit(_render_fields(fields, cfg), cfg)
         return EXIT_PASS
     if n_dim is None:
-        if cfg.geometry not in _DIMFREE_MEANS:
+        dimfree = _geometry(cfg.geometry).dimfree
+        if dimfree is None:
             raise ConfigError("field n_dim: required")
         # Dimension-free output: the mean needs no n, the sigmas do.
-        observable, mean_fn = _DIMFREE_MEANS[cfg.geometry]
+        observable, mean_fn = dimfree
         fields = {
             "observable": observable,
             "mean": mean_fn(schedule),
@@ -583,17 +509,8 @@ def cmd_predict(cfg):
     return EXIT_PASS
 
 
-# Chain means are dimension-independent, so predict accepts these three
-# geometries without --n-dim and reports the mean alone.
-_DIMFREE_MEANS = {
-    "sphere": ("cosine", sphere_expected_cosine),
-    "flat": ("squared_norm", flat_expected_sq_norm),
-    "hyperbolic": ("minkowski_inner", hyperbolic_expected_cosh),
-}
-
-
 def cmd_simulate(cfg):
-    schedule, n_dim = _schedule_from_config(cfg)
+    _, schedule, n_dim = _schedule_from_config(cfg)
     seed = _require_seed(cfg)
     trials = _require_trials(cfg)
     spec = _build_spec(cfg, schedule, n_dim, seed, trials)
@@ -603,12 +520,9 @@ def cmd_simulate(cfg):
     return EXIT_PASS
 
 
-def cmd_compare(cfg):
-    schedule, n_dim = _schedule_from_config(cfg)
-    seed = _require_seed(cfg)
-    trials = _require_trials(cfg)
-    spec = _build_spec(cfg, schedule, n_dim, seed, trials)
-    pred = _prediction(cfg, schedule, spec.n_dim)
+def _compare_row(experiment, cfg, spec):
+    """Predict, estimate and compare spec; the outcome as an output row."""
+    pred = _prediction(cfg, spec.schedule, spec.n_dim)
     est = estimate(spec, workers=int(cfg.workers))
     report = compare(
         pred,
@@ -617,51 +531,47 @@ def cmd_compare(cfg):
         std_tolerance=float(cfg.std_tolerance),
         require_std=bool(cfg.require_std),
     )
-    rows = _strip_json_only([_comparison_row("compare", spec, pred, est, report)], cfg)
-    _emit(_render_rows(rows, cfg), cfg)
-    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+    return _comparison_row(experiment, spec, pred, est, report)
+
+
+def _emit_verdicts(rows, cfg):
+    _emit(_render_rows(_strip_json_only(rows, cfg), cfg), cfg)
+    return EXIT_PASS if all(row["verdict"] == "pass" for row in rows) else EXIT_FAIL
+
+
+def cmd_compare(cfg):
+    _, schedule, n_dim = _schedule_from_config(cfg)
+    seed = _require_seed(cfg)
+    trials = _require_trials(cfg)
+    spec = _build_spec(cfg, schedule, n_dim, seed, trials)
+    return _emit_verdicts([_compare_row("compare", cfg, spec)], cfg)
 
 
 def cmd_table(cfg):
-    schedule, n_dim = _schedule_from_config(cfg)
+    _, schedule, n_dim = _schedule_from_config(cfg)
     axes = [axis for axis in (cfg.sweep_n_dim, cfg.sweep_m) if axis is not None]
     if len(axes) != 1:
         raise ConfigError("field sweep: exactly one of --sweep-n-dim or --sweep-m")
     seed = _require_seed(cfg)
     trials = _require_trials(cfg)
-    rows = []
-    worst = EXIT_PASS
     if cfg.sweep_n_dim is not None:
         points = _int_list(cfg.sweep_n_dim, "sweep_n_dim")
         variants = [(point, schedule) for point in points]
     else:
-        if cfg.geometry in ("monomial", "marginal"):
+        if not isinstance(schedule, tuple):
             raise ConfigError("field sweep_m: not defined for this geometry")
-        if cfg.geometry == "operator":
-            raise ConfigError("field sweep_m: use operator_product to sweep factor counts")
         points = _int_list(cfg.sweep_m, "sweep_m")
         if len(schedule) == 0:
             raise ConfigError("field sweep_m: schedule needs at least one entry to repeat")
         if min(points) < 0:
             raise ConfigError("field sweep_m: step counts must be >= 0")
         variants = [(n_dim, (schedule[0],) * point) for point in points]
-    for index, (point_n, point_schedule) in enumerate(variants):
-        row_seed = (seed + index) % 2**64
-        spec = _build_spec(cfg, point_schedule, point_n, row_seed, trials)
-        pred = _prediction(cfg, point_schedule, spec.n_dim)
-        est = estimate(spec, workers=int(cfg.workers))
-        report = compare(
-            pred,
-            est,
-            z_threshold=float(cfg.z_threshold),
-            std_tolerance=float(cfg.std_tolerance),
-            require_std=bool(cfg.require_std),
-        )
-        if report.verdict != "pass":
-            worst = EXIT_FAIL
-        rows.append(_comparison_row("table", spec, pred, est, report))
-    _emit(_render_rows(_strip_json_only(rows, cfg), cfg), cfg)
-    return worst
+    # Every point is checked before any runs.
+    specs = [
+        _build_spec(cfg, point_schedule, point_n, (seed + index) % 2**64, trials)
+        for index, (point_n, point_schedule) in enumerate(variants)
+    ]
+    return _emit_verdicts([_compare_row("table", cfg, spec) for spec in specs], cfg)
 
 
 def cmd_selftest(cfg):
@@ -703,7 +613,7 @@ def _add_io_flags(sub):
 
 
 def _add_schedule_flags(sub):
-    sub.add_argument("--geometry", choices=_ALL_GEOMETRIES)
+    sub.add_argument("--geometry", choices=GEOMETRIES)
     sub.add_argument("--n-dim", type=int, help="ambient dimension N")
     sub.add_argument("--angles", help="sphere step angles, comma list")
     sub.add_argument("--steps", help="flat step lengths, comma list")
@@ -727,8 +637,8 @@ def _add_schedule_flags(sub):
     sub.add_argument("--power", type=int, help="marginal moment power")
     sub.add_argument(
         "--observable",
-        choices=("cosine", "norm_ratio"),
-        help="operator observable (default cosine)",
+        choices=_OPERATOR_OBSERVABLES,
+        help="operator or kappa observable (default cosine)",
     )
 
 

@@ -9,6 +9,7 @@ shared across threads after construction.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -56,6 +57,22 @@ def as_vector(values, name="vector"):
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
+    return v
+
+
+def _schedule_vector(values, name, upper=math.inf):
+    """A step schedule as a finite float64 array with entries in [0, upper].
+
+    Unlike as_vector, accepts an empty schedule (an empty array).
+    """
+    if len(values) == 0:
+        return np.empty(0)
+    v = np.asarray(values, dtype=np.float64)
+    # One pass each for min and max: a nan or infinite entry fails them too.
+    if v.ndim != 1 or not (v.min() >= 0.0 and v.max() <= min(upper, sys.float_info.max)):
+        as_vector(v, name)  # raises for a bad shape or a non-finite entry
+        bound = "" if upper == math.inf else f" and <= {upper!r}"
+        raise ValueError(f"{name} entries must be >= 0{bound}")
     return v
 
 
@@ -171,6 +188,11 @@ def apply_boost_from_e1(u, x):
     xv = as_vector(_unwrap(x), "x")
     if uv.shape != xv.shape:
         raise ValueError(f"dimension mismatch: {uv.shape[0]} vs {xv.shape[0]}")
+    return _boost_from_e1(uv, xv)
+
+
+def _boost_from_e1(uv, xv):
+    # apply_boost_from_e1 on float64 arrays of equal length, unchecked.
     spatial = uv[1:]
     a = float(spatial @ xv[1:])
     out = np.empty_like(xv)

@@ -1,4 +1,14 @@
-"""Deterministic Monte Carlo engine for chain experiments.
+"""Deterministic Monte Carlo engine for chain experiments, and the geometry table.
+
+Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
+schedule against the dimension, the closed-form predictor, the
+dimension-reduced kernel that samples the observable, the CLI flags and
+config keys that carry the schedule, the allowed observables, and the
+dimension-free mean where one exists.  ExperimentSpec, prediction_for,
+estimate and the CLI all dispatch through it.  "operator" is
+"operator_product" with exactly one factor, and "kappa" is
+"operator_product" over the spectra v_k = 1/(1 + d_k kappa_k) of a curvature
+path, with n the path's width: the three rows differ only in their parsers.
 
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
@@ -33,13 +43,31 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .chains import _schedule
-from .predictors import _MONOMIAL_KINDS, _MONOMIALS, Prediction
-from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum
+from .predictors import (
+    _MONOMIAL_KINDS,
+    _MONOMIALS,
+    _OPERATOR_OBSERVABLES,
+    CurvaturePath,
+    Prediction,
+    _angles,
+    _arcs,
+    _steps,
+    flat_expected_sq_norm,
+    flat_prediction,
+    hyperbolic_expected_cosh,
+    hyperbolic_prediction,
+    marginal_moment_prediction,
+    monomial_prediction,
+    operator_product_prediction,
+    sphere_expected_cosine,
+    sphere_prediction,
+)
+from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _prepare_spectra
 
 __all__ = [
     "GEOMETRIES",
@@ -48,20 +76,8 @@ __all__ = [
     "ComparisonReport",
     "estimate",
     "compare",
+    "prediction_for",
 ]
-
-GEOMETRIES = (
-    "flat",
-    "sphere",
-    "hyperbolic",
-    "operator",
-    "operator_product",
-    "monomial",
-    "marginal",
-)
-
-_OPERATOR_GEOMETRIES = ("operator", "operator_product")
-_OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
 
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
 # part of the determinism contract and never depends on the worker count.
@@ -74,12 +90,15 @@ _BLOCK_DRAWS = 1 << 17
 class ExperimentSpec:
     """One fully specified chain experiment.
 
-    schedule is geometry-dependent: step angles for sphere, step lengths for
-    flat, arc lengths for hyperbolic, one Spectrum (or a list with one) for
-    operator, a list of Spectrum for operator_product, a moment kind string
-    for monomial, and a positive integer power for marginal.  observable
-    selects "cosine" or "norm_ratio" for the operator geometries and must be
-    left None elsewhere.
+    geometry is one of GEOMETRIES, and its row of the geometry table parses
+    the schedule into canonical form: a tuple of floats of step angles
+    (sphere), step lengths (flat) or arc lengths (hyperbolic); a tuple of
+    Spectrum, from one Spectrum or eigenvalue list (operator, exactly one),
+    a list of them (operator_product), or a CurvaturePath (kappa, the
+    spectra v_k); a monomial kind string (monomial); or a positive integer
+    power (marginal).  Every spectrum's length must equal n_dim.  observable
+    selects "cosine" (the default) or "norm_ratio" for operator,
+    operator_product and kappa, and must be left None elsewhere.
     """
 
     geometry: str
@@ -90,10 +109,7 @@ class ExperimentSpec:
     observable: Optional[str] = None
 
     def __post_init__(self):
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(
-                f"unknown geometry {self.geometry!r}; expected one of {GEOMETRIES}"
-            )
+        row = _geometry(self.geometry)
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         RandomStream(self.seed)  # validates the 64-bit seed range
@@ -102,72 +118,8 @@ class ExperimentSpec:
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "n_dim", int(self.n_dim))
-        if self.geometry in _OPERATOR_GEOMETRIES:
-            if self.observable is None:
-                object.__setattr__(self, "observable", "cosine")
-            elif self.observable not in _OPERATOR_OBSERVABLES:
-                raise ValueError(
-                    f"observable must be one of {_OPERATOR_OBSERVABLES}, "
-                    f"got {self.observable!r}"
-                )
-        elif self.observable is not None:
-            raise ValueError(
-                f"observable is only meaningful for operator geometries, "
-                f"got {self.observable!r} for {self.geometry}"
-            )
-        object.__setattr__(self, "schedule", self._canonical_schedule())
-
-    def _canonical_schedule(self):
-        geometry, n, schedule = self.geometry, self.n_dim, self.schedule
-        if geometry == "sphere":
-            if n < 3:
-                raise ValueError(f"sphere experiments need n_dim >= 3, got {n}")
-            return tuple(float(t) for t in _schedule(schedule, "thetas", upper=math.pi))
-        if geometry == "flat":
-            if n < 2:
-                raise ValueError(f"flat experiments need n_dim >= 2, got {n}")
-            return tuple(float(d) for d in _schedule(schedule, "ds"))
-        if geometry == "hyperbolic":
-            if n < 3:
-                raise ValueError(f"hyperbolic experiments need n_dim >= 3, got {n}")
-            return tuple(float(x) for x in _schedule(schedule, "xis"))
-        if geometry in _OPERATOR_GEOMETRIES:
-            if isinstance(schedule, Spectrum) or (
-                len(schedule) > 0 and np.isscalar(schedule[0])
-            ):
-                spectra = [schedule]
-            else:
-                spectra = list(schedule)
-            if geometry == "operator" and len(spectra) != 1:
-                raise ValueError("operator experiments take exactly one spectrum")
-            if not spectra:
-                raise ValueError("operator_product experiments need >= 1 spectrum")
-            prepared = tuple(
-                sp if isinstance(sp, Spectrum) else Spectrum(sp) for sp in spectra
-            )
-            for sp in prepared:
-                if sp.n != n:
-                    raise ValueError(
-                        f"spectrum length {sp.n} does not match n_dim {n}"
-                    )
-            return prepared
-        if geometry == "monomial":
-            if schedule not in _MONOMIAL_KINDS:
-                raise ValueError(
-                    f"monomial schedule must be one of {_MONOMIAL_KINDS}, "
-                    f"got {schedule!r}"
-                )
-            if n < 2 or (schedule == "x1sq_x2sq" and n < 3):
-                raise ValueError(f"n_dim {n} too small for monomial {schedule!r}")
-            return schedule
-        # marginal
-        if not isinstance(schedule, (int, np.integer)) or schedule < 1:
-            raise ValueError(
-                f"marginal schedule must be a positive integer power, got {schedule!r}"
-            )
-        if n < 2:
-            raise ValueError(f"marginal experiments need n_dim >= 2, got {n}")
-        return int(schedule)
+        object.__setattr__(self, "observable", row.observable(self.observable))
+        object.__setattr__(self, "schedule", row.parse(self.schedule, self.n_dim)[0])
 
 
 @dataclass(frozen=True)
@@ -261,23 +213,33 @@ def _unit_blocks(gen, count, n):
         yield g, nrm
 
 
-def _chain_values(gen, count, geometry, n, steps):
-    # The recursions of the module docstring.  The first step from the start
-    # is deterministic and taken exactly; state is phi, sqrt(r2) or eta.
-    first = {"sphere": math.cos, "flat": lambda d: d * d, "hyperbolic": math.cosh}
-    value = np.full(count, first[geometry](steps[0]))
+def _sphere_update(phi, theta, b):
+    c = _cos_step(phi, theta, b)
+    return c, np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def _flat_update(r, d, b):
+    r2 = (r - d) ** 2 + 4.0 * d * b * r
+    return r2, np.sqrt(r2)
+
+
+def _hyperbolic_update(eta, xi, b):
+    a = np.cosh(eta - xi) + 2.0 * b * np.sinh(eta) * math.sinh(xi)
+    return a, np.arccosh(a)
+
+
+def _chain_values(first, shift, update, gen, count, n, steps, observable):
+    # The recursions of the module docstring, with Beta coordinates in
+    # dimension m = n - shift.  The first step from the start is
+    # deterministic and taken exactly, to value first(step); the state
+    # (phi, sqrt(r2) or eta) is then the step itself, and update maps
+    # (state, step, B) to (value, state).
+    value = np.full(count, first(steps[0] if steps else 0.0))
+    if not steps:
+        return value
     state = steps[0]
-    m = n if geometry == "flat" else n - 1
-    for step, b in zip(steps[1:], _beta_coordinate(gen, m, (len(steps) - 1, count))):
-        if geometry == "sphere":
-            value = _cos_step(state, step, b)
-            state = np.arccos(np.clip(value, -1.0, 1.0))
-        elif geometry == "flat":
-            value = (state - step) ** 2 + 4.0 * step * b * state
-            state = np.sqrt(value)
-        else:
-            value = np.cosh(state - step) + 2.0 * b * np.sinh(state) * math.sinh(step)
-            state = np.arccosh(value)
+    for step, b in zip(steps[1:], _beta_coordinate(gen, n - shift, (len(steps) - 1, count))):
+        value, state = update(state, step, b)
     return value
 
 
@@ -315,18 +277,171 @@ def _operator_values(gen, count, n, spectra, observable):
     return np.where(dead, math.nan, c)
 
 
+def _check_n(n, least, geometry):
+    if n is not None and n < least:
+        raise ValueError(f"{geometry} experiments need n_dim >= {least}, got {n}")
+
+
+def _parse_steps(vector, least, geometry, schedule, n):
+    # A sphere, flat or hyperbolic schedule: the floats vector accepts.
+    _check_n(n, least, geometry)
+    return tuple(vector(schedule).tolist()), n
+
+
+def _parse_product(schedule, n):
+    # One spectrum (a Spectrum or a list of eigenvalues) or a sequence of
+    # them; n defaults to their common length.
+    if isinstance(schedule, Spectrum) or (len(schedule) > 0 and np.isscalar(schedule[0])):
+        schedule = [schedule]
+    spectra = _prepare_spectra(schedule, n)
+    if not spectra:
+        raise ValueError("operator_product experiments need >= 1 spectrum")
+    return spectra, spectra[0].n
+
+
+def _parse_operator(schedule, n):
+    spectra, n = _parse_product(schedule, n)
+    if len(spectra) != 1:
+        raise ValueError(
+            "operator experiments take exactly one spectrum; use operator_product for several"
+        )
+    return spectra, n
+
+
+def _parse_kappa(schedule, n):
+    # A CurvaturePath, or its (d, kappas) steps, becomes the spectra
+    # v_k = 1/(1 + d_k kappa_k); spectra made from one pass through.
+    if isinstance(schedule, CurvaturePath) or not all(isinstance(sp, Spectrum) for sp in schedule):
+        path = schedule if isinstance(schedule, CurvaturePath) else CurvaturePath(schedule)
+        schedule = [Spectrum(v) for v in path.weight_vectors()]
+    return _parse_product(schedule, n)
+
+
+def _parse_kind(kind, n):
+    if kind not in _MONOMIAL_KINDS:
+        raise ValueError(f"monomial schedule must be one of {_MONOMIAL_KINDS}, got {kind!r}")
+    _check_n(n, 3 if kind == "x1sq_x2sq" else 2, "monomial")
+    return kind, n
+
+
+def _parse_power(power, n):
+    if not isinstance(power, (int, np.integer)) or power < 1:
+        raise ValueError(f"marginal schedule must be a positive integer power, got {power!r}")
+    _check_n(n, 2, "marginal")
+    return int(power), n
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """One row of the geometry table.
+
+    parse(schedule, n) validates schedule and the dimension n (None skips
+    the dimension checks) and returns (canonical schedule, n), with n taken
+    from the schedule where it fixes it.  predict(schedule, n, observable)
+    and kernel(gen, count, n, schedule, observable) take the canonical
+    schedule; the kernel returns count observables.  fields are the CLI
+    flags and config keys that carry the schedule, observables the allowed
+    observables (the default first), and dimfree is (observable name,
+    mean(schedule)) where the mean needs no n.
+    """
+
+    parse: Callable
+    predict: Callable
+    kernel: Callable
+    fields: tuple
+    observables: tuple = ()
+    dimfree: Optional[tuple] = None
+
+    def observable(self, observable):
+        """observable validated against this geometry, or its default when None."""
+        if not self.observables:
+            if observable is not None:
+                raise ValueError(
+                    f"observable is only meaningful for operator geometries, got {observable!r}"
+                )
+            return None
+        if observable is None:
+            return self.observables[0]
+        if observable not in self.observables:
+            raise ValueError(f"observable must be one of {self.observables}, got {observable!r}")
+        return observable
+
+
+_PRODUCT = dict(
+    predict=lambda spectra, n, observable: operator_product_prediction(spectra, observable),
+    kernel=_operator_values,
+    fields=("spectrum", "spectra_file"),
+    observables=_OPERATOR_OBSERVABLES,
+)
+
+_GEOMETRY_TABLE = {
+    "flat": _Geometry(
+        partial(_parse_steps, _steps, 2, "flat"),
+        lambda d, n, _: flat_prediction(d, n),
+        partial(_chain_values, lambda d: d * d, 0, _flat_update),
+        ("steps",),
+        dimfree=("squared_norm", flat_expected_sq_norm),
+    ),
+    "sphere": _Geometry(
+        partial(_parse_steps, _angles, 3, "sphere"),
+        lambda t, n, _: sphere_prediction(t, n),
+        partial(_chain_values, math.cos, 1, _sphere_update),
+        ("angles",),
+        dimfree=("cosine", sphere_expected_cosine),
+    ),
+    "hyperbolic": _Geometry(
+        partial(_parse_steps, _arcs, 3, "hyperbolic"),
+        lambda x, n, _: hyperbolic_prediction(x, n),
+        partial(_chain_values, math.cosh, 1, _hyperbolic_update),
+        ("arcs",),
+        dimfree=("minkowski_inner", hyperbolic_expected_cosh),
+    ),
+    "operator": _Geometry(_parse_operator, **_PRODUCT),
+    "operator_product": _Geometry(_parse_product, **_PRODUCT),
+    "monomial": _Geometry(
+        _parse_kind,
+        lambda kind, n, _: monomial_prediction(kind, n),
+        lambda gen, count, n, kind, _: _coordinate_values(gen, n, count, *_MONOMIALS[kind]),
+        ("kind",),
+    ),
+    "marginal": _Geometry(
+        _parse_power,
+        lambda power, n, _: marginal_moment_prediction(power, n),
+        lambda gen, count, n, power, _: _coordinate_values(gen, n, count, power, 0),
+        ("power",),
+    ),
+    "kappa": _Geometry(_parse_kappa, **dict(_PRODUCT, fields=("curvature_file",))),
+}
+
+GEOMETRIES = tuple(_GEOMETRY_TABLE)
+
+
+def _geometry(name):
+    """The table row of the geometry called name."""
+    try:
+        return _GEOMETRY_TABLE[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown geometry {name!r}; expected one of {GEOMETRIES}") from None
+
+
+def prediction_for(geometry, schedule, n_dim, observable=None):
+    """The closed-form Prediction for an experiment, from its geometry's row.
+
+    schedule, n_dim and observable are as for ExperimentSpec, and are
+    validated the same way: a step list, spectra, a curvature path, a
+    monomial kind or a marginal power; observable defaults to "cosine"
+    where it applies.
+    """
+    row = _geometry(geometry)
+    schedule, n = row.parse(schedule, n_dim)
+    return row.predict(schedule, n, row.observable(observable))
+
+
 def _trial_values(spec, index, count):
     """Observables of count trials of spec, all drawn from the stream (seed, index)."""
-    geometry, n, schedule = spec.geometry, spec.n_dim, spec.schedule
     gen = RandomStream(spec.seed, index).generator
-    if geometry in _OPERATOR_GEOMETRIES:
-        return _operator_values(gen, count, n, schedule, spec.observable)
-    if geometry in ("monomial", "marginal"):
-        p0, p1 = _MONOMIALS[schedule] if geometry == "monomial" else (schedule, 0)
-        return _coordinate_values(gen, n, count, p0, p1)
-    if not schedule:
-        return np.full(count, 0.0 if geometry == "flat" else 1.0)
-    return _chain_values(gen, count, geometry, n, schedule)
+    row = _GEOMETRY_TABLE[spec.geometry]
+    return row.kernel(gen, count, spec.n_dim, spec.schedule, spec.observable)
 
 
 def _chunk_stats(spec, index, count):

@@ -15,11 +15,12 @@ inner), not of any derived quantity.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import as_vector, pnorm_pi
+from .geometry import _schedule_vector, as_vector, pnorm_pi
 
 __all__ = [
     "PrecisionLossError",
@@ -71,31 +72,9 @@ class PrecisionLossError(ArithmeticError):
     """Raised when cancellation leaves a result with no trustworthy digits."""
 
 
-def _angles(thetas):
-    if len(thetas) == 0:
-        return np.empty(0)
-    t = as_vector(thetas, "angle schedule")
-    if np.any(t < 0.0) or np.any(t > math.pi):
-        raise ValueError("angles must lie in [0, pi]")
-    return t
-
-
-def _arcs(xis):
-    if len(xis) == 0:
-        return np.empty(0)
-    x = as_vector(xis, "arc schedule")
-    if np.any(x < 0.0):
-        raise ValueError("arc lengths must be >= 0")
-    return x
-
-
-def _steps(ds):
-    if len(ds) == 0:
-        return np.empty(0)
-    d = as_vector(ds, "step schedule")
-    if np.any(d < 0.0):
-        raise ValueError("step lengths must be >= 0")
-    return d
+_angles = partial(_schedule_vector, name="angles", upper=math.pi)
+_arcs = partial(_schedule_vector, name="arcs")
+_steps = partial(_schedule_vector, name="steps")
 
 
 def _step_cosine(theta):
@@ -210,18 +189,24 @@ def flat_sigma(ds, n):
     """Exact standard deviation of the flat squared displacement.
 
     sigma^2 = (4/n) sum_{i<j} d_i^2 d_j^2, computed from the elementary
-    symmetric identity 2 sum_{i<j} = (sum d^2)^2 - sum d^4.
+    symmetric identity 2 sum_{i<j} = (sum d^2)^2 - sum d^4 on the steps
+    scaled by a power of two that brings the longest to [1/2, 1), so no
+    square overflows; returns inf when sigma itself exceeds the double range.
     """
     d = _steps(ds)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if d.shape[0] <= 1:
         return 0.0
-    d2 = d * d
+    e = math.frexp(float(d.max()))[1]
+    d2 = np.ldexp(d, -e) ** 2
     e1 = float(np.sum(d2))
     e2 = float(d2 @ d2)
     pairs = max(e1 * e1 - e2, 0.0) / 2.0
-    return math.sqrt(4.0 / n * pairs)
+    try:
+        return math.ldexp(math.sqrt(4.0 / n * pairs), 2 * e)
+    except OverflowError:
+        return math.inf
 
 
 def flat_sigma_bound(ds, n):
@@ -589,6 +574,8 @@ class Prediction:
 
     sigma_exact is the exact standard deviation when a closed form exists,
     sigma_bound a proven schedule-level upper bound; either may be absent.
+    Where both are given, sigma_exact may exceed sigma_bound by rounding
+    only: by 1e-12 relative to the bound (absolute below 1).
     deviation_order records the advertised concentration rate and states
     whether it is absolute or relative.
     """
@@ -607,7 +594,7 @@ class Prediction:
         if (
             self.sigma_exact is not None
             and self.sigma_bound is not None
-            and self.sigma_exact > self.sigma_bound + 1e-12
+            and self.sigma_exact > self.sigma_bound + 1e-12 * max(1.0, self.sigma_bound)
         ):
             raise ValueError(
                 f"sigma_exact {self.sigma_exact!r} exceeds sigma_bound {self.sigma_bound!r}"
@@ -673,20 +660,11 @@ _OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
 
 
 def operator_prediction(spectrum, observable="cosine"):
-    """Prediction for a single random symmetric factor applied to a unit vector."""
-    if observable not in _OPERATOR_OBSERVABLES:
-        raise ValueError(f"observable must be one of {_OPERATOR_OBSERVABLES}")
-    if observable == "cosine":
-        mean = operator_expected_cosine(spectrum)
-    else:
-        mean = operator_norm_multiplier(spectrum)
-    return Prediction(
-        observable=observable,
-        mean=mean,
-        sigma_exact=None,
-        sigma_bound=None,
-        deviation_order="relative deviation O(1/sqrt(n))",
-    )
+    """Prediction for a single random symmetric factor applied to a unit vector.
+
+    The one-factor case of operator_product_prediction.
+    """
+    return operator_product_prediction([spectrum], observable)
 
 
 def operator_product_prediction(spectra, observable="cosine"):
@@ -755,28 +733,11 @@ def marginal_moment_prediction(power, n):
     )
 
 
-def prediction_for(geometry, schedule, n_dim, observable=None):
-    """Dispatch to the right prediction builder for an experiment geometry.
+def __getattr__(name):
+    # prediction_for dispatches through the geometry table, which sits in
+    # randsteps.montecarlo beside the kernels; it stays importable from here.
+    if name == "prediction_for":
+        from .montecarlo import prediction_for
 
-    schedule carries whatever the geometry needs: an angle/step/arc list, a
-    list of spectra, a monomial kind, or a marginal moment power.
-    """
-    if geometry == "sphere":
-        return sphere_prediction(schedule, n_dim)
-    if geometry == "flat":
-        return flat_prediction(schedule, n_dim)
-    if geometry == "hyperbolic":
-        return hyperbolic_prediction(schedule, n_dim)
-    if geometry == "operator":
-        spectra = list(schedule) if isinstance(schedule, (list, tuple)) else [schedule]
-        if len(spectra) != 1:
-            raise ValueError("operator geometry takes exactly one spectrum")
-        return operator_prediction(spectra[0], observable or "cosine")
-    if geometry == "operator_product":
-        spectra = list(schedule) if isinstance(schedule, (list, tuple)) else [schedule]
-        return operator_product_prediction(spectra, observable or "cosine")
-    if geometry == "monomial":
-        return monomial_prediction(schedule, n_dim)
-    if geometry == "marginal":
-        return marginal_moment_prediction(schedule, n_dim)
-    raise ValueError(f"unknown geometry {geometry!r}")
+        return prediction_for
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ from .geometry import (
     HyperboloidPoint,
     SymMatrix,
     UnitVector,
-    apply_boost_from_e1,
+    _boost_from_e1,
     as_vector,
 )
 
@@ -119,6 +119,16 @@ class Spectrum:
 
     def __repr__(self):
         return f"Spectrum(n={self.n})"
+
+
+def _prepare_spectra(spectra, n=None):
+    """spectra as a tuple of Spectrum, all of length n (by default the first's)."""
+    prepared = tuple(sp if isinstance(sp, Spectrum) else Spectrum(sp) for sp in spectra)
+    for sp in prepared:
+        n = sp.n if n is None else n
+        if sp.n != n:
+            raise ValueError(f"spectrum length {sp.n} does not match dimension {n}")
+    return prepared
 
 
 def gaussian_vector(n, rng):
@@ -232,7 +242,7 @@ def _hyperbolic_step_raw(u, cosh, sinh, g, gen):
     y = np.empty(u.shape[0])
     y[0] = cosh
     y[1:] = sinh * _unit_raw(g, gen)
-    out = apply_boost_from_e1(u, y)
+    out = _boost_from_e1(u, y)
     if not out[0] > 0.0:
         raise ValueError("hyperbolic step left the future sheet")
     q = float(out[0] * out[0] - out[1:] @ out[1:])

@@ -96,15 +96,41 @@ class TestPredict:
         assert payload["norm_product"] == pytest.approx(kappa_norm_product(want), rel=1e-14)
         assert payload["cosine_product"] == pytest.approx(kappa_cosine_product(want), rel=1e-14)
 
-    def test_kappa_rejects_simulate(self, capsys, tmp_path):
+    def test_kappa_simulates_as_operator_product(self, capsys, tmp_path):
+        # kappa is operator_product over the spectra v_k = 1/(1 + d_k kappa_k),
+        # with n the path's width.
         path_file = tmp_path / "path.txt"
-        path_file.write_text("1.0 0.0\n")
-        code, _, err = run_cli(
-            capsys, "simulate", "--geometry", "kappa",
-            "--curvature-file", str(path_file), "--trials", "10", "--seed", "1",
+        path_file.write_text("1.0 0.0 0.0 2.0\n0.5 1.0 1.0 1.0\n")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--geometry", "kappa", "--curvature-file", str(path_file),
+            "--observable", "norm_ratio", "--trials", "3000", "--seed", "1", "--output", "csv",
         )
-        assert code == EXIT_CONFIG
-        assert "config error" in err
+        assert code == EXIT_PASS
+        _, rows = parse_row_csv(out)
+        assert rows[0]["geometry"] == "kappa" and rows[0]["n_dim"] == "3"
+        spectra = ["1,1,0.3333333333333333", "0.6666666666666666,0.6666666666666666,0.6666666666666666"]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--geometry", "operator_product", "--spectrum", spectra[0],
+            "--spectrum", spectra[1], "--observable", "norm_ratio", "--trials", "3000",
+            "--seed", "1", "--output", "csv",
+        )
+        assert code == EXIT_PASS
+        _, want = parse_row_csv(out)
+        for key in ("mc_mean", "mc_std", "std_error", "schedule"):
+            assert rows[0][key] == want[0][key]
+
+    def test_kappa_compare_ends_in_verdict(self, capsys, tmp_path):
+        path_file = tmp_path / "path.txt"
+        path_file.write_text("1.0 0.0 0.0 2.0\n0.5 1.0 1.0 1.0\n")
+        code, out, _ = run_cli(
+            capsys, "compare", "--geometry", "kappa", "--curvature-file", str(path_file),
+            "--trials", "20000", "--seed", "1", "--output", "csv",
+        )
+        assert code in (EXIT_PASS, EXIT_FAIL)
+        _, rows = parse_row_csv(out)
+        assert rows[0]["verdict"] in ("pass", "fail")
+        want = kappa_cosine_product(CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))]))
+        assert float(rows[0]["prediction_mean"]) == pytest.approx(want, rel=1e-14)
 
     def test_precision_loss_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -364,6 +390,43 @@ class TestTable:
         )
         assert code == EXIT_CONFIG
         assert "operator_product" in err
+
+
+# A valid value for every schedule flag, and the flags each geometry reads.
+_SCHEDULE_FLAGS = {
+    "--angles": "0.5", "--steps": "1", "--arcs": "1", "--spectrum": "1,2,3",
+    "--spectra-file": None, "--curvature-file": None, "--kind": "x1_sq", "--power": "2",
+}
+_GEOMETRY_FLAGS = {
+    "sphere": ("--angles",), "flat": ("--steps",), "hyperbolic": ("--arcs",),
+    "operator": ("--spectrum", "--spectra-file"),
+    "operator_product": ("--spectrum", "--spectra-file"),
+    "monomial": ("--kind",), "marginal": ("--power",), "kappa": ("--curvature-file",),
+}
+
+
+class TestScheduleFlags:
+    def test_table_covers_every_geometry(self):
+        assert set(_GEOMETRY_FLAGS) == set(randsteps.GEOMETRIES)
+
+    @pytest.mark.parametrize("geometry", sorted(_GEOMETRY_FLAGS))
+    def test_unused_schedule_flags_exit_2(self, capsys, tmp_path, geometry):
+        spectrum_file = tmp_path / "spectrum.txt"
+        spectrum_file.write_text("1\n2\n3\n")
+        path_file = tmp_path / "path.txt"
+        path_file.write_text("1.0 0.0 0.5 2.0\n")
+        values = dict(_SCHEDULE_FLAGS)
+        values["--spectra-file"] = str(spectrum_file)
+        values["--curvature-file"] = str(path_file)
+        used = _GEOMETRY_FLAGS[geometry]
+        base = ["predict", "--geometry", geometry, "--n-dim", "3", used[0], values[used[0]]]
+        code, _, err = run_cli(capsys, *base)
+        assert code == EXIT_PASS, err
+        for flag in values:
+            if flag not in used:
+                code, _, err = run_cli(capsys, *base, flag, values[flag])
+                assert code == EXIT_CONFIG, flag
+                assert "not used by geometry" in err
 
 
 class TestParsing:

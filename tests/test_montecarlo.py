@@ -28,7 +28,7 @@ from randsteps.montecarlo import (
     compare,
     estimate,
 )
-from randsteps.predictors import Prediction, prediction_for
+from randsteps.predictors import CurvaturePath, Prediction, prediction_for
 from randsteps.sampling import RandomStream, Spectrum, uniform_unit_sphere
 
 
@@ -85,6 +85,59 @@ class TestExperimentSpec:
     def test_schedule_canonicalized(self):
         spec = ExperimentSpec("flat", 5, [1, 2], 10, 1)
         assert spec.schedule == (1.0, 2.0)
+
+
+def _spec_of_every_geometry():
+    path = CurvaturePath([(1.0, (0.0, 0.5, 2.0)), (0.5, (1.0, 1.0, -0.5))])
+    return [
+        ExperimentSpec("flat", 5, (1.0, 0.5), 300, 1),
+        ExperimentSpec("sphere", 5, (0.7, 1.1), 300, 1),
+        ExperimentSpec("hyperbolic", 5, (0.5, 0.2), 300, 1),
+        ExperimentSpec("operator", 3, Spectrum([0.5, 1.0, 2.0]), 300, 1, "norm_ratio"),
+        ExperimentSpec("operator_product", 3, [[0.5, 1.0, 2.0], [-1.0, 1.0, 1.5]], 300, 1),
+        ExperimentSpec("monomial", 5, "x1sq_x2sq", 300, 1),
+        ExperimentSpec("marginal", 5, 4, 300, 1),
+        ExperimentSpec("kappa", 3, path, 300, 1),
+    ]
+
+
+class TestGeometryTable:
+    def test_every_geometry_has_a_spec_here(self):
+        assert [spec.geometry for spec in _spec_of_every_geometry()] == list(GEOMETRIES)
+
+    @pytest.mark.parametrize("spec", _spec_of_every_geometry(), ids=lambda spec: spec.geometry)
+    def test_prediction_for_takes_a_specs_fields(self, spec):
+        pred = prediction_for(spec.geometry, spec.schedule, spec.n_dim, spec.observable)
+        assert math.isfinite(pred.mean)
+        # the canonical schedule parses to itself
+        again = ExperimentSpec(spec.geometry, spec.n_dim, spec.schedule, 300, 1, spec.observable)
+        assert again == spec
+
+    @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
+    def test_kappa_is_operator_product_over_weights(self, observable):
+        path = CurvaturePath([(1.0, (0.0, 0.5, 2.0, 1.0)), (0.5, (1.0, 1.0, -0.5, 3.0))])
+        spectra = [Spectrum(v) for v in path.weight_vectors()]
+        kappa = estimate(ExperimentSpec("kappa", 4, path, 2049, 8, observable))
+        product = estimate(ExperimentSpec("operator_product", 4, spectra, 2049, 8, observable))
+        assert kappa == product
+        want = prediction_for("operator_product", spectra, 4, observable)
+        assert prediction_for("kappa", path, 4, observable) == want
+
+    @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
+    @pytest.mark.parametrize("values", [[0.5, 1.0, 2.0, -0.3], [-1.5] * 4])
+    def test_operator_is_one_factor_product(self, observable, values):
+        one = estimate(ExperimentSpec("operator", 4, Spectrum(values), 2049, 9, observable))
+        product = estimate(ExperimentSpec("operator_product", 4, [values], 2049, 9, observable))
+        assert one == product
+        if values[0] == -1.5:
+            assert one.mean == (-1.0 if observable == "cosine" else 1.5)
+        pred = prediction_for("operator", Spectrum(values), 4, observable)
+        assert pred == prediction_for("operator_product", [values], 4, observable)
+
+    def test_kappa_width_is_its_dimension(self):
+        path = CurvaturePath([(1.0, (0.0, 0.5, 2.0))])
+        with pytest.raises(ValueError, match="does not match"):
+            ExperimentSpec("kappa", 4, path, 10, 1)
 
 
 class TestEstimate:

@@ -130,6 +130,18 @@ class TestFlatPredictors:
         assert flat_sigma((1.0, 1.0), 100) == 0.2
         assert flat_sigma((2.5,), 100) == 0.0
 
+    def test_sigma_huge_steps_without_overflow(self):
+        # sigma^2 = (4/n) d^4 for two equal steps: sqrt(4/3) * 1e300 at n = 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(
+                flat_sigma((1e150, 1e150), 3), math.sqrt(4.0 / 3.0) * 1e300, rtol=1e-15
+            )
+            assert flat_sigma((1e200, 1e200), 3) == math.inf
+            # M = n equal steps put sigma on its bound, up to rounding
+            pred = flat_prediction((1e150,) * 3, 3)
+            np.testing.assert_allclose(pred.sigma_exact, pred.sigma_bound, rtol=1e-15)
+
     def test_fourth_moment_hand_value(self):
         # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2 = 2 + 2.04
         np.testing.assert_allclose(flat_fourth_moment((1.0, 1.0), 100), 4.04, rtol=1e-15)
@@ -295,6 +307,19 @@ class TestCurvatureProducts:
                 for _ in range(int(gen.integers(1, 4)))
             ]
             assert kappa_cosine_product(CurvaturePath(steps)) <= 1.0 + 1e-12
+
+    def test_prediction_for_kappa_is_the_products(self):
+        gen = np.random.default_rng(61)
+        for _ in range(50):
+            width = int(gen.integers(1, 8))
+            path = CurvaturePath([
+                (float(gen.uniform(0.05, 1.5)), gen.uniform(-0.5, 3.0, size=width))
+                for _ in range(int(gen.integers(1, 5)))
+            ])
+            norm = prediction_for("kappa", path, width, "norm_ratio")
+            cosine = prediction_for("kappa", path, width)
+            np.testing.assert_allclose(norm.mean, kappa_norm_product(path), rtol=1e-14)
+            np.testing.assert_allclose(cosine.mean, kappa_cosine_product(path), rtol=1e-14)
 
     def test_rejects_singular_weight(self):
         with pytest.raises(ValueError, match="singular"):
