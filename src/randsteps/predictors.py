@@ -152,19 +152,39 @@ def sphere_sigma_bound(thetas, n):
     return math.sqrt(float(s @ s)) / math.sqrt(n - 1)
 
 
+def _scaled_steps(d):
+    # (d * 2^-e, e) with e the exponent that brings the longest step to
+    # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
+    e = math.frexp(float(d.max()))[1] if d.shape[0] else 0
+    return np.ldexp(d, -e), e
+
+
+def _ldexp_or_inf(x, e):
+    # x * 2^e, or inf where it exceeds the double range.
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def flat_expected_sq_norm(ds):
-    """E[||x_M||^2] = sum_i d_i^2 for flat steps of lengths d_i."""
-    d = _steps(ds)
-    return float(d @ d)
+    """E[||x_M||^2] = sum_i d_i^2 for flat steps of lengths d_i.
+
+    Returns inf when the sum exceeds the double range.
+    """
+    d, e = _scaled_steps(_steps(ds))
+    return _ldexp_or_inf(float(d @ d), 2 * e)
 
 
 def flat_expected_norm(ds):
     """sqrt(sum_i d_i^2), the concentration value of ||x_M||.
 
     This is the square root of the exact mean of ||x_M||^2; the mean of
-    ||x_M|| itself differs from it by a relative O(1/n) correction.
+    ||x_M|| itself differs from it by a relative O(1/n) correction.  It is
+    finite wherever the value is, even when sum_i d_i^2 is not.
     """
-    return math.sqrt(flat_expected_sq_norm(ds))
+    d, e = _scaled_steps(_steps(ds))
+    return _ldexp_or_inf(math.sqrt(float(d @ d)), e)
 
 
 def flat_fourth_moment(ds, n):
@@ -198,15 +218,12 @@ def flat_sigma(ds, n):
         raise ValueError(f"n must be >= 2, got {n}")
     if d.shape[0] <= 1:
         return 0.0
-    e = math.frexp(float(d.max()))[1]
-    d2 = np.ldexp(d, -e) ** 2
+    d, e = _scaled_steps(d)
+    d2 = d**2
     e1 = float(np.sum(d2))
     e2 = float(d2 @ d2)
     pairs = max(e1 * e1 - e2, 0.0) / 2.0
-    try:
-        return math.ldexp(math.sqrt(4.0 / n * pairs), 2 * e)
-    except OverflowError:
-        return math.inf
+    return _ldexp_or_inf(math.sqrt(4.0 / n * pairs), 2 * e)
 
 
 def flat_sigma_bound(ds, n):
@@ -215,14 +232,16 @@ def flat_sigma_bound(ds, n):
     Guaranteed whenever the number of steps M does not exceed the dimension n
     (the regime of interest, steps far fewer than dimensions); for M > n the
     sharp constant degrades to sqrt(2 (M-1) / (M n)) and this expression may
-    undershoot the true sigma.
+    undershoot the true sigma.  Returns inf when the bound exceeds the
+    double range.
     """
     d = _steps(ds)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
-    return math.sqrt(2.0 * (n - 1)) / n * float(d @ d)
+    d, e = _scaled_steps(d)
+    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * float(d @ d), 2 * e)
 
 
 def _exp_or_inf(x):

@@ -1,8 +1,8 @@
 """Seeded samplers for spheres, hyperboloids, and random symmetric operators.
 
-All randomness flows through :class:`RandomStream`, a counter-based stream
-addressed by the pair (seed, stream_id).  Equal addresses give bitwise equal
-draw sequences on every platform, which is what makes the Monte Carlo engine
+All randomness flows through :class:`RandomStream`, an SFC64 stream addressed
+by the pair (seed, stream_id).  Equal addresses give bitwise equal draw
+sequences on every platform, which is what makes the Monte Carlo engine
 reproducible regardless of how trials are scheduled.  There is no hidden
 global state; every operation takes its stream explicitly.
 """
@@ -39,13 +39,14 @@ _DEGENERATE_NORM = 1e-150
 
 
 class RandomStream:
-    """Counter-based random stream addressed by (seed, stream_id).
+    """Random stream addressed by (seed, stream_id).
 
-    Streams with distinct addresses are statistically independent (Philox
-    keyed by the address), and equal addresses reproduce the same sequence
-    bitwise.  A stream is cheap to create and holds its own generator state,
-    so a single stream must not be shared by concurrent writers; hand each
-    worker its own.
+    An SFC64 generator seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``,
+    child stream_id of ``SeedSequence(seed)``, which hashes the whole address
+    into the state: distinct addresses give independent streams, and equal
+    addresses reproduce the same sequence bitwise.  A stream is cheap to
+    create and holds its own generator state, so a single stream must not be
+    shared by concurrent writers; hand each worker its own.
     """
 
     __slots__ = ("seed", "stream_id", "_generator")
@@ -64,8 +65,8 @@ class RandomStream:
     def generator(self):
         """The underlying numpy Generator, created on first use."""
         if self._generator is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key))
+            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+            self._generator = np.random.Generator(np.random.SFC64(seq))
         return self._generator
 
     def substream(self, index):

@@ -57,6 +57,10 @@ class CriterionResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # A check on numpy scalars yields numpy.bool_, which json rejects.
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _sphere_sigma_sq_bracket(thetas, n):
     """Sphere chain variance as the expanded sum over step indices.

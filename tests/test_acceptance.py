@@ -6,8 +6,10 @@ criterion additionally invokes the selftest command twice end to end and
 byte-compares the rendered CSV reports.
 """
 
+import json
 import time
 
+import randsteps.cli
 from randsteps.cli import EXIT_PASS, main
 from randsteps.selftest import BATTERY_BUDGET_SECONDS, battery_passed, render_csv
 
@@ -107,3 +109,16 @@ def test_c14_selftest_determinism(battery, tmp_path, capsys):
 def test_battery_verdict_is_all_pass(battery):
     assert battery_passed(battery["_rows"])
     assert len(battery["_rows"]) == 14
+
+
+def test_selftest_json_output(battery, capsys, monkeypatch):
+    # The session battery's rows, rendered by the selftest command.
+    rows = battery["_rows"]
+    assert all(type(row.passed) is bool for row in rows)
+    monkeypatch.setattr(randsteps.cli, "run_battery", lambda workers: rows)
+    code = main(["selftest", "--output", "json"])
+    assert code == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert [(p["criterion"], p["passed"]) for p in payload] == [
+        (row.criterion, True) for row in rows
+    ]

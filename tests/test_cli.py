@@ -14,7 +14,7 @@ import pytest
 
 import randsteps
 from randsteps.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, main
-from randsteps.montecarlo import ExperimentSpec, estimate
+from randsteps.montecarlo import ExperimentSpec, compare, estimate, prediction_for
 from randsteps.predictors import CurvaturePath, kappa_cosine_product, kappa_norm_product
 
 
@@ -263,17 +263,59 @@ class TestCompare:
         assert rows[0]["verdict"] == "fail"
 
     def test_operator_spectrum_file(self, capsys, tmp_path):
+        # Plumbing only: the row is the library's compare at the same seed.
+        # The norm_ratio verdict itself is not pinned, because its target is
+        # a concentration value about 2.5 standard errors above E[sqrt(Y)]
+        # at 4000 trials (see test_operator_norm_ratio_concentration_bias).
+        spectrum = [(j + 1) / 60 for j in range(60)]
         spec_file = tmp_path / "spectrum.txt"
-        spec_file.write_text("".join(f"{(j + 1) / 60}\n" for j in range(60)))
+        spec_file.write_text("".join(f"{v}\n" for v in spectrum))
         code, out, _ = run_cli(
             capsys, "compare", "--geometry", "operator", "--spectra-file",
             str(spec_file), "--observable", "norm_ratio", "--trials", "4000",
             "--seed", "11", "--output", "csv",
         )
-        assert code == EXIT_PASS
         _, rows = parse_row_csv(out)
-        assert rows[0]["verdict"] == "pass"
-        assert rows[0]["geometry"] == "operator"
+        pred = prediction_for("operator", [spectrum], 60, "norm_ratio")
+        est = estimate(ExperimentSpec("operator", 60, [spectrum], 4000, 11, "norm_ratio"))
+        report = compare(pred, est)
+
+        def cell(value):
+            return "" if value is None else "%.17g" % value
+
+        assert rows == [{
+            "experiment": "compare",
+            "geometry": "operator",
+            "n_dim": "60",
+            "schedule": ";".join(cell(v) for v in sorted(spectrum, reverse=True)),
+            "trials": "4000",
+            "seed": "11",
+            "prediction_mean": cell(pred.mean),
+            "sigma_exact": cell(pred.sigma_exact),
+            "sigma_bound": cell(pred.sigma_bound),
+            "mc_mean": cell(est.mean),
+            "mc_std": cell(est.sample_std),
+            "std_error": cell(est.std_error),
+            "z_mean": cell(report.z_mean),
+            "std_ratio": cell(report.std_ratio),
+            "verdict": report.verdict,
+        }]
+        assert code == {"pass": EXIT_PASS, "fail": EXIT_FAIL}[report.verdict]
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_operator_norm_ratio_concentration_bias(self, seed):
+        # Y = ||Av||^2 has mean m = mean(s^2) and variance
+        # 2 Var(s^2)/(n + 2), so E[sqrt(Y)] = sqrt(m) - Var(Y)/(8 m^1.5) to
+        # second order.  The prediction is the concentration value sqrt(m),
+        # about 20 standard errors above the estimate at 2^18 trials.
+        n = 60
+        s = np.arange(1, n + 1) / n
+        m = float(np.mean(s**2))
+        centre = math.sqrt(m) - 2.0 * float(np.var(s**2)) / (n + 2) / (8.0 * m**1.5)
+        est = estimate(ExperimentSpec("operator", n, [s], 2**18, seed, "norm_ratio"))
+        assert abs(est.mean - centre) <= 4.0 * est.std_error
+        pred = prediction_for("operator", [s], n, "norm_ratio")
+        assert (est.mean - pred.mean) / est.std_error < -4.0
 
     def test_hyperbolic_with_std_gate(self, capsys):
         code, out, _ = run_cli(

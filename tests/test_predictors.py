@@ -142,6 +142,29 @@ class TestFlatPredictors:
             pred = flat_prediction((1e150,) * 3, 3)
             np.testing.assert_allclose(pred.sigma_exact, pred.sigma_bound, rtol=1e-15)
 
+    def test_means_and_bound_huge_steps_without_overflow(self):
+        # sum d^2 = 2e400 is past the double range; its square root is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert flat_expected_sq_norm((1e200, 1e200)) == math.inf
+            np.testing.assert_allclose(
+                flat_expected_norm((1e200, 1e200)), math.sqrt(2.0) * 1e200, rtol=1e-15
+            )
+            assert flat_sigma_bound((1e200, 1e200), 3) == math.inf
+            # sqrt(2 (n - 1))/n * 2e300 at n = 1e10 is in range
+            np.testing.assert_allclose(
+                flat_sigma_bound((1e150, 1e150), 1e10),
+                math.sqrt(2.0 * (1e10 - 1)) / 1e10 * 2e300,
+                rtol=1e-15,
+            )
+            np.testing.assert_allclose(
+                flat_expected_sq_norm((1e150, 1e150)), 2e300, rtol=1e-15
+            )
+            # and tiny steps no longer underflow to 0
+            np.testing.assert_allclose(
+                flat_expected_norm((1e-200, 1e-200)), math.sqrt(2.0) * 1e-200, rtol=1e-15
+            )
+
     def test_fourth_moment_hand_value(self):
         # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2 = 2 + 2.04
         np.testing.assert_allclose(flat_fourth_moment((1.0, 1.0), 100), 4.04, rtol=1e-15)

@@ -50,6 +50,32 @@ class TestRandomStream:
         with pytest.raises(TypeError):
             RandomStream(1.5)
 
+    @pytest.mark.parametrize(
+        "seed, stream_id",
+        [(0, 0), (123, 4), (2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)],
+    )
+    def test_stream_is_seed_sequence_child(self, seed, stream_id):
+        seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+        want = np.random.Generator(np.random.SFC64(seq)).standard_normal(50)
+        got = RandomStream(seed, stream_id).generator.standard_normal(50)
+        np.testing.assert_array_equal(got, want)
+
+    def test_stream_id_is_spawned_child_index(self):
+        child = np.random.SeedSequence(123).spawn(5)[4]
+        want = np.random.Generator(np.random.SFC64(child)).standard_normal(50)
+        np.testing.assert_array_equal(RandomStream(123, 4).generator.standard_normal(50), want)
+
+    def test_swapped_address_differs(self):
+        for seed, stream_id in ((3, 7), (0, 2**64 - 1)):
+            a = RandomStream(seed, stream_id).generator.standard_normal(20)
+            b = RandomStream(stream_id, seed).generator.standard_normal(20)
+            assert not np.array_equal(a, b)
+
+    def test_corner_addresses_are_distinct(self):
+        corners = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
+        draws = {RandomStream(s, k).generator.standard_normal(4).tobytes() for s, k in corners}
+        assert len(draws) == len(corners)
+
 
 class TestSphereStep:
     def test_exact_cosine(self):
