@@ -1,15 +1,16 @@
 """Run perfbench on one or more checkouts and record the results in the tree.
 
     python scripts/bench_record.py --name 7 --run parent=../parent --run change=. \
-        --workloads chains-highdim,sweep-lowdim --seeds 11,12,13 [--seconds 20] [--trace 0]
+        --workloads chains-highdim,sweep-lowdim --seeds 11,12,13 [--trace 0]
 
 Each --run LABEL=PATH names a checkout (a directory with src/ and perfbench/).
 For every workload and seed the checkouts run perfbench/run.py from their own
-tree, one after another; the order alternates from one seed to the next, so
-two checkouts give alternating before/after pairs.  Each run's final JSON
-line is appended, with its label, commit, workload, seed and settings, to
-BENCH_<name>.json at the root of this repository (a JSON list, rewritten
-after every run, so an interrupted session keeps the runs it finished).
+tree, for the run_seconds that BENCHMARK.json fixes, one after another; the
+order alternates from one seed to the next, so two checkouts give
+alternating before/after pairs.  Each run's final JSON line is appended,
+with its label, commit, workload, seed and trace flag, to BENCH_<name>.json
+at the root of this repository (a JSON list, rewritten after every run, so
+an interrupted session keeps the runs it finished).
 """
 
 import argparse
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def _commit(path):
@@ -33,10 +35,10 @@ def _commit(path):
     return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _run(path, workload, seed, seconds, trace):
+def _run(path, workload, seed, trace):
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(RUN_SECONDS), "--trace", str(trace),
     ]
     done = subprocess.run(cmd, cwd=path, capture_output=True, text=True)
     if done.returncode != 0:
@@ -50,7 +52,6 @@ def main(argv=None):
     parser.add_argument("--run", action="append", required=True, metavar="LABEL=PATH")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="comma-separated integer seeds")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     runs = []
@@ -66,10 +67,10 @@ def main(argv=None):
     for workload in args.workloads.split(","):
         for index, seed in enumerate(seeds):
             for label, path, commit in runs if index % 2 == 0 else runs[::-1]:
-                result = _run(path, workload, seed, args.seconds, args.trace)
+                result = _run(path, workload, seed, args.trace)
                 records.append({
                     "label": label, "commit": commit, "workload": workload, "seed": seed,
-                    "seconds": args.seconds, "trace": args.trace, "result": result,
+                    "trace": args.trace, "result": result,
                 })
                 out.write_text(json.dumps(records, indent=1) + "\n")
                 print(f"{workload} seed {seed} {label}: correct={result['correct']}", flush=True)

@@ -167,13 +167,38 @@ def _ldexp_or_inf(x, e):
         return math.inf
 
 
+def _flat_steps(ds, n):
+    # Checked steps and dimension, scaled once for the cores below.
+    d = _steps(ds)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return _scaled_steps(d)
+
+
+def _flat_sq_norm(d, e):
+    return _ldexp_or_inf(float(d @ d), 2 * e)
+
+
+def _flat_sigma(d, e, n):
+    if d.shape[0] <= 1:
+        return 0.0
+    d2 = d**2
+    e1 = float(np.sum(d2))
+    e2 = float(d2 @ d2)
+    pairs = max(e1 * e1 - e2, 0.0) / 2.0
+    return _ldexp_or_inf(math.sqrt(4.0 / n * pairs), 2 * e)
+
+
+def _flat_sigma_bound(d, e, n):
+    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * float(d @ d), 2 * e)
+
+
 def flat_expected_sq_norm(ds):
     """E[||x_M||^2] = sum_i d_i^2 for flat steps of lengths d_i.
 
     Returns inf when the sum exceeds the double range.
     """
-    d, e = _scaled_steps(_steps(ds))
-    return _ldexp_or_inf(float(d @ d), 2 * e)
+    return _flat_sq_norm(*_scaled_steps(_steps(ds)))
 
 
 def flat_expected_norm(ds):
@@ -213,17 +238,7 @@ def flat_sigma(ds, n):
     scaled by a power of two that brings the longest to [1/2, 1), so no
     square overflows; returns inf when sigma itself exceeds the double range.
     """
-    d = _steps(ds)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if d.shape[0] <= 1:
-        return 0.0
-    d, e = _scaled_steps(d)
-    d2 = d**2
-    e1 = float(np.sum(d2))
-    e2 = float(d2 @ d2)
-    pairs = max(e1 * e1 - e2, 0.0) / 2.0
-    return _ldexp_or_inf(math.sqrt(4.0 / n * pairs), 2 * e)
+    return _flat_sigma(*_flat_steps(ds, n), n)
 
 
 def flat_sigma_bound(ds, n):
@@ -235,13 +250,10 @@ def flat_sigma_bound(ds, n):
     undershoot the true sigma.  Returns inf when the bound exceeds the
     double range.
     """
-    d = _steps(ds)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    d, e = _flat_steps(ds, n)
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
-    d, e = _scaled_steps(d)
-    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * float(d @ d), 2 * e)
+    return _flat_sigma_bound(d, e, n)
 
 
 def _exp_or_inf(x):
@@ -641,20 +653,18 @@ def flat_prediction(ds, n):
     The bound is omitted when the schedule has more steps than dimensions,
     outside its validity domain.
     """
-    d = _steps(ds)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    d, e = _flat_steps(ds, n)
     m = d.shape[0]
     if m == 0:
         bound = 0.0
     elif m <= n:
-        bound = flat_sigma_bound(d, n)
+        bound = _flat_sigma_bound(d, e, n)
     else:
         bound = None
     return Prediction(
         observable="squared_norm",
-        mean=flat_expected_sq_norm(d),
-        sigma_exact=flat_sigma(d, n),
+        mean=_flat_sq_norm(d, e),
+        sigma_exact=_flat_sigma(d, e, n),
         sigma_bound=bound,
         deviation_order="relative deviation O(1/sqrt(n))",
     )
