@@ -16,6 +16,13 @@ pi).
 Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
 prediction_for over normal-range schedules of the same seven geometries.
 
+Line 4 digests prediction_for and the public sphere, flat, hyperbolic and
+operator predictors over a wider grid: up to 64 steps, n up to 1e300,
+angles of exactly pi/2 and pi, hyperbolic arcs deep in the log-space branch
+and arcs of about 1e-9 (which raise PrecisionLossError), invalid schedules,
+and operator spectra given both as lists and as Spectrum.  Each call feeds
+either its numeric fields or its exception's type and message.
+
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
 
@@ -24,6 +31,7 @@ that a change leaves these outputs byte-identical:
 
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +47,10 @@ class Digest:
         for value in values:
             self.count += 1
             self.sha.update(b"None" if value is None else np.asarray(value, dtype=np.float64).tobytes())
+
+    def feed_text(self, text):
+        self.count += 1
+        self.sha.update(text.encode())
 
     def line(self):
         return f"{self.count} {self.sha.hexdigest()}"
@@ -145,10 +157,101 @@ def prediction_digest():
     return out.line()
 
 
+def _wide_points():
+    # (geometry, schedule, n, observable)
+    gen = np.random.default_rng(8)
+    draws = {
+        "sphere": lambda m: gen.uniform(0.0, math.pi, m),
+        "flat": lambda m: gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-150, 150, m),
+        "hyperbolic": lambda m: gen.uniform(0.0, 2.0, m),
+    }
+    points = []
+    for n in (3, 4, 10, 1000, 10**6, 10**300):
+        for m in (0, 1, 2, 3, 5, 16, 64):
+            for geometry, draw in draws.items():
+                points.append((geometry, tuple(draw(m)), n, None))
+            snapped = gen.uniform(0.0, math.pi, m)
+            snapped[gen.random(m) < 0.5] = math.pi / 2
+            snapped[gen.random(m) < 0.3] = math.pi
+            points.append(("sphere", tuple(snapped), n, None))
+            points.append(("hyperbolic", tuple(gen.uniform(100.0, 400.0, m)), n, None))
+            points.append(("hyperbolic", tuple(gen.uniform(0.5e-9, 2e-9, m)), n, None))
+        points += [
+            ("sphere", (math.pi, 1.4198346486560234), n, None),
+            ("sphere", (1.4001126639424055, 0.0), n, None),
+            ("sphere", (math.pi / 2,) * 64, n, None),
+            ("sphere", (math.pi,) * 5, n, None),
+            ("sphere", (0.5, 3.5), n, None),
+            ("sphere", (0.5, -0.1), n, None),
+            ("flat", (1e200, 1e200), n, None),
+            ("flat", (1.0, math.inf), n, None),
+            ("hyperbolic", (1e5, 1e5), n, None),
+            ("hyperbolic", (0.0, 0.0, 1.0), n, None),
+            ("hyperbolic", (0.5, math.nan), n, None),
+        ]
+        if n <= 1000:
+            for observable in ("cosine", "norm_ratio"):
+                spectra = [gen.uniform(-0.5, 2.0, n).tolist() for _ in range(3)]
+                points += [
+                    ("operator", spectra[0], n, observable),
+                    ("operator", rs.Spectrum(spectra[0]), n, observable),
+                    ("operator_product", spectra, n, observable),
+                    ("operator_product", [rs.Spectrum(s) for s in spectra], n, observable),
+                    ("operator", [0.0] * n, n, observable),
+                    ("operator_product", [[1.0] * n, [0.0] * n], n, observable),
+                ]
+    for n in (2, 1):
+        points += [("sphere", (0.5, 0.5), n, None), ("flat", (1.0,), n, None)]
+    return points
+
+
+def _public_calls(geometry, schedule, n, observable):
+    # The public predictors that prediction_for's row stands for.
+    if geometry == "sphere":
+        fns = (rs.sphere_expected_cosine, partial(rs.sphere_sigma, n=n),
+               partial(rs.sphere_sigma_bound, n=n), partial(rs.sphere_prediction, n=n))
+    elif geometry == "flat":
+        fns = (rs.flat_expected_sq_norm, rs.flat_expected_norm, partial(rs.flat_sigma, n=n),
+               partial(rs.flat_sigma_bound, n=n), partial(rs.flat_prediction, n=n))
+    elif geometry == "hyperbolic":
+        fns = (rs.hyperbolic_expected_cosh, rs.hyperbolic_log_expected_cosh,
+               partial(rs.hyperbolic_sigma, n=n), partial(rs.hyperbolic_sigma_bound, n=n),
+               partial(rs.hyperbolic_prediction, n=n))
+    elif geometry == "operator":
+        fns = (rs.operator_expected_cosine, rs.operator_norm_multiplier,
+               partial(rs.operator_prediction, observable=observable))
+    else:
+        fns = (rs.operator_product_cosine, partial(rs.operator_product_prediction, observable=observable))
+    return [partial(fn, schedule) for fn in fns]
+
+
+def wide_prediction_digest():
+    out = Digest()
+
+    def feed(fn):
+        try:
+            value = fn()
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            out.feed_text(f"{type(exc).__name__}: {exc}")
+            return
+        if isinstance(value, rs.Prediction):
+            out.feed(value.mean, value.sigma_exact, value.sigma_bound)
+            out.feed_text(f"{value.observable} {value.deviation_order}")
+        else:
+            out.feed(value)
+
+    for geometry, schedule, n, observable in _wide_points():
+        feed(partial(rs.prediction_for, geometry, schedule, n, observable))
+        for call in _public_calls(geometry, schedule, n, observable):
+            feed(call)
+    return out.line()
+
+
 def main():
     print(runner_digest())
     print(estimate_digest())
     print(prediction_digest())
+    print(wide_prediction_digest())
 
 
 if __name__ == "__main__":

@@ -127,6 +127,11 @@ def pnorm_pi(x, p):
     v = as_vector(_unwrap(x), "x")
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    return _pnorm_pi(v, p)
+
+
+def _pnorm_pi(v, p):
+    # pnorm_pi on a finite non-empty float64 array and a checked p, unchecked.
     a = np.abs(v)
     m = float(a.max())
     if m == 0.0:

@@ -56,16 +56,16 @@ from .predictors import (
     Prediction,
     _angles,
     _arcs,
+    _flat_prediction,
+    _hyperbolic_prediction,
+    _operator_prediction,
+    _sphere_prediction,
     _steps,
     flat_expected_sq_norm,
-    flat_prediction,
     hyperbolic_expected_cosh,
-    hyperbolic_prediction,
     marginal_moment_prediction,
     monomial_prediction,
-    operator_product_prediction,
     sphere_expected_cosine,
-    sphere_prediction,
 )
 from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _prepare_spectra
 
@@ -339,7 +339,7 @@ class _Geometry:
     the dimension checks) and returns (canonical schedule, n), with n taken
     from the schedule where it fixes it.  predict(schedule, n, observable)
     and kernel(gen, count, n, schedule, observable) take the canonical
-    schedule; the kernel returns count observables.  fields are the CLI
+    schedule and check it no further; the kernel returns count observables.  fields are the CLI
     flags and config keys that carry the schedule, observables the allowed
     observables (the default first), and dimfree is (observable name,
     mean(schedule)) where the mean needs no n.
@@ -368,7 +368,9 @@ class _Geometry:
 
 
 _PRODUCT = dict(
-    predict=lambda spectra, n, observable: operator_product_prediction(spectra, observable),
+    predict=lambda spectra, n, observable: _operator_prediction(
+        [sp.values for sp in spectra], observable
+    ),
     kernel=_operator_values,
     fields=("spectrum", "spectra_file"),
     observables=_OPERATOR_OBSERVABLES,
@@ -377,21 +379,21 @@ _PRODUCT = dict(
 _GEOMETRY_TABLE = {
     "flat": _Geometry(
         partial(_parse_steps, _steps, 2, "flat"),
-        lambda d, n, _: flat_prediction(d, n),
+        lambda d, n, _: _flat_prediction(d, n),
         partial(_chain_values, lambda d: d * d, 0, _flat_update),
         ("steps",),
         dimfree=("squared_norm", flat_expected_sq_norm),
     ),
     "sphere": _Geometry(
         partial(_parse_steps, _angles, 3, "sphere"),
-        lambda t, n, _: sphere_prediction(t, n),
+        lambda t, n, _: _sphere_prediction(t, n),
         partial(_chain_values, math.cos, 1, _sphere_update),
         ("angles",),
         dimfree=("cosine", sphere_expected_cosine),
     ),
     "hyperbolic": _Geometry(
         partial(_parse_steps, _arcs, 3, "hyperbolic"),
-        lambda x, n, _: hyperbolic_prediction(x, n),
+        lambda x, n, _: _hyperbolic_prediction(x, n),
         partial(_chain_values, math.cosh, 1, _hyperbolic_update),
         ("arcs",),
         dimfree=("minkowski_inner", hyperbolic_expected_cosh),

@@ -15,12 +15,11 @@ inner), not of any derived quantity.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _schedule_vector, as_vector, pnorm_pi
+from .geometry import _pnorm_pi, _schedule_vector, as_vector, pnorm_pi
 
 __all__ = [
     "PrecisionLossError",
@@ -72,15 +71,51 @@ class PrecisionLossError(ArithmeticError):
     """Raised when cancellation leaves a result with no trustworthy digits."""
 
 
-_angles = partial(_schedule_vector, name="angles", upper=math.pi)
-_arcs = partial(_schedule_vector, name="arcs")
-_steps = partial(_schedule_vector, name="steps")
+def _angles(values):
+    return _schedule_vector(values, "angles", math.pi)
+
+
+def _arcs(values):
+    return _schedule_vector(values, "arcs")
+
+
+def _steps(values):
+    return _schedule_vector(values, "steps")
+
+
+def _need_n(n, least):
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
 
 
 def _step_cosine(theta):
     if abs(theta - math.pi / 2.0) <= _RIGHT_ANGLE_SNAP:
         return 0.0
     return math.cos(theta)
+
+
+def _sphere(t, n):
+    # (mean, sigma) of the sphere chain cosine from one pass over the angles
+    # t, a sequence of floats in [0, pi]; see sphere_sigma for the recursion.
+    _need_n(n, 3)
+    a, b = 1.0, 0.0
+    prod = 1.0
+    for theta in t:
+        cth = _step_cosine(theta)
+        s2 = math.sin(theta) ** 2
+        c = cth * cth - s2 / (n - 1)
+        s = s2 / (n - 1)
+        b = s * a + b
+        a = c * a
+        prod *= cth
+    # Zero or one step is deterministic.
+    sigma = 0.0 if len(t) <= 1 else math.sqrt(max(a + b - prod * prod, 0.0))
+    return prod + 0.0, sigma  # a snapped right-angle factor must give +0.0, not -0.0
+
+
+def _sphere_bound(t, n):
+    s = np.sin(t[:-1])
+    return math.sqrt(float(s @ s)) / math.sqrt(n - 1)
 
 
 def sphere_expected_cosine(thetas):
@@ -90,11 +125,7 @@ def sphere_expected_cosine(thetas):
     directions, E[<u_M, u_0>] = prod_i cos(theta_i), independent of the
     dimension.  Angles within 1e-12 rad of pi/2 contribute an exact factor 0.
     """
-    t = _angles(thetas)
-    out = 1.0
-    for theta in t:
-        out *= _step_cosine(theta)
-    return out + 0.0  # a snapped right-angle factor must give +0.0, not -0.0
+    return _sphere(_angles(thetas).tolist(), math.inf)[0]  # the mean needs no n
 
 
 def sphere_sigma(thetas, n):
@@ -117,24 +148,7 @@ def sphere_sigma(thetas, n):
     n : int
         Ambient dimension, n >= 3.
     """
-    t = _angles(thetas)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if t.shape[0] <= 1:
-        # Zero or one step is deterministic.
-        return 0.0
-    a, b = 1.0, 0.0
-    prod = 1.0
-    for theta in t:
-        cth = _step_cosine(theta)
-        s2 = math.sin(theta) ** 2
-        c = cth * cth - s2 / (n - 1)
-        s = s2 / (n - 1)
-        b = s * a + b
-        a = c * a
-        prod *= cth
-    var = a + b - prod * prod
-    return math.sqrt(max(var, 0.0))
+    return _sphere(_angles(thetas).tolist(), n)[1]
 
 
 def sphere_sigma_bound(thetas, n):
@@ -144,17 +158,16 @@ def sphere_sigma_bound(thetas, n):
     equality at (pi/2, pi/2).
     """
     t = _angles(thetas)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    _need_n(n, 3)
     if t.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
-    s = np.sin(t[:-1])
-    return math.sqrt(float(s @ s)) / math.sqrt(n - 1)
+    return _sphere_bound(t, n)
 
 
 def _scaled_steps(d):
     # (d * 2^-e, e) with e the exponent that brings the longest step to
     # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
+    d = np.asarray(d, dtype=np.float64)
     e = math.frexp(float(d.max()))[1] if d.shape[0] else 0
     return np.ldexp(d, -e), e
 
@@ -170,8 +183,7 @@ def _ldexp_or_inf(x, e):
 def _flat_steps(ds, n):
     # Checked steps and dimension, scaled once for the cores below.
     d = _steps(ds)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _need_n(n, 2)
     return _scaled_steps(d)
 
 
@@ -220,8 +232,7 @@ def flat_fourth_moment(ds, n):
     answer is C_M, equal to sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
     """
     d = _steps(ds)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _need_n(n, 2)
     a, b, c = 1.0, 0.0, 0.0
     for step in d:
         d2 = step * step
@@ -268,10 +279,13 @@ def _log_cosh(x):
     return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
 
 
+def _log_cosh_sum(arcs):
+    return float(sum(_log_cosh(v) for v in arcs))
+
+
 def hyperbolic_log_expected_cosh(xis):
     """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs."""
-    x = _arcs(xis)
-    return float(sum(_log_cosh(v) for v in x.tolist()))
+    return _log_cosh_sum(_arcs(xis).tolist())
 
 
 def hyperbolic_expected_cosh(xis):
@@ -304,14 +318,17 @@ def hyperbolic_sigma(xis, n):
         1e-2 (for example, all arcs around 1e-9).  The value would be noise.
     """
     x = _arcs(xis)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    m = x.shape[0]
-    if m <= 1 or not np.any(x > 0.0):
+    _need_n(n, 3)
+    return _hyperbolic_sigma(x.tolist(), n)
+
+
+def _hyperbolic_sigma(arcs, n):
+    # hyperbolic_sigma on arcs, a sequence of floats >= 0, and a checked n.
+    m = len(arcs)
+    if m <= 1 or not any(arcs):
         return 0.0
     err_rel_budget = 1e-2
     rounding = 8.0 * _EPS * (m + 2)
-    arcs = x.tolist()
     # A Python sum, unlike np.sum, reaches inf without an overflow warning.
     if 2.0 * sum(arcs) + m * math.log(2.0) < 600.0:
         a, b, p2 = 1.0, 0.0, 1.0
@@ -363,15 +380,17 @@ def hyperbolic_sigma_bound(xis, n):
     inf when the bound exceeds the double range.
     """
     x = _arcs(xis)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    m = x.shape[0]
-    if m < 1:
+    _need_n(n, 3)
+    if x.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
+    return _hyperbolic_bound(x.shape[0], n, _log_cosh_sum(x.tolist()))
+
+
+def _hyperbolic_bound(m, n, log_cosh):
+    # hyperbolic_sigma_bound for m >= 1 arcs whose log-cosh sum is log_cosh.
     growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1.0)))
     if growth == 0.0:
         return 0.0
-    log_cosh = hyperbolic_log_expected_cosh(x)
     try:
         return math.sqrt(growth) * math.exp(log_cosh)
     except OverflowError:
@@ -392,7 +411,7 @@ def operator_norm_multiplier(spectrum):
     spectrum into a random mixture, and the squared norm averages to the
     probability second moment of the eigenvalues.
     """
-    return pnorm_pi(_spectrum_values(spectrum), 2)
+    return _pnorm_pi(_spectrum_values(spectrum), 2)
 
 
 def operator_expected_cosine(spectrum):
@@ -401,8 +420,11 @@ def operator_expected_cosine(spectrum):
     mean(s) / pnorm_pi(s, 2).  A spectrum with zero trace gives exactly 0;
     the all-zero spectrum has no direction and is rejected.
     """
-    s = _spectrum_values(spectrum)
-    denom = pnorm_pi(s, 2)
+    return _operator_cosine(_spectrum_values(spectrum))
+
+
+def _operator_cosine(s):
+    denom = _pnorm_pi(s, 2)
     if denom == 0.0:
         raise ValueError("cosine is undefined for the all-zero spectrum")
     return float(np.mean(s)) / denom
@@ -414,9 +436,15 @@ def operator_product_cosine(spectra):
     The product of the per-factor expected cosines; each factor's frame is
     drawn independently, so the factors multiply.
     """
+    return _operator_mean(map(_spectrum_values, spectra), "cosine")
+
+
+def _operator_mean(values, observable):
+    # The product of the per-factor observables over values, an iterable of
+    # checked spectrum arrays, consumed in order.
     out = 1.0
-    for spectrum in spectra:
-        out *= operator_expected_cosine(spectrum)
+    for s in values:
+        out *= _operator_cosine(s) if observable == "cosine" else _pnorm_pi(s, 2)
     return out
 
 
@@ -554,8 +582,7 @@ def monomial_integral(kind, n):
     """
     if kind not in _MONOMIAL_KINDS:
         raise ValueError(f"unknown monomial kind {kind!r}; expected one of {_MONOMIAL_KINDS}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _need_n(n, 2)
     if kind == "x1sq_x2sq" and n < 3:
         raise ValueError("the mixed moment needs n >= 3")
     return _sphere_moment(n, *_MONOMIALS[kind])
@@ -568,8 +595,7 @@ def coordinate_marginal_density(t, n):
     Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) evaluated via log-gamma.
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _need_n(n, 2)
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     log_z = math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)
@@ -634,15 +660,17 @@ class Prediction:
 
 def sphere_prediction(thetas, n):
     """Bundle the sphere chain's mean, sigma, and bound for dimension n."""
-    t = _angles(thetas)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    bound = 0.0 if t.shape[0] == 0 else sphere_sigma_bound(t, n)
+    return _sphere_prediction(_angles(thetas).tolist(), n)
+
+
+def _sphere_prediction(t, n):
+    # sphere_prediction on checked angles t, a sequence of floats.
+    mean, sigma = _sphere(t, n)
     return Prediction(
         observable="cosine",
-        mean=sphere_expected_cosine(t),
-        sigma_exact=sphere_sigma(t, n),
-        sigma_bound=bound,
+        mean=mean,
+        sigma_exact=sigma,
+        sigma_bound=_sphere_bound(t, n) if len(t) else 0.0,
         deviation_order="absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))",
     )
 
@@ -653,34 +681,38 @@ def flat_prediction(ds, n):
     The bound is omitted when the schedule has more steps than dimensions,
     outside its validity domain.
     """
-    d, e = _flat_steps(ds, n)
+    return _flat_prediction(_steps(ds), n)
+
+
+def _flat_prediction(ds, n):
+    # flat_prediction on checked steps ds, a sequence of floats.
+    _need_n(n, 2)
+    d, e = _scaled_steps(ds)
     m = d.shape[0]
-    if m == 0:
-        bound = 0.0
-    elif m <= n:
-        bound = _flat_sigma_bound(d, e, n)
-    else:
-        bound = None
     return Prediction(
         observable="squared_norm",
         mean=_flat_sq_norm(d, e),
         sigma_exact=_flat_sigma(d, e, n),
-        sigma_bound=bound,
+        sigma_bound=None if m > n else _flat_sigma_bound(d, e, n) if m else 0.0,
         deviation_order="relative deviation O(1/sqrt(n))",
     )
 
 
 def hyperbolic_prediction(xis, n):
     """Bundle the hyperbolic chain's mean, sigma, and bound for dimension n."""
-    x = _arcs(xis)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    bound = 0.0 if x.shape[0] == 0 else hyperbolic_sigma_bound(x, n)
+    return _hyperbolic_prediction(_arcs(xis).tolist(), n)
+
+
+def _hyperbolic_prediction(x, n):
+    # hyperbolic_prediction on checked arcs x, a sequence of floats; the
+    # log-cosh sum serves both the mean and the bound.
+    _need_n(n, 3)
+    log_cosh = _log_cosh_sum(x)
     return Prediction(
         observable="minkowski_inner",
-        mean=hyperbolic_expected_cosh(x),
-        sigma_exact=hyperbolic_sigma(x, n),
-        sigma_bound=bound,
+        mean=_exp_or_inf(log_cosh),
+        sigma_exact=_hyperbolic_sigma(x, n),
+        sigma_bound=_hyperbolic_bound(len(x), n, log_cosh) if len(x) else 0.0,
         deviation_order="relative deviation O(sqrt((n/(n-1))^(M-1) - 1))",
     )
 
@@ -703,15 +735,14 @@ def operator_product_prediction(spectra, observable="cosine"):
     spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum")
-    if observable == "cosine":
-        mean = operator_product_cosine(spectra)
-    else:
-        mean = 1.0
-        for s in spectra:
-            mean *= operator_norm_multiplier(s)
+    return _operator_prediction(map(_spectrum_values, spectra), observable)
+
+
+def _operator_prediction(values, observable):
+    # operator_product_prediction on checked spectrum arrays and observable.
     return Prediction(
         observable=observable,
-        mean=mean,
+        mean=_operator_mean(values, observable),
         sigma_exact=None,
         sigma_bound=None,
         deviation_order="relative deviation O(sqrt(M/n))",
@@ -743,8 +774,7 @@ def marginal_moment_prediction(power, n):
     """
     if not isinstance(power, (int, np.integer)) or power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _need_n(n, 2)
     if power % 2:
         mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * power))
     else:

@@ -1,5 +1,6 @@
 """Closed-form predictors against hand-computed and independent oracles."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randsteps import predictors
 from randsteps.sampling import Spectrum
 from randsteps.predictors import (
     _sphere_moment,
@@ -492,3 +494,70 @@ class TestPredictionBundles:
         assert op.observable == "norm_ratio"
         with pytest.raises(ValueError, match="unknown geometry"):
             prediction_for("torus", (1.0,), 10)
+
+
+def _bits(*values):
+    # Exact float identity, -0.0 and inf included.
+    return [None if v is None else float(v).hex() for v in values]
+
+
+class TestPredictionForRows:
+    """prediction_for's rows run the same cores as the public predictors."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_public_predictors_bitwise(self, seed):
+        gen = np.random.default_rng(seed)
+        for n in (3, 17, 10**6):
+            for m in (0, 1, 2, 5, 64):
+                t = tuple(gen.uniform(0.0, math.pi, m))
+                if m > 2:
+                    t = (math.pi / 2, math.pi) + t[2:]
+                want = (sphere_expected_cosine(t), sphere_sigma(t, n),
+                        sphere_sigma_bound(t, n) if m else 0.0)
+                pred = prediction_for("sphere", t, n)
+                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
+                assert _bits(*dataclasses.astuple(sphere_prediction(t, n))[1:4]) == _bits(*want)
+
+                d = tuple(gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-100, 100, m))
+                bound = flat_sigma_bound(d, n) if 0 < m <= n else (0.0 if m == 0 else None)
+                want = (flat_expected_sq_norm(d), flat_sigma(d, n), bound)
+                pred = prediction_for("flat", d, n)
+                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
+                assert _bits(*dataclasses.astuple(flat_prediction(d, n))[1:4]) == _bits(*want)
+
+                # Arcs up to 200 reach the log-space branch of the sigma recursion.
+                x = tuple(gen.uniform(0.05, 2.0, m) * 10.0 ** gen.integers(0, 3, m))
+                want = (hyperbolic_expected_cosh(x), hyperbolic_sigma(x, n),
+                        hyperbolic_sigma_bound(x, n) if m else 0.0)
+                pred = prediction_for("hyperbolic", x, n)
+                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
+                assert _bits(*dataclasses.astuple(hyperbolic_prediction(x, n))[1:4]) == _bits(*want)
+        for n in (2, 10, 1000):
+            lists = [gen.uniform(-0.5, 2.0, n).tolist() for _ in range(3)]
+            spectra = [Spectrum(v) for v in lists]
+            ratio = operator_norm_multiplier(spectra[0])
+            for factor in spectra[1:]:
+                ratio *= operator_norm_multiplier(factor)
+            # Lists become (sorted) Spectrum first, so both forms give the same bits.
+            for schedule in (lists, spectra):
+                cosine = prediction_for("operator_product", schedule, n).mean
+                assert _bits(cosine) == _bits(operator_product_cosine(spectra))
+                pred = prediction_for("operator_product", schedule, n, "norm_ratio")
+                assert _bits(pred.mean) == _bits(ratio)
+                one = prediction_for("operator", schedule[0], n).mean
+                assert _bits(one) == _bits(operator_expected_cosine(spectra[0]))
+
+    def test_schedule_checked_once(self, monkeypatch):
+        names = []
+        check = predictors._schedule_vector
+
+        def counting(values, name, *args):
+            names.append(name)
+            return check(values, name, *args)
+
+        monkeypatch.setattr(predictors, "_schedule_vector", counting)
+        for geometry, name in (("sphere", "angles"), ("flat", "steps"), ("hyperbolic", "arcs")):
+            for schedule in ((), (0.5,), (0.5, 1.0, 1.5)):
+                names.clear()
+                prediction_for(geometry, schedule, 10)
+                assert names == [name]
