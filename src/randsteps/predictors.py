@@ -60,7 +60,8 @@ __all__ = [
 
 # Angles this close to pi/2 are treated as exactly orthogonal steps, so that
 # schedules built from 90 degrees predict a mean of exactly 0.0 rather than
-# the rounding residue of cos(pi/2).
+# the rounding residue of cos(pi/2); angles this close to 0 or pi are steps
+# with a sine of exactly 0, so a chain of them has a sigma of exactly 0.
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -88,29 +89,23 @@ def _need_n(n, least):
         raise ValueError(f"n must be >= {least}, got {n}")
 
 
-def _step_cosine(theta):
-    if abs(theta - math.pi / 2.0) <= _RIGHT_ANGLE_SNAP:
-        return 0.0
-    return math.cos(theta)
-
-
 def _sphere(t, n):
     # (mean, sigma) of the sphere chain cosine from one pass over the angles
     # t, a sequence of floats in [0, pi]; see sphere_sigma for the recursion.
     _need_n(n, 3)
-    a, b = 1.0, 0.0
+    half, top = math.pi / 2.0, math.pi - _RIGHT_ANGLE_SNAP
+    v = u = 0.0
     prod = 1.0
     for theta in t:
-        cth = _step_cosine(theta)
-        s2 = math.sin(theta) ** 2
-        c = cth * cth - s2 / (n - 1)
-        s = s2 / (n - 1)
-        b = s * a + b
-        a = c * a
+        cth = 0.0 if abs(theta - half) <= _RIGHT_ANGLE_SNAP else math.cos(theta)
+        sth = math.sin(theta) if _RIGHT_ANGLE_SNAP < theta < top else 0.0
+        c2 = cth * cth
+        s2 = sth * sth
+        q = s2 / (n - 1)
+        v = c2 * v + q * u
+        u = s2 + (c2 - q) * u
         prod *= cth
-    # Zero or one step is deterministic.
-    sigma = 0.0 if len(t) <= 1 else math.sqrt(max(a + b - prod * prod, 0.0))
-    return prod + 0.0, sigma  # a snapped right-angle factor must give +0.0, not -0.0
+    return prod + 0.0, math.sqrt(v)  # a snapped right-angle factor must give +0.0, not -0.0
 
 
 def _sphere_bound(t, n):
@@ -131,15 +126,18 @@ def sphere_expected_cosine(thetas):
 def sphere_sigma(thetas, n):
     """Exact standard deviation of the sphere chain cosine.
 
-    Computed by the two-coefficient recursion that tracks how one averaging
-    step maps the pair (<a,x>^2, ||a||^2):
+    Step k maps the cosine X to cos theta_k X + sin theta_k W, where W has
+    mean 0 and variance (1 - X^2) / (n - 1) given X.  So the variance V_k
+    of X after k steps and u_k = 1 - E[X^2] follow the recursion
 
-        c_k = cos^2 theta_k - sin^2 theta_k / (n - 1)
-        s_k = sin^2 theta_k / (n - 1)
-        a_k = c_k a_{k-1},   b_k = s_k a_{k-1} + b_{k-1}
+        q_k = sin^2 theta_k / (n - 1)
+        V_k = cos^2 theta_k V_{k-1} + q_k u_{k-1}
+        u_k = sin^2 theta_k + (cos^2 theta_k - q_k) u_{k-1}
 
-    starting from (a_0, b_0) = (1, 0), with
-    sigma^2 = a_M + b_M - (prod cos theta_i)^2.
+    from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
+    equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
+    relative precision down to 0.  Angles within 1e-12 rad of 0 or pi
+    contribute a sine of exactly 0.
 
     Parameters
     ----------

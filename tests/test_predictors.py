@@ -121,6 +121,33 @@ class TestSphereSigma:
         with pytest.raises(ValueError, match=">= 3"):
             sphere_sigma((0.5, 0.5), 2)
 
+    @pytest.mark.parametrize(
+        "thetas, n, want",
+        [
+            # 40-digit values of the same recursion evaluated in mpmath;
+            # sigma^2 formed as a difference, a + b - prod^2, cancels here
+            ((1e-4, 2e-4, 3e-4), 10**6, "7.000003310954887833249856972754621712041e-11"),
+            ((1e-8, 0.5), 3, "3.390050494210448653977118732644534505135e-9"),
+            ((0.7, 1e-6, 1e-6), 1000, "2.882470677770152521684077886860053301966e-8"),
+            ((1.4001126639424055, 1e-7), 3, "6.968317226776775811459737100439084450611e-8"),
+            ((3.0, 3.1, 0.2), 5, "1.48798891699426470625846536020596185461e-2"),
+            ((math.pi - 1e-6, 1.0), 10, "2.804903283428086132761094884922719191708e-7"),
+        ],
+    )
+    def test_small_sigma_against_high_precision(self, thetas, n, want):
+        np.testing.assert_allclose(sphere_sigma(thetas, n), float(want), rtol=1e-15, atol=0)
+
+    def test_deterministic_chains_have_zero_sigma(self):
+        # A first step of 0 or pi leaves the cosine at +-1, after which the
+        # next step is deterministic too; the bound (np.sin(pi) > 0) must
+        # not fall below sigma.
+        assert sphere_sigma((1.4001126639424055, 0.0), 3) == 0.0
+        pred = sphere_prediction((math.pi, 1.4198346486560234), 3)
+        assert pred.sigma_exact == 0.0 <= pred.sigma_bound
+        for m in (1, 2, 5):
+            assert sphere_sigma((math.pi,) * m, 3) == 0.0
+            assert sphere_sigma((math.pi - 1e-13,) * m, 3) == 0.0
+
 
 class TestFlatPredictors:
     def test_expected_sq_norm(self):
