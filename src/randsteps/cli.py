@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import secrets
 import sys
 from dataclasses import dataclass, replace
@@ -350,10 +351,40 @@ def _require_trials(cfg):
 
 
 def _emit(text, cfg):
-    print(text)
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(cfg.output_path, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(
+                f"field output_path: cannot write {cfg.output_path!r} ({exc})"
+            ) from None
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone (say, `| head -1`).  Point stdout at devnull so
+        # the flush at exit cannot fail again, and let the command finish.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _cell(value, csv_text):
+    """A field's text: 17 significant digits in csv, 10 in pretty output."""
+    if value is None:
+        return "" if csv_text else "none"
+    if isinstance(value, float):
+        return _fmt17(value) if csv_text else _fmt10(value)
+    return str(value)
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().rstrip("\n")
+
+
+def _pretty(fields):
+    width = max(len(k) for k in fields)
+    return "\n".join(f"{key:<{width}}  {_cell(value, False)}" for key, value in fields.items())
 
 
 def _render_fields(fields, cfg):
@@ -361,28 +392,8 @@ def _render_fields(fields, cfg):
     if cfg.output == "json":
         return _json(fields)
     if cfg.output == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["field", "value"])
-        for key, value in fields.items():
-            if isinstance(value, float):
-                writer.writerow([key, _fmt17(value)])
-            elif value is None:
-                writer.writerow([key, ""])
-            else:
-                writer.writerow([key, value])
-        return out.getvalue().rstrip("\n")
-    width = max(len(k) for k in fields)
-    lines = []
-    for key, value in fields.items():
-        if isinstance(value, float):
-            text = _fmt10(value)
-        elif value is None:
-            text = "none"
-        else:
-            text = str(value)
-        lines.append(f"{key:<{width}}  {text}")
-    return "\n".join(lines)
+        return _csv_text([("field", "value"), *((k, _cell(v, True)) for k, v in fields.items())])
+    return _pretty(fields)
 
 
 def _render_rows(rows, cfg):
@@ -390,35 +401,9 @@ def _render_rows(rows, cfg):
     if cfg.output == "json":
         return _json(rows)
     if cfg.output == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            cells = []
-            for column in _CSV_COLUMNS:
-                value = row[column]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(_fmt17(value))
-                else:
-                    cells.append(str(value))
-            writer.writerow(cells)
-        return out.getvalue().rstrip("\n")
-    blocks = []
-    for row in rows:
-        width = max(len(k) for k in row)
-        lines = []
-        for key, value in row.items():
-            if isinstance(value, float):
-                text = _fmt10(value)
-            elif value is None:
-                text = "none"
-            else:
-                text = str(value)
-            lines.append(f"{key:<{width}}  {text}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+        cells = ([_cell(row[column], True) for column in _CSV_COLUMNS] for row in rows)
+        return _csv_text([_CSV_COLUMNS, *cells])
+    return "\n\n".join(_pretty(row) for row in rows)
 
 
 def _comparison_row(experiment, spec, pred, est, report):

@@ -513,6 +513,39 @@ class TestParsing:
         assert code == EXIT_PASS
         assert target.read_text() == out
 
+    def test_unwritable_output_path_is_config_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(
+            capsys, "predict", "--geometry", "flat", "--steps", "1,1",
+            "--output-path", str(target),
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: field output_path: cannot write")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["predict", "--geometry", "flat", "--n-dim", "5", "--steps", "1,1",
+              "--output", "json"], EXIT_PASS),
+            (["compare", "--geometry", "flat", "--n-dim", "5", "--steps", "1,1", "--trials",
+              "64", "--seed", "3", "--expect-mean", "5", "--output", "json"], EXIT_FAIL),
+        ],
+    )
+    def test_closed_pipe_keeps_exit_code(self, argv, want):
+        # The reader closes the pipe before the command writes, as `| head -1`
+        # may: no traceback, and the command's own exit code.
+        src = str(Path(randsteps.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "randsteps.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == want, err
+        assert "Traceback" not in err
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "randsteps.cli", "predict", "--geometry", "flat",
