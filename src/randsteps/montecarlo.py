@@ -339,10 +339,10 @@ class _Geometry:
     the dimension checks) and returns (canonical schedule, n), with n taken
     from the schedule where it fixes it.  predict(schedule, n, observable)
     and kernel(gen, count, n, schedule, observable) take the canonical
-    schedule and check it no further; the kernel returns count observables.  fields are the CLI
-    flags and config keys that carry the schedule, observables the allowed
-    observables (the default first), and dimfree is (observable name,
-    mean(schedule)) where the mean needs no n.
+    schedule and check it no further; the kernel returns count observables.
+    fields are the CLI flags and config keys that carry the schedule,
+    observables the allowed observables (the default first), and dimfree
+    is (observable name, mean(schedule)) where the mean needs no n.
     """
 
     parse: Callable
@@ -368,9 +368,7 @@ class _Geometry:
 
 
 _PRODUCT = dict(
-    predict=lambda spectra, n, observable: _operator_prediction(
-        [sp.values for sp in spectra], observable
-    ),
+    predict=lambda spectra, _, obs: _operator_prediction([sp.values for sp in spectra], obs),
     kernel=_operator_values,
     fields=("spectrum", "spectra_file"),
     observables=_OPERATOR_OBSERVABLES,
