@@ -23,6 +23,13 @@ and arcs of about 1e-9 (which raise PrecisionLossError), invalid schedules,
 and operator spectra given both as lists and as Spectrum.  Each call feeds
 either its numeric fields or its exception's type and message.
 
+Line 5 digests estimate() where the chunk sums need many extraction rounds
+or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
+steps from 1e-150 to 1e100 and the flat 1e150 edge (whose squared
+deviations overflow), hyperbolic arcs up to about 300, one-step chains, and
+1, 17 and 2049 trials.  Each estimate feeds either its fields or its
+exception's type and message, as on line 4.
+
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
 
@@ -247,11 +254,39 @@ def wide_prediction_digest():
     return out.line()
 
 
+def _summation_grid():
+    # (geometry, n, schedule)
+    grid = [("marginal", n, power) for n in (2, 3, 10, 1000, 10**6) for power in (7, 8)]
+    for n in (2, 1000):
+        for d in (1e-150, 1e-100, 1e-50, 1.0, 1e50, 1e100):
+            grid += [("flat", n, (d, d)), ("flat", n, (d, 2.0 * d, 0.5 * d))]
+        grid += [("flat", n, (1e-150, 1.0, 1e100)), ("flat", n, (1e150, 1e150))]
+    for n in (3, 1000):
+        for arcs in ((300.0,) * 2, (1.0, 300.0), (100.0, 200.0, 0.5), (150.0,) * 3):
+            grid.append(("hyperbolic", n, arcs))
+        grid += [("sphere", n, (1.0,)), ("flat", n, (2.0,)), ("hyperbolic", n, (0.5,))]
+    return grid
+
+
+def summation_digest():
+    out = Digest()
+    for geometry, n, schedule in _summation_grid():
+        for trials in (1, 17, 2049):
+            try:
+                est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, trials))
+            except (ArithmeticError, ValueError) as exc:
+                out.feed_text(f"{type(exc).__name__}: {exc}")
+                continue
+            out.feed(est.mean, est.sample_std, est.std_error, est.trials, est.insufficient_trials)
+    return out.line()
+
+
 def main():
     print(runner_digest())
     print(estimate_digest())
     print(prediction_digest())
     print(wide_prediction_digest())
+    print(summation_digest())
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ path, with n the path's width: the three rows differ only in their parsers.
 
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
-from the stream addressed by (seed, k); chunk statistics are computed by
-exact compensated summation and merged in chunk order, so the result is
-bitwise identical no matter how many workers participate or how the OS
-schedules them.
+from the stream addressed by (seed, k); chunk statistics are correctly
+rounded sums, formed by error-free extraction with math.fsum for the
+remainder, and merged in chunk order, so the result is bitwise identical no
+matter how many workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -84,6 +84,8 @@ __all__ = [
 _CHUNK = 2048
 # Operator factors draw Gaussian rows in blocks of about this many doubles (1 MiB).
 _BLOCK_DRAWS = 1 << 17
+# Extraction rounds _exact_sum runs at most before math.fsum takes the rest.
+_EXTRACT_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -434,6 +436,8 @@ def prediction_for(geometry, schedule, n_dim, observable=None):
     """
     row = _geometry(geometry)
     schedule, n = row.parse(schedule, n_dim)
+    if n is None:
+        raise ValueError(f"{geometry} predictions need n_dim, got None")
     return row.predict(schedule, n, row.observable(observable))
 
 
@@ -444,13 +448,41 @@ def _trial_values(spec, index, count):
     return row.kernel(gen, count, spec.n_dim, spec.schedule, spec.observable)
 
 
+def _exact_sum(x):
+    """math.fsum(x.tolist()), bit for bit, for a 1-D float64 array x.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3): for
+    sigma = 2^k with |x_i| * (len(x) + 1) < sigma, q = (x + sigma) - sigma and
+    x - q split x exactly, and q sums exactly in any order.  Each round keeps
+    sum(q) and goes on with the nonzero residuals; fsum of the round sums and
+    the residuals left is the correctly rounded value of the same real
+    number.  Few values, nan, inf, values near overflow or underflow, and
+    values too spread for most of them to reach a round's grid go to fsum.
+    """
+    sums = []
+    while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
+        top = float(np.abs(x).max())
+        k = math.frexp(top)[1] + (x.size + 1).bit_length()
+        if not (2.0**-900 < top < 2.0**1000 and k < 1024):
+            break
+        sigma = math.ldexp(1.0, k)
+        q = (x + sigma) - sigma
+        if 2 * np.count_nonzero(q) < x.size:
+            break
+        sums.append(float(q.sum()))
+        x = x - q
+        x = x[x != 0.0]
+    return math.fsum(sums + x.tolist())
+
+
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2) for chunk index of spec; pure in its arguments."""
     values = _trial_values(spec, index, count)
-    mean = math.fsum(values.tolist()) / count
+    mean = _exact_sum(values) / count
     with np.errstate(over="ignore", invalid="ignore"):
         d = values - mean
-        m2 = math.fsum((d * d).tolist())
+        m2 = _exact_sum(d * d)
     if m2 == math.inf:
         raise OverflowError(f"squared deviation from the chunk mean {mean!r} overflows")
     return count, mean, m2

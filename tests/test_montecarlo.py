@@ -3,10 +3,13 @@
 import math
 import multiprocessing
 import os
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from randsteps import montecarlo
@@ -24,6 +27,7 @@ from randsteps.montecarlo import (
     MonteCarloEstimate,
     _chunk_stats,
     _coordinate_values,
+    _exact_sum,
     _trial_values,
     compare,
     estimate,
@@ -133,6 +137,20 @@ class TestGeometryTable:
             assert one.mean == (-1.0 if observable == "cosine" else 1.5)
         pred = prediction_for("operator", Spectrum(values), 4, observable)
         assert pred == prediction_for("operator_product", [values], 4, observable)
+
+    @pytest.mark.parametrize(
+        "geometry, schedule",
+        [("sphere", (0.5, 1.0)), ("flat", (1.0,)), ("hyperbolic", (0.5,)),
+         ("monomial", "x1_sq"), ("marginal", 4)],
+    )
+    def test_prediction_for_needs_a_dimension(self, geometry, schedule):
+        with pytest.raises(ValueError, match=f"^{geometry} predictions need n_dim, got None$"):
+            prediction_for(geometry, schedule, None)
+
+    def test_operator_rows_take_the_dimension_from_the_spectra(self):
+        path = CurvaturePath([(1.0, (0.0, 0.5, 2.0))])
+        assert prediction_for("operator", [0.5, 2.0], None) == prediction_for("operator", [0.5, 2.0], 2)
+        assert prediction_for("kappa", path, None) == prediction_for("kappa", path, 3)
 
     def test_kappa_width_is_its_dimension(self):
         path = CurvaturePath([(1.0, (0.0, 0.5, 2.0))])
@@ -357,6 +375,120 @@ class TestChunkStats:
             warnings.simplefilter("error")
             count, mean, m2 = _chunk_stats(spec, 0, 2)
         assert mean == math.inf and math.isnan(m2)
+
+
+def _fsum_outcome(values):
+    # fsum's result as its 8 bytes (so nan payloads and zero signs count),
+    # or its exception's type and message.
+    try:
+        return struct.pack("<d", values())
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_sums_like_fsum(x):
+    x = np.asarray(x, dtype=np.float64)
+    want = _fsum_outcome(lambda: math.fsum(x.tolist()))
+    assert _fsum_outcome(lambda: _exact_sum(x)) == want
+
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 2.0**1000, -(2.0**1000), 2.0**-1000,
+            2.0**1023, 5e-324, -5e-324, 2.0**-1022, 2.0**-53, -(2.0**-53), 1.0]
+
+
+@st.composite
+def _sum_inputs(draw):
+    """Arrays of the sizes around the chunk size and the 16-value cut-off:
+    mixed magnitudes over a drawn exponent range, subnormals, exact
+    cancellation, trains of 2^-53 on 1.0 (half-ulp ties), and special values."""
+    size = draw(st.sampled_from([0, 1, 16, 17, 2047, 2048, 2049]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(lo + 200, 1023)))
+    x = gen.uniform(-1.0, 1.0, size) * np.exp2(gen.integers(lo, hi + 1, size).astype(float))
+    shape = draw(st.sampled_from(["mixed", "cancel", "ties"]))
+    if shape == "cancel":
+        half = size // 2
+        x[half:2 * half] = -x[:half]
+        x = gen.permutation(x)
+    elif shape == "ties":
+        x[:] = gen.choice([2.0**-53, -(2.0**-53), 0.0], size)
+        x[: min(size, 2)] = draw(st.sampled_from([1.0, 1.0 + 2.0**-52, -1.0, 2.0**-1000]))
+    for _ in range(draw(st.integers(0, 3)) if size else 0):
+        value = draw(st.sampled_from(_SPECIAL) | st.floats(width=64))
+        x[draw(st.integers(0, size - 1))] = value
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=400, deadline=None)
+    @given(_sum_inputs())
+    def test_equals_fsum_bitwise(self, x):
+        _assert_sums_like_fsum(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [],
+            [-0.0],
+            [-0.0] * 17,
+            [0.0, -0.0] * 1024,
+            [1.0, -1.0] * 1024 + [-0.0],
+            [1.0, 2.0**-53] + [0.0] * 15,
+            [1.0 + 2.0**-52, 2.0**-53] + [0.0] * 15,
+            [1.0] + [2.0**-53] * 2047,
+            [1.0] + [2.0**-53, -(2.0**-53)] * 1023 + [2.0**-53],
+            [5e-324] * 2049,
+            [2.0**-1022, -5e-324] * 1024,
+            [2.0**1000] * 2048,
+            [2.0**1023, 2.0**1023] + [0.0] * 15,
+            [1e308] * 17 + [-1e308] * 17,
+            [math.inf, -math.inf] + [1.0] * 15,
+            [math.inf] + [1.0] * 2047,
+            [math.nan] + [1.0] * 2047,
+            [1e100, 1.0, -1e100] + [2.0**-60] * 14,
+        ],
+        ids=lambda x: f"{len(x)}-values",
+    )
+    def test_adversarial_cases(self, x):
+        _assert_sums_like_fsum(x)
+
+    @pytest.mark.parametrize("size", [17, 2048, 2049])
+    @pytest.mark.parametrize("spread", [60, 300, 890])
+    def test_spread_magnitudes(self, size, spread):
+        gen = np.random.default_rng(size + spread)
+        scale = np.exp2(gen.integers(-spread, spread + 1, size).astype(float))
+        x = gen.uniform(-1.0, 1.0, size) * scale
+        _assert_sums_like_fsum(x)
+        _assert_sums_like_fsum(np.concatenate([x, -x[::-1]]))
+
+    def test_known_sums(self):
+        assert _exact_sum(np.array([1.0, 2.0**-53] + [0.0] * 15)) == 1.0
+        assert _exact_sum(np.array([1.0 + 2.0**-52, 2.0**-53] + [0.0] * 15)) == 1.0 + 2.0**-51
+        assert _exact_sum(np.array([1.0] + [2.0**-53] * 2048)) == 1.0 + 2.0**-42
+        cancelled = _exact_sum(np.array([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683))
+        assert cancelled == 0.0 and math.copysign(1.0, cancelled) == 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
+         ExperimentSpec("marginal", 10**6, 8, 2048, 5)],
+        ids=["sphere", "marginal-t8"],
+    )
+    def test_chunk_sums_hand_fsum_few_values(self, spec, monkeypatch):
+        # A chunk's mean and M2 reach math.fsum as a few round sums and
+        # residuals, not as one float per trial.
+        sizes = []
+        fsum = math.fsum
+
+        def counting_fsum(values):
+            values = list(values)
+            sizes.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
+        _chunk_stats(spec, 0, 2048)
+        assert len(sizes) == 2 and max(sizes) <= 64
 
 
 def _e1(n):
