@@ -473,7 +473,9 @@ def _exact_sum(x):
         sums.append(float(q.sum()))
         x = x - q
         x = x[x != 0.0]
-    return math.fsum(sums + x.tolist())
+    values = x.tolist()
+    values += sums
+    return math.fsum(values)
 
 
 def _chunk_stats(spec, index, count):
