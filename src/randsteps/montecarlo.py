@@ -84,7 +84,8 @@ __all__ = [
 _CHUNK = 2048
 # Operator factors draw Gaussian rows in blocks of about this many doubles (1 MiB).
 _BLOCK_DRAWS = 1 << 17
-# Extraction rounds _exact_sum runs at most before math.fsum takes the rest.
+# _exact_sum's cap on extraction rounds: chunk sums take two or three, and
+# math.fsum takes whatever a longer tail leaves.
 _EXTRACT_ROUNDS = 4
 
 
@@ -457,8 +458,9 @@ def _exact_sum(x):
     x - q split x exactly, and q sums exactly in any order.  Each round keeps
     sum(q) and goes on with the nonzero residuals; fsum of the round sums and
     the residuals left is the correctly rounded value of the same real
-    number.  Few values, nan, inf, values near overflow or underflow, and
-    values too spread for most of them to reach a round's grid go to fsum.
+    number.  Few values, nan, inf and values near overflow or underflow go
+    to fsum as they are, and so do values too spread for most of them to
+    reach a round's grid, where further rounds would cost more than they save.
     """
     sums = []
     while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
