@@ -84,8 +84,7 @@ __all__ = [
 _CHUNK = 2048
 # Operator factors draw Gaussian rows in blocks of about this many doubles (1 MiB).
 _BLOCK_DRAWS = 1 << 17
-# _exact_sum's cap on extraction rounds: chunk sums take two or three, and
-# math.fsum takes whatever a longer tail leaves.
+# Cap on _exact_sum's extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
 
 
@@ -452,15 +451,12 @@ def _trial_values(spec, index, count):
 def _exact_sum(x):
     """math.fsum(x.tolist()), bit for bit, for a 1-D float64 array x.
 
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3): for
-    sigma = 2^k with |x_i| * (len(x) + 1) < sigma, q = (x + sigma) - sigma and
-    x - q split x exactly, and q sums exactly in any order.  Each round keeps
-    sum(q) and goes on with the nonzero residuals; fsum of the round sums and
-    the residuals left is the correctly rounded value of the same real
-    number.  Few values, nan, inf and values near overflow or underflow go
-    to fsum as they are, and so do values too spread for most of them to
-    reach a round's grid, where further rounds would cost more than they save.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008, Lemma 3.3): for sigma = 2^k > |x_i| (len(x) + 1), q = (x + sigma) -
+    sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
+    keep sum(q) and go on with the nonzero residuals; fsum of the round sums
+    and what is left rounds the same real number.  nan, inf, values near
+    overflow or underflow, and values too spread for rounds to pay go to fsum.
     """
     sums = []
     while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
