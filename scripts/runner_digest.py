@@ -30,19 +30,34 @@ deviations overflow), hyperbolic arcs up to about 300, one-step chains, and
 1, 17 and 2049 trials.  Each estimate feeds either its fields or its
 exception's type and message, as on line 4.
 
+Line 6 digests cli.main: its exit code, stdout and stderr (or an escaped
+exception's type and message), with the temporary directory's path masked.
+The grid runs predict, simulate and compare on every geometry with no
+--n-dim and with n = 3, 7 and 1, in csv, json and pretty output; table
+sweeps over both axes; compare's gate flags; spectrum and curvature files
+with comments, blank lines and padded values, and the reader errors (bad
+line, short row, empty file, unreadable path); config files and their
+errors; and usage errors.  Every run has a fixed seed.
+
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
 
     PYTHONPATH=src python scripts/runner_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import math
+import os
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 import randsteps as rs
+import randsteps.cli
 
 
 class Digest:
@@ -281,12 +296,136 @@ def summation_digest():
     return out.line()
 
 
+_CLI_SCHEDULES = {
+    "sphere": ["--angles", "0.5,1.0"],
+    "flat": ["--steps", "1,0.5"],
+    "hyperbolic": ["--arcs", "0.5,0.3"],
+    "operator": ["--spectrum", "1,0.5,0.25"],
+    "operator_product": ["--spectrum", "1,0.5,0.25", "--spectrum", "0.2,0.4,0.6",
+                         "--observable", "norm_ratio"],
+    "monomial": ["--kind", "x1_4"],
+    "marginal": ["--power", "4"],
+    "kappa": ["--curvature-file", "{tmp}/path.txt"],
+}
+
+# Input files of the CLI grid, by name under the temporary directory.
+_CLI_FILES = {
+    "path.txt": "# width 3\n1.0 0.0 0.5 2.0\n\n  0.5 1.0 1.0 1.0  \n",
+    "spectrum.txt": "# spectrum\n 1.0\n\n0.5 \n  # indented comment\n0.25\n",
+    "bad_line.txt": "1.0\nx\n",
+    "comments_only.txt": "# nothing\n\n   \n",
+    "short_row.txt": "1.0 0.5\n0.5\n",
+    "bad_row.txt": "1.0 0.5 y\n",
+    "ragged.txt": "1.0 0.5 0.5\n1.0 0.5\n",
+    "run.json": '{"geometry": "flat", "n_dim": 10, "steps": "1,1", "trials": 64, "seed": 7, "output": "csv"}',
+    "lists.json": '{"geometry": "operator_product", "spectrum": [[1, 2], [0.5, 0.25]], "trials": "64", "seed": 3}',
+    "sweep.json": '{"geometry": "sphere", "angles": [0.5], "sweep_n_dim": [3, 5], "trials": 64, "seed": 2}',
+    "unknown.json": '{"geometry": "flat", "stepz": "1,1"}',
+    "not_json.json": "{geometry: flat}",
+    "list.json": "[1, 2]",
+    "bad_output.json": '{"output": "xml"}',
+    "bad_unit.json": '{"angle_unit": "grads"}',
+    "bad_geometry.json": '{"geometry": "bogus"}',
+    "bad_observable.json": '{"observable": "bogus"}',
+}
+
+
+def _cli_cases():
+    """argv lists for cli.main; "{tmp}" stands for the temporary directory."""
+    run = ["--trials", "64", "--seed", "5"]
+    cases = []
+    for command in ("predict", "simulate", "compare"):
+        for geometry, schedule in _CLI_SCHEDULES.items():
+            for n in (None, 3, 7, 1):
+                for output in ("csv", "json", "pretty"):
+                    cases.append([
+                        command, "--geometry", geometry, *schedule,
+                        *([] if n is None else ["--n-dim", str(n)]), "--output", output,
+                        *([] if command == "predict" else run),
+                    ])
+    sweeps = [
+        ["--geometry", "sphere", "--angles", "1.0", "--sweep-n-dim", "3..6"],
+        ["--geometry", "sphere", "--angles", "0.5", "--sweep-n-dim", "5,2"],
+        ["--geometry", "flat", "--n-dim", "10", "--steps", "1,2", "--sweep-m", "0,1,3"],
+        ["--geometry", "hyperbolic", "--arcs", "0.5", "--sweep-n-dim", "4,40"],
+        ["--geometry", "operator", "--spectrum", "1,2", "--sweep-n-dim", "2"],
+    ]
+    for sweep in sweeps:
+        for output in ("csv", "json", "pretty"):
+            cases.append(["table", *sweep, *run, "--output", output])
+    sphere = ["--geometry", "sphere", "--n-dim", "12", "--angles", "1.0471975511965976"]
+    for extra in (
+        ["--expect-mean", "0.9"], ["--require-std"], ["--z-threshold", "1e-9"],
+        ["--std-tolerance", "0"], ["--workers", "2"], ["--trials", "1"],
+        ["--angles", "60", "--angle-unit", "degrees"], ["--seed", "-1"],
+        ["--seed", str(2**64)], ["--output-path", "{tmp}/missing/out.csv"],
+    ):
+        cases.append(["compare", *sphere, *run, "--output", "json", *extra])
+    for extra in (["--seed", str(2**64 - 1)], ["--seed", "-1"]):
+        cases.append(["table", *sphere, "--sweep-n-dim", "3,4", *run, "--output", "csv", *extra])
+    cases.append(["simulate", *sphere, "--trials", "1", "--seed", "1", "--output", "json"])
+    for name in ("spectrum.txt", "bad_line.txt", "comments_only.txt", "absent.txt", ""):
+        for command in ("predict", "compare"):
+            cases.append([command, "--geometry", "operator", "--spectra-file", "{tmp}/" + name,
+                          *run, "--output", "csv"][: None if command == "compare" else 5])
+    for name in ("path.txt", "short_row.txt", "bad_row.txt", "ragged.txt", "comments_only.txt",
+                 "absent.txt"):
+        for command in ("predict", "compare"):
+            cases.append([command, "--geometry", "kappa", "--curvature-file", "{tmp}/" + name,
+                          *run, "--output", "csv"][: None if command == "compare" else 5])
+    for name in _CLI_FILES:
+        if name.endswith(".json"):
+            for command in ("simulate", "table"):
+                cases.append([command, "--config", "{tmp}/" + name])
+    cases += [
+        ["simulate", "--config", "{tmp}/run.json", "--seed", "8", "--output", "pretty"],
+        ["compare", "--config", "{tmp}/absent.json"],
+        [],
+        ["predict", "--bogus"],
+        ["predict", "--geometry", "nope"],
+        ["predict", "--geometry", "sphere", "--n-dim", "abc", "--angles", "1"],
+        ["predict", "--angles", "1"],
+        ["predict", "--geometry", "sphere", "--n-dim", "5"],
+        ["predict", "--geometry", "sphere", "--angles", "1", "--steps", "1"],
+        ["predict", "--geometry", "sphere", "--angles", "0.5,,1"],
+        ["predict", "--geometry", "sphere", "--angles", "x"],
+        ["compare", *sphere, "--seed", "1"],
+        ["table", *sphere, *run],
+        ["table", *sphere, *run, "--sweep-n-dim", "3", "--sweep-m", "1"],
+        ["table", *sphere, *run, "--sweep-m", ""],
+        ["table", *sphere, *run, "--sweep-m", "1,-1"],
+        ["table", *sphere, *run, "--sweep-n-dim", "a..b"],
+        ["table", "--geometry", "monomial", "--kind", "x1_sq", "--n-dim", "4", *run,
+         "--sweep-m", "1"],
+        ["table", "--geometry", "operator", "--spectrum", "1,2", *run, "--sweep-m", "1..2"],
+    ]
+    return cases
+
+
+def cli_digest():
+    out = Digest()
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal width
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _CLI_FILES.items():
+            Path(tmp, name).write_text(text)
+        for argv in _cli_cases():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = str(rs.cli.main([arg.replace("{tmp}", tmp) for arg in argv]))
+                except Exception as exc:
+                    code = f"{type(exc).__name__}: {exc}"
+            out.feed_text(f"{code}\n{stdout.getvalue()}\n{stderr.getvalue()}".replace(tmp, "<tmp>"))
+    return out.line()
+
+
 def main():
     print(runner_digest())
     print(estimate_digest())
     print(prediction_digest())
     print(wide_prediction_digest())
     print(summation_digest())
+    print(cli_digest())
 
 
 if __name__ == "__main__":
