@@ -168,18 +168,20 @@ def _int_list(raw, field):
     return values
 
 
-def _read_column_file(path, field):
-    """One float per line; blank lines and '#' comments ignored."""
+def _file_lines(path, field):
+    """The stripped lines of path, without blank lines and '#' comments."""
     try:
         with open(path) as handle:
-            lines = handle.readlines()
+            lines = [line.strip() for line in handle]
     except OSError as exc:
         raise ConfigError(f"field {field}: cannot read {path!r} ({exc})") from None
+    return [text for text in lines if text and not text.startswith("#")]
+
+
+def _read_column_file(path, field):
+    """One float per line."""
     values = []
-    for line in lines:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for text in _file_lines(path, field):
         try:
             values.append(float(text))
         except ValueError:
@@ -191,16 +193,8 @@ def _read_column_file(path, field):
 
 def _read_curvature_file(path, field):
     """Rows of 'd kappa_1 ... kappa_w'; every row the same width."""
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"field {field}: cannot read {path!r} ({exc})") from None
     steps = []
-    for line in lines:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for text in _file_lines(path, field):
         parts = text.split()
         if len(parts) < 2:
             raise ConfigError(
@@ -235,8 +229,36 @@ def _load_config_file(path):
     return data
 
 
+# The fields whose flags argparse types, with that type; require_std is a switch.
+_TYPED_FIELDS = dict.fromkeys(("n_dim", "power", "trials", "seed", "workers"), int)
+_TYPED_FIELDS.update(dict.fromkeys(("expect_mean", "z_threshold", "std_tolerance"), float))
+
+
+def _checked(key, value):
+    """A merged value as its flag would give it: config values are not cast."""
+    if key == "require_std":
+        if not isinstance(value, bool):
+            raise ConfigError(f"field require_std: expected true or false, got {value!r}")
+        return value
+    kind = _TYPED_FIELDS.get(key)
+    if kind is None:
+        return value
+    if isinstance(value, str):  # the flag's text
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"field {key}: invalid {kind.__name__} value {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"field {key}: {value!r} is out of the double range") from None
+
+
 def _resolve(args):
-    """Merge config file and flags (flags win), then apply defaults."""
+    """Merge config file and flags (flags win), check their types, then apply defaults."""
     file_cfg = {}
     if getattr(args, "config", None) is not None:
         file_cfg = _load_config_file(args.config)
@@ -245,7 +267,7 @@ def _resolve(args):
         flag = getattr(args, key, None)
         value = flag if flag is not None else file_cfg.get(key)
         if value is not None:
-            merged[key] = value
+            merged[key] = _checked(key, value)
     cfg = RunConfig(args.command, **merged)  # fields left unset keep their defaults
     if cfg.geometry is not None:
         _geometry(cfg.geometry)  # rejects an unknown geometry
@@ -298,7 +320,7 @@ _SCHEDULE_READERS = {
     "spectrum": _spectra_from_config,
     "curvature_file": lambda cfg: _read_curvature_file(cfg.curvature_file, "curvature_file"),
     "kind": lambda cfg: cfg.kind,
-    "power": lambda cfg: int(cfg.power),
+    "power": lambda cfg: cfg.power,
 }
 _SCHEDULE_FIELDS = tuple(dict.fromkeys(f for g in GEOMETRIES for f in _geometry(g).fields))
 
@@ -338,16 +360,10 @@ def _observable(cfg):
 
 def _require_seed(cfg):
     if cfg.seed is not None:
-        return int(cfg.seed)
+        return cfg.seed
     seed = secrets.randbits(64)
     print(f"generated seed: {seed}", file=sys.stderr)
     return seed
-
-
-def _require_trials(cfg):
-    if cfg.trials is None:
-        raise ConfigError("field trials: required")
-    return int(cfg.trials)
 
 
 def _emit(text, cfg):
@@ -406,9 +422,9 @@ def _render_rows(rows, cfg):
     return "\n\n".join(_pretty(row) for row in rows)
 
 
-def _comparison_row(experiment, spec, pred, est, report):
+def _comparison_row(cfg, spec, pred, est, report):
     row = {
-        "experiment": experiment,
+        "experiment": cfg.command,
         "geometry": spec.geometry,
         "n_dim": spec.n_dim,
         "schedule": _schedule_cell(spec.schedule),
@@ -423,35 +439,16 @@ def _comparison_row(experiment, spec, pred, est, report):
         "z_mean": None if report is None else report.z_mean,
         "std_ratio": None if report is None else report.std_ratio,
         "verdict": None if report is None else report.verdict,
-        "insufficient_trials": bool(est.insufficient_trials),
     }
+    if cfg.output == "json":  # csv and pretty output keep the fixed 15 columns
+        row["insufficient_trials"] = bool(est.insufficient_trials)
     return row
-
-
-def _strip_json_only(rows, cfg):
-    """CSV keeps the fixed 15 columns; json carries insufficient_trials too."""
-    if cfg.output == "json":
-        return rows
-    return [{k: v for k, v in row.items() if k in _CSV_COLUMNS} for row in rows]
-
-
-def _build_spec(cfg, schedule, n_dim, seed, trials):
-    if n_dim is None:
-        raise ConfigError("field n_dim: required")
-    return ExperimentSpec(
-        geometry=cfg.geometry,
-        n_dim=n_dim,
-        schedule=schedule,
-        trials=trials,
-        seed=seed,
-        observable=_observable(cfg),
-    )
 
 
 def _prediction(cfg, schedule, n_dim):
     pred = prediction_for(cfg.geometry, schedule, n_dim, observable=_observable(cfg))
     if cfg.expect_mean is not None:
-        pred = replace(pred, mean=float(cfg.expect_mean))
+        pred = replace(pred, mean=cfg.expect_mean)
     return pred
 
 
@@ -494,87 +491,68 @@ def cmd_predict(cfg):
     return EXIT_PASS
 
 
-def cmd_simulate(cfg):
+def _sweep(cfg, schedule, n_dim):
+    """table's (n_dim, schedule) points, one per value of its sweep axis."""
+    if cfg.sweep_n_dim is not None:
+        return [(point, schedule) for point in _int_list(cfg.sweep_n_dim, "sweep_n_dim")]
+    if not isinstance(schedule, tuple):
+        raise ConfigError("field sweep_m: not defined for this geometry")
+    points = _int_list(cfg.sweep_m, "sweep_m")
+    if len(schedule) == 0:
+        raise ConfigError("field sweep_m: schedule needs at least one entry to repeat")
+    if min(points) < 0:
+        raise ConfigError("field sweep_m: step counts must be >= 0")
+    return [(n_dim, (schedule[0],) * point) for point in points]
+
+
+def _cmd_experiments(cfg):
+    """simulate, compare and table: one output row per experiment point.
+
+    simulate and compare run the configured point; table runs one point per
+    sweep value, seeded (seed + i) mod 2^64.  Every point is checked before
+    any runs; simulate predicts nothing and always exits 0.
+    """
     _, schedule, n_dim = _schedule_from_config(cfg)
-    seed = _require_seed(cfg)
-    trials = _require_trials(cfg)
-    spec = _build_spec(cfg, schedule, n_dim, seed, trials)
-    est = estimate(spec, workers=int(cfg.workers))
-    rows = _strip_json_only([_comparison_row("simulate", spec, None, est, None)], cfg)
-    _emit(_render_rows(rows, cfg), cfg)
-    return EXIT_PASS
-
-
-def _compare_row(experiment, cfg, spec):
-    """Predict, estimate and compare spec; the outcome as an output row."""
-    pred = _prediction(cfg, spec.schedule, spec.n_dim)
-    est = estimate(spec, workers=int(cfg.workers))
-    report = compare(
-        pred,
-        est,
-        z_threshold=float(cfg.z_threshold),
-        std_tolerance=float(cfg.std_tolerance),
-        require_std=bool(cfg.require_std),
-    )
-    return _comparison_row(experiment, spec, pred, est, report)
-
-
-def _emit_verdicts(rows, cfg):
-    _emit(_render_rows(_strip_json_only(rows, cfg), cfg), cfg)
-    return EXIT_PASS if all(row["verdict"] == "pass" for row in rows) else EXIT_FAIL
-
-
-def cmd_compare(cfg):
-    _, schedule, n_dim = _schedule_from_config(cfg)
-    seed = _require_seed(cfg)
-    trials = _require_trials(cfg)
-    spec = _build_spec(cfg, schedule, n_dim, seed, trials)
-    return _emit_verdicts([_compare_row("compare", cfg, spec)], cfg)
-
-
-def cmd_table(cfg):
-    _, schedule, n_dim = _schedule_from_config(cfg)
-    axes = [axis for axis in (cfg.sweep_n_dim, cfg.sweep_m) if axis is not None]
-    if len(axes) != 1:
+    table = cfg.command == "table"
+    if table and (cfg.sweep_n_dim is None) == (cfg.sweep_m is None):
         raise ConfigError("field sweep: exactly one of --sweep-n-dim or --sweep-m")
     seed = _require_seed(cfg)
-    trials = _require_trials(cfg)
-    if cfg.sweep_n_dim is not None:
-        points = _int_list(cfg.sweep_n_dim, "sweep_n_dim")
-        variants = [(point, schedule) for point in points]
-    else:
-        if not isinstance(schedule, tuple):
-            raise ConfigError("field sweep_m: not defined for this geometry")
-        points = _int_list(cfg.sweep_m, "sweep_m")
-        if len(schedule) == 0:
-            raise ConfigError("field sweep_m: schedule needs at least one entry to repeat")
-        if min(points) < 0:
-            raise ConfigError("field sweep_m: step counts must be >= 0")
-        variants = [(n_dim, (schedule[0],) * point) for point in points]
-    # Every point is checked before any runs.
-    specs = [
-        _build_spec(cfg, point_schedule, point_n, (seed + index) % 2**64, trials)
-        for index, (point_n, point_schedule) in enumerate(variants)
-    ]
-    return _emit_verdicts([_compare_row("table", cfg, spec) for spec in specs], cfg)
+    if cfg.trials is None:
+        raise ConfigError("field trials: required")
+    points = _sweep(cfg, schedule, n_dim) if table else [(n_dim, schedule)]
+    specs = []
+    for index, (point_n, point_schedule) in enumerate(points):
+        if point_n is None:
+            raise ConfigError("field n_dim: required")
+        point_seed = (seed + index) % 2**64 if table else seed
+        specs.append(ExperimentSpec(
+            cfg.geometry, point_n, point_schedule, cfg.trials, point_seed, _observable(cfg)
+        ))
+    rows = []
+    for spec in specs:
+        pred = report = None
+        if cfg.command != "simulate":
+            pred = _prediction(cfg, spec.schedule, spec.n_dim)
+        est = estimate(spec, workers=cfg.workers)
+        if pred is not None:
+            report = compare(
+                pred,
+                est,
+                z_threshold=cfg.z_threshold,
+                std_tolerance=cfg.std_tolerance,
+                require_std=cfg.require_std,
+            )
+        rows.append(_comparison_row(cfg, spec, pred, est, report))
+    _emit(_render_rows(rows, cfg), cfg)
+    return EXIT_PASS if all(row["verdict"] in (None, "pass") for row in rows) else EXIT_FAIL
 
 
 def cmd_selftest(cfg):
-    results = run_battery(workers=int(cfg.workers))
+    results = run_battery(workers=cfg.workers)
     if cfg.output == "csv":
         text = render_csv(results).rstrip("\n")
     elif cfg.output == "json":
-        text = _json(
-            [
-                {
-                    "criterion": r.criterion,
-                    "description": r.description,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ]
-        )
+        text = _json([dataclasses.asdict(r) for r in results])
     else:
         text = render_table(results)
     _emit(text, cfg)
@@ -583,9 +561,9 @@ def cmd_selftest(cfg):
 
 _COMMANDS = {
     "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "table": cmd_table,
+    "simulate": _cmd_experiments,
+    "compare": _cmd_experiments,
+    "table": _cmd_experiments,
     "selftest": cmd_selftest,
 }
 

@@ -382,6 +382,132 @@ class TestConfigFile:
         )
         assert code == EXIT_CONFIG
 
+    @staticmethod
+    def _run_config(capsys, tmp_path, command, fields):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(fields))
+        return run_cli(capsys, command, "--config", str(cfg))
+
+    _FLAT = {"geometry": "flat", "n_dim": 10, "steps": "1,1", "trials": 50, "seed": 7}
+
+    @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            ("simulate", {"geometry": "marginal", "power": 2.5},
+             "field power: expected an integer, got 2.5"),
+            ("simulate", {"trials": 100.7}, "field trials: expected an integer, got 100.7"),
+            ("simulate", {"seed": 1.9}, "field seed: expected an integer, got 1.9"),
+            ("simulate", {"workers": 2.7}, "field workers: expected an integer, got 2.7"),
+            ("predict", {"n_dim": 7.5}, "field n_dim: expected an integer, got 7.5"),
+            ("simulate", {"trials": True}, "field trials: expected an integer, got True"),
+            ("compare", {"z_threshold": "four"}, "field z_threshold: invalid float value 'four'"),
+            ("compare", {"expect_mean": [1.0]}, "field expect_mean: expected a number, got [1.0]"),
+            ("compare", {"z_threshold": 10**400}, "field z_threshold: "),
+            ("simulate", {"trials": "100.7"}, "field trials: invalid int value '100.7'"),
+        ],
+    )
+    def test_values_of_the_wrong_type_rejected(self, capsys, tmp_path, command, fields, message):
+        # A cast would run power 2 for 2.5 and 100 trials for 100.7: each is an error.
+        base = dict(self._FLAT)
+        if fields.get("geometry") == "marginal":
+            del base["steps"]
+        code, out, err = self._run_config(capsys, tmp_path, command, {**base, **fields})
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error: " + message), err
+
+    def test_string_require_std_rejected(self, capsys, tmp_path):
+        # Read for truth, "false" would demand the sigma gate: an indeterminate verdict.
+        fields = {"geometry": "operator", "spectrum": "1,1,1,1", "trials": 64, "seed": 1,
+                  "output": "csv"}
+        code, out, err = self._run_config(capsys, tmp_path, "compare", {**fields, "require_std": "false"})
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: field require_std: expected true or false, got 'false'\n"
+        code, out, _ = self._run_config(capsys, tmp_path, "compare", {**fields, "require_std": False})
+        assert code == EXIT_PASS
+        assert parse_row_csv(out)[1][0]["verdict"] == "pass"
+        code, out, _ = self._run_config(capsys, tmp_path, "compare", {**fields, "require_std": True})
+        assert code == EXIT_FAIL
+        assert parse_row_csv(out)[1][0]["verdict"] == "indeterminate"
+
+    def test_strings_parse_as_flag_text(self, capsys, tmp_path):
+        # A string value reads as the flag's text would: "500" trials, "4.0" z.
+        fields = {**self._FLAT, "trials": "500", "seed": "7", "n_dim": "10",
+                  "z_threshold": "4.0", "output": "csv"}
+        code, out, _ = self._run_config(capsys, tmp_path, "compare", fields)
+        flags = ["compare", "--geometry", "flat", "--n-dim", "10", "--steps", "1,1",
+                 "--trials", "500", "--seed", "7", "--output", "csv"]
+        assert (code, out) == run_cli(capsys, *flags)[:2]
+
+    def test_integer_for_float_field_renders_as_float(self, capsys, tmp_path):
+        fields = {**self._FLAT, "expect_mean": 2, "output": "json"}
+        code, out, _ = self._run_config(capsys, tmp_path, "compare", fields)
+        flags = ["compare", "--geometry", "flat", "--n-dim", "10", "--steps", "1,1",
+                 "--trials", "50", "--seed", "7", "--expect-mean", "2", "--output", "json"]
+        assert (code, out) == run_cli(capsys, *flags)[:2]
+        assert '"prediction_mean": 2.0' in out
+
+
+class TestInputFiles:
+    def test_spectra_file_skips_blanks_and_comments(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("3\n2\n1\n")
+        padded = tmp_path / "padded.txt"
+        padded.write_text("# spectrum\n  3  \n\n\t2\n   # indented comment\n1\n\n")
+        outs = []
+        for path in (plain, padded):
+            code, out, err = run_cli(
+                capsys, "compare", "--geometry", "operator", "--spectra-file", str(path),
+                "--trials", "64", "--seed", "2", "--output", "csv",
+            )
+            assert code in (EXIT_PASS, EXIT_FAIL), err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert parse_row_csv(outs[0])[1][0]["schedule"] == "3;2;1"
+
+    def test_curvature_file_skips_blanks_and_comments(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("1.0 0.0 0.0 2.0\n0.5 1.0 1.0 1.0\n")
+        padded = tmp_path / "padded.txt"
+        padded.write_text("# d kappa...\n\n   1.0  0.0 0.0\t2.0  \n# between\n 0.5 1.0 1.0 1.0\n\n")
+        outs = [
+            run_cli(capsys, "predict", "--geometry", "kappa", "--curvature-file", str(path),
+                    "--output", "csv")
+            for path in (plain, padded)
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == EXIT_PASS
+        assert parse_field_csv(outs[0][1])["steps"] == "2"
+
+    @pytest.mark.parametrize(
+        "geometry, flag, text, message",
+        [
+            ("operator", "--spectra-file", "1\n# note\n2 3\n",
+             "field spectra_file: bad line '2 3' in {path!r}"),
+            ("operator", "--spectra-file", "# only a comment\n\n  \n",
+             "field spectra_file: no values in {path!r}"),
+            ("operator", "--spectra-file", None,
+             "field spectra_file: cannot read {path!r} ([Errno 2] No such file or directory: {path!r})"),
+            ("kappa", "--curvature-file", "1.0 0.5 x\n",
+             "field curvature_file: bad row '1.0 0.5 x' in {path!r}"),
+            ("kappa", "--curvature-file", "# width 1\n 0.5 \n",
+             "field curvature_file: row '0.5' needs a step width and at least one curvature"),
+            ("kappa", "--curvature-file", "1.0 0.5 0.5\n1.0 0.5\n",
+             "field curvature_file: all steps must list the same number of curvatures"),
+            ("kappa", "--curvature-file", "\n# nothing\n",
+             "field curvature_file: no rows in {path!r}"),
+            ("kappa", "--curvature-file", None,
+             "field curvature_file: cannot read {path!r} ([Errno 2] No such file or directory: {path!r})"),
+        ],
+    )
+    def test_reader_errors(self, capsys, tmp_path, geometry, flag, text, message):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, "predict", "--geometry", geometry, flag, str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: " + message.format(path=str(path)) + "\n"
+
 
 class TestTable:
     def test_sweep_n_dim(self, capsys):
@@ -417,6 +543,27 @@ class TestTable:
             "--sweep-n-dim", "5..6", "--sweep-m", "1..2", "--trials", "10", "--seed", "1",
         )
         assert code == EXIT_CONFIG
+
+    def test_every_point_checked_before_any_runs(self, capsys):
+        # n = 5 is valid, n = 2 is not: nothing runs and nothing is written.
+        code, out, err = run_cli(
+            capsys, "table", "--geometry", "sphere", "--angles", "0.5",
+            "--sweep-n-dim", "5,2", "--trials", "10", "--seed", "1",
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: sphere experiments need n_dim >= 3, got 2\n"
+
+    def test_seeds_wrap_in_table_only(self, capsys):
+        sphere = ["--geometry", "sphere", "--n-dim", "4", "--angles", "0.5", "--trials", "10"]
+        code, out, _ = run_cli(
+            capsys, "table", *sphere, "--sweep-n-dim", "4,5", "--seed", str(2**64 - 1),
+            "--output", "csv",
+        )
+        assert code == EXIT_PASS
+        assert [row["seed"] for row in parse_row_csv(out)[1]] == [str(2**64 - 1), "0"]
+        code, out, err = run_cli(capsys, "compare", *sphere, "--seed", str(2**64))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "seed" in err
 
     def test_empty_sweep_rejected(self, capsys):
         code, _, err = run_cli(
