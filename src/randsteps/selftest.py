@@ -111,15 +111,19 @@ def _hyperbolic_sigma_sq_subset_sum(xis, n):
     return total
 
 
+def _run(workers, geometry, n, schedule, trials, seed, observable=None):
+    spec = ExperimentSpec(geometry, n, schedule, trials, seed, observable)
+    return estimate(spec, workers=workers)
+
+
+# The experiments C14 reruns, as _run's arguments after workers.
+_LINEAR_SPECTRUM = Spectrum(np.arange(1, 401) / 400.0)
+_C2_RIGHT_ANGLE = ("sphere", 101, (math.pi / 2, math.pi / 2), 10**5, 102)
+_C7_NORM_RATIO = ("operator", 400, (_LINEAR_SPECTRUM,), 10**4, 107, "norm_ratio")
+
+
 def _c1_sphere_mean(workers):
-    spec = ExperimentSpec(
-        geometry="sphere",
-        n_dim=200,
-        schedule=(math.pi / 3,) * 5,
-        trials=10**5,
-        seed=101,
-    )
-    est = estimate(spec, workers=workers)
+    est = _run(workers, "sphere", 200, (math.pi / 3,) * 5, 10**5, 101)
     z = (est.mean - 0.03125) / est.std_error
     row = CriterionResult(
         criterion="C1",
@@ -132,14 +136,7 @@ def _c1_sphere_mean(workers):
 
 def _c2_sphere_std(c1_est, workers):
     ratio1 = c1_est.sample_std / sphere_sigma((math.pi / 3,) * 5, 200)
-    spec = ExperimentSpec(
-        geometry="sphere",
-        n_dim=101,
-        schedule=(math.pi / 2, math.pi / 2),
-        trials=10**5,
-        seed=102,
-    )
-    est = estimate(spec, workers=workers)
+    est = _run(workers, *_C2_RIGHT_ANGLE)
     ratio2 = est.sample_std / (1.0 / math.sqrt(100.0))
     row = CriterionResult(
         criterion="C2",
@@ -178,10 +175,7 @@ def _c3_sphere_variance_oracle():
 def _c4_right_angle(workers):
     schedule = (math.pi / 3, math.pi / 2, 2 * math.pi / 3)
     pred = sphere_prediction(schedule, 50)
-    spec = ExperimentSpec(
-        geometry="sphere", n_dim=50, schedule=schedule, trials=10**5, seed=104
-    )
-    est = estimate(spec, workers=workers)
+    est = _run(workers, "sphere", 50, schedule, 10**5, 104)
     return CriterionResult(
         criterion="C4",
         description="right-angle step forces exactly zero mean",
@@ -191,10 +185,7 @@ def _c4_right_angle(workers):
 
 
 def _c5_flat(workers):
-    spec = ExperimentSpec(
-        geometry="flat", n_dim=500, schedule=(1.0,) * 10, trials=10**5, seed=105
-    )
-    est = estimate(spec, workers=workers)
+    est = _run(workers, "flat", 500, (1.0,) * 10, 10**5, 105)
     z = (est.mean - 10.0) / est.std_error
     ratio = est.sample_std / math.sqrt(4.0 * 45.0 / 500.0)
     gen = RandomStream(155).generator
@@ -237,31 +228,10 @@ def _c6_flat_bound():
 
 
 def _c7_operator(workers):
-    s = Spectrum(np.arange(1, 401) / 400.0)
-    pred_ratio = operator_prediction(s, "norm_ratio")
-    pred_cos = operator_prediction(s, "cosine")
-    est_ratio = estimate(
-        ExperimentSpec(
-            geometry="operator",
-            n_dim=400,
-            schedule=(s,),
-            trials=10**4,
-            seed=107,
-            observable="norm_ratio",
-        ),
-        workers=workers,
-    )
-    est_cos = estimate(
-        ExperimentSpec(
-            geometry="operator",
-            n_dim=400,
-            schedule=(s,),
-            trials=10**4,
-            seed=107,
-            observable="cosine",
-        ),
-        workers=workers,
-    )
+    pred_ratio = operator_prediction(_LINEAR_SPECTRUM, "norm_ratio")
+    pred_cos = operator_prediction(_LINEAR_SPECTRUM, "cosine")
+    est_ratio = _run(workers, *_C7_NORM_RATIO)
+    est_cos = _run(workers, *_C7_NORM_RATIO[:-1], "cosine")
     z_ratio = (est_ratio.mean - pred_ratio.mean) / est_ratio.std_error
     z_cos = (est_cos.mean - pred_cos.mean) / est_cos.std_error
     row = CriterionResult(
@@ -277,18 +247,8 @@ def _c7_operator(workers):
 
 
 def _c8_operator_product(single_cos_est, workers):
-    s = Spectrum(np.arange(1, 401) / 400.0)
-    est2 = estimate(
-        ExperimentSpec(
-            geometry="operator_product",
-            n_dim=400,
-            schedule=(s, s),
-            trials=10**4,
-            seed=208,
-            observable="cosine",
-        ),
-        workers=workers,
-    )
+    s = _LINEAR_SPECTRUM
+    est2 = _run(workers, "operator_product", 400, (s, s), 10**4, 208, "cosine")
     target = single_cos_est.mean**2
     se = math.hypot(est2.std_error, 2.0 * single_cos_est.mean * single_cos_est.std_error)
     z = (est2.mean - target) / se
@@ -311,10 +271,7 @@ def _c8_operator_product(single_cos_est, workers):
 def _c9_hyperbolic(workers):
     schedule = (1.0, 1.0, 1.0)
     pred = hyperbolic_prediction(schedule, 300)
-    spec = ExperimentSpec(
-        geometry="hyperbolic", n_dim=300, schedule=schedule, trials=10**5, seed=109
-    )
-    est = estimate(spec, workers=workers)
+    est = _run(workers, "hyperbolic", 300, schedule, 10**5, 109)
     z = (est.mean - pred.mean) / est.std_error
     ratio = est.sample_std / pred.sigma_exact
     # Arcs bounded away from zero for the same conditioning reason as the
@@ -341,12 +298,7 @@ def _c10_monomials(workers):
     ok = True
     for kind, seed in (("x1_4", 110), ("x1sq_x2sq", 210)):
         pred = monomial_prediction(kind, 10)
-        est = estimate(
-            ExperimentSpec(
-                geometry="monomial", n_dim=10, schedule=kind, trials=10**6, seed=seed
-            ),
-            workers=workers,
-        )
+        est = _run(workers, "monomial", 10, kind, 10**6, seed)
         z = (est.mean - pred.mean) / est.std_error
         ok = ok and abs(z) <= 4.0
         parts.append(f"{kind} z={z:+.2f}")
@@ -365,8 +317,7 @@ def _c11_marginal(workers):
     worst_quad = 0.0
     for power in (2, 4, 6, 8):
         pred = marginal_moment_prediction(power, 100)
-        spec = ExperimentSpec("marginal", 100, power, trials=10**5, seed=1100 + power)
-        est = estimate(spec, workers=workers)
+        est = _run(workers, "marginal", 100, power, 10**5, 1100 + power)
         z = (est.mean - pred.mean) / est.std_error
         ok = ok and abs(z) <= 4.0
         parts.append(f"t^{power} z={z:+.2f}")
@@ -459,25 +410,9 @@ def _c13_pnorm():
 
 
 def _c14_determinism(c2_est, ratio_est, rows_so_far, elapsed, workers):
-    spec2 = ExperimentSpec(
-        geometry="sphere",
-        n_dim=101,
-        schedule=(math.pi / 2, math.pi / 2),
-        trials=10**5,
-        seed=102,
+    bitwise = (
+        _run(workers, *_C2_RIGHT_ANGLE) == c2_est and _run(workers, *_C7_NORM_RATIO) == ratio_est
     )
-    rerun_sphere = estimate(spec2, workers=workers)
-    s = Spectrum(np.arange(1, 401) / 400.0)
-    spec7 = ExperimentSpec(
-        geometry="operator",
-        n_dim=400,
-        schedule=(s,),
-        trials=10**4,
-        seed=107,
-        observable="norm_ratio",
-    )
-    rerun_operator = estimate(spec7, workers=workers)
-    bitwise = rerun_sphere == c2_est and rerun_operator == ratio_est
     stable = render_csv(rows_so_far) == render_csv(rows_so_far)
     within_budget = elapsed < BATTERY_BUDGET_SECONDS
     return CriterionResult(
