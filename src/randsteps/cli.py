@@ -240,6 +240,12 @@ def _checked(key, value):
         if not isinstance(value, bool):
             raise ConfigError(f"field require_std: expected true or false, got {value!r}")
         return value
+    if key in ("spectra_file", "curvature_file", "output_path"):
+        # open() takes an integer as a file descriptor: 1 would be stdout.
+        paths = value if key == "spectra_file" and isinstance(value, list) else [value]
+        if not all(isinstance(path, str) for path in paths):
+            raise ConfigError(f"field {key}: expected a file path, got {value!r}")
+        return value
     kind = _TYPED_FIELDS.get(key)
     if kind is None:
         return value
@@ -356,14 +362,6 @@ def _schedule_cell(schedule):
 def _observable(cfg):
     # --observable applies to the geometries that have observables only.
     return cfg.observable if _geometry(cfg.geometry).observables else None
-
-
-def _require_seed(cfg):
-    if cfg.seed is not None:
-        return cfg.seed
-    seed = secrets.randbits(64)
-    print(f"generated seed: {seed}", file=sys.stderr)
-    return seed
 
 
 def _emit(text, cfg):
@@ -516,7 +514,10 @@ def _cmd_experiments(cfg):
     table = cfg.command == "table"
     if table and (cfg.sweep_n_dim is None) == (cfg.sweep_m is None):
         raise ConfigError("field sweep: exactly one of --sweep-n-dim or --sweep-m")
-    seed = _require_seed(cfg)
+    seed = cfg.seed
+    if seed is None:
+        seed = secrets.randbits(64)
+        print(f"generated seed: {seed}", file=sys.stderr)
     if cfg.trials is None:
         raise ConfigError("field trials: required")
     points = _sweep(cfg, schedule, n_dim) if table else [(n_dim, schedule)]
@@ -535,13 +536,8 @@ def _cmd_experiments(cfg):
             pred = _prediction(cfg, spec.schedule, spec.n_dim)
         est = estimate(spec, workers=cfg.workers)
         if pred is not None:
-            report = compare(
-                pred,
-                est,
-                z_threshold=cfg.z_threshold,
-                std_tolerance=cfg.std_tolerance,
-                require_std=cfg.require_std,
-            )
+            report = compare(pred, est, z_threshold=cfg.z_threshold,
+                             std_tolerance=cfg.std_tolerance, require_std=cfg.require_std)
         rows.append(_comparison_row(cfg, spec, pred, est, report))
     _emit(_render_rows(rows, cfg), cfg)
     return EXIT_PASS if all(row["verdict"] in (None, "pass") for row in rows) else EXIT_FAIL

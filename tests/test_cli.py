@@ -404,12 +404,20 @@ class TestConfigFile:
             ("compare", {"expect_mean": [1.0]}, "field expect_mean: expected a number, got [1.0]"),
             ("compare", {"z_threshold": 10**400}, "field z_threshold: "),
             ("simulate", {"trials": "100.7"}, "field trials: invalid int value '100.7'"),
+            # open() would take these integers as file descriptors.
+            ("predict", {"output_path": 1}, "field output_path: expected a file path, got 1"),
+            ("predict", {"geometry": "kappa", "curvature_file": 0},
+             "field curvature_file: expected a file path, got 0"),
+            ("predict", {"geometry": "operator", "spectra_file": [0]},
+             "field spectra_file: expected a file path, got [0]"),
+            ("predict", {"geometry": "operator", "spectra_file": 0},
+             "field spectra_file: expected a file path, got 0"),
         ],
     )
     def test_values_of_the_wrong_type_rejected(self, capsys, tmp_path, command, fields, message):
         # A cast would run power 2 for 2.5 and 100 trials for 100.7: each is an error.
         base = dict(self._FLAT)
-        if fields.get("geometry") == "marginal":
+        if fields.get("geometry", "flat") != "flat":
             del base["steps"]
         code, out, err = self._run_config(capsys, tmp_path, command, {**base, **fields})
         assert code == EXIT_CONFIG
