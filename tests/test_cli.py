@@ -229,6 +229,19 @@ class TestSimulate:
         payload = parse_json(out)
         assert payload[0]["insufficient_trials"] is True
 
+    def test_pretty_output_has_the_csv_fields(self, capsys):
+        # insufficient_trials is a json-only field.
+        code, out, _ = run_cli(
+            capsys, "simulate", "--geometry", "flat", "--n-dim", "5",
+            "--steps", "1,1", "--trials", "1", "--seed", "3",
+        )
+        assert code == EXIT_PASS
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "experiment", "geometry", "n_dim", "schedule", "trials", "seed",
+            "prediction_mean", "sigma_exact", "sigma_bound", "mc_mean", "mc_std",
+            "std_error", "z_mean", "std_ratio", "verdict",
+        ]
+
     def test_operator_spectrum_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--geometry", "operator", "--spectrum", "1,1,1,1,1,1",
