@@ -364,15 +364,14 @@ def _cli_cases():
     for extra in (["--seed", str(2**64 - 1)], ["--seed", "-1"]):
         cases.append(["table", *sphere, "--sweep-n-dim", "3,4", *run, "--output", "csv", *extra])
     cases.append(["simulate", *sphere, "--trials", "1", "--seed", "1", "--output", "json"])
-    for name in ("spectrum.txt", "bad_line.txt", "comments_only.txt", "absent.txt", ""):
-        for command in ("predict", "compare"):
-            cases.append([command, "--geometry", "operator", "--spectra-file", "{tmp}/" + name,
-                          *run, "--output", "csv"][: None if command == "compare" else 5])
-    for name in ("path.txt", "short_row.txt", "bad_row.txt", "ragged.txt", "comments_only.txt",
-                 "absent.txt"):
-        for command in ("predict", "compare"):
-            cases.append([command, "--geometry", "kappa", "--curvature-file", "{tmp}/" + name,
-                          *run, "--output", "csv"][: None if command == "compare" else 5])
+    readers = [("operator", "--spectra-file", name) for name in
+               ("spectrum.txt", "bad_line.txt", "comments_only.txt", "absent.txt", "")]
+    readers += [("kappa", "--curvature-file", name) for name in
+                ("path.txt", "short_row.txt", "bad_row.txt", "ragged.txt", "comments_only.txt",
+                 "absent.txt")]
+    for geometry, flag, name in readers:
+        read = ["--geometry", geometry, flag, "{tmp}/" + name]
+        cases += [["predict", *read], ["compare", *read, *run, "--output", "csv"]]
     for name in _CLI_FILES:
         if name.endswith(".json"):
             for command in ("simulate", "table"):

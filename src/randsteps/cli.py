@@ -134,6 +134,8 @@ def _float_list(raw, field):
         except ValueError:
             raise ConfigError(f"field {field}: could not parse {raw!r}") from None
     if isinstance(raw, (list, tuple, np.ndarray)):
+        if any(isinstance(v, bool) for v in raw):  # float() would read true as 1
+            raise ConfigError(f"field {field}: could not parse {raw!r}")
         try:
             return [float(v) for v in raw]
         except (TypeError, ValueError):
@@ -157,6 +159,8 @@ def _int_list(raw, field):
             except ValueError:
                 raise ConfigError(f"field {field}: could not parse {raw!r}") from None
     elif isinstance(raw, (list, tuple)):
+        if any(isinstance(v, (bool, float)) for v in raw):  # int() would truncate 3.7 to 3
+            raise ConfigError(f"field {field}: could not parse {raw!r}")
         try:
             values = [int(v) for v in raw]
         except (TypeError, ValueError):

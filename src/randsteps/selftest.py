@@ -116,9 +116,9 @@ def _run(workers, geometry, n, schedule, trials, seed, observable=None):
     return estimate(spec, workers=workers)
 
 
-# The experiments C14 reruns, as _run's arguments after workers.  Plain
-# values, not a Spectrum: sorting at import costs every CLI run 0.5 MB.
-_LINEAR_SPECTRUM = np.arange(1, 401) / 400.0
+# The experiments C14 reruns, as _run's arguments after workers.  Python
+# floats, not a Spectrum: numpy work at import costs every CLI run memory.
+_LINEAR_SPECTRUM = tuple(j / 400 for j in range(1, 401))
 _C2_RIGHT_ANGLE = ("sphere", 101, (math.pi / 2, math.pi / 2), 10**5, 102)
 _C7_NORM_RATIO = ("operator", 400, (_LINEAR_SPECTRUM,), 10**4, 107, "norm_ratio")
 

@@ -417,6 +417,8 @@ class TestConfigFile:
             ("compare", {"expect_mean": [1.0]}, "field expect_mean: expected a number, got [1.0]"),
             ("compare", {"z_threshold": 10**400}, "field z_threshold: "),
             ("simulate", {"trials": "100.7"}, "field trials: invalid int value '100.7'"),
+            ("predict", {"geometry": "sphere", "angles": [True]},
+             "field angles: could not parse [True]"),
             # open() would take these integers as file descriptors.
             ("predict", {"output_path": 1}, "field output_path: expected a file path, got 1"),
             ("predict", {"geometry": "kappa", "curvature_file": 0},
@@ -564,6 +566,20 @@ class TestTable:
             "--sweep-n-dim", "5..6", "--sweep-m", "1..2", "--trials", "10", "--seed", "1",
         )
         assert code == EXIT_CONFIG
+
+    def test_config_sweep_takes_integers(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        base = {"geometry": "sphere", "angles": "1.0471975511965976", "trials": 10, "seed": 1,
+                "output": "csv"}
+        cfg.write_text(json.dumps({**base, "sweep_n_dim": [3, "5"]}))
+        code, out, _ = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == EXIT_PASS
+        assert [row["n_dim"] for row in parse_row_csv(out)[1]] == ["3", "5"]
+        for sweep in ([3.7, 5], [True]):  # a cast would run n = 3 and n = 1
+            cfg.write_text(json.dumps({**base, "sweep_n_dim": sweep}))
+            code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err == f"config error: field sweep_n_dim: could not parse {sweep!r}\n"
 
     def test_every_point_checked_before_any_runs(self, capsys):
         # n = 5 is valid, n = 2 is not: nothing runs and nothing is written.
