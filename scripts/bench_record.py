@@ -11,16 +11,25 @@ alternating before/after pairs.  Each run's final JSON line is appended,
 with its label, commit, workload, seed and trace flag, to BENCH_<name>.json
 at the root of this repository (a JSON list, rewritten after every run, so
 an interrupted session keeps the runs it finished).
+
+With two or more --run labels it then prints, for each workload and
+end-to-end metric, the runs of the first two labels paired by seed over the
+whole file: the pair count, the pairs the second label won by the metric's
+"better" direction (ties count for neither), the median of the per-pair
+ratios second/first, and the first label's interquartile range over its
+median.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
 
 
 def _commit(path):
@@ -44,6 +53,34 @@ def _run(path, workload, seed, trace):
     if done.returncode != 0:
         raise SystemExit(f"bench_record: {' '.join(cmd)} in {path} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
+    """One line per workload and end-to-end metric comparing label second to first."""
+    runs = {}
+    for rec in records:
+        key = (rec["workload"], rec["trace"], rec["seed"])
+        runs.setdefault(key, {})[rec["label"]] = rec["result"]["metrics"]
+    lines = []
+    for workload in dict.fromkeys(rec["workload"] for rec in records):
+        pairs = [
+            (labels[first], labels[second]) for (w, _, _), labels in runs.items()
+            if w == workload and first in labels and second in labels
+        ]
+        if not pairs:
+            continue
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            a = [one[name]["value"] for one, _ in pairs]
+            b = [two[name]["value"] for _, two in pairs]
+            won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+            ratio = statistics.median(y / x for x, y in zip(a, b))
+            q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
+            lines.append(
+                f"{workload} {name}: {len(pairs)} pairs, {second} ahead in {won}, "
+                f"median ratio {ratio:.4f}, {first} IQR {(q3 - q1) / statistics.median(a):.2%}"
+            )
+    return lines
 
 
 def main(argv=None):
@@ -74,6 +111,8 @@ def main(argv=None):
                 })
                 out.write_text(json.dumps(records, indent=1) + "\n")
                 print(f"{workload} seed {seed} {label}: correct={result['correct']}", flush=True)
+    if len(runs) > 1:
+        print("\n".join(paired_summary(records, runs[0][0], runs[1][0])))
     return 0
 
 

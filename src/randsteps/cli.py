@@ -36,7 +36,7 @@ from .predictors import (
     kappa_cosine_product,
     kappa_norm_product,
 )
-from .sampling import Spectrum
+from .sampling import RandomStream, Spectrum
 from .selftest import battery_passed, render_csv, render_table, run_battery
 
 EXIT_PASS = 0
@@ -522,6 +522,7 @@ def _cmd_experiments(cfg):
     if seed is None:
         seed = secrets.randbits(64)
         print(f"generated seed: {seed}", file=sys.stderr)
+    RandomStream(seed)  # validates the 64-bit seed range
     if cfg.trials is None:
         raise ConfigError("field trials: required")
     points = _sweep(cfg, schedule, n_dim) if table else [(n_dim, schedule)]
@@ -529,9 +530,9 @@ def _cmd_experiments(cfg):
     for index, (point_n, point_schedule) in enumerate(points):
         if point_n is None:
             raise ConfigError("field n_dim: required")
-        point_seed = (seed + index) % 2**64 if table else seed
         specs.append(ExperimentSpec(
-            cfg.geometry, point_n, point_schedule, cfg.trials, point_seed, _observable(cfg)
+            cfg.geometry, point_n, point_schedule, cfg.trials, (seed + index) % 2**64,
+            _observable(cfg),
         ))
     rows = []
     for spec in specs:

@@ -479,8 +479,9 @@ class CurvaturePath:
         self.steps = tuple(prepared)
 
     def weight_vectors(self):
-        """The per-step weight vectors v_k = 1 / (1 + d_k kappas_k)."""
-        return [1.0 / (1.0 + d * k) for d, k in self.steps]
+        """The per-step weight vectors v_k = 1 / (1 + d_k kappas_k), descending."""
+        # Spectrum order, so the products below match the kappa geometry's predictions bitwise.
+        return [-np.sort(-1.0 / (1.0 + d * k)) for d, k in self.steps]
 
     def __len__(self):
         return len(self.steps)
@@ -496,25 +497,19 @@ def kappa_norm_product(path):
     """
     if not isinstance(path, CurvaturePath):
         path = CurvaturePath(path)
-    out = 1.0
-    for v in path.weight_vectors():
-        out *= pnorm_pi(v, 2)
-    return out
+    return _operator_mean(path.weight_vectors(), "norm_ratio")
 
 
 def kappa_cosine_product(path):
     """Product over steps of pnorm_pi(v_k, 1) / pnorm_pi(v_k, 2).
 
-    Each factor is at most 1 (Cauchy-Schwarz), so the product is a deviation
-    measure in (0, 1]: it equals 1 exactly when every step sees equal
-    curvatures.
+    The weights are positive, so pnorm_pi(v_k, 1) is mean(v_k).  Each factor
+    is at most 1 (Cauchy-Schwarz), so the product is a deviation measure in
+    (0, 1]: it equals 1 exactly when every step sees equal curvatures.
     """
     if not isinstance(path, CurvaturePath):
         path = CurvaturePath(path)
-    out = 1.0
-    for v in path.weight_vectors():
-        out *= pnorm_pi(v, 1) / pnorm_pi(v, 2)
-    return out
+    return _operator_mean(path.weight_vectors(), "cosine")
 
 
 class PropositionBounds(NamedTuple):

@@ -93,8 +93,8 @@ class TestPredict:
         assert code == EXIT_PASS
         payload = parse_json(out)
         want = CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))])
-        assert payload["norm_product"] == pytest.approx(kappa_norm_product(want), rel=1e-14)
-        assert payload["cosine_product"] == pytest.approx(kappa_cosine_product(want), rel=1e-14)
+        assert payload["norm_product"] == kappa_norm_product(want)
+        assert payload["cosine_product"] == kappa_cosine_product(want)
 
     def test_kappa_simulates_as_operator_product(self, capsys, tmp_path):
         # kappa is operator_product over the spectra v_k = 1/(1 + d_k kappa_k),
@@ -130,7 +130,7 @@ class TestPredict:
         _, rows = parse_row_csv(out)
         assert rows[0]["verdict"] in ("pass", "fail")
         want = kappa_cosine_product(CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))]))
-        assert float(rows[0]["prediction_mean"]) == pytest.approx(want, rel=1e-14)
+        assert float(rows[0]["prediction_mean"]) == want
 
     def test_precision_loss_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -598,9 +598,11 @@ class TestTable:
         )
         assert code == EXIT_PASS
         assert [row["seed"] for row in parse_row_csv(out)[1]] == [str(2**64 - 1), "0"]
-        code, out, err = run_cli(capsys, "compare", *sphere, "--seed", str(2**64))
-        assert (code, out) == (EXIT_CONFIG, "")
-        assert "seed" in err
+        for command, sweep in (("compare", []), ("table", ["--sweep-n-dim", "4,5"])):
+            for seed in (-1, 2**64):
+                code, out, err = run_cli(capsys, command, *sphere, *sweep, "--seed", str(seed))
+                assert (code, out) == (EXIT_CONFIG, "")
+                assert err == "config error: seed must fit in an unsigned 64-bit integer\n"
 
     def test_empty_sweep_rejected(self, capsys):
         code, _, err = run_cli(
@@ -751,8 +753,16 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported lazily, by selftest only.
+        # The package needs numpy alone; scipy is a test-only dependency.
         self._fresh_import("assert not any(m.startswith('scipy') for m in sys.modules)")
+
+    def test_battery_quadrature_loads_no_scipy(self):
+        # C11 and C13 integrate with Gauss rules built from numpy.
+        self._fresh_import(
+            "from randsteps import selftest; "
+            "assert selftest._c11_marginal(1).passed and selftest._c13_pnorm().passed; "
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]; assert not loaded, loaded"
+        )
 
     def test_import_loads_no_process_machinery(self):
         # Monte Carlo chunks fan out to threads, so nothing loads multiprocessing.

@@ -370,8 +370,8 @@ class TestCurvatureProducts:
             ])
             norm = prediction_for("kappa", path, width, "norm_ratio")
             cosine = prediction_for("kappa", path, width)
-            np.testing.assert_allclose(norm.mean, kappa_norm_product(path), rtol=1e-14)
-            np.testing.assert_allclose(cosine.mean, kappa_cosine_product(path), rtol=1e-14)
+            assert norm.mean == kappa_norm_product(path)
+            assert cosine.mean == kappa_cosine_product(path)
 
     def test_rejects_singular_weight(self):
         with pytest.raises(ValueError, match="singular"):
