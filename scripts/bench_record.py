@@ -16,12 +16,16 @@ With two or more --run labels it then prints, for each workload and
 end-to-end metric, the runs of the first two labels paired by seed over the
 whole file: the pair count, the pairs the second label won by the metric's
 "better" direction (ties count for neither), the median of the per-pair
-ratios second/first, and the first label's interquartile range over its
-median.
+ratios second/first, the first label's interquartile range over its
+median, and a distribution-free 95 % interval for the median per-pair log
+ratio: the Hodges-Lehmann interval, read off the sorted Walsh averages at
+the exact Wilcoxon signed-rank critical value ("n/a" below 6 pairs, where
+no such interval exists).
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -55,6 +59,33 @@ def _run(path, workload, seed, trace):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _signed_rank_critical(n, alpha=0.05):
+    """Largest c with P(T <= c) <= alpha/2 for the Wilcoxon signed-rank
+    statistic T of n pairs under its exact null law, or None if there is none."""
+    counts = [1]  # counts[s]: the subsets of {1, ..., k} with sum s
+    for k in range(1, n + 1):
+        counts = [a + (counts[s - k] if s >= k else 0) for s, a in enumerate(counts + [0] * k)]
+    c, below = None, 0
+    for s, count in enumerate(counts):
+        below += count
+        if below > alpha / 2 * 2**n:
+            return c
+        c = s
+    return c
+
+
+def hodges_lehmann_interval(values, alpha=0.05):
+    """The distribution-free 1 - alpha interval for the median (Hodges-Lehmann)
+    of values, from their Walsh averages (x_i + x_j)/2, i <= j: the (c+1)-th
+    smallest to the (c+1)-th largest, c the signed-rank critical value.
+    None when no c exists (fewer than 6 values at alpha = 0.05)."""
+    c = _signed_rank_critical(len(values), alpha)
+    if c is None:
+        return None
+    walsh = sorted((x + y) / 2 for i, x in enumerate(values) for y in values[i:])
+    return walsh[c], walsh[-1 - c]
+
+
 def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
     """One line per workload and end-to-end metric comparing label second to first."""
     runs = {}
@@ -76,9 +107,13 @@ def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
             won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
             ratio = statistics.median(y / x for x, y in zip(a, b))
             q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
+            positive = all(x > 0 and y > 0 for x, y in zip(a, b))
+            hl = positive and hodges_lehmann_interval([math.log(y / x) for x, y in zip(a, b)])
             lines.append(
                 f"{workload} {name}: {len(pairs)} pairs, {second} ahead in {won}, "
-                f"median ratio {ratio:.4f}, {first} IQR {(q3 - q1) / statistics.median(a):.2%}"
+                f"median ratio {ratio:.4f}, {first} IQR {(q3 - q1) / statistics.median(a):.2%}, "
+                "95% HL interval of log ratio "
+                + (f"[{hl[0]:+.4f}, {hl[1]:+.4f}]" if hl else "n/a")
             )
     return lines
 

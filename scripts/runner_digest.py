@@ -1,10 +1,10 @@
 """Print SHA-256 digests of the runners', the engine's and the predictors' outputs.
 
-Line 1 digests the full-vector runners: run_sphere_chain, run_flat_chain and
-run_hyperbolic_chain (trace on and off, final point kept),
-run_operator_product (final vector kept; every fifth seed puts a negative
-scalar factor second) and the public step functions, over seeds 0-199 and n
-in {3, 5, 10, 50}.
+Line 1 digests the chain runners, one-trial calls of the engine's kernels:
+the observables of run_sphere_chain, run_flat_chain and
+run_hyperbolic_chain, and run_operator_product's norm ratio, cosine and
+degenerate flag (every fifth seed puts a negative scalar factor second),
+over seeds 0-199 and n in {3, 5, 10, 50}.
 
 Line 2 digests estimate() over a fixed grid of the sphere, flat,
 hyperbolic, operator, operator_product, monomial and marginal geometries:
@@ -90,24 +90,17 @@ def runner_digest():
             thetas = list(gen.uniform(0.0, math.pi, m))
             ds = list(gen.uniform(0.0, 3.0, m))
             xis = list(gen.uniform(0.0, 2.0, m))
-            for trace in (False, True):
-                for r in (
-                    rs.run_sphere_chain(u, thetas, rs.RandomStream(seed, n), trace, True),
-                    rs.run_flat_chain(ds, n, rs.RandomStream(seed, n), trace, True),
-                    rs.run_hyperbolic_chain(h, xis, rs.RandomStream(seed, n), trace, True),
-                ):
-                    out.feed(r.observable, r.final_point, r.path)
+            stream = partial(rs.RandomStream, seed, n)
+            out.feed(
+                rs.run_sphere_chain(u, thetas, stream()).observable,
+                rs.run_flat_chain(ds, n, stream()).observable,
+                rs.run_hyperbolic_chain(h, xis, stream()).observable,
+            )
             spectra = [gen.normal(size=n) for _ in range(m)]
             if seed % 5 == 0:
                 spectra.insert(1, np.full(n, -1.5))
-            r = rs.run_operator_product(spectra, u, rs.RandomStream(seed, n), keep_final=True)
-            out.feed(r.norm_ratio, r.cosine, r.degenerate, r.final_vector)
-            out.feed(
-                rs.sphere_step(u, thetas[0], rs.RandomStream(seed, 1)).values,
-                rs.flat_step(e1, ds[0], rs.RandomStream(seed, 2)),
-                rs.hyperbolic_step(h, xis[0], rs.RandomStream(seed, 3)).values,
-                rs.uniform_unit_sphere(n, rs.RandomStream(seed, 4)).values,
-            )
+            r = rs.run_operator_product(spectra, u, stream())
+            out.feed(r.norm_ratio, r.cosine, r.degenerate)
     return out.line()
 
 

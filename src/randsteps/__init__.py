@@ -3,32 +3,21 @@ random steps in high-dimensional flat, spherical, and hyperbolic geometry,
 and for products of random symmetric operators with prescribed spectra.
 """
 
-from .chains import (
-    ChainResult,
-    OperatorProductResult,
-    run_flat_chain,
-    run_hyperbolic_chain,
-    run_operator_product,
-    run_sphere_chain,
-)
-from .geometry import (
-    HyperboloidPoint,
-    SymMatrix,
-    UnitVector,
-    euclid_inner,
-    hs_norm,
-    lorentz_boost_from_e1,
-    minkowski_inner,
-    pnorm_pi,
-)
+from .geometry import HyperboloidPoint, UnitVector, pnorm_pi
 from .montecarlo import (
+    ChainResult,
     ComparisonReport,
     ExperimentSpec,
     GEOMETRIES,
     MonteCarloEstimate,
+    OperatorProductResult,
     compare,
     estimate,
     prediction_for,
+    run_flat_chain,
+    run_hyperbolic_chain,
+    run_operator_product,
+    run_sphere_chain,
 )
 from .predictors import (
     CurvaturePath,
@@ -65,17 +54,7 @@ from .predictors import (
     sphere_sigma,
     sphere_sigma_bound,
 )
-from .sampling import (
-    RandomStream,
-    Spectrum,
-    flat_step,
-    gaussian_vector,
-    haar_orthogonal,
-    hyperbolic_step,
-    random_symmetric_with_spectrum,
-    sphere_step,
-    uniform_unit_sphere,
-)
+from .sampling import RandomStream, Spectrum
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -33,10 +33,12 @@ chains report their constant exactly.  Monomial and marginal trials draw
 the first two coordinates of a uniform point on the sphere of R^n in O(1):
 t0 = g / sqrt(g^2 + X) with g standard normal and X ~ chi2(n - 1), which has
 the law of 2B - 1 (m = n), and, if needed, t1 = sqrt(1 - t0^2) times the
-same draw in R^(n-1).  chains.run_* sample the same laws on full vectors,
-through the step cores in sampling, and serve as the reference in tests.
-compare() turns an estimate plus a closed-form Prediction into a
-pass/fail/indeterminate verdict on standardized z-scores.
+same draw in R^(n-1).  The run_* chain runners are one-trial calls of the
+same kernels: run_*(..., RandomStream(s, 0)) reports the mean of a
+one-trial estimate with seed s, bit for bit.  Tests check each kernel's
+law against full-vector walks.  compare() turns an estimate plus a
+closed-form Prediction into a pass/fail/indeterminate verdict on
+standardized z-scores.
 """
 
 import math
@@ -48,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import HyperboloidPoint, UnitVector
 from .predictors import (
     _MONOMIAL_KINDS,
     _MONOMIALS,
@@ -67,7 +70,7 @@ from .predictors import (
     monomial_prediction,
     sphere_expected_cosine,
 )
-from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _prepare_spectra
+from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _gen_of, _prepare_spectra
 
 __all__ = [
     "GEOMETRIES",
@@ -77,6 +80,12 @@ __all__ = [
     "estimate",
     "compare",
     "prediction_for",
+    "ChainResult",
+    "OperatorProductResult",
+    "run_sphere_chain",
+    "run_flat_chain",
+    "run_hyperbolic_chain",
+    "run_operator_product",
 ]
 
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
@@ -245,15 +254,16 @@ def _chain_values(first, shift, update, gen, count, n, steps, observable):
     return value
 
 
-def _operator_values(gen, count, n, spectra, observable):
-    # Per non-scalar factor with spectrum s: x uniform on the sphere of the
-    # factor's eigenframe gives the image's component alpha = x.diag(s)x
-    # along the input and beta orthogonal to it, pointing uniformly within
-    # the input's complement (see chains._operator_kernel).  So the cosine
-    # takes a sphere step of angle atan2(beta, alpha) and the norm grows by
-    # hypot(alpha, beta).  Moments about the spectrum's mean keep beta^2 =
-    # E[s^2] - E[s]^2 free of cancellation.  Scalar factors act exactly and
-    # draw nothing, as in the dense sampler.
+def _operator_trials(gen, count, n, spectra):
+    # (norm ratio, cosine, degenerate) of count products of random factors
+    # U^T diag(s) U, U Haar, applied to e1.  Per non-scalar factor: x = U v
+    # is uniform on the sphere, so the image has the component
+    # alpha = x.diag(s)x along the input v and beta orthogonal to it, and
+    # that orthogonal part points uniformly within v's complement.  So the
+    # cosine takes a sphere step of angle atan2(beta, alpha) and the norm
+    # grows by hypot(alpha, beta).  Moments about the spectrum's mean keep
+    # beta^2 = E[s^2] - E[s]^2 free of cancellation.  Scalar factors act
+    # exactly and draw nothing.
     ratio, c = np.ones(count), np.ones(count)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
@@ -274,6 +284,11 @@ def _operator_values(gen, count, n, spectra, observable):
         phi = np.arccos(np.clip(c, -1.0, 1.0))
         c = _cos_step(phi, np.arctan2(beta, alpha), _beta_coordinate(gen, n - 1, count))
         ratio *= r
+    return ratio, c, dead
+
+
+def _operator_values(gen, count, n, spectra, observable):
+    ratio, c, dead = _operator_trials(gen, count, n, spectra)
     if observable == "norm_ratio":
         return np.where(dead, 0.0, ratio)
     return np.where(dead, math.nan, c)
@@ -446,6 +461,91 @@ def _trial_values(spec, index, count):
     gen = RandomStream(spec.seed, index).generator
     row = _GEOMETRY_TABLE[spec.geometry]
     return row.kernel(gen, count, spec.n_dim, spec.schedule, spec.observable)
+
+
+@dataclass(frozen=True)
+class ChainResult:
+    """One chain trial's observable.
+
+    observable is the cosine <u_M, u_0> on the sphere, the squared
+    displacement ||x_M||^2 in flat space, or the Minkowski inner product
+    <u_M, u_0>_H on the hyperboloid.
+    """
+
+    observable: float
+
+
+@dataclass(frozen=True)
+class OperatorProductResult:
+    """One operator-product trial.
+
+    norm_ratio is ||A_M ... A_1 u|| / ||u|| and cosine the cosine between
+    image and input; degenerate marks the event that the image vanished
+    (norm_ratio 0, cosine nan).
+    """
+
+    norm_ratio: float
+    cosine: float
+    degenerate: bool
+
+
+def _one_trial(geometry, schedule, n, rng):
+    # The observable of one trial of geometry's kernel, drawn from rng.
+    row = _GEOMETRY_TABLE[geometry]
+    schedule, n = row.parse(schedule, n)
+    return float(row.kernel(_gen_of(rng), 1, n, schedule, None)[0])
+
+
+def _dim(point, kind):
+    # The start point's dimension: the observables' laws do not depend on
+    # the point itself, by rotation (or boost) invariance.
+    return (point if isinstance(point, kind) else kind(point)).dim
+
+
+def run_sphere_chain(u0, thetas, rng):
+    """One trial of the sphere chain: fixed-angle steps from u0, each in a
+    uniformly random direction, reporting <u_M, u_0> (exactly 1 for no steps).
+
+    u0 is a UnitVector (or its coordinates) of dimension >= 3; thetas are
+    angles in [0, pi]; rng is a RandomStream or numpy Generator.  This is the
+    sphere kernel of estimate() on one trial, so on RandomStream(s, 0) it
+    equals the mean of a one-trial estimate with seed s, bit for bit.
+    """
+    return ChainResult(_one_trial("sphere", thetas, _dim(u0, UnitVector), rng))
+
+
+def run_flat_chain(ds, n, rng):
+    """One trial of the flat chain: steps of lengths ds >= 0 from the origin
+    of R^n (n >= 2), each in a uniformly random direction, reporting
+    ||x_M||^2 (exactly 0 for no steps).  As in run_sphere_chain, this is one
+    trial of estimate()'s kernel.
+    """
+    return ChainResult(_one_trial("flat", ds, n, rng))
+
+
+def run_hyperbolic_chain(u0, xis, rng):
+    """One trial of the hyperbolic chain: steps of arc lengths xis >= 0 from
+    the HyperboloidPoint u0 (dimension >= 3), each uniform over the sphere of
+    directions, reporting <u_M, u_0>_H (exactly 1 for no steps).  As in
+    run_sphere_chain, this is one trial of estimate()'s kernel.
+    """
+    return ChainResult(_one_trial("hyperbolic", xis, _dim(u0, HyperboloidPoint), rng))
+
+
+def run_operator_product(spectra, u, rng):
+    """One trial of A_M ... A_1 u, each A_i symmetric with the spectrum
+    spectra[i] and an independent uniformly random eigenframe.
+
+    spectra are Spectrum objects or eigenvalue lists, each as long as the
+    UnitVector u.  One walk gives both observables of the operator_product
+    kernel, so on RandomStream(s, 0) norm_ratio and cosine each equal the
+    mean of a one-trial estimate with seed s, bit for bit.
+    """
+    spectra, n = _parse_product(spectra, _dim(u, UnitVector))
+    ratio, cosine, dead = _operator_trials(_gen_of(rng), 1, n, spectra)
+    if dead[0]:
+        return OperatorProductResult(0.0, math.nan, True)
+    return OperatorProductResult(float(ratio[0]), float(cosine[0]), False)
 
 
 def _exact_sum(x):

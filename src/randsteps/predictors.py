@@ -1,6 +1,6 @@
 """Closed-form predictions for accumulated random steps in high dimension.
 
-Each chain simulated by :mod:`randsteps.chains` concentrates around a
+Each chain sampled by :mod:`randsteps.montecarlo` concentrates around a
 deterministic value as the dimension grows.  This module computes those
 values, the exact standard deviations where they have closed forms, and the
 schedule-level deviation bounds, so the Monte Carlo engine has something
@@ -228,15 +228,16 @@ def flat_fourth_moment(ds, n):
     One step of length d maps (||x||^4, ||x||^2, 1) coefficients (A, B, C) to
     (A, (2 + 4/n) d^2 A + B, d^4 A + d^2 B + C); starting from (1, 0, 0) the
     answer is C_M, equal to sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
+    The recursion runs on the steps scaled as in flat_sigma; returns inf when
+    the moment exceeds the double range.
     """
-    d = _steps(ds)
-    _need_n(n, 2)
+    d, e = _flat_steps(ds, n)
     a, b, c = 1.0, 0.0, 0.0
     for step in d:
         d2 = step * step
         c = d2 * d2 * a + d2 * b + c
         b = (2.0 + 4.0 / n) * d2 * a + b
-    return c
+    return _ldexp_or_inf(c, 4 * e)
 
 
 def flat_sigma(ds, n):
@@ -451,9 +452,9 @@ class CurvaturePath:
 
     Each step is a pair (d_k, kappas_k) of a step length and the sectional
     curvatures kappa_1 .. kappa_{N-1} seen by that step.  Every entry must
-    satisfy 1 + d_k kappa > 0; the reciprocal weights v = 1 / (1 + d kappa)
-    are what the products below consume.  All steps must list the same
-    number of curvatures.
+    satisfy 1 + d_k kappa > 0, within the double range; the reciprocal
+    weights v = 1 / (1 + d kappa) are what the products below consume.  All
+    steps must list the same number of curvatures.
     """
 
     __slots__ = ("steps",)
@@ -469,7 +470,10 @@ class CurvaturePath:
                 width = k.shape[0]
             elif k.shape[0] != width:
                 raise ValueError("all steps must list the same number of curvatures")
-            w = 1.0 + d * k
+            with np.errstate(over="ignore"):
+                w = 1.0 + d * k
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"step {i}: 1 + d*kappa overflows the double range")
             if np.any(w == 0.0):
                 raise ValueError(f"step {i}: 1 + d*kappa hits the singularity at 0")
             if np.any(w < 0.0):

@@ -38,11 +38,12 @@ def test_pairs_by_workload_trace_and_seed():
         _record("change", "grid", 7, 40.0, 0.5),
     ]
     assert bench_record.paired_summary(records, "parent", "change", _METRICS) == [
-        # Ties count for neither label; quartiles are statistics.quantiles'.
-        "sweep ops_per_s: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 18.18%",
-        "sweep op_ms_p50: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 100.00%",
-        "grid ops_per_s: 1 pairs, change ahead in 0, median ratio 0.8000, parent IQR 0.00%",
-        "grid op_ms_p50: 1 pairs, change ahead in 1, median ratio 0.5000, parent IQR 0.00%",
+        # Ties count for neither label; quartiles are statistics.quantiles';
+        # no 95 % interval exists for fewer than 6 pairs.
+        "sweep ops_per_s: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 18.18%, 95% HL interval of log ratio n/a",
+        "sweep op_ms_p50: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 100.00%, 95% HL interval of log ratio n/a",
+        "grid ops_per_s: 1 pairs, change ahead in 0, median ratio 0.8000, parent IQR 0.00%, 95% HL interval of log ratio n/a",
+        "grid op_ms_p50: 1 pairs, change ahead in 1, median ratio 0.5000, parent IQR 0.00%, 95% HL interval of log ratio n/a",
     ]
 
 
@@ -56,3 +57,31 @@ def test_default_metrics_are_the_benchmarks_end_to_end():
     assert [line.split(":")[0] for line in lines] == [
         f"w {m['name']}" for m in bench_record.BENCHMARK["end_to_end"]
     ]
+
+
+def test_signed_rank_critical_values():
+    # The two-sided 5 % table of the Wilcoxon signed-rank test.
+    got = [bench_record._signed_rank_critical(n) for n in range(1, 16)]
+    assert got == [None] * 5 + [0, 2, 3, 5, 8, 10, 13, 17, 21, 25]
+
+
+def test_hodges_lehmann_interval_by_hand():
+    # Eight pairs with ratios 2^k, so the log ratios are k ln 2 for
+    # k = -3, -1, 0, 1, 2, 4, 5, 7.  At 8 pairs the critical value is 3
+    # (P(T <= 3) = 5/256, P(T <= 4) = 7/256 > 0.025), so the interval runs
+    # from the 4th smallest Walsh average, (-1 + -1)/2 = -1 after -3, -2 and
+    # -1.5, to the 4th largest, (5 + 5)/2 = 5 after 7, 6 and 5.5, in units of
+    # ln 2: [-0.6931, +3.4657].  The change is ahead in the 5 pairs with
+    # k > 0, and the median ratio is (2^1 + 2^2)/2 = 3.
+    ks = (-3, -1, 0, 1, 2, 4, 5, 7)
+    records = []
+    for seed, k in enumerate(ks):
+        records += [
+            _record("parent", "w", seed, 100.0, 1.0),
+            _record("change", "w", seed, 100.0 * 2.0**k, 1.0),
+        ]
+    line = bench_record.paired_summary(records, "parent", "change", _METRICS[:1])[0]
+    assert line == (
+        "w ops_per_s: 8 pairs, change ahead in 5, median ratio 3.0000, parent IQR 0.00%, "
+        "95% HL interval of log ratio [-0.6931, +3.4657]"
+    )

@@ -1,24 +1,22 @@
-"""Full-vector chain runners: exactness, determinism, and cross-checks."""
+"""Chain runners: one trial of the engine's kernels, exactness, and validation."""
 
 import math
 
 import numpy as np
 import pytest
+from full_vector import operator_product_dense
 
-from randsteps.chains import (
-    _operator_product_dense,
+from randsteps import (
+    ExperimentSpec,
+    HyperboloidPoint,
+    RandomStream,
+    Spectrum,
+    UnitVector,
+    estimate,
     run_flat_chain,
     run_hyperbolic_chain,
     run_operator_product,
     run_sphere_chain,
-)
-from randsteps.geometry import HyperboloidPoint, UnitVector, minkowski_inner
-from randsteps.sampling import (
-    RandomStream,
-    Spectrum,
-    flat_step,
-    hyperbolic_step,
-    sphere_step,
 )
 
 
@@ -32,9 +30,60 @@ def _h0(n):
     return HyperboloidPoint.from_spatial(np.zeros(n - 1))
 
 
+def _one_trial_mean(geometry, n, schedule, seed, observable=None):
+    return estimate(ExperimentSpec(geometry, n, schedule, 1, seed, observable)).mean
+
+
+SEEDS = (0, 1, 17, 2**64 - 1)
+
+
+class TestOneImplementation:
+    # A runner is one trial of its geometry's kernel: on the stream (s, 0)
+    # it reports the mean of a one-trial estimate with seed s, bit for bit.
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sphere(self, seed):
+        for n, thetas in ((3, (0.4, math.pi, 1.1)), (200, (0.7, 1.1, 2.0, 0.3))):
+            got = run_sphere_chain(_e1(n), thetas, RandomStream(seed, 0)).observable
+            assert got == _one_trial_mean("sphere", n, thetas, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_flat(self, seed):
+        for n, ds in ((2, (1.0, 1.0)), (500, (1.0, 0.5, 2.0, 0.0, 3.0))):
+            got = run_flat_chain(ds, n, RandomStream(seed, 0)).observable
+            assert got == _one_trial_mean("flat", n, ds, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hyperbolic(self, seed):
+        for n, xis in ((3, (0.5, 1.0, 0.2)), (300, (0.8, 0.0, 1.5))):
+            got = run_hyperbolic_chain(_h0(n), xis, RandomStream(seed, 0)).observable
+            assert got == _one_trial_mean("hyperbolic", n, xis, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_operator_product(self, seed):
+        n = 40
+        spectra = [
+            Spectrum(np.linspace(-0.5, 2.0, n)),
+            Spectrum((-1.5,) * n),
+            Spectrum(np.linspace(0.05, 1.0, n)),
+        ]
+        for geometry, schedule in (("operator", spectra[:1]), ("operator_product", spectra)):
+            r = run_operator_product(schedule, _e1(n), RandomStream(seed, 0))
+            assert not r.degenerate
+            assert r.norm_ratio == _one_trial_mean(geometry, n, schedule, seed, "norm_ratio")
+            assert r.cosine == _one_trial_mean(geometry, n, schedule, seed, "cosine")
+
+    def test_degenerate_matches_estimate(self):
+        spectra = [Spectrum([1.0, 2.0, 3.0]), Spectrum((0.0,) * 3)]
+        r = run_operator_product(spectra, _e1(3), RandomStream(5, 0))
+        assert r.degenerate and r.norm_ratio == 0.0 and math.isnan(r.cosine)
+        assert _one_trial_mean("operator_product", 3, spectra, 5, "norm_ratio") == 0.0
+        assert math.isnan(_one_trial_mean("operator_product", 3, spectra, 5, "cosine"))
+
+
 class TestSingleStepExactness:
-    # From the e1 start a one-step observable is a deterministic constant,
-    # reproduced bitwise because the step cores skip renormalization.
+    # From the start a one-step observable is a deterministic constant,
+    # which the kernels take exactly.
 
     def test_sphere(self):
         for seed in (1, 2, 3):
@@ -59,76 +108,26 @@ class TestSingleStepExactness:
 
 class TestDeterminism:
     def test_same_stream_bitwise(self):
-        a = run_sphere_chain(_e1(10), (0.4, 1.2, 2.2), RandomStream(31), keep_final=True)
-        b = run_sphere_chain(_e1(10), (0.4, 1.2, 2.2), RandomStream(31), keep_final=True)
-        assert a.observable == b.observable
-        np.testing.assert_array_equal(a.final_point, b.final_point)
+        a = run_sphere_chain(_e1(10), (0.4, 1.2, 2.2), RandomStream(31))
+        b = run_sphere_chain(_e1(10), (0.4, 1.2, 2.2), RandomStream(31))
+        assert a == b
 
-    def test_trace_matches_plain(self):
-        # the traced and plain runs consume the stream identically
-        sched = (0.4, 0.9, 2.0)
-        a = run_sphere_chain(_e1(8), sched, RandomStream(11), trace=True)
-        b = run_sphere_chain(_e1(8), sched, RandomStream(11))
-        assert a.observable == b.observable
-        f = run_flat_chain((1.0, 2.0), 8, RandomStream(12), trace=True, keep_final=True)
-        g = run_flat_chain((1.0, 2.0), 8, RandomStream(12))
-        assert f.observable == g.observable
-        h = run_hyperbolic_chain(_h0(8), (0.3, 0.6), RandomStream(13), trace=True)
-        k = run_hyperbolic_chain(_h0(8), (0.3, 0.6), RandomStream(13))
-        assert h.observable == k.observable
+    def test_start_point_sets_only_the_dimension(self):
+        # The laws are rotation and boost invariant, so a runner reads only
+        # its start point's dimension.
+        u = UnitVector.normalized(np.arange(1.0, 9.0))
+        h = HyperboloidPoint.from_spatial(np.arange(1.0, 8.0))
+        assert run_sphere_chain(u, (0.4, 2.0), RandomStream(8)) == run_sphere_chain(
+            _e1(8), (0.4, 2.0), RandomStream(8)
+        )
+        assert run_hyperbolic_chain(h, (0.4, 2.0), RandomStream(8)) == run_hyperbolic_chain(
+            _h0(8), (0.4, 2.0), RandomStream(8)
+        )
 
-    def test_trace_layout(self):
-        # One row per visited point, start first and final_point last; each
-        # consecutive pair is one step apart in its geometry's own measure.
-        sched = (0.4, 0.9, 2.0)
-        chains = [
-            (run_sphere_chain(_e1(8), sched, RandomStream(11), trace=True, keep_final=True),
-             _e1(8).values, lambda p, q: float(p @ q), math.cos),
-            (run_flat_chain(sched, 8, RandomStream(11), trace=True, keep_final=True),
-             np.zeros(8), lambda p, q: float(np.linalg.norm(p - q)), lambda d: d),
-            (run_hyperbolic_chain(_h0(8), sched, RandomStream(11), trace=True, keep_final=True),
-             _h0(8).values, minkowski_inner, math.cosh),
-        ]
-        for r, start, measure, want in chains:
-            assert r.path.shape == (4, 8)
-            np.testing.assert_array_equal(r.path[0], start)
-            np.testing.assert_array_equal(r.path[-1], r.final_point)
-            for k, step in enumerate(sched):
-                got = measure(r.path[k + 1], r.path[k])
-                np.testing.assert_allclose(got, want(step), rtol=0, atol=1e-11)
-
-
-class TestStepFunctionParity:
-    # The runners and the public step functions call the same step cores on
-    # the same draws; the paths agree bitwise for flat chains and to within
-    # the wrappers' renormalization (about one ulp per step) elsewhere.
-
-    def test_flat_bitwise(self):
-        ds = (1.0, 0.5, 2.0)
-        c = run_flat_chain(ds, 8, RandomStream(22), keep_final=True)
-        g = RandomStream(22)
-        x = np.zeros(8)
-        for d in ds:
-            x = flat_step(x, d, g)
-        np.testing.assert_array_equal(c.final_point, x)
-
-    def test_sphere_close(self):
-        thetas = (0.4, 0.9, 2.0)
-        c = run_sphere_chain(_e1(8), thetas, RandomStream(21), keep_final=True)
-        g = RandomStream(21)
-        u = _e1(8)
-        for theta in thetas:
-            u = sphere_step(u, theta, g)
-        np.testing.assert_allclose(c.final_point, u.values, rtol=0, atol=1e-13)
-
-    def test_hyperbolic_close(self):
-        xis = (0.3, 0.6)
-        c = run_hyperbolic_chain(_h0(8), xis, RandomStream(23), keep_final=True)
-        g = RandomStream(23)
-        u = _h0(8)
-        for xi in xis:
-            u = hyperbolic_step(u, xi, g)
-        np.testing.assert_allclose(c.final_point, u.values, rtol=0, atol=1e-12)
+    def test_accepts_numpy_generator(self):
+        a = run_flat_chain((1.0, 2.0), 6, RandomStream(9, 3))
+        b = run_flat_chain((1.0, 2.0), 6, RandomStream(9, 3).generator)
+        assert a == b
 
 
 class TestChainValidation:
@@ -147,6 +146,10 @@ class TestChainValidation:
     def test_hyperbolic_rejects_negative_arc(self):
         with pytest.raises(ValueError):
             run_hyperbolic_chain(_h0(5), (-0.5,), RandomStream(1))
+
+    def test_operator_rejects_empty_product(self):
+        with pytest.raises(ValueError, match=">= 1 spectrum"):
+            run_operator_product([], _e1(3), RandomStream(1))
 
 
 class TestOperatorProduct:
@@ -189,18 +192,17 @@ class TestOperatorProduct:
         assert (a.norm_ratio, a.cosine) == (b.norm_ratio, b.cosine)
 
     def test_dense_reference_same_law(self):
-        # the O(N) kernel and the dense O(N^3) sampler draw different numbers
+        # the kernel and the dense O(N^3) sampler draw different numbers
         # from the same joint law; their Monte Carlo means must agree
         n, trials = 20, 4000
         s = Spectrum(np.arange(1, n + 1) / n)
-        u = _e1(n)
         fast = np.empty(trials)
         dense = np.empty(trials)
         base_fast = RandomStream(46)
         base_dense = RandomStream(47)
         for i in range(trials):
-            fast[i] = run_operator_product([s, s], u, base_fast.substream(i)).cosine
-            dense[i] = _operator_product_dense([s, s], u, base_dense.substream(i)).cosine
+            fast[i] = run_operator_product([s, s], _e1(n), base_fast.substream(i)).cosine
+            dense[i] = operator_product_dense([s, s], base_dense.substream(i))[1]
         gap = fast.mean() - dense.mean()
         se = math.hypot(
             fast.std(ddof=1) / math.sqrt(trials), dense.std(ddof=1) / math.sqrt(trials)
@@ -209,7 +211,7 @@ class TestOperatorProduct:
 
     def test_negative_scalar_after_non_scalar_keeps_sign(self):
         # a scalar factor -1 after a non-scalar one flips the image: the
-        # O(N) kernel and the dense sampler must agree on the sign
+        # kernel and the dense sampler must agree on the sign
         n, trials = 6, 2000
         spectra = [Spectrum(np.linspace(0.2, 1.0, n)), Spectrum((-1.0,) * n)]
         u = _e1(n)
@@ -217,7 +219,7 @@ class TestOperatorProduct:
             [run_operator_product(spectra, u, RandomStream(48, i)).cosine for i in range(trials)]
         )
         dense = np.array(
-            [_operator_product_dense(spectra, u, RandomStream(49, i)).cosine for i in range(trials)]
+            [operator_product_dense(spectra, RandomStream(49, i))[1] for i in range(trials)]
         )
         assert np.all(fast < 0.0) and np.all(dense < 0.0)
         se = math.hypot(fast.std(ddof=1), dense.std(ddof=1)) / math.sqrt(trials)

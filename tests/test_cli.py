@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,25 @@ class TestInputFiles:
         code, out, err = run_cli(capsys, "predict", "--geometry", geometry, flag, str(path))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "config error: " + message.format(path=str(path)) + "\n"
+
+    @pytest.mark.parametrize("row", ["1e200 1e200 1e200", "1e200 1e200 1"])
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_curvature_overflow_is_a_usage_error(self, capsys, tmp_path, row, command):
+        # Was: numpy overflow warnings, then an all-zero-spectrum error (first
+        # row), or a zero weight that predict accepted and compare ran to a
+        # nan mean (second row).
+        path = tmp_path / "curvature.txt"
+        path.write_text(row + "\n")
+        extra = ("--trials", "64", "--seed", "1") if command == "compare" else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, command, "--geometry", "kappa", "--curvature-file", str(path), *extra
+            )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            "config error: field curvature_file: step 0: 1 + d*kappa overflows the double range\n"
+        )
 
 
 class TestTable:

@@ -1,24 +1,22 @@
-"""Inner products, norms, boosts, and the point wrappers."""
+"""The probability p-norm, the point wrappers, and the reference samplers'
+inner products and Lorentz boost (tests/full_vector.py)."""
 
 import math
 
 import numpy as np
 import pytest
+from full_vector import boost_from_e1, euclid_inner, minkowski_inner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from randsteps.geometry import (
-    HyperboloidPoint,
-    SymMatrix,
-    UnitVector,
-    apply_boost_from_e1,
-    euclid_inner,
-    hs_norm,
-    lorentz_boost_from_e1,
-    minkowski_inner,
-    pnorm_pi,
-)
+from randsteps.geometry import HyperboloidPoint, UnitVector, pnorm_pi
+
+
+def _boost_matrix(u):
+    # The boost taking e1 to u, one column per basis vector.
+    n = u.values.shape[0]
+    return np.column_stack([boost_from_e1(u, e) for e in np.eye(n)])
 
 
 class TestInnerProducts:
@@ -89,64 +87,67 @@ class TestPnormPi:
 
 
 class TestHsNorm:
+    # For symmetric A with spectrum s, ||A||_HS = sqrt(N) * pnorm_pi(s, 2):
+    # pnorm_pi against numpy's Frobenius norm.
+
     def test_diagonal_hand_value(self):
-        assert hs_norm(np.diag([3.0, 4.0])) == 5.0
+        assert math.sqrt(2) * pnorm_pi([3.0, 4.0], 2) == pytest.approx(5.0, rel=1e-15)
 
     def test_matches_pnorm_identity(self):
-        # for symmetric A with spectrum s: hs_norm(A) = sqrt(N) * pnorm_pi(s, 2)
         s = np.array([1.0, -2.0, 3.0])
         np.testing.assert_allclose(
-            hs_norm(np.diag(s)), math.sqrt(3) * pnorm_pi(s, 2), rtol=1e-14
+            np.linalg.norm(np.diag(s)), math.sqrt(3) * pnorm_pi(s, 2), rtol=1e-14
         )
 
     def test_orthogonal_invariance(self):
         gen = np.random.default_rng(3)
-        a = gen.standard_normal((5, 5))
-        a = a + a.T
+        s = gen.standard_normal(5)
         q, _ = np.linalg.qr(gen.standard_normal((5, 5)))
-        np.testing.assert_allclose(hs_norm(q.T @ a @ q), hs_norm(a), rtol=1e-12)
+        a = q.T @ np.diag(s) @ q
+        np.testing.assert_allclose(np.linalg.norm(a), math.sqrt(5) * pnorm_pi(s, 2), rtol=1e-12)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hs_norm(np.ones((2, 3)))
+        # a matrix is not a spectrum
+        with pytest.raises(ValueError, match="1-D"):
+            pnorm_pi(np.ones((2, 3)), 2)
 
 
 class TestLorentzBoost:
     def test_two_by_two_block(self):
         u = HyperboloidPoint([math.cosh(1.0), math.sinh(1.0)])
-        b = lorentz_boost_from_e1(u)
         expected = np.array(
             [[math.cosh(1.0), math.sinh(1.0)], [math.sinh(1.0), math.cosh(1.0)]]
         )
-        np.testing.assert_allclose(b, expected, rtol=1e-15)
+        np.testing.assert_allclose(_boost_matrix(u), expected, rtol=1e-15)
 
     def test_maps_e1_to_u(self):
         u = HyperboloidPoint.from_spatial([0.4, -0.7, 1.2])
-        b = lorentz_boost_from_e1(u)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(b @ e1, u.values, rtol=1e-12)
+        np.testing.assert_allclose(boost_from_e1(u, e1), u.values, rtol=1e-12)
 
     def test_preserves_minkowski_inner(self):
         gen = np.random.default_rng(17)
         u = HyperboloidPoint.from_spatial(gen.standard_normal(4))
-        b = lorentz_boost_from_e1(u)
         for _ in range(20):
             x = gen.standard_normal(5)
             y = gen.standard_normal(5)
             np.testing.assert_allclose(
-                minkowski_inner(b @ x, b @ y),
+                minkowski_inner(boost_from_e1(u, x), boost_from_e1(u, y)),
                 minkowski_inner(x, y),
                 rtol=1e-9,
                 atol=1e-9,
             )
 
     def test_apply_matches_matrix(self):
+        # the O(N) form against the matrix [[u1, s^T], [s, I + s s^T/(1 + u1)]]
         gen = np.random.default_rng(23)
         u = HyperboloidPoint.from_spatial(gen.standard_normal(6))
-        b = lorentz_boost_from_e1(u)
+        u1, sp = u.values[0], u.values[1:]
+        b = np.block([[np.array([[u1]]), sp[None, :]],
+                      [sp[:, None], np.eye(6) + np.outer(sp, sp) / (1.0 + u1)]])
         for _ in range(10):
             x = gen.standard_normal(7)
-            np.testing.assert_allclose(apply_boost_from_e1(u, x), b @ x, rtol=1e-12)
+            np.testing.assert_allclose(boost_from_e1(u, x), b @ x, rtol=1e-12)
 
 
 class TestUnitVector:
@@ -185,13 +186,3 @@ class TestHyperboloidPoint:
     def test_rejects_off_sheet(self):
         with pytest.raises(ValueError, match="Minkowski"):
             HyperboloidPoint([2.0, 0.0])
-
-
-class TestSymMatrix:
-    def test_accepts_symmetric(self):
-        m = SymMatrix([[1.0, 2.0], [2.0, 3.0]])
-        assert m.n == 2
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix([[1.0, 2.0], [0.0, 3.0]])

@@ -8,18 +8,18 @@ import warnings
 
 import numpy as np
 import pytest
+from full_vector import (
+    flat_walk,
+    hyperbolic_walk,
+    operator_product_dense,
+    sphere_walk,
+    uniform_unit_sphere,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from randsteps import montecarlo
-from randsteps.chains import (
-    _operator_product_dense,
-    run_flat_chain,
-    run_hyperbolic_chain,
-    run_sphere_chain,
-)
-from randsteps.geometry import HyperboloidPoint, UnitVector
 from randsteps.montecarlo import (
     GEOMETRIES,
     ComparisonReport,
@@ -33,7 +33,7 @@ from randsteps.montecarlo import (
     estimate,
 )
 from randsteps.predictors import CurvaturePath, Prediction, prediction_for
-from randsteps.sampling import RandomStream, Spectrum, uniform_unit_sphere
+from randsteps.sampling import RandomStream, Spectrum
 
 
 class TestExperimentSpec:
@@ -491,14 +491,9 @@ class TestExactSum:
         assert len(sizes) == 2 and max(sizes) <= 64
 
 
-def _e1(n):
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
 class TestChunkKernelLaw:
-    # The dimension-reduced chunk kernels and the full-vector chains draw
+    # The dimension-reduced chunk kernels and the full-vector walks of
+    # tests/full_vector.py draw
     # different numbers from the same law; two-sample KS tests at fixed
     # seeds compare them, including n = 3, steps of 0 and pi, and the
     # two-dimensional operator, whose direction coordinate is a fair sign.
@@ -524,30 +519,19 @@ class TestChunkKernelLaw:
         "thetas", [(1.0, 2.0), (0.4, math.pi, 1.1), (0.0, 2.5, 0.7, 1.3)]
     )
     def test_sphere(self, n, thetas):
-        u0 = UnitVector(_e1(n))
-        full = [
-            run_sphere_chain(u0, thetas, RandomStream(62, i)).observable
-            for i in range(self.TRIALS)
-        ]
+        full = [sphere_walk(n, thetas, RandomStream(62, i)) for i in range(self.TRIALS)]
         self._check(self._chunk("sphere", n, thetas), full)
 
     @pytest.mark.parametrize("n", [3, 5, 10])
     @pytest.mark.parametrize("ds", [(1.0, 0.5, 2.0), (0.0, 1.0, 1.0)])
     def test_flat(self, n, ds):
-        full = [
-            run_flat_chain(ds, n, RandomStream(63, i)).observable
-            for i in range(self.TRIALS)
-        ]
+        full = [flat_walk(n, ds, RandomStream(63, i)) for i in range(self.TRIALS)]
         self._check(self._chunk("flat", n, ds), full)
 
     @pytest.mark.parametrize("n", [3, 5, 10])
     @pytest.mark.parametrize("xis", [(0.5, 1.0, 0.3), (0.0, 1.2, 0.7)])
     def test_hyperbolic(self, n, xis):
-        u0 = HyperboloidPoint(_e1(n))
-        full = [
-            run_hyperbolic_chain(u0, xis, RandomStream(64, i)).observable
-            for i in range(self.TRIALS)
-        ]
+        full = [hyperbolic_walk(n, xis, RandomStream(64, i)) for i in range(self.TRIALS)]
         self._check(self._chunk("hyperbolic", n, xis), full)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
@@ -558,16 +542,11 @@ class TestChunkKernelLaw:
             "negative_scalar_last": [_linear(n), Spectrum((-1.0,) * n)],
             "indefinite_triple": [_linear(n, -1.0, 1.0)] * 3,
         }[case]
-        u0 = UnitVector(_e1(n))
-        dense = [_operator_product_dense(spectra, u0, RandomStream(65, i)) for i in range(self.TRIALS)]
+        dense = [operator_product_dense(spectra, RandomStream(65, i)) for i in range(self.TRIALS)]
         self._check(
-            self._chunk("operator_product", n, spectra, "norm_ratio"),
-            [r.norm_ratio for r in dense],
+            self._chunk("operator_product", n, spectra, "norm_ratio"), [r[0] for r in dense]
         )
-        self._check(
-            self._chunk("operator_product", n, spectra, "cosine"),
-            [r.cosine for r in dense],
-        )
+        self._check(self._chunk("operator_product", n, spectra, "cosine"), [r[1] for r in dense])
 
 
 class TestCoordinateSamplerLaw:
@@ -581,7 +560,7 @@ class TestCoordinateSamplerLaw:
     def test_first_two_coordinates(self, n, p0, p1):
         chunk = _coordinate_values(RandomStream(66).generator, n, self.TRIALS, p0, p1)
         stream = RandomStream(67)
-        full = np.array([uniform_unit_sphere(n, stream).values[:2] for _ in range(self.TRIALS)])
+        full = np.array([uniform_unit_sphere(n, stream)[:2] for _ in range(self.TRIALS)])
         result = ks_2samp(chunk, full[:, 0] ** p0 * full[:, 1] ** p1)
         assert result.pvalue > TestChunkKernelLaw.P_MIN, result
 

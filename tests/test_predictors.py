@@ -198,6 +198,17 @@ class TestFlatPredictors:
         # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2 = 2 + 2.04
         np.testing.assert_allclose(flat_fourth_moment((1.0, 1.0), 100), 4.04, rtol=1e-15)
 
+    def test_fourth_moment_scaled_steps(self):
+        # Steps from about 1e77 overflowed d^4: nan and two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert flat_fourth_moment((1e200,), 3) == math.inf
+            assert flat_fourth_moment((1e77, 1e77), 3) == math.inf
+            # sum d^4 + (2 + 4/n) d1^2 d2^2 = (2 + 10/3) 1e304
+            np.testing.assert_allclose(
+                flat_fourth_moment((1e76, 1e76), 3), (2.0 + 10.0 / 3.0) * 1e304, rtol=1e-14
+            )
+
     def test_fourth_moment_consistent_with_sigma(self):
         # Var ||x||^2 = E||x||^4 - (E||x||^2)^2
         gen = np.random.default_rng(92)
@@ -384,6 +395,14 @@ class TestCurvatureProducts:
     def test_rejects_ragged_widths(self):
         with pytest.raises(ValueError, match="same number"):
             CurvaturePath([(1.0, (0.0, 0.0)), (1.0, (0.0,))])
+
+    def test_rejects_overflowing_weight(self):
+        # 1 + d*kappa past the double range would give a weight of 0.
+        for kappas in ((1e200, 1e200), (1e200, 1.0), (-1e200, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="step 1: 1 \\+ d\\*kappa overflows"):
+                    CurvaturePath([(1.0, (0.5, 0.5)), (1e200, kappas)])
 
 
 class TestPropositionBounds:
