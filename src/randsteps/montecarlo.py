@@ -97,6 +97,13 @@ _BLOCK_DRAWS = 1 << 17
 _EXTRACT_ROUNDS = 4
 
 
+def _dimension(n):
+    # n as an int, checked to be an integer within the double range.
+    if not isinstance(n, (int, np.integer)) or n > sys.float_info.max:
+        raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One fully specified chain experiment.
@@ -124,11 +131,10 @@ class ExperimentSpec:
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         RandomStream(self.seed)  # validates the 64-bit seed range
-        if not isinstance(self.n_dim, (int, np.integer)) or self.n_dim > sys.float_info.max:
-            raise ValueError(f"n_dim must be an integer in the double range, got {self.n_dim!r}")
+        n_dim = _dimension(self.n_dim)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_dim", int(self.n_dim))
+        object.__setattr__(self, "n_dim", n_dim)
         object.__setattr__(self, "observable", row.observable(self.observable))
         object.__setattr__(self, "schedule", row.parse(self.schedule, self.n_dim)[0])
 
@@ -492,7 +498,7 @@ class OperatorProductResult:
 def _one_trial(geometry, schedule, n, rng):
     # The observable of one trial of geometry's kernel, drawn from rng.
     row = _GEOMETRY_TABLE[geometry]
-    schedule, n = row.parse(schedule, n)
+    schedule, n = row.parse(schedule, _dimension(n))
     return float(row.kernel(_gen_of(rng), 1, n, schedule, None)[0])
 
 

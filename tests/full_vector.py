@@ -21,13 +21,7 @@ import math
 
 import numpy as np
 
-from randsteps.sampling import RandomStream
-
-_DEGENERATE_NORM = 1e-150
-
-
-def _gen(rng):
-    return rng.generator if isinstance(rng, RandomStream) else rng
+from randsteps.sampling import _DEGENERATE_NORM, _gen_of
 
 
 def _values(x):
@@ -93,7 +87,7 @@ def tangent_direction(u, g, gen):
 
 
 def uniform_unit_sphere(n, rng):
-    gen = _gen(rng)
+    gen = _gen_of(rng)
     return unit_direction(gen.standard_normal(n), gen)
 
 
@@ -103,7 +97,7 @@ def sphere_step(u, theta, rng):
         raise ValueError(f"sphere steps need dimension >= 3, got {u.shape[0]}")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    gen = _gen(rng)
+    gen = _gen_of(rng)
     w, nrm = tangent_direction(u, gen.standard_normal(u.shape[0]), gen)
     return math.cos(theta) * u + (math.sin(theta) / nrm) * w
 
@@ -154,7 +148,7 @@ def hyperbolic_walk(n, xis, rng):
 def haar_orthogonal(n, rng):
     """An orthogonal matrix from the Haar measure: QR of a Gaussian matrix,
     with the signs of R's diagonal moved into Q (without it QR is biased)."""
-    q, r = np.linalg.qr(_gen(rng).standard_normal((n, n)))
+    q, r = np.linalg.qr(_gen_of(rng).standard_normal((n, n)))
     d = np.sign(np.diagonal(r))
     d[d == 0.0] = 1.0
     return q * d

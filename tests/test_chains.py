@@ -143,6 +143,13 @@ class TestChainValidation:
         with pytest.raises(ValueError):
             run_flat_chain((-1.0,), 5, RandomStream(1))
 
+    @pytest.mark.parametrize("n", [None, 5.0, 10**400])
+    def test_flat_rejects_bad_dimension(self, n):
+        # One step needs no draw, so only the check stands between a missing
+        # dimension and a silently reported d^2.
+        with pytest.raises(ValueError, match="n_dim must be an integer"):
+            run_flat_chain((1.5,), n, RandomStream(1))
+
     def test_hyperbolic_rejects_negative_arc(self):
         with pytest.raises(ValueError):
             run_hyperbolic_chain(_h0(5), (-0.5,), RandomStream(1))
