@@ -59,8 +59,8 @@ def _run(path, workload, seed, trace):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _signed_rank_critical(n, alpha=0.05):
-    """Largest c with P(T <= c) <= alpha/2 for the Wilcoxon signed-rank
+def _signed_rank_critical(n):
+    """Largest c with P(T <= c) <= 0.025 for the Wilcoxon signed-rank
     statistic T of n pairs under its exact null law, or None if there is none."""
     counts = [1]  # counts[s]: the subsets of {1, ..., k} with sum s
     for k in range(1, n + 1):
@@ -68,18 +68,18 @@ def _signed_rank_critical(n, alpha=0.05):
     c, below = None, 0
     for s, count in enumerate(counts):
         below += count
-        if below > alpha / 2 * 2**n:
+        if below > 0.025 * 2**n:
             return c
         c = s
     return c
 
 
-def hodges_lehmann_interval(values, alpha=0.05):
-    """The distribution-free 1 - alpha interval for the median (Hodges-Lehmann)
+def hodges_lehmann_interval(values):
+    """The distribution-free 95 % interval for the median (Hodges-Lehmann)
     of values, from their Walsh averages (x_i + x_j)/2, i <= j: the (c+1)-th
     smallest to the (c+1)-th largest, c the signed-rank critical value.
-    None when no c exists (fewer than 6 values at alpha = 0.05)."""
-    c = _signed_rank_critical(len(values), alpha)
+    None when no c exists (fewer than 6 values)."""
+    c = _signed_rank_critical(len(values))
     if c is None:
         return None
     walsh = sorted((x + y) / 2 for i, x in enumerate(values) for y in values[i:])
