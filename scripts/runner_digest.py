@@ -16,12 +16,17 @@ pi).
 Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
 prediction_for over normal-range schedules of the same seven geometries.
 
-Line 4 digests prediction_for and the public sphere, flat, hyperbolic and
-operator predictors over a wider grid: up to 64 steps, n up to 1e300,
-angles of exactly pi/2 and pi, hyperbolic arcs deep in the log-space branch
-and arcs of about 1e-9 (which raise PrecisionLossError), invalid schedules,
-and operator spectra given both as lists and as Spectrum.  Each call feeds
-either its numeric fields or its exception's type and message.
+Line 4 digests prediction_for over a wider grid, and beside it the public
+functions that give what a Prediction does not: the dimension-free means
+(sphere_expected_cosine, flat_expected_sq_norm, hyperbolic_expected_cosh,
+hyperbolic_log_expected_cosh), flat_expected_norm, flat_fourth_moment and
+the three *_sigma_bound functions.  The grid has up to 64 steps, n up to
+1e300, angles of exactly pi/2 and pi, hyperbolic arcs deep in the log-space
+branch and arcs of about 1e-9 (where prediction_for raises
+PrecisionLossError and the bound does not), more flat steps than
+dimensions, invalid schedules, and operator spectra given both as lists and
+as Spectrum.  Each call feeds either its numeric fields or its exception's
+type and message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
 or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
@@ -220,23 +225,18 @@ def _wide_points():
     return points
 
 
-def _public_calls(geometry, schedule, n, observable):
-    # The public predictors that prediction_for's row stands for.
+def _public_calls(geometry, schedule, n):
+    # The public functions beside prediction_for's row; the operators have none.
     if geometry == "sphere":
-        fns = (rs.sphere_expected_cosine, partial(rs.sphere_sigma, n=n),
-               partial(rs.sphere_sigma_bound, n=n), partial(rs.sphere_prediction, n=n))
+        fns = (rs.sphere_expected_cosine, partial(rs.sphere_sigma_bound, n=n))
     elif geometry == "flat":
-        fns = (rs.flat_expected_sq_norm, rs.flat_expected_norm, partial(rs.flat_sigma, n=n),
-               partial(rs.flat_sigma_bound, n=n), partial(rs.flat_prediction, n=n))
+        fns = (rs.flat_expected_sq_norm, rs.flat_expected_norm,
+               partial(rs.flat_fourth_moment, n=n), partial(rs.flat_sigma_bound, n=n))
     elif geometry == "hyperbolic":
         fns = (rs.hyperbolic_expected_cosh, rs.hyperbolic_log_expected_cosh,
-               partial(rs.hyperbolic_sigma, n=n), partial(rs.hyperbolic_sigma_bound, n=n),
-               partial(rs.hyperbolic_prediction, n=n))
-    elif geometry == "operator":
-        fns = (rs.operator_expected_cosine, rs.operator_norm_multiplier,
-               partial(rs.operator_prediction, observable=observable))
+               partial(rs.hyperbolic_sigma_bound, n=n))
     else:
-        fns = (rs.operator_product_cosine, partial(rs.operator_product_prediction, observable=observable))
+        fns = ()
     return [partial(fn, schedule) for fn in fns]
 
 
@@ -257,7 +257,7 @@ def wide_prediction_digest():
 
     for geometry, schedule, n, observable in _wide_points():
         feed(partial(rs.prediction_for, geometry, schedule, n, observable))
-        for call in _public_calls(geometry, schedule, n, observable):
+        for call in _public_calls(geometry, schedule, n):
             feed(call)
     return out.line()
 

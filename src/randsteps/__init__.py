@@ -28,33 +28,17 @@ from .predictors import (
     flat_expected_norm,
     flat_expected_sq_norm,
     flat_fourth_moment,
-    flat_prediction,
-    flat_sigma,
     flat_sigma_bound,
     gaussian_abs_moment,
     gaussian_sq_std,
     hyperbolic_expected_cosh,
     hyperbolic_log_expected_cosh,
-    hyperbolic_prediction,
-    hyperbolic_sigma,
     hyperbolic_sigma_bound,
-    kappa_cosine_product,
-    kappa_norm_product,
-    marginal_moment_prediction,
-    monomial_integral,
-    monomial_prediction,
-    operator_expected_cosine,
-    operator_norm_multiplier,
-    operator_prediction,
-    operator_product_cosine,
-    operator_product_prediction,
     pnorm_proposition_bounds,
     sphere_expected_cosine,
-    sphere_prediction,
-    sphere_sigma,
     sphere_sigma_bound,
 )
 from .sampling import RandomStream, Spectrum
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

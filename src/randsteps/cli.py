@@ -33,8 +33,6 @@ from .predictors import (
     _MONOMIAL_KINDS,
     _OPERATOR_OBSERVABLES,
     flat_expected_norm,
-    kappa_cosine_product,
-    kappa_norm_product,
 )
 from .sampling import RandomStream, Spectrum
 from .selftest import battery_passed, render_csv, render_table, run_battery
@@ -460,8 +458,8 @@ def cmd_predict(cfg):
         fields = {
             "observable": "curvature_products",
             "steps": len(raw.steps),
-            "norm_product": kappa_norm_product(raw),
-            "cosine_product": kappa_cosine_product(raw),
+            "norm_product": prediction_for("kappa", schedule, n_dim, "norm_ratio").mean,
+            "cosine_product": prediction_for("kappa", schedule, n_dim, "cosine").mean,
         }
         _emit(_render_fields(fields, cfg), cfg)
         return EXIT_PASS

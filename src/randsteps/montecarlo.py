@@ -61,13 +61,13 @@ from .predictors import (
     _arcs,
     _flat_prediction,
     _hyperbolic_prediction,
+    _marginal_prediction,
+    _monomial_prediction,
     _operator_prediction,
     _sphere_prediction,
     _steps,
     flat_expected_sq_norm,
     hyperbolic_expected_cosh,
-    marginal_moment_prediction,
-    monomial_prediction,
     sphere_expected_cosine,
 )
 from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _gen_of, _prepare_spectra
@@ -97,9 +97,9 @@ _BLOCK_DRAWS = 1 << 17
 _EXTRACT_ROUNDS = 4
 
 
-def _dimension(n):
-    # n as an int, checked to be an integer within the double range.
-    if not isinstance(n, (int, np.integer)) or n > sys.float_info.max:
+def _dimension(n, capped=True):
+    # n as an int, checked to be an integer and, if capped, within the double range.
+    if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
         raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
     return int(n)
 
@@ -300,20 +300,27 @@ def _operator_values(gen, count, n, spectra, observable):
     return np.where(dead, math.nan, c)
 
 
-def _check_n(n, least, geometry):
-    if n is not None and n < least:
+def _check_n(n, least, geometry, capped=True):
+    # n as _dimension gives it, and at least least; None stays None.
+    if n is None:
+        return None
+    n = _dimension(n, capped)
+    if n < least:
         raise ValueError(f"{geometry} experiments need n_dim >= {least}, got {n}")
+    return n
 
 
 def _parse_steps(vector, least, geometry, schedule, n):
-    # A sphere, flat or hyperbolic schedule: the floats vector accepts.
-    _check_n(n, least, geometry)
+    # A sphere, flat or hyperbolic schedule: the floats vector accepts.  Its
+    # predictor divides by n in floats, so n must lie in the double range.
+    n = _check_n(n, least, geometry)
     return tuple(vector(schedule).tolist()), n
 
 
 def _parse_product(schedule, n):
     # One spectrum (a Spectrum or a list of eigenvalues) or a sequence of
     # them; n defaults to their common length.
+    n = None if n is None else _dimension(n)
     if isinstance(schedule, Spectrum) or (len(schedule) > 0 and np.isscalar(schedule[0])):
         schedule = [schedule]
     spectra = _prepare_spectra(schedule, n)
@@ -341,27 +348,28 @@ def _parse_kappa(schedule, n):
 
 
 def _parse_kind(kind, n):
+    # n is not capped: the moment cores take it in exact integer ratios, and
+    # a moment that underflows raises PrecisionLossError.
     if kind not in _MONOMIAL_KINDS:
         raise ValueError(f"monomial schedule must be one of {_MONOMIAL_KINDS}, got {kind!r}")
-    _check_n(n, 3 if kind == "x1sq_x2sq" else 2, "monomial")
-    return kind, n
+    return kind, _check_n(n, 3 if kind == "x1sq_x2sq" else 2, "monomial", capped=False)
 
 
 def _parse_power(power, n):
     if not isinstance(power, (int, np.integer)) or power < 1:
         raise ValueError(f"marginal schedule must be a positive integer power, got {power!r}")
-    _check_n(n, 2, "marginal")
-    return int(power), n
+    return int(power), _check_n(n, 2, "marginal", capped=False)
 
 
 @dataclass(frozen=True)
 class _Geometry:
     """One row of the geometry table.
 
-    parse(schedule, n) validates schedule and the dimension n (None skips
-    the dimension checks) and returns (canonical schedule, n), with n taken
-    from the schedule where it fixes it.  predict(schedule, n, observable)
-    and kernel(gen, count, n, schedule, observable) take the canonical
+    parse(schedule, n) validates schedule and the dimension n, an integer
+    (None skips the dimension checks), and returns (canonical schedule, n),
+    with n taken from the schedule where it fixes it.
+    predict(schedule, n, observable) and
+    kernel(gen, count, n, schedule, observable) take the canonical
     schedule and check it no further; the kernel returns count observables.
     fields are the CLI flags and config keys that carry the schedule,
     observables the allowed observables (the default first), and dimfree
@@ -423,13 +431,13 @@ _GEOMETRY_TABLE = {
     "operator_product": _Geometry(_parse_product, **_PRODUCT),
     "monomial": _Geometry(
         _parse_kind,
-        lambda kind, n, _: monomial_prediction(kind, n),
+        lambda kind, n, _: _monomial_prediction(kind, n),
         lambda gen, count, n, kind, _: _coordinate_values(gen, n, count, *_MONOMIALS[kind]),
         ("kind",),
     ),
     "marginal": _Geometry(
         _parse_power,
-        lambda power, n, _: marginal_moment_prediction(power, n),
+        lambda power, n, _: _marginal_prediction(power, n),
         lambda gen, count, n, power, _: _coordinate_values(gen, n, count, power, 0),
         ("power",),
     ),
@@ -453,7 +461,9 @@ def prediction_for(geometry, schedule, n_dim, observable=None):
     schedule, n_dim and observable are as for ExperimentSpec, and are
     validated the same way: a step list, spectra, a curvature path, a
     monomial kind or a marginal power; observable defaults to "cosine"
-    where it applies.
+    where it applies.  n_dim must be an integer; the monomial and marginal
+    rows, alone, accept one past the double range.  This is the one
+    checked entry to every closed-form mean and sigma.
     """
     row = _geometry(geometry)
     schedule, n = row.parse(schedule, n_dim)

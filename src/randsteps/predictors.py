@@ -6,6 +6,13 @@ values, the exact standard deviations where they have closed forms, and the
 schedule-level deviation bounds, so the Monte Carlo engine has something
 sharp to compare against.
 
+The checked entry to a Prediction is prediction_for in
+:mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
+and runs the unchecked private cores below.  The public functions here give
+what a Prediction does not: the dimension-free means, the flat norm and
+fourth moment, the sigma bounds on their whole domain, and the sphere and
+Gaussian moment utilities.
+
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
 "probability p-norm" is pnorm_pi from :mod:`randsteps.geometry`.  Every
 sigma here is the standard deviation of the chain observable itself (sphere
@@ -27,35 +34,18 @@ __all__ = [
     "CurvaturePath",
     "PropositionBounds",
     "sphere_expected_cosine",
-    "sphere_sigma",
     "sphere_sigma_bound",
     "flat_expected_sq_norm",
     "flat_expected_norm",
     "flat_fourth_moment",
-    "flat_sigma",
     "flat_sigma_bound",
     "hyperbolic_expected_cosh",
     "hyperbolic_log_expected_cosh",
-    "hyperbolic_sigma",
     "hyperbolic_sigma_bound",
-    "operator_norm_multiplier",
-    "operator_expected_cosine",
-    "operator_product_cosine",
-    "kappa_norm_product",
-    "kappa_cosine_product",
     "pnorm_proposition_bounds",
-    "monomial_integral",
     "coordinate_marginal_density",
     "gaussian_abs_moment",
     "gaussian_sq_std",
-    "sphere_prediction",
-    "flat_prediction",
-    "hyperbolic_prediction",
-    "operator_prediction",
-    "operator_product_prediction",
-    "monomial_prediction",
-    "marginal_moment_prediction",
-    "prediction_for",
 ]
 
 # Angles this close to pi/2 are treated as exactly orthogonal steps, so that
@@ -91,8 +81,20 @@ def _need_n(n, least):
 
 def _sphere(t, n):
     # (mean, sigma) of the sphere chain cosine from one pass over the angles
-    # t, a sequence of floats in [0, pi]; see sphere_sigma for the recursion.
-    _need_n(n, 3)
+    # t, a sequence of floats in [0, pi], in dimension n >= 3 (inf for the
+    # mean alone).  The mean is prod_i cos theta_i.  Step k maps the cosine
+    # X to cos theta_k X + sin theta_k W, where W has mean 0 and variance
+    # (1 - X^2) / (n - 1) given X.  So the variance V_k of X after k steps
+    # and u_k = 1 - E[X^2] follow the recursion
+    #
+    #     q_k = sin^2 theta_k / (n - 1)
+    #     V_k = cos^2 theta_k V_{k-1} + q_k u_{k-1}
+    #     u_k = sin^2 theta_k + (cos^2 theta_k - q_k) u_{k-1}
+    #
+    # from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
+    # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
+    # relative precision down to 0.  Angles within 1e-12 rad of 0 or pi
+    # contribute a sine of exactly 0.
     half, top = math.pi / 2.0, math.pi - _RIGHT_ANGLE_SNAP
     v = u = 0.0
     prod = 1.0
@@ -121,32 +123,6 @@ def sphere_expected_cosine(thetas):
     dimension.  Angles within 1e-12 rad of pi/2 contribute an exact factor 0.
     """
     return _sphere(_angles(thetas).tolist(), math.inf)[0]  # the mean needs no n
-
-
-def sphere_sigma(thetas, n):
-    """Exact standard deviation of the sphere chain cosine.
-
-    Step k maps the cosine X to cos theta_k X + sin theta_k W, where W has
-    mean 0 and variance (1 - X^2) / (n - 1) given X.  So the variance V_k
-    of X after k steps and u_k = 1 - E[X^2] follow the recursion
-
-        q_k = sin^2 theta_k / (n - 1)
-        V_k = cos^2 theta_k V_{k-1} + q_k u_{k-1}
-        u_k = sin^2 theta_k + (cos^2 theta_k - q_k) u_{k-1}
-
-    from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
-    equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
-    relative precision down to 0.  Angles within 1e-12 rad of 0 or pi
-    contribute a sine of exactly 0.
-
-    Parameters
-    ----------
-    thetas : sequence of float
-        Step angles in [0, pi].
-    n : int
-        Ambient dimension, n >= 3.
-    """
-    return _sphere(_angles(thetas).tolist(), n)[1]
 
 
 def sphere_sigma_bound(thetas, n):
@@ -190,6 +166,10 @@ def _flat_sq_norm(d, e):
 
 
 def _flat_sigma(d, e, n):
+    # Exact sigma of the flat squared displacement, sigma^2 = (4/n)
+    # sum_{i<j} d_i^2 d_j^2, from the elementary symmetric identity
+    # 2 sum_{i<j} = (sum d^2)^2 - sum d^4 on the scaled steps d * 2^-e, so
+    # no square overflows; inf when sigma itself exceeds the double range.
     if d.shape[0] <= 1:
         return 0.0
     d2 = d**2
@@ -228,8 +208,8 @@ def flat_fourth_moment(ds, n):
     One step of length d maps (||x||^4, ||x||^2, 1) coefficients (A, B, C) to
     (A, (2 + 4/n) d^2 A + B, d^4 A + d^2 B + C); starting from (1, 0, 0) the
     answer is C_M, equal to sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
-    The recursion runs on the steps scaled as in flat_sigma; returns inf when
-    the moment exceeds the double range.
+    The recursion runs on the steps scaled by a power of two that brings the
+    longest to [1/2, 1); returns inf when the moment exceeds the double range.
     """
     d, e = _flat_steps(ds, n)
     a, b, c = 1.0, 0.0, 0.0
@@ -240,25 +220,14 @@ def flat_fourth_moment(ds, n):
     return _ldexp_or_inf(c, 4 * e)
 
 
-def flat_sigma(ds, n):
-    """Exact standard deviation of the flat squared displacement.
-
-    sigma^2 = (4/n) sum_{i<j} d_i^2 d_j^2, computed from the elementary
-    symmetric identity 2 sum_{i<j} = (sum d^2)^2 - sum d^4 on the steps
-    scaled by a power of two that brings the longest to [1/2, 1), so no
-    square overflows; returns inf when sigma itself exceeds the double range.
-    """
-    return _flat_sigma(*_flat_steps(ds, n), n)
-
-
 def flat_sigma_bound(ds, n):
     """Bound sigma <= sqrt(2 (n-1)) / n * sum_i d_i^2 for the squared displacement.
 
     Guaranteed whenever the number of steps M does not exceed the dimension n
     (the regime of interest, steps far fewer than dimensions); for M > n the
     sharp constant degrades to sqrt(2 (M-1) / (M n)) and this expression may
-    undershoot the true sigma.  Returns inf when the bound exceeds the
-    double range.
+    undershoot the true sigma, so a Prediction leaves its bound out there.
+    Returns inf when the bound exceeds the double range.
     """
     d, e = _flat_steps(ds, n)
     if d.shape[0] < 1:
@@ -297,32 +266,20 @@ def hyperbolic_expected_cosh(xis):
     return _exp_or_inf(hyperbolic_log_expected_cosh(xis))
 
 
-def hyperbolic_sigma(xis, n):
-    """Exact standard deviation of the hyperbolic chain inner product.
-
-    The recursion mirrors the sphere one with hyperbolic weights:
-
-        c_k = cosh^2 xi_k + sinh^2 xi_k / (n - 1)
-        s_k = sinh^2 xi_k / (n - 1)
-        a_k = c_k a_{k-1},   b_k = -s_k a_{k-1} + b_{k-1}
-
-    and sigma^2 = a_M + b_M - (prod cosh xi_i)^2.  Large schedules are
-    evaluated in log space to avoid overflow; returns inf when sigma itself
-    exceeds the double range.
-
-    Raises
-    ------
-    PrecisionLossError
-        When cancellation in sigma^2 leaves an estimated relative error above
-        1e-2 (for example, all arcs around 1e-9).  The value would be noise.
-    """
-    x = _arcs(xis)
-    _need_n(n, 3)
-    return _hyperbolic_sigma(x.tolist(), n)
-
-
 def _hyperbolic_sigma(arcs, n):
-    # hyperbolic_sigma on arcs, a sequence of floats >= 0, and a checked n.
+    # Exact sigma of the hyperbolic chain inner product for arcs, a sequence
+    # of floats >= 0, in dimension n >= 3.  The recursion mirrors the sphere
+    # one with hyperbolic weights:
+    #
+    #     c_k = cosh^2 xi_k + sinh^2 xi_k / (n - 1)
+    #     s_k = sinh^2 xi_k / (n - 1)
+    #     a_k = c_k a_{k-1},   b_k = -s_k a_{k-1} + b_{k-1}
+    #
+    # and sigma^2 = a_M + b_M - (prod cosh xi_i)^2.  Large schedules are
+    # evaluated in log space to avoid overflow; inf when sigma itself
+    # exceeds the double range.  Raises PrecisionLossError when cancellation
+    # in sigma^2 leaves an estimated relative error above 1e-2 (for example,
+    # all arcs around 1e-9): the value would be noise.
     m = len(arcs)
     if m <= 1 or not any(arcs):
         return 0.0
@@ -397,31 +354,6 @@ def _hyperbolic_bound(m, n, log_cosh):
         return _exp_or_inf(0.5 * math.log(growth) + log_cosh)
 
 
-def _spectrum_values(spectrum):
-    # Accept Spectrum instances or raw sequences without importing sampling.
-    values = getattr(spectrum, "values", spectrum)
-    return as_vector(values, "spectrum")
-
-
-def operator_norm_multiplier(spectrum):
-    """Concentration value of ||A u|| / ||u|| for A with the given spectrum.
-
-    Equals pnorm_pi(s, 2): conjugating by a Haar frame turns the fixed
-    spectrum into a random mixture, and the squared norm averages to the
-    probability second moment of the eigenvalues.
-    """
-    return _pnorm_pi(_spectrum_values(spectrum), 2)
-
-
-def operator_expected_cosine(spectrum):
-    """Concentration value of the cosine between u and A u.
-
-    mean(s) / pnorm_pi(s, 2).  A spectrum with zero trace gives exactly 0;
-    the all-zero spectrum has no direction and is rejected.
-    """
-    return _operator_cosine(_spectrum_values(spectrum))
-
-
 def _operator_cosine(s):
     denom = _pnorm_pi(s, 2)
     if denom == 0.0:
@@ -429,18 +361,17 @@ def _operator_cosine(s):
     return float(np.mean(s)) / denom
 
 
-def operator_product_cosine(spectra):
-    """Concentration value of the cosine after applying A_M ... A_1.
-
-    The product of the per-factor expected cosines; each factor's frame is
-    drawn independently, so the factors multiply.
-    """
-    return _operator_mean(map(_spectrum_values, spectra), "cosine")
-
-
 def _operator_mean(values, observable):
-    # The product of the per-factor observables over values, an iterable of
-    # checked spectrum arrays, consumed in order.
+    # Concentration value of the observable after applying A_M ... A_1, for
+    # values an iterable of checked spectrum arrays s, consumed in order.
+    # Each factor's frame is drawn independently, so the factors multiply.
+    # Conjugating by a Haar frame turns a fixed spectrum into a random
+    # mixture, so ||A u|| / ||u|| concentrates at pnorm_pi(s, 2), and the
+    # cosine between u and A u at mean(s) / pnorm_pi(s, 2): exactly 0 for a
+    # zero trace, undefined for the all-zero spectrum.  For the positive
+    # weights of a curvature path each cosine factor is at most 1
+    # (Cauchy-Schwarz), with equality exactly when a step sees equal
+    # curvatures.
     out = 1.0
     for s in values:
         out *= _operator_cosine(s) if observable == "cosine" else _pnorm_pi(s, 2)
@@ -453,8 +384,8 @@ class CurvaturePath:
     Each step is a pair (d_k, kappas_k) of a step length and the sectional
     curvatures kappa_1 .. kappa_{N-1} seen by that step.  Every entry must
     satisfy 1 + d_k kappa > 0, within the double range; the reciprocal
-    weights v = 1 / (1 + d kappa) are what the products below consume.  All
-    steps must list the same number of curvatures.
+    weights v = 1 / (1 + d kappa) are the spectra of the kappa geometry's
+    factors.  All steps must list the same number of curvatures.
     """
 
     __slots__ = ("steps",)
@@ -483,37 +414,14 @@ class CurvaturePath:
         self.steps = tuple(prepared)
 
     def weight_vectors(self):
-        """The per-step weight vectors v_k = 1 / (1 + d_k kappas_k), descending."""
-        # Spectrum order, so the products below match the kappa geometry's predictions bitwise.
-        return [-np.sort(-1.0 / (1.0 + d * k)) for d, k in self.steps]
+        """The per-step weight vectors v_k = 1 / (1 + d_k kappas_k)."""
+        return [1.0 / (1.0 + d * k) for d, k in self.steps]
 
     def __len__(self):
         return len(self.steps)
 
     def __repr__(self):
         return f"CurvaturePath(steps={len(self.steps)})"
-
-
-def kappa_norm_product(path):
-    """Product over steps of pnorm_pi(v_k, 2) for the path's weight vectors.
-
-    The norm multiplier accumulated along a curvature path.
-    """
-    if not isinstance(path, CurvaturePath):
-        path = CurvaturePath(path)
-    return _operator_mean(path.weight_vectors(), "norm_ratio")
-
-
-def kappa_cosine_product(path):
-    """Product over steps of pnorm_pi(v_k, 1) / pnorm_pi(v_k, 2).
-
-    The weights are positive, so pnorm_pi(v_k, 1) is mean(v_k).  Each factor
-    is at most 1 (Cauchy-Schwarz), so the product is a deviation measure in
-    (0, 1]: it equals 1 exactly when every step sees equal curvatures.
-    """
-    if not isinstance(path, CurvaturePath):
-        path = CurvaturePath(path)
-    return _operator_mean(path.weight_vectors(), "cosine")
 
 
 class PropositionBounds(NamedTuple):
@@ -568,21 +476,6 @@ def _sphere_moment(n, p0, p1=0):
     if out < _TINY:
         raise PrecisionLossError(f"E[t0^{p0} t1^{p1}] underflows the double range at this n")
     return out
-
-
-def monomial_integral(kind, n):
-    """Moments of coordinates under the uniform measure on the sphere in R^n.
-
-    kind "x1_sq" gives E[x_1^2] = 1/n, "x1_4" gives E[x_1^4] = 3/(n(n+2)),
-    and "x1sq_x2sq" gives E[x_1^2 x_2^2] = 1/(n(n+2)).  The three satisfy
-    n E[x_1^4] + n(n-1) E[x_1^2 x_2^2] = 1 since sum x_i^2 = 1.
-    """
-    if kind not in _MONOMIAL_KINDS:
-        raise ValueError(f"unknown monomial kind {kind!r}; expected one of {_MONOMIAL_KINDS}")
-    _need_n(n, 2)
-    if kind == "x1sq_x2sq" and n < 3:
-        raise ValueError("the mixed moment needs n >= 3")
-    return _sphere_moment(n, *_MONOMIALS[kind])
 
 
 def coordinate_marginal_density(t, n):
@@ -655,13 +548,8 @@ class Prediction:
             )
 
 
-def sphere_prediction(thetas, n):
-    """Bundle the sphere chain's mean, sigma, and bound for dimension n."""
-    return _sphere_prediction(_angles(thetas).tolist(), n)
-
-
 def _sphere_prediction(t, n):
-    # sphere_prediction on checked angles t, a sequence of floats.
+    # The sphere row's Prediction for checked angles t, a sequence of floats.
     mean, sigma = _sphere(t, n)
     return Prediction(
         observable="cosine",
@@ -672,18 +560,10 @@ def _sphere_prediction(t, n):
     )
 
 
-def flat_prediction(ds, n):
-    """Bundle the flat chain's squared-displacement mean, sigma, and bound.
-
-    The bound is omitted when the schedule has more steps than dimensions,
-    outside its validity domain.
-    """
-    return _flat_prediction(_steps(ds), n)
-
-
 def _flat_prediction(ds, n):
-    # flat_prediction on checked steps ds, a sequence of floats.
-    _need_n(n, 2)
+    # The flat row's Prediction for checked steps ds, a sequence of floats;
+    # the bound is left out where the schedule has more steps than
+    # dimensions, outside its validity domain.
     d, e = _scaled_steps(ds)
     m = d.shape[0]
     return Prediction(
@@ -695,15 +575,9 @@ def _flat_prediction(ds, n):
     )
 
 
-def hyperbolic_prediction(xis, n):
-    """Bundle the hyperbolic chain's mean, sigma, and bound for dimension n."""
-    return _hyperbolic_prediction(_arcs(xis).tolist(), n)
-
-
 def _hyperbolic_prediction(x, n):
-    # hyperbolic_prediction on checked arcs x, a sequence of floats; the
-    # log-cosh sum serves both the mean and the bound.
-    _need_n(n, 3)
+    # The hyperbolic row's Prediction for checked arcs x, a sequence of
+    # floats; the log-cosh sum serves both the mean and the bound.
     log_cosh = _log_cosh_sum(x)
     return Prediction(
         observable="minkowski_inner",
@@ -717,26 +591,8 @@ def _hyperbolic_prediction(x, n):
 _OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
 
 
-def operator_prediction(spectrum, observable="cosine"):
-    """Prediction for a single random symmetric factor applied to a unit vector.
-
-    The one-factor case of operator_product_prediction.
-    """
-    return operator_product_prediction([spectrum], observable)
-
-
-def operator_product_prediction(spectra, observable="cosine"):
-    """Prediction for a product of independent random symmetric factors."""
-    if observable not in _OPERATOR_OBSERVABLES:
-        raise ValueError(f"observable must be one of {_OPERATOR_OBSERVABLES}")
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("need at least one spectrum")
-    return _operator_prediction(map(_spectrum_values, spectra), observable)
-
-
 def _operator_prediction(values, observable):
-    # operator_product_prediction on checked spectrum arrays and observable.
+    # The operator rows' Prediction for checked spectrum arrays and observable.
     return Prediction(
         observable=observable,
         mean=_operator_mean(values, observable),
@@ -746,32 +602,30 @@ def _operator_prediction(values, observable):
     )
 
 
-def monomial_prediction(kind, n):
-    """Prediction for a coordinate monomial under the uniform sphere measure."""
+def _monomial_prediction(kind, n):
+    # The monomial row's Prediction for a kind of _MONOMIALS and n >= 2 (3
+    # for the mixed moment).  E[x_1^2] = 1/n, E[x_1^4] = 3/(n(n+2)) and
+    # E[x_1^2 x_2^2] = 1/(n(n+2)); the three satisfy
+    # n E[x_1^4] + n(n-1) E[x_1^2 x_2^2] = 1 since sum x_i^2 = 1.
     return Prediction(
         observable=kind,
-        mean=monomial_integral(kind, n),
+        mean=_sphere_moment(n, *_MONOMIALS[kind]),
         sigma_exact=None,
         sigma_bound=None,
         deviation_order="exact moment of the uniform sphere measure",
     )
 
 
-def marginal_moment_prediction(power, n):
-    """Prediction for E[t^power], t a single coordinate of a uniform sphere point.
-
-    (1 + t)/2 ~ Beta((n-1)/2, (n-1)/2), so E[t^(2k)] = prod_{j<k} (2j+1)/(n+2j)
-    and odd moments are 0.  sigma_exact is the standard deviation of
-    t^power: sqrt(E[t^(2 power)]) for odd powers, and mean * sqrt(R - 1) for
-    even ones, with R = E[t^(2 power)] / mean^2 >= 3/2 formed as a product
-    of ratios, so it neither cancels nor underflows.
-
-    Raises PrecisionLossError when a moment it needs underflows the double
-    range, as E[t^(2k)] does once n^k exceeds about 1e308.
-    """
-    if not isinstance(power, (int, np.integer)) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
-    _need_n(n, 2)
+def _marginal_prediction(power, n):
+    # The marginal row's Prediction for E[t^power], t a single coordinate of
+    # a uniform point on the sphere in R^n, power >= 1 and n >= 2.
+    # (1 + t)/2 ~ Beta((n-1)/2, (n-1)/2), so E[t^(2k)] = prod_{j<k}
+    # (2j+1)/(n+2j) and odd moments are 0.  sigma_exact is the standard
+    # deviation of t^power: sqrt(E[t^(2 power)]) for odd powers, and
+    # mean * sqrt(R - 1) for even ones, with R = E[t^(2 power)] / mean^2 >= 3/2
+    # formed as a product of ratios, so it neither cancels nor underflows.
+    # Raises PrecisionLossError when a moment it needs underflows the double
+    # range, as E[t^(2k)] does once n^k exceeds about 1e308.
     if power % 2:
         mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * power))
     else:
@@ -787,13 +641,3 @@ def marginal_moment_prediction(power, n):
         sigma_bound=None,
         deviation_order="exact Beta moment",
     )
-
-
-def __getattr__(name):
-    # prediction_for dispatches through the geometry table, which sits in
-    # randsteps.montecarlo beside the kernels; it stays importable from here.
-    if name == "prediction_for":
-        from .montecarlo import prediction_for
-
-        return prediction_for
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -50,14 +50,6 @@ class RandomStream:
             self._generator = np.random.Generator(np.random.SFC64(seq))
         return self._generator
 
-    def substream(self, index):
-        """Member `index` of the flat family this stream's seed identifies.
-
-        The Monte Carlo engine draws chunk k of an experiment from
-        substream(k) of its seed, so results do not depend on scheduling.
-        """
-        return RandomStream(self.seed, index)
-
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 

@@ -23,25 +23,13 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import pnorm_pi
-from .montecarlo import ExperimentSpec, estimate
+from .montecarlo import ExperimentSpec, estimate, prediction_for
 from .predictors import (
-    CurvaturePath,
     coordinate_marginal_density,
     flat_fourth_moment,
-    flat_sigma,
-    flat_sigma_bound,
     gaussian_abs_moment,
     gaussian_sq_std,
-    hyperbolic_prediction,
-    hyperbolic_sigma,
-    kappa_cosine_product,
-    marginal_moment_prediction,
-    monomial_prediction,
-    operator_prediction,
-    operator_product_prediction,
     pnorm_proposition_bounds,
-    sphere_prediction,
-    sphere_sigma,
 )
 from .sampling import RandomStream, Spectrum
 
@@ -136,7 +124,7 @@ def _c1_sphere_mean(workers):
 
 
 def _c2_sphere_std(c1_est, workers):
-    ratio1 = c1_est.sample_std / sphere_sigma((math.pi / 3,) * 5, 200)
+    ratio1 = c1_est.sample_std / prediction_for("sphere", (math.pi / 3,) * 5, 200).sigma_exact
     est = _run(workers, *_C2_RIGHT_ANGLE)
     ratio2 = est.sample_std / (1.0 / math.sqrt(100.0))
     row = CriterionResult(
@@ -158,7 +146,7 @@ def _c3_sphere_variance_oracle():
         m = int(gen.integers(1, 9))
         n = int(gen.integers(3, 13))
         thetas = gen.uniform(0.5, math.pi - 0.5, m)
-        sig2 = sphere_sigma(thetas, n) ** 2
+        sig2 = prediction_for("sphere", thetas, n).sigma_exact ** 2
         oracle = _sphere_sigma_sq_bracket(thetas, n)
         if oracle == 0.0:
             if sig2 != 0.0:
@@ -175,7 +163,7 @@ def _c3_sphere_variance_oracle():
 
 def _c4_right_angle(workers):
     schedule = (math.pi / 3, math.pi / 2, 2 * math.pi / 3)
-    pred = sphere_prediction(schedule, 50)
+    pred = prediction_for("sphere", schedule, 50)
     est = _run(workers, "sphere", 50, schedule, 10**5, 104)
     return CriterionResult(
         criterion="C4",
@@ -214,12 +202,11 @@ def _c6_flat_bound():
         m = int(gen.integers(1, 7))
         n = int(gen.integers(max(2, m), 51))
         ds = gen.uniform(0.0, 2.0, m)
-        sig = flat_sigma(ds, n)
-        bound = flat_sigma_bound(ds, n)
-        if sig > bound * (1.0 + 1e-12):
+        pred = prediction_for("flat", ds, n)
+        if pred.sigma_exact > pred.sigma_bound * (1.0 + 1e-12):
             ok = False
-        if bound > 0.0:
-            tightest = max(tightest, sig / bound)
+        if pred.sigma_bound > 0.0:
+            tightest = max(tightest, pred.sigma_exact / pred.sigma_bound)
     return CriterionResult(
         criterion="C6",
         description="flat sigma below its bound, steps at most dimension",
@@ -229,8 +216,8 @@ def _c6_flat_bound():
 
 
 def _c7_operator(workers):
-    pred_ratio = operator_prediction(_LINEAR_SPECTRUM, "norm_ratio")
-    pred_cos = operator_prediction(_LINEAR_SPECTRUM, "cosine")
+    pred_ratio = prediction_for("operator", _LINEAR_SPECTRUM, 400, "norm_ratio")
+    pred_cos = prediction_for("operator", _LINEAR_SPECTRUM, 400, "cosine")
     est_ratio = _run(workers, *_C7_NORM_RATIO)
     est_cos = _run(workers, *_C7_NORM_RATIO[:-1], "cosine")
     z_ratio = (est_ratio.mean - pred_ratio.mean) / est_ratio.std_error
@@ -259,7 +246,7 @@ def _c8_operator_product(single_cos_est, workers):
         m = int(gen.integers(1, 4))
         n = int(gen.integers(2, 9))
         spectra = [Spectrum(gen.uniform(0.0, 1.0, n)) for _ in range(m)]
-        if operator_product_prediction(spectra).mean < 0.0:
+        if prediction_for("operator_product", spectra, n).mean < 0.0:
             nonneg = False
     return CriterionResult(
         criterion="C8",
@@ -271,7 +258,7 @@ def _c8_operator_product(single_cos_est, workers):
 
 def _c9_hyperbolic(workers):
     schedule = (1.0, 1.0, 1.0)
-    pred = hyperbolic_prediction(schedule, 300)
+    pred = prediction_for("hyperbolic", schedule, 300)
     est = _run(workers, "hyperbolic", 300, schedule, 10**5, 109)
     z = (est.mean - pred.mean) / est.std_error
     ratio = est.sample_std / pred.sigma_exact
@@ -283,7 +270,7 @@ def _c9_hyperbolic(workers):
         m = int(gen.integers(2, 11))
         n = int(gen.integers(3, 31))
         xis = gen.uniform(0.3, 1.5, m)
-        sig2 = hyperbolic_sigma(xis, n) ** 2
+        sig2 = prediction_for("hyperbolic", xis, n).sigma_exact ** 2
         oracle = _hyperbolic_sigma_sq_subset_sum(xis, n)
         worst = max(worst, abs(sig2 - oracle) / oracle)
     return CriterionResult(
@@ -298,7 +285,7 @@ def _c10_monomials(workers):
     parts = []
     ok = True
     for kind, seed in (("x1_4", 110), ("x1sq_x2sq", 210)):
-        pred = monomial_prediction(kind, 10)
+        pred = prediction_for("monomial", kind, 10)
         est = _run(workers, "monomial", 10, kind, 10**6, seed)
         z = (est.mean - pred.mean) / est.std_error
         ok = ok and abs(z) <= 4.0
@@ -319,7 +306,7 @@ def _c11_marginal(workers):
     ok = True
     worst_quad = 0.0
     for power in (2, 4, 6, 8):
-        pred = marginal_moment_prediction(power, 100)
+        pred = prediction_for("marginal", power, 100)
         est = _run(workers, "marginal", 100, power, 10**5, 1100 + power)
         z = (est.mean - pred.mean) / est.std_error
         ok = ok and abs(z) <= 4.0
@@ -363,10 +350,10 @@ def _c12_proposition():
         for _ in range(int(gen2.integers(1, 4))):
             d = float(gen2.uniform(0.05, 1.5))
             steps.append((d, gen2.uniform(-0.5, 3.0, width)))
-        if kappa_cosine_product(CurvaturePath(steps)) > 1.0 + slack:
+        if prediction_for("kappa", steps, width).mean > 1.0 + slack:
             kappa_ok = False
-    equal = CurvaturePath([(0.7, (1.3, 1.3, 1.3)), (0.2, (0.5, 0.5, 0.5))])
-    kappa_ok = kappa_ok and abs(kappa_cosine_product(equal) - 1.0) <= 1e-12
+    equal = [(0.7, (1.3, 1.3, 1.3)), (0.2, (0.5, 0.5, 0.5))]
+    kappa_ok = kappa_ok and abs(prediction_for("kappa", equal, 3).mean - 1.0) <= 1e-12
     return CriterionResult(
         criterion="C12",
         description="probability-norm bounds and curvature cosine product",

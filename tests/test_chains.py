@@ -205,11 +205,9 @@ class TestOperatorProduct:
         s = Spectrum(np.arange(1, n + 1) / n)
         fast = np.empty(trials)
         dense = np.empty(trials)
-        base_fast = RandomStream(46)
-        base_dense = RandomStream(47)
         for i in range(trials):
-            fast[i] = run_operator_product([s, s], _e1(n), base_fast.substream(i)).cosine
-            dense[i] = operator_product_dense([s, s], base_dense.substream(i))[1]
+            fast[i] = run_operator_product([s, s], _e1(n), RandomStream(46, i)).cosine
+            dense[i] = operator_product_dense([s, s], RandomStream(47, i))[1]
         gap = fast.mean() - dense.mean()
         se = math.hypot(
             fast.std(ddof=1) / math.sqrt(trials), dense.std(ddof=1) / math.sqrt(trials)

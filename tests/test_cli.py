@@ -16,7 +16,7 @@ import pytest
 import randsteps
 from randsteps.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, main
 from randsteps.montecarlo import ExperimentSpec, compare, estimate, prediction_for
-from randsteps.predictors import CurvaturePath, kappa_cosine_product, kappa_norm_product
+from randsteps.predictors import CurvaturePath
 
 
 def run_cli(capsys, *argv):
@@ -94,8 +94,8 @@ class TestPredict:
         assert code == EXIT_PASS
         payload = parse_json(out)
         want = CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))])
-        assert payload["norm_product"] == kappa_norm_product(want)
-        assert payload["cosine_product"] == kappa_cosine_product(want)
+        assert payload["norm_product"] == prediction_for("kappa", want, 3, "norm_ratio").mean
+        assert payload["cosine_product"] == prediction_for("kappa", want, 3, "cosine").mean
 
     def test_kappa_simulates_as_operator_product(self, capsys, tmp_path):
         # kappa is operator_product over the spectra v_k = 1/(1 + d_k kappa_k),
@@ -130,7 +130,7 @@ class TestPredict:
         assert code in (EXIT_PASS, EXIT_FAIL)
         _, rows = parse_row_csv(out)
         assert rows[0]["verdict"] in ("pass", "fail")
-        want = kappa_cosine_product(CurvaturePath([(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))]))
+        want = prediction_for("kappa", [(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))], 3).mean
         assert float(rows[0]["prediction_mean"]) == want
 
     def test_precision_loss_exit_code(self, capsys):
@@ -149,6 +149,23 @@ class TestPredict:
         )
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [("sphere", "--angles", "1,1"), ("flat", "--steps", "1,1"), ("hyperbolic", "--arcs", "1,1")],
+        ids=lambda schedule: schedule[0],
+    )
+    def test_dimension_past_double_range_is_a_usage_error(self, capsys, schedule):
+        # These predictors divide by n in floats; predict rejects such an n
+        # as compare does, with compare's message.
+        geometry, flag, values = schedule
+        common = ("--geometry", geometry, flag, values, "--n-dim", str(10**400))
+        code, out, err = run_cli(capsys, "predict", *common)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: n_dim must be an integer in the double range, got 1000")
+        assert run_cli(capsys, "compare", *common, "--trials", "8", "--seed", "1") == (
+            EXIT_CONFIG, "", err,
+        )
 
     def test_hyperbolic_overflow_reports_inf(self, capsys):
         code, out, err = run_cli(

@@ -31,8 +31,9 @@ from randsteps.montecarlo import (
     _trial_values,
     compare,
     estimate,
+    prediction_for,
 )
-from randsteps.predictors import CurvaturePath, Prediction, prediction_for
+from randsteps.predictors import CurvaturePath, PrecisionLossError, Prediction
 from randsteps.sampling import RandomStream, Spectrum
 
 
@@ -146,6 +147,29 @@ class TestGeometryTable:
     def test_prediction_for_needs_a_dimension(self, geometry, schedule):
         with pytest.raises(ValueError, match=f"^{geometry} predictions need n_dim, got None$"):
             prediction_for(geometry, schedule, None)
+
+    @pytest.mark.parametrize(
+        "geometry, schedule, n",
+        [("sphere", (0.5, 1.0), 5.5), ("flat", (1.0,), 5.5), ("hyperbolic", (0.5,), 5.5),
+         ("monomial", "x1_sq", 5.5), ("marginal", 4, 5.5), ("sphere", (0.5,), 5.0),
+         ("operator", [0.5, 2.0], 2.0), ("kappa", [(1.0, (0.0, 0.5))], 2.0)],
+    )
+    def test_prediction_for_takes_an_integer_dimension(self, geometry, schedule, n):
+        # as ExperimentSpec does, with the same message
+        with pytest.raises(ValueError, match=f"^n_dim must be an integer in the double range, got {n}$"):
+            prediction_for(geometry, schedule, n)
+
+    @pytest.mark.parametrize(
+        "geometry, schedule", [("sphere", (0.5, 1.0)), ("flat", (1.0,)), ("hyperbolic", (0.5,))]
+    )
+    def test_float_predictors_cap_the_dimension(self, geometry, schedule):
+        with pytest.raises(ValueError, match="double range"):
+            prediction_for(geometry, schedule, 10**400)
+        # the moments run in exact integer ratios: such an n reaches them,
+        # and their underflow is a numeric failure, not a usage error
+        for geometry, schedule in (("marginal", 2), ("monomial", "x1_sq")):
+            with pytest.raises(PrecisionLossError):
+                prediction_for(geometry, schedule, 10**400)
 
     def test_operator_rows_take_the_dimension_from_the_spectra(self):
         path = CurvaturePath([(1.0, (0.0, 0.5, 2.0))])

@@ -1,6 +1,10 @@
-"""Closed-form predictors against hand-computed and independent oracles."""
+"""Closed-form predictors against hand-computed and independent oracles.
 
-import dataclasses
+prediction_for is the one checked entry to each mean and sigma; the public
+functions of randsteps.predictors are the dimension-free means, the bounds
+and the moment utilities beside it.
+"""
+
 import math
 import warnings
 
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randsteps import predictors
+from randsteps.montecarlo import prediction_for
 from randsteps.sampling import Spectrum
 from randsteps.predictors import (
     _sphere_moment,
@@ -20,31 +25,23 @@ from randsteps.predictors import (
     flat_expected_norm,
     flat_expected_sq_norm,
     flat_fourth_moment,
-    flat_prediction,
-    flat_sigma,
     flat_sigma_bound,
     gaussian_abs_moment,
     gaussian_sq_std,
     hyperbolic_expected_cosh,
-    hyperbolic_prediction,
-    hyperbolic_sigma,
     hyperbolic_sigma_bound,
-    kappa_cosine_product,
-    kappa_norm_product,
-    marginal_moment_prediction,
-    monomial_integral,
-    monomial_prediction,
-    operator_expected_cosine,
-    operator_norm_multiplier,
-    operator_product_cosine,
-    operator_product_prediction,
     pnorm_proposition_bounds,
-    prediction_for,
     sphere_expected_cosine,
-    sphere_prediction,
-    sphere_sigma,
     sphere_sigma_bound,
 )
+
+
+def _sigma(geometry, schedule, n):
+    return prediction_for(geometry, schedule, n).sigma_exact
+
+
+def _mean(geometry, schedule, n, observable=None):
+    return prediction_for(geometry, schedule, n, observable).mean
 
 
 class TestSphereExpectedCosine:
@@ -74,11 +71,11 @@ class TestSphereExpectedCosine:
 class TestSphereSigma:
     def test_two_right_angles_frozen(self):
         # recursion collapses to 1/sqrt(n-1) exactly for (pi/2, pi/2)
-        assert sphere_sigma((math.pi / 2, math.pi / 2), 101) == 0.1
+        assert _sigma("sphere", (math.pi / 2, math.pi / 2), 101) == 0.1
 
     def test_single_step_deterministic(self):
-        assert sphere_sigma((1.234,), 50) == 0.0
-        assert sphere_sigma((), 50) == 0.0
+        assert _sigma("sphere", (1.234,), 50) == 0.0
+        assert _sigma("sphere", (), 50) == 0.0
 
     def test_matches_expanded_bracket(self):
         # independent oracle: sigma^2 = sum_k s_k T_{k-1} (1 - prod_{j>k} cos^2)
@@ -101,7 +98,7 @@ class TestSphereSigma:
             n = int(gen.integers(3, 13))
             thetas = gen.uniform(0.5, math.pi - 0.5, size=m)
             np.testing.assert_allclose(
-                sphere_sigma(thetas, n), oracle(thetas, n), rtol=1e-12
+                _sigma("sphere", thetas, n), oracle(thetas, n), rtol=1e-12
             )
 
     def test_below_bound(self):
@@ -110,7 +107,7 @@ class TestSphereSigma:
             m = int(gen.integers(2, 7))
             n = int(gen.integers(3, 40))
             thetas = gen.uniform(0.0, math.pi, size=m)
-            sig = sphere_sigma(thetas, n)
+            sig = _sigma("sphere", thetas, n)
             bound = sphere_sigma_bound(thetas, n)
             assert sig <= bound * (1.0 + 1e-12)
 
@@ -119,7 +116,7 @@ class TestSphereSigma:
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match=">= 3"):
-            sphere_sigma((0.5, 0.5), 2)
+            _sigma("sphere", (0.5, 0.5), 2)
 
     @pytest.mark.parametrize(
         "thetas, n, want",
@@ -135,18 +132,18 @@ class TestSphereSigma:
         ],
     )
     def test_small_sigma_against_high_precision(self, thetas, n, want):
-        np.testing.assert_allclose(sphere_sigma(thetas, n), float(want), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(_sigma("sphere", thetas, n), float(want), rtol=1e-15, atol=0)
 
     def test_deterministic_chains_have_zero_sigma(self):
         # A first step of 0 or pi leaves the cosine at +-1, after which the
         # next step is deterministic too; the bound (np.sin(pi) > 0) must
         # not fall below sigma.
-        assert sphere_sigma((1.4001126639424055, 0.0), 3) == 0.0
-        pred = sphere_prediction((math.pi, 1.4198346486560234), 3)
+        assert _sigma("sphere", (1.4001126639424055, 0.0), 3) == 0.0
+        pred = prediction_for("sphere", (math.pi, 1.4198346486560234), 3)
         assert pred.sigma_exact == 0.0 <= pred.sigma_bound
         for m in (1, 2, 5):
-            assert sphere_sigma((math.pi,) * m, 3) == 0.0
-            assert sphere_sigma((math.pi - 1e-13,) * m, 3) == 0.0
+            assert _sigma("sphere", (math.pi,) * m, 3) == 0.0
+            assert _sigma("sphere", (math.pi - 1e-13,) * m, 3) == 0.0
 
 
 class TestFlatPredictors:
@@ -156,19 +153,19 @@ class TestFlatPredictors:
 
     def test_sigma_frozen(self):
         # sigma^2 = (4/n) d1^2 d2^2 = 0.04 for unit steps in n = 100
-        assert flat_sigma((1.0, 1.0), 100) == 0.2
-        assert flat_sigma((2.5,), 100) == 0.0
+        assert _sigma("flat", (1.0, 1.0), 100) == 0.2
+        assert _sigma("flat", (2.5,), 100) == 0.0
 
     def test_sigma_huge_steps_without_overflow(self):
         # sigma^2 = (4/n) d^4 for two equal steps: sqrt(4/3) * 1e300 at n = 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_allclose(
-                flat_sigma((1e150, 1e150), 3), math.sqrt(4.0 / 3.0) * 1e300, rtol=1e-15
+                _sigma("flat", (1e150, 1e150), 3), math.sqrt(4.0 / 3.0) * 1e300, rtol=1e-15
             )
-            assert flat_sigma((1e200, 1e200), 3) == math.inf
+            assert _sigma("flat", (1e200, 1e200), 3) == math.inf
             # M = n equal steps put sigma on its bound, up to rounding
-            pred = flat_prediction((1e150,) * 3, 3)
+            pred = prediction_for("flat", (1e150,) * 3, 3)
             np.testing.assert_allclose(pred.sigma_exact, pred.sigma_bound, rtol=1e-15)
 
     def test_means_and_bound_huge_steps_without_overflow(self):
@@ -217,7 +214,7 @@ class TestFlatPredictors:
             n = int(gen.integers(2, 200))
             ds = gen.uniform(0.1, 2.0, size=m)
             var = flat_fourth_moment(ds, n) - flat_expected_sq_norm(ds) ** 2
-            np.testing.assert_allclose(flat_sigma(ds, n) ** 2, var, rtol=1e-10)
+            np.testing.assert_allclose(_sigma("flat", ds, n) ** 2, var, rtol=1e-10)
 
     def test_sigma_below_bound(self):
         gen = np.random.default_rng(93)
@@ -225,12 +222,15 @@ class TestFlatPredictors:
             m = int(gen.integers(1, 7))
             n = int(gen.integers(max(m, 2), 50))
             ds = gen.uniform(0.0, 2.0, size=m)
-            assert flat_sigma(ds, n) <= flat_sigma_bound(ds, n) * (1.0 + 1e-12)
+            assert _sigma("flat", ds, n) <= flat_sigma_bound(ds, n) * (1.0 + 1e-12)
 
     def test_prediction_omits_bound_when_steps_exceed_dims(self):
-        pred = flat_prediction((1.0,) * 5, 3)
+        pred = prediction_for("flat", (1.0,) * 5, 3)
         assert pred.sigma_bound is None
-        assert flat_prediction((1.0,) * 3, 3).sigma_bound is not None
+        assert prediction_for("flat", (1.0,) * 3, 3).sigma_bound is not None
+        # the public bound still gives sqrt(2 (n - 1)) / n * sum d^2 = 10/3
+        # there: the reason flat_sigma_bound stays public
+        np.testing.assert_allclose(flat_sigma_bound((1.0,) * 5, 3), 10.0 / 3.0, rtol=1e-15)
 
 
 class TestHyperbolicPredictors:
@@ -246,22 +246,22 @@ class TestHyperbolicPredictors:
         # subset-sum oracle for M = 2: sigma = sinh(x1) sinh(x2) / sqrt(n-1)
         n, x1, x2 = 5, 0.7, 1.1
         want = math.sinh(x1) * math.sinh(x2) / math.sqrt(n - 1)
-        np.testing.assert_allclose(hyperbolic_sigma((x1, x2), n), want, rtol=1e-12)
+        np.testing.assert_allclose(_sigma("hyperbolic", (x1, x2), n), want, rtol=1e-12)
 
     def test_sigma_log_branch_matches_closed_form(self):
         # arcs large enough to force the log-space evaluation
         n, xi = 4, 200.0
         want = math.exp(2 * (xi - math.log(2.0)) - 0.5 * math.log(n - 1))
-        np.testing.assert_allclose(hyperbolic_sigma((xi, xi), n), want, rtol=1e-12)
+        np.testing.assert_allclose(_sigma("hyperbolic", (xi, xi), n), want, rtol=1e-12)
 
     def test_sigma_huge_arcs_overflow_to_inf(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hyperbolic_sigma((300.0, 300.0, 300.0), 10) == math.inf
-            assert hyperbolic_sigma((400.0, 400.0), 10) == math.inf
+            assert _sigma("hyperbolic", (300.0, 300.0, 300.0), 10) == math.inf
+            assert _sigma("hyperbolic", (400.0, 400.0), 10) == math.inf
             for arc in (1e15, 1e16, 1e100, 1e200, 1e308):
-                assert hyperbolic_sigma((arc, arc), 10) == math.inf
-                assert hyperbolic_sigma((arc, 0.5, arc), 3) == math.inf
+                assert _sigma("hyperbolic", (arc, arc), 10) == math.inf
+                assert _sigma("hyperbolic", (arc, 0.5, arc), 3) == math.inf
 
     @pytest.mark.parametrize(
         "xis, n, want",
@@ -276,7 +276,7 @@ class TestHyperbolicPredictors:
         ],
     )
     def test_sigma_log_branch_against_high_precision(self, xis, n, want):
-        np.testing.assert_allclose(hyperbolic_sigma(xis, n), float(want), rtol=1e-11)
+        np.testing.assert_allclose(_sigma("hyperbolic", xis, n), float(want), rtol=1e-11)
 
     def test_sigma_bound_huge_arcs_overflow_to_inf(self):
         assert hyperbolic_sigma_bound((300.0, 300.0, 300.0), 10) == math.inf
@@ -293,12 +293,19 @@ class TestHyperbolicPredictors:
         np.testing.assert_allclose(hyperbolic_sigma_bound((1.0, 1.0), 10**20 + 1), want, rtol=1e-14)
 
     def test_sigma_single_arc_deterministic(self):
-        assert hyperbolic_sigma((2.0,), 10) == 0.0
-        assert hyperbolic_sigma((0.0, 0.0), 10) == 0.0
+        assert _sigma("hyperbolic", (2.0,), 10) == 0.0
+        assert _sigma("hyperbolic", (0.0, 0.0), 10) == 0.0
 
     def test_tiny_arcs_raise_precision_loss(self):
         with pytest.raises(PrecisionLossError):
-            hyperbolic_sigma((1e-9, 1e-9), 3)
+            _sigma("hyperbolic", (1e-9, 1e-9), 3)
+        # where the row raises, the bound sqrt((n/(n-1))^(M-1) - 1) prod cosh
+        # stays finite: the reason hyperbolic_sigma_bound stays public
+        arcs = (1e-9, 1.3e-9, 0.7e-9)
+        with pytest.raises(PrecisionLossError):
+            prediction_for("hyperbolic", arcs, 3)
+        want = math.sqrt(1.5**2 - 1.0) * math.prod(math.cosh(x) for x in arcs)
+        np.testing.assert_allclose(hyperbolic_sigma_bound(arcs, 3), want, rtol=1e-15)
 
     def test_sigma_below_bound(self):
         gen = np.random.default_rng(94)
@@ -306,7 +313,7 @@ class TestHyperbolicPredictors:
             m = int(gen.integers(2, 8))
             n = int(gen.integers(3, 30))
             xis = gen.uniform(0.3, 1.5, size=m)
-            sig = hyperbolic_sigma(xis, n)
+            sig = _sigma("hyperbolic", xis, n)
             assert sig <= hyperbolic_sigma_bound(xis, n) * (1.0 + 1e-12)
 
 
@@ -315,24 +322,24 @@ class TestOperatorPredictors:
         s = np.arange(1, 401) / 400.0
         # sqrt of the probability second moment: sum j^2 / (400^3)
         want = math.sqrt(21413400 / 64000000)
-        np.testing.assert_allclose(operator_norm_multiplier(s), want, rtol=1e-13)
+        np.testing.assert_allclose(_mean("operator", s, 400, "norm_ratio"), want, rtol=1e-13)
 
     def test_expected_cosine_is_mean_over_rms(self):
         s = np.array([0.2, 0.5, 1.0, 0.3])
         want = s.mean() / math.sqrt((s**2).mean())
-        np.testing.assert_allclose(operator_expected_cosine(s), want, rtol=1e-14)
+        np.testing.assert_allclose(_mean("operator", s, 4), want, rtol=1e-14)
 
     def test_zero_trace_gives_zero_cosine(self):
-        assert operator_expected_cosine([1.0, -1.0]) == 0.0
+        assert _mean("operator", [1.0, -1.0], 2) == 0.0
 
     def test_all_zero_spectrum_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
-            operator_expected_cosine([0.0, 0.0])
+            prediction_for("operator", [0.0, 0.0], 2)
 
     def test_product_cosine_multiplies(self):
         a, b = [0.2, 0.9, 0.4], [1.0, 0.5, 0.25]
-        want = operator_expected_cosine(a) * operator_expected_cosine(b)
-        np.testing.assert_allclose(operator_product_cosine([a, b]), want, rtol=1e-14)
+        want = _mean("operator", a, 3) * _mean("operator", b, 3)
+        np.testing.assert_allclose(_mean("operator_product", [a, b], 3), want, rtol=1e-14)
 
     def test_psd_spectra_give_nonnegative_cosine(self):
         gen = np.random.default_rng(95)
@@ -340,12 +347,12 @@ class TestOperatorPredictors:
             m = int(gen.integers(1, 4))
             n = int(gen.integers(2, 9))
             spectra = [gen.uniform(0.0, 1.0, size=n) + 1e-6 for _ in range(m)]
-            assert operator_product_cosine(spectra) >= 0.0
+            assert _mean("operator_product", spectra, n) >= 0.0
 
     def test_product_prediction_norm_ratio(self):
         s = [0.5, 1.0]
-        pred = operator_product_prediction([s, s], observable="norm_ratio")
-        np.testing.assert_allclose(pred.mean, operator_norm_multiplier(s) ** 2, rtol=1e-14)
+        pred = prediction_for("operator_product", [s, s], 2, observable="norm_ratio")
+        np.testing.assert_allclose(pred.mean, _mean("operator", s, 2, "norm_ratio") ** 2, rtol=1e-14)
 
 
 class TestCurvatureProducts:
@@ -354,12 +361,12 @@ class TestCurvatureProducts:
         path = CurvaturePath([(1.0, (0.0, 0.0, 2.0))])
         v = np.array([1.0, 1.0, 1.0 / 3.0])
         p1, p2 = v.mean(), math.sqrt((v**2).mean())
-        np.testing.assert_allclose(kappa_norm_product(path), p2, rtol=1e-14)
-        np.testing.assert_allclose(kappa_cosine_product(path), p1 / p2, rtol=1e-14)
+        np.testing.assert_allclose(_mean("kappa", path, 3, "norm_ratio"), p2, rtol=1e-14)
+        np.testing.assert_allclose(_mean("kappa", path, 3), p1 / p2, rtol=1e-14)
 
     def test_equal_curvatures_give_cosine_one(self):
         path = CurvaturePath([(0.7, (1.3, 1.3, 1.3)), (0.2, (0.5, 0.5, 0.5))])
-        np.testing.assert_allclose(kappa_cosine_product(path), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_mean("kappa", path, 3), 1.0, rtol=0, atol=1e-12)
 
     def test_cosine_product_at_most_one(self):
         gen = np.random.default_rng(96)
@@ -369,20 +376,25 @@ class TestCurvatureProducts:
                 (float(gen.uniform(0.05, 1.5)), gen.uniform(-0.5, 3.0, size=width))
                 for _ in range(int(gen.integers(1, 4)))
             ]
-            assert kappa_cosine_product(CurvaturePath(steps)) <= 1.0 + 1e-12
+            assert _mean("kappa", CurvaturePath(steps), width) <= 1.0 + 1e-12
 
     def test_prediction_for_kappa_is_the_products(self):
+        # prod_k pnorm_pi(v_k, 2) and prod_k mean(v_k) / pnorm_pi(v_k, 2) over
+        # the weights v_k = 1 / (1 + d_k kappa_k), formed here term by term
         gen = np.random.default_rng(61)
         for _ in range(50):
             width = int(gen.integers(1, 8))
-            path = CurvaturePath([
+            steps = [
                 (float(gen.uniform(0.05, 1.5)), gen.uniform(-0.5, 3.0, size=width))
                 for _ in range(int(gen.integers(1, 5)))
-            ])
-            norm = prediction_for("kappa", path, width, "norm_ratio")
-            cosine = prediction_for("kappa", path, width)
-            assert norm.mean == kappa_norm_product(path)
-            assert cosine.mean == kappa_cosine_product(path)
+            ]
+            weights = [[1.0 / (1.0 + d * k) for k in kappas] for d, kappas in steps]
+            rms = [math.sqrt(math.fsum(w * w for w in v) / width) for v in weights]
+            norm = math.prod(rms)
+            cosine = math.prod(math.fsum(v) / width / r for v, r in zip(weights, rms))
+            path = CurvaturePath(steps)
+            np.testing.assert_allclose(_mean("kappa", path, width, "norm_ratio"), norm, rtol=1e-13)
+            np.testing.assert_allclose(_mean("kappa", path, width), cosine, rtol=1e-13)
 
     def test_rejects_singular_weight(self):
         with pytest.raises(ValueError, match="singular"):
@@ -435,21 +447,21 @@ class TestPropositionBounds:
 
 class TestSphereMoments:
     def test_monomial_values(self):
-        assert monomial_integral("x1_sq", 10) == 0.1
-        assert monomial_integral("x1_4", 10) == 0.025
-        np.testing.assert_allclose(monomial_integral("x1sq_x2sq", 10), 1 / 120, rtol=1e-15)
+        assert _mean("monomial", "x1_sq", 10) == 0.1
+        assert _mean("monomial", "x1_4", 10) == 0.025
+        np.testing.assert_allclose(_mean("monomial", "x1sq_x2sq", 10), 1 / 120, rtol=1e-15)
 
     def test_monomial_partition_identity(self):
         # n E[x1^4] + n(n-1) E[x1^2 x2^2] = E[x1^2] summed over sum x_i^2 = 1
         for n in (3, 7, 20):
-            total = n * monomial_integral("x1_4", n) + n * (n - 1) * monomial_integral(
-                "x1sq_x2sq", n
+            total = n * _mean("monomial", "x1_4", n) + n * (n - 1) * _mean(
+                "monomial", "x1sq_x2sq", n
             )
             np.testing.assert_allclose(total, 1.0, rtol=1e-12)
 
     def test_monomial_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            monomial_integral("x1_6", 10)
+        with pytest.raises(ValueError, match="monomial schedule must be one of"):
+            prediction_for("monomial", "x1_6", 10)
 
     def test_marginal_density_uniform_at_n3(self):
         # n = 3 marginal is uniform on [-1, 1]
@@ -464,9 +476,9 @@ class TestSphereMoments:
             np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
     def test_marginal_moment_matches_monomial(self):
-        np.testing.assert_allclose(marginal_moment_prediction(2, 5).mean, 0.2, rtol=1e-12)
+        np.testing.assert_allclose(prediction_for("marginal", 2, 5).mean, 0.2, rtol=1e-12)
         np.testing.assert_allclose(
-            marginal_moment_prediction(4, 10).mean, 0.025, rtol=1e-11
+            prediction_for("marginal", 4, 10).mean, 0.025, rtol=1e-11
         )
 
     @pytest.mark.parametrize("n", [2, 3, 10**4, 10**6])
@@ -475,7 +487,7 @@ class TestSphereMoments:
             return 0.0 if p % 2 else math.prod((2 * j + 1) / (n + 2 * j) for j in range(p // 2))
 
         for p in range(1, 9):
-            pred = marginal_moment_prediction(p, n)
+            pred = prediction_for("marginal", p, n)
             if p % 2:
                 assert pred.mean == 0.0
             np.testing.assert_allclose(pred.mean, moment(p), rtol=1e-12)
@@ -484,24 +496,24 @@ class TestSphereMoments:
 
     def test_monomials_are_coordinate_moments(self):
         for n in (3, 10, 10**6):
-            assert monomial_integral("x1_sq", n) == _sphere_moment(n, 2)
-            assert monomial_integral("x1_4", n) == _sphere_moment(n, 4)
-            assert monomial_integral("x1sq_x2sq", n) == _sphere_moment(n, 2, 2)
+            assert _mean("monomial", "x1_sq", n) == _sphere_moment(n, 2)
+            assert _mean("monomial", "x1_4", n) == _sphere_moment(n, 4)
+            assert _mean("monomial", "x1sq_x2sq", n) == _sphere_moment(n, 2, 2)
             np.testing.assert_allclose(_sphere_moment(n, 2), 1 / n, rtol=1e-15)
             np.testing.assert_allclose(_sphere_moment(n, 4), 3 / (n * (n + 2)), rtol=1e-15)
             np.testing.assert_allclose(_sphere_moment(n, 2, 2), 1 / (n * (n + 2)), rtol=1e-15)
-        assert monomial_prediction("x1_4", 10).sigma_exact is None
+        assert _sigma("monomial", "x1_4", 10) is None
 
     def test_underflowing_moment_raises(self):
         with pytest.raises(PrecisionLossError):
-            marginal_moment_prediction(8, 10**80)
+            prediction_for("marginal", 8, 10**80)
         with pytest.raises(PrecisionLossError):
-            marginal_moment_prediction(1, 10**400)  # sigma needs E[t^2] = 1/n
+            prediction_for("marginal", 1, 10**400)  # sigma needs E[t^2] = 1/n
         with pytest.raises(PrecisionLossError):
-            monomial_integral("x1sq_x2sq", 10**160)
+            prediction_for("monomial", "x1sq_x2sq", 10**160)
 
     def test_odd_marginal_moment_vanishes(self):
-        np.testing.assert_allclose(marginal_moment_prediction(3, 8).mean, 0.0, atol=1e-13)
+        np.testing.assert_allclose(prediction_for("marginal", 3, 8).mean, 0.0, atol=1e-13)
 
     def test_gaussian_moments(self):
         assert gaussian_abs_moment(2.0) == pytest.approx(1.0, abs=1e-15)
@@ -512,13 +524,13 @@ class TestSphereMoments:
 
 class TestPredictionBundles:
     def test_sphere_bundle_fields(self):
-        pred = sphere_prediction((math.pi / 3,) * 5, 200)
+        pred = prediction_for("sphere", (math.pi / 3,) * 5, 200)
         assert pred.observable == "cosine"
         np.testing.assert_allclose(pred.mean, 0.03125, rtol=1e-14)
         assert 0.0 < pred.sigma_exact <= pred.sigma_bound * (1.0 + 1e-12)
 
     def test_hyperbolic_bundle_fields(self):
-        pred = hyperbolic_prediction((1.0, 1.0, 1.0), 300)
+        pred = prediction_for("hyperbolic", (1.0, 1.0, 1.0), 300)
         assert pred.observable == "minkowski_inner"
         np.testing.assert_allclose(pred.mean, math.cosh(1.0) ** 3, rtol=1e-14)
 
@@ -548,7 +560,7 @@ def _bits(*values):
 
 
 class TestPredictionForRows:
-    """prediction_for's rows run the same cores as the public predictors."""
+    """The public functions beside prediction_for run the same cores as its rows."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_public_predictors_bitwise(self, seed):
@@ -558,40 +570,32 @@ class TestPredictionForRows:
                 t = tuple(gen.uniform(0.0, math.pi, m))
                 if m > 2:
                     t = (math.pi / 2, math.pi) + t[2:]
-                want = (sphere_expected_cosine(t), sphere_sigma(t, n),
-                        sphere_sigma_bound(t, n) if m else 0.0)
                 pred = prediction_for("sphere", t, n)
-                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
-                assert _bits(*dataclasses.astuple(sphere_prediction(t, n))[1:4]) == _bits(*want)
+                want = (sphere_expected_cosine(t), sphere_sigma_bound(t, n) if m else 0.0)
+                assert _bits(pred.mean, pred.sigma_bound) == _bits(*want)
 
                 d = tuple(gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-100, 100, m))
                 bound = flat_sigma_bound(d, n) if 0 < m <= n else (0.0 if m == 0 else None)
-                want = (flat_expected_sq_norm(d), flat_sigma(d, n), bound)
                 pred = prediction_for("flat", d, n)
-                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
-                assert _bits(*dataclasses.astuple(flat_prediction(d, n))[1:4]) == _bits(*want)
+                assert _bits(pred.mean, pred.sigma_bound) == _bits(flat_expected_sq_norm(d), bound)
 
                 # Arcs up to 200 reach the log-space branch of the sigma recursion.
                 x = tuple(gen.uniform(0.05, 2.0, m) * 10.0 ** gen.integers(0, 3, m))
-                want = (hyperbolic_expected_cosh(x), hyperbolic_sigma(x, n),
-                        hyperbolic_sigma_bound(x, n) if m else 0.0)
                 pred = prediction_for("hyperbolic", x, n)
-                assert _bits(pred.mean, pred.sigma_exact, pred.sigma_bound) == _bits(*want)
-                assert _bits(*dataclasses.astuple(hyperbolic_prediction(x, n))[1:4]) == _bits(*want)
+                want = (hyperbolic_expected_cosh(x), hyperbolic_sigma_bound(x, n) if m else 0.0)
+                assert _bits(pred.mean, pred.sigma_bound) == _bits(*want)
         for n in (2, 10, 1000):
             lists = [gen.uniform(-0.5, 2.0, n).tolist() for _ in range(3)]
             spectra = [Spectrum(v) for v in lists]
-            ratio = operator_norm_multiplier(spectra[0])
+            ratio = _mean("operator", spectra[0], n, "norm_ratio")
+            cosine = _mean("operator", spectra[0], n)
             for factor in spectra[1:]:
-                ratio *= operator_norm_multiplier(factor)
+                ratio *= _mean("operator", factor, n, "norm_ratio")
+                cosine *= _mean("operator", factor, n)
             # Lists become (sorted) Spectrum first, so both forms give the same bits.
             for schedule in (lists, spectra):
-                cosine = prediction_for("operator_product", schedule, n).mean
-                assert _bits(cosine) == _bits(operator_product_cosine(spectra))
-                pred = prediction_for("operator_product", schedule, n, "norm_ratio")
-                assert _bits(pred.mean) == _bits(ratio)
-                one = prediction_for("operator", schedule[0], n).mean
-                assert _bits(one) == _bits(operator_expected_cosine(spectra[0]))
+                assert _bits(_mean("operator_product", schedule, n)) == _bits(cosine)
+                assert _bits(_mean("operator_product", schedule, n, "norm_ratio")) == _bits(ratio)
 
     def test_schedule_checked_once(self, monkeypatch):
         names = []

@@ -37,13 +37,6 @@ class TestRandomStream:
         b = RandomStream(123, 1).generator.standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_substream_addressing(self):
-        s = RandomStream(9)
-        sub = s.substream(7)
-        assert (sub.seed, sub.stream_id) == (9, 7)
-        direct = RandomStream(9, 7).generator.standard_normal(10)
-        np.testing.assert_array_equal(sub.generator.standard_normal(10), direct)
-
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError, match="64-bit"):
             RandomStream(-1)
