@@ -592,16 +592,30 @@ def _exact_sum(x):
     return math.fsum(values)
 
 
+def _exponent(x):
+    # e with 2^(e-1) <= |x| < 2^e for finite nonzero x; for 0, an exponent
+    # below every double's, and 0 for inf and nan, which then go unscaled.
+    return math.frexp(x)[1] if x else -1100
+
+
 def _chunk_stats(spec, index, count):
-    """Exact (count, mean, M2) for chunk index of spec; pure in its arguments."""
+    """Exact (count, mean, M2 / 4^e, e) for chunk index of spec; pure in its arguments.
+
+    The deviations from the mean are scaled by 2^-e, with 2^e just above the
+    largest, before they are squared, so M2 neither overflows nor underflows.
+    Scaling by a power of two is exact, so the scaled M2 is the unscaled one's
+    bits wherever its squares stayed in the normal range.
+    """
     values = _trial_values(spec, index, count)
     mean = _exact_sum(values) / count
     with np.errstate(over="ignore", invalid="ignore"):
         d = values - mean
+        e = _exponent(float(np.abs(d).max()))
+        d = np.ldexp(d, -e)
         m2 = _exact_sum(d * d)
     if m2 == math.inf:
-        raise OverflowError(f"squared deviation from the chunk mean {mean!r} overflows")
-    return count, mean, m2
+        raise OverflowError(f"deviation from the chunk mean {mean!r} overflows")
+    return count, mean, m2, e
 
 
 def estimate(spec, workers=1):
@@ -635,17 +649,20 @@ def estimate(spec, workers=1):
         with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
             futures = [pool.submit(_chunk_stats, *task) for task in tasks]
         stats = [f.result() for f in futures]
-    count, mean, m2 = stats[0]
-    for k, m, s2 in stats[1:]:
+    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent.
+    count, mean, m2, e = stats[0]
+    for k, m, s2, f in stats[1:]:
         total = count + k
         delta = m - mean
         mean = mean + delta * (k / total)
-        m2 = m2 + s2 + delta * delta * (count * k / total)
-        count = total
+        g = max(e, f, _exponent(delta))
+        dd = math.ldexp(delta, -g)
+        m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g)) + dd * dd * (count * k / total)
+        count, e = total, g
     if count != spec.trials:
         raise AssertionError(f"aggregated {count} of {spec.trials} trials")
     single = spec.trials < 2
-    sample_std = 0.0 if single else math.sqrt(max(m2 / (spec.trials - 1), 0.0))
+    sample_std = 0.0 if single else math.ldexp(math.sqrt(max(m2 / (spec.trials - 1), 0.0)), e)
     return MonteCarloEstimate(
         mean=mean,
         sample_std=sample_std,

@@ -348,6 +348,27 @@ class TestCompare:
         pred = prediction_for("operator", [s], n, "norm_ratio")
         assert (est.mean - pred.mean) / est.std_error < -4.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--geometry", "flat", "--n-dim", "3", "--steps", "1e150,1e150", "--trials", "2048"),
+            ("--geometry", "hyperbolic", "--n-dim", "3", "--arcs", "150,150,150", "--trials", "2048"),
+            ("--geometry", "marginal", "--power", "2", "--n-dim", str(10**300), "--trials", "20000"),
+        ],
+        ids=["flat-1e150", "hyperbolic-150", "marginal-n1e300"],
+    )
+    def test_spread_past_the_square_range_ends_in_a_verdict(self, capsys, argv):
+        # Deviations of about 1e300, 1e194 and 1e-300, whose squares leave
+        # the double range: the chunk statistics scale them, so each run
+        # ends in a verdict with the spread measured.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "compare", *argv, "--seed", "1", "--output", "json")
+        assert code == EXIT_PASS, err
+        row = parse_json(out)[0]
+        assert row["verdict"] == "pass"
+        assert 0.9 <= row["std_ratio"] <= 1.1
+
     def test_hyperbolic_with_std_gate(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "50",

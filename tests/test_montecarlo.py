@@ -383,13 +383,71 @@ class TestChunkStats:
         values = _trial_values(spec, 0, 2048).tolist()
         mean = math.fsum(values) / len(values)
         want = math.fsum((v - mean) ** 2 for v in values)
-        assert _chunk_stats(spec, 0, 2048) == (2048, mean, pytest.approx(want, rel=1e-15))
+        count, got_mean, m2, e = _chunk_stats(spec, 0, 2048)
+        assert (count, got_mean) == (2048, mean)
+        assert math.ldexp(m2, 2 * e) == pytest.approx(want, rel=1e-15)
 
-    def test_overflowing_square_raises_without_warning(self):
-        spec = ExperimentSpec("flat", 3, (1e150, 1e150), 100, 1)
+    def test_deviations_scale_into_range(self):
+        # M2 is carried as (M2 / 4^e, e) with 2^e just above the largest
+        # deviation, so its scaled value lies in [1/4, count).
+        spec = ExperimentSpec("hyperbolic", 9, (0.4, 1.2, 0.8), 2048, 3)
+        _, mean, m2, e = _chunk_stats(spec, 0, 2048)
+        d = _trial_values(spec, 0, 2048) - mean
+        assert 2.0 ** (e - 1) <= np.abs(d).max() < 2.0**e
+        assert 0.25 <= m2 < 2048
+
+    @pytest.mark.parametrize(
+        "geometry, n, schedule",
+        [("flat", 3, (1e150, 1e150)), ("hyperbolic", 3, (150.0,) * 3), ("flat", 5, (1e-150,) * 2)],
+        ids=["flat-1e150", "hyperbolic-150", "flat-1e-150"],
+    )
+    def test_spread_past_the_square_range(self, geometry, n, schedule):
+        # Squared deviations of about 1e600, 1e388 and 1e-600 leave the
+        # double range; the scaled statistics still give the spread, without
+        # a warning, and the same at any worker count.
+        spec = ExperimentSpec(geometry, n, schedule, 3 * 2048 + 5, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+            assert estimate(spec, workers=2) == est
+        sigma = prediction_for(geometry, schedule, n).sigma_exact
+        assert 0.9 <= est.sample_std / sigma <= 1.1
+
+    def test_merge_rescales_like_the_unscaled_sum(self):
+        # Chunks at different exponents merge to the unscaled merge's bits.
+        spec = ExperimentSpec("flat", 4, (0.5, 2.0, 1.0), 2 * 2048 + 7, 13)
+        chunks = [_chunk_stats(spec, k, c) for k, c in enumerate((2048, 2048, 7))]
+        count, mean, m2 = chunks[0][0], chunks[0][1], math.ldexp(chunks[0][2], 2 * chunks[0][3])
+        for k, m, s2, f in chunks[1:]:
+            total = count + k
+            delta = m - mean
+            mean = mean + delta * (k / total)
+            m2 = m2 + math.ldexp(s2, 2 * f) + delta * delta * (count * k / total)
+            count = total
+        est = estimate(spec)
+        assert est.mean == mean
+        assert est.sample_std == math.sqrt(m2 / (spec.trials - 1))
+
+    def test_spread_past_double_range_raises_without_warning(self, monkeypatch):
+        # Deviations of 1.7e308 fit, but the spread does not.
+        monkeypatch.setattr(
+            montecarlo, "_trial_values", lambda *task: np.array([1.7e308, -1.7e308])
+        )
+        spec = ExperimentSpec("flat", 3, (1.0,), 2, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
+                estimate(spec)
+
+    def test_overflowing_square_raises_without_warning(self, monkeypatch):
+        # Squares no longer overflow once scaled, but a deviation still can.
+        monkeypatch.setattr(
+            montecarlo, "_trial_values", lambda *task: np.array([1.7e308, -1.7e308, 1.7e308])
+        )
+        spec = ExperimentSpec("flat", 3, (1.0,), 3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="deviation from the chunk mean"):
                 estimate(spec)
 
     def test_infinite_observable_gives_nan_spread_without_warning(self, monkeypatch):
@@ -397,8 +455,8 @@ class TestChunkStats:
         spec = ExperimentSpec("flat", 3, (1.0,), 2, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            count, mean, m2 = _chunk_stats(spec, 0, 2)
-        assert mean == math.inf and math.isnan(m2)
+            count, mean, m2, e = _chunk_stats(spec, 0, 2)
+        assert mean == math.inf and math.isnan(m2) and e == 0
 
 
 def _fsum_outcome(values):
