@@ -42,7 +42,6 @@ standardized z-scores.
 """
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -59,6 +58,7 @@ from .predictors import (
     Prediction,
     _angles,
     _arcs,
+    _dimension,
     _flat_prediction,
     _hyperbolic_prediction,
     _marginal_prediction,
@@ -95,13 +95,6 @@ _CHUNK = 2048
 _BLOCK_DRAWS = 1 << 17
 # Cap on _exact_sum's extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
-
-
-def _dimension(n, capped=True):
-    # n as an int, checked to be an integer and, if capped, within the double range.
-    if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
-        raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True)

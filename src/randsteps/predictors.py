@@ -21,6 +21,7 @@ inner), not of any derived quantity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -74,9 +75,19 @@ def _steps(values):
     return _schedule_vector(values, "steps")
 
 
+def _dimension(n, capped=True):
+    # n as an int, checked to be an integer and, if capped, within the double range.
+    if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
+        raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
+    return int(n)
+
+
 def _need_n(n, least):
+    # n as _dimension gives it, capped: the public functions take n in floats.
+    n = _dimension(n)
     if n < least:
         raise ValueError(f"n must be >= {least}, got {n}")
+    return n
 
 
 def _sphere(t, n):
@@ -132,7 +143,7 @@ def sphere_sigma_bound(thetas, n):
     equality at (pi/2, pi/2).
     """
     t = _angles(thetas)
-    _need_n(n, 3)
+    n = _need_n(n, 3)
     if t.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _sphere_bound(t, n)
@@ -155,10 +166,9 @@ def _ldexp_or_inf(x, e):
 
 
 def _flat_steps(ds, n):
-    # Checked steps and dimension, scaled once for the cores below.
+    # Checked steps, scaled once for the cores below, and the checked dimension.
     d = _steps(ds)
-    _need_n(n, 2)
-    return _scaled_steps(d)
+    return _scaled_steps(d) + (_need_n(n, 2),)
 
 
 def _flat_sq_norm(d, e):
@@ -211,7 +221,7 @@ def flat_fourth_moment(ds, n):
     The recursion runs on the steps scaled by a power of two that brings the
     longest to [1/2, 1); returns inf when the moment exceeds the double range.
     """
-    d, e = _flat_steps(ds, n)
+    d, e, n = _flat_steps(ds, n)
     a, b, c = 1.0, 0.0, 0.0
     for step in d:
         d2 = step * step
@@ -229,7 +239,7 @@ def flat_sigma_bound(ds, n):
     undershoot the true sigma, so a Prediction leaves its bound out there.
     Returns inf when the bound exceeds the double range.
     """
-    d, e = _flat_steps(ds, n)
+    d, e, n = _flat_steps(ds, n)
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _flat_sigma_bound(d, e, n)
@@ -336,7 +346,7 @@ def hyperbolic_sigma_bound(xis, n):
     inf when the bound exceeds the double range.
     """
     x = _arcs(xis)
-    _need_n(n, 3)
+    n = _need_n(n, 3)
     if x.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _hyperbolic_bound(x.shape[0], n, _log_cosh_sum(x.tolist()))
@@ -485,7 +495,7 @@ def coordinate_marginal_density(t, n):
     Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) evaluated via log-gamma.
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
-    _need_n(n, 2)
+    n = _need_n(n, 2)
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     log_z = math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)

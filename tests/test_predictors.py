@@ -179,7 +179,7 @@ class TestFlatPredictors:
             assert flat_sigma_bound((1e200, 1e200), 3) == math.inf
             # sqrt(2 (n - 1))/n * 2e300 at n = 1e10 is in range
             np.testing.assert_allclose(
-                flat_sigma_bound((1e150, 1e150), 1e10),
+                flat_sigma_bound((1e150, 1e150), 10**10),
                 math.sqrt(2.0 * (1e10 - 1)) / 1e10 * 2e300,
                 rtol=1e-15,
             )
@@ -611,3 +611,25 @@ class TestPredictionForRows:
                 names.clear()
                 prediction_for(geometry, schedule, 10)
                 assert names == [name]
+
+
+class TestPublicDimension:
+    # The public functions that take n check it as prediction_for does: an
+    # integer, within the double range their float arithmetic needs.
+    CALLS = {
+        "sphere_sigma_bound": lambda n: sphere_sigma_bound((0.5, 0.5), n),
+        "flat_sigma_bound": lambda n: flat_sigma_bound((1.0, 2.0), n),
+        "hyperbolic_sigma_bound": lambda n: hyperbolic_sigma_bound((0.5, 0.5), n),
+        "flat_fourth_moment": lambda n: flat_fourth_moment((1.0, 2.0), n),
+        "coordinate_marginal_density": lambda n: coordinate_marginal_density(0.5, n),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("n", [5.5, 5.0, 10**400, "5"], ids=["5.5", "5.0", "1e400", "text"])
+    def test_rejects_what_prediction_for_rejects(self, name, n):
+        with pytest.raises(ValueError, match="n_dim must be an integer in the double range"):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_numpy_integer_is_an_integer(self, name):
+        assert self.CALLS[name](np.int64(7)) == self.CALLS[name](7)
