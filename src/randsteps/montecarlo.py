@@ -14,8 +14,10 @@ estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
 from the stream addressed by (seed, k); chunk statistics are correctly
 rounded sums, formed by error-free extraction with math.fsum for the
-remainder, and merged in chunk order, so the result is bitwise identical no
-matter how many workers participate or how the OS schedules them.
+remainder, of deviations scaled by a power of two before they are squared,
+so that no spread in the double range overflows or underflows, and merged
+in chunk order, so the result is bitwise identical no matter how many
+workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -33,10 +35,15 @@ chains report their constant exactly.  Monomial and marginal trials draw
 the first two coordinates of a uniform point on the sphere of R^n in O(1):
 t0 = g / sqrt(g^2 + X) with g standard normal and X ~ chi2(n - 1), which has
 the law of 2B - 1 (m = n), and, if needed, t1 = sqrt(1 - t0^2) times the
-same draw in R^(n-1).  The run_* chain runners are one-trial calls of the
+same draw in R^(n-1).  Operator factors need only the squares g_i^2 of a
+Gaussian row, so they draw them in Box-Muller pairs (Box and Muller, Ann.
+Math. Statist. 29, 1958): (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E
+exponential and C = 1 / (1 + tan^2(pi U / 2)), U uniform, which costs about
+half of two normals.  The run_* chain runners are one-trial calls of the
 same kernels: run_*(..., RandomStream(s, 0)) reports the mean of a
 one-trial estimate with seed s, bit for bit.  Tests check each kernel's
-law against full-vector walks.  compare() turns an estimate plus a
+law against full-vector walks, and the operator factor's moments against
+their exact values.  compare() turns an estimate plus a
 closed-form Prediction into a pass/fail/indeterminate verdict on
 standardized z-scores.
 """
@@ -91,7 +98,8 @@ __all__ = [
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
 # part of the determinism contract and never depends on the worker count.
 _CHUNK = 2048
-# Operator factors draw Gaussian rows in blocks of about this many doubles (1 MiB).
+# Operator factors draw their exponential and uniform rows in blocks of
+# about this many doubles (1 MiB), n per row.
 _BLOCK_DRAWS = 1 << 17
 # Cap on _exact_sum's extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
@@ -207,20 +215,43 @@ def _coordinate_values(gen, n, count, p0, p1):
     return t0**p0 * (radius * _sphere_coordinate(gen, n - 1, count)[0]) ** p1
 
 
-def _unit_blocks(gen, count, n):
-    # Yield (g, nrm) for count Gaussian rows of length n, in row blocks so
-    # the working set stays small at any n; g / nrm are uniform unit rows,
-    # and rows of degenerate norm (probability zero) are redrawn in place.
+def _pair_moments(gen, count, w):
+    # Rows (sum g^2 w) / 2 over count Gaussian rows g of length n = len(w),
+    # by Box-Muller pairs: (g_2j^2, g_2j+1^2) = 2E (1 - C, C), E exponential
+    # and C = cos^2(pi U / 2), U uniform, independent of it, formed as
+    # E / (1 + tan^2(pi U / 2)); an odd n adds g^2 / 2 of one normal.  Rows
+    # are drawn in blocks into one reused buffer, so the working set stays
+    # small at any n and no block pays fresh page faults, and a row of
+    # degenerate total (probability zero) is redrawn in place.
+    n, h = len(w), len(w) // 2
+    even = w[0 : 2 * h : 2]
+    step = w[1 : 2 * h : 2] - even
     rows = max(1, _BLOCK_DRAWS // n)
+    buf = np.empty((2, min(rows, count), h))
+
+    def draw(k):
+        e = gen.standard_exponential(out=buf[0, :k])
+        ec = gen.random(out=buf[1, :k])
+        ec *= math.pi / 2
+        np.tan(ec, out=ec)
+        ec *= ec
+        ec += 1.0
+        np.divide(e, ec, out=ec)
+        mom = e @ even + ec @ step
+        if n % 2:
+            g = gen.standard_normal(k)
+            mom += (0.5 * g * g)[:, None] * w[-1]
+        return mom
+
+    out = np.empty((count, w.shape[1]))
     for lo in range(0, count, rows):
-        g = gen.standard_normal((min(rows, count - lo), n))
-        nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
-        bad = np.flatnonzero(nrm <= _DEGENERATE_NORM)
+        block = out[lo : lo + rows]
+        block[:] = draw(block.shape[0])
+        bad = np.flatnonzero(2.0 * block[:, 0] <= _DEGENERATE_NORM**2)
         while bad.size:
-            g[bad] = gen.standard_normal((bad.size, n))
-            nrm[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
-            bad = bad[nrm[bad] <= _DEGENERATE_NORM]
-        yield g, nrm
+            block[bad] = draw(bad.size)
+            bad = bad[2.0 * block[bad, 0] <= _DEGENERATE_NORM**2]
+    return out
 
 
 def _sphere_update(phi, theta, b):
@@ -260,9 +291,11 @@ def _operator_trials(gen, count, n, spectra):
     # alpha = x.diag(s)x along the input v and beta orthogonal to it, and
     # that orthogonal part points uniformly within v's complement.  So the
     # cosine takes a sphere step of angle atan2(beta, alpha) and the norm
-    # grows by hypot(alpha, beta).  Moments about the spectrum's mean keep
-    # beta^2 = E[s^2] - E[s]^2 free of cancellation.  Scalar factors act
-    # exactly and draw nothing.
+    # grows by hypot(alpha, beta).  x_i^2 = g_i^2 / sum g^2 for a Gaussian
+    # row g, so alpha and beta need only sum g^2 times 1, a and a^2, with
+    # a = s - mean(s), which _pair_moments draws from n/2 exponentials and
+    # n/2 uniforms; moments about the mean keep beta^2 = E[a^2] - E[a]^2
+    # free of cancellation.  Scalar factors act exactly and draw nothing.
     ratio, c = np.ones(count), np.ones(count)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
@@ -272,10 +305,9 @@ def _operator_trials(gen, count, n, spectra):
             c = -c if s[0] < 0.0 else c
             continue
         shift = float(np.mean(s))
-        w = np.stack([s - shift, (s - shift) ** 2], axis=1)
-        mom = np.concatenate(
-            [(g * g) @ w / (nrm * nrm)[:, None] for g, nrm in _unit_blocks(gen, count, n)]
-        )
+        a = s - shift
+        mom = _pair_moments(gen, count, np.stack([np.ones(n), a, a * a], axis=1))
+        mom = mom[:, 1:] / mom[:, :1]
         alpha = shift + mom[:, 0]
         beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
         r = np.hypot(alpha, beta)

@@ -573,6 +573,85 @@ class TestExactSum:
         assert len(sizes) == 2 and max(sizes) <= 64
 
 
+class TestPairSampler:
+    # One random factor U^T diag(s) U applied to e1: x = U e1 is uniform on
+    # the sphere, ratio^2 = sum s_i^2 x_i^2 and ratio * cosine = sum s_i x_i^2,
+    # whose exact means and variances follow from E[x_i^2] = 1/n and
+    # E[x_i^2 x_j^2] = (1 + 2 [i = j]) / (n (n + 2)).  This checks the Box-Muller
+    # pair sampler against theory, not against another sampler.
+    TRIALS = 2**17
+    CASES = {
+        2: [1.5, -0.5],
+        3: [2.0, 0.5, -1.0],
+        7: [0.1, 0.3, 0.3, 0.9, 1.2, 2.0, -0.4],
+        400: np.linspace(-0.5, 2.0, 400),
+    }
+
+    @pytest.mark.parametrize("n", CASES)
+    def test_one_factor_moments_are_exact(self, n):
+        spectra = (Spectrum(self.CASES[n]),)
+        s = spectra[0].values
+        draws = [
+            montecarlo._operator_trials(RandomStream(71, k).generator, 2048, n, spectra)
+            for k in range(self.TRIALS // 2048)
+        ]
+        ratio = np.concatenate([d[0] for d in draws])
+        cosine = np.concatenate([d[1] for d in draws])
+        assert not any(d[2].any() for d in draws)
+        for values, v in ((ratio * ratio, s * s), (ratio * cosine, s)):
+            var = 2.0 * np.var(v) / (n + 2)
+            z = (values.mean() - v.mean()) / math.sqrt(var / self.TRIALS)
+            assert abs(z) <= 5.0
+            assert abs(values.var(ddof=1) / var - 1.0) <= 0.05
+
+    class _ZeroedExponentials:
+        # The wrapped generator's draws, but the first exponential block has
+        # one row set to 0, so that row's total is degenerate.
+        def __init__(self, gen, row):
+            self.gen, self.row, self.shapes = gen, row, []
+
+        def standard_exponential(self, out):
+            self.gen.standard_exponential(out=out)
+            if not self.shapes:
+                out[self.row] = 0.0
+            self.shapes.append(out.shape)
+            return out
+
+        def random(self, out):
+            return self.gen.random(out=out)
+
+    def test_degenerate_total_is_redrawn(self):
+        n, count, row = 4, 5, 2
+        w = np.stack([np.ones(n), np.arange(n) - 1.5, (np.arange(n) - 1.5) ** 2], axis=1)
+        stub = self._ZeroedExponentials(RandomStream(3, 0).generator, row)
+        got = montecarlo._pair_moments(stub, count, w)
+        assert stub.shapes == [(count, n // 2), (1, n // 2)]
+        plain = montecarlo._pair_moments(RandomStream(3, 0).generator, count, w)
+        keep = np.arange(count) != row
+        np.testing.assert_array_equal(got[keep], plain[keep])
+        # the redrawn row is the next row the stream gives
+        gen = RandomStream(3, 0).generator
+        gen.standard_exponential((count, n // 2))
+        gen.random((count, n // 2))
+        np.testing.assert_array_equal(got[row], montecarlo._pair_moments(gen, 1, w)[0])
+        assert got[row, 0] > 0.0
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_bitwise_at_odd_and_even_n(self, n):
+        spectra = (_linear(n, -0.5, 2.0), _linear(n, 0.1, 1.0))
+        for geometry, schedule in (("operator", spectra[:1]), ("operator_product", spectra)):
+            for observable in ("cosine", "norm_ratio"):
+                spec = ExperimentSpec(geometry, n, schedule, 2 * 2048 + 9, 43, observable)
+                one = estimate(spec)
+                assert estimate(spec) == one
+                assert estimate(spec, workers=2) == one
+            e1 = np.eye(n)[0]
+            r = montecarlo.run_operator_product(schedule, e1, RandomStream(43, 0))
+            for observable in ("cosine", "norm_ratio"):
+                spec = ExperimentSpec(geometry, n, schedule, 1, 43, observable)
+                assert getattr(r, observable) == estimate(spec).mean
+
+
 class TestChunkKernelLaw:
     # The dimension-reduced chunk kernels and the full-vector walks of
     # tests/full_vector.py draw
