@@ -43,9 +43,8 @@ half of two normals.  The run_* chain runners are one-trial calls of the
 same kernels: run_*(..., RandomStream(s, 0)) reports the mean of a
 one-trial estimate with seed s, bit for bit.  Tests check each kernel's
 law against full-vector walks, and the operator factor's moments against
-their exact values.  compare() turns an estimate plus a
-closed-form Prediction into a pass/fail/indeterminate verdict on
-standardized z-scores.
+their exact values.  compare() turns an estimate plus a closed-form
+Prediction into a pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math
@@ -682,7 +681,8 @@ def estimate(spec, workers=1):
         mean = mean + delta * (k / total)
         g = max(e, f, _exponent(delta))
         dd = math.ldexp(delta, -g)
-        m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g)) + dd * dd * (count * k / total)
+        m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g))
+        m2 += dd * dd * (count * k / total)
         count, e = total, g
     if count != spec.trials:
         raise AssertionError(f"aggregated {count} of {spec.trials} trials")

@@ -83,11 +83,9 @@ def _dimension(n, capped=True):
 
 
 def _need_n(n, least):
-    # n as _dimension gives it, capped: the public functions take n in floats.
-    n = _dimension(n)
-    if n < least:
+    # Capped, because the public functions take n in floats.
+    if _dimension(n) < least:
         raise ValueError(f"n must be >= {least}, got {n}")
-    return n
 
 
 def _sphere(t, n):
@@ -143,7 +141,7 @@ def sphere_sigma_bound(thetas, n):
     equality at (pi/2, pi/2).
     """
     t = _angles(thetas)
-    n = _need_n(n, 3)
+    _need_n(n, 3)
     if t.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _sphere_bound(t, n)
@@ -166,9 +164,10 @@ def _ldexp_or_inf(x, e):
 
 
 def _flat_steps(ds, n):
-    # Checked steps, scaled once for the cores below, and the checked dimension.
+    # Checked steps and dimension, scaled once for the cores below.
     d = _steps(ds)
-    return _scaled_steps(d) + (_need_n(n, 2),)
+    _need_n(n, 2)
+    return _scaled_steps(d)
 
 
 def _flat_sq_norm(d, e):
@@ -221,7 +220,7 @@ def flat_fourth_moment(ds, n):
     The recursion runs on the steps scaled by a power of two that brings the
     longest to [1/2, 1); returns inf when the moment exceeds the double range.
     """
-    d, e, n = _flat_steps(ds, n)
+    d, e = _flat_steps(ds, n)
     a, b, c = 1.0, 0.0, 0.0
     for step in d:
         d2 = step * step
@@ -239,7 +238,7 @@ def flat_sigma_bound(ds, n):
     undershoot the true sigma, so a Prediction leaves its bound out there.
     Returns inf when the bound exceeds the double range.
     """
-    d, e, n = _flat_steps(ds, n)
+    d, e = _flat_steps(ds, n)
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _flat_sigma_bound(d, e, n)
@@ -346,7 +345,7 @@ def hyperbolic_sigma_bound(xis, n):
     inf when the bound exceeds the double range.
     """
     x = _arcs(xis)
-    n = _need_n(n, 3)
+    _need_n(n, 3)
     if x.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
     return _hyperbolic_bound(x.shape[0], n, _log_cosh_sum(x.tolist()))
@@ -495,7 +494,7 @@ def coordinate_marginal_density(t, n):
     Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) evaluated via log-gamma.
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
-    n = _need_n(n, 2)
+    _need_n(n, 2)
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     log_z = math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)
