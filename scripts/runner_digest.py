@@ -9,9 +9,11 @@ over seeds 0-199 and n in {3, 5, 10, 50}.
 Line 2 digests estimate() over a fixed grid of the sphere, flat,
 hyperbolic, operator, operator_product, monomial and marginal geometries:
 two seeds, 2049 trials (so the last chunk is partial), small and large n,
-one-factor operator specs, a product with a negative scalar factor, and the
+one-factor operator specs, a product with a negative scalar factor, the
 edge schedules of the benchmark's sweep (one step; n = 3 with theta = 0 or
-pi).
+pi), and sphere chains through angles of 1e-13, pi/2 - 1e-13, pi/2 + 1e-13
+and pi - 1e-13, which the kernel snaps to a sine or cosine of exactly 0, as
+the predictor does.
 
 Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
 prediction_for over normal-range schedules of the same seven geometries.
@@ -134,6 +136,8 @@ def _estimate_grid():
     for theta in (0.0, math.pi):
         for m in (1, 2, 5):
             grid.append(("sphere", 3, (theta,) * m, None))
+    for theta in (1e-13, math.pi / 2 - 1e-13, math.pi / 2 + 1e-13, math.pi - 1e-13):
+        grid += [("sphere", 3, (theta,), None), ("sphere", 3, (1.0, theta, 0.5), None)]
     grid.append(("flat", 2, (1.0, 1.0), None))
     for n in (3, 1000):
         grid += [("monomial", n, kind, None) for kind in ("x1_sq", "x1_4", "x1sq_x2sq")]

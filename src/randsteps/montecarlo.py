@@ -21,30 +21,29 @@ workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
-input.  Each observable then follows a one-dimensional recursion with the
-law of the full walk, driven by one coordinate t of a uniform point on the
-unit sphere of R^m per step, drawn as B = (1 + t)/2 ~ Beta((m-1)/2, (m-1)/2).
-With c = cos phi, r2 = ||x||^2 and a = cosh eta:
+input.  Each observable then follows the paper's step map, with the law of
+the full walk, driven per step by one coordinate t of a uniform point on the
+unit sphere of R^m.  With c the cosine, r2 = ||x||^2, r = sqrt(r2) and a the
+Minkowski inner product:
 
-    sphere      c'  = cos(phi + theta) + 2B sin(phi) sin(theta),  m = n - 1
-    flat        r2' = (sqrt(r2) - d)^2 + 4B d sqrt(r2),           m = n
-    hyperbolic  a'  = cosh(eta - xi) + 2B sinh(eta) sinh(xi),     m = n - 1
+    sphere      c'  = c cos(theta) + t sqrt((1 - c)(1 + c)) sin(theta),   m = n - 1
+    flat        r2' = (r - d)^2 + 2 (1 + t) d r,                          m = n
+    hyperbolic  a'  = a cosh(xi) + t sqrt(a - 1) sqrt(a + 1) sinh(xi),    m = n - 1
 
-These forms keep |c| <= 1, r2 >= 0 and a >= 1 up to rounding, and one-step
-chains report their constant exactly.  Monomial and marginal trials draw
-the first two coordinates of a uniform point on the sphere of R^n in O(1):
-t0 = g / sqrt(g^2 + X) with g standard normal and X ~ chi2(n - 1), which has
-the law of 2B - 1 (m = n), and, if needed, t1 = sqrt(1 - t0^2) times the
-same draw in R^(n-1).  Operator factors need only the squares g_i^2 of a
-Gaussian row, so they draw them in Box-Muller pairs (Box and Muller, Ann.
-Math. Statist. 29, 1958): (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E
-exponential and C = 1 / (1 + tan^2(pi U / 2)), U uniform, which costs about
-half of two normals.  The run_* chain runners are one-trial calls of the
-same kernels: run_*(..., RandomStream(s, 0)) reports the mean of a
-one-trial estimate with seed s, bit for bit.  Tests check each kernel's
-law against full-vector walks, and the operator factor's moments against
-their exact values.  compare() turns an estimate plus a closed-form
-Prediction into a pass/fail/indeterminate verdict on standardized z-scores.
+The first step takes t = 0, so one-step chains report their constant
+exactly, and the sphere's (cos theta, sin theta) are the predictor's own,
+snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
+every coordinate: t = T / sqrt(T^2 + m - 1) with T Student-t with m - 1
+degrees of freedom, and a fair sign at m = 1.  Monomial and marginal trials
+take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1).
+Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
+Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
+(g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +
+tan^2(pi U / 2)), U uniform, at about half the cost of two normals.  The
+run_* chain runners are one-trial calls of the same kernels: run_*(...,
+RandomStream(s, 0)) reports the mean of a one-trial estimate with seed s,
+bit for bit.  compare() turns an estimate plus a closed-form Prediction into
+a pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math
@@ -71,6 +70,7 @@ from .predictors import (
     _monomial_prediction,
     _operator_prediction,
     _sphere_prediction,
+    _sphere_steps,
     _steps,
     flat_expected_sq_norm,
     hyperbolic_expected_cosh,
@@ -181,37 +181,25 @@ class ComparisonReport:
     verdict: str
 
 
-def _beta_coordinate(gen, m, shape):
-    # B = (1 + t)/2 for t one coordinate of a uniform point on the unit
-    # sphere of R^m: Beta((m-1)/2, (m-1)/2), a fair coin on {0, 1} at m = 1.
+def _sphere_coordinate(gen, m, shape):
+    # One coordinate t of uniform points on the unit sphere of R^m, as in the
+    # module docstring: g / sqrt(g^2 + chi2(m - 1)) for g normal, which keeps
+    # full relative precision at any m, as moments of size 1/m need.
     if m == 1:
-        return (gen.random(shape) < 0.5).astype(np.float64)
-    return gen.beta((m - 1) / 2.0, (m - 1) / 2.0, shape)
-
-
-def _cos_step(phi, theta, b):
-    # Cosine to a fixed point after a step of angle theta, in the direction
-    # with Beta coordinate b, from a point at angle phi from it.
-    return np.cos(phi + theta) + 2.0 * b * np.sin(phi) * np.sin(theta)
-
-
-def _sphere_coordinate(gen, m, count):
-    # (t, sqrt(1 - t^2)) for one coordinate t of count uniform points on the
-    # sphere of R^m.  Unlike 2B - 1, both keep full relative precision at any
-    # m, which moments as small as 1/m need.
-    g = gen.standard_normal(count)
-    rest = 2.0 * gen.standard_gamma((m - 1) / 2.0, count)
-    r = np.sqrt(g * g + rest)
-    return g / r, np.sqrt(rest) / r
+        return np.where(gen.random(shape) < 0.5, 1.0, -1.0)
+    df = float(m - 1)
+    t = gen.standard_t(df, shape)
+    return t / np.sqrt(t * t + df)
 
 
 def _coordinate_values(gen, n, count, p0, p1):
-    # t0^p0 t1^p1 for count uniform points on the sphere of R^n; t1 is drawn
-    # after t0, and only when p1 > 0.
-    t0, radius = _sphere_coordinate(gen, n, count)
+    # t0^p0 t1^p1 for count uniform points on the sphere of R^n; t1 is
+    # sqrt(1 - t0^2) times a coordinate in R^(n-1), drawn only when p1 > 0.
+    t0 = _sphere_coordinate(gen, n, count)
     if not p1:
         return t0**p0
-    return t0**p0 * (radius * _sphere_coordinate(gen, n - 1, count)[0]) ** p1
+    radius = np.sqrt((1.0 - t0) * (1.0 + t0))
+    return t0**p0 * (radius * _sphere_coordinate(gen, n - 1, count)) ** p1
 
 
 def _pair_moments(gen, count, w):
@@ -253,48 +241,45 @@ def _pair_moments(gen, count, w):
     return out
 
 
-def _sphere_update(phi, theta, b):
-    c = _cos_step(phi, theta, b)
-    return c, np.arccos(np.clip(c, -1.0, 1.0))
+def _sphere_step(c, step, t):
+    # step is (cos theta, sin theta); rounding past |c| = 1 clamps 1 - c^2 at 0.
+    cos, sin = step
+    s = np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
+    return c * cos + t * s * sin
 
 
-def _flat_update(r, d, b):
-    r2 = (r - d) ** 2 + 4.0 * d * b * r
-    return r2, np.sqrt(r2)
+def _flat_step(r2, d, t):
+    r = np.sqrt(r2)
+    return (r - d) ** 2 + (2.0 * d) * (1.0 + t) * r
 
 
-def _hyperbolic_update(eta, xi, b):
-    a = np.cosh(eta - xi) + 2.0 * b * np.sinh(eta) * math.sinh(xi)
-    return a, np.arccosh(a)
+def _hyperbolic_step(a, xi, t):
+    # Two roots, as a^2 - 1 overflows past a = 1e154; a - 1 is clamped at 0.
+    s = np.sqrt(np.maximum(a - 1.0, 0.0)) * np.sqrt(a + 1.0)
+    return a * math.cosh(xi) + t * s * math.sinh(xi)
 
 
-def _chain_values(first, shift, update, gen, count, n, steps, observable):
-    # The recursions of the module docstring, with Beta coordinates in
-    # dimension m = n - shift.  The first step from the start is
-    # deterministic and taken exactly, to value first(step); the state
-    # (phi, sqrt(r2) or eta) is then the step itself, and update maps
-    # (state, step, B) to (value, state).
-    value = np.full(count, first(steps[0] if steps else 0.0))
-    if not steps:
-        return value
-    state = steps[0]
-    for step, b in zip(steps[1:], _beta_coordinate(gen, n - shift, (len(steps) - 1, count))):
-        value, state = update(state, step, b)
+def _chain_values(start, shift, update, gen, count, n, steps, observable=None):
+    # The step maps of the module docstring, in dimension m = n - shift;
+    # update maps (value, step, t) to the next value.
+    value = np.full(count, start)
+    ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
+    for step, t in zip(steps, [0.0, *ts]):
+        value = update(value, step, t)
     return value
 
 
 def _operator_trials(gen, count, n, spectra):
     # (norm ratio, cosine, degenerate) of count products of random factors
     # U^T diag(s) U, U Haar, applied to e1.  Per non-scalar factor: x = U v
-    # is uniform on the sphere, so the image has the component
-    # alpha = x.diag(s)x along the input v and beta orthogonal to it, and
-    # that orthogonal part points uniformly within v's complement.  So the
-    # cosine takes a sphere step of angle atan2(beta, alpha) and the norm
-    # grows by hypot(alpha, beta).  x_i^2 = g_i^2 / sum g^2 for a Gaussian
-    # row g, so alpha and beta need only sum g^2 times 1, a and a^2, with
-    # a = s - mean(s), which _pair_moments draws from n/2 exponentials and
-    # n/2 uniforms; moments about the mean keep beta^2 = E[a^2] - E[a]^2
-    # free of cancellation.  Scalar factors act exactly and draw nothing.
+    # is uniform on the sphere, so the image has the component alpha =
+    # x.diag(s)x along the input v and beta orthogonal to it, pointing
+    # uniformly within v's complement.  So the cosine takes a sphere step
+    # with (cos psi, sin psi) = (alpha, beta) / r, and the norm grows by
+    # r = hypot(alpha, beta).  x_i^2 = g_i^2 / sum g^2 for a Gaussian row g,
+    # so alpha and beta need only sum g^2 times 1, a and a^2, a = s - mean(s),
+    # which _pair_moments draws; moments about the mean keep beta^2 =
+    # E[a^2] - E[a]^2 free of cancellation.  Scalar factors draw nothing.
     ratio, c = np.ones(count), np.ones(count)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
@@ -311,8 +296,9 @@ def _operator_trials(gen, count, n, spectra):
         beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
         r = np.hypot(alpha, beta)
         dead |= r <= _DEGENERATE_NORM
-        phi = np.arccos(np.clip(c, -1.0, 1.0))
-        c = _cos_step(phi, np.arctan2(beta, alpha), _beta_coordinate(gen, n - 1, count))
+        with np.errstate(invalid="ignore"):  # 0 / 0 only on rows already dead
+            step = (alpha / r, beta / r)
+        c = _sphere_step(c, step, _sphere_coordinate(gen, n - 1, count))
         ratio *= r
     return ratio, c, dead
 
@@ -433,21 +419,23 @@ _GEOMETRY_TABLE = {
     "flat": _Geometry(
         partial(_parse_steps, _steps, 2, "flat"),
         lambda d, n, _: _flat_prediction(d, n),
-        partial(_chain_values, lambda d: d * d, 0, _flat_update),
+        partial(_chain_values, 0.0, 0, _flat_step),
         ("steps",),
         dimfree=("squared_norm", flat_expected_sq_norm),
     ),
     "sphere": _Geometry(
         partial(_parse_steps, _angles, 3, "sphere"),
         lambda t, n, _: _sphere_prediction(t, n),
-        partial(_chain_values, math.cos, 1, _sphere_update),
+        lambda gen, count, n, t, _: _chain_values(
+            1.0, 1, _sphere_step, gen, count, n, _sphere_steps(t)
+        ),
         ("angles",),
         dimfree=("cosine", sphere_expected_cosine),
     ),
     "hyperbolic": _Geometry(
         partial(_parse_steps, _arcs, 3, "hyperbolic"),
         lambda x, n, _: _hyperbolic_prediction(x, n),
-        partial(_chain_values, math.cosh, 1, _hyperbolic_update),
+        partial(_chain_values, 1.0, 1, _hyperbolic_step),
         ("arcs",),
         dimfree=("minkowski_inner", hyperbolic_expected_cosh),
     ),
@@ -628,10 +616,15 @@ def _chunk_stats(spec, index, count):
     The deviations from the mean are scaled by 2^-e, with 2^e just above the
     largest, before they are squared, so M2 neither overflows nor underflows.
     Scaling by a power of two is exact, so the scaled M2 is the unscaled one's
-    bits wherever its squares stayed in the normal range.
+    bits wherever its squares stayed in the normal range.  A chunk whose sum
+    passes the double range sums its values scaled by 2^-count.bit_length().
     """
     values = _trial_values(spec, index, count)
-    mean = _exact_sum(values) / count
+    try:
+        mean = _exact_sum(values) / count
+    except OverflowError:
+        k = count.bit_length()
+        mean = math.ldexp(_exact_sum(np.ldexp(values, -k)) / count, k)
     with np.errstate(over="ignore", invalid="ignore"):
         d = values - mean
         e = _exponent(float(np.abs(d).max()))

@@ -49,10 +49,8 @@ __all__ = [
     "gaussian_sq_std",
 ]
 
-# Angles this close to pi/2 are treated as exactly orthogonal steps, so that
-# schedules built from 90 degrees predict a mean of exactly 0.0 rather than
-# the rounding residue of cos(pi/2); angles this close to 0 or pi are steps
-# with a sine of exactly 0, so a chain of them has a sigma of exactly 0.
+# The snap of _sphere_steps: schedules built from 90 degrees predict a mean
+# of exactly 0.0, and chains of steps of 0 or pi a sigma of exactly 0.
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -88,11 +86,24 @@ def _need_n(n, least):
         raise ValueError(f"n must be >= {least}, got {n}")
 
 
+def _sphere_steps(t):
+    # (cos theta, sin theta) of each angle in t, floats in [0, pi], with a
+    # cosine of exactly 0 within 1e-12 rad of pi/2 and a sine of exactly 0
+    # within 1e-12 rad of 0 or pi.  The sphere predictor and the sphere
+    # kernel both step by these, so they agree on every snapped step.
+    half, top = math.pi / 2.0, math.pi - _RIGHT_ANGLE_SNAP
+    return [
+        (0.0 if abs(x - half) <= _RIGHT_ANGLE_SNAP else math.cos(x),
+         math.sin(x) if _RIGHT_ANGLE_SNAP < x < top else 0.0)
+        for x in t
+    ]
+
+
 def _sphere(t, n):
-    # (mean, sigma) of the sphere chain cosine from one pass over the angles
-    # t, a sequence of floats in [0, pi], in dimension n >= 3 (inf for the
-    # mean alone).  The mean is prod_i cos theta_i.  Step k maps the cosine
-    # X to cos theta_k X + sin theta_k W, where W has mean 0 and variance
+    # (mean, sigma) of the sphere chain cosine from the angles t, a sequence
+    # of floats in [0, pi], in dimension n >= 3 (inf for the mean alone).
+    # The mean is prod_i cos theta_i.  Step k maps the cosine X to
+    # cos theta_k X + sin theta_k W, where W has mean 0 and variance
     # (1 - X^2) / (n - 1) given X.  So the variance V_k of X after k steps
     # and u_k = 1 - E[X^2] follow the recursion
     #
@@ -102,16 +113,11 @@ def _sphere(t, n):
     #
     # from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
     # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
-    # relative precision down to 0.  Angles within 1e-12 rad of 0 or pi
-    # contribute a sine of exactly 0.
-    half, top = math.pi / 2.0, math.pi - _RIGHT_ANGLE_SNAP
+    # relative precision down to 0.  The steps are _sphere_steps', snapped.
     v = u = 0.0
     prod = 1.0
-    for theta in t:
-        cth = 0.0 if abs(theta - half) <= _RIGHT_ANGLE_SNAP else math.cos(theta)
-        sth = math.sin(theta) if _RIGHT_ANGLE_SNAP < theta < top else 0.0
-        c2 = cth * cth
-        s2 = sth * sth
+    for cth, sth in _sphere_steps(t):
+        c2, s2 = cth * cth, sth * sth
         q = s2 / (n - 1)
         v = c2 * v + q * u
         u = s2 + (c2 - q) * u

@@ -369,6 +369,34 @@ class TestCompare:
         assert row["verdict"] == "pass"
         assert 0.9 <= row["std_ratio"] <= 1.1
 
+    @pytest.mark.parametrize(
+        "angles, trials",
+        [("1e-12,1e-300,1.5707963267948966,0.0", "1"), ("3.141592653589793,1.4198346486560234", "4096")],
+        ids=["right-angle", "pi-first"],
+    )
+    def test_kernel_snaps_angles_as_the_predictor_does(self, capsys, angles, trials):
+        # Both chains are deterministic once sines within 1e-12 of 0 and pi
+        # and cosines within 1e-12 of pi/2 are 0, and the kernel takes the
+        # predictor's snapped steps, so it meets the prediction exactly.
+        code, out, err = run_cli(
+            capsys, "compare", "--geometry", "sphere", "--n-dim", "3", "--angles", angles,
+            "--trials", trials, "--seed", "1", "--output", "json",
+        )
+        assert code == EXIT_PASS, err
+        row = parse_json(out)[0]
+        assert (row["verdict"], row["z_mean"], row["mc_mean"]) == ("pass", 0.0, row["prediction_mean"])
+
+    def test_chunk_sum_past_the_double_range_ends_in_a_verdict(self, capsys):
+        # Values near 1e306 whose sum over the chunk overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "3",
+                "--arcs", "236,236,236", "--trials", "64", "--seed", "1", "--output", "json",
+            )
+        assert code == EXIT_PASS, err
+        assert parse_json(out)[0]["verdict"] == "pass"
+
     def test_hyperbolic_with_std_gate(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "50",

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from randsteps.montecarlo import (
     _chunk_stats,
     _coordinate_values,
     _exact_sum,
+    _sphere_coordinate,
     _trial_values,
     compare,
     estimate,
@@ -450,6 +452,38 @@ class TestChunkStats:
             with pytest.raises(OverflowError, match="deviation from the chunk mean"):
                 estimate(spec)
 
+    def test_mean_of_a_sum_past_the_double_range(self, monkeypatch):
+        # The values fit but their sum does not: the mean comes from the
+        # values scaled by a power of two, exactly, and without a warning.
+        values = np.array([1.5e308, 1.7e308, 1.2e308, 1.6e308])
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: values)
+        spec = ExperimentSpec("flat", 3, (1.0,), 4, 1)
+        with pytest.raises(OverflowError):
+            math.fsum(values.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count, mean, m2, e = _chunk_stats(spec, 0, 4)
+            est = estimate(spec)
+        assert mean == float(sum(Fraction(v) for v in values.tolist()) / 4)
+        assert est.mean == mean
+        scaled_std = float(np.std(values * 2.0**-600, ddof=1))
+        assert est.sample_std == pytest.approx(scaled_std * 2.0**600, rel=1e-15)
+
+    def test_hyperbolic_chunk_mean_past_the_double_range(self):
+        # Arcs of 236 give values near 1e306, whose sum over 64 trials
+        # overflows; chunks whose sum fits keep the plain sum's mean.
+        spec = ExperimentSpec("hyperbolic", 3, (236.0,) * 3, 64, 1)
+        values = _trial_values(spec, 0, 64).tolist()
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mean, _, _ = _chunk_stats(spec, 0, 64)
+        assert mean == pytest.approx(float(sum(map(Fraction, values)) / 64), rel=1e-15)
+        for k in (1, 2, 3):
+            fits = _trial_values(spec, 0, k).tolist()
+            assert _chunk_stats(spec, 0, k)[1] == math.fsum(fits) / k
+
     def test_infinite_observable_gives_nan_spread_without_warning(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: np.array([1.0, math.inf]))
         spec = ExperimentSpec("flat", 3, (1.0,), 2, 1)
@@ -650,6 +684,76 @@ class TestPairSampler:
             for observable in ("cosine", "norm_ratio"):
                 spec = ExperimentSpec(geometry, n, schedule, 1, 43, observable)
                 assert getattr(r, observable) == estimate(spec).mean
+
+
+class TestSphereCoordinate:
+    # The one coordinate sampler against the exact moments of a coordinate t
+    # of a uniform point on the sphere of R^m: E[t^(2k)] = prod_{j<k}
+    # (2j + 1) / (m + 2j), so E[t^2] = 1/m and E[t^4] = 3/(m(m + 2)).
+    TRIALS = 2**17
+
+    @staticmethod
+    def _moment(m, k):
+        return math.prod((2 * j + 1) / (m + 2 * j) for j in range(k))
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 400, 10**30])
+    def test_even_moments_are_exact(self, m):
+        t = _sphere_coordinate(RandomStream(73, m % 1000).generator, m, (4, self.TRIALS // 4))
+        assert t.shape == (4, self.TRIALS // 4)
+        assert np.all(np.abs(t) <= 1.0)
+        for k in (1, 2):
+            want = self._moment(float(m), k)
+            var = self._moment(float(m), 2 * k) - want * want
+            z = (np.mean(t ** (2 * k)) - want) / math.sqrt(var / self.TRIALS)
+            assert abs(z) <= 5.0, (k, z)
+
+    def test_odd_moment_is_zero(self):
+        t = _sphere_coordinate(RandomStream(74).generator, 10, self.TRIALS)
+        assert abs(np.mean(t)) <= 5.0 * math.sqrt(0.1 / self.TRIALS)
+
+    def test_fair_sign_at_m_1(self):
+        t = _sphere_coordinate(RandomStream(75).generator, 1, self.TRIALS)
+        assert set(np.unique(t).tolist()) == {-1.0, 1.0}
+        plus = int(np.count_nonzero(t > 0.0))
+        assert abs(plus - self.TRIALS / 2) <= 5.0 * math.sqrt(self.TRIALS) / 2
+
+
+class TestStepMaps:
+    # The chain kernels step the observable itself, so no state recovery
+    # can warn or drift: an arc of 400 takes a to about 1e173, past the
+    # square root of the double range, and steps of 0 or pi keep c at +-1.
+    @pytest.mark.parametrize(
+        "geometry, n, schedule",
+        [("hyperbolic", 3, (400.0, 1.0)), ("hyperbolic", 3, (1.0, 400.0)), ("sphere", 3, (1.0, 2.0))],
+    )
+    def test_far_arcs_without_warning(self, geometry, n, schedule):
+        spec = ExperimentSpec(geometry, n, schedule, 4096, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+        assert math.isfinite(est.mean) and math.isfinite(est.sample_std)
+        assert compare(prediction_for(geometry, schedule, n), est).verdict == "pass"
+
+    @pytest.mark.parametrize(
+        "geometry, n, schedule, want",
+        [
+            ("sphere", 3, (0.0,) * 5, 1.0),
+            ("sphere", 3, (math.pi,) * 5, -1.0),
+            ("sphere", 3, (0.0, math.pi, 0.0), -1.0),
+            ("sphere", 7, (math.pi / 2,), 0.0),
+            ("sphere", 11, (2.5,), math.cos(2.5)),
+            ("flat", 3, (1.7,), 1.7 * 1.7),
+            ("hyperbolic", 24, (1.3,), math.cosh(1.3)),
+        ],
+    )
+    def test_edge_schedules_are_exact_without_warning(self, geometry, n, schedule, want):
+        # The benchmark sweep's edges, and one-step chains: the constant
+        # exactly, with spread 0.
+        spec = ExperimentSpec(geometry, n, schedule, 2049, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+        assert (est.mean, est.sample_std) == (want, 0.0)
 
 
 class TestChunkKernelLaw:
