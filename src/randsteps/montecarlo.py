@@ -259,7 +259,7 @@ def _hyperbolic_step(a, xi, t):
     return a * math.cosh(xi) + t * s * math.sinh(xi)
 
 
-def _chain_values(start, shift, update, gen, count, n, steps, observable=None):
+def _chain_values(start, shift, update, gen, count, n, steps, observable):
     # The step maps of the module docstring, in dimension m = n - shift;
     # update maps (value, step, t) to the next value.
     value = np.full(count, start)
@@ -426,8 +426,8 @@ _GEOMETRY_TABLE = {
     "sphere": _Geometry(
         partial(_parse_steps, _angles, 3, "sphere"),
         lambda t, n, _: _sphere_prediction(t, n),
-        lambda gen, count, n, t, _: _chain_values(
-            1.0, 1, _sphere_step, gen, count, n, _sphere_steps(t)
+        lambda gen, count, n, t, obs: _chain_values(
+            1.0, 1, _sphere_step, gen, count, n, _sphere_steps(t), obs
         ),
         ("angles",),
         dimfree=("cosine", sphere_expected_cosine),

@@ -354,13 +354,15 @@ class TestCompare:
             ("--geometry", "flat", "--n-dim", "3", "--steps", "1e150,1e150", "--trials", "2048"),
             ("--geometry", "hyperbolic", "--n-dim", "3", "--arcs", "150,150,150", "--trials", "2048"),
             ("--geometry", "marginal", "--power", "2", "--n-dim", str(10**300), "--trials", "20000"),
+            ("--geometry", "hyperbolic", "--n-dim", "3", "--arcs", "236,236,236", "--trials", "64"),
         ],
-        ids=["flat-1e150", "hyperbolic-150", "marginal-n1e300"],
+        ids=["flat-1e150", "hyperbolic-150", "marginal-n1e300", "hyperbolic-236"],
     )
     def test_spread_past_the_square_range_ends_in_a_verdict(self, capsys, argv):
         # Deviations of about 1e300, 1e194 and 1e-300, whose squares leave
-        # the double range: the chunk statistics scale them, so each run
-        # ends in a verdict with the spread measured.
+        # the double range, and values near 1e306, whose chunk sum does: the
+        # chunk statistics scale them, so each run ends in a verdict with the
+        # spread measured.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "compare", *argv, "--seed", "1", "--output", "json")
@@ -385,17 +387,6 @@ class TestCompare:
         assert code == EXIT_PASS, err
         row = parse_json(out)[0]
         assert (row["verdict"], row["z_mean"], row["mc_mean"]) == ("pass", 0.0, row["prediction_mean"])
-
-    def test_chunk_sum_past_the_double_range_ends_in_a_verdict(self, capsys):
-        # Values near 1e306 whose sum over the chunk overflows.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(
-                capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "3",
-                "--arcs", "236,236,236", "--trials", "64", "--seed", "1", "--output", "json",
-            )
-        assert code == EXIT_PASS, err
-        assert parse_json(out)[0]["verdict"] == "pass"
 
     def test_hyperbolic_with_std_gate(self, capsys):
         code, out, _ = run_cli(
