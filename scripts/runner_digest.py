@@ -22,12 +22,11 @@ Line 4 digests prediction_for over a wider grid, and beside it the public
 functions that give what a Prediction does not: the dimension-free means
 (sphere_expected_cosine, flat_expected_sq_norm, hyperbolic_expected_cosh,
 hyperbolic_log_expected_cosh), flat_expected_norm, flat_fourth_moment and
-the three *_sigma_bound functions.  The grid has up to 64 steps, n up to
-1e300, angles of exactly pi/2 and pi, hyperbolic arcs deep in the log-space
-branch and arcs of about 1e-9 (where prediction_for raises
-PrecisionLossError and the bound does not), more flat steps than
-dimensions, invalid schedules, and operator spectra given both as lists and
-as Spectrum.  Each call feeds either its numeric fields or its exception's
+flat_sigma_bound.  The grid has up to 64 steps, n up to 1e300, angles of
+exactly pi/2 and pi, hyperbolic arcs from 100 to 400 (whose cosh products
+pass the double range) and of about 1e-9, more flat steps than dimensions,
+invalid schedules, and operator spectra given both as lists and as
+Spectrum.  Each call feeds either its numeric fields or its exception's
 type and message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
@@ -232,13 +231,12 @@ def _wide_points():
 def _public_calls(geometry, schedule, n):
     # The public functions beside prediction_for's row; the operators have none.
     if geometry == "sphere":
-        fns = (rs.sphere_expected_cosine, partial(rs.sphere_sigma_bound, n=n))
+        fns = (rs.sphere_expected_cosine,)
     elif geometry == "flat":
         fns = (rs.flat_expected_sq_norm, rs.flat_expected_norm,
                partial(rs.flat_fourth_moment, n=n), partial(rs.flat_sigma_bound, n=n))
     elif geometry == "hyperbolic":
-        fns = (rs.hyperbolic_expected_cosh, rs.hyperbolic_log_expected_cosh,
-               partial(rs.hyperbolic_sigma_bound, n=n))
+        fns = (rs.hyperbolic_expected_cosh, rs.hyperbolic_log_expected_cosh)
     else:
         fns = ()
     return [partial(fn, schedule) for fn in fns]

@@ -33,12 +33,10 @@ from .predictors import (
     gaussian_sq_std,
     hyperbolic_expected_cosh,
     hyperbolic_log_expected_cosh,
-    hyperbolic_sigma_bound,
     pnorm_proposition_bounds,
     sphere_expected_cosine,
-    sphere_sigma_bound,
 )
 from .sampling import RandomStream, Spectrum
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -7,7 +7,7 @@ or pretty text; csv scalars use 17 significant digits so every row
 re-parses to the exact values that produced it.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
-failure (precision loss in a closed form).
+failure (a closed-form moment below the double range).
 """
 
 from __future__ import annotations

@@ -10,8 +10,13 @@ The checked entry to a Prediction is prediction_for in
 :mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
 and runs the unchecked private cores below.  The public functions here give
 what a Prediction does not: the dimension-free means, the flat norm and
-fourth moment, the sigma bounds on their whole domain, and the sphere and
-Gaussian moment utilities.
+fourth moment, the flat sigma bound past the row's domain (more steps than
+dimensions), and the sphere and Gaussian moment utilities.
+
+The sphere, flat and hyperbolic sigmas are each chain's own variance
+recursion, run from its step map.  Every term they add is non-negative, so
+no step cancels: each sigma keeps its relative precision wherever it is a
+normal double, and past the double range it is inf.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
 "probability p-norm" is pnorm_pi from :mod:`randsteps.geometry`.  Every
@@ -35,14 +40,12 @@ __all__ = [
     "CurvaturePath",
     "PropositionBounds",
     "sphere_expected_cosine",
-    "sphere_sigma_bound",
     "flat_expected_sq_norm",
     "flat_expected_norm",
     "flat_fourth_moment",
     "flat_sigma_bound",
     "hyperbolic_expected_cosh",
     "hyperbolic_log_expected_cosh",
-    "hyperbolic_sigma_bound",
     "pnorm_proposition_bounds",
     "coordinate_marginal_density",
     "gaussian_abs_moment",
@@ -53,12 +56,11 @@ __all__ = [
 # of exactly 0.0, and chains of steps of 0 or pi a sigma of exactly 0.
 _RIGHT_ANGLE_SNAP = 1e-12
 
-_EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
 class PrecisionLossError(ArithmeticError):
-    """Raised when cancellation leaves a result with no trustworthy digits."""
+    """Raised when a closed-form moment falls below the double range."""
 
 
 def _angles(values):
@@ -140,19 +142,6 @@ def sphere_expected_cosine(thetas):
     return _sphere(_angles(thetas).tolist(), math.inf)[0]  # the mean needs no n
 
 
-def sphere_sigma_bound(thetas, n):
-    """Schedule-level bound sigma <= ||(sin theta_1 .. sin theta_{M-1})||_2 / sqrt(n-1).
-
-    The last step's angle does not appear.  Holds for every schedule, with
-    equality at (pi/2, pi/2).
-    """
-    t = _angles(thetas)
-    _need_n(n, 3)
-    if t.shape[0] < 1:
-        raise ValueError("the bound needs at least one step")
-    return _sphere_bound(t, n)
-
-
 def _scaled_steps(d):
     # (d * 2^-e, e) with e the exponent that brings the longest step to
     # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
@@ -180,18 +169,26 @@ def _flat_sq_norm(d, e):
     return _ldexp_or_inf(float(d @ d), 2 * e)
 
 
-def _flat_sigma(d, e, n):
-    # Exact sigma of the flat squared displacement, sigma^2 = (4/n)
-    # sum_{i<j} d_i^2 d_j^2, from the elementary symmetric identity
-    # 2 sum_{i<j} = (sum d^2)^2 - sum d^4 on the scaled steps d * 2^-e, so
-    # no square overflows; inf when sigma itself exceeds the double range.
-    if d.shape[0] <= 1:
+def _flat_sigma(ds, n):
+    # Exact sigma of the flat squared displacement for steps ds, a sequence
+    # of floats >= 0, in dimension n >= 2.  Step k maps r2 = ||x||^2 to
+    # r2 + d_k^2 + 2 t d_k sqrt(r2), where t has mean 0 and variance 1/n
+    # given the past, so
+    #
+    #     sigma^2 = (4/n) sum_k d_k^2 S_{k-1},   S_k = sum_{j<=k} d_j^2,
+    #
+    # a sum of non-negative terms, symmetric in the steps.  Sorted longest
+    # first, S_{k-1} >= d_1^2, so S runs on the steps scaled by d_1's power
+    # of two and the d_k^2 factor on the steps scaled by d_2's: no square
+    # that matters overflows or underflows.  inf past the double range.
+    if len(ds) < 2:
         return 0.0
-    d2 = d**2
-    e1 = float(np.sum(d2))
-    e2 = float(d2 @ d2)
-    pairs = max(e1 * e1 - e2, 0.0) / 2.0
-    return _ldexp_or_inf(math.sqrt(4.0 / n * pairs), 2 * e)
+    s = sorted(ds, reverse=True)
+    e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
+    d = np.array(s)
+    a, b = np.ldexp(d, -e), np.ldexp(d[1:], -f)
+    pairs = float((b * b) @ (a * a).cumsum()[:-1])
+    return _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
 
 
 def _flat_sigma_bound(d, e, n):
@@ -258,17 +255,68 @@ def _exp_or_inf(x):
         return math.inf
 
 
-def _log_cosh(x):
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
+# Arcs below this have cosh xi < 2^490, so the loop in _hyperbolic multiplies
+# them into a mean factor kept below _MU_RESCALE; longer arcs enter as
+# (e^(xi/2))^2 / 2, which equals cosh xi to the last bit there.
+_DIRECT_COSH = 340.0
+_MU_RESCALE = 2.0**500
+_LOG_2 = math.log(2.0)
 
 
-def _log_cosh_sum(arcs):
-    return float(sum(_log_cosh(v) for v in arcs))
+def _hyperbolic(x, n):
+    # (log prod_i cosh xi_i, sigma) of the hyperbolic chain inner product X
+    # for arcs x, a sequence of floats >= 0, in dimension n >= 3 (inf for
+    # the log alone).  Step k maps X to cosh xi_k X + t sinh xi_k
+    # sqrt(X^2 - 1), where t has mean 0 and variance 1/(n - 1) given the
+    # past.  With mu the product of the cosh xi_i so far, v = Var X / mu^2
+    # and w = (E[X^2] - 1) / mu^2 follow the recursion
+    #
+    #     tq_k = tanh^2 xi_k / (n - 1)
+    #     v_k = v_{k-1} + tq_k w_{k-1}
+    #     w_k = tanh^2 xi_k / mu_{k-1}^2 + (1 + tq_k) w_{k-1}
+    #
+    # from v_0 = w_0 = 0, and sigma = mu_M sqrt(v_M).  Every term is
+    # non-negative, so nothing cancels.  The loop carries (n - 1) v and w on
+    # tanh xi scaled by 2^-h, h the mean exponent of the two largest tanh xi,
+    # so the products that matter stay normal; mu as p 2^e; and 1/mu^2 as a
+    # float, whose underflow drops only terms below one ulp of w, since
+    # w >= 1 - 1/mu^2 before scaling.  lc, the log-cosh sum behind the mean
+    # and the bound, adds its terms in schedule order.  sigma is inf past
+    # the double range.
+    top = sorted(x)[-2:] or [0.0]
+    # Below 2^-1000 for both, sigma underflows whatever h is.
+    h = max((math.frexp(math.tanh(top[0]))[1] + math.frexp(math.tanh(top[-1]))[1]) // 2, -1000)
+    g, n1 = math.ldexp(1.0, -h), n - 1.0
+    lc = v = w = 0.0
+    r = p = 1.0
+    e = 0
+    for xi in x:
+        lc += xi + math.log1p(math.exp(-2.0 * xi)) - _LOG_2
+        t = math.tanh(xi)
+        ts = t * g
+        tt = ts * ts
+        v += tt * w
+        w = tt * r + (1.0 + t * t / n1) * w
+        if xi < _DIRECT_COSH:
+            ch = math.cosh(xi)
+            p *= ch
+            r /= ch * ch
+            if p > _MU_RESCALE:
+                p, k = math.frexp(p)
+                e += k
+        else:
+            m, k = math.frexp(_exp_or_inf(xi / 2.0))
+            p, j = math.frexp(p * m * m)
+            e += j + 2 * k - 1
+            r = 0.0  # 1/mu^2 < e^-680: below one ulp of w from here on
+    if v == 0.0:
+        return lc, 0.0
+    return lc, _ldexp_or_inf(p * math.sqrt(v) / math.sqrt(n1), e + 2 * h)
 
 
 def hyperbolic_log_expected_cosh(xis):
     """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs."""
-    return _log_cosh_sum(_arcs(xis).tolist())
+    return _hyperbolic(_arcs(xis).tolist(), math.inf)[0]  # the log needs no n
 
 
 def hyperbolic_expected_cosh(xis):
@@ -281,84 +329,11 @@ def hyperbolic_expected_cosh(xis):
     return _exp_or_inf(hyperbolic_log_expected_cosh(xis))
 
 
-def _hyperbolic_sigma(arcs, n):
-    # Exact sigma of the hyperbolic chain inner product for arcs, a sequence
-    # of floats >= 0, in dimension n >= 3.  The recursion mirrors the sphere
-    # one with hyperbolic weights:
-    #
-    #     c_k = cosh^2 xi_k + sinh^2 xi_k / (n - 1)
-    #     s_k = sinh^2 xi_k / (n - 1)
-    #     a_k = c_k a_{k-1},   b_k = -s_k a_{k-1} + b_{k-1}
-    #
-    # and sigma^2 = a_M + b_M - (prod cosh xi_i)^2.  Large schedules are
-    # evaluated in log space to avoid overflow; inf when sigma itself
-    # exceeds the double range.  Raises PrecisionLossError when cancellation
-    # in sigma^2 leaves an estimated relative error above 1e-2 (for example,
-    # all arcs around 1e-9): the value would be noise.
-    m = len(arcs)
-    if m <= 1 or not any(arcs):
-        return 0.0
-    err_rel_budget = 1e-2
-    rounding = 8.0 * _EPS * (m + 2)
-    # A Python sum, unlike np.sum, reaches inf without an overflow warning.
-    if 2.0 * sum(arcs) + m * math.log(2.0) < 600.0:
-        a, b, p2 = 1.0, 0.0, 1.0
-        for xi in arcs:
-            ch = math.cosh(xi)
-            sh = math.sinh(xi)
-            s = sh * sh / (n - 1)
-            c = ch * ch + s
-            b = -s * a + b
-            a = c * a
-            p2 *= ch * ch
-        var = a + b - p2
-        if var <= 0.0 or rounding * a / var > err_rel_budget:
-            raise PrecisionLossError(
-                f"sigma^2 cancellation: a={a!r}, computed variance {var!r}"
-            )
-        return math.sqrt(var)
-    # Log-space evaluation of the identical recursion.  It tracks the ratios
-    # x1 = log(b / a) and x2 = log(p2 / a), which stay in range however large
-    # the arcs; log a enters only the final exponent.  With tq = tanh^2/(n-1),
-    # c = cosh^2 (1 + tq) and s / c = tq / (1 + tq).
-    log_n1 = math.log(n - 1)
-    la = 0.0
-    x1 = -math.inf
-    x2 = 0.0
-    for xi in arcs:
-        if xi == 0.0:
-            continue
-        t = math.tanh(xi)
-        tq = t * t / (n - 1)
-        l1p = math.log1p(tq)
-        lck = 2.0 * _log_cosh(xi) + l1p
-        x1 = float(np.logaddexp(x1 - lck, 2.0 * math.log(t) - log_n1 - l1p))
-        x2 -= l1p
-        la += lck
-    bracket = -math.expm1(x2) - math.exp(x1)
-    if bracket <= 0.0 or rounding / bracket > err_rel_budget:
-        raise PrecisionLossError(
-            f"sigma^2 cancellation in log space: bracket={bracket!r}"
-        )
-    return _exp_or_inf(0.5 * (la + math.log(bracket)))
-
-
-def hyperbolic_sigma_bound(xis, n):
-    """Bound sigma <= sqrt((n/(n-1))^(M-1) - 1) * prod_i cosh(xi_i).
-
-    Holds for every schedule; the first factor is evaluated with expm1 and
-    log1p so short schedules and large n do not lose precision.  Returns
-    inf when the bound exceeds the double range.
-    """
-    x = _arcs(xis)
-    _need_n(n, 3)
-    if x.shape[0] < 1:
-        raise ValueError("the bound needs at least one step")
-    return _hyperbolic_bound(x.shape[0], n, _log_cosh_sum(x.tolist()))
-
-
 def _hyperbolic_bound(m, n, log_cosh):
-    # hyperbolic_sigma_bound for m >= 1 arcs whose log-cosh sum is log_cosh.
+    # The bound sigma <= sqrt((n/(n-1))^(m-1) - 1) prod_i cosh xi_i for
+    # m >= 1 arcs whose log-cosh sum is log_cosh.  It holds for every
+    # schedule; expm1 and log1p keep the first factor's digits at large n.
+    # inf when the bound exceeds the double range.
     growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1.0)))
     if growth == 0.0:
         return 0.0
@@ -584,7 +559,7 @@ def _flat_prediction(ds, n):
     return Prediction(
         observable="squared_norm",
         mean=_flat_sq_norm(d, e),
-        sigma_exact=_flat_sigma(d, e, n),
+        sigma_exact=_flat_sigma(ds, n),
         sigma_bound=None if m > n else _flat_sigma_bound(d, e, n) if m else 0.0,
         deviation_order="relative deviation O(1/sqrt(n))",
     )
@@ -593,11 +568,11 @@ def _flat_prediction(ds, n):
 def _hyperbolic_prediction(x, n):
     # The hyperbolic row's Prediction for checked arcs x, a sequence of
     # floats; the log-cosh sum serves both the mean and the bound.
-    log_cosh = _log_cosh_sum(x)
+    log_cosh, sigma = _hyperbolic(x, n)
     return Prediction(
         observable="minkowski_inner",
         mean=_exp_or_inf(log_cosh),
-        sigma_exact=_hyperbolic_sigma(x, n),
+        sigma_exact=sigma,
         sigma_bound=_hyperbolic_bound(len(x), n, log_cosh) if len(x) else 0.0,
         deviation_order="relative deviation O(sqrt((n/(n-1))^(M-1) - 1))",
     )

@@ -133,13 +133,15 @@ class TestPredict:
         want = prediction_for("kappa", [(1.0, (0.0, 0.0, 2.0)), (0.5, (1.0, 1.0, 1.0))], 3).mean
         assert float(rows[0]["prediction_mean"]) == want
 
-    def test_precision_loss_exit_code(self, capsys):
-        code, _, err = run_cli(
+    def test_tiny_arcs_predict_their_sigma(self, capsys):
+        # sinh^2(1e-9) / sqrt(2): the variance recursion adds no cancelling
+        # terms, so these arcs no longer exit 3
+        code, out, err = run_cli(
             capsys, "predict", "--geometry", "hyperbolic", "--n-dim", "3",
-            "--arcs", "1e-9,1e-9",
+            "--arcs", "1e-9,1e-9", "--output", "json",
         )
-        assert code == EXIT_NUMERIC
-        assert "numeric failure" in err
+        assert code == EXIT_PASS, err
+        assert parse_json(out)["sigma_exact"] == pytest.approx(7.0710678118654761e-19, rel=1e-15)
 
     def test_underflowing_moment_exit_code(self, capsys):
         # E[t^2] = 1/n is below the double range
@@ -398,6 +400,19 @@ class TestCompare:
         _, rows = parse_row_csv(out)
         assert rows[0]["verdict"] == "pass"
         assert 0.9 <= float(rows[0]["std_ratio"]) <= 1.1
+
+    def test_flat_short_step_sigma_is_checked(self, capsys):
+        # sigma = 2e-9 / sqrt(10); the cancelling identity gave 0, and the
+        # std gate then read indeterminate (exit 1)
+        code, out, err = run_cli(
+            capsys, "compare", "--geometry", "flat", "--n-dim", "10", "--steps", "1,1e-9",
+            "--trials", "4096", "--seed", "1", "--require-std", "--output", "csv",
+        )
+        assert code == EXIT_PASS, err
+        row = parse_row_csv(out)[1][0]
+        assert row["verdict"] == "pass"
+        assert float(row["sigma_exact"]) == pytest.approx(6.324555320336759e-10, rel=1e-15)
+        assert 0.9 <= float(row["std_ratio"]) <= 1.1
 
     def test_hyperbolic_long_arcs_finish(self, capsys):
         # arcs of 5 at n=10 reach Minkowski products near 1e6; the scalar

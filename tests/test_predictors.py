@@ -1,13 +1,17 @@
 """Closed-form predictors against hand-computed and independent oracles.
 
-prediction_for is the one checked entry to each mean and sigma; the public
-functions of randsteps.predictors are the dimension-free means, the bounds
-and the moment utilities beside it.
+prediction_for is the one checked entry to each mean, sigma and sigma
+bound; the public functions of randsteps.predictors are the dimension-free
+means, the flat bound past the row's domain and the moment utilities
+beside it.
 """
 
 import math
+import sys
 import warnings
+from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +33,9 @@ from randsteps.predictors import (
     gaussian_abs_moment,
     gaussian_sq_std,
     hyperbolic_expected_cosh,
-    hyperbolic_sigma_bound,
+    hyperbolic_log_expected_cosh,
     pnorm_proposition_bounds,
     sphere_expected_cosine,
-    sphere_sigma_bound,
 )
 
 
@@ -42,6 +45,10 @@ def _sigma(geometry, schedule, n):
 
 def _mean(geometry, schedule, n, observable=None):
     return prediction_for(geometry, schedule, n, observable).mean
+
+
+def _bound(geometry, schedule, n):
+    return prediction_for(geometry, schedule, n).sigma_bound
 
 
 class TestSphereExpectedCosine:
@@ -108,11 +115,11 @@ class TestSphereSigma:
             n = int(gen.integers(3, 40))
             thetas = gen.uniform(0.0, math.pi, size=m)
             sig = _sigma("sphere", thetas, n)
-            bound = sphere_sigma_bound(thetas, n)
+            bound = _bound("sphere", thetas, n)
             assert sig <= bound * (1.0 + 1e-12)
 
     def test_bound_equality_at_right_angles(self):
-        assert sphere_sigma_bound((math.pi / 2, math.pi / 2), 101) == 0.1
+        assert _bound("sphere", (math.pi / 2, math.pi / 2), 101) == 0.1
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match=">= 3"):
@@ -155,6 +162,22 @@ class TestFlatPredictors:
         # sigma^2 = (4/n) d1^2 d2^2 = 0.04 for unit steps in n = 100
         assert _sigma("flat", (1.0, 1.0), 100) == 0.2
         assert _sigma("flat", (2.5,), 100) == 0.0
+
+    @pytest.mark.parametrize(
+        "ds, n, want",
+        [
+            # sigma^2 = (4/n) d1^2 d2^2 to 50 digits: (sum d^2)^2 - sum d^4
+            # cancelled to 0 here before the recursion
+            ((1.0, 1e-9), 10, "6.3245553203367590579e-10"),
+            ((1e100, 1.0), 3, "1.1547005383792515474e+100"),
+            ((1e-9, 1.0), 10, "6.3245553203367590579e-10"),
+            # steps 1e300 apart: scaled by the longest alone, the short
+            # ones' squares underflow
+            ((1e150, 1e-150, 1e-150), 2, "1.9999999999999999743"),
+        ],
+    )
+    def test_sigma_of_unequal_steps_against_high_precision(self, ds, n, want):
+        np.testing.assert_allclose(_sigma("flat", ds, n), float(want), rtol=1e-15, atol=0)
 
     def test_sigma_huge_steps_without_overflow(self):
         # sigma^2 = (4/n) d^4 for two equal steps: sqrt(4/3) * 1e300 at n = 3
@@ -248,8 +271,8 @@ class TestHyperbolicPredictors:
         want = math.sinh(x1) * math.sinh(x2) / math.sqrt(n - 1)
         np.testing.assert_allclose(_sigma("hyperbolic", (x1, x2), n), want, rtol=1e-12)
 
-    def test_sigma_log_branch_matches_closed_form(self):
-        # arcs large enough to force the log-space evaluation
+    def test_sigma_long_arcs_match_closed_form(self):
+        # sigma = sinh^2 xi / sqrt(n - 1), with cosh^2 xi past 1e173
         n, xi = 4, 200.0
         want = math.exp(2 * (xi - math.log(2.0)) - 0.5 * math.log(n - 1))
         np.testing.assert_allclose(_sigma("hyperbolic", (xi, xi), n), want, rtol=1e-12)
@@ -266,7 +289,8 @@ class TestHyperbolicPredictors:
     @pytest.mark.parametrize(
         "xis, n, want",
         [
-            # 50-digit values of the same recursion evaluated in mpmath
+            # 50-digit values of the recursion evaluated in mpmath; the
+            # subset sum of selftest's C9 gives the same 50 digits
             ((150.0, 160.0), 10, "3.5653990461426029767323021327617237232438909493648e+133"),
             ((100.0,) * 4, 3, "5.0292657611969009705671250470241305517651538566966e+172"),
             ((300.0, 2.5, 50.0), 1000, "6.8637931534684815747876037512244679621620111159785e+150"),
@@ -275,37 +299,55 @@ class TestHyperbolicPredictors:
             ((40.0,) * 10, 7, "8.8381381926701512057300264008797534580606526046491e+170"),
         ],
     )
-    def test_sigma_log_branch_against_high_precision(self, xis, n, want):
-        np.testing.assert_allclose(_sigma("hyperbolic", xis, n), float(want), rtol=1e-11)
+    def test_sigma_long_arcs_against_high_precision(self, xis, n, want):
+        np.testing.assert_allclose(_sigma("hyperbolic", xis, n), float(want), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "xis, n, want",
+        [
+            # 50-digit subset sums; the direct recursion cancelled here and
+            # raised, and the one at n = 1e8 was 2.2e-6 off
+            ((0.01, 0.01), 10**6, "1.0000338337948228957e-7"),
+            ((0.3, 0.3), 10**8, "9.2732609584796893891e-6"),
+            # n itself past 1e154, where n^2 overflows
+            ((0.5, 0.5), 10**300, "2.7154031740762188924e-151"),
+        ],
+    )
+    def test_sigma_short_arcs_at_large_n(self, xis, n, want):
+        np.testing.assert_allclose(_sigma("hyperbolic", xis, n), float(want), rtol=1e-15, atol=0)
 
     def test_sigma_bound_huge_arcs_overflow_to_inf(self):
-        assert hyperbolic_sigma_bound((300.0, 300.0, 300.0), 10) == math.inf
+        assert _bound("hyperbolic", (300.0, 300.0, 300.0), 10) == math.inf
 
     def test_sigma_bound_in_range_past_cosh_overflow(self):
         # prod cosh = e^720 / 4 overflows; the first factor 1e-6 keeps the bound finite
         n, xi = 10**12 + 1, 360.0
         want = math.exp(0.5 * math.log(1e-12) + 2.0 * (xi - math.log(2.0)))
-        np.testing.assert_allclose(hyperbolic_sigma_bound((xi, xi), n), want, rtol=1e-12)
+        np.testing.assert_allclose(_bound("hyperbolic", (xi, xi), n), want, rtol=1e-12)
 
     def test_sigma_bound_keeps_its_first_factor_at_huge_n(self):
         # n / (n - 1) rounds to 1 here; the factor is sqrt(1e-20), not 0
         want = 1e-10 * math.cosh(1.0) ** 2
-        np.testing.assert_allclose(hyperbolic_sigma_bound((1.0, 1.0), 10**20 + 1), want, rtol=1e-14)
+        np.testing.assert_allclose(_bound("hyperbolic", (1.0, 1.0), 10**20 + 1), want, rtol=1e-14)
 
     def test_sigma_single_arc_deterministic(self):
         assert _sigma("hyperbolic", (2.0,), 10) == 0.0
         assert _sigma("hyperbolic", (0.0, 0.0), 10) == 0.0
+        # one nonzero arc among zeros is deterministic too (this raised)
+        assert _sigma("hyperbolic", (0.0, 0.0, 1.0), 3) == 0.0
 
-    def test_tiny_arcs_raise_precision_loss(self):
-        with pytest.raises(PrecisionLossError):
-            _sigma("hyperbolic", (1e-9, 1e-9), 3)
-        # where the row raises, the bound sqrt((n/(n-1))^(M-1) - 1) prod cosh
-        # stays finite: the reason hyperbolic_sigma_bound stays public
+    def test_tiny_arcs_against_high_precision(self):
+        # sigma = sinh^2(1e-9) / sqrt(2); these arcs raised a precision-loss error
+        np.testing.assert_allclose(
+            _sigma("hyperbolic", (1e-9, 1e-9), 3), 7.0710678118654761272e-19, rtol=1e-15, atol=0
+        )
         arcs = (1e-9, 1.3e-9, 0.7e-9)
-        with pytest.raises(PrecisionLossError):
-            prediction_for("hyperbolic", arcs, 3)
+        pred = prediction_for("hyperbolic", arcs, 3)
+        # 50-digit subset sum
+        np.testing.assert_allclose(pred.sigma_exact, 1.226397162423331841e-18, rtol=1e-15, atol=0)
+        # the bound sqrt((n/(n-1))^(M-1) - 1) prod cosh
         want = math.sqrt(1.5**2 - 1.0) * math.prod(math.cosh(x) for x in arcs)
-        np.testing.assert_allclose(hyperbolic_sigma_bound(arcs, 3), want, rtol=1e-15)
+        np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-15)
 
     def test_sigma_below_bound(self):
         gen = np.random.default_rng(94)
@@ -314,7 +356,73 @@ class TestHyperbolicPredictors:
             n = int(gen.integers(3, 30))
             xis = gen.uniform(0.3, 1.5, size=m)
             sig = _sigma("hyperbolic", xis, n)
-            assert sig <= hyperbolic_sigma_bound(xis, n) * (1.0 + 1e-12)
+            assert sig <= _bound("hyperbolic", xis, n) * (1.0 + 1e-12)
+
+
+def _lengths(top):
+    # Up to 7 steps or arcs, log-uniform from 1e-150 to top, with zeros mixed in.
+    draw = st.floats(-150.0, math.log10(top)).map(lambda u: 10.0**u)
+    return st.lists(st.one_of(st.just(0.0), draw), max_size=7)
+
+
+def _dimensions(least):
+    return st.one_of(st.integers(least, 12), st.floats(1.0, 300.0).map(lambda u: int(10.0**u)))
+
+
+_MP = mpmath.mp.clone()
+_MP.dps = 50
+
+
+def _flat_reference(ds, n):
+    # sqrt((4/n) sum_{i<j} d_i^2 d_j^2), a sum of positive terms.
+    d2 = [_MP.mpf(d) ** 2 for d in ds]
+    return _MP.sqrt(4 * _MP.fsum(a * b for a, b in combinations(d2, 2)) / n)
+
+
+def _hyperbolic_reference(xis, n):
+    # sigma^2 = sum over index sets S, |S| >= 2, of
+    # ((n/(n-1))^(|S|-1) - 1) prod_{i in S} sinh^2 xi_i, a sum of positive terms.
+    z = [_MP.sinh(_MP.mpf(x)) ** 2 for x in xis]
+    step = _MP.log1p(1 / (_MP.mpf(n) - 1))
+    total = _MP.mpf(0)
+    for size in range(2, len(z) + 1):
+        growth = _MP.expm1((size - 1) * step)
+        total += growth * _MP.fsum(_MP.fprod(s) for s in combinations(z, size))
+    return _MP.sqrt(total)
+
+
+def _check_sigmas(pred, want):
+    # sigma_exact within 1e-12 of a normal reference, 0 for a deterministic
+    # chain and inf past the double range; sigma_bound not below the
+    # reference but by the rounding a Prediction allows, 1e-12 relative.
+    if want == 0:
+        assert pred.sigma_exact == 0.0
+    elif want > sys.float_info.max:
+        assert pred.sigma_exact == math.inf
+    elif want >= sys.float_info.min:
+        assert abs(_MP.mpf(pred.sigma_exact) - want) <= 1e-12 * want
+    if pred.sigma_bound is not None:
+        assert _MP.mpf(pred.sigma_bound) >= want * (1 - 1e-12)
+
+
+class TestClosedFormProperties:
+    """The flat and hyperbolic sigmas against 50-digit sums of positive terms."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(ds=_lengths(1e150), n=_dimensions(2))
+    def test_flat(self, ds, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = prediction_for("flat", ds, n)
+        _check_sigmas(pred, _flat_reference(ds, n))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(xis=_lengths(1e3), n=_dimensions(3))
+    def test_hyperbolic(self, xis, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = prediction_for("hyperbolic", xis, n)
+        _check_sigmas(pred, _hyperbolic_reference(xis, n))
 
 
 class TestOperatorPredictors:
@@ -560,7 +668,9 @@ def _bits(*values):
 
 
 class TestPredictionForRows:
-    """The public functions beside prediction_for run the same cores as its rows."""
+    """The public means and flat bound beside prediction_for run the same
+    cores as its rows; the sphere and hyperbolic bounds, fields of the rows
+    alone, meet their closed forms."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_public_predictors_bitwise(self, seed):
@@ -571,19 +681,28 @@ class TestPredictionForRows:
                 if m > 2:
                     t = (math.pi / 2, math.pi) + t[2:]
                 pred = prediction_for("sphere", t, n)
-                want = (sphere_expected_cosine(t), sphere_sigma_bound(t, n) if m else 0.0)
-                assert _bits(pred.mean, pred.sigma_bound) == _bits(*want)
+                assert _bits(pred.mean) == _bits(sphere_expected_cosine(t))
+                # ||(sin theta_1 .. sin theta_{M-1})||_2 / sqrt(n - 1)
+                want = math.hypot(*np.sin(t[:-1])) / math.sqrt(n - 1)
+                np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-14, atol=0)
 
                 d = tuple(gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-100, 100, m))
                 bound = flat_sigma_bound(d, n) if 0 < m <= n else (0.0 if m == 0 else None)
                 pred = prediction_for("flat", d, n)
                 assert _bits(pred.mean, pred.sigma_bound) == _bits(flat_expected_sq_norm(d), bound)
 
-                # Arcs up to 200 reach the log-space branch of the sigma recursion.
+                # Arcs up to 200 take cosh products past the double range.
                 x = tuple(gen.uniform(0.05, 2.0, m) * 10.0 ** gen.integers(0, 3, m))
                 pred = prediction_for("hyperbolic", x, n)
-                want = (hyperbolic_expected_cosh(x), hyperbolic_sigma_bound(x, n) if m else 0.0)
-                assert _bits(pred.mean, pred.sigma_bound) == _bits(*want)
+                assert _bits(pred.mean) == _bits(hyperbolic_expected_cosh(x))
+                # sqrt((n/(n-1))^(M-1) - 1) prod cosh xi_i, formed in logs
+                growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1))) if m else 0.0
+                try:
+                    log_cosh = hyperbolic_log_expected_cosh(x)
+                    want = math.exp(0.5 * math.log(growth) + log_cosh) if growth else 0.0
+                except OverflowError:
+                    want = math.inf
+                np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-12, atol=0)
         for n in (2, 10, 1000):
             lists = [gen.uniform(-0.5, 2.0, n).tolist() for _ in range(3)]
             spectra = [Spectrum(v) for v in lists]
@@ -615,11 +734,12 @@ class TestPredictionForRows:
 
 class TestPublicDimension:
     # The public functions that take n check it as prediction_for does: an
-    # integer, within the double range their float arithmetic needs.
+    # integer, within the double range their float arithmetic needs.  The
+    # sphere and hyperbolic bounds are fields of prediction_for's rows.
     CALLS = {
-        "sphere_sigma_bound": lambda n: sphere_sigma_bound((0.5, 0.5), n),
+        "sphere_sigma_bound": lambda n: _bound("sphere", (0.5, 0.5), n),
         "flat_sigma_bound": lambda n: flat_sigma_bound((1.0, 2.0), n),
-        "hyperbolic_sigma_bound": lambda n: hyperbolic_sigma_bound((0.5, 0.5), n),
+        "hyperbolic_sigma_bound": lambda n: _bound("hyperbolic", (0.5, 0.5), n),
         "flat_fourth_moment": lambda n: flat_fourth_moment((1.0, 2.0), n),
         "coordinate_marginal_density": lambda n: coordinate_marginal_density(0.5, n),
     }
