@@ -284,8 +284,13 @@ def _hyperbolic(x, n):
     # and the bound, adds its terms in schedule order.  sigma is inf past
     # the double range.
     top = sorted(x)[-2:] or [0.0]
-    # Below 2^-1000 for both, sigma underflows whatever h is.
-    h = max((math.frexp(math.tanh(top[0]))[1] + math.frexp(math.tanh(top[-1]))[1]) // 2, -1000)
+    e1 = math.frexp(math.tanh(top[-1]))[1]
+    e2 = math.frexp(math.tanh(top[0]))[1]
+    # The scaled squares stay below 2^1022, so none overflows: the centring
+    # gives way only beside an arc below the smallest normal double, whose
+    # share of sigma is then lost.  Below 2^-1000 for both, sigma underflows
+    # whatever h is, and 2^-h stays finite.
+    h = max((e1 + e2) // 2, e1 - 511, -1000)
     g, n1 = math.ldexp(1.0, -h), n - 1.0
     lc = v = w = 0.0
     r = p = 1.0
