@@ -145,9 +145,9 @@ def sphere_expected_cosine(thetas):
 def _scaled_steps(d):
     # (d * 2^-e, e) with e the exponent that brings the longest step to
     # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
-    d = np.asarray(d, dtype=np.float64)
-    e = math.frexp(float(d.max()))[1] if d.shape[0] else 0
-    return np.ldexp(d, -e), e
+    # Python's max, since the rows pass a tuple of floats.
+    e = math.frexp(max(d, default=0.0))[1]
+    return np.ldexp(np.asarray(d, dtype=np.float64), -e), e
 
 
 def _ldexp_or_inf(x, e):
@@ -165,8 +165,9 @@ def _flat_steps(ds, n):
     return _scaled_steps(d)
 
 
-def _flat_sq_norm(d, e):
-    return _ldexp_or_inf(float(d @ d), 2 * e)
+def _flat_sq_norm(sq, e):
+    # sum d^2 from sq, the sum of the squares of the steps scaled by 2^-e.
+    return _ldexp_or_inf(sq, 2 * e)
 
 
 def _flat_sigma(ds, n):
@@ -191,8 +192,8 @@ def _flat_sigma(ds, n):
     return _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
 
 
-def _flat_sigma_bound(d, e, n):
-    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * float(d @ d), 2 * e)
+def _flat_sigma_bound(sq, e, n):
+    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * sq, 2 * e)
 
 
 def flat_expected_sq_norm(ds):
@@ -200,7 +201,8 @@ def flat_expected_sq_norm(ds):
 
     Returns inf when the sum exceeds the double range.
     """
-    return _flat_sq_norm(*_scaled_steps(_steps(ds)))
+    d, e = _scaled_steps(_steps(ds))
+    return _flat_sq_norm(float(d @ d), e)
 
 
 def flat_expected_norm(ds):
@@ -244,7 +246,7 @@ def flat_sigma_bound(ds, n):
     d, e = _flat_steps(ds, n)
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
-    return _flat_sigma_bound(d, e, n)
+    return _flat_sigma_bound(float(d @ d), e, n)
 
 
 def _exp_or_inf(x):
@@ -283,14 +285,16 @@ def _hyperbolic(x, n):
     # w >= 1 - 1/mu^2 before scaling.  lc, the log-cosh sum behind the mean
     # and the bound, adds its terms in schedule order.  sigma is inf past
     # the double range.
-    top = sorted(x)[-2:] or [0.0]
-    e1 = math.frexp(math.tanh(top[-1]))[1]
-    e2 = math.frexp(math.tanh(top[0]))[1]
-    # The scaled squares stay below 2^1022, so none overflows: the centring
-    # gives way only beside an arc below the smallest normal double, whose
-    # share of sigma is then lost.  Below 2^-1000 for both, sigma underflows
-    # whatever h is, and 2^-h stays finite.
-    h = max((e1 + e2) // 2, e1 - 511, -1000)
+    h = 0
+    if len(x) > 1:  # with one arc sigma is 0, whatever h is
+        top = sorted(x)[-2:]
+        e1 = math.frexp(math.tanh(top[1]))[1]
+        e2 = math.frexp(math.tanh(top[0]))[1]
+        # The scaled squares stay below 2^1022, so none overflows: the
+        # centring gives way only beside an arc below the smallest normal
+        # double, whose share of sigma is then lost.  Below 2^-1000 for
+        # both, sigma underflows whatever h is, and 2^-h stays finite.
+        h = max((e1 + e2) // 2, e1 - 511, -1000)
     g, n1 = math.ldexp(1.0, -h), n - 1.0
     lc = v = w = 0.0
     r = p = 1.0
@@ -560,12 +564,12 @@ def _flat_prediction(ds, n):
     # the bound is left out where the schedule has more steps than
     # dimensions, outside its validity domain.
     d, e = _scaled_steps(ds)
-    m = d.shape[0]
+    sq, m = float(d @ d), d.shape[0]
     return Prediction(
         observable="squared_norm",
-        mean=_flat_sq_norm(d, e),
+        mean=_flat_sq_norm(sq, e),
         sigma_exact=_flat_sigma(ds, n),
-        sigma_bound=None if m > n else _flat_sigma_bound(d, e, n) if m else 0.0,
+        sigma_bound=None if m > n else _flat_sigma_bound(sq, e, n) if m else 0.0,
         deviation_order="relative deviation O(1/sqrt(n))",
     )
 
