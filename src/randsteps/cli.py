@@ -7,7 +7,8 @@ or pretty text; csv scalars use 17 significant digits so every row
 re-parses to the exact values that produced it.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
-failure (a closed-form moment below the double range).
+failure (a closed-form moment below the double range, or an overflow no
+result can hold).
 """
 
 from __future__ import annotations
@@ -674,7 +675,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PrecisionLossError as exc:
+    except (OverflowError, PrecisionLossError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

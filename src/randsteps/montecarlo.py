@@ -66,8 +66,7 @@ from .predictors import (
     _dimension,
     _flat_prediction,
     _hyperbolic_prediction,
-    _marginal_prediction,
-    _monomial_prediction,
+    _moment_prediction,
     _operator_prediction,
     _sphere_prediction,
     _sphere_steps,
@@ -443,13 +442,15 @@ _GEOMETRY_TABLE = {
     "operator_product": _Geometry(_parse_product, **_PRODUCT),
     "monomial": _Geometry(
         _parse_kind,
-        lambda kind, n, _: _monomial_prediction(kind, n),
+        lambda kind, n, _: _moment_prediction(
+            *_MONOMIALS[kind], n, kind, "exact moment of the uniform sphere measure"
+        ),
         lambda gen, count, n, kind, _: _coordinate_values(gen, n, count, *_MONOMIALS[kind]),
         ("kind",),
     ),
     "marginal": _Geometry(
         _parse_power,
-        lambda power, n, _: _marginal_prediction(power, n),
+        lambda power, n, _: _moment_prediction(power, 0, n, f"t^{power}", "exact Beta moment"),
         lambda gen, count, n, power, _: _coordinate_values(gen, n, count, power, 0),
         ("power",),
     ),

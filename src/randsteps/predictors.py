@@ -10,13 +10,16 @@ The checked entry to a Prediction is prediction_for in
 :mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
 and runs the unchecked private cores below.  The public functions here give
 what a Prediction does not: the dimension-free means, the flat norm and
-fourth moment, the flat sigma bound past the row's domain (more steps than
-dimensions), and the sphere and Gaussian moment utilities.
+fourth moment (mean^2 + sigma^2 of the flat row), the flat sigma bound past
+the row's domain (more steps than dimensions), and the sphere and Gaussian
+moment utilities.
 
 The sphere, flat and hyperbolic sigmas are each chain's own variance
 recursion, run from its step map.  Every term they add is non-negative, so
 no step cancels: each sigma keeps its relative precision wherever it is a
-normal double, and past the double range it is inf.
+normal double, and past the double range it is inf.  The monomial and
+marginal rows share one predictor of the sphere-coordinate moments, whose
+exact sigma is a product of moment ratios.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
 "probability p-norm" is pnorm_pi from :mod:`randsteps.geometry`.  Every
@@ -158,13 +161,6 @@ def _ldexp_or_inf(x, e):
         return math.inf
 
 
-def _flat_steps(ds, n):
-    # Checked steps and dimension, scaled once for the cores below.
-    d = _steps(ds)
-    _need_n(n, 2)
-    return _scaled_steps(d)
-
-
 def _flat_sq_norm(sq, e):
     # sum d^2 from sq, the sum of the squares of the steps scaled by 2^-e.
     return _ldexp_or_inf(sq, 2 * e)
@@ -217,21 +213,16 @@ def flat_expected_norm(ds):
 
 
 def flat_fourth_moment(ds, n):
-    """E[||x_M||^4] by the three-coefficient recursion.
+    """E[||x_M||^4] = sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
 
-    One step of length d maps (||x||^4, ||x||^2, 1) coefficients (A, B, C) to
-    (A, (2 + 4/n) d^2 A + B, d^4 A + d^2 B + C); starting from (1, 0, 0) the
-    answer is C_M, equal to sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
-    The recursion runs on the steps scaled by a power of two that brings the
-    longest to [1/2, 1); returns inf when the moment exceeds the double range.
+    This is mean^2 + sigma^2 of the flat row's squared displacement, from
+    the same cores as its Prediction; returns inf when the moment exceeds
+    the double range.
     """
-    d, e = _flat_steps(ds, n)
-    a, b, c = 1.0, 0.0, 0.0
-    for step in d:
-        d2 = step * step
-        c = d2 * d2 * a + d2 * b + c
-        b = (2.0 + 4.0 / n) * d2 * a + b
-    return _ldexp_or_inf(c, 4 * e)
+    d = _steps(ds)
+    _need_n(n, 2)
+    pred = _flat_prediction(d.tolist(), n)
+    return pred.mean * pred.mean + pred.sigma_exact * pred.sigma_exact
 
 
 def flat_sigma_bound(ds, n):
@@ -243,9 +234,11 @@ def flat_sigma_bound(ds, n):
     undershoot the true sigma, so a Prediction leaves its bound out there.
     Returns inf when the bound exceeds the double range.
     """
-    d, e = _flat_steps(ds, n)
+    d = _steps(ds)
+    _need_n(n, 2)
     if d.shape[0] < 1:
         raise ValueError("the bound needs at least one step")
+    d, e = _scaled_steps(d)
     return _flat_sigma_bound(float(d @ d), e, n)
 
 
@@ -343,7 +336,10 @@ def _hyperbolic_bound(m, n, log_cosh):
     # m >= 1 arcs whose log-cosh sum is log_cosh.  It holds for every
     # schedule; expm1 and log1p keep the first factor's digits at large n.
     # inf when the bound exceeds the double range.
-    growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1.0)))
+    log_growth = (m - 1) * math.log1p(1.0 / (n - 1.0))
+    if log_growth > 709.0:  # expm1 overflows; e^x - 1 is e^x to the last bit here
+        return _exp_or_inf(0.5 * log_growth + log_cosh)
+    growth = math.expm1(log_growth)
     if growth == 0.0:
         return 0.0
     try:
@@ -477,34 +473,50 @@ def _sphere_moment(n, p0, p1=0):
     return out
 
 
+def _half_gamma_ratio(x):
+    # Gamma(x + 1/2) / Gamma(x) for x >= 1/2, to a few ulp: by math.gamma
+    # below 100, and beyond by the first seven terms of its asymptotic
+    # series sqrt(x) sum_k c_k x^-k (error below 1e-17), where a difference
+    # of log-gammas would lose about x ulp.
+    if x < 100.0:
+        return math.gamma(x + 0.5) / math.gamma(x)
+    s = 0.0
+    for c in (869 / 4194304, -399 / 262144, -21 / 32768, 5 / 1024, 1 / 128, -1 / 8, 1.0):
+        s = s / x + c
+    return math.sqrt(x) * s
+
+
 def coordinate_marginal_density(t, n):
     """Density of a single coordinate of a uniform point on the sphere in R^n.
 
     rho(t) = Z_n (1 - t^2)^((n-3)/2) on [-1, 1], with normalizer
-    Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) evaluated via log-gamma.
+    Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)).  Both factors keep their
+    relative precision at every n: the Gamma ratio without a difference of
+    log-gammas, and the power as exp((n-3)/2 log1p(-t^2)).
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
     _need_n(n, 2)
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
-    log_z = math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi)
-    z = math.exp(log_z)
-    q = 1.0 - t * t
+    z = _half_gamma_ratio((n - 1) / 2) / math.sqrt(math.pi)
     ex = (n - 3) / 2.0
-    if q == 0.0:
+    if t * t == 1.0:
         if ex > 0.0:
             return 0.0
         if ex == 0.0:
             return z
         return math.inf
-    return z * q**ex
+    return z * math.exp(ex * math.log1p(-t * t))
 
 
 def gaussian_abs_moment(p):
-    """E|x|^p for x standard normal: 2^(p/2) Gamma((p+1)/2) / sqrt(pi)."""
+    """E|x|^p for x standard normal: 2^(p/2) Gamma((p+1)/2) / sqrt(pi).
+
+    Returns inf when the moment exceeds the double range.
+    """
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
-    return math.exp(
+    return _exp_or_inf(
         0.5 * p * math.log(2.0) + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
     )
 
@@ -601,42 +613,28 @@ def _operator_prediction(values, observable):
     )
 
 
-def _monomial_prediction(kind, n):
-    # The monomial row's Prediction for a kind of _MONOMIALS and n >= 2 (3
-    # for the mixed moment).  E[x_1^2] = 1/n, E[x_1^4] = 3/(n(n+2)) and
-    # E[x_1^2 x_2^2] = 1/(n(n+2)); the three satisfy
-    # n E[x_1^4] + n(n-1) E[x_1^2 x_2^2] = 1 since sum x_i^2 = 1.
-    return Prediction(
-        observable=kind,
-        mean=_sphere_moment(n, *_MONOMIALS[kind]),
-        sigma_exact=None,
-        sigma_bound=None,
-        deviation_order="exact moment of the uniform sphere measure",
-    )
-
-
-def _marginal_prediction(power, n):
-    # The marginal row's Prediction for E[t^power], t a single coordinate of
-    # a uniform point on the sphere in R^n, power >= 1 and n >= 2.
-    # (1 + t)/2 ~ Beta((n-1)/2, (n-1)/2), so E[t^(2k)] = prod_{j<k}
-    # (2j+1)/(n+2j) and odd moments are 0.  sigma_exact is the standard
-    # deviation of t^power: sqrt(E[t^(2 power)]) for odd powers, and
-    # mean * sqrt(R - 1) for even ones, with R = E[t^(2 power)] / mean^2 >= 3/2
-    # formed as a product of ratios, so it neither cancels nor underflows.
-    # Raises PrecisionLossError when a moment it needs underflows the double
-    # range, as E[t^(2k)] does once n^k exceeds about 1e308.
-    if power % 2:
-        mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * power))
+def _moment_prediction(p0, p1, n, observable, deviation_order):
+    # The monomial and marginal rows' Prediction of t0^p0 t1^p1, t0 and t1 the
+    # first two coordinates of a uniform point on the sphere in R^n, p0 >= 1,
+    # p1 >= 0, n >= 2 (3 when p1 > 0).  sigma is sqrt(E[t0^(2 p0) t1^(2 p1)])
+    # when a power is odd (mean 0), else mean * sqrt(R - 1), with R that
+    # moment over mean^2 >= 3/2 as a product of ratios, which neither
+    # cancels nor underflows.  A needed moment below the double range (once
+    # n^k passes about 1e308 for E[t^(2k)]) raises PrecisionLossError.
+    if p0 % 2 or p1 % 2:
+        mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * p0, 2 * p1))
     else:
-        mean = _sphere_moment(n, power)
+        mean = _sphere_moment(n, p0, p1)
+        # (2p - 1)!! / ((p - 1)!!)^2 = prod_{j < p/2} (2j + p + 1) / (2j + 1)
+        odd = [(2 * j + p + 1) / (2 * j + 1) for p in (p0, p1) for j in range(p // 2)]
         ratio = 1.0
-        for j in range(power // 2):
-            ratio *= ((2 * j + power + 1) / (2 * j + 1)) * ((n + 2 * j) / (n + 2 * j + power))
+        for j, c in enumerate(odd):
+            ratio *= c * ((n + 2 * j) / (n + 2 * j + p0 + p1))
         sigma = mean * math.sqrt(ratio - 1.0)
     return Prediction(
-        observable=f"t^{power}",
+        observable=observable,
         mean=mean,
         sigma_exact=sigma,
         sigma_bound=None,
-        deviation_order="exact Beta moment",
+        deviation_order=deviation_order,
     )
