@@ -617,19 +617,19 @@ def _moment_prediction(p0, p1, n, observable, deviation_order):
     # The monomial and marginal rows' Prediction of t0^p0 t1^p1, t0 and t1 the
     # first two coordinates of a uniform point on the sphere in R^n, p0 >= 1,
     # p1 >= 0, n >= 2 (3 when p1 > 0).  sigma is sqrt(E[t0^(2 p0) t1^(2 p1)])
-    # when a power is odd (mean 0), else mean * sqrt(R - 1), with R that
-    # moment over mean^2 >= 3/2 as a product of ratios, which neither
-    # cancels nor underflows.  A needed moment below the double range (once
-    # n^k passes about 1e308 for E[t^(2k)]) raises PrecisionLossError.
+    # when a power is odd (mean 0), else mean * sqrt(R - 1), R = that moment
+    # / mean^2 >= 3/2 as a product of ratios, which neither cancels nor
+    # underflows.  A needed moment below the double range raises PrecisionLossError.
     if p0 % 2 or p1 % 2:
         mean, sigma = 0.0, math.sqrt(_sphere_moment(n, 2 * p0, 2 * p1))
     else:
         mean = _sphere_moment(n, p0, p1)
-        # (2p - 1)!! / ((p - 1)!!)^2 = prod_{j < p/2} (2j + p + 1) / (2j + 1)
-        odd = [(2 * j + p + 1) / (2 * j + 1) for p in (p0, p1) for j in range(p // 2)]
-        ratio = 1.0
-        for j, c in enumerate(odd):
-            ratio *= c * ((n + 2 * j) / (n + 2 * j + p0 + p1))
+        # (2p - 1)!! / ((p - 1)!!)^2 = prod_{i < p/2} (2i + p + 1) / (2i + 1)
+        ratio, j = 1.0, 0
+        for p in (p0, p1):
+            for i in range(p // 2):
+                ratio *= ((2 * i + p + 1) / (2 * i + 1)) * ((n + 2 * j) / (n + 2 * j + p0 + p1))
+                j += 1
         sigma = mean * math.sqrt(ratio - 1.0)
     return Prediction(
         observable=observable,
