@@ -17,10 +17,18 @@ end-to-end metric, the runs of the first two labels paired by seed over the
 whole file: the pair count, the pairs the second label won by the metric's
 "better" direction (ties count for neither), the median of the per-pair
 ratios second/first, the first label's interquartile range over its
-median, and a distribution-free 95 % interval for the median per-pair log
+median, a distribution-free 95 % interval for the median per-pair log
 ratio: the Hodges-Lehmann interval, read off the sorted Walsh averages at
 the exact Wilcoxon signed-rank critical value ("n/a" below 6 pairs, where
-no such interval exists).
+no such interval exists), and a verdict against the metric's bound in
+BENCHMARK.json:
+
+    unresolved          the first label's IQR over its median exceeds the
+                        bound, and the runs do not separate (neither label
+                        has every run better than every run of the other);
+    worse beyond bound  the second label's median is worse than the first's
+                        by more than the bound, relative to the first's;
+    within bound        otherwise.
 """
 
 import argparse
@@ -86,6 +94,22 @@ def hodges_lehmann_interval(values):
     return walsh[c], walsh[-1 - c]
 
 
+def _relative_iqr(values):
+    """The interquartile range of values over their median."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return (q3 - q1) / statistics.median(values)
+
+
+def verdict(a, b, metric):
+    """The verdict on runs b against runs a for one end-to-end metric, as
+    the module docstring defines it."""
+    sign, bound = (1 if metric["better"] == "higher" else -1), metric["bound"]
+    if _relative_iqr(a) > bound and not (max(a) < min(b) or max(b) < min(a)):
+        return "unresolved"
+    first, second = statistics.median(a), statistics.median(b)
+    return "worse beyond bound" if sign * (first - second) > bound * abs(first) else "within bound"
+
+
 def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
     """One line per workload and end-to-end metric comparing label second to first."""
     runs = {}
@@ -106,14 +130,14 @@ def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
             b = [two[name]["value"] for _, two in pairs]
             won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
             ratio = statistics.median(y / x for x, y in zip(a, b))
-            q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
             positive = all(x > 0 and y > 0 for x, y in zip(a, b))
             hl = positive and hodges_lehmann_interval([math.log(y / x) for x, y in zip(a, b)])
             lines.append(
                 f"{workload} {name}: {len(pairs)} pairs, {second} ahead in {won}, "
-                f"median ratio {ratio:.4f}, {first} IQR {(q3 - q1) / statistics.median(a):.2%}, "
+                f"median ratio {ratio:.4f}, {first} IQR {_relative_iqr(a):.2%}, "
                 "95% HL interval of log ratio "
                 + (f"[{hl[0]:+.4f}, {hl[1]:+.4f}]" if hl else "n/a")
+                + f", {verdict(a, b, metric)}"
             )
     return lines
 

@@ -3,14 +3,16 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", _SCRIPT)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 _METRICS = [
-    {"name": "ops_per_s", "better": "higher"},
-    {"name": "op_ms_p50", "better": "lower"},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "op_ms_p50", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -39,11 +41,12 @@ def test_pairs_by_workload_trace_and_seed():
     ]
     assert bench_record.paired_summary(records, "parent", "change", _METRICS) == [
         # Ties count for neither label; quartiles are statistics.quantiles';
-        # no 95 % interval exists for fewer than 6 pairs.
-        "sweep ops_per_s: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 18.18%, 95% HL interval of log ratio n/a",
-        "sweep op_ms_p50: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 100.00%, 95% HL interval of log ratio n/a",
-        "grid ops_per_s: 1 pairs, change ahead in 0, median ratio 0.8000, parent IQR 0.00%, 95% HL interval of log ratio n/a",
-        "grid op_ms_p50: 1 pairs, change ahead in 1, median ratio 0.5000, parent IQR 0.00%, 95% HL interval of log ratio n/a",
+        # no 95 % interval exists for fewer than 6 pairs.  The p50 spread,
+        # 100 %, passes the bound and the runs overlap: unresolved.
+        "sweep ops_per_s: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 18.18%, 95% HL interval of log ratio n/a, within bound",
+        "sweep op_ms_p50: 3 pairs, change ahead in 1, median ratio 1.0000, parent IQR 100.00%, 95% HL interval of log ratio n/a, unresolved",
+        "grid ops_per_s: 1 pairs, change ahead in 0, median ratio 0.8000, parent IQR 0.00%, 95% HL interval of log ratio n/a, within bound",
+        "grid op_ms_p50: 1 pairs, change ahead in 1, median ratio 0.5000, parent IQR 0.00%, 95% HL interval of log ratio n/a, within bound",
     ]
 
 
@@ -83,5 +86,26 @@ def test_hodges_lehmann_interval_by_hand():
     line = bench_record.paired_summary(records, "parent", "change", _METRICS[:1])[0]
     assert line == (
         "w ops_per_s: 8 pairs, change ahead in 5, median ratio 3.0000, parent IQR 0.00%, "
-        "95% HL interval of log ratio [-0.6931, +3.4657]"
+        "95% HL interval of log ratio [-0.6931, +3.4657], within bound"
     )
+
+
+@pytest.mark.parametrize(
+    "a, b, better, want",
+    [
+        # Narrow runs: the medians against the 25 % bound, in either direction.
+        ([100.0, 101.0, 99.0, 100.0], [80.0, 81.0, 79.0, 80.0], "higher", "within bound"),
+        ([100.0, 101.0, 99.0, 100.0], [70.0, 71.0, 69.0, 70.0], "higher", "worse beyond bound"),
+        ([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower", "within bound"),
+        ([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], "lower", "worse beyond bound"),
+        # The first label's spread (60 %) passes the bound and the runs overlap.
+        ([60.0, 100.0, 140.0, 100.0], [70.0, 100.0, 90.0, 110.0], "higher", "unresolved"),
+        ([60.0, 100.0, 140.0, 100.0], [10.0, 100.0, 20.0, 30.0], "higher", "unresolved"),
+        # Wide (80 %), but every run of one label beats every run of the other.
+        ([60.0, 100.0, 140.0], [200.0, 210.0, 220.0], "higher", "within bound"),
+        ([60.0, 100.0, 140.0], [10.0, 20.0, 30.0], "higher", "worse beyond bound"),
+        ([60.0, 100.0, 140.0], [145.0, 150.0, 155.0], "lower", "worse beyond bound"),
+    ],
+)
+def test_verdict_against_the_bound(a, b, better, want):
+    assert bench_record.verdict(a, b, {"better": better, "bound": 0.25}) == want

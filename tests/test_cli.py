@@ -285,6 +285,29 @@ class TestCompare:
         assert rows[0]["verdict"] == "pass"
         assert float(rows[0]["z_mean"]) == 0.0
 
+    def test_monomial_std_check_uses_the_exact_sigma(self, capsys):
+        # The monomial row carries sigma_exact = sqrt(21)/80, so the std gate
+        # applies; without it the row was indeterminate and exited 1.
+        code, out, err = run_cli(
+            capsys, "compare", "--geometry", "monomial", "--n-dim", "10", "--kind", "x1_4",
+            "--trials", "100000", "--seed", "3", "--require-std", "--output", "csv",
+        )
+        assert code == EXIT_PASS, err
+        _, rows = parse_row_csv(out)
+        assert float(rows[0]["sigma_exact"]) == pytest.approx(math.sqrt(21) / 80, rel=1e-15)
+        assert float(rows[0]["std_ratio"]) == pytest.approx(1.0078, abs=1e-4)
+
+    def test_overflow_is_a_numeric_failure(self, capsys):
+        # cosh of the 710 arc passes the double range in the hyperbolic
+        # kernel: exit 3, where an OverflowError traceback ended the run.
+        code, out, err = run_cli(
+            capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "10",
+            "--arcs", "100000,710,100000", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric failure: ") and "Traceback" not in err
+
     def test_expect_mean_override_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--geometry", "sphere", "--n-dim", "12",

@@ -9,12 +9,13 @@ beside it.
 import math
 import sys
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randsteps import predictors
@@ -229,16 +230,6 @@ class TestFlatPredictors:
                 flat_fourth_moment((1e76, 1e76), 3), (2.0 + 10.0 / 3.0) * 1e304, rtol=1e-14
             )
 
-    def test_fourth_moment_consistent_with_sigma(self):
-        # Var ||x||^2 = E||x||^4 - (E||x||^2)^2
-        gen = np.random.default_rng(92)
-        for _ in range(50):
-            m = int(gen.integers(2, 7))
-            n = int(gen.integers(2, 200))
-            ds = gen.uniform(0.1, 2.0, size=m)
-            var = flat_fourth_moment(ds, n) - flat_expected_sq_norm(ds) ** 2
-            np.testing.assert_allclose(_sigma("flat", ds, n) ** 2, var, rtol=1e-10)
-
     def test_sigma_below_bound(self):
         gen = np.random.default_rng(93)
         for _ in range(100):
@@ -324,6 +315,20 @@ class TestHyperbolicPredictors:
         n, xi = 10**12 + 1, 360.0
         want = math.exp(0.5 * math.log(1e-12) + 2.0 * (xi - math.log(2.0)))
         np.testing.assert_allclose(_bound("hyperbolic", (xi, xi), n), want, rtol=1e-12)
+
+    def test_sigma_bound_past_expm1_range(self):
+        # (3/2)^1799 - 1 overflows expm1, but the bound sqrt((3/2)^1799 - 1)
+        # prod cosh xi_i is 2.48e158; this raised OverflowError.  At 4000
+        # arcs the bound itself passes the double range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = prediction_for("hyperbolic", (1e-3,) * 1800, 3)
+            far = prediction_for("hyperbolic", (1e-3,) * 4000, 3)
+        want = _MP.sqrt(_MP.mpf(1.5) ** 1799 - 1) * _MP.cosh(_MP.mpf(1e-3)) ** 1800
+        assert abs(_MP.mpf(pred.sigma_bound) - want) <= 1e-12 * want
+        assert math.isfinite(pred.mean) and math.isfinite(pred.sigma_exact)
+        assert far.sigma_bound == math.inf
+        assert math.isfinite(far.mean) and math.isfinite(far.sigma_exact)
 
     def test_sigma_bound_keeps_its_first_factor_at_huge_n(self):
         # n / (n - 1) rounds to 1 here; the factor is sqrt(1e-20), not 0
@@ -415,8 +420,23 @@ def _check_sigmas(pred, want):
         assert _MP.mpf(pred.sigma_bound) >= want * (1 - 1e-12)
 
 
+# (geometry, schedule, p0, p1): every moment row, as t0^p0 t1^p1.
+_MOMENT_ROWS = [("monomial", kind, *pw) for kind, pw in predictors._MONOMIALS.items()] + [
+    ("marginal", power, power, 0) for power in range(1, 9)
+]
+
+
+def _moment_reference(n, p0, p1):
+    # E[t0^p0 t1^p1] = (p0-1)!! (p1-1)!! / prod_{j < (p0+p1)/2} (n + 2j), 0 for an odd power.
+    if p0 % 2 or p1 % 2:
+        return _MP.mpf(0)
+    odd = _MP.fprod(range(1, p0, 2)) * _MP.fprod(range(1, p1, 2))
+    return odd / _MP.fprod(_MP.mpf(n) + 2 * j for j in range((p0 + p1) // 2))
+
+
 class TestClosedFormProperties:
-    """The flat and hyperbolic sigmas against 50-digit sums of positive terms."""
+    """The flat, hyperbolic and moment-row sigmas and the flat fourth moment
+    against 50-digit references."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(ds=_lengths(1e150), n=_dimensions(2))
@@ -424,7 +444,19 @@ class TestClosedFormProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred = prediction_for("flat", ds, n)
+            fourth = flat_fourth_moment(ds, n)
         _check_sigmas(pred, _flat_reference(ds, n))
+        # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2, inf past the double range
+        d2 = [_MP.mpf(d) ** 2 for d in ds]
+        want = _MP.fsum(a * a for a in d2) + (2 + _MP.mpf(4) / n) * _MP.fsum(
+            a * b for a, b in combinations(d2, 2)
+        )
+        if want == 0:
+            assert fourth == 0.0
+        elif want > sys.float_info.max:
+            assert fourth == math.inf
+        elif want >= sys.float_info.min:
+            assert abs(_MP.mpf(fourth) - want) <= 1e-14 * want
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(xis=_lengths(1e3), n=_dimensions(3))
@@ -433,6 +465,27 @@ class TestClosedFormProperties:
             warnings.simplefilter("error")
             pred = prediction_for("hyperbolic", xis, n)
         _check_sigmas(pred, _hyperbolic_reference(xis, n))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(row=st.sampled_from(_MOMENT_ROWS), n=st.one_of(_dimensions(2), st.just(10**309)))
+    def test_moment_rows(self, row, n):
+        # sigma_exact within 1e-14 of sqrt(M(2p) - M(p)^2), and
+        # PrecisionLossError exactly where the moment sigma needs, M(p) for
+        # even powers and M(2p) for odd ones, falls below the double range
+        # (either way within 1e-12 of the edge).
+        geometry, schedule, p0, p1 = row
+        assume(n >= 3 or not p1)
+        mean, second = _moment_reference(n, p0, p1), _moment_reference(n, 2 * p0, 2 * p1)
+        needed = second if p0 % 2 or p1 % 2 else mean
+        try:
+            pred = prediction_for(geometry, schedule, n)
+        except PrecisionLossError:
+            assert needed < sys.float_info.min * (1 + 1e-12)
+            return
+        assert needed >= sys.float_info.min * (1 - 1e-12)
+        assert abs(_MP.mpf(pred.mean) - mean) <= 1e-14 * mean
+        want = _MP.sqrt(second - mean**2)
+        assert abs(_MP.mpf(pred.sigma_exact) - want) <= 1e-14 * want
 
 
 class TestOperatorPredictors:
@@ -586,6 +639,25 @@ class TestSphereMoments:
         np.testing.assert_allclose(coordinate_marginal_density(0.0, 3), 0.5, rtol=1e-14)
         np.testing.assert_allclose(coordinate_marginal_density(0.9, 3), 0.5, rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 10, 99, 199, 200, 201, 202, 10**3, 10**4, 10**6, 10**10, 10**16, 10**30]
+    )
+    def test_marginal_density_at_large_n(self, n):
+        # Against Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) (1 - t^2)^((n-3)/2)
+        # in 50 digits, near the peak, where the difference of log-gammas
+        # and (1 - t^2)^((n-3)/2) lost about n ulp (0.324 for 2.42e7 at 1e16).
+        z = _MP.gammaprod([_MP.mpf(n) / 2], [(_MP.mpf(n) - 1) / 2]) / _MP.sqrt(_MP.pi)
+        for t in (0.0, 1.0 / math.sqrt(n), 3.0 / math.sqrt(n)):
+            if t > 1.0:
+                continue
+            want = z * (1 - _MP.mpf(t) ** 2) ** ((_MP.mpf(n) - 3) / 2)
+            assert abs(_MP.mpf(coordinate_marginal_density(t, n)) - want) <= 1e-13 * want
+
+    def test_marginal_density_at_the_top_of_the_double_range(self):
+        np.testing.assert_allclose(
+            coordinate_marginal_density(0.0, 10**300), math.sqrt(1e300 / (2 * math.pi)), rtol=1e-15
+        )
+
     def test_marginal_density_integrates_to_one(self):
         from scipy.integrate import quad
 
@@ -620,7 +692,18 @@ class TestSphereMoments:
             np.testing.assert_allclose(_sphere_moment(n, 2), 1 / n, rtol=1e-15)
             np.testing.assert_allclose(_sphere_moment(n, 4), 3 / (n * (n + 2)), rtol=1e-15)
             np.testing.assert_allclose(_sphere_moment(n, 2, 2), 1 / (n * (n + 2)), rtol=1e-15)
-        assert _sigma("monomial", "x1_4", 10) is None
+        # sigma^2 = E[t^(2p)] - E[t^p]^2 at n = 10: 1/40 - 1/100, 1/256 - 1/1600
+        # and 3/8960 - 1/14400
+        for kind, var in (("x1_sq", Fraction(3, 200)), ("x1_4", Fraction(21, 6400)),
+                          ("x1sq_x2sq", Fraction(107, 403200))):
+            np.testing.assert_allclose(_sigma("monomial", kind, 10), math.sqrt(var), rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 199, 10**6, 10**39])
+    def test_monomial_powers_are_marginal_powers(self, n):
+        # one predictor: x1_sq and x1_4 are marginal powers 2 and 4, bit for bit
+        for kind, power in (("x1_sq", 2), ("x1_4", 4)):
+            mono, marg = prediction_for("monomial", kind, n), prediction_for("marginal", power, n)
+            assert (mono.mean, mono.sigma_exact) == (marg.mean, marg.sigma_exact)
 
     def test_underflowing_moment_raises(self):
         with pytest.raises(PrecisionLossError):
@@ -637,6 +720,8 @@ class TestSphereMoments:
         assert gaussian_abs_moment(2.0) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(gaussian_abs_moment(1.0), math.sqrt(2 / math.pi), rtol=1e-15)
         np.testing.assert_allclose(gaussian_abs_moment(4.0), 3.0, rtol=1e-14)
+        # 2^200 Gamma(200.5) / sqrt(pi) is past the double range; this raised
+        assert gaussian_abs_moment(400.0) == math.inf
         assert gaussian_sq_std() == math.sqrt(2.0)
 
 
