@@ -43,7 +43,12 @@ The grid runs predict, simulate and compare on every geometry with no
 sweeps over both axes; compare's gate flags; spectrum and curvature files
 with comments, blank lines and padded values, and the reader errors (bad
 line, short row, empty file, unreadable path); config files and their
-errors; and usage errors.  Every run has a fixed seed.
+errors, among them values of the wrong type (numbers where integers are
+due, strings that do not parse, integers and lists where a path is due),
+a monomial kind that the monomial row rejects, and a wrongly typed n_dim
+beside an unknown geometry; and usage errors, among them flag text that
+does not parse or is not among the flag's choices.  Every run has a fixed
+seed.
 
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
@@ -54,6 +59,7 @@ that a change leaves these outputs byte-identical:
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -324,6 +330,38 @@ _CLI_FILES = {
     "bad_observable.json": '{"observable": "bogus"}',
 }
 
+# Config files run by one command each, over the flat run in _CONFIG_BASE
+# (without its steps when another geometry is set).
+_CONFIG_BASE = {"geometry": "flat", "n_dim": 10, "steps": "1,1", "trials": 50, "seed": 7}
+_CLI_CONFIGS = [
+    ("simulate", {"geometry": "marginal", "power": 2.5}),
+    ("simulate", {"trials": 100.7}),
+    ("simulate", {"seed": 1.9}),
+    ("simulate", {"workers": 2.7}),
+    ("predict", {"n_dim": 7.5}),
+    ("simulate", {"trials": True}),
+    ("compare", {"z_threshold": "four"}),
+    ("compare", {"expect_mean": [1.0]}),
+    ("compare", {"z_threshold": 10**400}),
+    ("simulate", {"trials": "100.7"}),
+    ("predict", {"geometry": "sphere", "angles": [True]}),
+    ("predict", {"output_path": 1}),
+    ("predict", {"geometry": "kappa", "curvature_file": 0}),
+    ("predict", {"geometry": "operator", "spectra_file": [0]}),
+    ("predict", {"geometry": "operator", "spectra_file": 0}),
+    ("predict", {"output_path": ["x.csv"]}),
+    ("predict", {"geometry": "kappa", "curvature_file": ["p.txt"]}),
+    ("predict", {"geometry": "monomial", "kind": "x9"}),
+    ("predict", {"n_dim": 7.5, "geometry": "bogus"}),
+]
+
+
+def _config_text(fields):
+    base = dict(_CONFIG_BASE)
+    if fields.get("geometry", "flat") != "flat":
+        del base["steps"]
+    return json.dumps({**base, **fields})
+
 
 def _cli_cases():
     """argv lists for cli.main; "{tmp}" stands for the temporary directory."""
@@ -371,6 +409,13 @@ def _cli_cases():
         if name.endswith(".json"):
             for command in ("simulate", "table"):
                 cases.append([command, "--config", "{tmp}/" + name])
+    for index, (command, _) in enumerate(_CLI_CONFIGS):
+        cases.append([command, "--config", f"{{tmp}}/config{index}.json"])
+    for extra in (
+        ["--trials", "1.5"], ["--output", "xml"], ["--angle-unit", "grads"],
+        ["--observable", "bogus"], ["--kind", "x9"],
+    ):
+        cases.append(["compare", *sphere, *run, *extra])
     cases += [
         ["simulate", "--config", "{tmp}/run.json", "--seed", "8", "--output", "pretty"],
         ["compare", "--config", "{tmp}/absent.json"],
@@ -402,6 +447,8 @@ def cli_digest():
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _CLI_FILES.items():
             Path(tmp, name).write_text(text)
+        for index, (_, fields) in enumerate(_CLI_CONFIGS):
+            Path(tmp, f"config{index}.json").write_text(_config_text(fields))
         for argv in _cli_cases():
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
