@@ -6,6 +6,10 @@ selftest (the fixed-seed acceptance battery).  Output renders as csv, json,
 or pretty text; csv scalars use 17 significant digits so every row
 re-parses to the exact values that produced it.
 
+Every option is one entry of _OPTIONS: the subcommands that take it, its
+kind, choices, default and help.  The parser's flags, the config-file keys
+and their checks, and the merged run configuration all come from it.
+
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
 failure (a closed-form moment below the double range, or an overflow no
 result can hold).
@@ -65,38 +69,81 @@ class ConfigError(Exception):
     """Invalid flag, config field, or input file; exits with code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Merged view of config-file fields and command-line flags."""
+@dataclass(frozen=True)
+class _Option:
+    """One option: the flag --name (its underscores as dashes) and the config key name.
 
-    command: str
-    geometry: str | None = None
-    n_dim: int | None = None
-    angles: object = None
-    steps: object = None
-    arcs: object = None
-    spectrum: object = None
-    spectra_file: object = None
-    curvature_file: str | None = None
-    angle_unit: str = "radians"
-    kind: str | None = None
-    power: int | None = None
-    observable: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    workers: int = 1
-    output: str = "pretty"
-    output_path: str | None = None
-    expect_mean: float | None = None
-    z_threshold: float = 4.0
-    std_tolerance: float = 0.1
-    require_std: bool = False
-    sweep_n_dim: object = None
-    sweep_m: object = None
+    group names the subcommands that take it (see _SUBCOMMANDS).  kind is
+    int, float, switch, path or text: an int or float flag parses its text
+    by that type, and a config value must be of it or be such text.  A
+    config value outside choices is an error, unless by_table: the geometry
+    table checks geometry, and its monomial row checks kind.  default holds
+    when neither flag nor config sets the option; "{}" in help shows it.
+    append collects a repeated flag's values in a list.
+    """
+
+    group: str
+    kind: str = "text"
+    help: str | None = None
+    choices: tuple | None = None
+    default: object = None
+    append: bool = False
+    by_table: bool = False
+
+    def flag_arguments(self):
+        """add_argument's keywords; the flag's own default is None, so config can fill it."""
+        arguments = {"help": self.help and self.help.format(self.default)}
+        if self.kind == "switch":
+            arguments.update(action="store_true", default=None)
+        elif self.append:
+            arguments["action"] = "append"
+        if self.kind in _NUMBER_KINDS:
+            arguments["type"] = _NUMBER_KINDS[self.kind]
+        if self.choices:
+            arguments["choices"] = self.choices
+        return arguments
 
 
-# Every RunConfig field but command is a config-file key.
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "command")
+_NUMBER_KINDS = {"int": int, "float": float}
+
+# Every option, in the order a subcommand's --help lists its groups' flags.
+_OPTIONS = {
+    "geometry": _Option("schedule", choices=GEOMETRIES, by_table=True),
+    "n_dim": _Option("schedule", "int", "ambient dimension N"),
+    "angles": _Option("schedule", "text", "sphere step angles, comma list"),
+    "steps": _Option("schedule", "text", "flat step lengths, comma list"),
+    "arcs": _Option("schedule", "text", "hyperbolic step arcs, comma list"),
+    "spectrum": _Option("schedule", "text",
+                        "spectrum values, comma list; repeat for several factors", append=True),
+    "spectra_file": _Option("schedule", "path",
+                            "one-column file of spectrum values; repeat for several factors",
+                            append=True),
+    "curvature_file": _Option("schedule", "path",
+                              "curvature path file: rows of step width then curvatures"),
+    "angle_unit": _Option("schedule", choices=("radians", "degrees"), default="radians"),
+    "kind": _Option("schedule", "text", "monomial to integrate", _MONOMIAL_KINDS, by_table=True),
+    "power": _Option("schedule", "int", "marginal moment power"),
+    "observable": _Option("schedule", "text", "operator or kappa observable (default cosine)",
+                          _OPERATOR_OBSERVABLES),
+    "trials": _Option("run", "int", "Monte Carlo trial count"),
+    "seed": _Option("run", "int", "64-bit seed; generated when omitted"),
+    "expect_mean": _Option("compare", "float", "override the predicted mean"),
+    "z_threshold": _Option("compare", "float", "mean z-score limit (default {:g})", default=4.0),
+    "std_tolerance": _Option("compare", "float", "std ratio tolerance (default {:g})", default=0.1),
+    "require_std": _Option("compare", "switch",
+                           "demand the sigma comparison; indeterminate when unavailable",
+                           default=False),
+    "config": _Option("io", "path", "JSON file mirroring the flags; flags override it"),
+    "output": _Option("io", "text", "render format", ("csv", "json", "pretty"), "pretty"),
+    "output_path": _Option("io", "path", "also write the rendered output to this file"),
+    "workers": _Option("io", "int", "Monte Carlo threads; results do not depend on it", default=1),
+    "sweep_n_dim": _Option("sweep", "text", "dimensions to sweep: 'a..b' or comma list"),
+    "sweep_m": _Option("sweep", "text", "step counts to sweep: 'a..b' or comma list"),
+}
+
+# The config keys and the values they hold when unset: every option but
+# config, which names the file of the others.
+_DEFAULTS = {key: option.default for key, option in _OPTIONS.items() if key != "config"}
 
 
 def _fmt17(value):
@@ -227,29 +274,25 @@ def _load_config_file(path):
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must hold a single JSON object")
     for key in data:
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"config field {key!r}: unknown")
     return data
 
 
-# The fields whose flags argparse types, with that type; require_std is a switch.
-_TYPED_FIELDS = dict.fromkeys(("n_dim", "power", "trials", "seed", "workers"), int)
-_TYPED_FIELDS.update(dict.fromkeys(("expect_mean", "z_threshold", "std_tolerance"), float))
-
-
 def _checked(key, value):
     """A merged value as its flag would give it: config values are not cast."""
-    if key == "require_std":
+    option = _OPTIONS[key]
+    if option.kind == "switch":
         if not isinstance(value, bool):
-            raise ConfigError(f"field require_std: expected true or false, got {value!r}")
+            raise ConfigError(f"field {key}: expected true or false, got {value!r}")
         return value
-    if key in ("spectra_file", "curvature_file", "output_path"):
+    if option.kind == "path":
         # open() takes an integer as a file descriptor: 1 would be stdout.
-        paths = value if key == "spectra_file" and isinstance(value, list) else [value]
+        paths = value if option.append and isinstance(value, list) else [value]
         if not all(isinstance(path, str) for path in paths):
             raise ConfigError(f"field {key}: expected a file path, got {value!r}")
         return value
-    kind = _TYPED_FIELDS.get(key)
+    kind = _NUMBER_KINDS.get(option.kind)
     if kind is None:
         return value
     if isinstance(value, str):  # the flag's text
@@ -267,25 +310,25 @@ def _checked(key, value):
 
 
 def _resolve(args):
-    """Merge config file and flags (flags win), check their types, then apply defaults."""
+    """Defaults, overridden by the config file, overridden by flags; types checked, then choices."""
     file_cfg = {}
     if getattr(args, "config", None) is not None:
         file_cfg = _load_config_file(args.config)
-    merged = {}
-    for key in _CONFIG_KEYS:
+    cfg = argparse.Namespace(command=args.command, **_DEFAULTS)
+    for key in _DEFAULTS:
         flag = getattr(args, key, None)
         value = flag if flag is not None else file_cfg.get(key)
         if value is not None:
-            merged[key] = _checked(key, value)
-    cfg = RunConfig(args.command, **merged)  # fields left unset keep their defaults
+            setattr(cfg, key, _checked(key, value))
     if cfg.geometry is not None:
         _geometry(cfg.geometry)  # rejects an unknown geometry
-    if cfg.angle_unit not in ("radians", "degrees"):
-        raise ConfigError(f"field angle_unit: expected radians or degrees, got {cfg.angle_unit!r}")
-    if cfg.output not in ("csv", "json", "pretty"):
-        raise ConfigError(f"field output: expected csv, json, or pretty, got {cfg.output!r}")
-    if cfg.observable is not None and cfg.observable not in _OPERATOR_OBSERVABLES:
-        raise ConfigError(f"field observable: expected cosine or norm_ratio, got {cfg.observable!r}")
+    for key in _DEFAULTS:
+        option, value = _OPTIONS[key], getattr(cfg, key)
+        if option.by_table or not option.choices or value is None or value in option.choices:
+            continue
+        *rest, last = option.choices
+        expected = f"{', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}"
+        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
     return cfg
 
 
@@ -559,67 +602,17 @@ def cmd_selftest(cfg):
     return EXIT_PASS if battery_passed(results) else EXIT_FAIL
 
 
-_COMMANDS = {
-    "predict": cmd_predict,
-    "simulate": _cmd_experiments,
-    "compare": _cmd_experiments,
-    "table": _cmd_experiments,
-    "selftest": cmd_selftest,
+# Each subcommand: its help, the option groups it takes in the order its
+# --help lists them, and the function that runs it.
+_SUBCOMMANDS = {
+    "predict": ("print the closed-form prediction", ("schedule", "io"), cmd_predict),
+    "simulate": ("run the Monte Carlo estimate", ("schedule", "run", "io"), _cmd_experiments),
+    "compare": ("simulate and compare against the prediction",
+                ("schedule", "run", "compare", "io"), _cmd_experiments),
+    "table": ("one comparison per sweep point",
+              ("schedule", "run", "compare", "io", "sweep"), _cmd_experiments),
+    "selftest": ("run the fixed-seed acceptance battery", ("io",), cmd_selftest),
 }
-
-
-def _add_io_flags(sub):
-    sub.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    sub.add_argument("--output", choices=("csv", "json", "pretty"), help="render format")
-    sub.add_argument("--output-path", help="also write the rendered output to this file")
-    sub.add_argument("--workers", type=int, help="Monte Carlo threads; results do not depend on it")
-
-
-def _add_schedule_flags(sub):
-    sub.add_argument("--geometry", choices=GEOMETRIES)
-    sub.add_argument("--n-dim", type=int, help="ambient dimension N")
-    sub.add_argument("--angles", help="sphere step angles, comma list")
-    sub.add_argument("--steps", help="flat step lengths, comma list")
-    sub.add_argument("--arcs", help="hyperbolic step arcs, comma list")
-    sub.add_argument(
-        "--spectrum",
-        action="append",
-        help="spectrum values, comma list; repeat for several factors",
-    )
-    sub.add_argument(
-        "--spectra-file",
-        action="append",
-        help="one-column file of spectrum values; repeat for several factors",
-    )
-    sub.add_argument(
-        "--curvature-file",
-        help="curvature path file: rows of step width then curvatures",
-    )
-    sub.add_argument("--angle-unit", choices=("radians", "degrees"))
-    sub.add_argument("--kind", choices=_MONOMIAL_KINDS, help="monomial to integrate")
-    sub.add_argument("--power", type=int, help="marginal moment power")
-    sub.add_argument(
-        "--observable",
-        choices=_OPERATOR_OBSERVABLES,
-        help="operator or kappa observable (default cosine)",
-    )
-
-
-def _add_run_flags(sub):
-    sub.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    sub.add_argument("--seed", type=int, help="64-bit seed; generated when omitted")
-
-
-def _add_compare_flags(sub):
-    sub.add_argument("--expect-mean", type=float, help="override the predicted mean")
-    sub.add_argument("--z-threshold", type=float, help="mean z-score limit (default 4)")
-    sub.add_argument("--std-tolerance", type=float, help="std ratio tolerance (default 0.1)")
-    sub.add_argument(
-        "--require-std",
-        action="store_true",
-        default=None,
-        help="demand the sigma comparison; indeterminate when unavailable",
-    )
 
 
 @cache
@@ -630,33 +623,12 @@ def build_parser():
         description="Closed-form predictions and Monte Carlo checks for accumulated random steps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    predict = subs.add_parser("predict", help="print the closed-form prediction")
-    _add_schedule_flags(predict)
-    _add_io_flags(predict)
-
-    simulate = subs.add_parser("simulate", help="run the Monte Carlo estimate")
-    _add_schedule_flags(simulate)
-    _add_run_flags(simulate)
-    _add_io_flags(simulate)
-
-    cmp_sub = subs.add_parser("compare", help="simulate and compare against the prediction")
-    _add_schedule_flags(cmp_sub)
-    _add_run_flags(cmp_sub)
-    _add_compare_flags(cmp_sub)
-    _add_io_flags(cmp_sub)
-
-    table = subs.add_parser("table", help="one comparison per sweep point")
-    _add_schedule_flags(table)
-    _add_run_flags(table)
-    _add_compare_flags(table)
-    _add_io_flags(table)
-    table.add_argument("--sweep-n-dim", help="dimensions to sweep: 'a..b' or comma list")
-    table.add_argument("--sweep-m", help="step counts to sweep: 'a..b' or comma list")
-
-    selftest = subs.add_parser("selftest", help="run the fixed-seed acceptance battery")
-    _add_io_flags(selftest)
-
+    for command, (text, groups, _) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for group in groups:
+            for key, option in _OPTIONS.items():
+                if option.group == group:
+                    sub.add_argument("--" + key.replace("_", "-"), **option.flag_arguments())
     return parser
 
 
@@ -671,7 +643,7 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _SUBCOMMANDS[cfg.command][2](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -255,7 +255,10 @@ def _flat_step(r2, d, t):
 def _hyperbolic_step(a, xi, t):
     # Two roots, as a^2 - 1 overflows past a = 1e154; a - 1 is clamped at 0.
     s = np.sqrt(np.maximum(a - 1.0, 0.0)) * np.sqrt(a + 1.0)
-    return a * math.cosh(xi) + t * s * math.sinh(xi)
+    try:
+        return a * math.cosh(xi) + t * s * math.sinh(xi)
+    except OverflowError:
+        raise OverflowError(f"cosh of the arc {xi!r} overflows") from None
 
 
 def _chain_values(start, shift, update, gen, count, n, steps, observable):
@@ -279,6 +282,9 @@ def _operator_trials(gen, count, n, spectra):
     # so alpha and beta need only sum g^2 times 1, a and a^2, a = s - mean(s),
     # which _pair_moments draws; moments about the mean keep beta^2 =
     # E[a^2] - E[a]^2 free of cancellation.  Scalar factors draw nothing.
+    # A spectrum is scaled by 2^-e, e the exponent of max |s|, so that a^2
+    # stays in the double range; the cosine does not depend on the scale,
+    # and r * 2^e, exact below the double range, is inf past it.
     ratio, c = np.ones(count), np.ones(count)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
@@ -287,6 +293,8 @@ def _operator_trials(gen, count, n, spectra):
             ratio *= abs(s[0])
             c = -c if s[0] < 0.0 else c
             continue
+        e = math.frexp(float(np.max(np.abs(s))))[1]
+        s = np.ldexp(s, -e)
         shift = float(np.mean(s))
         a = s - shift
         mom = _pair_moments(gen, count, np.stack([np.ones(n), a, a * a], axis=1))
@@ -294,11 +302,13 @@ def _operator_trials(gen, count, n, spectra):
         alpha = shift + mom[:, 0]
         beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
         r = np.hypot(alpha, beta)
-        dead |= r <= _DEGENERATE_NORM
-        with np.errstate(invalid="ignore"):  # 0 / 0 only on rows already dead
+        # 0 / 0 only on rows already dead; a norm past the double range is inf.
+        with np.errstate(invalid="ignore", over="ignore"):
             step = (alpha / r, beta / r)
+            r = np.ldexp(r, e)
+            ratio *= r
+        dead |= r <= _DEGENERATE_NORM
         c = _sphere_step(c, step, _sphere_coordinate(gen, n - 1, count))
-        ratio *= r
     return ratio, c, dead
 
 

@@ -492,7 +492,9 @@ def coordinate_marginal_density(t, n):
     rho(t) = Z_n (1 - t^2)^((n-3)/2) on [-1, 1], with normalizer
     Z_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)).  Both factors keep their
     relative precision at every n: the Gamma ratio without a difference of
-    log-gammas, and the power as exp((n-3)/2 log1p(-t^2)).
+    log-gammas, and the power as exp((n-3)/2 log(1 - t^2)), the log taken
+    as log1p(-t^2), or as log1p(-t) + log1p(t) for |t| >= 1/2, where t^2
+    would round.
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
     _need_n(n, 2)
@@ -506,7 +508,8 @@ def coordinate_marginal_density(t, n):
         if ex == 0.0:
             return z
         return math.inf
-    return z * math.exp(ex * math.log1p(-t * t))
+    log_power = math.log1p(-t) + math.log1p(t) if abs(t) >= 0.5 else math.log1p(-t * t)
+    return z * math.exp(ex * log_power)
 
 
 def gaussian_abs_moment(p):

@@ -306,7 +306,25 @@ class TestCompare:
         )
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert err.startswith("numeric failure: ") and "Traceback" not in err
+        assert err == "numeric failure: cosh of the arc 100000.0 overflows\n"
+
+    @pytest.mark.parametrize(
+        "command, n, spectrum",
+        [("simulate", "2", "1e+200,0.0"), ("compare", "3", "1e+200,1e200,0.0")],
+    )
+    def test_operator_spectrum_past_1e154(self, capsys, command, n, spectrum):
+        # Was: overflow and invalid-value warnings and mc_mean nan (simulate),
+        # z = -inf (compare), as the squared spectrum passed the double range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, command, "--geometry", "operator", "--n-dim", n, "--spectrum", spectrum,
+                "--observable", "cosine", "--trials", "64", "--seed", "1", "--output", "json",
+            )
+        assert code == EXIT_PASS, err
+        row = parse_json(out)[0]
+        assert 0.0 < row["mc_mean"] <= 1.0
+        assert row["verdict"] in (None, "pass")
 
     def test_expect_mean_override_fails(self, capsys):
         code, out, _ = run_cli(
@@ -523,6 +541,11 @@ class TestConfigFile:
              "field spectra_file: expected a file path, got [0]"),
             ("predict", {"geometry": "operator", "spectra_file": 0},
              "field spectra_file: expected a file path, got 0"),
+            # Only spectra_file, whose flag repeats, takes a list of paths.
+            ("predict", {"output_path": ["x.csv"]},
+             "field output_path: expected a file path, got ['x.csv']"),
+            ("predict", {"geometry": "kappa", "curvature_file": ["p.txt"]},
+             "field curvature_file: expected a file path, got ['p.txt']"),
         ],
     )
     def test_values_of_the_wrong_type_rejected(self, capsys, tmp_path, command, fields, message):
@@ -549,14 +572,32 @@ class TestConfigFile:
         assert code == EXIT_FAIL
         assert parse_row_csv(out)[1][0]["verdict"] == "indeterminate"
 
-    def test_strings_parse_as_flag_text(self, capsys, tmp_path):
-        # A string value reads as the flag's text would: "500" trials, "4.0" z.
-        fields = {**self._FLAT, "trials": "500", "seed": "7", "n_dim": "10",
-                  "z_threshold": "4.0", "output": "csv"}
+    @pytest.mark.parametrize(
+        "schedule, texts",
+        [
+            ({"geometry": "flat", "steps": "1,1"},
+             {"n_dim": "10", "trials": "500", "seed": "7", "workers": "2",
+              "expect_mean": "2.5", "z_threshold": "4.5", "std_tolerance": "0.2"}),
+            ({"geometry": "marginal"}, {"power": "4", "n_dim": "6", "trials": "64", "seed": "3"}),
+        ],
+    )
+    def test_strings_parse_as_flag_text(self, capsys, tmp_path, schedule, texts):
+        # A string value of every int and float option reads as the flag's
+        # text would: "500" trials, "4.5" z.
+        fields = {**schedule, **texts, "output": "csv"}
         code, out, _ = self._run_config(capsys, tmp_path, "compare", fields)
-        flags = ["compare", "--geometry", "flat", "--n-dim", "10", "--steps", "1,1",
-                 "--trials", "500", "--seed", "7", "--output", "csv"]
+        flags = ["compare", "--output", "csv"]
+        for key, text in {**schedule, **texts}.items():
+            flags += ["--" + key.replace("_", "-"), text]
         assert (code, out) == run_cli(capsys, *flags)[:2]
+        row = parse_row_csv(out)[1][0]
+        assert (row["n_dim"], row["trials"], row["seed"]) == (
+            texts["n_dim"], texts["trials"], texts["seed"]
+        )
+        if "expect_mean" in texts:
+            assert row["prediction_mean"] == texts["expect_mean"]
+        if "power" in texts:
+            assert row["schedule"] == texts["power"]
 
     def test_integer_for_float_field_renders_as_float(self, capsys, tmp_path):
         fields = {**self._FLAT, "expect_mean": 2, "output": "json"}

@@ -731,6 +731,27 @@ class TestStepMaps:
         assert math.isfinite(est.mean) and math.isfinite(est.sample_std)
         assert compare(prediction_for("hyperbolic", arcs, 3), est).verdict == "pass"
 
+    @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
+    def test_operator_spectrum_scale_is_exact(self, observable):
+        # Each spectrum is scaled by a power of two before its squares are
+        # formed, so the spectra s and s 2^600 (whose squares pass the double
+        # range) give one cosine and norm ratios exactly 2^600 apart.
+        s = [0.3, 1.7, -0.4, 2.5, 0.0]
+        means = []
+        for spectrum in (s, np.ldexp(s, 600)):
+            spec = ExperimentSpec("operator", 5, [Spectrum(spectrum)], 500, 3, observable)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                means.append(estimate(spec).mean)
+        assert means[1] == (means[0] if observable == "cosine" else math.ldexp(means[0], 600))
+
+    def test_operator_norm_past_the_double_range_is_inf(self):
+        spectra = [Spectrum([1e200, 0.0]), Spectrum([1e200, 0.0])]
+        spec = ExperimentSpec("operator_product", 2, spectra, 8, 1, "norm_ratio")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate(spec).mean == math.inf
+
     @pytest.mark.parametrize(
         "geometry, n, schedule, want",
         [

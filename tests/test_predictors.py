@@ -653,6 +653,15 @@ class TestSphereMoments:
             want = z * (1 - _MP.mpf(t) ** 2) ** ((_MP.mpf(n) - 3) / 2)
             assert abs(_MP.mpf(coordinate_marginal_density(t, n)) - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("n", [4, 10])
+    @pytest.mark.parametrize("t", [0.9999999, -0.9999999, 1.0 - 2.0**-40, -(1.0 - 2.0**-40)])
+    def test_marginal_density_near_the_ends(self, n, t):
+        # 1 - t^2 rounds t^2 first, which cost 1.4e-10 at n = 10 and
+        # t = 0.9999999; log1p(-t) + log1p(t) takes t as it is.
+        z = _MP.gammaprod([_MP.mpf(n) / 2], [(_MP.mpf(n) - 1) / 2]) / _MP.sqrt(_MP.pi)
+        want = z * (1 - _MP.mpf(t) ** 2) ** ((_MP.mpf(n) - 3) / 2)
+        assert abs(_MP.mpf(coordinate_marginal_density(t, n)) - want) <= 1e-14 * want
+
     def test_marginal_density_at_the_top_of_the_double_range(self):
         np.testing.assert_allclose(
             coordinate_marginal_density(0.0, 10**300), math.sqrt(1e300 / (2 * math.pi)), rtol=1e-15
