@@ -28,6 +28,7 @@ import secrets
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,6 +145,9 @@ _OPTIONS = {
 # The config keys and the values they hold when unset: every option but
 # config, which names the file of the others.
 _DEFAULTS = {key: option.default for key, option in _OPTIONS.items() if key != "config"}
+# The config values that _resolve checks against their choices.
+_CHOICES = {key: option.choices for key, option in _OPTIONS.items()
+            if option.choices and not option.by_table}
 
 
 def _fmt17(value):
@@ -314,7 +318,7 @@ def _resolve(args):
     file_cfg = {}
     if getattr(args, "config", None) is not None:
         file_cfg = _load_config_file(args.config)
-    cfg = argparse.Namespace(command=args.command, **_DEFAULTS)
+    cfg = SimpleNamespace(command=args.command, **_DEFAULTS)
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         value = flag if flag is not None else file_cfg.get(key)
@@ -322,13 +326,12 @@ def _resolve(args):
             setattr(cfg, key, _checked(key, value))
     if cfg.geometry is not None:
         _geometry(cfg.geometry)  # rejects an unknown geometry
-    for key in _DEFAULTS:
-        option, value = _OPTIONS[key], getattr(cfg, key)
-        if option.by_table or not option.choices or value is None or value in option.choices:
-            continue
-        *rest, last = option.choices
-        expected = f"{', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}"
-        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value is not None and value not in choices:
+            *rest, last = choices
+            expected = f"{', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}"
+            raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
     return cfg
 
 
