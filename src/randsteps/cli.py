@@ -284,7 +284,7 @@ def _load_config_file(path):
 
 
 def _checked(key, value):
-    """A merged value as its flag would give it: config values are not cast."""
+    """A config value as its flag would give it; values are not cast."""
     option = _OPTIONS[key]
     if option.kind == "switch":
         if not isinstance(value, bool):
@@ -320,10 +320,13 @@ def _resolve(args):
         file_cfg = _load_config_file(args.config)
     cfg = SimpleNamespace(command=args.command, **_DEFAULTS)
     for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        value = flag if flag is not None else file_cfg.get(key)
-        if value is not None:
-            setattr(cfg, key, _checked(key, value))
+        value = getattr(args, key, None)  # argparse has typed the flag's text
+        if value is None:
+            value = file_cfg.get(key)
+            if value is None:
+                continue
+            value = _checked(key, value)
+        setattr(cfg, key, value)
     if cfg.geometry is not None:
         _geometry(cfg.geometry)  # rejects an unknown geometry
     for key, choices in _CHOICES.items():
