@@ -572,32 +572,26 @@ class TestConfigFile:
         assert code == EXIT_FAIL
         assert parse_row_csv(out)[1][0]["verdict"] == "indeterminate"
 
-    @pytest.mark.parametrize(
-        "schedule, texts",
-        [
-            ({"geometry": "flat", "steps": "1,1"},
-             {"n_dim": "10", "trials": "500", "seed": "7", "workers": "2",
-              "expect_mean": "2.5", "z_threshold": "4.5", "std_tolerance": "0.2"}),
-            ({"geometry": "marginal"}, {"power": "4", "n_dim": "6", "trials": "64", "seed": "3"}),
-        ],
-    )
-    def test_strings_parse_as_flag_text(self, capsys, tmp_path, schedule, texts):
+    def test_strings_parse_as_flag_text(self, capsys, tmp_path):
         # A string value of every int and float option reads as the flag's
-        # text would: "500" trials, "4.5" z.
-        fields = {**schedule, **texts, "output": "csv"}
-        code, out, _ = self._run_config(capsys, tmp_path, "compare", fields)
-        flags = ["compare", "--output", "csv"]
-        for key, text in {**schedule, **texts}.items():
-            flags += ["--" + key.replace("_", "-"), text]
-        assert (code, out) == run_cli(capsys, *flags)[:2]
-        row = parse_row_csv(out)[1][0]
-        assert (row["n_dim"], row["trials"], row["seed"]) == (
-            texts["n_dim"], texts["trials"], texts["seed"]
-        )
-        if "expect_mean" in texts:
-            assert row["prediction_mean"] == texts["expect_mean"]
-        if "power" in texts:
-            assert row["schedule"] == texts["power"]
+        # text would: "500" trials, "4.5" z.  power needs the marginal row.
+        cases = [
+            ({"geometry": "flat", "steps": "1,1", "n_dim": "10", "trials": "500", "seed": "7",
+              "workers": "2", "expect_mean": "2.5", "z_threshold": "4.5", "std_tolerance": "0.2"},
+             "prediction_mean", "2.5"),
+            ({"geometry": "marginal", "power": "4", "n_dim": "6", "trials": "64", "seed": "3"},
+             "schedule", "4"),
+        ]
+        for texts, column, want in cases:
+            code, out, _ = self._run_config(capsys, tmp_path, "compare", {**texts, "output": "csv"})
+            flags = ["compare", "--output", "csv"]
+            for key, text in texts.items():
+                flags += ["--" + key.replace("_", "-"), text]
+            assert (code, out) == run_cli(capsys, *flags)[:2]
+            row = parse_row_csv(out)[1][0]
+            assert [row[key] for key in ("n_dim", "trials", "seed", column)] == [
+                texts["n_dim"], texts["trials"], texts["seed"], want
+            ]
 
     def test_integer_for_float_field_renders_as_float(self, capsys, tmp_path):
         fields = {**self._FLAT, "expect_mean": 2, "output": "json"}
