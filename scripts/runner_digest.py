@@ -18,11 +18,10 @@ the predictor does.
 Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
 prediction_for over normal-range schedules of the same seven geometries.
 
-Line 4 digests prediction_for over a wider grid, and beside it the public
-functions that give what a Prediction does not: the dimension-free means
-(sphere_expected_cosine, flat_expected_sq_norm, hyperbolic_expected_cosh,
-hyperbolic_log_expected_cosh), flat_expected_norm, flat_fourth_moment and
-flat_sigma_bound.  The grid has up to 64 steps, n up to 1e300, angles of
+Line 4 digests prediction_for over a wider grid, and beside it the two
+public functions that give a number no Prediction field holds:
+flat_expected_norm and hyperbolic_log_expected_cosh, each finite where the
+row's mean passes the double range.  The grid has up to 64 steps, n up to 1e300, angles of
 exactly pi/2 and pi, hyperbolic arcs from 100 to 400 (whose cosh products
 pass the double range) and of about 1e-9, more flat steps than dimensions,
 invalid schedules, and operator spectra given both as lists and as
@@ -234,18 +233,10 @@ def _wide_points():
     return points
 
 
-def _public_calls(geometry, schedule, n):
-    # The public functions beside prediction_for's row; the operators have none.
-    if geometry == "sphere":
-        fns = (rs.sphere_expected_cosine,)
-    elif geometry == "flat":
-        fns = (rs.flat_expected_sq_norm, rs.flat_expected_norm,
-               partial(rs.flat_fourth_moment, n=n), partial(rs.flat_sigma_bound, n=n))
-    elif geometry == "hyperbolic":
-        fns = (rs.hyperbolic_expected_cosh, rs.hyperbolic_log_expected_cosh)
-    else:
-        fns = ()
-    return [partial(fn, schedule) for fn in fns]
+def _public_calls(geometry, schedule):
+    # The public functions beside prediction_for's row; the others have none.
+    fns = {"flat": rs.flat_expected_norm, "hyperbolic": rs.hyperbolic_log_expected_cosh}
+    return [partial(fns[geometry], schedule)] if geometry in fns else []
 
 
 def wide_prediction_digest():
@@ -265,7 +256,7 @@ def wide_prediction_digest():
 
     for geometry, schedule, n, observable in _wide_points():
         feed(partial(rs.prediction_for, geometry, schedule, n, observable))
-        for call in _public_calls(geometry, schedule, n):
+        for call in _public_calls(geometry, schedule):
             feed(call)
     return out.line()
 
