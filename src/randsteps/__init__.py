@@ -26,17 +26,11 @@ from .predictors import (
     PropositionBounds,
     coordinate_marginal_density,
     flat_expected_norm,
-    flat_expected_sq_norm,
-    flat_fourth_moment,
-    flat_sigma_bound,
     gaussian_abs_moment,
-    gaussian_sq_std,
-    hyperbolic_expected_cosh,
     hyperbolic_log_expected_cosh,
     pnorm_proposition_bounds,
-    sphere_expected_cosine,
 )
 from .sampling import RandomStream, Spectrum
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -513,28 +513,22 @@ def cmd_predict(cfg):
         }
         _emit(_render_fields(fields, cfg), cfg)
         return EXIT_PASS
-    if n_dim is None:
-        dimfree = _geometry(cfg.geometry).dimfree
-        if dimfree is None:
-            raise ConfigError("field n_dim: required")
-        # Dimension-free output: the mean needs no n, the sigmas do.
-        observable, mean_fn = dimfree
-        fields = {
-            "observable": observable,
-            "mean": mean_fn(schedule),
-            "sigma_exact": None,
-            "sigma_bound": None,
-            "deviation_order": None,
-        }
-    else:
+    row = _geometry(cfg.geometry)
+    if n_dim is not None:
         pred = _prediction(cfg, schedule, n_dim)
-        fields = {
-            "observable": pred.observable,
-            "mean": pred.mean,
-            "sigma_exact": pred.sigma_exact,
-            "sigma_bound": pred.sigma_bound,
-            "deviation_order": pred.deviation_order,
-        }
+    elif row.dimfree:
+        # Dimension-free output: the row's mean at n = inf; the sigmas need n.
+        pred = row.predict(row.parse(schedule, None)[0], math.inf, None)
+        pred = replace(pred, sigma_exact=None, sigma_bound=None, deviation_order=None)
+    else:
+        raise ConfigError("field n_dim: required")
+    fields = {
+        "observable": pred.observable,
+        "mean": pred.mean,
+        "sigma_exact": pred.sigma_exact,
+        "sigma_bound": pred.sigma_bound,
+        "deviation_order": pred.deviation_order,
+    }
     if cfg.geometry == "flat":
         fields["expected_norm"] = flat_expected_norm(schedule)
     _emit(_render_fields(fields, cfg), cfg)
@@ -560,7 +554,8 @@ def _cmd_experiments(cfg):
 
     simulate and compare run the configured point; table runs one point per
     sweep value, seeded (seed + i) mod 2^64.  Every point is checked before
-    any runs; simulate predicts nothing and always exits 0.
+    any runs; simulate predicts nothing and always exits 0.  A predicted or
+    measured mean that is inf or nan is a numeric failure, not a verdict.
     """
     _, schedule, n_dim = _schedule_from_config(cfg)
     table = cfg.command == "table"
@@ -589,6 +584,9 @@ def _cmd_experiments(cfg):
             pred = _prediction(cfg, spec.schedule, spec.n_dim)
         est = estimate(spec, workers=cfg.workers)
         if pred is not None:
+            for name, mean in (("predicted", pred.mean), ("measured", est.mean)):
+                if not math.isfinite(mean):
+                    raise OverflowError(f"the {name} mean is {mean!r}; a verdict needs finite means")
             report = compare(pred, est, z_threshold=cfg.z_threshold,
                              std_tolerance=cfg.std_tolerance, require_std=cfg.require_std)
         rows.append(_comparison_row(cfg, spec, pred, est, report))

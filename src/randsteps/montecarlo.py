@@ -3,8 +3,8 @@
 Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
 schedule against the dimension, the closed-form predictor, the
 dimension-reduced kernel that samples the observable, the CLI flags and
-config keys that carry the schedule, the allowed observables, and the
-dimension-free mean where one exists.  ExperimentSpec, prediction_for,
+config keys that carry the schedule, the allowed observables, and whether
+its mean needs no dimension.  ExperimentSpec, prediction_for,
 estimate and the CLI all dispatch through it.  "operator" is
 "operator_product" with exactly one factor, and "kappa" is
 "operator_product" over the spectra v_k = 1/(1 + d_k kappa_k) of a curvature
@@ -71,9 +71,6 @@ from .predictors import (
     _sphere_prediction,
     _sphere_steps,
     _steps,
-    flat_expected_sq_norm,
-    hyperbolic_expected_cosh,
-    sphere_expected_cosine,
 )
 from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _gen_of, _prepare_spectra
 
@@ -290,7 +287,8 @@ def _operator_trials(gen, count, n, spectra):
     for s in (sp.values for sp in spectra):
         if np.all(s == s[0]):
             dead |= abs(s[0]) <= _DEGENERATE_NORM
-            ratio *= abs(s[0])
+            with np.errstate(invalid="ignore"):  # inf * 0 only on rows now dead
+                ratio *= abs(s[0])
             c = -c if s[0] < 0.0 else c
             continue
         e = math.frexp(float(np.max(np.abs(s))))[1]
@@ -392,7 +390,8 @@ class _Geometry:
     schedule and check it no further; the kernel returns count observables.
     fields are the CLI flags and config keys that carry the schedule,
     observables the allowed observables (the default first), and dimfree
-    is (observable name, mean(schedule)) where the mean needs no n.
+    is set where the mean needs no n: predict(schedule, inf, None) then
+    gives that mean, with sigmas of 0.
     """
 
     parse: Callable
@@ -400,7 +399,7 @@ class _Geometry:
     kernel: Callable
     fields: tuple
     observables: tuple = ()
-    dimfree: Optional[tuple] = None
+    dimfree: bool = False
 
     def observable(self, observable):
         """observable validated against this geometry, or its default when None."""
@@ -430,7 +429,7 @@ _GEOMETRY_TABLE = {
         lambda d, n, _: _flat_prediction(d, n),
         partial(_chain_values, 0.0, 0, _flat_step),
         ("steps",),
-        dimfree=("squared_norm", flat_expected_sq_norm),
+        dimfree=True,
     ),
     "sphere": _Geometry(
         partial(_parse_steps, _angles, 3, "sphere"),
@@ -439,14 +438,14 @@ _GEOMETRY_TABLE = {
             1.0, 1, _sphere_step, gen, count, n, _sphere_steps(t), obs
         ),
         ("angles",),
-        dimfree=("cosine", sphere_expected_cosine),
+        dimfree=True,
     ),
     "hyperbolic": _Geometry(
         partial(_parse_steps, _arcs, 3, "hyperbolic"),
         lambda x, n, _: _hyperbolic_prediction(x, n),
         partial(_chain_values, 1.0, 1, _hyperbolic_step),
         ("arcs",),
-        dimfree=("minkowski_inner", hyperbolic_expected_cosh),
+        dimfree=True,
     ),
     "operator": _Geometry(_parse_operator, **_PRODUCT),
     "operator_product": _Geometry(_parse_product, **_PRODUCT),

@@ -8,11 +8,12 @@ sharp to compare against.
 
 The checked entry to a Prediction is prediction_for in
 :mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
-and runs the unchecked private cores below.  The public functions here give
-what a Prediction does not: the dimension-free means, the flat norm and
-fourth moment (mean^2 + sigma^2 of the flat row), the flat sigma bound past
-the row's domain (more steps than dimensions), and the sphere and Gaussian
-moment utilities.
+and runs the unchecked private cores below.  Every chain mean, sigma and
+bound comes from there; the sphere, flat and hyperbolic rows also predict
+at n = inf, where the mean alone is meaningful.  The public functions here
+give numbers no Prediction field holds: the flat norm and the hyperbolic
+log-cosh sum, each finite where the row's mean passes the double range,
+and the sphere and Gaussian moment utilities.
 
 The sphere, flat and hyperbolic sigmas are each chain's own variance
 recursion, run from its step map.  Every term they add is non-negative, so
@@ -42,17 +43,11 @@ __all__ = [
     "Prediction",
     "CurvaturePath",
     "PropositionBounds",
-    "sphere_expected_cosine",
-    "flat_expected_sq_norm",
     "flat_expected_norm",
-    "flat_fourth_moment",
-    "flat_sigma_bound",
-    "hyperbolic_expected_cosh",
     "hyperbolic_log_expected_cosh",
     "pnorm_proposition_bounds",
     "coordinate_marginal_density",
     "gaussian_abs_moment",
-    "gaussian_sq_std",
 ]
 
 # The snap of _sphere_steps: schedules built from 90 degrees predict a mean
@@ -83,12 +78,6 @@ def _dimension(n, capped=True):
     if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
         raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
     return int(n)
-
-
-def _need_n(n, least):
-    # Capped, because the public functions take n in floats.
-    if _dimension(n) < least:
-        raise ValueError(f"n must be >= {least}, got {n}")
 
 
 def _sphere_steps(t):
@@ -135,16 +124,6 @@ def _sphere_bound(t, n):
     return math.sqrt(float(s @ s)) / math.sqrt(n - 1)
 
 
-def sphere_expected_cosine(thetas):
-    """Expected cosine between start and end of a sphere chain.
-
-    For steps of fixed angles theta_1 .. theta_M in uniformly random tangent
-    directions, E[<u_M, u_0>] = prod_i cos(theta_i), independent of the
-    dimension.  Angles within 1e-12 rad of pi/2 contribute an exact factor 0.
-    """
-    return _sphere(_angles(thetas).tolist(), math.inf)[0]  # the mean needs no n
-
-
 def _scaled_steps(d):
     # (d * 2^-e, e) with e the exponent that brings the longest step to
     # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
@@ -159,11 +138,6 @@ def _ldexp_or_inf(x, e):
         return math.ldexp(x, e)
     except OverflowError:
         return math.inf
-
-
-def _flat_sq_norm(sq, e):
-    # sum d^2 from sq, the sum of the squares of the steps scaled by 2^-e.
-    return _ldexp_or_inf(sq, 2 * e)
 
 
 def _flat_sigma(ds, n):
@@ -189,16 +163,11 @@ def _flat_sigma(ds, n):
 
 
 def _flat_sigma_bound(sq, e, n):
+    # sqrt(2 (n-1)) / n sum d^2 from sq, the sum of the squares of the steps
+    # scaled by 2^-e; it tends to 0 as n grows, and is 0 at n = inf.
+    if n == math.inf:
+        return 0.0
     return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * sq, 2 * e)
-
-
-def flat_expected_sq_norm(ds):
-    """E[||x_M||^2] = sum_i d_i^2 for flat steps of lengths d_i.
-
-    Returns inf when the sum exceeds the double range.
-    """
-    d, e = _scaled_steps(_steps(ds))
-    return _flat_sq_norm(float(d @ d), e)
 
 
 def flat_expected_norm(ds):
@@ -210,36 +179,6 @@ def flat_expected_norm(ds):
     """
     d, e = _scaled_steps(_steps(ds))
     return _ldexp_or_inf(math.sqrt(float(d @ d)), e)
-
-
-def flat_fourth_moment(ds, n):
-    """E[||x_M||^4] = sum d_i^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2.
-
-    This is mean^2 + sigma^2 of the flat row's squared displacement, from
-    the same cores as its Prediction; returns inf when the moment exceeds
-    the double range.
-    """
-    d = _steps(ds)
-    _need_n(n, 2)
-    pred = _flat_prediction(d.tolist(), n)
-    return pred.mean * pred.mean + pred.sigma_exact * pred.sigma_exact
-
-
-def flat_sigma_bound(ds, n):
-    """Bound sigma <= sqrt(2 (n-1)) / n * sum_i d_i^2 for the squared displacement.
-
-    Guaranteed whenever the number of steps M does not exceed the dimension n
-    (the regime of interest, steps far fewer than dimensions); for M > n the
-    sharp constant degrades to sqrt(2 (M-1) / (M n)) and this expression may
-    undershoot the true sigma, so a Prediction leaves its bound out there.
-    Returns inf when the bound exceeds the double range.
-    """
-    d = _steps(ds)
-    _need_n(n, 2)
-    if d.shape[0] < 1:
-        raise ValueError("the bound needs at least one step")
-    d, e = _scaled_steps(d)
-    return _flat_sigma_bound(float(d @ d), e, n)
 
 
 def _exp_or_inf(x):
@@ -317,18 +256,12 @@ def _hyperbolic(x, n):
 
 
 def hyperbolic_log_expected_cosh(xis):
-    """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs."""
-    return _hyperbolic(_arcs(xis).tolist(), math.inf)[0]  # the log needs no n
+    """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs.
 
-
-def hyperbolic_expected_cosh(xis):
-    """Expected Minkowski inner product between start and end of a hyperbolic chain.
-
-    E[<u_M, u_0>_H] = prod_i cosh(xi_i), evaluated as the exponential of
-    hyperbolic_log_expected_cosh; returns inf when the product exceeds the
-    double range (the log form stays finite).
+    The hyperbolic row's mean is its exponential, inf past the double
+    range, where this log stays finite.
     """
-    return _exp_or_inf(hyperbolic_log_expected_cosh(xis))
+    return _hyperbolic(_arcs(xis).tolist(), math.inf)[0]  # the log needs no n
 
 
 def _hyperbolic_bound(m, n, log_cosh):
@@ -366,11 +299,12 @@ def _operator_mean(values, observable):
     # zero trace, undefined for the all-zero spectrum.  For the positive
     # weights of a curvature path each cosine factor is at most 1
     # (Cauchy-Schwarz), with equality exactly when a step sees equal
-    # curvatures.
+    # curvatures.  A norm product past the double range is inf, and a zero
+    # factor after it gives nan: the product has a zero factor, so it is 0.
     out = 1.0
     for s in values:
         out *= _operator_cosine(s) if observable == "cosine" else _pnorm_pi(s, 2)
-    return out
+    return 0.0 if math.isnan(out) else out
 
 
 class CurvaturePath:
@@ -497,7 +431,8 @@ def coordinate_marginal_density(t, n):
     would round.
     For n = 2 the density diverges at the endpoints (inf is returned there).
     """
-    _need_n(n, 2)
+    if _dimension(n) < 2:  # capped: the density takes n in floats
+        raise ValueError(f"n must be >= 2, got {n}")
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     z = _half_gamma_ratio((n - 1) / 2) / math.sqrt(math.pi)
@@ -522,11 +457,6 @@ def gaussian_abs_moment(p):
     return _exp_or_inf(
         0.5 * p * math.log(2.0) + math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
     )
-
-
-def gaussian_sq_std():
-    """Standard deviation sqrt(2) of x^2 for x standard normal."""
-    return math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -575,14 +505,14 @@ def _sphere_prediction(t, n):
 
 
 def _flat_prediction(ds, n):
-    # The flat row's Prediction for checked steps ds, a sequence of floats;
-    # the bound is left out where the schedule has more steps than
-    # dimensions, outside its validity domain.
+    # The flat row's Prediction for checked steps ds, a sequence of floats,
+    # in dimension n >= 2 (inf for the mean alone); the bound sqrt(2 (n-1)) / n sum d^2 is left out where the schedule has
+    # more steps than dimensions, where it may undershoot sigma.
     d, e = _scaled_steps(ds)
     sq, m = float(d @ d), d.shape[0]
     return Prediction(
         observable="squared_norm",
-        mean=_flat_sq_norm(sq, e),
+        mean=_ldexp_or_inf(sq, 2 * e),
         sigma_exact=_flat_sigma(ds, n),
         sigma_bound=None if m > n else _flat_sigma_bound(sq, e, n) if m else 0.0,
         deviation_order="relative deviation O(1/sqrt(n))",

@@ -64,15 +64,30 @@ class TestPredict:
         assert float(fields["mean"]) == 25.0
         assert float(fields["expected_norm"]) == 5.0
 
-    def test_dimension_free_prediction_has_no_sigma(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "predict", "--geometry", "hyperbolic", "--arcs", "1,1",
-            "--output", "json",
-        )
-        assert code == EXIT_PASS
+    @pytest.mark.parametrize(
+        "geometry, flag, schedule",
+        [
+            ("sphere", "--angles", "0.5,1.25,2.5"),
+            ("flat", "--steps", "0.001,2.5,7"),
+            ("hyperbolic", "--arcs", "1,1"),
+            ("hyperbolic", "--arcs", "500,500"),  # the cosh product is inf
+        ],
+        ids=["sphere", "flat", "hyperbolic", "hyperbolic-inf"],
+    )
+    def test_dimension_free_prediction_has_no_sigma(self, capsys, geometry, flag, schedule):
+        # With no --n-dim the mean is the row's, the same bits at every n.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "predict", "--geometry", geometry, flag, schedule, "--output", "json",
+            )
+            want = prediction_for(geometry, [float(v) for v in schedule.split(",")], 3)
+        assert code == EXIT_PASS, err
         payload = parse_json(out)
-        assert payload["mean"] == pytest.approx(math.cosh(1.0) ** 2, rel=1e-12)
+        assert float(payload["mean"]).hex() == want.mean.hex()
+        assert payload["observable"] == want.observable
         assert payload["sigma_exact"] is None
+        assert payload["sigma_bound"] is None
 
     def test_with_dimension_reports_sigma(self, capsys):
         code, out, _ = run_cli(
@@ -307,6 +322,18 @@ class TestCompare:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err == "numeric failure: cosh of the arc 100000.0 overflows\n"
+        # Predicted and measured norm ratios of inf gave z = -inf, a fail
+        # verdict and exit 1; simulate carries no verdict and still passes.
+        argv = ["--geometry", "operator_product", "--n-dim", "2", "--spectrum", "1e200,0",
+                "--spectrum", "1e200,0", "--observable", "norm_ratio", "--trials", "8",
+                "--seed", "1"]
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "numeric failure: the predicted mean is inf; a verdict needs finite means\n"
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--output", "json")
+        assert code == EXIT_PASS
+        assert parse_json(out)[0]["mc_mean"] == "inf"
 
     @pytest.mark.parametrize(
         "command, n, spectrum",
@@ -321,10 +348,21 @@ class TestCompare:
                 capsys, command, "--geometry", "operator", "--n-dim", n, "--spectrum", spectrum,
                 "--observable", "cosine", "--trials", "64", "--seed", "1", "--output", "json",
             )
+            assert code == EXIT_PASS, err
+            row = parse_json(out)[0]
+            assert 0.0 < row["mc_mean"] <= 1.0
+            assert row["verdict"] in (None, "pass")
+            # A zero factor after a norm past the double range: the ratio is
+            # exactly 0, where inf * 0 gave an invalid-value warning and a
+            # nan prediction.
+            code, out, err = run_cli(
+                capsys, "compare", "--geometry", "operator_product", "--n-dim", "2",
+                "--spectrum", "1e200,0", "--spectrum", "1e200,0", "--spectrum", "0,0",
+                "--observable", "norm_ratio", "--trials", "8", "--seed", "1", "--output", "json",
+            )
         assert code == EXIT_PASS, err
         row = parse_json(out)[0]
-        assert 0.0 < row["mc_mean"] <= 1.0
-        assert row["verdict"] in (None, "pass")
+        assert (row["prediction_mean"], row["mc_mean"], row["verdict"]) == (0.0, 0.0, "pass")
 
     def test_expect_mean_override_fails(self, capsys):
         code, out, _ = run_cli(

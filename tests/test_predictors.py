@@ -1,9 +1,9 @@
 """Closed-form predictors against hand-computed and independent oracles.
 
 prediction_for is the one checked entry to each mean, sigma and sigma
-bound; the public functions of randsteps.predictors are the dimension-free
-means, the flat bound past the row's domain and the moment utilities
-beside it.
+bound; the sphere, flat and hyperbolic means are the same bits at every n.
+The public functions of randsteps.predictors beside it are the flat norm,
+the hyperbolic log-cosh sum and the moment utilities.
 """
 
 import math
@@ -28,15 +28,9 @@ from randsteps.predictors import (
     Prediction,
     coordinate_marginal_density,
     flat_expected_norm,
-    flat_expected_sq_norm,
-    flat_fourth_moment,
-    flat_sigma_bound,
     gaussian_abs_moment,
-    gaussian_sq_std,
-    hyperbolic_expected_cosh,
     hyperbolic_log_expected_cosh,
     pnorm_proposition_bounds,
-    sphere_expected_cosine,
 )
 
 
@@ -52,28 +46,41 @@ def _bound(geometry, schedule, n):
     return prediction_for(geometry, schedule, n).sigma_bound
 
 
+def _mean_at_every_n(geometry, schedule):
+    # The row's mean at n = 3, 17 and 10^6, checked to be the same bits at each.
+    means = [prediction_for(geometry, schedule, n).mean for n in (3, 17, 10**6)]
+    assert len({mean.hex() for mean in means}) == 1, means
+    return means[0]
+
+
+def _fourth_moment(ds, n):
+    # E[||x_M||^4] of the flat chain: mean^2 + sigma^2 of its squared norm.
+    pred = prediction_for("flat", ds, n)
+    return pred.mean * pred.mean + pred.sigma_exact * pred.sigma_exact
+
+
 class TestSphereExpectedCosine:
     def test_empty_schedule(self):
-        assert sphere_expected_cosine(()) == 1.0
+        assert _mean_at_every_n("sphere", ()) == 1.0
 
     def test_product_of_cosines(self):
         thetas = (0.3, 1.1, 2.4)
         want = math.cos(0.3) * math.cos(1.1) * math.cos(2.4)
-        np.testing.assert_allclose(sphere_expected_cosine(thetas), want, rtol=1e-15)
+        np.testing.assert_allclose(_mean_at_every_n("sphere", thetas), want, rtol=1e-15)
 
     def test_sixty_degree_steps(self):
         np.testing.assert_allclose(
-            sphere_expected_cosine((math.pi / 3,) * 5), 0.03125, rtol=1e-14
+            _mean_at_every_n("sphere", (math.pi / 3,) * 5), 0.03125, rtol=1e-14
         )
 
     def test_right_angle_snaps_to_positive_zero(self):
-        out = sphere_expected_cosine((math.pi / 3, math.pi / 2, 2 * math.pi / 3))
+        out = _mean_at_every_n("sphere", (math.pi / 3, math.pi / 2, 2 * math.pi / 3))
         assert out == 0.0
         assert math.copysign(1.0, out) == 1.0
 
     def test_rejects_angle_outside_range(self):
         with pytest.raises(ValueError):
-            sphere_expected_cosine((3.5,))
+            prediction_for("sphere", (3.5,), 3)
 
 
 class TestSphereSigma:
@@ -156,7 +163,7 @@ class TestSphereSigma:
 
 class TestFlatPredictors:
     def test_expected_sq_norm(self):
-        assert flat_expected_sq_norm((1.0,) * 10) == 10.0
+        assert _mean_at_every_n("flat", (1.0,) * 10) == 10.0
         assert flat_expected_norm((3.0, 4.0)) == 5.0
 
     def test_sigma_frozen(self):
@@ -196,19 +203,19 @@ class TestFlatPredictors:
         # sum d^2 = 2e400 is past the double range; its square root is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert flat_expected_sq_norm((1e200, 1e200)) == math.inf
+            assert _mean_at_every_n("flat", (1e200, 1e200)) == math.inf
             np.testing.assert_allclose(
                 flat_expected_norm((1e200, 1e200)), math.sqrt(2.0) * 1e200, rtol=1e-15
             )
-            assert flat_sigma_bound((1e200, 1e200), 3) == math.inf
+            assert _bound("flat", (1e200, 1e200), 3) == math.inf
             # sqrt(2 (n - 1))/n * 2e300 at n = 1e10 is in range
             np.testing.assert_allclose(
-                flat_sigma_bound((1e150, 1e150), 10**10),
+                _bound("flat", (1e150, 1e150), 10**10),
                 math.sqrt(2.0 * (1e10 - 1)) / 1e10 * 2e300,
                 rtol=1e-15,
             )
             np.testing.assert_allclose(
-                flat_expected_sq_norm((1e150, 1e150)), 2e300, rtol=1e-15
+                _mean_at_every_n("flat", (1e150, 1e150)), 2e300, rtol=1e-15
             )
             # and tiny steps no longer underflow to 0
             np.testing.assert_allclose(
@@ -217,17 +224,17 @@ class TestFlatPredictors:
 
     def test_fourth_moment_hand_value(self):
         # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2 = 2 + 2.04
-        np.testing.assert_allclose(flat_fourth_moment((1.0, 1.0), 100), 4.04, rtol=1e-15)
+        np.testing.assert_allclose(_fourth_moment((1.0, 1.0), 100), 4.04, rtol=1e-15)
 
     def test_fourth_moment_scaled_steps(self):
         # Steps from about 1e77 overflowed d^4: nan and two RuntimeWarnings.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert flat_fourth_moment((1e200,), 3) == math.inf
-            assert flat_fourth_moment((1e77, 1e77), 3) == math.inf
+            assert _fourth_moment((1e200,), 3) == math.inf
+            assert _fourth_moment((1e77, 1e77), 3) == math.inf
             # sum d^4 + (2 + 4/n) d1^2 d2^2 = (2 + 10/3) 1e304
             np.testing.assert_allclose(
-                flat_fourth_moment((1e76, 1e76), 3), (2.0 + 10.0 / 3.0) * 1e304, rtol=1e-14
+                _fourth_moment((1e76, 1e76), 3), (2.0 + 10.0 / 3.0) * 1e304, rtol=1e-14
             )
 
     def test_sigma_below_bound(self):
@@ -236,25 +243,23 @@ class TestFlatPredictors:
             m = int(gen.integers(1, 7))
             n = int(gen.integers(max(m, 2), 50))
             ds = gen.uniform(0.0, 2.0, size=m)
-            assert _sigma("flat", ds, n) <= flat_sigma_bound(ds, n) * (1.0 + 1e-12)
+            pred = prediction_for("flat", ds, n)
+            assert pred.sigma_exact <= pred.sigma_bound * (1.0 + 1e-12)
 
     def test_prediction_omits_bound_when_steps_exceed_dims(self):
         pred = prediction_for("flat", (1.0,) * 5, 3)
         assert pred.sigma_bound is None
         assert prediction_for("flat", (1.0,) * 3, 3).sigma_bound is not None
-        # the public bound still gives sqrt(2 (n - 1)) / n * sum d^2 = 10/3
-        # there: the reason flat_sigma_bound stays public
-        np.testing.assert_allclose(flat_sigma_bound((1.0,) * 5, 3), 10.0 / 3.0, rtol=1e-15)
 
 
 class TestHyperbolicPredictors:
     def test_expected_cosh(self):
         np.testing.assert_allclose(
-            hyperbolic_expected_cosh((1.0, 1.0)), math.cosh(1.0) ** 2, rtol=1e-15
+            _mean_at_every_n("hyperbolic", (1.0, 1.0)), math.cosh(1.0) ** 2, rtol=1e-15
         )
 
     def test_expected_cosh_huge_arcs_overflow_to_inf(self):
-        assert hyperbolic_expected_cosh((500.0, 500.0)) == math.inf
+        assert _mean_at_every_n("hyperbolic", (500.0, 500.0)) == math.inf
 
     def test_sigma_two_arc_closed_form(self):
         # subset-sum oracle for M = 2: sigma = sinh(x1) sinh(x2) / sqrt(n-1)
@@ -444,7 +449,7 @@ class TestClosedFormProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred = prediction_for("flat", ds, n)
-            fourth = flat_fourth_moment(ds, n)
+            fourth = _fourth_moment(ds, n)
         _check_sigmas(pred, _flat_reference(ds, n))
         # sum d^4 + (2 + 4/n) sum_{i<j} d_i^2 d_j^2, inf past the double range
         d2 = [_MP.mpf(d) ** 2 for d in ds]
@@ -731,7 +736,6 @@ class TestSphereMoments:
         np.testing.assert_allclose(gaussian_abs_moment(4.0), 3.0, rtol=1e-14)
         # 2^200 Gamma(200.5) / sqrt(pi) is past the double range; this raised
         assert gaussian_abs_moment(400.0) == math.inf
-        assert gaussian_sq_std() == math.sqrt(2.0)
 
 
 class TestPredictionBundles:
@@ -772,41 +776,50 @@ def _bits(*values):
 
 
 class TestPredictionForRows:
-    """The public means and flat bound beside prediction_for run the same
-    cores as its rows; the sphere and hyperbolic bounds, fields of the rows
-    alone, meet their closed forms."""
+    """The sphere, flat and hyperbolic means are the same bits at every n,
+    the flat and hyperbolic ones those of the public norm and log-cosh sum,
+    and the sigma bounds meet their closed forms."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_public_predictors_bitwise(self, seed):
         gen = np.random.default_rng(seed)
-        for n in (3, 17, 10**6):
-            for m in (0, 1, 2, 5, 64):
-                t = tuple(gen.uniform(0.0, math.pi, m))
-                if m > 2:
-                    t = (math.pi / 2, math.pi) + t[2:]
-                pred = prediction_for("sphere", t, n)
-                assert _bits(pred.mean) == _bits(sphere_expected_cosine(t))
+        for m in (0, 1, 2, 5, 64):
+            t = tuple(gen.uniform(0.0, math.pi, m))
+            if m > 2:
+                t = (math.pi / 2, math.pi) + t[2:]
+            d = tuple(gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-100, 100, m))
+            # Arcs up to 200 take cosh products past the double range.
+            x = tuple(gen.uniform(0.05, 2.0, m) * 10.0 ** gen.integers(0, 3, m))
+            _mean_at_every_n("sphere", t)
+            np.testing.assert_allclose(
+                _mean_at_every_n("flat", d), flat_expected_norm(d) ** 2, rtol=1e-15, atol=0
+            )
+            log_cosh = hyperbolic_log_expected_cosh(x)
+            try:
+                cosh_product = math.exp(log_cosh)
+            except OverflowError:
+                cosh_product = math.inf
+            assert _bits(_mean_at_every_n("hyperbolic", x)) == _bits(cosh_product)
+            for n in (3, 17, 10**6):
                 # ||(sin theta_1 .. sin theta_{M-1})||_2 / sqrt(n - 1)
                 want = math.hypot(*np.sin(t[:-1])) / math.sqrt(n - 1)
-                np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(_bound("sphere", t, n), want, rtol=1e-14, atol=0)
 
-                d = tuple(gen.uniform(0.0, 3.0, m) * 10.0 ** gen.integers(-100, 100, m))
-                bound = flat_sigma_bound(d, n) if 0 < m <= n else (0.0 if m == 0 else None)
-                pred = prediction_for("flat", d, n)
-                assert _bits(pred.mean, pred.sigma_bound) == _bits(flat_expected_sq_norm(d), bound)
+                # sqrt(2 (n - 1)) / n sum d^2, left out past M = n
+                bound = _bound("flat", d, n)
+                if m > n:
+                    assert bound is None
+                else:
+                    want = math.sqrt(2.0 * (n - 1)) / n * math.fsum(v * v for v in d)
+                    np.testing.assert_allclose(bound, want, rtol=1e-14, atol=0)
 
-                # Arcs up to 200 take cosh products past the double range.
-                x = tuple(gen.uniform(0.05, 2.0, m) * 10.0 ** gen.integers(0, 3, m))
-                pred = prediction_for("hyperbolic", x, n)
-                assert _bits(pred.mean) == _bits(hyperbolic_expected_cosh(x))
                 # sqrt((n/(n-1))^(M-1) - 1) prod cosh xi_i, formed in logs
                 growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1))) if m else 0.0
                 try:
-                    log_cosh = hyperbolic_log_expected_cosh(x)
                     want = math.exp(0.5 * math.log(growth) + log_cosh) if growth else 0.0
                 except OverflowError:
                     want = math.inf
-                np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(_bound("hyperbolic", x, n), want, rtol=1e-12, atol=0)
         for n in (2, 10, 1000):
             lists = [gen.uniform(-0.5, 2.0, n).tolist() for _ in range(3)]
             spectra = [Spectrum(v) for v in lists]
@@ -837,14 +850,15 @@ class TestPredictionForRows:
 
 
 class TestPublicDimension:
-    # The public functions that take n check it as prediction_for does: an
-    # integer, within the double range their float arithmetic needs.  The
-    # sphere and hyperbolic bounds are fields of prediction_for's rows.
+    # coordinate_marginal_density checks n as prediction_for does: an
+    # integer, within the double range its float arithmetic needs.  The other
+    # entries read prediction_for's rows; their keys keep the names of the
+    # public functions that once gave those numbers, so the test ids stay.
     CALLS = {
         "sphere_sigma_bound": lambda n: _bound("sphere", (0.5, 0.5), n),
-        "flat_sigma_bound": lambda n: flat_sigma_bound((1.0, 2.0), n),
+        "flat_sigma_bound": lambda n: _bound("flat", (1.0, 2.0), n),
         "hyperbolic_sigma_bound": lambda n: _bound("hyperbolic", (0.5, 0.5), n),
-        "flat_fourth_moment": lambda n: flat_fourth_moment((1.0, 2.0), n),
+        "flat_fourth_moment": lambda n: _fourth_moment((1.0, 2.0), n),
         "coordinate_marginal_density": lambda n: coordinate_marginal_density(0.5, n),
     }
 

@@ -1,16 +1,31 @@
-"""Smoke test of scripts/runner_digest.py, the repository's byte-identity check.
+"""Guards of the repository's tooling against deletions from the public API.
 
-The script calls the public API directly, so a deletion from it that the
-script still uses would otherwise go unnoticed until someone runs it.
+scripts/runner_digest.py, the byte-identity check, and the benchmark under
+perfbench/ call the package directly, so a deletion from it that either
+still uses would otherwise go unnoticed until someone runs them.
 """
 
+import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import randsteps
+import randsteps.cli  # noqa: F401  (binds randsteps.cli, which the benchmark reads)
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _package_names(tree):
+    # The attributes the module reads from rs and randsteps, the names the
+    # benchmark gives the package, whether imported or passed in.
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("rs", "randsteps")
+    }
 
 
 def test_runner_digest_prints_six_digests():
@@ -23,3 +38,12 @@ def test_runner_digest_prints_six_digests():
     lines = done.stdout.splitlines()
     assert len(lines) == 6
     assert all(re.fullmatch(r"\d+ [0-9a-f]{64}", line) for line in lines), lines
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    # perfbench/baseline/ imports its own frozen copy and is left out.
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names |= _package_names(ast.parse(path.read_text(), str(path)))
+    assert {"UnitVector", "HyperboloidPoint", "run_sphere_chain", "cli"} <= names
+    assert sorted(n for n in names if not hasattr(randsteps, n)) == []
