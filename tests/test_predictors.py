@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randsteps import predictors
-from randsteps.montecarlo import prediction_for
+from randsteps.montecarlo import _geometry, prediction_for
 from randsteps.sampling import Spectrum
 from randsteps.predictors import (
     _sphere_moment,
@@ -47,8 +47,13 @@ def _bound(geometry, schedule, n):
 
 
 def _mean_at_every_n(geometry, schedule):
-    # The row's mean at n = 3, 17 and 10^6, checked to be the same bits at each.
-    means = [prediction_for(geometry, schedule, n).mean for n in (3, 17, 10**6)]
+    # The row's mean at n = 3, 17 and 10^6, and at n = inf, where predict
+    # reads it with no --n-dim and the sigmas are 0, checked to be the same
+    # bits at each.
+    row = _geometry(geometry)
+    free = row.predict(row.parse(schedule, None)[0], math.inf, None)
+    assert (free.sigma_exact, free.sigma_bound) == (0.0, 0.0)
+    means = [free.mean] + [prediction_for(geometry, schedule, n).mean for n in (3, 17, 10**6)]
     assert len({mean.hex() for mean in means}) == 1, means
     return means[0]
 
