@@ -21,12 +21,16 @@ prediction_for over normal-range schedules of the same seven geometries.
 Line 4 digests prediction_for over a wider grid, and beside it the two
 public functions that give a number no Prediction field holds:
 flat_expected_norm and hyperbolic_log_expected_cosh, each finite where the
-row's mean passes the double range.  The grid has up to 64 steps, n up to 1e300, angles of
-exactly pi/2 and pi, hyperbolic arcs from 100 to 400 (whose cosh products
-pass the double range) and of about 1e-9, more flat steps than dimensions,
-invalid schedules, and operator spectra given both as lists and as
-Spectrum.  Each call feeds either its numeric fields or its exception's
-type and message.
+row's mean passes the double range.  The grid has up to 64 steps, n up to
+1e300, angles of exactly pi/2 and pi, hyperbolic arcs from 100 to 400
+(whose cosh products pass the double range) and of about 1e-9, single arcs
+of 20, 300 and 710 (whose means are their cosh), 2000 arcs of 5 and then a
+zero arc (whose variance passes the double range before the zero arc), more
+flat steps than dimensions, invalid schedules, operator spectra given both
+as lists and as Spectrum, a cosine of a spectrum whose sum passes the double
+range, and a norm-ratio product of 1e200 whose running product passes it.
+Each call feeds either its numeric fields or its exception's type and
+message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
 or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
@@ -216,6 +220,10 @@ def _wide_points():
             ("hyperbolic", (1e5, 1e5), n, None),
             ("hyperbolic", (0.0, 0.0, 1.0), n, None),
             ("hyperbolic", (0.5, math.nan), n, None),
+            ("hyperbolic", (20.0,), n, None),
+            ("hyperbolic", (300.0,), n, None),
+            ("hyperbolic", (710.0,), n, None),
+            ("hyperbolic", (5.0,) * 2000 + (0.0,), n, None),
         ]
         if n <= 1000:
             for observable in ("cosine", "norm_ratio"):
@@ -230,6 +238,10 @@ def _wide_points():
                 ]
     for n in (2, 1):
         points += [("sphere", (0.5, 0.5), n, None), ("flat", (1.0,), n, None)]
+    points += [
+        ("operator", [1e308, -1e5, 1e308], 3, "cosine"),
+        ("operator_product", [[1e200] * 2, [1e200] * 2, [1e-200] * 2], 2, "norm_ratio"),
+    ]
     return points
 
 
