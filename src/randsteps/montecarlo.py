@@ -435,7 +435,7 @@ _GEOMETRY_TABLE = {
         partial(_parse_steps, _angles, 3, "sphere"),
         lambda t, n, _: _sphere_prediction(t, n),
         lambda gen, count, n, t, obs: _chain_values(
-            1.0, 1, _sphere_step, gen, count, n, _sphere_steps(t), obs
+            1.0, 1, _sphere_step, gen, count, n, list(_sphere_steps(t)), obs
         ),
         ("angles",),
         dimfree=True,

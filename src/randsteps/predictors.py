@@ -8,19 +8,22 @@ sharp to compare against.
 
 The checked entry to a Prediction is prediction_for in
 :mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
-and runs the unchecked private cores below.  Every chain mean, sigma and
-bound comes from there; the sphere, flat and hyperbolic rows also predict
-at n = inf, where the mean alone is meaningful.  The public functions here
-give numbers no Prediction field holds: the flat norm and the hyperbolic
-log-cosh sum, each finite where the row's mean passes the double range,
-and the sphere and Gaussian moment utilities.
+and runs the unchecked private cores below, each one pass over the
+schedule (one per operator factor) that forms the mean, sigma and bound
+together.  The sphere, flat and hyperbolic rows also predict at n = inf,
+where the mean alone is meaningful.  The hyperbolic mean is the cosh
+product itself, carried as a mantissa and an exponent.  The public
+functions here give numbers no Prediction field holds: the flat norm and
+the hyperbolic log-cosh sum, each finite where the row's mean passes the
+double range, and the sphere and Gaussian moment utilities.
 
 The sphere, flat and hyperbolic sigmas are each chain's own variance
 recursion, run from its step map.  Every term they add is non-negative, so
 no step cancels: each sigma keeps its relative precision wherever it is a
-normal double, and past the double range it is inf.  The monomial and
-marginal rows share one predictor of the sphere-coordinate moments, whose
-exact sigma is a product of moment ratios.
+normal double (the sphere's wherever its square is), and past the double
+range it is inf.  The monomial and marginal rows share one predictor of
+the sphere-coordinate moments, whose exact sigma is a product of moment
+ratios.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
 "probability p-norm" is pnorm_pi from :mod:`randsteps.geometry`.  Every
@@ -36,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _pnorm_pi, _schedule_vector, as_vector, pnorm_pi
+from .geometry import _schedule_vector, as_vector, pnorm_pi
 
 __all__ = [
     "PrecisionLossError",
@@ -55,6 +58,7 @@ __all__ = [
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _TINY = float(np.finfo(np.float64).tiny)
+_MAX = sys.float_info.max
 
 
 class PrecisionLossError(ArithmeticError):
@@ -86,17 +90,15 @@ def _sphere_steps(t):
     # within 1e-12 rad of 0 or pi.  The sphere predictor and the sphere
     # kernel both step by these, so they agree on every snapped step.
     half, top = math.pi / 2.0, math.pi - _RIGHT_ANGLE_SNAP
-    return [
-        (0.0 if abs(x - half) <= _RIGHT_ANGLE_SNAP else math.cos(x),
-         math.sin(x) if _RIGHT_ANGLE_SNAP < x < top else 0.0)
-        for x in t
-    ]
+    for x in t:
+        yield (0.0 if abs(x - half) <= _RIGHT_ANGLE_SNAP else math.cos(x),
+               math.sin(x) if _RIGHT_ANGLE_SNAP < x < top else 0.0)
 
 
 def _sphere(t, n):
-    # (mean, sigma) of the sphere chain cosine from the angles t, a sequence
-    # of floats in [0, pi], in dimension n >= 3 (inf for the mean alone).
-    # The mean is prod_i cos theta_i.  Step k maps the cosine X to
+    # (mean, sigma, bound) of the sphere chain cosine from the angles t, a
+    # sequence of floats in [0, pi], in dimension n >= 3 (inf for the mean
+    # alone).  The mean is prod_i cos theta_i.  Step k maps the cosine X to
     # cos theta_k X + sin theta_k W, where W has mean 0 and variance
     # (1 - X^2) / (n - 1) given X.  So the variance V_k of X after k steps
     # and u_k = 1 - E[X^2] follow the recursion
@@ -107,29 +109,20 @@ def _sphere(t, n):
     #
     # from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
     # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
-    # relative precision down to 0.  The steps are _sphere_steps', snapped.
-    v = u = 0.0
+    # relative precision wherever V_M is a normal double.  The bound is
+    # sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One pass over the snapped
+    # _sphere_steps forms all three.
+    v = u = ss = s2 = 0.0
     prod = 1.0
     for cth, sth in _sphere_steps(t):
+        ss += s2  # the bound leaves out the last step
         c2, s2 = cth * cth, sth * sth
         q = s2 / (n - 1)
         v = c2 * v + q * u
         u = s2 + (c2 - q) * u
         prod *= cth
-    return prod + 0.0, math.sqrt(v)  # a snapped right-angle factor must give +0.0, not -0.0
-
-
-def _sphere_bound(t, n):
-    s = np.sin(t[:-1])
-    return math.sqrt(float(s @ s)) / math.sqrt(n - 1)
-
-
-def _scaled_steps(d):
-    # (d * 2^-e, e) with e the exponent that brings the longest step to
-    # [1/2, 1), so no square of a scaled step overflows; the scaling is exact.
-    # Python's max, since the rows pass a tuple of floats.
-    e = math.frexp(max(d, default=0.0))[1]
-    return np.ldexp(np.asarray(d, dtype=np.float64), -e), e
+    # A snapped right-angle factor must give a mean of +0.0, not -0.0.
+    return prod + 0.0, math.sqrt(v), math.sqrt(ss) / math.sqrt(n - 1)
 
 
 def _ldexp_or_inf(x, e):
@@ -140,9 +133,11 @@ def _ldexp_or_inf(x, e):
         return math.inf
 
 
-def _flat_sigma(ds, n):
-    # Exact sigma of the flat squared displacement for steps ds, a sequence
-    # of floats >= 0, in dimension n >= 2.  Step k maps r2 = ||x||^2 to
+def _flat(ds, n):
+    # (sq, e, sigma) for steps ds, a sequence of floats >= 0, in dimension
+    # n >= 2: sum_i d_i^2 = sq 2^(2e), e the exponent of the longest step,
+    # so no square overflows (sq adds in schedule order), and the exact
+    # sigma of the flat squared displacement.  Step k maps r2 = ||x||^2 to
     # r2 + d_k^2 + 2 t d_k sqrt(r2), where t has mean 0 and variance 1/n
     # given the past, so
     #
@@ -153,13 +148,15 @@ def _flat_sigma(ds, n):
     # of two and the d_k^2 factor on the steps scaled by d_2's: no square
     # that matters overflows or underflows.  inf past the double range.
     if len(ds) < 2:
-        return 0.0
-    s = sorted(ds, reverse=True)
+        m, e = math.frexp(ds[0] if ds else 0.0)
+        return m * m, e, 0.0
+    d = np.array(ds)
+    s = np.sort(d)[::-1]
     e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
-    d = np.array(s)
-    a, b = np.ldexp(d, -e), np.ldexp(d[1:], -f)
+    a, b = np.ldexp(s, -e), np.ldexp(s[1:], -f)
     pairs = float((b * b) @ (a * a).cumsum()[:-1])
-    return _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
+    a = np.ldexp(d, -e)
+    return float(a @ a), e, _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
 
 
 def _flat_sigma_bound(sq, e, n):
@@ -177,7 +174,9 @@ def flat_expected_norm(ds):
     ||x_M|| itself differs from it by a relative O(1/n) correction.  It is
     finite wherever the value is, even when sum_i d_i^2 is not.
     """
-    d, e = _scaled_steps(_steps(ds))
+    d = _steps(ds)
+    e = math.frexp(d.max(initial=0.0))[1]
+    d = np.ldexp(d, -e)
     return _ldexp_or_inf(math.sqrt(float(d @ d)), e)
 
 
@@ -190,19 +189,19 @@ def _exp_or_inf(x):
 
 
 # Arcs below this have cosh xi < 2^490, so the loop in _hyperbolic multiplies
-# them into a mean factor kept below _MU_RESCALE; longer arcs enter as
-# (e^(xi/2))^2 / 2, which equals cosh xi to the last bit there.
+# them into a mean factor kept below _MU_RESCALE; longer arcs enter by the
+# exponent of their cosh, or of (e^(xi/2))^2 / 2 past the double range.
 _DIRECT_COSH = 340.0
 _MU_RESCALE = 2.0**500
 _LOG_2 = math.log(2.0)
 
 
 def _hyperbolic(x, n):
-    # (log prod_i cosh xi_i, sigma) of the hyperbolic chain inner product X
-    # for arcs x, a sequence of floats >= 0, in dimension n >= 3 (inf for
-    # the log alone).  Step k maps X to cosh xi_k X + t sinh xi_k
-    # sqrt(X^2 - 1), where t has mean 0 and variance 1/(n - 1) given the
-    # past.  With mu the product of the cosh xi_i so far, v = Var X / mu^2
+    # (mean, sigma, bound) of the hyperbolic chain inner product X for arcs
+    # x, a sequence of floats >= 0, in dimension n >= 3 (inf for the mean
+    # alone).  Step k maps X to cosh xi_k X + t sinh xi_k sqrt(X^2 - 1),
+    # where t has mean 0 and variance 1/(n - 1) given the past.  With mu
+    # the product of the cosh xi_i so far, the mean mu_M, v = Var X / mu^2
     # and w = (E[X^2] - 1) / mu^2 follow the recursion
     #
     #     tq_k = tanh^2 xi_k / (n - 1)
@@ -212,11 +211,12 @@ def _hyperbolic(x, n):
     # from v_0 = w_0 = 0, and sigma = mu_M sqrt(v_M).  Every term is
     # non-negative, so nothing cancels.  The loop carries (n - 1) v and w on
     # tanh xi scaled by 2^-h, h the mean exponent of the two largest tanh xi,
-    # so the products that matter stay normal; mu as p 2^e; and 1/mu^2 as a
-    # float, whose underflow drops only terms below one ulp of w, since
-    # w >= 1 - 1/mu^2 before scaling.  lc, the log-cosh sum behind the mean
-    # and the bound, adds its terms in schedule order.  sigma is inf past
-    # the double range.
+    # so the products that matter stay normal; mu as p 2^e, the product of
+    # the cosh xi themselves, so one arc's mean is its cosh to the last bit;
+    # and 1/mu^2 as a float, whose underflow drops only terms below one ulp
+    # of w, since w >= 1 - 1/mu^2 before scaling.  A term of v whose scaled
+    # tanh^2 is 0 is left out: once w is inf, 0 * inf is nan.  Past the
+    # double range the mean, sigma and bound are inf.
     h = 0
     if len(x) > 1:  # with one arc sigma is 0, whatever h is
         top = sorted(x)[-2:]
@@ -228,15 +228,15 @@ def _hyperbolic(x, n):
         # both, sigma underflows whatever h is, and 2^-h stays finite.
         h = max((e1 + e2) // 2, e1 - 511, -1000)
     g, n1 = math.ldexp(1.0, -h), n - 1.0
-    lc = v = w = 0.0
+    v = w = 0.0
     r = p = 1.0
     e = 0
     for xi in x:
-        lc += xi + math.log1p(math.exp(-2.0 * xi)) - _LOG_2
         t = math.tanh(xi)
         ts = t * g
         tt = ts * ts
-        v += tt * w
+        if tt:
+            v += tt * w
         w = tt * r + (1.0 + t * t / n1) * w
         if xi < _DIRECT_COSH:
             ch = math.cosh(xi)
@@ -245,66 +245,77 @@ def _hyperbolic(x, n):
             if p > _MU_RESCALE:
                 p, k = math.frexp(p)
                 e += k
-        else:
+            continue
+        try:
+            m, k = math.frexp(math.cosh(xi))
+            p, j = math.frexp(p * m)
+        except OverflowError:  # past the double range, as (e^(xi/2))^2 / 2
             m, k = math.frexp(_exp_or_inf(xi / 2.0))
             p, j = math.frexp(p * m * m)
-            e += j + 2 * k - 1
-            r = 0.0  # 1/mu^2 < e^-680: below one ulp of w from here on
-    if v == 0.0:
-        return lc, 0.0
-    return lc, _ldexp_or_inf(p * math.sqrt(v) / math.sqrt(n1), e + 2 * h)
+            k = 2 * k - 1
+        e += j + k
+        r = 0.0  # 1/mu^2 < e^-680: below one ulp of w from here on
+    sigma = _ldexp_or_inf(p * math.sqrt(v) / math.sqrt(n1), e + 2 * h) if v else 0.0
+    return _ldexp_or_inf(p, e), sigma, _hyperbolic_bound(len(x), n, p, e)
+
+
+def _hyperbolic_bound(m, n, p, e):
+    # The bound sigma <= sqrt((n/(n-1))^(m-1) - 1) prod_i cosh xi_i for m
+    # arcs whose cosh product is p 2^e.  It holds for every schedule; expm1
+    # and log1p keep the first factor's digits at large n.  0 for m <= 1,
+    # and inf when the bound exceeds the double range.
+    log_growth = (m - 1) * math.log1p(1.0 / (n - 1.0))
+    if log_growth <= 0.0:
+        return 0.0
+    # Past 709 expm1 overflows, and e^x - 1 is e^x to the last bit.
+    root = _exp_or_inf(0.5 * log_growth) if log_growth > 709.0 else math.sqrt(math.expm1(log_growth))
+    p, k = math.frexp(p)
+    return _ldexp_or_inf(p * root, e + k)
 
 
 def hyperbolic_log_expected_cosh(xis):
     """log of prod_i cosh(xi_i), computed stably for arbitrarily large arcs.
 
-    The hyperbolic row's mean is its exponential, inf past the double
-    range, where this log stays finite.
+    The hyperbolic row's mean is this product, inf past the double range,
+    where this log stays finite.
     """
-    return _hyperbolic(_arcs(xis).tolist(), math.inf)[0]  # the log needs no n
-
-
-def _hyperbolic_bound(m, n, log_cosh):
-    # The bound sigma <= sqrt((n/(n-1))^(m-1) - 1) prod_i cosh xi_i for
-    # m >= 1 arcs whose log-cosh sum is log_cosh.  It holds for every
-    # schedule; expm1 and log1p keep the first factor's digits at large n.
-    # inf when the bound exceeds the double range.
-    log_growth = (m - 1) * math.log1p(1.0 / (n - 1.0))
-    if log_growth > 709.0:  # expm1 overflows; e^x - 1 is e^x to the last bit here
-        return _exp_or_inf(0.5 * log_growth + log_cosh)
-    growth = math.expm1(log_growth)
-    if growth == 0.0:
-        return 0.0
-    try:
-        return math.sqrt(growth) * math.exp(log_cosh)
-    except OverflowError:
-        # A small first factor can keep the product in range.
-        return _exp_or_inf(0.5 * math.log(growth) + log_cosh)
-
-
-def _operator_cosine(s):
-    denom = _pnorm_pi(s, 2)
-    if denom == 0.0:
-        raise ValueError("cosine is undefined for the all-zero spectrum")
-    return float(np.mean(s)) / denom
+    lc = 0.0
+    for xi in _arcs(xis).tolist():
+        lc += xi + math.log1p(math.exp(-2.0 * xi)) - _LOG_2
+    return lc
 
 
 def _operator_mean(values, observable):
     # Concentration value of the observable after applying A_M ... A_1, for
-    # values an iterable of checked spectrum arrays s, consumed in order.
-    # Each factor's frame is drawn independently, so the factors multiply.
-    # Conjugating by a Haar frame turns a fixed spectrum into a random
-    # mixture, so ||A u|| / ||u|| concentrates at pnorm_pi(s, 2), and the
-    # cosine between u and A u at mean(s) / pnorm_pi(s, 2): exactly 0 for a
-    # zero trace, undefined for the all-zero spectrum.  For the positive
-    # weights of a curvature path each cosine factor is at most 1
-    # (Cauchy-Schwarz), with equality exactly when a step sees equal
-    # curvatures.  A norm product past the double range is inf, and a zero
-    # factor after it gives nan: the product has a zero factor, so it is 0.
-    out = 1.0
+    # values an iterable of checked spectrum arrays s, each sorted in
+    # descending order, consumed in order.  Each factor's frame is drawn
+    # independently, so the factors multiply.  Conjugating by a Haar frame
+    # turns a fixed spectrum into a random mixture, so ||A u|| / ||u||
+    # concentrates at pnorm_pi(s, 2), and the cosine between u and A u at
+    # mean(s) / pnorm_pi(s, 2): exactly 0 for a zero trace, undefined for
+    # the all-zero spectrum.  For the positive weights of a curvature path
+    # each cosine factor is at most 1 (Cauchy-Schwarz), with equality
+    # exactly when a step sees equal curvatures.  Each factor scales s once,
+    # a = s / max|s| with max|s| read off the ends, and pnorm_pi(s, 2) =
+    # max|s| sqrt(sum a^2 / N).  The cosine's sum(s) passes the double range
+    # only where N max|s| does; there it is sum a / N / sqrt(sum a^2 / N).
+    # The norm product is p 2^e: inf only past the double range, and 0
+    # after a zero factor.
+    p, e = 1.0, 0
     for s in values:
-        out *= _operator_cosine(s) if observable == "cosine" else _pnorm_pi(s, 2)
-    return 0.0 if math.isnan(out) else out
+        top, n = max(s[0], -s[-1]), len(s)
+        if top == 0.0:
+            if observable == "cosine":
+                raise ValueError("cosine is undefined for the all-zero spectrum")
+            return 0.0
+        a = s / top
+        r = math.sqrt(float((a * a).sum()) / n)
+        if observable == "cosine":
+            p *= float(s.sum()) / n / (top * r) if top <= _MAX / n else float(a.sum()) / n / r
+        else:
+            p, k = math.frexp(p * (top * r))
+            e += k
+    return _ldexp_or_inf(p, e)
 
 
 class CurvaturePath:
@@ -494,41 +505,30 @@ class Prediction:
 
 def _sphere_prediction(t, n):
     # The sphere row's Prediction for checked angles t, a sequence of floats.
-    mean, sigma = _sphere(t, n)
     return Prediction(
-        observable="cosine",
-        mean=mean,
-        sigma_exact=sigma,
-        sigma_bound=_sphere_bound(t, n) if len(t) else 0.0,
-        deviation_order="absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))",
+        "cosine", *_sphere(t, n), "absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))"
     )
 
 
 def _flat_prediction(ds, n):
     # The flat row's Prediction for checked steps ds, a sequence of floats,
-    # in dimension n >= 2 (inf for the mean alone); the bound sqrt(2 (n-1)) / n sum d^2 is left out where the schedule has
-    # more steps than dimensions, where it may undershoot sigma.
-    d, e = _scaled_steps(ds)
-    sq, m = float(d @ d), d.shape[0]
+    # in dimension n >= 2 (inf for the mean alone); the bound sqrt(2 (n-1))
+    # / n sum d^2 is left out where the schedule has more steps than
+    # dimensions, where it may undershoot sigma.
+    sq, e, sigma = _flat(ds, n)
     return Prediction(
         observable="squared_norm",
         mean=_ldexp_or_inf(sq, 2 * e),
-        sigma_exact=_flat_sigma(ds, n),
-        sigma_bound=None if m > n else _flat_sigma_bound(sq, e, n) if m else 0.0,
+        sigma_exact=sigma,
+        sigma_bound=None if len(ds) > n else _flat_sigma_bound(sq, e, n) if ds else 0.0,
         deviation_order="relative deviation O(1/sqrt(n))",
     )
 
 
 def _hyperbolic_prediction(x, n):
-    # The hyperbolic row's Prediction for checked arcs x, a sequence of
-    # floats; the log-cosh sum serves both the mean and the bound.
-    log_cosh, sigma = _hyperbolic(x, n)
+    # The hyperbolic row's Prediction for checked arcs x, a sequence of floats.
     return Prediction(
-        observable="minkowski_inner",
-        mean=_exp_or_inf(log_cosh),
-        sigma_exact=sigma,
-        sigma_bound=_hyperbolic_bound(len(x), n, log_cosh) if len(x) else 0.0,
-        deviation_order="relative deviation O(sqrt((n/(n-1))^(M-1) - 1))",
+        "minkowski_inner", *_hyperbolic(x, n), "relative deviation O(sqrt((n/(n-1))^(M-1) - 1))"
     )
 
 

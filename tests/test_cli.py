@@ -195,6 +195,17 @@ class TestPredict:
         for key in ("mean", "sigma_exact", "sigma_bound"):
             assert payload[key] == "inf"
 
+    def test_operator_cosine_past_1e154(self, capsys):
+        # Printed an overflow warning and a mean of inf, with exit 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "predict", "--geometry", "operator", "--n-dim", "3",
+                "--spectrum", "1e+308,-100000.0,1e+308", "--observable", "cosine", "--output", "json",
+            )
+        assert (code, err) == (EXIT_PASS, "")
+        assert parse_json(out)["mean"] == pytest.approx(2 / math.sqrt(6), rel=1e-15)
+
     def test_missing_schedule_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--geometry", "sphere", "--n-dim", "5")
         assert code == EXIT_CONFIG
@@ -468,6 +479,20 @@ class TestCompare:
         assert code == EXIT_PASS, err
         row = parse_json(out)[0]
         assert (row["verdict"], row["z_mean"], row["mc_mean"]) == ("pass", 0.0, row["prediction_mean"])
+
+    def test_one_arc_hyperbolic_mean_is_exact(self, capsys):
+        # The kernel reports cosh(20) exactly, and so does the prediction now
+        # (exp of the log-cosh sum was 8 ulps off: z = -inf).  At 32 trials
+        # the chunk mean of equal values is exact, so only the prediction is
+        # tested here.
+        code, out, err = run_cli(
+            capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "10", "--arcs", "20",
+            "--trials", "32", "--seed", "5", "--output", "json",
+        )
+        assert code == EXIT_PASS, err
+        row = parse_json(out)[0]
+        assert (row["verdict"], row["z_mean"], row["mc_mean"]) == ("pass", 0.0, math.cosh(20.0))
+        assert row["prediction_mean"] == math.cosh(20.0)
 
     def test_hyperbolic_with_std_gate(self, capsys):
         code, out, _ = run_cli(

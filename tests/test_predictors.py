@@ -156,11 +156,11 @@ class TestSphereSigma:
 
     def test_deterministic_chains_have_zero_sigma(self):
         # A first step of 0 or pi leaves the cosine at +-1, after which the
-        # next step is deterministic too; the bound (np.sin(pi) > 0) must
-        # not fall below sigma.
+        # next step is deterministic too; the bound takes the same snapped
+        # sines, so it is 0 as well.
         assert _sigma("sphere", (1.4001126639424055, 0.0), 3) == 0.0
         pred = prediction_for("sphere", (math.pi, 1.4198346486560234), 3)
-        assert pred.sigma_exact == 0.0 <= pred.sigma_bound
+        assert pred.sigma_exact == 0.0 == pred.sigma_bound
         for m in (1, 2, 5):
             assert _sigma("sphere", (math.pi,) * m, 3) == 0.0
             assert _sigma("sphere", (math.pi - 1e-13,) * m, 3) == 0.0
@@ -374,6 +374,27 @@ class TestHyperbolicPredictors:
                 pred = prediction_for("hyperbolic", arcs, 3)
                 assert 0.0 <= pred.sigma_exact < math.inf
 
+    def test_one_arc_mean_is_its_cosh(self):
+        # The mean is the cosh product itself, not exp of the log-cosh sum,
+        # which lost about xi ulps: one arc of 20 was 8 ulps off.
+        arcs = [k / 8 for k in range(5681)] + [709.78, 710.0, 710.4758600739439]
+        for xi in arcs:
+            assert _mean_at_every_n("hyperbolic", (xi,)) == math.cosh(xi), xi
+        assert _mean_at_every_n("hyperbolic", (710.5,)) == math.inf
+
+    def test_zero_arcs_after_an_overflowed_variance(self):
+        # Once w passes the double range, a zero arc's term of v is 0 * inf;
+        # it gave a nan sigma.  Zero arcs change nothing else.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arcs in ((5.0,) * 2000 + (0.0,), (1.0,) * 3000 + (0.0,) * 3, (5.0,) * 2000 + (1e-300,)):
+                pred = prediction_for("hyperbolic", arcs, 3)
+                assert (pred.mean, pred.sigma_exact, pred.sigma_bound) == (math.inf,) * 3
+            for n in (3, 17, 10**6):
+                with_zeros = prediction_for("hyperbolic", (0.0, 0.5, 0.0, 1.3, 0.0), n)
+                without = prediction_for("hyperbolic", (0.5, 1.3), n)
+                assert _bits(with_zeros.mean, with_zeros.sigma_exact) == _bits(without.mean, without.sigma_exact)
+
     def test_sigma_below_bound(self):
         gen = np.random.default_rng(94)
         for _ in range(100):
@@ -394,6 +415,15 @@ def _dimensions(least):
     return st.one_of(st.integers(least, 12), st.floats(1.0, 300.0).map(lambda u: int(10.0**u)))
 
 
+def _angle_lists():
+    # Up to 7 angles: uniform on [0, pi], exactly 0, pi/2 or pi, or 10^-14 to
+    # 1 away from one of them, on both sides of the 1e-12 snap.
+    side = st.sampled_from([(0.0, 1.0), (math.pi / 2, -1.0), (math.pi / 2, 1.0), (math.pi, -1.0)])
+    near = st.tuples(side, st.floats(-14.0, 0.0)).map(lambda c: c[0][0] + c[0][1] * 10.0 ** c[1])
+    exact = st.sampled_from([0.0, math.pi / 2, math.pi])
+    return st.lists(st.one_of(st.floats(0.0, math.pi), exact, near), max_size=7)
+
+
 _MP = mpmath.mp.clone()
 _MP.dps = 50
 
@@ -402,6 +432,20 @@ def _flat_reference(ds, n):
     # sqrt((4/n) sum_{i<j} d_i^2 d_j^2), a sum of positive terms.
     d2 = [_MP.mpf(d) ** 2 for d in ds]
     return _MP.sqrt(4 * _MP.fsum(a * b for a, b in combinations(d2, 2)) / n)
+
+
+def _sphere_reference(thetas, n):
+    # The sphere recursion of predictors._sphere in 50 digits, on the same
+    # snapped steps: a cosine of 0 within 1e-12 of pi/2, a sine of 0 within
+    # 1e-12 of 0 or pi.
+    half, top = math.pi / 2, math.pi - 1e-12
+    v = u = _MP.mpf(0)
+    for x in thetas:
+        c2 = 0 if abs(x - half) <= 1e-12 else _MP.cos(x) ** 2
+        s2 = _MP.sin(x) ** 2 if 1e-12 < x < top else 0
+        q = s2 / (_MP.mpf(n) - 1)
+        v, u = c2 * v + q * u, s2 + (c2 - q) * u
+    return _MP.sqrt(v)
 
 
 def _hyperbolic_reference(xis, n):
@@ -445,8 +489,21 @@ def _moment_reference(n, p0, p1):
 
 
 class TestClosedFormProperties:
-    """The flat, hyperbolic and moment-row sigmas and the flat fourth moment
-    against 50-digit references."""
+    """The sphere, flat, hyperbolic and moment-row sigmas and the flat fourth
+    moment against 50-digit references."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(t=_angle_lists(), n=_dimensions(3))
+    def test_sphere(self, t, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = prediction_for("sphere", t, n)
+        want = _sphere_reference(t, n)
+        # The recursion carries the variance, so sigma keeps 1e-12 where its
+        # square is a normal double; the bound is never below sigma.
+        if want * want >= sys.float_info.min or want == 0:
+            _check_sigmas(pred, want)
+        assert _MP.mpf(pred.sigma_bound) >= want * (1 - 1e-12)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(ds=_lengths(1e150), n=_dimensions(2))
@@ -529,6 +586,24 @@ class TestOperatorPredictors:
             n = int(gen.integers(2, 9))
             spectra = [gen.uniform(0.0, 1.0, size=n) + 1e-6 for _ in range(m)]
             assert _mean("operator_product", spectra, n) >= 0.0
+
+    def test_cosine_of_a_spectrum_past_1e154(self):
+        # sum(s) overflowed to inf here, with a numpy warning; the scaled
+        # pass gives 2 / sqrt(6).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for observable, want in (("cosine", 2 / math.sqrt(6)), ("norm_ratio", 1e308 * math.sqrt(2 / 3))):
+                mean = _mean("operator", [1e308, -1e5, 1e308], 3, observable)
+                np.testing.assert_allclose(mean, want, rtol=1e-15)
+
+    def test_norm_product_in_range_past_a_running_overflow(self):
+        # The running product 1e400 passes the double range; the product is 1e200.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = _mean("operator_product", [[1e200] * 2, [1e200] * 2, [1e-200] * 2], 2, "norm_ratio")
+            assert mean == pytest.approx(1e200, rel=1e-15)
+            assert _mean("operator_product", [[1e200] * 2, [1e200] * 2], 2, "norm_ratio") == math.inf
+            assert _mean("operator_product", [[1e-200] * 2] * 2, 2, "norm_ratio") == 0.0
 
     def test_product_prediction_norm_ratio(self):
         s = [0.5, 1.0]
@@ -782,8 +857,8 @@ def _bits(*values):
 
 class TestPredictionForRows:
     """The sphere, flat and hyperbolic means are the same bits at every n,
-    the flat and hyperbolic ones those of the public norm and log-cosh sum,
-    and the sigma bounds meet their closed forms."""
+    the flat one that of the public norm, the hyperbolic one the cosh
+    product to 1e-15, and the sigma bounds meet their closed forms."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_equal_public_predictors_bitwise(self, seed):
@@ -799,12 +874,15 @@ class TestPredictionForRows:
             np.testing.assert_allclose(
                 _mean_at_every_n("flat", d), flat_expected_norm(d) ** 2, rtol=1e-15, atol=0
             )
+            # The hyperbolic mean is the cosh product, within 1e-15 of a
+            # 50-digit one, and inf past the double range.
+            cosh_product = _MP.fprod(_MP.cosh(v) for v in x)
+            mean = _mean_at_every_n("hyperbolic", x)
+            if cosh_product > sys.float_info.max:
+                assert mean == math.inf
+            else:
+                assert abs(_MP.mpf(mean) - cosh_product) <= 1e-15 * cosh_product
             log_cosh = hyperbolic_log_expected_cosh(x)
-            try:
-                cosh_product = math.exp(log_cosh)
-            except OverflowError:
-                cosh_product = math.inf
-            assert _bits(_mean_at_every_n("hyperbolic", x)) == _bits(cosh_product)
             for n in (3, 17, 10**6):
                 # ||(sin theta_1 .. sin theta_{M-1})||_2 / sqrt(n - 1)
                 want = math.hypot(*np.sin(t[:-1])) / math.sqrt(n - 1)
