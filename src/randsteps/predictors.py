@@ -155,8 +155,8 @@ def _flat(ds, n):
     e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
     a, b = np.ldexp(s, -e), np.ldexp(s[1:], -f)
     pairs = float((b * b) @ (a * a).cumsum()[:-1])
-    a = np.ldexp(d, -e)
-    return float(a @ a), e, _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
+    d = np.ldexp(d, -e)
+    return float(d @ d), e, _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
 
 
 def _flat_sigma_bound(sq, e, n):
