@@ -26,18 +26,22 @@ row's mean passes the double range.  The grid has up to 64 steps, n up to
 (whose cosh products pass the double range) and of about 1e-9, single arcs
 of 20, 300 and 710 (whose means are their cosh), 2000 arcs of 5 and then a
 zero arc (whose variance passes the double range before the zero arc), more
-flat steps than dimensions, invalid schedules, operator spectra given both
-as lists and as Spectrum, a cosine of a spectrum whose sum passes the double
-range, and a norm-ratio product of 1e200 whose running product passes it.
-Each call feeds either its numeric fields or its exception's type and
-message.
+flat steps than dimensions, invalid schedules, schedules given as float64,
+float32 and object arrays, int lists and numeric text, sphere steps of 1e-5
+and 1e-11 (whose variance at n = 1e300 is below the normal double range),
+operator spectra given both as lists and as Spectrum, a cosine of a
+spectrum whose sum passes the double range, and a norm-ratio product of
+1e200 whose running product passes it.  Each call feeds either its numeric
+fields or its exception's type and message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
 or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
 steps from 1e-150 to 1e100 and the flat 1e150 edge (whose squared
 deviations overflow), hyperbolic arcs up to about 300, one-step chains, and
-1, 17 and 2049 trials.  Each estimate feeds either its fields or its
-exception's type and message, as on line 4.
+1, 17 and 2049 trials; and chains whose every trial is one constant (one
+step, or a later step snapped to 0) at 20 to 41 trials, where the
+constant's fsum divided by the count is an ulp off.  Each estimate feeds
+either its fields or its exception's type and message, as on line 4.
 
 Line 6 digests cli.main: its exit code, stdout and stderr (or an escaped
 exception's type and message), with the temporary directory's path masked.
@@ -66,6 +70,7 @@ import json
 import math
 import os
 import tempfile
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -224,6 +229,20 @@ def _wide_points():
             ("hyperbolic", (300.0,), n, None),
             ("hyperbolic", (710.0,), n, None),
             ("hyperbolic", (5.0,) * 2000 + (0.0,), n, None),
+            ("sphere", (1e-5, 1e-5), n, None),
+            ("sphere", (1e-11, 1e-11), n, None),
+            ("sphere", np.array([0.5, 1.0, 2.5]), n, None),
+            ("sphere", np.array([0.5, 1.0, 2.5], dtype=np.float32), n, None),
+            ("sphere", ["0.5", " 1.0", "2.5e0"], n, None),
+            ("flat", np.array([1e-5, 3.0, 1e200]), n, None),
+            ("flat", [1, 2, 3], n, None),
+            ("flat", np.array([0.1, 2.0], dtype=np.float32), n, None),
+            ("flat", ["1.5", "2"], n, None),
+            ("flat", np.array([Fraction(1, 3), True, 2.5], dtype=object), n, None),
+            ("hyperbolic", np.array([0.5, 20.0]), n, None),
+            ("hyperbolic", [0, 1, 300], n, None),
+            ("hyperbolic", np.array([0.3, 1.7], dtype=np.float32), n, None),
+            ("hyperbolic", ["0.5", "1e-9"], n, None),
         ]
         if n <= 1000:
             for observable in ("cosine", "norm_ratio"):
@@ -287,16 +306,28 @@ def _summation_grid():
     return grid
 
 
+# Chains whose every trial gives one constant, at trial counts where the
+# constant's fsum divided by the count is off by an ulp:
+# (geometry, n, schedule, trials, seed).
+_CONSTANT_RUNS = [
+    ("sphere", 3, (0.3,), 35, 8),
+    ("sphere", 3, (0.3, 1e-12), 35, 8),
+    ("flat", 3, (1e-5,), 41, 1),
+    ("hyperbolic", 10, (20.0,), 20, 5),
+    ("hyperbolic", 10, (20.0, 0.0), 20, 5),
+]
+
+
 def summation_digest():
     out = Digest()
-    for geometry, n, schedule in _summation_grid():
-        for trials in (1, 17, 2049):
-            try:
-                est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, trials))
-            except (ArithmeticError, ValueError) as exc:
-                out.feed_text(f"{type(exc).__name__}: {exc}")
-                continue
-            out.feed(est.mean, est.sample_std, est.std_error, est.trials, est.insufficient_trials)
+    runs = [(*point, trials, trials) for point in _summation_grid() for trials in (1, 17, 2049)]
+    for geometry, n, schedule, trials, seed in runs + _CONSTANT_RUNS:
+        try:
+            est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, seed))
+        except (ArithmeticError, ValueError) as exc:
+            out.feed_text(f"{type(exc).__name__}: {exc}")
+            continue
+        out.feed(est.mean, est.sample_std, est.std_error, est.trials, est.insufficient_trials)
     return out.line()
 
 
