@@ -518,7 +518,7 @@ def cmd_predict(cfg):
         pred = _prediction(cfg, schedule, n_dim)
     elif row.dimfree:
         # Dimension-free output: the row's mean at n = inf; the sigmas need n.
-        pred = row.predict(row.parse(schedule, None)[0], math.inf, None)
+        pred = row.predict(schedule, math.inf, None)
         pred = replace(pred, sigma_exact=None, sigma_bound=None, deviation_order=None)
     else:
         raise ConfigError("field n_dim: required")

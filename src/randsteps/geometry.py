@@ -8,7 +8,6 @@ read-only so values can be shared across threads after construction.
 """
 
 import math
-import sys
 
 import numpy as np
 
@@ -53,20 +52,24 @@ def as_vector(values, name="vector"):
     return v
 
 
-def _schedule_vector(values, name, upper=math.inf):
-    """A step schedule as a finite float64 array with entries in [0, upper].
+def _schedule_tuple(values, name, upper=math.inf):
+    """A step schedule as a tuple of floats in [0, upper], checked in pure Python.
 
-    Unlike as_vector, accepts an empty schedule (an empty array).
+    values is any 1-D iterable of reals or numeric text: a tuple, a list, a
+    1-D array or an iterator.  A string, bytes, a mapping, a set and an
+    array of another dimension are not schedules; nor is a scalar, and
+    neither are entries that float() rejects (None, complex, a sequence).
+    A nan or inf entry is reported before an entry out of range.
     """
-    if len(values) == 0:
-        return np.empty(0)
-    v = np.asarray(values, dtype=np.float64)
-    # One pass each for min and max: a nan or infinite entry fails them too.
-    if v.ndim != 1 or not (v.min() >= 0.0 and v.max() <= min(upper, sys.float_info.max)):
-        as_vector(v, name)  # raises for a bad shape or a non-finite entry
+    if isinstance(values, (str, bytes, dict, set, frozenset)) or getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be a 1-D sequence of numbers")
+    t = tuple(map(float, values))
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"{name} has non-finite entries")
+    if t and not (min(t) >= 0.0 and max(t) <= upper):
         bound = "" if upper == math.inf else f" and <= {upper!r}"
         raise ValueError(f"{name} entries must be >= 0{bound}")
-    return v
+    return t
 
 
 def _unwrap(x):

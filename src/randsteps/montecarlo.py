@@ -54,23 +54,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import HyperboloidPoint, UnitVector
+from .geometry import HyperboloidPoint, UnitVector, _schedule_tuple
 from .predictors import (
     _MONOMIAL_KINDS,
     _MONOMIALS,
     _OPERATOR_OBSERVABLES,
     CurvaturePath,
     Prediction,
-    _angles,
-    _arcs,
     _dimension,
-    _flat_prediction,
-    _hyperbolic_prediction,
+    _flat,
+    _hyperbolic,
     _moment_prediction,
-    _operator_prediction,
-    _sphere_prediction,
+    _operator,
+    _sphere,
     _sphere_steps,
-    _steps,
 )
 from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _gen_of, _prepare_spectra
 
@@ -327,11 +324,12 @@ def _check_n(n, least, geometry, capped=True):
     return n
 
 
-def _parse_steps(vector, least, geometry, schedule, n):
-    # A sphere, flat or hyperbolic schedule: the floats vector accepts.  Its
-    # predictor divides by n in floats, so n must lie in the double range.
+def _parse_steps(name, upper, least, geometry, schedule, n):
+    # A sphere, flat or hyperbolic schedule, the tuple of floats in [0,
+    # upper] that _schedule_tuple checks.  Its predictor divides by n in
+    # floats, so n must lie in the double range.
     n = _check_n(n, least, geometry)
-    return tuple(vector(schedule).tolist()), n
+    return _schedule_tuple(schedule, name, upper), n
 
 
 def _parse_product(schedule, n):
@@ -417,7 +415,7 @@ class _Geometry:
 
 
 _PRODUCT = dict(
-    predict=lambda spectra, _, obs: _operator_prediction([sp.values for sp in spectra], obs),
+    predict=lambda spectra, _, obs: _operator([sp.values for sp in spectra], obs),
     kernel=_operator_values,
     fields=("spectrum", "spectra_file"),
     observables=_OPERATOR_OBSERVABLES,
@@ -425,15 +423,15 @@ _PRODUCT = dict(
 
 _GEOMETRY_TABLE = {
     "flat": _Geometry(
-        partial(_parse_steps, _steps, 2, "flat"),
-        lambda d, n, _: _flat_prediction(d, n),
+        partial(_parse_steps, "steps", math.inf, 2, "flat"),
+        lambda d, n, _: _flat(d, n),
         partial(_chain_values, 0.0, 0, _flat_step),
         ("steps",),
         dimfree=True,
     ),
     "sphere": _Geometry(
-        partial(_parse_steps, _angles, 3, "sphere"),
-        lambda t, n, _: _sphere_prediction(t, n),
+        partial(_parse_steps, "angles", math.pi, 3, "sphere"),
+        lambda t, n, _: _sphere(t, n),
         lambda gen, count, n, t, obs: _chain_values(
             1.0, 1, _sphere_step, gen, count, n, list(_sphere_steps(t)), obs
         ),
@@ -441,8 +439,8 @@ _GEOMETRY_TABLE = {
         dimfree=True,
     ),
     "hyperbolic": _Geometry(
-        partial(_parse_steps, _arcs, 3, "hyperbolic"),
-        lambda x, n, _: _hyperbolic_prediction(x, n),
+        partial(_parse_steps, "arcs", math.inf, 3, "hyperbolic"),
+        lambda x, n, _: _hyperbolic(x, n),
         partial(_chain_values, 1.0, 1, _hyperbolic_step),
         ("arcs",),
         dimfree=True,

@@ -7,11 +7,11 @@ schedule-level deviation bounds, so the Monte Carlo engine has something
 sharp to compare against.
 
 The checked entry to a Prediction is prediction_for in
-:mod:`randsteps.montecarlo`: each geometry's row parses the schedule once
-and runs the unchecked private cores below, each one pass over the
+:mod:`randsteps.montecarlo`: each geometry's row checks the schedule once
+and runs one of the unchecked private cores below, each one pass over the
 schedule (one per operator factor) that forms the mean, sigma and bound
-together.  The sphere, flat and hyperbolic rows also predict at n = inf,
-where the mean alone is meaningful.  The hyperbolic mean is the cosh
+together and returns them as its Prediction.  The sphere, flat and
+hyperbolic rows also predict at n = inf, where the mean alone is meaningful.  The hyperbolic mean is the cosh
 product itself, carried as a mantissa and an exponent.  The public
 functions here give numbers no Prediction field holds: the flat norm and
 the hyperbolic log-cosh sum, each finite where the row's mean passes the
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _schedule_vector, as_vector, pnorm_pi
+from .geometry import _schedule_tuple, as_vector, pnorm_pi
 
 __all__ = [
     "PrecisionLossError",
@@ -65,18 +65,6 @@ class PrecisionLossError(ArithmeticError):
     """Raised when a closed-form moment falls below the double range."""
 
 
-def _angles(values):
-    return _schedule_vector(values, "angles", math.pi)
-
-
-def _arcs(values):
-    return _schedule_vector(values, "arcs")
-
-
-def _steps(values):
-    return _schedule_vector(values, "steps")
-
-
 def _dimension(n, capped=True):
     # n as an int, checked to be an integer and, if capped, within the double range.
     if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
@@ -96,7 +84,7 @@ def _sphere_steps(t):
 
 
 def _sphere(t, n):
-    # (mean, sigma, bound) of the sphere chain cosine from the angles t, a
+    # The Prediction of the sphere chain cosine from the angles t, a
     # sequence of floats in [0, pi], in dimension n >= 3 (inf for the mean
     # alone).  The mean is prod_i cos theta_i.  Step k maps the cosine X to
     # cos theta_k X + sin theta_k W, where W has mean 0 and variance
@@ -122,7 +110,10 @@ def _sphere(t, n):
         u = s2 + (c2 - q) * u
         prod *= cth
     # A snapped right-angle factor must give a mean of +0.0, not -0.0.
-    return prod + 0.0, math.sqrt(v), math.sqrt(ss) / math.sqrt(n - 1)
+    return Prediction(
+        "cosine", prod + 0.0, math.sqrt(v), math.sqrt(ss) / math.sqrt(n - 1),
+        "absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))",
+    )
 
 
 def _ldexp_or_inf(x, e):
@@ -134,37 +125,41 @@ def _ldexp_or_inf(x, e):
 
 
 def _flat(ds, n):
-    # (sq, e, sigma) for steps ds, a sequence of floats >= 0, in dimension
-    # n >= 2: sum_i d_i^2 = sq 2^(2e), e the exponent of the longest step,
-    # so no square overflows (sq adds in schedule order), and the exact
-    # sigma of the flat squared displacement.  Step k maps r2 = ||x||^2 to
-    # r2 + d_k^2 + 2 t d_k sqrt(r2), where t has mean 0 and variance 1/n
-    # given the past, so
+    # The Prediction of the flat squared displacement for steps ds, a
+    # sequence of floats >= 0, in dimension n >= 2 (inf for the mean alone).
+    # The mean sum_i d_i^2 is sq 2^(2e), e the exponent of the longest step,
+    # so no square overflows (sq adds in schedule order).  Step k maps r2 =
+    # ||x||^2 to r2 + d_k^2 + 2 t d_k sqrt(r2), where t has mean 0 and
+    # variance 1/n given the past, so
     #
     #     sigma^2 = (4/n) sum_k d_k^2 S_{k-1},   S_k = sum_{j<=k} d_j^2,
     #
     # a sum of non-negative terms, symmetric in the steps.  Sorted longest
     # first, S_{k-1} >= d_1^2, so S runs on the steps scaled by d_1's power
     # of two and the d_k^2 factor on the steps scaled by d_2's: no square
-    # that matters overflows or underflows.  inf past the double range.
+    # that matters overflows or underflows.  inf past the double range.  The
+    # bound sqrt(2 (n-1)) / n sum d^2 tends to 0 as n grows and is 0 at n =
+    # inf; it is left out where there are more steps than dimensions, where
+    # it may undershoot sigma.
     if len(ds) < 2:
         m, e = math.frexp(ds[0] if ds else 0.0)
-        return m * m, e, 0.0
-    d = np.array(ds)
-    s = np.sort(d)[::-1]
-    e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
-    a, b = np.ldexp(s, -e), np.ldexp(s[1:], -f)
-    pairs = float((b * b) @ (a * a).cumsum()[:-1])
-    d = np.ldexp(d, -e)
-    return float(d @ d), e, _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
-
-
-def _flat_sigma_bound(sq, e, n):
-    # sqrt(2 (n-1)) / n sum d^2 from sq, the sum of the squares of the steps
-    # scaled by 2^-e; it tends to 0 as n grows, and is 0 at n = inf.
-    if n == math.inf:
-        return 0.0
-    return _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * sq, 2 * e)
+        sq, sigma = m * m, 0.0
+    else:
+        d = np.array(ds)
+        s = np.sort(d)[::-1]
+        e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
+        a, b = np.ldexp(s, -e), np.ldexp(s[1:], -f)
+        pairs = float((b * b) @ (a * a).cumsum()[:-1])
+        d = np.ldexp(d, -e)
+        sq = float(d @ d)
+        sigma = _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
+    if len(ds) > n:
+        bound = None
+    else:
+        bound = 0.0 if n == math.inf else _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * sq, 2 * e)
+    return Prediction(
+        "squared_norm", _ldexp_or_inf(sq, 2 * e), sigma, bound, "relative deviation O(1/sqrt(n))"
+    )
 
 
 def flat_expected_norm(ds):
@@ -174,7 +169,7 @@ def flat_expected_norm(ds):
     ||x_M|| itself differs from it by a relative O(1/n) correction.  It is
     finite wherever the value is, even when sum_i d_i^2 is not.
     """
-    d = _steps(ds)
+    d = np.array(_schedule_tuple(ds, "steps"))
     e = math.frexp(d.max(initial=0.0))[1]
     d = np.ldexp(d, -e)
     return _ldexp_or_inf(math.sqrt(float(d @ d)), e)
@@ -197,7 +192,7 @@ _LOG_2 = math.log(2.0)
 
 
 def _hyperbolic(x, n):
-    # (mean, sigma, bound) of the hyperbolic chain inner product X for arcs
+    # The Prediction of the hyperbolic chain inner product X for arcs
     # x, a sequence of floats >= 0, in dimension n >= 3 (inf for the mean
     # alone).  Step k maps X to cosh xi_k X + t sinh xi_k sqrt(X^2 - 1),
     # where t has mean 0 and variance 1/(n - 1) given the past.  With mu
@@ -255,8 +250,13 @@ def _hyperbolic(x, n):
             k = 2 * k - 1
         e += j + k
         r = 0.0  # 1/mu^2 < e^-680: below one ulp of w from here on
-    sigma = _ldexp_or_inf(p * math.sqrt(v) / math.sqrt(n1), e + 2 * h) if v else 0.0
-    return _ldexp_or_inf(p, e), sigma, _hyperbolic_bound(len(x), n, p, e)
+    return Prediction(
+        "minkowski_inner",
+        _ldexp_or_inf(p, e),
+        _ldexp_or_inf(p * math.sqrt(v) / math.sqrt(n1), e + 2 * h) if v else 0.0,
+        _hyperbolic_bound(len(x), n, p, e),
+        "relative deviation O(sqrt((n/(n-1))^(M-1) - 1))",
+    )
 
 
 def _hyperbolic_bound(m, n, p, e):
@@ -280,34 +280,35 @@ def hyperbolic_log_expected_cosh(xis):
     where this log stays finite.
     """
     lc = 0.0
-    for xi in _arcs(xis).tolist():
+    for xi in _schedule_tuple(xis, "arcs"):
         lc += xi + math.log1p(math.exp(-2.0 * xi)) - _LOG_2
     return lc
 
 
-def _operator_mean(values, observable):
-    # Concentration value of the observable after applying A_M ... A_1, for
-    # values an iterable of checked spectrum arrays s, each sorted in
-    # descending order, consumed in order.  Each factor's frame is drawn
-    # independently, so the factors multiply.  Conjugating by a Haar frame
-    # turns a fixed spectrum into a random mixture, so ||A u|| / ||u||
-    # concentrates at pnorm_pi(s, 2), and the cosine between u and A u at
-    # mean(s) / pnorm_pi(s, 2): exactly 0 for a zero trace, undefined for
-    # the all-zero spectrum.  For the positive weights of a curvature path
-    # each cosine factor is at most 1 (Cauchy-Schwarz), with equality
-    # exactly when a step sees equal curvatures.  Each factor scales s once,
-    # a = s / max|s| with max|s| read off the ends, and pnorm_pi(s, 2) =
-    # max|s| sqrt(sum a^2 / N).  The cosine's sum(s) passes the double range
-    # only where N max|s| does; there it is sum a / N / sqrt(sum a^2 / N).
-    # The norm product is p 2^e: inf only past the double range, and 0
-    # after a zero factor.
+def _operator(values, observable):
+    # The Prediction, a concentration value with no sigma, of the observable
+    # after applying A_M ... A_1, for values an iterable of checked spectrum
+    # arrays s, each sorted in descending order, consumed in order.  Each
+    # factor's frame is drawn independently, so the factors multiply.
+    # Conjugating by a Haar frame turns a fixed spectrum into a random
+    # mixture, so ||A u|| / ||u|| concentrates at pnorm_pi(s, 2), and the
+    # cosine between u and A u at mean(s) / pnorm_pi(s, 2): exactly 0 for a
+    # zero trace, undefined for the all-zero spectrum.  For the positive
+    # weights of a curvature path each cosine factor is at most 1
+    # (Cauchy-Schwarz), with equality exactly when a step sees equal
+    # curvatures.  Each factor scales s once, a = s / max|s| with max|s| read
+    # off the ends, and pnorm_pi(s, 2) = max|s| sqrt(sum a^2 / N).  The
+    # cosine's sum(s) passes the double range only where N max|s| does; there
+    # it is sum a / N / sqrt(sum a^2 / N).  The norm product is p 2^e: inf
+    # only past the double range, and 0 after a zero factor.
     p, e = 1.0, 0
     for s in values:
         top, n = max(s[0], -s[-1]), len(s)
         if top == 0.0:
             if observable == "cosine":
                 raise ValueError("cosine is undefined for the all-zero spectrum")
-            return 0.0
+            p = 0.0
+            break
         a = s / top
         r = math.sqrt(float((a * a).sum()) / n)
         if observable == "cosine":
@@ -315,7 +316,7 @@ def _operator_mean(values, observable):
         else:
             p, k = math.frexp(p * (top * r))
             e += k
-    return _ldexp_or_inf(p, e)
+    return Prediction(observable, _ldexp_or_inf(p, e), None, None, "relative deviation O(sqrt(M/n))")
 
 
 class CurvaturePath:
@@ -503,47 +504,7 @@ class Prediction:
             )
 
 
-def _sphere_prediction(t, n):
-    # The sphere row's Prediction for checked angles t, a sequence of floats.
-    return Prediction(
-        "cosine", *_sphere(t, n), "absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))"
-    )
-
-
-def _flat_prediction(ds, n):
-    # The flat row's Prediction for checked steps ds, a sequence of floats,
-    # in dimension n >= 2 (inf for the mean alone); the bound sqrt(2 (n-1))
-    # / n sum d^2 is left out where the schedule has more steps than
-    # dimensions, where it may undershoot sigma.
-    sq, e, sigma = _flat(ds, n)
-    return Prediction(
-        observable="squared_norm",
-        mean=_ldexp_or_inf(sq, 2 * e),
-        sigma_exact=sigma,
-        sigma_bound=None if len(ds) > n else _flat_sigma_bound(sq, e, n) if ds else 0.0,
-        deviation_order="relative deviation O(1/sqrt(n))",
-    )
-
-
-def _hyperbolic_prediction(x, n):
-    # The hyperbolic row's Prediction for checked arcs x, a sequence of floats.
-    return Prediction(
-        "minkowski_inner", *_hyperbolic(x, n), "relative deviation O(sqrt((n/(n-1))^(M-1) - 1))"
-    )
-
-
 _OPERATOR_OBSERVABLES = ("cosine", "norm_ratio")
-
-
-def _operator_prediction(values, observable):
-    # The operator rows' Prediction for checked spectrum arrays and observable.
-    return Prediction(
-        observable=observable,
-        mean=_operator_mean(values, observable),
-        sigma_exact=None,
-        sigma_bound=None,
-        deviation_order="relative deviation O(sqrt(M/n))",
-    )
 
 
 def _moment_prediction(p0, p1, n, observable, deviation_order):

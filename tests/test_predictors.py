@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from randsteps import predictors
-from randsteps.montecarlo import _geometry, prediction_for
+from randsteps import montecarlo, predictors
+from randsteps.montecarlo import ExperimentSpec, _geometry, prediction_for
 from randsteps.sampling import Spectrum
 from randsteps.predictors import (
     _sphere_moment,
@@ -918,18 +918,96 @@ class TestPredictionForRows:
 
     def test_schedule_checked_once(self, monkeypatch):
         names = []
-        check = predictors._schedule_vector
+        check = montecarlo._schedule_tuple
 
         def counting(values, name, *args):
             names.append(name)
             return check(values, name, *args)
 
-        monkeypatch.setattr(predictors, "_schedule_vector", counting)
+        monkeypatch.setattr(montecarlo, "_schedule_tuple", counting)
         for geometry, name in (("sphere", "angles"), ("flat", "steps"), ("hyperbolic", "arcs")):
             for schedule in ((), (0.5,), (0.5, 1.0, 1.5)):
                 names.clear()
                 prediction_for(geometry, schedule, 10)
                 assert names == [name]
+
+
+# The entries that take a sphere, flat or hyperbolic schedule: (geometry,
+# call), each call giving what it makes of the schedule.
+_SCHEDULE_ENTRIES = {
+    f"{entry}-{geometry}": (geometry, call)
+    for geometry in ("sphere", "flat", "hyperbolic")
+    for entry, call in (
+        ("prediction_for", lambda g, x: prediction_for(g, x, 5)),
+        ("ExperimentSpec", lambda g, x: ExperimentSpec(g, 5, x, 2, 1).schedule),
+    )
+}
+_SCHEDULE_ENTRIES["flat_expected_norm"] = ("flat", lambda g, x: flat_expected_norm(x))
+_SCHEDULE_ENTRIES["hyperbolic_log_expected_cosh"] = (
+    "hyperbolic", lambda g, x: hyperbolic_log_expected_cosh(x)
+)
+_NAMES = {"sphere": "angles", "flat": "steps", "hyperbolic": "arcs"}
+
+# (schedule form, the float tuple it stands for; or "rejected", raising
+# ValueError or TypeError; or the message, with {name} for the schedule's
+# name, of a ValueError the CLI can reach).
+_NON_FINITE = "{name} has non-finite entries"
+_SCHEDULE_FORMS = {
+    "tuple": ((0.5, 1.0, 2.5), (0.5, 1.0, 2.5)),
+    "list": ([0.5, 1.0, 2.5], (0.5, 1.0, 2.5)),
+    "empty": ([], ()),
+    "array": (np.array([0.5, 1.0, 2.5]), (0.5, 1.0, 2.5)),
+    "float32-array": (np.array([0.1, 2.5], dtype=np.float32), (float(np.float32(0.1)), 2.5)),
+    "object-array": (np.array([Fraction(1, 3), True, 2], dtype=object), (1 / 3, 1.0, 2.0)),
+    "int-list": ([0, 1, 3], (0.0, 1.0, 3.0)),
+    "numeric-text": (["0.5", " 1 ", "2.5e0"], (0.5, 1.0, 2.5)),
+    "bools-and-fractions": ([True, False, Fraction(5, 2)], (1.0, 0.0, 2.5)),
+    "generator": (lambda: (x for x in (0.5, 1.0)), (0.5, 1.0)),  # made afresh per call
+    "bare-string": ("0.5", "rejected"),
+    "digit-string": ("123", "rejected"),
+    "empty-string": ("", "rejected"),
+    "bytes": (b"12", "rejected"),
+    "scalar": (0.5, "rejected"),
+    "2-d-array": (np.array([[0.5, 1.0]]), "rejected"),
+    "0-d-array": (np.array(0.5), "rejected"),
+    "nested-list": ([[0.5], [1.0]], "rejected"),
+    "ragged-list": ([0.5, [1.0, 2.0]], "rejected"),
+    "none-entry": ([0.5, None], "rejected"),
+    "complex-entry": ([0.5, 1j], "rejected"),
+    "dict": ({0.5: 1.0}, "rejected"),
+    "set": ({0.5}, "rejected"),
+    "nan": ([0.5, math.nan], _NON_FINITE),
+    "inf-text": (["inf"], _NON_FINITE),
+    "nan-before-range": ([-1.0, math.nan], _NON_FINITE),
+    "negative": ([0.5, -0.1], "{name} entries must be >= 0{bound}"),
+    "past-pi": ([3.5], None),  # out of range for angles alone
+}
+
+
+class TestScheduleDomain:
+    @pytest.mark.parametrize("form", _SCHEDULE_FORMS)
+    @pytest.mark.parametrize("entry", _SCHEDULE_ENTRIES)
+    def test_forms(self, entry, form):
+        # Each accepted form gives what its plain float tuple gives; each
+        # rejected form raises, a string never becoming its characters.
+        geometry, call = _SCHEDULE_ENTRIES[entry]
+        schedule, want = _SCHEDULE_FORMS[form]
+        schedule = schedule() if callable(schedule) else schedule
+        bound = " and <= 3.141592653589793" if geometry == "sphere" else ""
+        if want is None:
+            want = "{name} entries must be >= 0{bound}" if bound else (3.5,)
+        if want == "rejected":
+            with pytest.raises((ValueError, TypeError)):
+                call(geometry, schedule)
+        elif isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                call(geometry, schedule)
+            assert str(info.value) == want.format(name=_NAMES[geometry], bound=bound)
+        else:
+            got = call(geometry, schedule)
+            assert got == call(geometry, want)
+            if entry.startswith("ExperimentSpec"):
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestPublicDimension:
