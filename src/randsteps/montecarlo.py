@@ -12,12 +12,13 @@ path, with n the path's width: the three rows differ only in their parsers.
 
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
-from the stream addressed by (seed, k); chunk statistics are correctly
-rounded sums, formed by error-free extraction with math.fsum for the
-remainder, of deviations scaled by a power of two before they are squared,
-so that no spread in the double range overflows or underflows, and merged
-in chunk order, so the result is bitwise identical no matter how many
-workers participate or how the OS schedules them.
+from the stream addressed by (seed, k).  A chunk's mean is correctly
+rounded, and its sum of squared deviations is a correctly rounded sum, both
+formed by error-free extraction with math.fsum for the remainder; the
+deviations are scaled by a power of two before they are squared, so that no
+spread in the double range overflows or underflows.  Chunks merge in chunk
+order, so the result is bitwise identical no matter how many workers
+participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -49,6 +50,7 @@ a pass/fail/indeterminate verdict on standardized z-scores.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
@@ -93,7 +95,7 @@ _CHUNK = 2048
 # Operator factors draw their exponential and uniform rows in blocks of
 # about this many doubles (1 MiB), n per row.
 _BLOCK_DRAWS = 1 << 17
-# Cap on _exact_sum's extraction rounds; chunk sums need two or three.
+# Cap on _exact_terms' extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
 
 
@@ -584,15 +586,16 @@ def run_operator_product(spectra, u, rng):
     return OperatorProductResult(float(ratio[0]), float(cosine[0]), False)
 
 
-def _exact_sum(x):
-    """math.fsum(x.tolist()), bit for bit, for a 1-D float64 array x.
+def _exact_terms(x):
+    """A short list of doubles whose exact sum is that of the 1-D float64 array x.
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
     2008, Lemma 3.3): for sigma = 2^k > |x_i| (len(x) + 1), q = (x + sigma) -
     sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
-    keep sum(q) and go on with the nonzero residuals; fsum of the round sums
-    and what is left rounds the same real number.  nan, inf, values near
-    overflow or underflow, and values too spread for rounds to pay go to fsum.
+    keep sum(q) and go on with the nonzero residuals; the list is what is
+    left and the round sums, so math.fsum of it is math.fsum(x.tolist()), bit
+    for bit.  nan, inf, values near overflow or underflow, and values too
+    spread for rounds to pay are left in the list as they are.
     """
     sums = []
     while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
@@ -607,9 +610,33 @@ def _exact_sum(x):
         sums.append(float(q.sum()))
         x = x - q
         x = x[x != 0.0]
-    values = x.tolist()
-    values += sums
-    return math.fsum(values)
+    return x.tolist() + sums
+
+
+def _chunk_mean(terms, count):
+    """The exact sum of terms over count, correctly rounded.
+
+    With m = fsum(terms) / count, the mean is m + r / count for the remainder
+    r = fsum(terms) - count m, formed exactly: Veltkamp's split m = hi + lo
+    leaves count hi and count lo exact for count < 2^26.  That is within
+    2^-50 ulp of the exact mean, so it rounds correctly unless the exact
+    mean lies that close to a midpoint between two doubles; such a chunk is
+    summed again in fractions.  m stays as it is where |m| lies outside
+    (2^-960, 2^990): there the split or count hi leaves the double range.
+    """
+    m = math.fsum(terms) / count
+    if not 2.0**-960 < abs(m) < 2.0**990:
+        return m
+    c = m * 134217729.0  # 2^27 + 1
+    hi = c - (c - m)
+    q = math.fsum(terms + [-count * hi, -count * (m - hi)]) / count
+    mean = m + q
+    # The rounding error of mean, exact, in its ulps; below a power of two
+    # the gap halves, so a midpoint lies 1/4 ulp away on that side.
+    err = abs(q - (mean - m)) / math.ulp(mean)
+    if abs(err - 0.5) < 2.0**-48 or abs(err - 0.25) < 2.0**-48:
+        return float(sum(map(Fraction, terms)) / count)
+    return mean
 
 
 def _exponent(x):
@@ -621,7 +648,8 @@ def _exponent(x):
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^e, e) for chunk index of spec; pure in its arguments.
 
-    The deviations from the mean are scaled by 2^-e, with 2^e just above the
+    The mean is _chunk_mean's, so a chunk of one constant has that constant
+    as its mean and a spread of 0.  The deviations from the mean are scaled by 2^-e, with 2^e just above the
     largest, before they are squared, so M2 neither overflows nor underflows.
     Scaling by a power of two is exact, so the scaled M2 is the unscaled one's
     bits wherever its squares stayed in the normal range.  A chunk whose sum
@@ -629,15 +657,15 @@ def _chunk_stats(spec, index, count):
     """
     values = _trial_values(spec, index, count)
     try:
-        mean = _exact_sum(values) / count
+        mean = _chunk_mean(_exact_terms(values), count)
     except OverflowError:
         k = count.bit_length()
-        mean = math.ldexp(_exact_sum(np.ldexp(values, -k)) / count, k)
+        mean = math.ldexp(math.fsum(_exact_terms(np.ldexp(values, -k))) / count, k)
     with np.errstate(over="ignore", invalid="ignore"):
         d = values - mean
         e = _exponent(float(np.abs(d).max()))
         d = np.ldexp(d, -e)
-        m2 = _exact_sum(d * d)
+        m2 = math.fsum(_exact_terms(d * d))
     if m2 == math.inf:
         raise OverflowError(f"deviation from the chunk mean {mean!r} overflows")
     return count, mean, m2, e

@@ -480,11 +480,31 @@ class TestCompare:
         row = parse_json(out)[0]
         assert (row["verdict"], row["z_mean"], row["mc_mean"]) == ("pass", 0.0, row["prediction_mean"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--geometry", "sphere", "--n-dim", "3", "--angles", "0.3", "--trials", "35",
+             "--seed", "8"],
+            ["--geometry", "sphere", "--n-dim", "3", "--angles", "0.3,1e-12", "--trials", "35",
+             "--seed", "8"],
+            ["--geometry", "hyperbolic", "--n-dim", "10", "--arcs", "20", "--trials", "20",
+             "--seed", "5"],
+        ],
+        ids=["sphere", "sphere-snapped", "hyperbolic"],
+    )
+    def test_constant_chain_mean_is_exact(self, capsys, argv):
+        # fsum / count of these constants was an ulp off, so every deviation
+        # was an ulp and z read 5.83 and -4.36; the chunk mean is now
+        # correctly rounded.
+        code, out, err = run_cli(capsys, "compare", *argv, "--output", "json")
+        assert code == EXIT_PASS, err
+        row = parse_json(out)[0]
+        assert (row["verdict"], row["z_mean"], row["mc_std"]) == ("pass", 0.0, 0.0)
+        assert row["mc_mean"] == row["prediction_mean"]
+
     def test_one_arc_hyperbolic_mean_is_exact(self, capsys):
         # The kernel reports cosh(20) exactly, and so does the prediction now
-        # (exp of the log-cosh sum was 8 ulps off: z = -inf).  At 32 trials
-        # the chunk mean of equal values is exact, so only the prediction is
-        # tested here.
+        # (exp of the log-cosh sum was 8 ulps off: z = -inf).
         code, out, err = run_cli(
             capsys, "compare", "--geometry", "hyperbolic", "--n-dim", "10", "--arcs", "20",
             "--trials", "32", "--seed", "5", "--output", "json",

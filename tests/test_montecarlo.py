@@ -26,9 +26,10 @@ from randsteps.montecarlo import (
     ComparisonReport,
     ExperimentSpec,
     MonteCarloEstimate,
+    _chunk_mean,
     _chunk_stats,
     _coordinate_values,
-    _exact_sum,
+    _exact_terms,
     _sphere_coordinate,
     _trial_values,
     compare,
@@ -216,6 +217,25 @@ class TestEstimate:
         assert est.mean == math.cosh(0.8)
         assert est.sample_std == 0.0 and est.std_error == 0.0
 
+    @pytest.mark.parametrize(
+        "geometry, n, schedule",
+        [("sphere", 3, (0.3,)), ("sphere", 3, (0.3, 1e-12)), ("flat", 3, (1e-5,)),
+         ("flat", 3, (1e-5, 0.0)), ("hyperbolic", 10, (20.0,)), ("hyperbolic", 10, (20.0, 0.0))],
+        ids=["sphere", "sphere-snapped", "flat", "flat-zero-step", "hyperbolic", "hyperbolic-zero-arc"],
+    )
+    def test_constant_chains_at_every_trial_count(self, geometry, n, schedule):
+        # One step, or a later step of sine 0 (an angle of 1e-12 snaps to
+        # it): every trial is the predicted constant, so the correctly
+        # rounded chunk mean is that constant at any count (fsum / count was
+        # an ulp off at about a quarter of the counts below 200), and so is
+        # the merge of chunks.
+        pred = prediction_for(geometry, schedule, n)
+        for trials in [*range(2, 200), 2049, 4097]:
+            est = estimate(ExperimentSpec(geometry, n, schedule, trials, 1))
+            assert (est.mean, est.sample_std) == (pred.mean, 0.0), trials
+            report = compare(pred, est)
+            assert (report.verdict, report.z_mean) == ("pass", 0.0), trials
+
     def test_std_error_scales_with_trials(self):
         small = estimate(ExperimentSpec("flat", 20, (1.0, 1.0, 1.0), 4096, 31))
         large = estimate(ExperimentSpec("flat", 20, (1.0, 1.0, 1.0), 16384, 31))
@@ -377,6 +397,26 @@ class TestChunkStreams:
         np.testing.assert_array_equal(_trial_values(spec, 0, 2047), first[:2047])
 
 
+@st.composite
+def _mean_inputs(draw):
+    """Chunks of 1 to 2049 values: one constant, a constant with one value
+    nudged by 2^-50 to 2^-300 of it, values over a drawn exponent range, and
+    values near the ends of the range where the mean is corrected."""
+    size = draw(st.integers(1, 2049))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = draw(st.floats(-1e300, 1e300, allow_subnormal=False).filter(bool))
+    shape = draw(st.sampled_from(["constant", "nudged", "spread", "ends"]))
+    x = np.full(size, value)
+    if shape == "nudged":
+        x[gen.integers(size)] += value * 2.0 ** -float(gen.integers(50, 301))
+    elif shape == "spread":
+        lo = draw(st.integers(-900, 900))
+        x = gen.uniform(-1.0, 1.0, size) * np.exp2(gen.integers(lo, lo + 120, size).astype(float))
+    elif shape == "ends":
+        x = gen.uniform(0.5, 1.0, size) * draw(st.sampled_from([2.0**-960, 2.0**-959, 2.0**990, 2.0**989]))
+    return x
+
+
 class TestChunkStats:
     def test_m2_matches_the_scalar_loop(self):
         # The reference squares each deviation as a Python float; x ** 2 there
@@ -484,6 +524,41 @@ class TestChunkStats:
             fits = _trial_values(spec, 0, k).tolist()
             assert _chunk_stats(spec, 0, k)[1] == math.fsum(fits) / k
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mean_inputs())
+    def test_chunk_mean_is_correctly_rounded(self, x):
+        # Against the exact mean in fractions, wherever it lies in (2^-960,
+        # 2^990); outside, the mean is fsum / count.
+        got = _chunk_mean(_exact_terms(x), x.size)
+        want = float(sum(map(Fraction, x.tolist())) / x.size)
+        if not 2.0**-960 < abs(math.fsum(x.tolist()) / x.size) < 2.0**990:
+            want = math.fsum(x.tolist()) / x.size
+        assert got.hex() == want.hex()
+
+    def test_chunk_mean_near_a_midpoint(self):
+        # (1 + 2^-53 + 2^-160) / 2 lies 2^-161 above the midpoint of 1/2 and
+        # its successor; the remainder rounds the 2^-160 away, and m + r / 2
+        # lands on the midpoint, which rounds to even, 1/2.  Such a mean is
+        # summed again in fractions.
+        assert _chunk_mean([1.0, 2.0**-53, 2.0**-160], 2) == 0.5 + 2.0**-53
+        assert _chunk_mean([-1.0, -(2.0**-53), -(2.0**-160)], 2) == -(0.5 + 2.0**-53)
+        # Below a power of two the gap halves: 2 - 2^-53 - 2^-160 over 2 lies
+        # just below the midpoint of 1 and its predecessor.
+        assert _chunk_mean([2.0, -(2.0**-53), -(2.0**-160)], 2) == 1.0 - 2.0**-53
+
+    @pytest.mark.parametrize("value", [math.cos(0.3), 1.0 / 3.0, -2.5e-7, 1e200, 1e-280])
+    def test_merge_keeps_equal_chunk_means(self, monkeypatch, value):
+        # Three chunks of one constant: each mean is the constant, and the
+        # merge adds delta = 0 to it.
+        monkeypatch.setattr(
+            montecarlo, "_trial_values", lambda spec, index, count: np.full(count, value)
+        )
+        spec = ExperimentSpec("flat", 3, (1.0,), 2 * 2048 + 35, 1)
+        for index, count in enumerate((2048, 2048, 35)):
+            assert _chunk_stats(spec, index, count)[1] == value
+        est = estimate(spec)
+        assert (est.mean, est.sample_std) == (value, 0.0)
+
     def test_infinite_observable_gives_nan_spread_without_warning(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: np.array([1.0, math.inf]))
         spec = ExperimentSpec("flat", 3, (1.0,), 2, 1)
@@ -505,7 +580,7 @@ def _fsum_outcome(values):
 def _assert_sums_like_fsum(x):
     x = np.asarray(x, dtype=np.float64)
     want = _fsum_outcome(lambda: math.fsum(x.tolist()))
-    assert _fsum_outcome(lambda: _exact_sum(x)) == want
+    assert _fsum_outcome(lambda: math.fsum(_exact_terms(x))) == want
 
 
 _SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 2.0**1000, -(2.0**1000), 2.0**-1000,
@@ -579,10 +654,13 @@ class TestExactSum:
         _assert_sums_like_fsum(np.concatenate([x, -x[::-1]]))
 
     def test_known_sums(self):
-        assert _exact_sum(np.array([1.0, 2.0**-53] + [0.0] * 15)) == 1.0
-        assert _exact_sum(np.array([1.0 + 2.0**-52, 2.0**-53] + [0.0] * 15)) == 1.0 + 2.0**-51
-        assert _exact_sum(np.array([1.0] + [2.0**-53] * 2048)) == 1.0 + 2.0**-42
-        cancelled = _exact_sum(np.array([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683))
+        def exact_sum(values):
+            return math.fsum(_exact_terms(np.array(values)))
+
+        assert exact_sum([1.0, 2.0**-53] + [0.0] * 15) == 1.0
+        assert exact_sum([1.0 + 2.0**-52, 2.0**-53] + [0.0] * 15) == 1.0 + 2.0**-51
+        assert exact_sum([1.0] + [2.0**-53] * 2048) == 1.0 + 2.0**-42
+        cancelled = exact_sum([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683)
         assert cancelled == 0.0 and math.copysign(1.0, cancelled) == 1.0
 
     @pytest.mark.parametrize(
@@ -592,8 +670,8 @@ class TestExactSum:
         ids=["sphere", "marginal-t8"],
     )
     def test_chunk_sums_hand_fsum_few_values(self, spec, monkeypatch):
-        # A chunk's mean and M2 reach math.fsum as a few round sums and
-        # residuals, not as one float per trial.
+        # A chunk's mean, its remainder and M2 reach math.fsum as a few round
+        # sums and residuals, not as one float per trial.
         sizes = []
         fsum = math.fsum
 
@@ -604,7 +682,7 @@ class TestExactSum:
 
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         _chunk_stats(spec, 0, 2048)
-        assert len(sizes) == 2 and max(sizes) <= 64
+        assert len(sizes) == 3 and max(sizes) <= 64
 
 
 class TestPairSampler:
