@@ -20,8 +20,7 @@ double range, and the sphere and Gaussian moment utilities.
 The sphere, flat and hyperbolic sigmas are each chain's own variance
 recursion, run from its step map.  Every term they add is non-negative, so
 no step cancels: each sigma keeps its relative precision wherever it is a
-normal double (the sphere's wherever its square is), and past the double
-range it is inf.  The monomial and marginal rows share one predictor of
+normal double, and past the double range it is inf.  The monomial and marginal rows share one predictor of
 the sphere-coordinate moments, whose exact sigma is a product of moment
 ratios.
 
@@ -96,22 +95,24 @@ def _sphere(t, n):
     #     u_k = sin^2 theta_k + (cos^2 theta_k - q_k) u_{k-1}
     #
     # from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
-    # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2), so sigma keeps its
-    # relative precision wherever V_M is a normal double.  The bound is
-    # sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One pass over the snapped
-    # _sphere_steps forms all three.
+    # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2).  The loop carries v =
+    # (n - 1) V, as _hyperbolic does: a snapped sine is 0 or above 1e-12, so
+    # v is 0 or a normal double at any n, and sigma = sqrt(v) / sqrt(n - 1)
+    # keeps its relative precision wherever it is a normal double.  The
+    # bound is sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One pass over the
+    # snapped _sphere_steps forms all three.
     v = u = ss = s2 = 0.0
     prod = 1.0
     for cth, sth in _sphere_steps(t):
         ss += s2  # the bound leaves out the last step
         c2, s2 = cth * cth, sth * sth
-        q = s2 / (n - 1)
-        v = c2 * v + q * u
-        u = s2 + (c2 - q) * u
+        v = c2 * v + s2 * u
+        u = s2 + (c2 - s2 / (n - 1)) * u
         prod *= cth
     # A snapped right-angle factor must give a mean of +0.0, not -0.0.
+    root = math.sqrt(n - 1)
     return Prediction(
-        "cosine", prod + 0.0, math.sqrt(v), math.sqrt(ss) / math.sqrt(n - 1),
+        "cosine", prod + 0.0, math.sqrt(v) / root, math.sqrt(ss) / root,
         "absolute deviation O(sqrt(sum_{k<M} sin^2 theta_k / (n-1)))",
     )
 

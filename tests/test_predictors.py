@@ -498,12 +498,18 @@ class TestClosedFormProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred = prediction_for("sphere", t, n)
-        want = _sphere_reference(t, n)
-        # The recursion carries the variance, so sigma keeps 1e-12 where its
-        # square is a normal double; the bound is never below sigma.
-        if want * want >= sys.float_info.min or want == 0:
-            _check_sigmas(pred, want)
-        assert _MP.mpf(pred.sigma_bound) >= want * (1 - 1e-12)
+        # The recursion carries (n - 1) sigma^2, so sigma keeps 1e-12 wherever
+        # it is a normal double, even where its square is not.
+        _check_sigmas(pred, _sphere_reference(t, n))
+
+    @pytest.mark.parametrize("theta", [1e-5, 1e-11, 1e-12 * (1 + 2.0**-40), 3e-8])
+    @pytest.mark.parametrize("n", [3, 10**150, 10**300], ids=["3", "1e150", "1e300"])
+    def test_sphere_sigma_below_the_square_range(self, theta, n):
+        # Two steps of theta give sigma = sin^2 theta / sqrt(n - 1) to 50
+        # digits: 1e-160 and 1e-172 at n = 1e300, where sigma^2 underflows
+        # (the variance recursion read 9.99994e-161 and 0.0).
+        want = _sphere_reference((theta, theta), n)
+        assert abs(_MP.mpf(_sigma("sphere", (theta, theta), n)) - want) <= 1e-12 * want
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(ds=_lengths(1e150), n=_dimensions(2))
