@@ -649,11 +649,12 @@ def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^e, e) for chunk index of spec; pure in its arguments.
 
     The mean is _chunk_mean's, so a chunk of one constant has that constant
-    as its mean and a spread of 0.  The deviations from the mean are scaled by 2^-e, with 2^e just above the
-    largest, before they are squared, so M2 neither overflows nor underflows.
-    Scaling by a power of two is exact, so the scaled M2 is the unscaled one's
-    bits wherever its squares stayed in the normal range.  A chunk whose sum
-    passes the double range sums its values scaled by 2^-count.bit_length().
+    as its mean and a spread of 0.  The deviations from the mean are scaled
+    by 2^-e, with 2^e just above the largest, before they are squared, so M2
+    neither overflows nor underflows.  Scaling by a power of two is exact, so
+    the scaled M2 is the unscaled one's bits wherever its squares stayed in
+    the normal range.  A chunk whose sum passes the double range sums its
+    values scaled by 2^-count.bit_length().
     """
     values = _trial_values(spec, index, count)
     try:
