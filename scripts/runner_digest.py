@@ -38,9 +38,13 @@ Line 5 digests estimate() where the chunk sums need many extraction rounds
 or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
 steps from 1e-150 to 1e100 and the flat 1e150 edge (whose squared
 deviations overflow), hyperbolic arcs up to about 300, one-step chains, and
-1, 17 and 2049 trials; and chains whose every trial is one constant (one
-step, or a later step snapped to 0) at 20 to 41 trials, where the
-constant's fsum divided by the count is an ulp off.  Each estimate feeds
+1, 17 and 2049 trials; chains whose every trial is one constant (one
+step, or a later step snapped to 0) at 11 to 59 trials, where the
+constant's fsum divided by the count is an ulp off, among them flat steps
+of 1e-150, 1e150 and 1e154 and a hyperbolic arc of 700; and operator
+products on both observables whose running norm product passes the double
+range, spectra of about 1e-200, and a product beside the same product with
+its first factor scaled by 2^-700 and by 2^600.  Each estimate feeds
 either its fields or its exception's type and message, as on line 4.
 
 Line 6 digests cli.main: its exit code, stdout and stderr (or an escaped
@@ -307,23 +311,48 @@ def _summation_grid():
 
 
 # Chains whose every trial gives one constant, at trial counts where the
-# constant's fsum divided by the count is off by an ulp:
-# (geometry, n, schedule, trials, seed).
+# constant's fsum divided by the count is off by an ulp, the last four with
+# constants near the ends of the double range: (geometry, n, schedule,
+# trials, seed).
 _CONSTANT_RUNS = [
     ("sphere", 3, (0.3,), 35, 8),
     ("sphere", 3, (0.3, 1e-12), 35, 8),
     ("flat", 3, (1e-5,), 41, 1),
     ("hyperbolic", 10, (20.0,), 20, 5),
     ("hyperbolic", 10, (20.0, 0.0), 20, 5),
+    ("flat", 3, (1e-150,), 25, 1),
+    ("flat", 3, (1e150,), 11, 1),
+    ("flat", 3, (1e154,), 59, 1),
+    ("hyperbolic", 10, (700.0,), 11, 1),
 ]
+
+
+def _operator_range_runs():
+    # Operator products whose running norm product passes the double range
+    # while the final one fits, spectra of about 1e-200, and one product
+    # beside the same product with its first factor scaled by 2^-700 or
+    # 2^600: (geometry, n, schedule, trials, seed, observable).
+    scaled = [[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]
+    runs = []
+    for observable in ("cosine", "norm_ratio"):
+        runs += [
+            ("operator_product", 2, [[1e200, 1e199], [1e200, 1e199], [1e-100, 1e-101]], 8, 1, observable),
+            ("operator_product", 2, [[1e200] * 2, [1e200] * 2, [1e-200] * 2], 8, 1, observable),
+            ("operator", 3, [1e-200, 2e-200, 3e-200], 64, 1, observable),
+        ]
+        for k in (0, -700, 600):
+            first = [math.ldexp(v, k) for v in scaled[0]]
+            runs.append(("operator_product", 3, [first, scaled[1]], 4097, 3, observable))
+    return runs
 
 
 def summation_digest():
     out = Digest()
-    runs = [(*point, trials, trials) for point in _summation_grid() for trials in (1, 17, 2049)]
-    for geometry, n, schedule, trials, seed in runs + _CONSTANT_RUNS:
+    runs = [(*point, trials, trials, None) for point in _summation_grid() for trials in (1, 17, 2049)]
+    runs += [(*run, None) for run in _CONSTANT_RUNS] + _operator_range_runs()
+    for geometry, n, schedule, trials, seed, observable in runs:
         try:
-            est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, seed))
+            est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, seed, observable))
         except (ArithmeticError, ValueError) as exc:
             out.feed_text(f"{type(exc).__name__}: {exc}")
             continue
