@@ -12,13 +12,13 @@ path, with n the path's width: the three rows differ only in their parsers.
 
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
-from the stream addressed by (seed, k).  A chunk's mean is correctly
+from the stream addressed by (seed, k).  Each chunk works in its frame,
+its values scaled by one power of two to below 1, where nothing overflows,
+and applies the exponent once at the end.  There its mean is correctly
 rounded, and its sum of squared deviations is a correctly rounded sum, both
-formed by error-free extraction with math.fsum for the remainder; the
-deviations are scaled by a power of two before they are squared, so that no
-spread in the double range overflows or underflows.  Chunks merge in chunk
-order, so the result is bitwise identical no matter how many workers
-participate or how the OS schedules them.
+formed by error-free extraction with math.fsum for the remainder.  Chunks
+merge in chunk order, so the result is bitwise identical no matter how many
+workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -40,11 +40,12 @@ take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1).
 Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
 Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
 (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +
-tan^2(pi U / 2)), U uniform, at about half the cost of two normals.  The
-run_* chain runners are one-trial calls of the same kernels: run_*(...,
-RandomStream(s, 0)) reports the mean of a one-trial estimate with seed s,
-bit for bit.  compare() turns an estimate plus a closed-form Prediction into
-a pass/fail/indeterminate verdict on standardized z-scores.
+tan^2(pi U / 2)), U uniform, at about half the cost of two normals; each
+factor works in its own frame, as a chunk does.  The run_* chain runners
+are one-trial calls of the same kernels: run_*(..., RandomStream(s, 0))
+reports the mean of a one-trial estimate with seed s, bit for bit.
+compare() turns an estimate plus a closed-form Prediction into a
+pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math
@@ -278,35 +279,35 @@ def _operator_trials(gen, count, n, spectra):
     # so alpha and beta need only sum g^2 times 1, a and a^2, a = s - mean(s),
     # which _pair_moments draws; moments about the mean keep beta^2 =
     # E[a^2] - E[a]^2 free of cancellation.  Scalar factors draw nothing.
-    # A spectrum is scaled by 2^-e, e the exponent of max |s|, so that a^2
-    # stays in the double range; the cosine does not depend on the scale,
-    # and r * 2^e, exact below the double range, is inf past it.
+    # Each factor runs in its frame, s scaled by 2^-e with e the exponent of
+    # max |s|: a^2 stays in range, the cosine does not move, a row is dead
+    # where r <= _DEGENERATE_NORM relative to max |s|, and the norm ratio is
+    # a mantissa per row times 2^(sum of e), scaled once, inf past the range.
     ratio, c = np.ones(count), np.ones(count)
+    exponent = np.zeros(count, dtype=np.int64)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
-        if np.all(s == s[0]):
-            dead |= abs(s[0]) <= _DEGENERATE_NORM
-            with np.errstate(invalid="ignore"):  # inf * 0 only on rows now dead
-                ratio *= abs(s[0])
-            c = -c if s[0] < 0.0 else c
-            continue
-        e = math.frexp(float(np.max(np.abs(s))))[1]
+        e = _exponent(float(np.max(np.abs(s))))
         s = np.ldexp(s, -e)
-        shift = float(np.mean(s))
-        a = s - shift
-        mom = _pair_moments(gen, count, np.stack([np.ones(n), a, a * a], axis=1))
-        mom = mom[:, 1:] / mom[:, :1]
-        alpha = shift + mom[:, 0]
-        beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
-        r = np.hypot(alpha, beta)
-        # 0 / 0 only on rows already dead; a norm past the double range is inf.
-        with np.errstate(invalid="ignore", over="ignore"):
-            step = (alpha / r, beta / r)
-            r = np.ldexp(r, e)
-            ratio *= r
+        if np.all(s == s[0]):
+            r = abs(s[0])
+            c = -c if s[0] < 0.0 else c
+        else:
+            shift = float(np.mean(s))
+            a = s - shift
+            mom = _pair_moments(gen, count, np.stack([np.ones(n), a, a * a], axis=1))
+            mom = mom[:, 1:] / mom[:, :1]
+            alpha = shift + mom[:, 0]
+            beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
+            r = np.hypot(alpha, beta)
+            with np.errstate(invalid="ignore"):  # 0 / 0 only on rows now dead
+                step = (alpha / r, beta / r)
+            c = _sphere_step(c, step, _sphere_coordinate(gen, n - 1, count))
+        ratio, k = np.frexp(ratio * r)
+        exponent += k + e
         dead |= r <= _DEGENERATE_NORM
-        c = _sphere_step(c, step, _sphere_coordinate(gen, n - 1, count))
-    return ratio, c, dead
+    with np.errstate(over="ignore"):
+        return np.ldexp(ratio, exponent), c, dead
 
 
 def _operator_values(gen, count, n, spectra, observable):
@@ -614,18 +615,18 @@ def _exact_terms(x):
 
 
 def _chunk_mean(terms, count):
-    """The exact sum of terms over count, correctly rounded.
+    """The exact sum of terms over count, below 1 in magnitude, correctly rounded.
 
     With m = fsum(terms) / count, the mean is m + r / count for the remainder
     r = fsum(terms) - count m, formed exactly: Veltkamp's split m = hi + lo
     leaves count hi and count lo exact for count < 2^26.  That is within
     2^-50 ulp of the exact mean, so it rounds correctly unless the exact
     mean lies that close to a midpoint between two doubles; such a chunk is
-    summed again in fractions.  m stays as it is where |m| lies outside
-    (2^-960, 2^990): there the split or count hi leaves the double range.
+    summed again in fractions.  m stays as it is where it is not finite or
+    |m| <= 2^-960, below which count lo leaves the normal range.
     """
     m = math.fsum(terms) / count
-    if not 2.0**-960 < abs(m) < 2.0**990:
+    if not 2.0**-960 < abs(m) < 1.0:
         return m
     c = m * 134217729.0  # 2^27 + 1
     hi = c - (c - m)
@@ -648,28 +649,23 @@ def _exponent(x):
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^e, e) for chunk index of spec; pure in its arguments.
 
-    The mean is _chunk_mean's, so a chunk of one constant has that constant
-    as its mean and a spread of 0.  The deviations from the mean are scaled
-    by 2^-e, with 2^e just above the largest, before they are squared, so M2
-    neither overflows nor underflows.  Scaling by a power of two is exact, so
-    the scaled M2 is the unscaled one's bits wherever its squares stayed in
-    the normal range.  A chunk whose sum passes the double range sums its
-    values scaled by 2^-count.bit_length().
+    The chunk runs in its frame, its values scaled by a power of two to
+    below 1; there _chunk_mean gives a constant chunk its constant and a
+    spread of 0.  The deviations are scaled by a second power of two to
+    below 1 before they are squared, so M2 neither overflows nor underflows.
+    Scaling by a power of two is exact: each result has the unscaled one's
+    bits wherever that stayed in the normal range.
     """
     values = _trial_values(spec, index, count)
-    try:
-        mean = _chunk_mean(_exact_terms(values), count)
-    except OverflowError:
-        k = count.bit_length()
-        mean = math.ldexp(math.fsum(_exact_terms(np.ldexp(values, -k))) / count, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = values - mean
-        e = _exponent(float(np.abs(d).max()))
-        d = np.ldexp(d, -e)
-        m2 = math.fsum(_exact_terms(d * d))
-    if m2 == math.inf:
-        raise OverflowError(f"deviation from the chunk mean {mean!r} overflows")
-    return count, mean, m2, e
+    s = _exponent(float(np.abs(values).max()))
+    x = np.ldexp(values, -s)
+    mean = _chunk_mean(_exact_terms(x), count)
+    with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
+        d = x - mean
+    e = _exponent(float(np.abs(d).max()))
+    d = np.ldexp(d, -e)
+    m2 = math.fsum(_exact_terms(d * d))
+    return count, math.ldexp(mean, s), m2, e + s
 
 
 def estimate(spec, workers=1):
@@ -717,7 +713,10 @@ def estimate(spec, workers=1):
     if count != spec.trials:
         raise AssertionError(f"aggregated {count} of {spec.trials} trials")
     single = spec.trials < 2
-    sample_std = 0.0 if single else math.ldexp(math.sqrt(max(m2 / (spec.trials - 1), 0.0)), e)
+    try:
+        sample_std = 0.0 if single else math.ldexp(math.sqrt(max(m2 / (spec.trials - 1), 0.0)), e)
+    except OverflowError:
+        raise OverflowError("the sample standard deviation passes the double range") from None
     return MonteCarloEstimate(
         mean=mean,
         sample_std=sample_std,
