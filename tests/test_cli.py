@@ -375,6 +375,33 @@ class TestCompare:
         row = parse_json(out)[0]
         assert (row["prediction_mean"], row["mc_mean"], row["verdict"]) == (0.0, 0.0, "pass")
 
+    def test_norm_product_past_the_double_range(self, capsys):
+        # The running norm product passes the double range, the final one
+        # does not: mc_mean read inf, with exit 3.
+        argv = ["--geometry", "operator_product", "--n-dim", "2", "--spectrum", "1e200,1e199",
+                "--spectrum", "1e200,1e199", "--spectrum", "1e-100,1e-101",
+                "--observable", "norm_ratio", "--trials", "8", "--seed", "1", "--output", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "compare", *argv)
+        assert (code, err) == (EXIT_PASS, "")
+        assert parse_json(out)[0]["mc_mean"] == 2.3321017184794556e299
+
+    @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
+    def test_tiny_spectrum_is_measured(self, capsys, observable):
+        # Every row read as degenerate against an absolute norm of 1e-150:
+        # the measured cosine mean was nan (exit 3), the norm ratio 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "compare", "--geometry", "operator", "--n-dim", "3",
+                "--spectrum", "1e-200,2e-200,3e-200", "--observable", observable,
+                "--trials", "64", "--seed", "1", "--output", "json",
+            )
+        assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
+        row = parse_json(out)[0]
+        assert row["mc_mean"] == pytest.approx(row["prediction_mean"], rel=0.05, abs=0.0)
+
     def test_expect_mean_override_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--geometry", "sphere", "--n-dim", "12",
@@ -489,13 +516,15 @@ class TestCompare:
              "--seed", "8"],
             ["--geometry", "hyperbolic", "--n-dim", "10", "--arcs", "20", "--trials", "20",
              "--seed", "5"],
+            ["--geometry", "flat", "--n-dim", "3", "--steps", "1e-150", "--trials", "25",
+             "--seed", "1"],
         ],
-        ids=["sphere", "sphere-snapped", "hyperbolic"],
+        ids=["sphere", "sphere-snapped", "hyperbolic", "flat-1e-150"],
     )
     def test_constant_chain_mean_is_exact(self, capsys, argv):
         # fsum / count of these constants was an ulp off, so every deviation
-        # was an ulp and z read 5.83 and -4.36; the chunk mean is now
-        # correctly rounded.
+        # was an ulp and z read 5.83, -4.36 and 4.90; the chunk mean is now
+        # correctly rounded, in the chunk's frame.
         code, out, err = run_cli(capsys, "compare", *argv, "--output", "json")
         assert code == EXIT_PASS, err
         row = parse_json(out)[0]

@@ -220,15 +220,19 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "geometry, n, schedule",
         [("sphere", 3, (0.3,)), ("sphere", 3, (0.3, 1e-12)), ("flat", 3, (1e-5,)),
-         ("flat", 3, (1e-5, 0.0)), ("hyperbolic", 10, (20.0,)), ("hyperbolic", 10, (20.0, 0.0))],
-        ids=["sphere", "sphere-snapped", "flat", "flat-zero-step", "hyperbolic", "hyperbolic-zero-arc"],
+         ("flat", 3, (1e-5, 0.0)), ("hyperbolic", 10, (20.0,)), ("hyperbolic", 10, (20.0, 0.0)),
+         ("flat", 3, (1e-150,)), ("flat", 3, (1e150,)), ("flat", 3, (1e154,)),
+         ("hyperbolic", 10, (700.0,))],
+        ids=["sphere", "sphere-snapped", "flat", "flat-zero-step", "hyperbolic", "hyperbolic-zero-arc",
+             "flat-1e-150", "flat-1e150", "flat-1e154", "hyperbolic-700"],
     )
     def test_constant_chains_at_every_trial_count(self, geometry, n, schedule):
         # One step, or a later step of sine 0 (an angle of 1e-12 snaps to
         # it): every trial is the predicted constant, so the correctly
         # rounded chunk mean is that constant at any count (fsum / count was
         # an ulp off at about a quarter of the counts below 200), and so is
-        # the merge of chunks.
+        # the merge of chunks.  Constants of about 1e-300, 1e300, 1e308 and
+        # 5e303 are corrected too, in the chunk's frame.
         pred = prediction_for(geometry, schedule, n)
         for trials in [*range(2, 200), 2049, 4097]:
             est = estimate(ExperimentSpec(geometry, n, schedule, trials, 1))
@@ -401,19 +405,19 @@ class TestChunkStreams:
 def _mean_inputs(draw):
     """Chunks of 1 to 2049 values: one constant, a constant with one value
     nudged by 2^-50 to 2^-300 of it, values over a drawn exponent range, and
-    values near the ends of the range where the mean is corrected."""
+    values near the ends of the double range, whose sum can pass it."""
     size = draw(st.integers(1, 2049))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    value = draw(st.floats(-1e300, 1e300, allow_subnormal=False).filter(bool))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     shape = draw(st.sampled_from(["constant", "nudged", "spread", "ends"]))
     x = np.full(size, value)
     if shape == "nudged":
         x[gen.integers(size)] += value * 2.0 ** -float(gen.integers(50, 301))
     elif shape == "spread":
-        lo = draw(st.integers(-900, 900))
+        lo = draw(st.integers(-1074, 903))
         x = gen.uniform(-1.0, 1.0, size) * np.exp2(gen.integers(lo, lo + 120, size).astype(float))
     elif shape == "ends":
-        x = gen.uniform(0.5, 1.0, size) * draw(st.sampled_from([2.0**-960, 2.0**-959, 2.0**990, 2.0**989]))
+        x = gen.uniform(0.5, 1.0, size) * draw(st.sampled_from([2.0**-1021, 2.0**-960, 2.0**990, 2.0**1023]))
     return x
 
 
@@ -482,15 +486,32 @@ class TestChunkStats:
                 estimate(spec)
 
     def test_overflowing_square_raises_without_warning(self, monkeypatch):
-        # Squares no longer overflow once scaled, but a deviation still can.
+        # Nothing overflows in the chunk's frame, but the spread, 1.96e308,
+        # passes the double range: one OverflowError that names it.
         monkeypatch.setattr(
             montecarlo, "_trial_values", lambda *task: np.array([1.7e308, -1.7e308, 1.7e308])
         )
         spec = ExperimentSpec("flat", 3, (1.0,), 3, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="deviation from the chunk mean"):
+            with pytest.raises(
+                OverflowError, match="^the sample standard deviation passes the double range$"
+            ):
                 estimate(spec)
+
+    def test_overflowing_deviation_with_a_spread_in_range(self, monkeypatch):
+        # The deviation of -1.7e308 from a mean near 1.7e308 passes the double
+        # range, but the spread does not; the frame gives it, without a warning.
+        values = np.full(1001, 1.7e308)
+        values[-1] = -1.7e308
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: values)
+        spec = ExperimentSpec("flat", 3, (1.0,), 1001, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+        assert est.sample_std == 1.0746372201097237e307
+        exact = sum(map(Fraction, values.tolist())) / 1001
+        assert est.mean == float(exact)
 
     def test_mean_of_a_sum_past_the_double_range(self, monkeypatch):
         # The values fit but their sum does not: the mean comes from the
@@ -511,29 +532,30 @@ class TestChunkStats:
 
     def test_hyperbolic_chunk_mean_past_the_double_range(self):
         # Arcs of 236 give values near 1e306, whose sum over 64 trials
-        # overflows; chunks whose sum fits keep the plain sum's mean.
+        # overflows; in the chunk's frame the mean is correctly rounded
+        # whether the sum fits or not.
         spec = ExperimentSpec("hyperbolic", 3, (236.0,) * 3, 64, 1)
         values = _trial_values(spec, 0, 64).tolist()
         with pytest.raises(OverflowError):
             math.fsum(values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, mean, _, _ = _chunk_stats(spec, 0, 64)
-        assert mean == pytest.approx(float(sum(map(Fraction, values)) / 64), rel=1e-15)
-        for k in (1, 2, 3):
-            fits = _trial_values(spec, 0, k).tolist()
-            assert _chunk_stats(spec, 0, k)[1] == math.fsum(fits) / k
+        for k in (1, 2, 3, 64):
+            exact = float(sum(map(Fraction, _trial_values(spec, 0, k).tolist())) / k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _chunk_stats(spec, 0, k)[1] == exact
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_mean_inputs())
     def test_chunk_mean_is_correctly_rounded(self, x):
-        # Against the exact mean in fractions, wherever it lies in (2^-960,
-        # 2^990); outside, the mean is fsum / count.
-        got = _chunk_mean(_exact_terms(x), x.size)
+        # A chunk's mean against the exact mean in fractions, wherever that
+        # is a normal double.
+        spec = ExperimentSpec("flat", 3, (1.0,), x.size, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_trial_values", lambda *task: x)
+            got = _chunk_stats(spec, 0, x.size)[1]
         want = float(sum(map(Fraction, x.tolist())) / x.size)
-        if not 2.0**-960 < abs(math.fsum(x.tolist()) / x.size) < 2.0**990:
-            want = math.fsum(x.tolist()) / x.size
-        assert got.hex() == want.hex()
+        if abs(want) >= 2.0**-1022:
+            assert got.hex() == want.hex()
 
     def test_chunk_mean_near_a_midpoint(self):
         # (1 + 2^-53 + 2^-160) / 2 lies 2^-161 above the midpoint of 1/2 and
@@ -546,7 +568,9 @@ class TestChunkStats:
         # just below the midpoint of 1 and its predecessor.
         assert _chunk_mean([2.0, -(2.0**-53), -(2.0**-160)], 2) == 1.0 - 2.0**-53
 
-    @pytest.mark.parametrize("value", [math.cos(0.3), 1.0 / 3.0, -2.5e-7, 1e200, 1e-280])
+    @pytest.mark.parametrize(
+        "value", [math.cos(0.3), 1.0 / 3.0, -2.5e-7, 1e200, 1e-280, 1e-300, 1.7e308, 5e-324]
+    )
     def test_merge_keeps_equal_chunk_means(self, monkeypatch, value):
         # Three chunks of one constant: each mean is the constant, and the
         # merge adds delta = 0 to it.
@@ -683,6 +707,51 @@ class TestExactSum:
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         _chunk_stats(spec, 0, 2048)
         assert len(sizes) == 3 and max(sizes) <= 64
+
+
+class TestOperatorFrame:
+    # Each factor runs in its frame: scaling one spectrum by 2^k leaves the
+    # cosine's bits as they are and multiplies the norm ratio by exactly 2^k,
+    # wherever it stays a normal double, and "degenerate" is relative to the
+    # factor's largest |eigenvalue|.
+    FACTORS = ([1.0, 2.0, 3.0], [-1.5] * 3, [0.5, -1.0, 2.0])
+
+    @staticmethod
+    def _trials(factors, count=4097):
+        spectra = [Spectrum(values) for values in factors]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return montecarlo._operator_trials(RandomStream(3, 0).generator, count, 3, spectra)
+
+    @pytest.mark.parametrize("k", [-700, 600])
+    @pytest.mark.parametrize("index", [0, 1], ids=["spread-factor", "scalar-factor"])
+    def test_kernel_is_equivariant(self, k, index):
+        scaled = list(self.FACTORS)
+        scaled[index] = [math.ldexp(v, k) for v in scaled[index]]
+        ratio, cosine, dead = self._trials(scaled)
+        want_ratio, want_cosine, want_dead = self._trials(self.FACTORS)
+        assert not dead.any() and not want_dead.any()
+        np.testing.assert_array_equal(cosine, want_cosine)
+        np.testing.assert_array_equal(ratio, np.ldexp(want_ratio, k))
+
+    @pytest.mark.parametrize("k", [-700, 600])
+    def test_estimate_is_equivariant(self, k):
+        scaled = [[math.ldexp(v, k) for v in self.FACTORS[0]], *self.FACTORS[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for observable in ("cosine", "norm_ratio"):
+                got = estimate(ExperimentSpec("operator_product", 3, scaled, 4097, 3, observable))
+                want = estimate(ExperimentSpec("operator_product", 3, self.FACTORS, 4097, 3, observable))
+                scale = 1 if observable == "cosine" else 2.0**k
+                assert (got.mean, got.sample_std) == (want.mean * scale, want.sample_std * scale)
+
+    def test_long_products_keep_the_norm_ratio(self):
+        # 1100 factors of norm about 1.005: in each frame a factor's norm is
+        # about 0.5025, whose plain product would underflow; the per-row
+        # mantissa and exponent keep the ratio exact to rounding.
+        ratio, _, dead = self._trials([[1.0, 1.01, 1.005]] * 1100, count=64)
+        assert not dead.any()
+        assert np.all((1.0 <= ratio) & (ratio <= 1.01**1100))
 
 
 class TestPairSampler:
