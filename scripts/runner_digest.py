@@ -13,7 +13,8 @@ one-factor operator specs, a product with a negative scalar factor, the
 edge schedules of the benchmark's sweep (one step; n = 3 with theta = 0 or
 pi), and sphere chains through angles of 1e-13, pi/2 - 1e-13, pi/2 + 1e-13
 and pi - 1e-13, which the kernel snaps to a sine or cosine of exactly 0, as
-the predictor does.
+the predictor does; and marginal powers 1 to 8 at n = 2, and 5 to 7 at
+n = 3, small n where coordinates are large and half of them negative.
 
 Line 3 digests the numeric fields (mean, sigma_exact, sigma_bound) of
 prediction_for over normal-range schedules of the same seven geometries.
@@ -57,9 +58,12 @@ line, short row, empty file, unreadable path); config files and their
 errors, among them values of the wrong type (numbers where integers are
 due, strings that do not parse, integers and lists where a path is due),
 a monomial kind that the monomial row rejects, and a wrongly typed n_dim
-beside an unknown geometry; and usage errors, among them flag text that
-does not parse or is not among the flag's choices.  Every run has a fixed
-seed.
+beside an unknown geometry; usage errors, among them flag text that does
+not parse or is not among the flag's choices; and the argvs that the full
+parser reads rather than a subcommand's own: none, --help, a first word
+that is no subcommand, a flag before the subcommand, and a stray word after
+a valid compare, beside compare --help and a flag abbreviation.  Every run
+has a fixed seed.
 
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
@@ -160,6 +164,7 @@ def _estimate_grid():
         grid += [("monomial", n, kind, None) for kind in ("x1_sq", "x1_4", "x1sq_x2sq")]
     for n in (2, 10**6):
         grid += [("marginal", n, power, None) for power in (1, 2, 3, 4, 8)]
+    grid += [("marginal", n, power, None) for n in (2, 3) for power in (5, 6, 7)]
     return grid
 
 
@@ -500,6 +505,12 @@ def _cli_cases():
         ["table", "--geometry", "monomial", "--kind", "x1_sq", "--n-dim", "4", *run,
          "--sweep-m", "1"],
         ["table", "--geometry", "operator", "--spectrum", "1,2", *run, "--sweep-m", "1..2"],
+        ["--help"],
+        ["compare", "--help"],
+        ["bogus"],
+        ["--seed", "1", "compare", *sphere, *run],
+        ["compare", *sphere, *run, "stray"],
+        ["compare", "--geom", "sphere", "--n-dim", "12", "--angles", "1.0", *run],
     ]
     return cases
 
