@@ -8,7 +8,10 @@ re-parses to the exact values that produced it.
 
 Every option is one entry of _OPTIONS: the subcommands that take it, its
 kind, choices, default and help.  The parser's flags, the config-file keys
-and their checks, and the merged run configuration all come from it.
+and their checks, and the merged run configuration all come from it.  An
+argv that opens with a subcommand is parsed by that subcommand's parser
+alone, as the full parser would parse it; the full parser reads every
+other argv, and one with words left over, for its usage line and messages.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
 failure (a closed-form moment below the double range, or an overflow no
@@ -620,26 +623,46 @@ _SUBCOMMANDS = {
 
 
 @cache
-def build_parser():
-    # Built once per process: parse_args reads the tree and never changes it.
+def _parsers():
+    # The full parser and each subcommand's own, by name.  Built once per
+    # process: parse_args reads the tree and never changes it.
     parser = argparse.ArgumentParser(
         prog="randsteps",
         description="Closed-form predictions and Monte Carlo checks for accumulated random steps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for command, (text, groups, _) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(command, help=text)
+        sub = subparsers[command] = subs.add_parser(command, help=text)
         for group in groups:
             for key, option in _OPTIONS.items():
                 if option.group == group:
                     sub.add_argument("--" + key.replace("_", "-"), **option.flag_arguments())
-    return parser
+    return parser, subparsers
+
+
+def build_parser():
+    return _parsers()[0]
+
+
+def _parse(argv):
+    # The full parser's top-level pass only picks the subcommand, so an argv
+    # that opens with one goes to that subcommand's parser alone, to the same
+    # namespace.  Every other argv, and one with words left over, goes to the
+    # full parser, whose usage line and messages it then prints.
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):
