@@ -699,14 +699,18 @@ def estimate(spec, workers=1):
         with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
             futures = [pool.submit(_chunk_stats, *task) for task in tasks]
         stats = [f.result() for f in futures]
-    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent.
+    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent;
+    # the two means merge in their common frame, scaled by 2^-h, so their
+    # difference cannot overflow.
     count, mean, m2, e = stats[0]
     for k, m, s2, f in stats[1:]:
         total = count + k
-        delta = m - mean
-        mean = mean + delta * (k / total)
-        g = max(e, f, _exponent(delta))
-        dd = math.ldexp(delta, -g)
+        h = max(_exponent(m), _exponent(mean))
+        mean = math.ldexp(mean, -h)
+        delta = math.ldexp(m, -h) - mean
+        mean = math.ldexp(mean + delta * (k / total), h)
+        g = max(e, f, _exponent(delta) + h)
+        dd = math.ldexp(delta, h - g)
         m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g))
         m2 += dd * dd * (count * k / total)
         count, e = total, g

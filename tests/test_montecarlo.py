@@ -513,6 +513,20 @@ class TestChunkStats:
         exact = sum(map(Fraction, values.tolist())) / 1001
         assert est.mean == float(exact)
 
+    def test_merge_of_opposite_means_at_the_range_ends(self, monkeypatch):
+        # Chunk means of 1.7e308 and -1.7e308 differ by more than the double
+        # range, but not in their common frame: mean 0, and the spread fits.
+        monkeypatch.setattr(
+            montecarlo, "_trial_values",
+            lambda spec, index, count: np.full(count, -1.7e308 if index else 1.7e308),
+        )
+        spec = ExperimentSpec("flat", 3, (1.0,), 4096, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+        assert est.mean == 0.0
+        assert est.sample_std == pytest.approx(1.7e308 * math.sqrt(4096 / 4095), rel=1e-15)
+
     def test_mean_of_a_sum_past_the_double_range(self, monkeypatch):
         # The values fit but their sum does not: the mean comes from the
         # values scaled by a power of two, exactly, and without a warning.
