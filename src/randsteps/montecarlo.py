@@ -188,14 +188,27 @@ def _sphere_coordinate(gen, m, shape):
     return t / np.sqrt(t * t + df)
 
 
+def _power(x, p):
+    # x^p for an integer p >= 0 by repeated squaring, in p - 1 roundings at
+    # most: numpy's power hands every negative base to libm's scalar pow.
+    result = None
+    while p:
+        if p & 1:
+            result = x if result is None else result * x
+        p >>= 1
+        if p:
+            x = x * x
+    return np.ones_like(x) if result is None else result
+
+
 def _coordinate_values(gen, n, count, p0, p1):
     # t0^p0 t1^p1 for count uniform points on the sphere of R^n; t1 is
     # sqrt(1 - t0^2) times a coordinate in R^(n-1), drawn only when p1 > 0.
     t0 = _sphere_coordinate(gen, n, count)
     if not p1:
-        return t0**p0
+        return _power(t0, p0)
     radius = np.sqrt((1.0 - t0) * (1.0 + t0))
-    return t0**p0 * (radius * _sphere_coordinate(gen, n - 1, count)) ** p1
+    return _power(t0, p0) * _power(radius * _sphere_coordinate(gen, n - 1, count), p1)
 
 
 def _pair_moments(gen, count, w):

@@ -30,6 +30,7 @@ from randsteps.montecarlo import (
     _chunk_stats,
     _coordinate_values,
     _exact_terms,
+    _power,
     _sphere_coordinate,
     _trial_values,
     compare,
@@ -879,6 +880,34 @@ class TestSphereCoordinate:
         assert abs(plus - self.TRIALS / 2) <= 5.0 * math.sqrt(self.TRIALS) / 2
 
 
+class TestPower:
+    # The moment kernels' integer powers, in IEEE multiplications alone, on
+    # mixed signs, subnormals and exact powers of two.
+    X = np.concatenate([
+        np.random.default_rng(74).uniform(-1.0, 1.0, 64),
+        [0.0, -0.0, 1.0, -1.0, -0.5, 0.75, -0.9999999999999999],
+        [5e-324, -5e-324, -(2.0**-1070), 1e-310, -2.2250738585072e-308],
+        [sign * 2.0**k for k in range(-127, 128, 9) for sign in (1.0, -1.0)],
+    ])
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_power_within_its_roundings(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _power(self.X, p)
+        assert got.shape == self.X.shape
+        if p == 0:
+            np.testing.assert_array_equal(got, np.ones_like(self.X))
+        if p in (1, 2):
+            assert got.tobytes() == (self.X if p == 1 else self.X * self.X).tobytes()
+        # p - 1 roundings, each of relative size at most 2^-53.
+        bound = (1 + Fraction(1, 2**53)) ** max(p - 1, 0) - 1
+        for x, y in zip(self.X.tolist(), got.tolist()):
+            want = Fraction(x) ** p
+            if 2.0**-1022 <= abs(want) <= Fraction(np.finfo(float).max):
+                assert abs(Fraction(y) - want) <= bound * abs(want), (x, p, y)
+
+
 class TestStepMaps:
     # The chain kernels step the observable itself, with no inverse-trig
     # state to recover: an arc of 400 takes a to about 1e173, whose square
@@ -1007,6 +1036,16 @@ class TestCoordinateSamplerLaw:
         full = np.array([uniform_unit_sphere(n, stream)[:2] for _ in range(self.TRIALS)])
         result = ks_2samp(chunk, full[:, 0] ** p0 * full[:, 1] ** p1)
         assert result.pvalue > TestChunkKernelLaw.P_MIN, result
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize("power", range(3, 9))
+    def test_marginal_powers(self, n, power):
+        est = estimate(ExperimentSpec("marginal", n, power, 20000, 75))
+        assert compare(prediction_for("marginal", power, n), est, z_threshold=5.0).verdict == "pass"
+
+    def test_fourth_power_monomial(self):
+        est = estimate(ExperimentSpec("monomial", 10, "x1_4", 20000, 76))
+        assert compare(prediction_for("monomial", "x1_4", 10), est, z_threshold=5.0).verdict == "pass"
 
     def test_relative_precision_at_huge_n(self):
         # At n = 1e32 a coordinate is about 1e-16: 2B - 1 would resolve it
