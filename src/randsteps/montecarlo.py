@@ -17,8 +17,9 @@ its values scaled by one power of two to below 1, where nothing overflows,
 and applies the exponent once at the end.  There its mean is correctly
 rounded, and its sum of squared deviations is a correctly rounded sum, both
 formed by error-free extraction with math.fsum for the remainder.  Chunks
-merge in chunk order, so the result is bitwise identical no matter how many
-workers participate or how the OS schedules them.
+merge in chunk order, each pair of means in their common frame, so the
+result is bitwise identical no matter how many workers participate or how
+the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -36,7 +37,9 @@ exactly, and the sphere's (cos theta, sin theta) are the predictor's own,
 snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
 every coordinate: t = T / sqrt(T^2 + m - 1) with T Student-t with m - 1
 degrees of freedom, and a fair sign at m = 1.  Monomial and marginal trials
-take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1).
+take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1),
+and raise them to their integer powers by repeated squaring, in IEEE
+multiplications alone, so their bits do not depend on libm's pow.
 Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
 Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
 (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +

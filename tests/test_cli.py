@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import randsteps
-from randsteps.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, main
+from randsteps.cli import (
+    EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, _parse, build_parser, main,
+)
 from randsteps.montecarlo import ExperimentSpec, compare, estimate, prediction_for
 from randsteps.predictors import CurvaturePath
 
@@ -919,7 +921,41 @@ class TestScheduleFlags:
                 assert "not used by geometry" in err
 
 
+_SPHERE_RUN = ["--geometry", "sphere", "--n-dim", "12", "--angles", "1.0", "--trials", "64",
+               "--seed", "5"]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--geometry", "sphere", "--n-dim", "5", "--angles", "0.5,1",
+         "--angle-unit", "degrees"],
+        ["predict"],
+        ["simulate", "--geometry", "flat", "--steps", "1,2", "--trials", "64", "--seed", "-3"],
+        ["compare", "--geometry", "operator_product", "--spectrum", "1,2", "--spectrum", "3,4",
+         "--observable", "norm_ratio", "--require-std", "--z-threshold", "3", "--output", "json",
+         "--trials", "64", "--seed", "5"],
+        ["compare", "--geom", "sphere", "--angles=1.0", "--n-dim", "5"],
+        ["table", "--geometry", "sphere", "--angles", "1", "--sweep-n-dim", "3..5",
+         "--config", "run.json", "--output-path", "out.csv", "--workers", "2"],
+        ["selftest", "--workers", "2", "--output", "csv"],
+    ])
+    def test_subcommand_parser_gives_the_full_parsers_namespace(self, argv):
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["compare", "--help"], ["bogus"], ["--seed", "1", "compare"],
+        ["--seed", "1", "compare", *_SPHERE_RUN], ["compare", *_SPHERE_RUN, "stray"],
+        ["compare", "--geom", "sphere", *_SPHERE_RUN[2:]], ["predict", "--bogus"],
+        ["compare", *_SPHERE_RUN, "--trials", "1.5"], ["compare", "--", "x"],
+    ])
+    def test_outputs_match_the_full_parsers(self, capsys, monkeypatch, argv):
+        # Exit code, stdout and stderr of main against main through the full
+        # parser alone, usage lines and help text among them.
+        monkeypatch.setenv("COLUMNS", "80")
+        fast = run_cli(capsys, *argv)
+        monkeypatch.setattr(randsteps.cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        assert fast == run_cli(capsys, *argv)
+
     def test_no_subcommand_is_config_error(self, capsys):
         assert main([]) == EXIT_CONFIG
 
