@@ -9,9 +9,8 @@ re-parses to the exact values that produced it.
 Every option is one entry of _OPTIONS: the subcommands that take it, its
 kind, choices, default and help.  The parser's flags, the config-file keys
 and their checks, and the merged run configuration all come from it.  An
-argv that opens with a subcommand is parsed by that subcommand's parser
-alone, as the full parser would parse it; the full parser reads every
-other argv, and one with words left over, for its usage line and messages.
+argv that opens with a subcommand goes to that subcommand's parser alone;
+the full parser reads any other, or one with words left over, for its texts.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
 failure (a closed-form moment below the double range, or an overflow no
@@ -624,21 +623,19 @@ _SUBCOMMANDS = {
 
 @cache
 def _parsers():
-    # The full parser and each subcommand's own, by name.  Built once per
-    # process: parse_args reads the tree and never changes it.
+    # Built once per process: parse_args reads the tree and never changes it.
     parser = argparse.ArgumentParser(
         prog="randsteps",
         description="Closed-form predictions and Monte Carlo checks for accumulated random steps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for command, (text, groups, _) in _SUBCOMMANDS.items():
-        sub = subparsers[command] = subs.add_parser(command, help=text)
+        sub = subs.add_parser(command, help=text)
         for group in groups:
             for key, option in _OPTIONS.items():
                 if option.group == group:
                     sub.add_argument("--" + key.replace("_", "-"), **option.flag_arguments())
-    return parser, subparsers
+    return parser, subs.choices  # the subcommands' parsers, by name
 
 
 def build_parser():
@@ -646,10 +643,6 @@ def build_parser():
 
 
 def _parse(argv):
-    # The full parser's top-level pass only picks the subcommand, so an argv
-    # that opens with one goes to that subcommand's parser alone, to the same
-    # namespace.  Every other argv, and one with words left over, goes to the
-    # full parser, whose usage line and messages it then prints.
     parser, subparsers = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in subparsers:

@@ -17,9 +17,8 @@ its values scaled by one power of two to below 1, where nothing overflows,
 and applies the exponent once at the end.  There its mean is correctly
 rounded, and its sum of squared deviations is a correctly rounded sum, both
 formed by error-free extraction with math.fsum for the remainder.  Chunks
-merge in chunk order, each pair of means in their common frame, so the
-result is bitwise identical no matter how many workers participate or how
-the OS schedules them.
+merge in chunk order, so the result is bitwise identical no matter how many
+workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -38,8 +37,7 @@ snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
 every coordinate: t = T / sqrt(T^2 + m - 1) with T Student-t with m - 1
 degrees of freedom, and a fair sign at m = 1.  Monomial and marginal trials
 take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1),
-and raise them to their integer powers by repeated squaring, in IEEE
-multiplications alone, so their bits do not depend on libm's pow.
+to integer powers by repeated squaring, whose bits do not depend on libm.
 Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
 Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
 (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +
@@ -192,8 +190,7 @@ def _sphere_coordinate(gen, m, shape):
 
 
 def _power(x, p):
-    # x^p for an integer p >= 0 by repeated squaring, in p - 1 roundings at
-    # most: numpy's power hands every negative base to libm's scalar pow.
+    # x^p, p >= 0, by squaring, in p - 1 roundings: numpy sends negative bases to libm's pow.
     result = None
     while p:
         if p & 1:
@@ -715,16 +712,13 @@ def estimate(spec, workers=1):
         with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
             futures = [pool.submit(_chunk_stats, *task) for task in tasks]
         stats = [f.result() for f in futures]
-    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent;
-    # the two means merge in their common frame, scaled by 2^-h, so their
-    # difference cannot overflow.
+    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent.
     count, mean, m2, e = stats[0]
     for k, m, s2, f in stats[1:]:
         total = count + k
-        h = max(_exponent(m), _exponent(mean))
-        mean = math.ldexp(mean, -h)
-        delta = math.ldexp(m, -h) - mean
-        mean = math.ldexp(mean + delta * (k / total), h)
+        h = max(_exponent(m), _exponent(mean))  # the means' common frame: no overflow
+        delta = math.ldexp(m, -h) - math.ldexp(mean, -h)
+        mean = math.ldexp(math.ldexp(mean, -h) + delta * (k / total), h)
         g = max(e, f, _exponent(delta) + h)
         dd = math.ldexp(delta, h - g)
         m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g))
