@@ -37,7 +37,7 @@ snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
 every coordinate: t = T / sqrt(T^2 + m - 1) with T Student-t with m - 1
 degrees of freedom, and a fair sign at m = 1.  Monomial and marginal trials
 take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1),
-to integer powers by repeated squaring, whose bits do not depend on libm.
+and raise them to integer powers by squaring, in IEEE multiplications alone.
 Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
 Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
 (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +
@@ -190,7 +190,7 @@ def _sphere_coordinate(gen, m, shape):
 
 
 def _power(x, p):
-    # x^p, p >= 0, by squaring, in p - 1 roundings: numpy sends negative bases to libm's pow.
+    # x^p, p >= 0, by squaring, within p - 1 roundings; numpy sends negative bases to libm's pow.
     result = None
     while p:
         if p & 1:
