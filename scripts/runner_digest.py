@@ -31,9 +31,12 @@ flat steps than dimensions, invalid schedules, schedules given as float64,
 float32 and object arrays, int lists and numeric text, sphere steps of 1e-5
 and 1e-11 (whose variance at n = 1e300 is below the normal double range),
 operator spectra given both as lists and as Spectrum, a cosine of a
-spectrum whose sum passes the double range, and a norm-ratio product of
-1e200 whose running product passes it.  Each call feeds either its numeric
-fields or its exception's type and message.
+spectrum whose sum passes the double range, a norm-ratio product of
+1e200 whose running product passes it, and one spectrum and one
+three-factor product, on both observables, at n = 3 and 1000, scaled by
+2^k for k from -1000 to 1020 (at n = 1000 the largest |eigenvalue| times n
+passes the double range from k = 1015 on).  Each call feeds either its
+numeric fields or its exception's type and message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
 or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
@@ -45,8 +48,10 @@ constant's fsum divided by the count is an ulp off, among them flat steps
 of 1e-150, 1e150 and 1e154 and a hyperbolic arc of 700; and operator
 products on both observables whose running norm product passes the double
 range, spectra of about 1e-200, and a product beside the same product with
-its first factor scaled by 2^-700 and by 2^600.  Each estimate feeds
-either its fields or its exception's type and message, as on line 4.
+its first factor scaled by 2^-700 and by 2^600; and estimates over four
+chunks whose frames differ from chunk to chunk (hyperbolic arcs of 150, and
+flat steps of 1e150 and of 1e-150).  Each estimate feeds either its fields
+or its exception's type and message, as on line 4.
 
 Line 6 digests cli.main: its exit code, stdout and stderr (or an escaped
 exception's type and message), with the temporary directory's path masked.
@@ -270,7 +275,20 @@ def _wide_points():
         ("operator", [1e308, -1e5, 1e308], 3, "cosine"),
         ("operator_product", [[1e200] * 2, [1e200] * 2, [1e-200] * 2], 2, "norm_ratio"),
     ]
+    for n in (3, 1000):
+        spectra = [gen.uniform(-0.5, 2.0, n) for _ in range(3)]
+        for k in _SCALES:
+            for observable in ("cosine", "norm_ratio"):
+                points += [
+                    ("operator", np.ldexp(spectra[0], k).tolist(), n, observable),
+                    ("operator_product", [np.ldexp(s, k).tolist() for s in spectra], n, observable),
+                ]
     return points
+
+
+# Powers of two that scale line 4's operator spectra: at n = 1000 a largest
+# |eigenvalue| times n passes the double range from 2^1015 on.
+_SCALES = (-1000, -500, 0, 500, 1010, 1015, 1020)
 
 
 def _public_calls(geometry, schedule):
@@ -332,6 +350,15 @@ _CONSTANT_RUNS = [
 ]
 
 
+# Estimates over four chunks whose frames differ from chunk to chunk, their
+# squared deviations past the double range: (geometry, n, schedule, trials, seed).
+_FRAME_RUNS = [
+    ("hyperbolic", 3, (150.0,) * 3, 3 * 2048 + 5, 1),
+    ("flat", 3, (1e150, 1e150), 3 * 2048 + 5, 1),
+    ("flat", 3, (1e-150, 1e-150), 3 * 2048 + 5, 1),
+]
+
+
 def _operator_range_runs():
     # Operator products whose running norm product passes the double range
     # while the final one fits, spectra of about 1e-200, and one product
@@ -354,7 +381,7 @@ def _operator_range_runs():
 def summation_digest():
     out = Digest()
     runs = [(*point, trials, trials, None) for point in _summation_grid() for trials in (1, 17, 2049)]
-    runs += [(*run, None) for run in _CONSTANT_RUNS] + _operator_range_runs()
+    runs += [(*run, None) for run in _CONSTANT_RUNS + _FRAME_RUNS] + _operator_range_runs()
     for geometry, n, schedule, trials, seed, observable in runs:
         try:
             est = rs.estimate(rs.ExperimentSpec(geometry, n, schedule, trials, seed, observable))
