@@ -660,14 +660,16 @@ def _exponent(x):
 
 
 def _chunk_stats(spec, index, count):
-    """Exact (count, mean, M2 / 4^e, e) for chunk index of spec; pure in its arguments.
+    """Exact (count, mean, M2 / 4^s, s) for chunk index of spec; pure in its arguments.
 
-    The chunk runs in its frame, its values scaled by a power of two to
-    below 1; there _chunk_mean gives a constant chunk its constant and a
-    spread of 0.  The deviations are scaled by a second power of two to
-    below 1 before they are squared, so M2 neither overflows nor underflows.
-    Scaling by a power of two is exact: each result has the unscaled one's
-    bits wherever that stayed in the normal range.
+    The chunk runs in its frame, its values scaled by 2^-s so that the
+    largest |value| lies in [1/2, 1); there _chunk_mean gives a constant
+    chunk its constant and a spread of 0.  Each deviation lies below 2, so
+    no square overflows, and a chunk that is not constant holds two
+    distinct doubles near its largest value, so its M2 is at least 2^-110
+    and the squares that underflow lie below its last bit.  Scaling by a
+    power of two is exact: each result has the unscaled one's bits wherever
+    that stayed in the normal range.
     """
     values = _trial_values(spec, index, count)
     s = _exponent(float(np.abs(values).max()))
@@ -675,10 +677,7 @@ def _chunk_stats(spec, index, count):
     mean = _chunk_mean(_exact_terms(x), count)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
         d = x - mean
-    e = _exponent(float(np.abs(d).max()))
-    d = np.ldexp(d, -e)
-    m2 = math.fsum(_exact_terms(d * d))
-    return count, math.ldexp(mean, s), m2, e + s
+    return count, math.ldexp(mean, s), math.fsum(_exact_terms(d * d)), s
 
 
 def estimate(spec, workers=1):
@@ -712,14 +711,17 @@ def estimate(spec, workers=1):
         with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
             futures = [pool.submit(_chunk_stats, *task) for task in tasks]
         stats = [f.result() for f in futures]
-    # Each M2 is carried as (M2 / 4^e, e), merged at the largest exponent.
+    # Each M2 is carried in its chunk's frame as (M2 / 4^e, e) and merged at
+    # the larger exponent g.  The means merge in their own common frame h,
+    # which keeps means that cancel; h <= g, as each mean lies within the
+    # values it averages, so delta 2^(h - g) stays below 2.
     count, mean, m2, e = stats[0]
     for k, m, s2, f in stats[1:]:
         total = count + k
-        h = max(_exponent(m), _exponent(mean))  # the means' common frame: no overflow
+        h = max(_exponent(m), _exponent(mean))
         delta = math.ldexp(m, -h) - math.ldexp(mean, -h)
         mean = math.ldexp(math.ldexp(mean, -h) + delta * (k / total), h)
-        g = max(e, f, _exponent(delta) + h)
+        g = max(e, f)
         dd = math.ldexp(delta, h - g)
         m2 = math.ldexp(m2, 2 * (e - g)) + math.ldexp(s2, 2 * (f - g))
         m2 += dd * dd * (count * k / total)

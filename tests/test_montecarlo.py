@@ -435,13 +435,27 @@ class TestChunkStats:
         assert math.ldexp(m2, 2 * e) == pytest.approx(want, rel=1e-15)
 
     def test_deviations_scale_into_range(self):
-        # M2 is carried as (M2 / 4^e, e) with 2^e just above the largest
-        # deviation, so its scaled value lies in [1/4, count).
+        # M2 is carried as (M2 / 4^e, e) in the chunk's frame, 2^e just above
+        # the largest |value|: each deviation there lies below 2, so the
+        # scaled M2 lies in [0, 4 count).
         spec = ExperimentSpec("hyperbolic", 9, (0.4, 1.2, 0.8), 2048, 3)
         _, mean, m2, e = _chunk_stats(spec, 0, 2048)
-        d = _trial_values(spec, 0, 2048) - mean
-        assert 2.0 ** (e - 1) <= np.abs(d).max() < 2.0**e
-        assert 0.25 <= m2 < 2048
+        values = _trial_values(spec, 0, 2048)
+        assert 2.0 ** (e - 1) <= np.abs(values).max() < 2.0**e
+        assert 0.0 <= m2 < 4 * 2048
+
+    def test_m2_of_a_one_ulp_spread_is_exact(self, monkeypatch):
+        # Near the least M2 of a chunk that is not constant: one value an ulp
+        # above the rest, whose mean rounds to them.  M2 is then exactly
+        # sum (x - 0.75)^2 = 2^-106, at least the bound 2^-110.
+        values = np.full(2048, 0.75)
+        values[-1] = math.nextafter(0.75, 1.0)
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: values)
+        spec = ExperimentSpec("flat", 3, (1.0,), 2048, 1)
+        count, mean, m2, e = _chunk_stats(spec, 0, 2048)
+        assert (count, mean, e) == (2048, 0.75, 0)
+        exact = sum((Fraction(v) - Fraction(3, 4)) ** 2 for v in values.tolist())
+        assert m2 == exact == 2.0**-106
 
     @pytest.mark.parametrize(
         "geometry, n, schedule",
