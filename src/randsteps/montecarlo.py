@@ -66,6 +66,7 @@ from .predictors import (
     CurvaturePath,
     Prediction,
     _dimension,
+    _exponent,
     _flat,
     _hyperbolic,
     _moment_prediction,
@@ -300,7 +301,7 @@ def _operator_trials(gen, count, n, spectra):
     exponent = np.zeros(count, dtype=np.int64)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
-        e = _exponent(float(np.max(np.abs(s))))
+        e = _exponent(max(s[0], -s[-1]))
         s = np.ldexp(s, -e)
         if np.all(s == s[0]):
             r = abs(s[0])
@@ -653,23 +654,15 @@ def _chunk_mean(terms, count):
     return mean
 
 
-def _exponent(x):
-    # e with 2^(e-1) <= |x| < 2^e for finite nonzero x; for 0, an exponent
-    # below every double's, and 0 for inf and nan, which then go unscaled.
-    return math.frexp(x)[1] if x else -1100
-
-
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^s, s) for chunk index of spec; pure in its arguments.
 
     The chunk runs in its frame, its values scaled by 2^-s so that the
     largest |value| lies in [1/2, 1); there _chunk_mean gives a constant
-    chunk its constant and a spread of 0.  Each deviation lies below 2, so
-    no square overflows, and a chunk that is not constant holds two
-    distinct doubles near its largest value, so its M2 is at least 2^-110
-    and the squares that underflow lie below its last bit.  Scaling by a
-    power of two is exact: each result has the unscaled one's bits wherever
-    that stayed in the normal range.
+    chunk its constant and a spread of 0, every deviation lies below 2, and
+    an M2 that is not 0 is at least 2^-110.  Scaling by a power of two is
+    exact: each result has the unscaled one's bits wherever that stayed in
+    the normal range.
     """
     values = _trial_values(spec, index, count)
     s = _exponent(float(np.abs(values).max()))
@@ -711,10 +704,8 @@ def estimate(spec, workers=1):
         with ThreadPoolExecutor(max_workers=min(int(workers), len(tasks))) as pool:
             futures = [pool.submit(_chunk_stats, *task) for task in tasks]
         stats = [f.result() for f in futures]
-    # Each M2 is carried in its chunk's frame as (M2 / 4^e, e) and merged at
-    # the larger exponent g.  The means merge in their own common frame h,
-    # which keeps means that cancel; h <= g, as each mean lies within the
-    # values it averages, so delta 2^(h - g) stays below 2.
+    # Each M2 is carried in its chunk's frame, as (M2 / 4^e, e), and merged at
+    # the larger e; the means merge in their own frame h <= g, which keeps means that cancel.
     count, mean, m2, e = stats[0]
     for k, m, s2, f in stats[1:]:
         total = count + k

@@ -57,7 +57,6 @@ __all__ = [
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _TINY = float(np.finfo(np.float64).tiny)
-_MAX = sys.float_info.max
 
 
 class PrecisionLossError(ArithmeticError):
@@ -69,6 +68,12 @@ def _dimension(n, capped=True):
     if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
         raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
     return int(n)
+
+
+def _exponent(x):
+    # e with x 2^-e in [1/2, 1) for finite nonzero x, every frame's exponent;
+    # for 0, one below every double's, and 0 for inf and nan, left unscaled.
+    return math.frexp(x)[1] if x else -1100
 
 
 def _sphere_steps(t):
@@ -143,12 +148,13 @@ def _flat(ds, n):
     # inf; it is left out where there are more steps than dimensions, where
     # it may undershoot sigma.
     if len(ds) < 2:
-        m, e = math.frexp(ds[0] if ds else 0.0)
+        e = _exponent(ds[0] if ds else 0.0)
+        m = math.ldexp(ds[0], -e) if ds else 0.0
         sq, sigma = m * m, 0.0
     else:
         d = np.array(ds)
         s = np.sort(d)[::-1]
-        e, f = math.frexp(s[0])[1], math.frexp(s[1])[1]
+        e, f = _exponent(s[0]), _exponent(s[1])
         a, b = np.ldexp(s, -e), np.ldexp(s[1:], -f)
         pairs = float((b * b) @ (a * a).cumsum()[:-1])
         d = np.ldexp(d, -e)
@@ -171,7 +177,7 @@ def flat_expected_norm(ds):
     finite wherever the value is, even when sum_i d_i^2 is not.
     """
     d = np.array(_schedule_tuple(ds, "steps"))
-    e = math.frexp(d.max(initial=0.0))[1]
+    e = _exponent(d.max(initial=0.0))
     d = np.ldexp(d, -e)
     return _ldexp_or_inf(math.sqrt(float(d @ d)), e)
 
@@ -216,8 +222,7 @@ def _hyperbolic(x, n):
     h = 0
     if len(x) > 1:  # with one arc sigma is 0, whatever h is
         top = sorted(x)[-2:]
-        e1 = math.frexp(math.tanh(top[1]))[1]
-        e2 = math.frexp(math.tanh(top[0]))[1]
+        e1, e2 = _exponent(math.tanh(top[1])), _exponent(math.tanh(top[0]))
         # The scaled squares stay below 2^1022, so none overflows: the
         # centring gives way only beside an arc below the smallest normal
         # double, whose share of sigma is then lost.  Below 2^-1000 for
@@ -297,11 +302,11 @@ def _operator(values, observable):
     # zero trace, undefined for the all-zero spectrum.  For the positive
     # weights of a curvature path each cosine factor is at most 1
     # (Cauchy-Schwarz), with equality exactly when a step sees equal
-    # curvatures.  Each factor scales s once, a = s / max|s| with max|s| read
-    # off the ends, and pnorm_pi(s, 2) = max|s| sqrt(sum a^2 / N).  The
-    # cosine's sum(s) passes the double range only where N max|s| does; there
-    # it is sum a / N / sqrt(sum a^2 / N).  The norm product is p 2^e: inf
-    # only past the double range, and 0 after a zero factor.
+    # curvatures.  Each factor runs in its frame, as in the kernel: a = s 2^-f,
+    # f the _exponent of max|s| read off the ends, pnorm_pi(s, 2) = 2^f
+    # sqrt(sum a^2 / N), and the cosine sum a / sqrt(N sum a^2) keeps its bits
+    # when s is scaled by a power of two.  The norm product is p 2^e: inf only
+    # past the double range, and 0 after a zero factor.
     p, e = 1.0, 0
     for s in values:
         top, n = max(s[0], -s[-1]), len(s)
@@ -310,13 +315,14 @@ def _operator(values, observable):
                 raise ValueError("cosine is undefined for the all-zero spectrum")
             p = 0.0
             break
-        a = s / top
-        r = math.sqrt(float((a * a).sum()) / n)
+        f = _exponent(top)
+        a = np.ldexp(s, -f)
+        q = float((a * a).sum())
         if observable == "cosine":
-            p *= float(s.sum()) / n / (top * r) if top <= _MAX / n else float(a.sum()) / n / r
+            p *= float(a.sum()) / math.sqrt(n * q)
         else:
-            p, k = math.frexp(p * (top * r))
-            e += k
+            p, k = math.frexp(p * math.sqrt(q / n))
+            e += k + f
     return Prediction(observable, _ldexp_or_inf(p, e), None, None, "relative deviation O(sqrt(M/n))")
 
 

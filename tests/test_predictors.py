@@ -428,6 +428,18 @@ _MP = mpmath.mp.clone()
 _MP.dps = 50
 
 
+@st.composite
+def _spectra(draw):
+    # One to three spectra of a common length up to 64, each entry 0 (one in
+    # five) or uniform on (-1, 1) times 2^j, j in [-59, 1]; none all 0.
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 64)))
+    s = np.ldexp(gen.uniform(-1.0, 1.0, shape), gen.integers(-59, 2, shape))
+    s[gen.random(shape) < 0.2] = 0.0
+    assume(np.all(np.any(s != 0.0, axis=1)))
+    return list(s)
+
+
 def _flat_reference(ds, n):
     # sqrt((4/n) sum_{i<j} d_i^2 d_j^2), a sum of positive terms.
     d2 = [_MP.mpf(d) ** 2 for d in ds]
@@ -615,6 +627,26 @@ class TestOperatorPredictors:
         s = [0.5, 1.0]
         pred = prediction_for("operator_product", [s, s], 2, observable="norm_ratio")
         np.testing.assert_allclose(pred.mean, _mean("operator", s, 2, "norm_ratio") ** 2, rtol=1e-14)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(spectra=_spectra(), k=st.one_of(st.integers(-1000, 1023), st.integers(1010, 1023)))
+    def test_power_of_two_scale(self, spectra, k):
+        # Scaling every factor by 2^k leaves the cosine's bits and scales the
+        # norm ratio by exactly 2^(k M), wherever that is a normal double.
+        # Near the top of the range N max|s| passes it, where a cosine once
+        # took another path and moved by ulps.
+        scaled = [np.ldexp(s, k) for s in spectra]
+        assume(all(np.all((v == 0.0) | (abs(v) >= sys.float_info.min)) for v in scaled))
+        assume(all(np.all(np.isfinite(v)) for v in scaled))
+        geometry, n = "operator" if len(spectra) == 1 else "operator_product", len(spectra[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cosines = [_mean(geometry, v, n, "cosine") for v in (spectra, scaled)]
+            ratio, ratio_k = (_mean(geometry, v, n, "norm_ratio") for v in (spectra, scaled))
+        assert cosines[1].hex() == cosines[0].hex()
+        want = Fraction(ratio) * Fraction(2) ** (k * len(spectra))
+        if sys.float_info.min <= want <= sys.float_info.max:
+            assert ratio_k == float(want)
 
 
 class TestCurvatureProducts:
