@@ -208,6 +208,11 @@ def prediction_digest():
     return out.line()
 
 
+# Powers of two that scale line 4's operator spectra: at n = 1000 a largest
+# |eigenvalue| times n passes the double range from 2^1015 on.
+_SCALES = (-1000, -500, 0, 500, 1010, 1015, 1020)
+
+
 def _wide_points():
     # (geometry, schedule, n, observable)
     gen = np.random.default_rng(8)
@@ -286,11 +291,6 @@ def _wide_points():
     return points
 
 
-# Powers of two that scale line 4's operator spectra: at n = 1000 a largest
-# |eigenvalue| times n passes the double range from 2^1015 on.
-_SCALES = (-1000, -500, 0, 500, 1010, 1015, 1020)
-
-
 def _public_calls(geometry, schedule):
     # The public functions beside prediction_for's row; the others have none.
     fns = {"flat": rs.flat_expected_norm, "hyperbolic": rs.hyperbolic_log_expected_cosh}
@@ -351,7 +351,7 @@ _CONSTANT_RUNS = [
 
 
 # Estimates over four chunks whose frames differ from chunk to chunk, their
-# squared deviations past the double range: (geometry, n, schedule, trials, seed).
+# squared deviations outside the double range: (geometry, n, schedule, trials, seed).
 _FRAME_RUNS = [
     ("hyperbolic", 3, (150.0,) * 3, 3 * 2048 + 5, 1),
     ("flat", 3, (1e150, 1e150), 3 * 2048 + 5, 1),

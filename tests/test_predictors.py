@@ -632,9 +632,8 @@ class TestOperatorPredictors:
     @given(spectra=_spectra(), k=st.one_of(st.integers(-1000, 1023), st.integers(1010, 1023)))
     def test_power_of_two_scale(self, spectra, k):
         # Scaling every factor by 2^k leaves the cosine's bits and scales the
-        # norm ratio by exactly 2^(k M), wherever that is a normal double.
-        # Near the top of the range N max|s| passes it, where a cosine once
-        # took another path and moved by ulps.
+        # norm ratio by exactly 2^(k M), wherever that is a normal double.  k
+        # leans to the top of the range, where N max|s| passes it.
         scaled = [np.ldexp(s, k) for s in spectra]
         assume(all(np.all((v == 0.0) | (abs(v) >= sys.float_info.min)) for v in scaled))
         assume(all(np.all(np.isfinite(v)) for v in scaled))
