@@ -13,12 +13,12 @@ path, with n the path's width: the three rows differ only in their parsers.
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
 from the stream addressed by (seed, k).  Each chunk works in its frame,
-its values scaled by one power of two to below 1, where nothing overflows,
-and applies the exponent once at the end.  There its mean is correctly
-rounded, and its sum of squared deviations is a correctly rounded sum, both
-formed by error-free extraction with math.fsum for the remainder.  Chunks
-merge in chunk order, so the result is bitwise identical no matter how many
-workers participate or how the OS schedules them.
+its values scaled by a power of two so that the largest lies in [1/2, 1):
+there nothing overflows, its mean is correctly rounded, and its sum of
+squared deviations is a correctly rounded sum that rides through the merge
+with its exponent, both formed by error-free extraction with math.fsum for
+the remainder.  Chunks merge in chunk order, so the result is bitwise
+identical no matter how many workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
