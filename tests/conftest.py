@@ -1,10 +1,29 @@
-"""Shared fixtures: the acceptance battery runs once per session."""
+"""Shared fixtures: the acceptance battery runs once per session, and the
+seeded numbers pinned in seeded_digests.json are read where they apply."""
 
+import json
+import platform
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from randsteps.selftest import run_battery
+
+SEEDED_DIGESTS = Path(__file__).with_name("seeded_digests.json")
+
+
+def provenance():
+    """What the seeded numbers depend on outside the repository: numpy's
+    release and the dispatch targets it enables on this CPU, and the libm."""
+    return {
+        "numpy": np.__version__,
+        "cpu_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+        "machine": platform.machine(),
+        "libc": list(platform.libc_ver()),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +36,23 @@ def battery():
     by_label["_rows"] = rows
     by_label["_elapsed"] = elapsed
     return by_label
+
+
+@pytest.fixture(scope="session")
+def pinned():
+    """pinned(key) is seeded_digests.json's entry key, where this machine's
+    provenance is the one the pins were taken on; elsewhere the test skips,
+    naming the first field that differs."""
+    pins = json.loads(SEEDED_DIGESTS.read_text())
+    here = provenance()
+
+    def lookup(key):
+        for field, value in pins["provenance"].items():
+            if here[field] != value:
+                pytest.skip(
+                    f"seeded numbers not compared: {field} is {here[field]!r} here "
+                    f"and {value!r} in {SEEDED_DIGESTS.name}"
+                )
+        return pins[key]
+
+    return lookup

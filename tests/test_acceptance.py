@@ -6,6 +6,7 @@ criterion additionally invokes the selftest command twice end to end and
 byte-compares the rendered CSV reports.
 """
 
+import hashlib
 import json
 import time
 
@@ -104,6 +105,11 @@ def test_c14_selftest_determinism(battery, tmp_path, capsys):
     assert identical, "selftest CSV differed between runs"
     assert matches_battery, "selftest CSV differed from the in-process battery"
     assert in_budget, "battery exceeded its runtime budget"
+
+
+def test_selftest_csv_matches_its_pin(battery, pinned):
+    csv_text = render_csv(battery["_rows"])
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == pinned("selftest_csv_sha256")
 
 
 def test_battery_verdict_is_all_pass(battery):

@@ -308,6 +308,14 @@ class TestCompare:
         with pytest.raises(ValueError, match="2 trials"):
             compare(pred, est)
 
+    def test_std_comparison_at_two_trials(self):
+        pred = Prediction("x", 0.0, sigma_exact=1.0, sigma_bound=None, deviation_order="o")
+        est = MonteCarloEstimate(mean=0.0, sample_std=1.0, std_error=1.0 / math.sqrt(2),
+                                 trials=2, seed=1)
+        report = compare(pred, est)
+        assert report.std_ratio == 1.0
+        assert report.verdict == "pass"
+
     def test_rejects_bad_thresholds(self):
         pred = Prediction("x", 0.0, sigma_exact=None, sigma_bound=None, deviation_order="o")
         est = MonteCarloEstimate(mean=0.0, sample_std=1.0, std_error=0.1, trials=10, seed=1)

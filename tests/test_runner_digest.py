@@ -1,8 +1,11 @@
-"""Guards of the repository's tooling against deletions from the public API.
+"""Guards of the repository's tooling against deletions from the public API,
+and of the seeded numbers against a silent move.
 
 scripts/runner_digest.py, the byte-identity check, and the benchmark under
 perfbench/ call the package directly, so a deletion from it that either
-still uses would otherwise go unnoticed until someone runs them.
+still uses would otherwise go unnoticed until someone runs them.  The
+digest's six lines must also equal those pinned in seeded_digests.json,
+wherever the pins' provenance is this machine's.
 """
 
 import ast
@@ -28,7 +31,7 @@ def _package_names(tree):
     }
 
 
-def test_runner_digest_prints_six_digests():
+def test_runner_digest_prints_six_digests(pinned):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "runner_digest.py")],
@@ -38,6 +41,7 @@ def test_runner_digest_prints_six_digests():
     lines = done.stdout.splitlines()
     assert len(lines) == 6
     assert all(re.fullmatch(r"\d+ [0-9a-f]{64}", line) for line in lines), lines
+    assert lines == pinned("runner_digest")
 
 
 def test_benchmark_reads_only_names_the_package_has():
