@@ -3,14 +3,17 @@ random steps in high-dimensional flat, spherical, and hyperbolic geometry,
 and for products of random symmetric operators with prescribed spectra.
 """
 
-from .geometry import HyperboloidPoint, UnitVector, pnorm_pi
 from .montecarlo import (
     ChainResult,
     ComparisonReport,
     ExperimentSpec,
     GEOMETRIES,
+    HyperboloidPoint,
     MonteCarloEstimate,
     OperatorProductResult,
+    RandomStream,
+    Spectrum,
+    UnitVector,
     compare,
     estimate,
     prediction_for,
@@ -28,9 +31,9 @@ from .predictors import (
     flat_expected_norm,
     gaussian_abs_moment,
     hyperbolic_log_expected_cosh,
+    pnorm_pi,
     pnorm_proposition_bounds,
 )
-from .sampling import RandomStream, Spectrum
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -34,7 +34,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .montecarlo import GEOMETRIES, ExperimentSpec, _geometry, compare, estimate, prediction_for
+from .montecarlo import (
+    GEOMETRIES,
+    ExperimentSpec,
+    RandomStream,
+    Spectrum,
+    _geometry,
+    compare,
+    estimate,
+    prediction_for,
+)
 from .predictors import (
     CurvaturePath,
     PrecisionLossError,
@@ -42,7 +51,6 @@ from .predictors import (
     _OPERATOR_OBSERVABLES,
     flat_expected_norm,
 )
-from .sampling import RandomStream, Spectrum
 from .selftest import battery_passed, render_csv, render_table, run_battery
 
 EXIT_PASS = 0

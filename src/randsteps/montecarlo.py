@@ -1,4 +1,10 @@
-"""Deterministic Monte Carlo engine for chain experiments, and the geometry table.
+"""Deterministic Monte Carlo engine for chain experiments: its random streams,
+spectra and point types, and the geometry table.
+
+All randomness flows through RandomStream, an SFC64 stream addressed by
+(seed, stream_id): equal addresses give bitwise equal streams.  Spectrum is
+an operator's eigenvalues; UnitVector and HyperboloidPoint, read-only
+points that keep their invariant, give the run_* runners their start point.
 
 Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
 schedule against the dimension, the closed-form predictor, the
@@ -58,7 +64,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import HyperboloidPoint, UnitVector, _schedule_tuple
 from .predictors import (
     _MONOMIAL_KINDS,
     _MONOMIALS,
@@ -71,10 +76,11 @@ from .predictors import (
     _hyperbolic,
     _moment_prediction,
     _operator,
+    _schedule_tuple,
     _sphere,
     _sphere_steps,
+    as_vector,
 )
-from .sampling import _DEGENERATE_NORM, RandomStream, Spectrum, _gen_of, _prepare_spectra
 
 __all__ = [
     "GEOMETRIES",
@@ -90,6 +96,10 @@ __all__ = [
     "run_flat_chain",
     "run_hyperbolic_chain",
     "run_operator_product",
+    "RandomStream",
+    "Spectrum",
+    "UnitVector",
+    "HyperboloidPoint",
 ]
 
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
@@ -100,6 +110,98 @@ _CHUNK = 2048
 _BLOCK_DRAWS = 1 << 17
 # Cap on _exact_terms' extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
+_UINT64_MAX = 2**64 - 1
+# Below this norm a draw is treated as degenerate and redrawn; the event has
+# probability zero in exact arithmetic.
+_DEGENERATE_NORM = 1e-150
+
+
+class RandomStream:
+    """Random stream addressed by (seed, stream_id).
+
+    An SFC64 generator seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``,
+    child stream_id of ``SeedSequence(seed)``, which hashes the whole address
+    into the state: distinct addresses give independent streams, and equal
+    addresses reproduce the same sequence bitwise.  A stream is cheap to
+    create and holds its own generator state, so a single stream must not be
+    shared by concurrent writers; hand each worker its own.
+    """
+
+    __slots__ = ("seed", "stream_id", "_generator")
+
+    def __init__(self, seed, stream_id=0):
+        for label, value in (("seed", seed), ("stream_id", stream_id)):
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
+            if not (0 <= int(value) <= _UINT64_MAX):
+                raise ValueError(f"{label} must fit in an unsigned 64-bit integer")
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        self._generator = None
+
+    @property
+    def generator(self):
+        """The underlying numpy Generator, created on first use."""
+        if self._generator is None:
+            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+            self._generator = np.random.Generator(np.random.SFC64(seq))
+        return self._generator
+
+    def __repr__(self):
+        return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _gen_of(rng):
+    if isinstance(rng, RandomStream):
+        return rng.generator
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise TypeError(
+        f"expected a RandomStream or numpy Generator, got {type(rng).__name__}"
+    )
+
+
+def _freeze(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class Spectrum:
+    """A prescribed multiset of eigenvalues for a random symmetric operator.
+
+    Values are stored sorted in descending order so two spectra compare
+    canonically regardless of input order.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = _freeze(np.sort(as_vector(values, "spectrum"))[::-1].copy())
+
+    @property
+    def n(self):
+        return self.values.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.n == other.n and bool(np.all(self.values == other.values))
+
+    def __hash__(self):
+        return hash(self.values.tobytes())
+
+    def __repr__(self):
+        return f"Spectrum(n={self.n})"
+
+
+def _prepare_spectra(spectra, n=None):
+    """spectra as a tuple of Spectrum, all of length n (by default the first's)."""
+    prepared = tuple(sp if isinstance(sp, Spectrum) else Spectrum(sp) for sp in spectra)
+    for sp in prepared:
+        n = sp.n if n is None else n
+        if sp.n != n:
+            raise ValueError(f"spectrum length {sp.n} does not match dimension {n}")
+    return prepared
 
 
 @dataclass(frozen=True)
@@ -547,6 +649,98 @@ def _one_trial(geometry, schedule, n, rng):
     row = _GEOMETRY_TABLE[geometry]
     schedule, n = row.parse(schedule, _dimension(n))
     return float(row.kernel(_gen_of(rng), 1, n, schedule, None)[0])
+
+
+# Point constructors accept inputs this far from the exact invariant and
+# renormalize; anything farther is rejected as a likely caller bug.
+CONSTRUCTION_TOL = 1e-6
+# Re-checkable guarantee after construction.
+POST_NORM_TOL = 1e-9
+
+
+def _unwrap(x):
+    if isinstance(x, (UnitVector, HyperboloidPoint)):
+        return x.values
+    return x
+
+
+class UnitVector:
+    """A Euclidean unit vector.
+
+    Construction renormalizes inputs whose norm is within CONSTRUCTION_TOL of
+    1 and rejects anything farther; use :meth:`normalized` to build one from
+    an arbitrary nonzero vector.  After construction the stored array is
+    read-only and satisfies | ||v|| - 1 | <= POST_NORM_TOL.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        v = as_vector(_unwrap(values), "unit vector")
+        nrm = float(np.linalg.norm(v))
+        if abs(nrm - 1.0) > CONSTRUCTION_TOL:
+            raise ValueError(
+                f"norm {nrm!r} is not within {CONSTRUCTION_TOL} of 1; "
+                "use UnitVector.normalized for raw directions"
+            )
+        self.values = _freeze(v / nrm)
+
+    @classmethod
+    def normalized(cls, values):
+        """Normalize an arbitrary nonzero vector to a UnitVector."""
+        v = as_vector(_unwrap(values), "vector")
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return cls(v / nrm)
+
+    @property
+    def dim(self):
+        return self.values.shape[0]
+
+    def __repr__(self):
+        return f"UnitVector(dim={self.dim})"
+
+
+class HyperboloidPoint:
+    """A point on the future sheet of the unit hyperboloid.
+
+    Coordinates x = (x1, x~) with Minkowski square x1^2 - ||x~||^2 = 1 and x1 > 0.
+    Construction renormalizes inputs whose Minkowski square is within
+    CONSTRUCTION_TOL of 1; :meth:`from_spatial` lifts a spatial vector by
+    solving for the timelike coordinate.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        v = as_vector(_unwrap(values), "hyperboloid point")
+        if v.shape[0] < 2:
+            raise ValueError("hyperboloid points need dimension >= 2")
+        if v[0] <= 0.0:
+            raise ValueError("timelike coordinate must be positive")
+        q = float(v[0] * v[0] - v[1:] @ v[1:])
+        if abs(q - 1.0) > CONSTRUCTION_TOL:
+            raise ValueError(
+                f"Minkowski square {q!r} is not within {CONSTRUCTION_TOL} of 1"
+            )
+        self.values = _freeze(v / math.sqrt(q))
+
+    @classmethod
+    def from_spatial(cls, spatial):
+        """Lift a spatial vector to the hyperboloid via x1 = sqrt(1 + ||s||^2)."""
+        s = as_vector(spatial, "spatial part")
+        v = np.empty(s.shape[0] + 1)
+        v[0] = math.sqrt(1.0 + float(s @ s))
+        v[1:] = s
+        return cls(v)
+
+    @property
+    def dim(self):
+        return self.values.shape[0]
+
+    def __repr__(self):
+        return f"HyperboloidPoint(dim={self.dim})"
 
 
 def _dim(point, kind):

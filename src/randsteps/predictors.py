@@ -25,10 +25,11 @@ the sphere-coordinate moments, whose exact sigma is a product of moment
 ratios.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
-"probability p-norm" is pnorm_pi from :mod:`randsteps.geometry`.  Every
-sigma here is the standard deviation of the chain observable itself (sphere
-and operator cosines, flat squared displacement, hyperbolic Minkowski
-inner), not of any derived quantity.
+"probability p-norm" is pnorm_pi below.  Every sigma here is the standard
+deviation of the chain observable itself (sphere and operator cosines, flat
+squared displacement, hyperbolic Minkowski inner), not of any derived
+quantity.  as_vector and _schedule_tuple check what the predictors and the
+engine take in.
 """
 
 import math
@@ -37,8 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-from .geometry import _schedule_tuple, as_vector, pnorm_pi
 
 __all__ = [
     "PrecisionLossError",
@@ -50,6 +49,7 @@ __all__ = [
     "pnorm_proposition_bounds",
     "coordinate_marginal_density",
     "gaussian_abs_moment",
+    "pnorm_pi",
 ]
 
 # The snap of _sphere_steps: schedules built from 90 degrees predict a mean
@@ -74,6 +74,39 @@ def _exponent(x):
     # e with x 2^-e in [1/2, 1) for finite nonzero x, every frame's exponent;
     # for 0, one below every double's, and 0 for inf and nan, left unscaled.
     return math.frexp(x)[1] if x else -1100
+
+
+def as_vector(values, name="vector"):
+    """values as a finite, non-empty 1-D float64 array (a copy when conversion
+    was needed); name labels the errors."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+    if v.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
+    return v
+
+
+def _schedule_tuple(values, name, upper=math.inf):
+    """A step schedule as a tuple of floats in [0, upper], checked in pure Python.
+
+    values is any 1-D iterable of reals or numeric text: a tuple, a list, a
+    1-D array or an iterator.  A string, bytes, a mapping, a set and an
+    array of another dimension are not schedules; nor is a scalar, and
+    neither are entries that float() rejects (None, complex, a sequence).
+    A nan or inf entry is reported before an entry out of range.
+    """
+    if isinstance(values, (str, bytes, dict, set, frozenset)) or getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be a 1-D sequence of numbers")
+    t = tuple(map(float, values))
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"{name} has non-finite entries")
+    if t and not (min(t) >= 0.0 and max(t) <= upper):
+        bound = "" if upper == math.inf else f" and <= {upper!r}"
+        raise ValueError(f"{name} entries must be >= 0{bound}")
+    return t
 
 
 def _sphere_steps(t):
@@ -370,6 +403,30 @@ class CurvaturePath:
 
     def __repr__(self):
         return f"CurvaturePath(steps={len(self.steps)})"
+
+
+def pnorm_pi(x, p):
+    """Probability-normalized p-norm ((1/N) sum |x_i|^p)^(1/p).
+
+    This is the L^p norm of the coordinates viewed as a random variable under
+    the uniform distribution on indices; it is monotone nondecreasing in p
+    and satisfies pnorm_pi(x, 2) = ||x||_2 / sqrt(N).
+
+    Parameters
+    ----------
+    x : array_like
+        Coordinate vector.
+    p : float
+        Exponent, p >= 1.
+    """
+    a = np.abs(as_vector(x, "x"))
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    m = float(a.max())
+    if m == 0.0:
+        return 0.0
+    # Scale by the max entry so large exponents cannot overflow.
+    return m * float(np.mean((a / m) ** p)) ** (1.0 / p)
 
 
 class PropositionBounds(NamedTuple):

@@ -22,14 +22,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import pnorm_pi
-from .montecarlo import ExperimentSpec, estimate, prediction_for
+from .montecarlo import ExperimentSpec, RandomStream, Spectrum, estimate, prediction_for
 from .predictors import (
     coordinate_marginal_density,
     gaussian_abs_moment,
+    pnorm_pi,
     pnorm_proposition_bounds,
 )
-from .sampling import RandomStream, Spectrum
 
 BATTERY_BUDGET_SECONDS = 300.0
 

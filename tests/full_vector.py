@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from randsteps.sampling import _DEGENERATE_NORM, _gen_of
+from randsteps.montecarlo import _DEGENERATE_NORM, _gen_of
 
 
 def _values(x):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from randsteps.geometry import HyperboloidPoint, UnitVector, pnorm_pi
+from randsteps.montecarlo import HyperboloidPoint, UnitVector
+from randsteps.predictors import pnorm_pi
 
 
 def _boost_matrix(u):

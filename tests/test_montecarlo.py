@@ -26,6 +26,8 @@ from randsteps.montecarlo import (
     ComparisonReport,
     ExperimentSpec,
     MonteCarloEstimate,
+    RandomStream,
+    Spectrum,
     _chunk_mean,
     _chunk_stats,
     _coordinate_values,
@@ -38,7 +40,6 @@ from randsteps.montecarlo import (
     prediction_for,
 )
 from randsteps.predictors import CurvaturePath, PrecisionLossError, Prediction
-from randsteps.sampling import RandomStream, Spectrum
 
 
 class TestExperimentSpec:

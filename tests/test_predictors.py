@@ -19,8 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from randsteps import montecarlo, predictors
-from randsteps.montecarlo import ExperimentSpec, _geometry, prediction_for
-from randsteps.sampling import Spectrum
+from randsteps.montecarlo import ExperimentSpec, Spectrum, _geometry, prediction_for
 from randsteps.predictors import (
     _sphere_moment,
     CurvaturePath,

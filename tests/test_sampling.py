@@ -22,8 +22,7 @@ from full_vector import (
     unit_direction,
 )
 
-from randsteps.geometry import HyperboloidPoint, UnitVector
-from randsteps.sampling import RandomStream, Spectrum
+from randsteps.montecarlo import HyperboloidPoint, RandomStream, Spectrum, UnitVector
 
 
 class TestRandomStream:
