@@ -12,6 +12,10 @@ with its label, commit, workload, seed and trace flag, to BENCH_<name>.json
 at the root of this repository (a JSON list, rewritten after every run, so
 an interrupted session keeps the runs it finished).
 
+An A/A comparison needs no option of its own: name one checkout twice
+under two labels (--run a=. --run b=.), and the paired statistics below
+show the spread of a ratio between identical trees.
+
 With two or more --run labels it then prints, for each workload and
 end-to-end metric, the runs of the first two labels paired by seed over the
 whole file: the pair count, the pairs the second label won by the metric's

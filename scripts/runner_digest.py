@@ -39,12 +39,13 @@ passes the double range from k = 1015 on).  Each call feeds either its
 numeric fields or its exception's type and message.
 
 Line 5 digests estimate() where the chunk sums need many extraction rounds
-or fall back to math.fsum: marginal powers 7 and 8 at n up to 1e6, flat
+or leave every value to the final sum (the mean's integer sum over the
+trial count, M2's math.fsum): marginal powers 7 and 8 at n up to 1e6, flat
 steps from 1e-150 to 1e100 and the flat 1e150 edge (whose squared
 deviations overflow), hyperbolic arcs up to about 300, one-step chains, and
 1, 17 and 2049 trials; chains whose every trial is one constant (one
-step, or a later step snapped to 0) at 11 to 59 trials, where the
-constant's fsum divided by the count is an ulp off, among them flat steps
+step, or a later step snapped to 0) at 11 to 59 trials, where fsum divided
+by the count would be an ulp off the constant, among them flat steps
 of 1e-150, 1e150 and 1e154 and a hyperbolic arc of 700; and operator
 products on both observables whose running norm product passes the double
 range, spectra of about 1e-200, and a product beside the same product with

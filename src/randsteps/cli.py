@@ -379,18 +379,24 @@ def _angles_from_config(cfg):
     return values
 
 
-# How the schedule fields of the geometry table are read; a geometry with
-# several fields (spectrum and spectra_file) is read by its first's reader.
-_SCHEDULE_READERS = {
-    "angles": _angles_from_config,
-    "steps": lambda cfg: _float_list(cfg.steps, "steps"),
-    "arcs": lambda cfg: _float_list(cfg.arcs, "arcs"),
-    "spectrum": _spectra_from_config,
-    "curvature_file": lambda cfg: _read_curvature_file(cfg.curvature_file, "curvature_file"),
-    "kind": lambda cfg: cfg.kind,
-    "power": lambda cfg: cfg.power,
+# Per geometry, the flags and config keys that carry its schedule, and the
+# reader that turns them into the schedule its row of the geometry table
+# parses; spectrum and spectra_file are read together.
+_SPECTRA = (("spectrum", "spectra_file"), _spectra_from_config)
+_SCHEDULES = {
+    "flat": (("steps",), lambda cfg: _float_list(cfg.steps, "steps")),
+    "sphere": (("angles",), _angles_from_config),
+    "hyperbolic": (("arcs",), lambda cfg: _float_list(cfg.arcs, "arcs")),
+    "operator": _SPECTRA,
+    "operator_product": _SPECTRA,
+    "monomial": (("kind",), lambda cfg: cfg.kind),
+    "marginal": (("power",), lambda cfg: cfg.power),
+    "kappa": (
+        ("curvature_file",),
+        lambda cfg: _read_curvature_file(cfg.curvature_file, "curvature_file"),
+    ),
 }
-_SCHEDULE_FIELDS = tuple(dict.fromkeys(f for g in GEOMETRIES for f in _geometry(g).fields))
+_SCHEDULE_FIELDS = tuple(dict.fromkeys(f for fields, _ in _SCHEDULES.values() for f in fields))
 
 
 def _schedule_from_config(cfg):
@@ -403,12 +409,13 @@ def _schedule_from_config(cfg):
     if cfg.geometry is None:
         raise ConfigError("field geometry: required")
     row = _geometry(cfg.geometry)
+    fields, read = _SCHEDULES[cfg.geometry]
     for field in _SCHEDULE_FIELDS:
-        if getattr(cfg, field) is not None and field not in row.fields:
+        if getattr(cfg, field) is not None and field not in fields:
             raise ConfigError(f"field {field}: not used by geometry {cfg.geometry!r}")
-    if all(getattr(cfg, field) is None for field in row.fields):
-        raise ConfigError(f"field {row.fields[0]}: required for {cfg.geometry} geometry")
-    raw = _SCHEDULE_READERS[row.fields[0]](cfg)
+    if all(getattr(cfg, field) is None for field in fields):
+        raise ConfigError(f"field {fields[0]}: required for {cfg.geometry} geometry")
+    raw = read(cfg)
     return (raw, *row.parse(raw, cfg.n_dim))
 
 

@@ -8,10 +8,9 @@ points that keep their invariant, give the run_* runners their start point.
 
 Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
 schedule against the dimension, the closed-form predictor, the
-dimension-reduced kernel that samples the observable, the CLI flags and
-config keys that carry the schedule, the allowed observables, and whether
-its mean needs no dimension.  ExperimentSpec, prediction_for,
-estimate and the CLI all dispatch through it.  "operator" is
+dimension-reduced kernel that samples the observable, the allowed
+observables, and whether its mean needs no dimension.  ExperimentSpec,
+prediction_for, estimate and the CLI all dispatch through it.  "operator" is
 "operator_product" with exactly one factor, and "kappa" is
 "operator_product" over the spectra v_k = 1/(1 + d_k kappa_k) of a curvature
 path, with n the path's width: the three rows differ only in their parsers.
@@ -19,12 +18,13 @@ path, with n the path's width: the three rows differ only in their parsers.
 estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
 from the stream addressed by (seed, k).  Each chunk works in its frame,
-its values scaled by a power of two so that the largest lies in [1/2, 1):
-there nothing overflows, its mean is correctly rounded, and its sum of
-squared deviations is a correctly rounded sum that rides through the merge
-with its exponent, both formed by error-free extraction with math.fsum for
-the remainder.  Chunks merge in chunk order, so the result is bitwise
-identical no matter how many workers participate or how the OS schedules them.
+its values scaled by a power of two so that the largest lies in [1/2, 1),
+where nothing overflows.  Error-free extraction leaves a few terms with the
+chunk's exact sum: its mean is that sum over the trial count, rounded once
+by integer division, and its sum of squared deviations, formed the same
+way and rounded by math.fsum, rides through the merge with its exponent.
+Chunks merge in chunk order, so the result is bitwise identical no matter
+how many workers participate or how the OS schedules them.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -58,7 +58,6 @@ pass/fail/indeterminate verdict on standardized z-scores.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
@@ -505,8 +504,7 @@ class _Geometry:
     predict(schedule, n, observable) and
     kernel(gen, count, n, schedule, observable) take the canonical
     schedule and check it no further; the kernel returns count observables.
-    fields are the CLI flags and config keys that carry the schedule,
-    observables the allowed observables (the default first), and dimfree
+    observables are the allowed observables (the default first), and dimfree
     is set where the mean needs no n: predict(schedule, inf, None) then
     gives that mean, with sigmas of 0.
     """
@@ -514,7 +512,6 @@ class _Geometry:
     parse: Callable
     predict: Callable
     kernel: Callable
-    fields: tuple
     observables: tuple = ()
     dimfree: bool = False
 
@@ -536,7 +533,6 @@ class _Geometry:
 _PRODUCT = dict(
     predict=lambda spectra, _, obs: _operator([sp.values for sp in spectra], obs),
     kernel=_operator_values,
-    fields=("spectrum", "spectra_file"),
     observables=_OPERATOR_OBSERVABLES,
 )
 
@@ -545,7 +541,6 @@ _GEOMETRY_TABLE = {
         partial(_parse_steps, "steps", math.inf, 2, "flat"),
         lambda d, n, _: _flat(d, n),
         partial(_chain_values, 0.0, 0, _flat_step),
-        ("steps",),
         dimfree=True,
     ),
     "sphere": _Geometry(
@@ -554,14 +549,12 @@ _GEOMETRY_TABLE = {
         lambda gen, count, n, t, obs: _chain_values(
             1.0, 1, _sphere_step, gen, count, n, list(_sphere_steps(t)), obs
         ),
-        ("angles",),
         dimfree=True,
     ),
     "hyperbolic": _Geometry(
         partial(_parse_steps, "arcs", math.inf, 3, "hyperbolic"),
         lambda x, n, _: _hyperbolic(x, n),
         partial(_chain_values, 1.0, 1, _hyperbolic_step),
-        ("arcs",),
         dimfree=True,
     ),
     "operator": _Geometry(_parse_operator, **_PRODUCT),
@@ -572,15 +565,13 @@ _GEOMETRY_TABLE = {
             *_MONOMIALS[kind], n, kind, "exact moment of the uniform sphere measure"
         ),
         lambda gen, count, n, kind, _: _coordinate_values(gen, n, count, *_MONOMIALS[kind]),
-        ("kind",),
     ),
     "marginal": _Geometry(
         _parse_power,
         lambda power, n, _: _moment_prediction(power, 0, n, f"t^{power}", "exact Beta moment"),
         lambda gen, count, n, power, _: _coordinate_values(gen, n, count, power, 0),
-        ("power",),
     ),
-    "kappa": _Geometry(_parse_kappa, **dict(_PRODUCT, fields=("curvature_file",))),
+    "kappa": _Geometry(_parse_kappa, **_PRODUCT),
 }
 
 GEOMETRIES = tuple(_GEOMETRY_TABLE)
@@ -823,40 +814,29 @@ def _exact_terms(x):
 
 
 def _chunk_mean(terms, count):
-    """The exact sum of terms over count, below 1 in magnitude, correctly rounded.
+    """The exact sum of terms over count, correctly rounded.
 
-    With m = fsum(terms) / count, the mean is m + r / count for the remainder
-    r = fsum(terms) - count m, formed exactly: Veltkamp's split m = hi + lo
-    leaves count hi and count lo exact for count < 2^26.  That is within
-    2^-50 ulp of the exact mean, so it rounds correctly unless the exact
-    mean lies that close to a midpoint between two doubles; such a chunk is
-    summed again in fractions.  m stays as it is where it is not finite or
-    |m| <= 2^-960, below which count lo leaves the normal range.
+    Every finite double is an integer times 2^-1074, so the terms sum
+    exactly in those units, and integer true division rounds the quotient
+    once, correctly, subnormals included.  A non-finite term gives
+    math.fsum(terms) / count.
     """
-    m = math.fsum(terms) / count
-    if not 2.0**-960 < abs(m) < 1.0:
-        return m
-    c = m * 134217729.0  # 2^27 + 1
-    hi = c - (c - m)
-    q = math.fsum(terms + [-count * hi, -count * (m - hi)]) / count
-    mean = m + q
-    # The rounding error of mean, exact, in its ulps; below a power of two
-    # the gap halves, so a midpoint lies 1/4 ulp away on that side.
-    err = abs(q - (mean - m)) / math.ulp(mean)
-    if abs(err - 0.5) < 2.0**-48 or abs(err - 0.25) < 2.0**-48:
-        return float(sum(map(Fraction, terms)) / count)
-    return mean
+    try:
+        total = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
+    except (OverflowError, ValueError):
+        return math.fsum(terms) / count
+    return total / (count << 1074)
 
 
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^s, s) for chunk index of spec; pure in its arguments.
 
     The chunk runs in its frame, its values scaled by 2^-s so that the
-    largest |value| lies in [1/2, 1); there _chunk_mean gives a constant
-    chunk its constant and a spread of 0, every deviation lies below 2, and
-    an M2 that is not 0 is at least 2^-110.  Scaling by a power of two is
-    exact: each result has the unscaled one's bits wherever that stayed in
-    the normal range.
+    largest |value| lies in [1/2, 1); there every deviation lies below 2,
+    and an M2 that is not 0 is at least 2^-110.  The mean is correctly
+    rounded, so a constant chunk gets its constant and a spread of 0.
+    Scaling by a power of two is exact: each result has the unscaled one's
+    bits wherever that stayed in the normal range.
     """
     values = _trial_values(spec, index, count)
     s = _exponent(float(np.abs(values).max()))

@@ -11,6 +11,7 @@ import json
 import time
 
 import randsteps.cli
+from randsteps import selftest
 from randsteps.cli import EXIT_PASS, main
 from randsteps.selftest import BATTERY_BUDGET_SECONDS, battery_passed, render_csv
 
@@ -105,6 +106,13 @@ def test_c14_selftest_determinism(battery, tmp_path, capsys):
     assert identical, "selftest CSV differed between runs"
     assert matches_battery, "selftest CSV differed from the in-process battery"
     assert in_budget, "battery exceeded its runtime budget"
+
+
+def test_c14_report_check_fails_on_a_report_that_loses_a_row(battery, monkeypatch):
+    # C14 reads its CSV back; a report that drops the last row does not match.
+    monkeypatch.setattr(selftest, "render_csv", lambda results: render_csv(results[:-1]))
+    row = selftest._c14_determinism(None, None, battery["_rows"][:13], 0.0, 1)
+    assert "report stable: False" in row.detail and not row.passed
 
 
 def test_selftest_csv_matches_its_pin(battery, pinned):

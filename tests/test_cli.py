@@ -900,6 +900,9 @@ _GEOMETRY_FLAGS = {
 class TestScheduleFlags:
     def test_table_covers_every_geometry(self):
         assert set(_GEOMETRY_FLAGS) == set(randsteps.GEOMETRIES)
+        flags = {g: tuple("--" + f.replace("_", "-") for f in fields)
+                 for g, (fields, _) in randsteps.cli._SCHEDULES.items()}
+        assert flags == _GEOMETRY_FLAGS
 
     @pytest.mark.parametrize("geometry", sorted(_GEOMETRY_FLAGS))
     def test_unused_schedule_flags_exit_2(self, capsys, tmp_path, geometry):

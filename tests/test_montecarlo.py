@@ -16,7 +16,7 @@ from full_vector import (
     sphere_walk,
     uniform_unit_sphere,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -414,12 +414,14 @@ class TestChunkStreams:
 @st.composite
 def _mean_inputs(draw):
     """Chunks of 1 to 2049 values: one constant, a constant with one value
-    nudged by 2^-50 to 2^-300 of it, values over a drawn exponent range, and
-    values near the ends of the double range, whose sum can pass it."""
+    nudged by 2^-50 to 2^-300 of it, values over a drawn exponent range,
+    values near the ends of the double range, whose sum can pass it, and
+    pairs +-v in [1/2, 1) that cancel beside one to four values of 2^-940
+    to 2^-1074, so that the mean lies below 2^-960 or is subnormal."""
     size = draw(st.integers(1, 2049))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     value = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
-    shape = draw(st.sampled_from(["constant", "nudged", "spread", "ends"]))
+    shape = draw(st.sampled_from(["constant", "nudged", "spread", "ends", "cancel"]))
     x = np.full(size, value)
     if shape == "nudged":
         x[gen.integers(size)] += value * 2.0 ** -float(gen.integers(50, 301))
@@ -428,7 +430,32 @@ def _mean_inputs(draw):
         x = gen.uniform(-1.0, 1.0, size) * np.exp2(gen.integers(lo, lo + 120, size).astype(float))
     elif shape == "ends":
         x = gen.uniform(0.5, 1.0, size) * draw(st.sampled_from([2.0**-1021, 2.0**-960, 2.0**990, 2.0**1023]))
+    elif shape == "cancel":
+        k = min(size, draw(st.integers(1, 4)))
+        tiny = gen.uniform(-1.0, 1.0, k) * np.exp2(-gen.integers(940, 1075, k).astype(float))
+        pairs = gen.uniform(0.5, 1.0, (size - k) // 2)
+        x = gen.permutation(np.concatenate([pairs, -pairs, tiny, np.zeros((size - k) % 2)]))
     return x
+
+
+def _assert_nearest(got, exact):
+    # got is the double nearest the fraction exact, ties to even: within half
+    # an ulp, the gap to its neighbour on exact's side, and even at a tie.
+    error = abs(Fraction(got) - exact)
+    if error:
+        neighbour = math.nextafter(got, math.inf if exact > got else -math.inf)
+        gap = abs(Fraction(neighbour) - Fraction(got))
+        assert 2 * error <= gap, (got.hex(), exact)
+        if 2 * error == gap:
+            assert Fraction(got) / Fraction(math.ulp(got)) % 2 == 0, (got.hex(), exact)
+
+
+# Pairs that cancel beside values near 2^-976, one subnormal: their mean
+# lies below 2^-960, and fsum / 6 is 0.64 ulp off it.
+_CANCELLING = np.array([0.75, -0.75] + [float.fromhex(h) for h in (
+    "-0x1.a26a25d1df782p-991", "-0x1.19d9c9dadc94ap-973",
+    "0x0.000051c236662p-1022", "0x1.1f44ebca9819cp-988",
+)])
 
 
 class TestChunkStats:
@@ -534,8 +561,7 @@ class TestChunkStats:
             warnings.simplefilter("error")
             est = estimate(spec)
         assert est.sample_std == 1.0746372201097237e307
-        exact = sum(map(Fraction, values.tolist())) / 1001
-        assert est.mean == float(exact)
+        _assert_nearest(est.mean, sum(map(Fraction, values.tolist())) / 1001)
 
     def test_merge_of_opposite_means_at_the_range_ends(self, monkeypatch):
         # Chunk means of 1.7e308 and -1.7e308 differ by more than the double
@@ -563,7 +589,7 @@ class TestChunkStats:
             warnings.simplefilter("error")
             count, mean, m2, e = _chunk_stats(spec, 0, 4)
             est = estimate(spec)
-        assert mean == float(sum(Fraction(v) for v in values.tolist()) / 4)
+        _assert_nearest(mean, sum(map(Fraction, values.tolist())) / 4)
         assert est.mean == mean
         scaled_std = float(np.std(values * 2.0**-600, ddof=1))
         assert est.sample_std == pytest.approx(scaled_std * 2.0**600, rel=1e-15)
@@ -577,29 +603,36 @@ class TestChunkStats:
         with pytest.raises(OverflowError):
             math.fsum(values)
         for k in (1, 2, 3, 64):
-            exact = float(sum(map(Fraction, _trial_values(spec, 0, k).tolist())) / k)
+            exact = sum(map(Fraction, _trial_values(spec, 0, k).tolist())) / k
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert _chunk_stats(spec, 0, k)[1] == exact
+                _assert_nearest(_chunk_stats(spec, 0, k)[1], exact)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_mean_inputs())
+    @example(_CANCELLING)
     def test_chunk_mean_is_correctly_rounded(self, x):
-        # A chunk's mean against the exact mean in fractions, wherever that
-        # is a normal double.
+        # The mean of a chunk's extracted terms against the exact mean in
+        # fractions, subnormal or not; and the chunk's mean, scaled back
+        # from its frame, wherever the exact mean is a normal double.
+        exact = sum(map(Fraction, x.tolist())) / x.size
+        _assert_nearest(_chunk_mean(_exact_terms(x), x.size), exact)
         spec = ExperimentSpec("flat", 3, (1.0,), x.size, 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_trial_values", lambda *task: x)
             got = _chunk_stats(spec, 0, x.size)[1]
-        want = float(sum(map(Fraction, x.tolist())) / x.size)
-        if abs(want) >= 2.0**-1022:
-            assert got.hex() == want.hex()
+        if abs(exact) >= 2.0**-1022:
+            _assert_nearest(got, exact)
+
+    def test_mean_of_a_chunk_that_cancels_below_2_to_the_minus_960(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: _CANCELLING)
+        spec = ExperimentSpec("flat", 3, (1.0,), _CANCELLING.size, 1)
+        assert estimate(spec).mean.hex() == "-0x1.77ca9a8f689a9p-976"
 
     def test_chunk_mean_near_a_midpoint(self):
         # (1 + 2^-53 + 2^-160) / 2 lies 2^-161 above the midpoint of 1/2 and
-        # its successor; the remainder rounds the 2^-160 away, and m + r / 2
-        # lands on the midpoint, which rounds to even, 1/2.  Such a mean is
-        # summed again in fractions.
+        # its successor, so it rounds up; a mean that lost the 2^-160 would
+        # land on the midpoint and round to even, 1/2.
         assert _chunk_mean([1.0, 2.0**-53, 2.0**-160], 2) == 0.5 + 2.0**-53
         assert _chunk_mean([-1.0, -(2.0**-53), -(2.0**-160)], 2) == -(0.5 + 2.0**-53)
         # Below a power of two the gap halves: 2 - 2^-53 - 2^-160 over 2 lies
@@ -732,19 +765,25 @@ class TestExactSum:
         ids=["sphere", "marginal-t8"],
     )
     def test_chunk_sums_hand_fsum_few_values(self, spec, monkeypatch):
-        # A chunk's mean, its remainder and M2 reach math.fsum as a few round
-        # sums and residuals, not as one float per trial.
-        sizes = []
-        fsum = math.fsum
+        # A chunk's mean reaches its integer sum, and its M2 math.fsum, as a
+        # few round sums and residuals, not as one float per trial.
+        sizes = {"fsum": [], "mean": []}
+        fsum, chunk_mean = math.fsum, montecarlo._chunk_mean
 
         def counting_fsum(values):
             values = list(values)
-            sizes.append(len(values))
+            sizes["fsum"].append(len(values))
             return fsum(values)
 
+        def counting_mean(terms, count):
+            sizes["mean"].append(len(terms))
+            return chunk_mean(terms, count)
+
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
+        monkeypatch.setattr(montecarlo, "_chunk_mean", counting_mean)
         _chunk_stats(spec, 0, 2048)
-        assert len(sizes) == 3 and max(sizes) <= 64
+        assert len(sizes["fsum"]) == 1 and max(sizes["fsum"]) <= 64
+        assert len(sizes["mean"]) == 1 and max(sizes["mean"]) <= 64
 
 
 class TestOperatorFrame:

@@ -3,8 +3,9 @@ and of the seeded numbers against a silent move.
 
 scripts/runner_digest.py, the byte-identity check, and the benchmark under
 perfbench/ call the package directly, so a deletion from it that either
-still uses would otherwise go unnoticed until someone runs them.  The
-digest's six lines must also equal those pinned in seeded_digests.json,
+still uses would otherwise go unnoticed until someone runs them; so
+would a CLI that stopped calling, through its module globals, the functions
+the benchmark's tracing wraps there.  The digest's six lines must also equal those pinned in seeded_digests.json,
 wherever the pins' provenance is this machine's.
 """
 
@@ -51,3 +52,22 @@ def test_benchmark_reads_only_names_the_package_has():
         names |= _package_names(ast.parse(path.read_text(), str(path)))
     assert {"UnitVector", "HyperboloidPoint", "run_sphere_chain", "cli"} <= names
     assert sorted(n for n in names if not hasattr(randsteps, n)) == []
+
+
+def _cli_calls():
+    # perfbench/workloads.py's CLI_CALLS, read without importing perfbench.
+    path = ROOT / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CLI_CALLS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} defines no CLI_CALLS")
+
+
+def test_benchmark_patches_only_names_the_cli_has():
+    # perfbench/tracing.Patch replaces each key of CLI_CALLS among
+    # randsteps.cli's globals for a traced run, so each must be one.
+    calls = _cli_calls()
+    assert {"estimate", "compare", "prediction_for"} <= set(calls)
+    assert sorted(n for n in calls if not hasattr(randsteps.cli, n)) == []
