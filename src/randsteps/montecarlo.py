@@ -8,9 +8,10 @@ points that keep their invariant, give the run_* runners their start point.
 
 Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
 schedule against the dimension, the closed-form predictor, the
-dimension-reduced kernel that samples the observable, the allowed
-observables, and whether its mean needs no dimension.  ExperimentSpec,
-prediction_for, estimate and the CLI all dispatch through it.  "operator" is
+dimension-reduced kernel that samples the observable, the variates that
+kernel draws per trial, the allowed observables, and whether its mean
+needs no dimension.  ExperimentSpec, prediction_for, estimate and the CLI
+all dispatch through it.  "operator" is
 "operator_product" with exactly one factor, and "kappa" is
 "operator_product" over the spectra v_k = 1/(1 + d_k kappa_k) of a curvature
 path, with n the path's width: the three rows differ only in their parsers.
@@ -24,7 +25,8 @@ chunk's exact sum: its mean is that sum over the trial count, rounded once
 by integer division, and its sum of squared deviations, formed the same
 way and rounded by math.fsum, rides through the merge with its exponent.
 Chunks merge in chunk order, so the result is bitwise identical no matter
-how many workers participate or how the OS schedules them.
+how many workers participate or how the OS schedules them.  Chunks go to
+threads only where each draws at least 2^17 variates, 64 per trial.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
@@ -40,8 +42,10 @@ Minkowski inner product:
 The first step takes t = 0, so one-step chains report their constant
 exactly, and the sphere's (cos theta, sin theta) are the predictor's own,
 snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
-every coordinate: t = T / sqrt(T^2 + m - 1) with T Student-t with m - 1
-degrees of freedom, and a fair sign at m = 1.  Monomial and marginal trials
+every coordinate from two uniforms U and V, by the polar law of a uniform
+point's first two coordinates (Ulrich, Appl. Statist. 33(2), 1984):
+t = r cos(pi V) with r^2 = 1 - U^(2/(m - 2)), which is Beta(1, (m - 2)/2);
+m = 2 draws V alone, and m = 1 a fair sign.  Monomial and marginal trials
 take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1),
 and raise them to integer powers by squaring, in IEEE multiplications alone.
 Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
@@ -107,6 +111,10 @@ _CHUNK = 2048
 # Operator factors draw their exponential and uniform rows in blocks of
 # about this many doubles (1 MiB), n per row.
 _BLOCK_DRAWS = 1 << 17
+# A chunk goes to a thread only if it draws at least this many variates (64
+# per trial): below it, hand-offs of the interpreter lock between numpy's
+# short calls cost about what the overlap saves, or more.
+_FANOUT_DRAWS = 1 << 17
 # Cap on _exact_terms' extraction rounds; chunk sums need two or three.
 _EXTRACT_ROUNDS = 4
 _UINT64_MAX = 2**64 - 1
@@ -280,15 +288,46 @@ class ComparisonReport:
     verdict: str
 
 
+def _cos_pi(v):
+    # cos(pi v) for v in [0, 1) as 2 tau / (1 + tau^2), tau = tan(pi (1/2 - v) / 2)
+    # in (-1, 1]: 1/2 - v is exact near v = 1/2, where the cosine is small.
+    tau = np.subtract(0.5, v)
+    tau *= math.pi / 2
+    np.tan(tau, out=tau)
+    w = tau * tau
+    w += 1.0
+    np.divide(tau, w, out=tau)
+    tau *= 2.0
+    return tau
+
+
 def _sphere_coordinate(gen, m, shape):
     # One coordinate t of uniform points on the unit sphere of R^m, as in the
-    # module docstring: g / sqrt(g^2 + chi2(m - 1)) for g normal, which keeps
-    # full relative precision at any m, as moments of size 1/m need.
+    # module docstring, from one uniform pair (U, V) per coordinate, drawn
+    # side by side so that a shorter draw is a prefix of a longer one.
     if m == 1:
         return np.where(gen.random(shape) < 0.5, 1.0, -1.0)
-    df = float(m - 1)
-    t = gen.standard_t(df, shape)
-    return t / np.sqrt(t * t + df)
+    if m == 2:
+        return _cos_pi(gen.random(shape))
+    uv = gen.random((*np.atleast_1d(shape), 2))
+    # r = sqrt(1 - (1 - U)^c), c = 2 / (m - 2), as sqrt(-expm1(c log1p(-U))):
+    # no log(0), and full relative precision at any m.  Past m of about
+    # 2^61, |c log1p(-U)| < 2^-54, where expm1 is the identity, and r is
+    # sqrt(-log1p(-U)) sqrt(c), so r^2 never falls below the normal range.
+    c = 2.0 / (m - 2)
+    r = np.negative(uv[..., 0])
+    np.log1p(r, out=r)
+    if c < 2.0**-60:
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        r *= math.sqrt(c)
+    else:
+        r *= c
+        np.expm1(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+    r *= _cos_pi(uv[..., 1])
+    return r
 
 
 def _power(x, p):
@@ -381,6 +420,16 @@ def _chain_values(start, shift, update, gen, count, n, steps, observable):
     for step, t in zip(steps, [0.0, *ts]):
         value = update(value, step, t)
     return value
+
+
+def _coordinate_draws(m):
+    # The uniforms _sphere_coordinate draws per coordinate in R^m.
+    return 1 if m <= 2 else 2
+
+
+def _chain_draws(shift, steps, n):
+    # One coordinate in R^(n - shift) per step after the first, which takes t = 0.
+    return max(len(steps) - 1, 0) * _coordinate_draws(n - shift)
 
 
 def _operator_trials(gen, count, n, spectra):
@@ -504,6 +553,8 @@ class _Geometry:
     predict(schedule, n, observable) and
     kernel(gen, count, n, schedule, observable) take the canonical
     schedule and check it no further; the kernel returns count observables.
+    draws(schedule, n) is the variates the kernel draws per trial, doubles
+    from its generator; estimate fans out only chunks that draw many.
     observables are the allowed observables (the default first), and dimfree
     is set where the mean needs no n: predict(schedule, inf, None) then
     gives that mean, with sigmas of 0.
@@ -512,6 +563,7 @@ class _Geometry:
     parse: Callable
     predict: Callable
     kernel: Callable
+    draws: Callable
     observables: tuple = ()
     dimfree: bool = False
 
@@ -533,6 +585,11 @@ class _Geometry:
 _PRODUCT = dict(
     predict=lambda spectra, _, obs: _operator([sp.values for sp in spectra], obs),
     kernel=_operator_values,
+    # n / 2 exponentials and uniforms (n odd: and a normal), and a coordinate,
+    # per factor with more than one eigenvalue.
+    draws=lambda spectra, n: sum(
+        n + _coordinate_draws(n - 1) for sp in spectra if sp.values[0] != sp.values[-1]
+    ),
     observables=_OPERATOR_OBSERVABLES,
 )
 
@@ -541,6 +598,7 @@ _GEOMETRY_TABLE = {
         partial(_parse_steps, "steps", math.inf, 2, "flat"),
         lambda d, n, _: _flat(d, n),
         partial(_chain_values, 0.0, 0, _flat_step),
+        partial(_chain_draws, 0),
         dimfree=True,
     ),
     "sphere": _Geometry(
@@ -549,12 +607,14 @@ _GEOMETRY_TABLE = {
         lambda gen, count, n, t, obs: _chain_values(
             1.0, 1, _sphere_step, gen, count, n, list(_sphere_steps(t)), obs
         ),
+        partial(_chain_draws, 1),
         dimfree=True,
     ),
     "hyperbolic": _Geometry(
         partial(_parse_steps, "arcs", math.inf, 3, "hyperbolic"),
         lambda x, n, _: _hyperbolic(x, n),
         partial(_chain_values, 1.0, 1, _hyperbolic_step),
+        partial(_chain_draws, 1),
         dimfree=True,
     ),
     "operator": _Geometry(_parse_operator, **_PRODUCT),
@@ -565,11 +625,13 @@ _GEOMETRY_TABLE = {
             *_MONOMIALS[kind], n, kind, "exact moment of the uniform sphere measure"
         ),
         lambda gen, count, n, kind, _: _coordinate_values(gen, n, count, *_MONOMIALS[kind]),
+        lambda kind, n: _coordinate_draws(n) + (_MONOMIALS[kind][1] > 0) * _coordinate_draws(n - 1),
     ),
     "marginal": _Geometry(
         _parse_power,
         lambda power, n, _: _moment_prediction(power, 0, n, f"t^{power}", "exact Beta moment"),
         lambda gen, count, n, power, _: _coordinate_values(gen, n, count, power, 0),
+        lambda power, n: _coordinate_draws(n),
     ),
     "kappa": _Geometry(_parse_kappa, **_PRODUCT),
 }
@@ -813,19 +875,19 @@ def _exact_terms(x):
     return x.tolist() + sums
 
 
-def _chunk_mean(terms, count):
-    """The exact sum of terms over count, correctly rounded.
+def _chunk_mean(terms, count, s=0):
+    """The exact sum of terms over count, times 2^s, correctly rounded.
 
     Every finite double is an integer times 2^-1074, so the terms sum
     exactly in those units, and integer true division rounds the quotient
-    once, correctly, subnormals included.  A non-finite term gives
-    math.fsum(terms) / count.
+    once, correctly, subnormals included; s <= 1024.  A non-finite term
+    gives math.fsum(terms) / count, times 2^s.
     """
     try:
         total = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
     except (OverflowError, ValueError):
-        return math.fsum(terms) / count
-    return total / (count << 1074)
+        return math.ldexp(math.fsum(terms) / count, s)
+    return total / (count << (1074 - s))
 
 
 def _chunk_stats(spec, index, count):
@@ -833,18 +895,23 @@ def _chunk_stats(spec, index, count):
 
     The chunk runs in its frame, its values scaled by 2^-s so that the
     largest |value| lies in [1/2, 1); there every deviation lies below 2,
-    and an M2 that is not 0 is at least 2^-110.  The mean is correctly
-    rounded, so a constant chunk gets its constant and a spread of 0.
-    Scaling by a power of two is exact: each result has the unscaled one's
-    bits wherever that stayed in the normal range.
+    and an M2 that is not 0 is at least 2^-110.  The mean is the exact sum
+    over count, rounded once, subnormal or not, so a constant chunk gets its
+    constant and a spread of 0; the deviations are taken from the frame's
+    own mean.  A value more than 2^1022 below the largest loses bits in the
+    frame, so a chunk holding one sums its values as they are.
     """
     values = _trial_values(spec, index, count)
     s = _exponent(float(np.abs(values).max()))
     x = np.ldexp(values, -s)
-    mean = _chunk_mean(_exact_terms(x), count)
+    terms = _exact_terms(x)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
-        d = x - mean
-    return count, math.ldexp(mean, s), math.fsum(_exact_terms(d * d)), s
+        d = x - _chunk_mean(terms, count)
+    if s > 0 and not np.array_equal(np.ldexp(x, s), values):
+        mean = _chunk_mean(values.tolist(), count)
+    else:
+        mean = _chunk_mean(terms, count, s)
+    return count, mean, math.fsum(_exact_terms(d * d)), s
 
 
 def estimate(spec, workers=1):
@@ -860,7 +927,9 @@ def estimate(spec, workers=1):
     workers : int
         Cap on chunks running at once, each on a thread of this process
         (numpy releases the interpreter lock while it draws and computes);
-        1 runs them serially on the calling thread.
+        1 runs them serially on the calling thread.  So does a spec whose
+        chunks draw fewer than 2^17 variates each (64 per trial, by its
+        geometry row's draws), where threads cost more than they save.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"expected ExperimentSpec, got {type(spec).__name__}")
@@ -870,7 +939,8 @@ def estimate(spec, workers=1):
         (spec, index, min(_CHUNK, spec.trials - start))
         for index, start in enumerate(range(0, spec.trials, _CHUNK))
     ]
-    if workers == 1 or len(tasks) == 1:
+    draws = _GEOMETRY_TABLE[spec.geometry].draws(spec.schedule, spec.n_dim)
+    if workers == 1 or len(tasks) == 1 or _CHUNK * draws < _FANOUT_DRAWS:
         stats = [_chunk_stats(*t) for t in tasks]
     else:
         # Results are read once the pool has joined: waiting on each chunk in

@@ -56,3 +56,16 @@ def pinned():
         return pins[key]
 
     return lookup
+
+
+@pytest.fixture(scope="session")
+def repin():
+    """repin(key, got) is got written as seeded_digests.json's entry key, the
+    message of a failed comparison with a pin: a change that moves seeded
+    numbers on purpose copies it into that file."""
+
+    def entry(key, got):
+        lines = json.dumps({key: got}, indent=2).splitlines()[1:-1]
+        return "\n".join([f"seeded numbers moved; if that is meant, {SEEDED_DIGESTS.name} takes:", *lines])
+
+    return entry

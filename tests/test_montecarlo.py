@@ -4,9 +4,11 @@ import math
 import multiprocessing
 import os
 import struct
+import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from full_vector import (
@@ -111,9 +113,46 @@ def _spec_of_every_geometry():
     ]
 
 
+class _CountingGenerator:
+    """A numpy Generator that counts the doubles its draws return."""
+
+    def __init__(self, gen):
+        self.gen, self.drawn = gen, 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return counted
+
+
+# Beside every geometry's spec: coordinates in R^2, which draw one uniform
+# each, an odd n, a scalar factor, which draws nothing, and marginal at n = 2.
+_DRAW_SPECS = _spec_of_every_geometry() + [
+    ExperimentSpec("flat", 2, (1.0, 0.5, 2.0), 300, 1),
+    ExperimentSpec("sphere", 3, (0.7, 1.1, 0.2), 300, 1),
+    ExperimentSpec("hyperbolic", 3, (0.5,), 300, 1),
+    ExperimentSpec("operator_product", 2, [[0.5, 1.0], [-1.5, -1.5], [2.0, 3.0]], 300, 1),
+    ExperimentSpec("operator_product", 7, [np.arange(7.0), [2.0] * 7], 300, 1, "cosine"),
+    ExperimentSpec("monomial", 3, "x1sq_x2sq", 300, 1),
+    ExperimentSpec("marginal", 2, 3, 300, 1),
+]
+
+
 class TestGeometryTable:
     def test_every_geometry_has_a_spec_here(self):
         assert [spec.geometry for spec in _spec_of_every_geometry()] == list(GEOMETRIES)
+
+    @pytest.mark.parametrize("spec", _DRAW_SPECS, ids=lambda spec: f"{spec.geometry}-n{spec.n_dim}")
+    def test_draws_count_the_doubles_drawn(self, spec):
+        row = montecarlo._GEOMETRY_TABLE[spec.geometry]
+        gen = _CountingGenerator(RandomStream(spec.seed).generator)
+        row.kernel(gen, 300, spec.n_dim, spec.schedule, spec.observable)
+        assert gen.drawn == 300 * row.draws(spec.schedule, spec.n_dim)
 
     @pytest.mark.parametrize("spec", _spec_of_every_geometry(), ids=lambda spec: spec.geometry)
     def test_prediction_for_takes_a_specs_fields(self, spec):
@@ -400,6 +439,45 @@ class TestChunkStreams:
         assert seen == [(os.getpid(), [])] * 5
         assert multiprocessing.active_children() == []
 
+    # chains-highdim's sphere spec draws 8 uniforms per trial, for 4
+    # coordinates, below the fan-out cut of 2^17 variates per chunk, 64 per
+    # trial; the n = 400 operator spec draws 402.  Flat chains of 32 and 33
+    # steps draw 62 and 64, one each side of the cut.
+    SPHERE_SPEC = ("sphere", 200, (math.pi / 3,) * 5, None)
+    OPERATOR_SPEC = ("operator", 400, Spectrum(np.arange(1, 401) / 400), "norm_ratio")
+
+    @pytest.mark.parametrize(
+        "geometry, n, schedule, observable, fans_out",
+        [
+            (*SPHERE_SPEC, False),
+            ("flat", 12, (1.0,) * 32, None, False),
+            ("flat", 12, (1.0,) * 33, None, True),
+            (*OPERATOR_SPEC, True),
+        ],
+    )
+    def test_fan_out_only_past_the_cut(self, monkeypatch, geometry, n, schedule, observable, fans_out):
+        pools, threads = [], []
+
+        class RecordingPool(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def recording(*task):
+            threads.append(threading.get_ident())
+            return _chunk_stats(*task)
+
+        spec = ExperimentSpec(geometry, n, schedule, 2 * 2048 + 1, 41, observable)
+        one = estimate(spec, workers=1)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_chunk_stats", recording)
+        assert estimate(spec, workers=2) == one
+        assert len(threads) == 3
+        if fans_out:
+            assert pools == [2] and threading.get_ident() not in threads
+        else:
+            assert pools == [] and set(threads) == {threading.get_ident()}
+
     def test_chunk_draws_from_its_own_stream(self):
         spec = ExperimentSpec("sphere", 10, (0.7, 1.1), 2049, 29)
         first = _trial_values(spec, 0, 2048)
@@ -611,23 +689,37 @@ class TestChunkStats:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_mean_inputs())
     @example(_CANCELLING)
+    @example(np.array([0.75 * 2.0**1000, -0.75 * 2.0**1000, 1.1 * 2.0**-30]))
+    @example(np.array([0.75 * 2.0**60, -0.75 * 2.0**60, -1.3e-310]))
     def test_chunk_mean_is_correctly_rounded(self, x):
         # The mean of a chunk's extracted terms against the exact mean in
-        # fractions, subnormal or not; and the chunk's mean, scaled back
-        # from its frame, wherever the exact mean is a normal double.
+        # fractions, and the chunk's mean, unscaled from its frame, subnormal
+        # or not.
         exact = sum(map(Fraction, x.tolist())) / x.size
         _assert_nearest(_chunk_mean(_exact_terms(x), x.size), exact)
         spec = ExperimentSpec("flat", 3, (1.0,), x.size, 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_trial_values", lambda *task: x)
             got = _chunk_stats(spec, 0, x.size)[1]
-        if abs(exact) >= 2.0**-1022:
-            _assert_nearest(got, exact)
+        _assert_nearest(got, exact)
 
     def test_mean_of_a_chunk_that_cancels_below_2_to_the_minus_960(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: _CANCELLING)
         spec = ExperimentSpec("flat", 3, (1.0,), _CANCELLING.size, 1)
         assert estimate(spec).mean.hex() == "-0x1.77ca9a8f689a9p-976"
+
+    def test_mean_of_values_spread_past_the_frame(self, monkeypatch):
+        # In the frame of 0.75 2^1000 the third value is subnormal and loses
+        # 8 bits; the mean comes from the values as they are, rounded once.
+        values = np.array([0.75 * 2.0**1000, -0.75 * 2.0**1000, 1.1 * 2.0**-30])
+        monkeypatch.setattr(montecarlo, "_trial_values", lambda *task: values)
+        spec = ExperimentSpec("flat", 3, (1.0,), 3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(spec)
+        assert est.mean.hex() == "0x1.7777777777778p-32"
+        _assert_nearest(est.mean, sum(map(Fraction, values.tolist())) / 3)
+        assert est.sample_std == pytest.approx(0.75 * 2.0**1000, rel=1e-15)
 
     def test_chunk_mean_near_a_midpoint(self):
         # (1 + 2^-53 + 2^-160) / 2 lies 2^-161 above the midpoint of 1/2 and
@@ -765,8 +857,9 @@ class TestExactSum:
         ids=["sphere", "marginal-t8"],
     )
     def test_chunk_sums_hand_fsum_few_values(self, spec, monkeypatch):
-        # A chunk's mean reaches its integer sum, and its M2 math.fsum, as a
-        # few round sums and residuals, not as one float per trial.
+        # A chunk's means, in its frame and unscaled, reach their integer
+        # sum, and its M2 math.fsum, as a few round sums and residuals, not
+        # as one float per trial.
         sizes = {"fsum": [], "mean": []}
         fsum, chunk_mean = math.fsum, montecarlo._chunk_mean
 
@@ -775,15 +868,15 @@ class TestExactSum:
             sizes["fsum"].append(len(values))
             return fsum(values)
 
-        def counting_mean(terms, count):
+        def counting_mean(terms, count, s=0):
             sizes["mean"].append(len(terms))
-            return chunk_mean(terms, count)
+            return chunk_mean(terms, count, s)
 
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         monkeypatch.setattr(montecarlo, "_chunk_mean", counting_mean)
         _chunk_stats(spec, 0, 2048)
         assert len(sizes["fsum"]) == 1 and max(sizes["fsum"]) <= 64
-        assert len(sizes["mean"]) == 1 and max(sizes["mean"]) <= 64
+        assert len(sizes["mean"]) == 2 and max(sizes["mean"]) <= 64
 
 
 class TestOperatorFrame:
@@ -910,27 +1003,97 @@ class TestPairSampler:
                 assert getattr(r, observable) == estimate(spec).mean
 
 
+class _Uniforms:
+    """A stand-in for a numpy Generator whose random(shape) hands out the
+    given uniforms in order, and records each shape asked for."""
+
+    def __init__(self, values=None):
+        self.values = None if values is None else np.asarray(values, dtype=np.float64)
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(tuple(np.atleast_1d(shape)))
+        size = math.prod(self.shapes[-1])
+        if self.values is None:
+            return np.full(self.shapes[-1], 0.5)
+        out, self.values = self.values[:size], self.values[size:]
+        return out.reshape(self.shapes[-1]).copy()
+
+
+def _polar_coordinate_50_digits(u, v, m):
+    # t = r cos(pi V), r = sqrt(1 - (1 - U)^(2/(m - 2))), in 50 digits from
+    # the same doubles U and V; expm1 and log1p keep 1 - (1 - U)^c exact at huge m.
+    with mpmath.workdps(50):
+        cos = mpmath.cospi(mpmath.mpf(v))
+        if m == 2:
+            return cos
+        c = 2 / (mpmath.mpf(m) - 2)
+        return mpmath.sqrt(-mpmath.expm1(c * mpmath.log1p(-mpmath.mpf(u)))) * cos
+
+
 class TestSphereCoordinate:
     # The one coordinate sampler against the exact moments of a coordinate t
-    # of a uniform point on the sphere of R^m: E[t^(2k)] = prod_{j<k}
-    # (2j + 1) / (m + 2j), so E[t^2] = 1/m and E[t^4] = 3/(m(m + 2)).
+    # of a uniform point on the sphere of R^m: E[(m t^2)^k] = prod_{j<k}
+    # m (2j + 1) / (m + 2j), so E[t^2] = 1/m and E[t^4] = 3/(m(m + 2)); m t^2
+    # keeps the moments in range at m = 10^300.
     TRIALS = 2**17
+    # Largest error of t against a 50-digit evaluation on the same uniforms,
+    # in ulps of t, wherever t is a normal double.
+    ULPS = 6.0
 
     @staticmethod
     def _moment(m, k):
-        return math.prod((2 * j + 1) / (m + 2 * j) for j in range(k))
+        return math.prod(m * (2 * j + 1) / (m + 2 * j) for j in range(k))
 
-    @pytest.mark.parametrize("m", [2, 3, 10, 400, 10**30])
+    @pytest.mark.parametrize("m", [2, 3, 4, 10, 400, 10**6, 10**30, 10**300])
     def test_even_moments_are_exact(self, m):
         t = _sphere_coordinate(RandomStream(73, m % 1000).generator, m, (4, self.TRIALS // 4))
         assert t.shape == (4, self.TRIALS // 4)
         assert np.all(np.abs(t) <= 1.0)
-        square = t * t  # non-negative: numpy's power on signed bases calls libm's pow
+        square = t * math.sqrt(m)
+        square *= square  # non-negative: numpy's power on signed bases calls libm's pow
         for k in (1, 2):
             want = self._moment(float(m), k)
             var = self._moment(float(m), 2 * k) - want * want
             z = (np.mean(square**k) - want) / math.sqrt(var / self.TRIALS)
             assert abs(z) <= 5.0, (k, z)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 10, 400, 10**6, 10**20, 10**300])
+    def test_matches_a_50_digit_evaluation(self, m):
+        # Fixed uniforms: a spread over [0, 1), U of 2^-53 to 1/2 and near 1,
+        # where r is small or 1, and V near 1/2, where t is small.
+        gen = np.random.default_rng(2028)
+        u = np.concatenate([gen.random(200), np.ldexp(1.0, -np.arange(1, 54)), 1.0 - 2.0**-np.arange(1, 54)])
+        v = np.concatenate([gen.random(200), 0.5 + np.ldexp(1.0, -np.arange(2, 55)), 0.5 - np.ldexp(1.0, -np.arange(2, 55))])
+        uniforms = v if m == 2 else np.stack([u, v], axis=1)
+        t = _sphere_coordinate(_Uniforms(uniforms.ravel()), m, u.size)
+        for got, a, b in zip(t.tolist(), u.tolist(), v.tolist()):
+            want = _polar_coordinate_50_digits(a, b, m)
+            if abs(want) >= 2.0**-1022:
+                error = abs(mpmath.mpf(got) - want) / math.ulp(float(abs(want)))
+                assert error <= self.ULPS, (m, a.hex(), b.hex(), got, float(error))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 10, 10**300])
+    @pytest.mark.parametrize("u", [0.0, 2.0**-53, 1.0 - 2.0**-53])
+    def test_edge_uniforms_stay_in_range_without_warning(self, m, u):
+        v = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        uniforms = v if m == 2 else np.stack([np.full(3, u), v], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = _sphere_coordinate(_Uniforms(uniforms.ravel()), m, 3)
+        assert np.all(np.abs(t) <= 1.0), t
+        assert t[1] == 0.0  # V = 1/2
+        if m > 2 and u == 0.0:
+            assert t.tolist() == [0.0, 0.0, 0.0]
+        if m == 2:
+            assert t[0] >= 1.0 - 2.0**-52 and t[2] <= -1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("m, per_coordinate", [(1, 1), (2, 1), (3, 2), (10, 2), (10**300, 2)])
+    def test_uniforms_per_coordinate(self, m, per_coordinate):
+        gen = _Uniforms()
+        t = _sphere_coordinate(gen, m, (3, 5))
+        assert t.shape == (3, 5)
+        assert [math.prod(shape) for shape in gen.shapes] == [15 * per_coordinate]
 
     def test_odd_moment_is_zero(self):
         t = _sphere_coordinate(RandomStream(74).generator, 10, self.TRIALS)
