@@ -413,10 +413,12 @@ class TestChunkStreams:
         assert estimate(spec, workers=2) == one
 
     # The geometries SPECS leaves out, at four chunks; 8 workers exceed them.
+    # All but the chain of 33 steps draw too little per chunk to fan out.
     FAN_SPECS = (
         ("flat", 12, (1.0, 0.5, 2.0), None),
         ("hyperbolic", 9, (0.4, 1.2, 0.8), None),
         ("operator", 7, _linear(7, -0.5, 2.0), "norm_ratio"),
+        ("flat", 12, (1.0, 0.5) * 16 + (2.0,), None),
     )
 
     @pytest.mark.parametrize("geometry, n, schedule, observable", FAN_SPECS)
@@ -434,7 +436,8 @@ class TestChunkStreams:
             return _chunk_stats(*task)
 
         monkeypatch.setattr(montecarlo, "_chunk_stats", recording)
-        spec = ExperimentSpec("sphere", 10, (0.7, 1.1), 4 * 2048 + 1, 29)
+        # 33 steps draw enough per chunk to go to threads.
+        spec = ExperimentSpec("sphere", 10, (0.7, 1.1) * 16 + (0.3,), 4 * 2048 + 1, 29)
         estimate(spec, workers=2)
         assert seen == [(os.getpid(), [])] * 5
         assert multiprocessing.active_children() == []
@@ -1005,19 +1008,15 @@ class TestPairSampler:
 
 class _Uniforms:
     """A stand-in for a numpy Generator whose random(shape) hands out the
-    given uniforms in order, and records each shape asked for."""
+    given uniforms in order."""
 
-    def __init__(self, values=None):
-        self.values = None if values is None else np.asarray(values, dtype=np.float64)
-        self.shapes = []
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
 
     def random(self, shape):
-        self.shapes.append(tuple(np.atleast_1d(shape)))
-        size = math.prod(self.shapes[-1])
-        if self.values is None:
-            return np.full(self.shapes[-1], 0.5)
-        out, self.values = self.values[:size], self.values[size:]
-        return out.reshape(self.shapes[-1]).copy()
+        shape = tuple(np.atleast_1d(shape))
+        out, self.values = self.values[: math.prod(shape)], self.values[math.prod(shape) :]
+        return out.reshape(shape).copy()
 
 
 def _polar_coordinate_50_digits(u, v, m):
@@ -1063,8 +1062,9 @@ class TestSphereCoordinate:
         # Fixed uniforms: a spread over [0, 1), U of 2^-53 to 1/2 and near 1,
         # where r is small or 1, and V near 1/2, where t is small.
         gen = np.random.default_rng(2028)
-        u = np.concatenate([gen.random(200), np.ldexp(1.0, -np.arange(1, 54)), 1.0 - 2.0**-np.arange(1, 54)])
-        v = np.concatenate([gen.random(200), 0.5 + np.ldexp(1.0, -np.arange(2, 55)), 0.5 - np.ldexp(1.0, -np.arange(2, 55))])
+        small, half = np.ldexp(1.0, -np.arange(1, 54)), np.ldexp(1.0, -np.arange(2, 55))
+        u = np.concatenate([gen.random(200), small, 1.0 - small])
+        v = np.concatenate([gen.random(200), 0.5 + half, 0.5 - half])
         uniforms = v if m == 2 else np.stack([u, v], axis=1)
         t = _sphere_coordinate(_Uniforms(uniforms.ravel()), m, u.size)
         for got, a, b in zip(t.tolist(), u.tolist(), v.tolist()):
@@ -1090,10 +1090,10 @@ class TestSphereCoordinate:
 
     @pytest.mark.parametrize("m, per_coordinate", [(1, 1), (2, 1), (3, 2), (10, 2), (10**300, 2)])
     def test_uniforms_per_coordinate(self, m, per_coordinate):
-        gen = _Uniforms()
+        gen = _CountingGenerator(RandomStream(77).generator)
         t = _sphere_coordinate(gen, m, (3, 5))
         assert t.shape == (3, 5)
-        assert [math.prod(shape) for shape in gen.shapes] == [15 * per_coordinate]
+        assert gen.drawn == 15 * per_coordinate
 
     def test_odd_moment_is_zero(self):
         t = _sphere_coordinate(RandomStream(74).generator, 10, self.TRIALS)
