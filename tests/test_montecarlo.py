@@ -404,16 +404,20 @@ class TestChunkStreams:
         ("marginal", 5, 3, None),
     )
 
+    # These specs draw too little per chunk to pass the fan-out cut, so the
+    # cut is lowered to 0 and workers = 2 runs threads on every geometry.
     @pytest.mark.parametrize("trials", [2047, 2048, 2049, 4097])
     @pytest.mark.parametrize("geometry, n, schedule, observable", SPECS)
-    def test_workers_and_reruns_bitwise(self, trials, geometry, n, schedule, observable):
+    def test_workers_and_reruns_bitwise(self, monkeypatch, trials, geometry, n, schedule, observable):
+        monkeypatch.setattr(montecarlo, "_FANOUT_DRAWS", 0)
         spec = ExperimentSpec(geometry, n, schedule, trials, 29, observable)
         one = estimate(spec, workers=1)
         assert estimate(spec, workers=1) == one
         assert estimate(spec, workers=2) == one
 
     # The geometries SPECS leaves out, at four chunks; 8 workers exceed them.
-    # All but the chain of 33 steps draw too little per chunk to fan out.
+    # All but the chain of 33 steps draw too little per chunk to fan out, so
+    # the cut is lowered to 0 here too.
     FAN_SPECS = (
         ("flat", 12, (1.0, 0.5, 2.0), None),
         ("hyperbolic", 9, (0.4, 1.2, 0.8), None),
@@ -422,7 +426,8 @@ class TestChunkStreams:
     )
 
     @pytest.mark.parametrize("geometry, n, schedule, observable", FAN_SPECS)
-    def test_worker_counts_bitwise(self, geometry, n, schedule, observable):
+    def test_worker_counts_bitwise(self, monkeypatch, geometry, n, schedule, observable):
+        monkeypatch.setattr(montecarlo, "_FANOUT_DRAWS", 0)
         spec = ExperimentSpec(geometry, n, schedule, 3 * 2048 + 100, 31, observable)
         one = estimate(spec, workers=1)
         for workers in (2, 3, 8):
