@@ -1,10 +1,11 @@
 """Print SHA-256 digests of the runners', the engine's and the predictors' outputs.
 
 Line 1 digests the chain runners, one-trial calls of the engine's kernels:
-the observables of run_sphere_chain, run_flat_chain and
-run_hyperbolic_chain, and run_operator_product's norm ratio, cosine and
-degenerate flag (every fifth seed puts a negative scalar factor second),
-over seeds 0-199 and n in {3, 5, 10, 50}.
+the floats that run_sphere_chain, run_flat_chain and run_hyperbolic_chain
+return, and run_operator_product's norm ratio, cosine and degenerate flag
+(every fifth seed puts a negative scalar factor second), over seeds 0-199
+and n in {3, 5, 10, 50}.  The flag is math.isnan(cosine): a live trial's
+cosine is finite, and a dead one's is nan.
 
 Line 2 digests estimate() over a fixed grid of the sphere, flat,
 hyperbolic, operator, operator_product, monomial and marginal geometries:
@@ -126,15 +127,15 @@ def runner_digest():
             xis = list(gen.uniform(0.0, 2.0, m))
             stream = partial(rs.RandomStream, seed, n)
             out.feed(
-                rs.run_sphere_chain(u, thetas, stream()).observable,
-                rs.run_flat_chain(ds, n, stream()).observable,
-                rs.run_hyperbolic_chain(h, xis, stream()).observable,
+                rs.run_sphere_chain(u, thetas, stream()),
+                rs.run_flat_chain(ds, n, stream()),
+                rs.run_hyperbolic_chain(h, xis, stream()),
             )
             spectra = [gen.normal(size=n) for _ in range(m)]
             if seed % 5 == 0:
                 spectra.insert(1, np.full(n, -1.5))
-            r = rs.run_operator_product(spectra, u, stream())
-            out.feed(r.norm_ratio, r.cosine, r.degenerate)
+            ratio, cosine = rs.run_operator_product(spectra, u, stream())
+            out.feed(ratio, cosine, math.isnan(cosine))
     return out.line()
 
 

@@ -4,13 +4,11 @@ and for products of random symmetric operators with prescribed spectra.
 """
 
 from .montecarlo import (
-    ChainResult,
     ComparisonReport,
     ExperimentSpec,
     GEOMETRIES,
     HyperboloidPoint,
     MonteCarloEstimate,
-    OperatorProductResult,
     RandomStream,
     Spectrum,
     UnitVector,
@@ -36,4 +34,4 @@ from .predictors import (
 )
 from .selftest import CriterionResult, battery_passed, render_csv, render_table, run_battery
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

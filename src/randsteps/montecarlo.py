@@ -4,7 +4,7 @@ spectra and point types, and the geometry table.
 All randomness flows through RandomStream, an SFC64 stream addressed by
 (seed, stream_id): equal addresses give bitwise equal streams.  Spectrum is
 an operator's eigenvalues; UnitVector and HyperboloidPoint, read-only
-points that keep their invariant, give the run_* runners their start point.
+points, give the run_* runners the dimension of their start point.
 
 Every geometry is one row of _GEOMETRY_TABLE: the parser that validates a
 schedule against the dimension, the closed-form predictor, the
@@ -54,7 +54,8 @@ Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
 tan^2(pi U / 2)), U uniform, at about half the cost of two normals; each
 factor works in its own frame, as a chunk does.  The run_* chain runners
 are one-trial calls of the same kernels: run_*(..., RandomStream(s, 0))
-reports the mean of a one-trial estimate with seed s, bit for bit.
+returns the mean of a one-trial estimate with seed s, bit for bit, as a
+float, or as the pair (norm_ratio, cosine) from run_operator_product.
 compare() turns an estimate plus a closed-form Prediction into a
 pass/fail/indeterminate verdict on standardized z-scores.
 """
@@ -93,8 +94,6 @@ __all__ = [
     "estimate",
     "compare",
     "prediction_for",
-    "ChainResult",
-    "OperatorProductResult",
     "run_sphere_chain",
     "run_flat_chain",
     "run_hyperbolic_chain",
@@ -671,32 +670,6 @@ def _trial_values(spec, index, count):
     return row.kernel(gen, count, spec.n_dim, spec.schedule, spec.observable)
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    """One chain trial's observable.
-
-    observable is the cosine <u_M, u_0> on the sphere, the squared
-    displacement ||x_M||^2 in flat space, or the Minkowski inner product
-    <u_M, u_0>_H on the hyperboloid.
-    """
-
-    observable: float
-
-
-@dataclass(frozen=True)
-class OperatorProductResult:
-    """One operator-product trial.
-
-    norm_ratio is ||A_M ... A_1 u|| / ||u|| and cosine the cosine between
-    image and input; degenerate marks the event that the image vanished
-    (norm_ratio 0, cosine nan).
-    """
-
-    norm_ratio: float
-    cosine: float
-    degenerate: bool
-
-
 def _one_trial(geometry, schedule, n, rng):
     # The observable of one trial of geometry's kernel, drawn from rng.
     row = _GEOMETRY_TABLE[geometry]
@@ -707,45 +680,23 @@ def _one_trial(geometry, schedule, n, rng):
 # Point constructors accept inputs this far from the exact invariant and
 # renormalize; anything farther is rejected as a likely caller bug.
 CONSTRUCTION_TOL = 1e-6
-# Re-checkable guarantee after construction.
-POST_NORM_TOL = 1e-9
-
-
-def _unwrap(x):
-    if isinstance(x, (UnitVector, HyperboloidPoint)):
-        return x.values
-    return x
 
 
 class UnitVector:
-    """A Euclidean unit vector.
+    """A Euclidean unit vector, read-only; the runners read only its dimension.
 
     Construction renormalizes inputs whose norm is within CONSTRUCTION_TOL of
-    1 and rejects anything farther; use :meth:`normalized` to build one from
-    an arbitrary nonzero vector.  After construction the stored array is
-    read-only and satisfies | ||v|| - 1 | <= POST_NORM_TOL.
+    1 and rejects anything farther.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = as_vector(_unwrap(values), "unit vector")
+        v = as_vector(values, "unit vector")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > CONSTRUCTION_TOL:
-            raise ValueError(
-                f"norm {nrm!r} is not within {CONSTRUCTION_TOL} of 1; "
-                "use UnitVector.normalized for raw directions"
-            )
+            raise ValueError(f"norm {nrm!r} is not within {CONSTRUCTION_TOL} of 1")
         self.values = _freeze(v / nrm)
-
-    @classmethod
-    def normalized(cls, values):
-        """Normalize an arbitrary nonzero vector to a UnitVector."""
-        v = as_vector(_unwrap(values), "vector")
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / nrm)
 
     @property
     def dim(self):
@@ -756,7 +707,7 @@ class UnitVector:
 
 
 class HyperboloidPoint:
-    """A point on the future sheet of the unit hyperboloid.
+    """A point on the future sheet of the unit hyperboloid, read-only.
 
     Coordinates x = (x1, x~) with Minkowski square x1^2 - ||x~||^2 = 1 and x1 > 0.
     Construction renormalizes inputs whose Minkowski square is within
@@ -767,7 +718,7 @@ class HyperboloidPoint:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = as_vector(_unwrap(values), "hyperboloid point")
+        v = as_vector(values, "hyperboloid point")
         if v.shape[0] < 2:
             raise ValueError("hyperboloid points need dimension >= 2")
         if v[0] <= 0.0:
@@ -804,32 +755,32 @@ def _dim(point, kind):
 
 def run_sphere_chain(u0, thetas, rng):
     """One trial of the sphere chain: fixed-angle steps from u0, each in a
-    uniformly random direction, reporting <u_M, u_0> (exactly 1 for no steps).
+    uniformly random direction; returns the float <u_M, u_0> (1 for no steps).
 
     u0 is a UnitVector (or its coordinates) of dimension >= 3; thetas are
     angles in [0, pi]; rng is a RandomStream or numpy Generator.  This is the
     sphere kernel of estimate() on one trial, so on RandomStream(s, 0) it
     equals the mean of a one-trial estimate with seed s, bit for bit.
     """
-    return ChainResult(_one_trial("sphere", thetas, _dim(u0, UnitVector), rng))
+    return _one_trial("sphere", thetas, _dim(u0, UnitVector), rng)
 
 
 def run_flat_chain(ds, n, rng):
     """One trial of the flat chain: steps of lengths ds >= 0 from the origin
-    of R^n (n >= 2), each in a uniformly random direction, reporting
-    ||x_M||^2 (exactly 0 for no steps).  As in run_sphere_chain, this is one
-    trial of estimate()'s kernel.
+    of R^n (n >= 2), each in a uniformly random direction; returns the float
+    ||x_M||^2 (0 for no steps).  As in run_sphere_chain, this is one trial
+    of estimate()'s kernel.
     """
-    return ChainResult(_one_trial("flat", ds, n, rng))
+    return _one_trial("flat", ds, n, rng)
 
 
 def run_hyperbolic_chain(u0, xis, rng):
     """One trial of the hyperbolic chain: steps of arc lengths xis >= 0 from
     the HyperboloidPoint u0 (dimension >= 3), each uniform over the sphere of
-    directions, reporting <u_M, u_0>_H (exactly 1 for no steps).  As in
+    directions; returns the float <u_M, u_0>_H (1 for no steps).  As in
     run_sphere_chain, this is one trial of estimate()'s kernel.
     """
-    return ChainResult(_one_trial("hyperbolic", xis, _dim(u0, HyperboloidPoint), rng))
+    return _one_trial("hyperbolic", xis, _dim(u0, HyperboloidPoint), rng)
 
 
 def run_operator_product(spectra, u, rng):
@@ -837,15 +788,16 @@ def run_operator_product(spectra, u, rng):
     spectra[i] and an independent uniformly random eigenframe.
 
     spectra are Spectrum objects or eigenvalue lists, each as long as the
-    UnitVector u.  One walk gives both observables of the operator_product
-    kernel, so on RandomStream(s, 0) norm_ratio and cosine each equal the
-    mean of a one-trial estimate with seed s, bit for bit.
+    UnitVector u.  Returns the floats (||A_M ... A_1 u|| / ||u||, cosine of
+    image and input), or (0.0, nan) where the image vanished: the two
+    observables of one operator_product kernel walk, so on RandomStream(s, 0)
+    each equals the mean of a one-trial estimate with seed s, bit for bit.
     """
     spectra, n = _parse_product(spectra, _dim(u, UnitVector))
     ratio, cosine, dead = _operator_trials(_gen_of(rng), 1, n, spectra)
     if dead[0]:
-        return OperatorProductResult(0.0, math.nan, True)
-    return OperatorProductResult(float(ratio[0]), float(cosine[0]), False)
+        return 0.0, math.nan
+    return float(ratio[0]), float(cosine[0])
 
 
 def _exact_terms(x):
@@ -856,14 +808,16 @@ def _exact_terms(x):
     sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
     keep sum(q) and go on with the nonzero residuals; the list is what is
     left and the round sums, so math.fsum of it is math.fsum(x.tolist()), bit
-    for bit.  nan, inf, values near overflow or underflow, and values too
-    spread for rounds to pay are left in the list as they are.
+    for bit.  The lemma needs only that x + sigma cannot overflow (subnormal
+    sums are exact), so only nan, inf, arrays whose sigma would pass 2^1023
+    (a largest |value| of 2^1011 or more at 2048 values), and values too
+    spread for rounds to pay stay in the list as they are.
     """
     sums = []
     while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
         top = float(np.abs(x).max())
         k = math.frexp(top)[1] + (x.size + 1).bit_length()
-        if not (2.0**-900 < top < 2.0**1000 and k < 1024):
+        if not (math.isfinite(top) and k < 1024):
             break
         sigma = math.ldexp(1.0, k)
         q = (x + sigma) - sigma

@@ -406,7 +406,7 @@ class CurvaturePath:
 
 
 def pnorm_pi(x, p):
-    """Probability-normalized p-norm ((1/N) sum |x_i|^p)^(1/p).
+    """The probability p-norm ((1/N) sum |x_i|^p)^(1/p).
 
     This is the L^p norm of the coordinates viewed as a random variable under
     the uniform distribution on indices; it is monotone nondecreasing in p

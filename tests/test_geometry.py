@@ -160,14 +160,6 @@ class TestUnitVector:
         with pytest.raises(ValueError, match="norm"):
             UnitVector([2.0, 0.0])
 
-    def test_normalized_classmethod(self):
-        v = UnitVector.normalized([3.0, 4.0])
-        np.testing.assert_allclose(v.values, [0.6, 0.8], rtol=1e-15)
-
-    def test_normalized_rejects_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            UnitVector.normalized([0.0, 0.0])
-
     def test_values_read_only(self):
         v = UnitVector([1.0, 0.0])
         with pytest.raises(ValueError):

@@ -858,6 +858,19 @@ class TestExactSum:
         cancelled = exact_sum([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683)
         assert cancelled == 0.0 and math.copysign(1.0, cancelled) == 1.0
 
+    @pytest.mark.parametrize("scale, size", [(2.0**1005, 2048), (2.0**-950, 2048), (5e-324, 2049)])
+    def test_extracts_at_the_ends_of_the_range(self, scale, size):
+        # Extraction needs only that x + 2^k cannot overflow: values near
+        # 2^1005, deep below 1 and subnormal reduce to a few terms.
+        gen = np.random.default_rng(size)
+        if scale == 5e-324:
+            x = gen.integers(-(10**6), 10**6, size).astype(float) * scale
+        else:
+            x = gen.uniform(-1.0, 1.0, size) * scale
+        terms = _exact_terms(x)
+        assert len(terms) <= 64
+        assert math.fsum(terms) == math.fsum(x.tolist())
+
     @pytest.mark.parametrize(
         "spec",
         [ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
@@ -1006,9 +1019,9 @@ class TestPairSampler:
                 assert estimate(spec, workers=2) == one
             e1 = np.eye(n)[0]
             r = montecarlo.run_operator_product(schedule, e1, RandomStream(43, 0))
-            for observable in ("cosine", "norm_ratio"):
+            for observable, got in zip(("norm_ratio", "cosine"), r):
                 spec = ExperimentSpec(geometry, n, schedule, 1, 43, observable)
-                assert getattr(r, observable) == estimate(spec).mean
+                assert got == estimate(spec).mean
 
 
 class _Uniforms:

@@ -572,6 +572,33 @@ class TestClosedFormProperties:
         assert abs(_MP.mpf(pred.sigma_exact) - want) <= 1e-14 * want
 
 
+class TestCurvatureLimit:
+    """The sphere and hyperboloid of radius R tend to flat R^(n-1) as R grows:
+    with steps d_i / R, the displacements 2R^2 (1 - c) and 2R^2 (a - 1) tend
+    to the flat chain's squared norm in dimension n - 1, at relative rate
+    O(1/R^2), the sphere from below and the hyperboloid from above."""
+
+    STEPS = (1.0, 0.7, 1.3)
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    @pytest.mark.parametrize("radius", [10.0**k for k in range(2, 7)], ids=lambda r: f"R{r:g}")
+    def test_sigmas_tend_to_the_flat_row(self, n, radius):
+        steps = tuple(d / radius for d in self.STEPS)
+        flat = _sigma("flat", self.STEPS, n - 1)
+        sphere = 2.0 * radius**2 * _sigma("sphere", steps, n) / flat
+        hyperbolic = 2.0 * radius**2 * _sigma("hyperbolic", steps, n) / flat
+        assert 1.0 - radius**-2 <= sphere < 1.0 < hyperbolic <= 1.0 + radius**-2
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    @pytest.mark.parametrize("radius", [10.0**k for k in range(2, 7)], ids=lambda r: f"R{r:g}")
+    def test_means_are_the_cos_and_cosh_products(self, n, radius):
+        steps = [d / radius for d in self.STEPS]
+        for geometry, step in (("sphere", _MP.cos), ("hyperbolic", _MP.cosh)):
+            want = _MP.fprod(step(_MP.mpf(x)) for x in steps)
+            got = _mean(geometry, steps, n)
+            assert abs(_MP.mpf(got) - want) <= 2 * math.ulp(float(want))
+
+
 class TestOperatorPredictors:
     def test_norm_multiplier_linear_spectrum(self):
         s = np.arange(1, 401) / 400.0
