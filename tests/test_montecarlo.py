@@ -858,15 +858,12 @@ class TestExactSum:
         cancelled = exact_sum([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683)
         assert cancelled == 0.0 and math.copysign(1.0, cancelled) == 1.0
 
-    @pytest.mark.parametrize("scale, size", [(2.0**1005, 2048), (2.0**-950, 2048), (5e-324, 2049)])
-    def test_extracts_at_the_ends_of_the_range(self, scale, size):
+    @pytest.mark.parametrize("exponent, size", [(1005, 2048), (-950, 2048), (-1054, 2049)])
+    def test_extracts_at_the_ends_of_the_range(self, exponent, size):
         # Extraction needs only that x + 2^k cannot overflow: values near
-        # 2^1005, deep below 1 and subnormal reduce to a few terms.
-        gen = np.random.default_rng(size)
-        if scale == 5e-324:
-            x = gen.integers(-(10**6), 10**6, size).astype(float) * scale
-        else:
-            x = gen.uniform(-1.0, 1.0, size) * scale
+        # 2^1005, near 2^-950 and subnormal (multiples of 5e-324 below
+        # 2^-1054) reduce to a few terms.
+        x = np.ldexp(np.random.default_rng(size).uniform(-1.0, 1.0, size), exponent)
         terms = _exact_terms(x)
         assert len(terms) <= 64
         assert math.fsum(terms) == math.fsum(x.tolist())
