@@ -76,6 +76,7 @@ from .predictors import (
     Prediction,
     _dimension,
     _exponent,
+    _is_integer,
     _flat,
     _hyperbolic,
     _moment_prediction,
@@ -137,7 +138,7 @@ class RandomStream:
 
     def __init__(self, seed, stream_id=0):
         for label, value in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
             if not (0 <= int(value) <= _UINT64_MAX):
                 raise ValueError(f"{label} must fit in an unsigned 64-bit integer")
@@ -234,7 +235,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         row = _geometry(self.geometry)
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         RandomStream(self.seed)  # validates the 64-bit seed range
         n_dim = _dimension(self.n_dim)
@@ -537,7 +538,7 @@ def _parse_kind(kind, n):
 
 
 def _parse_power(power, n):
-    if not isinstance(power, (int, np.integer)) or power < 1:
+    if not _is_integer(power) or power < 1:
         raise ValueError(f"marginal schedule must be a positive integer power, got {power!r}")
     return int(power), _check_n(n, 2, "marginal", capped=False)
 
@@ -887,7 +888,7 @@ def estimate(spec, workers=1):
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"expected ExperimentSpec, got {type(spec).__name__}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     tasks = [
         (spec, index, min(_CHUNK, spec.trials - start))

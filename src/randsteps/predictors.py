@@ -63,9 +63,14 @@ class PrecisionLossError(ArithmeticError):
     """Raised when a closed-form moment falls below the double range."""
 
 
+def _is_integer(x):
+    # An int or numpy integer, and not a bool, which Python counts as an int.
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _dimension(n, capped=True):
     # n as an int, checked to be an integer and, if capped, within the double range.
-    if not isinstance(n, (int, np.integer)) or (capped and n > sys.float_info.max):
+    if not _is_integer(n) or (capped and n > sys.float_info.max):
         raise ValueError(f"n_dim must be an integer in the double range, got {n!r}")
     return int(n)
 

@@ -9,6 +9,11 @@ operator norm/cosine laws, uniform-sphere moment identities, and the
 probability-norm inequalities.  Every random draw uses a fixed seed, so two
 runs of the battery produce byte-identical CSV output (timings are checked
 against a budget but never written into rows).
+
+Each criterion is a check(run) -> (passed, detail), listed in _CRITERIA with
+its label and description in report order.  _Run names the four estimates
+that another criterion reads: C1's sphere run (C2 reads it), C7's cosine run
+(C8 does), and C2's right-angle and C7's norm-ratio runs (C14 reruns them).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -96,103 +102,112 @@ def _hyperbolic_sigma_sq_subset_sum(xis, n):
     return total
 
 
-def _run(workers, geometry, n, schedule, trials, seed, observable=None):
-    spec = ExperimentSpec(geometry, n, schedule, trials, seed, observable)
-    return estimate(spec, workers=workers)
+def _worst_gap(seed, count, ms, ns, bounds, closed, oracle):
+    """Largest relative gap of closed(x, n) from oracle(x, n) over count draws.
+
+    Each draw takes m and n as integers on the half-open ranges ms and ns,
+    then m values x uniform on bounds.  Where the oracle is 0 the gap is 0
+    if closed is 0 too, and infinite otherwise.
+    """
+    gen = RandomStream(seed).generator
+    worst = 0.0
+    for _ in range(count):
+        m = int(gen.integers(*ms))
+        n = int(gen.integers(*ns))
+        x = gen.uniform(*bounds, m)
+        got, want = closed(x, n), oracle(x, n)
+        if want == 0.0:
+            worst = worst if got == 0.0 else math.inf
+        else:
+            worst = max(worst, abs(got - want) / want)
+    return worst
 
 
-# The experiments C14 reruns, as _run's arguments after workers.  Python
-# floats, not a Spectrum: numpy work at import costs every CLI run memory.
+def _z(est, target):
+    """Monte Carlo z-score of est's mean against target."""
+    return (est.mean - target) / est.std_error
+
+
+# Python floats, not a Spectrum: numpy work at import costs every CLI run memory.
 _LINEAR_SPECTRUM = tuple(j / 400 for j in range(1, 401))
-_C2_RIGHT_ANGLE = ("sphere", 101, (math.pi / 2, math.pi / 2), 10**5, 102)
-_C7_NORM_RATIO = ("operator", 400, (_LINEAR_SPECTRUM,), 10**4, 107, "norm_ratio")
 
 
-def _c1_sphere_mean(workers):
-    est = _run(workers, "sphere", 200, (math.pi / 3,) * 5, 10**5, 101)
-    z = (est.mean - 0.03125) / est.std_error
-    row = CriterionResult(
-        criterion="C1",
-        description="sphere mean concentration, N=200, five 60-degree steps",
-        passed=abs(z) <= 4.0,
-        detail=f"mean={est.mean:.6f} target=0.031250 z={z:+.2f}",
-    )
-    return est, row
+class _Run:
+    """One pass of the battery: its worker count, start time, rows so far, and
+    the four shared estimates, each run on first use."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.start = time.perf_counter()
+        self.rows = []
+
+    def estimate(self, geometry, n, schedule, trials, seed, observable=None):
+        spec = ExperimentSpec(geometry, n, schedule, trials, seed, observable)
+        return estimate(spec, workers=self.workers)
+
+    @cached_property
+    def sphere(self):  # C1's, read by C2
+        return self.estimate("sphere", 200, (math.pi / 3,) * 5, 10**5, 101)
+
+    @cached_property
+    def right_angle(self):  # C2's, rerun by C14
+        return self.estimate("sphere", 101, (math.pi / 2, math.pi / 2), 10**5, 102)
+
+    @cached_property
+    def norm_ratio(self):  # C7's, rerun by C14
+        return self.estimate("operator", 400, (_LINEAR_SPECTRUM,), 10**4, 107, "norm_ratio")
+
+    @cached_property
+    def cosine(self):  # C7's, read by C8
+        return self.estimate("operator", 400, (_LINEAR_SPECTRUM,), 10**4, 107, "cosine")
 
 
-def _c2_sphere_std(c1_est, workers):
-    ratio1 = c1_est.sample_std / prediction_for("sphere", (math.pi / 3,) * 5, 200).sigma_exact
-    est = _run(workers, *_C2_RIGHT_ANGLE)
-    ratio2 = est.sample_std / (1.0 / math.sqrt(100.0))
-    row = CriterionResult(
-        criterion="C2",
-        description="sphere sample std against exact sigma",
-        passed=0.9 <= ratio1 <= 1.1 and 0.95 <= ratio2 <= 1.05,
-        detail=f"std ratio {ratio1:.4f} (N=200 run), {ratio2:.4f} (right-angle N=101)",
-    )
-    return est, row
+def _c1_sphere_mean(run):
+    z = _z(run.sphere, 0.03125)
+    return abs(z) <= 4.0, f"mean={run.sphere.mean:.6f} target=0.031250 z={z:+.2f}"
 
 
-def _c3_sphere_variance_oracle():
+def _c2_sphere_std(run):
+    ratio1 = run.sphere.sample_std / prediction_for("sphere", (math.pi / 3,) * 5, 200).sigma_exact
+    ratio2 = run.right_angle.sample_std / (1.0 / math.sqrt(100.0))
+    passed = 0.9 <= ratio1 <= 1.1 and 0.95 <= ratio2 <= 1.05
+    return passed, f"std ratio {ratio1:.4f} (N=200 run), {ratio2:.4f} (right-angle N=101)"
+
+
+def _c3_sphere_variance_oracle(run):
     # Angles drawn away from 0 and pi, dimensions small: there the variance
     # is well above the cancellation noise of either evaluation, so the
     # comparison measures formula agreement rather than conditioning.
-    gen = RandomStream(103).generator
-    worst = 0.0
-    for _ in range(1000):
-        m = int(gen.integers(1, 9))
-        n = int(gen.integers(3, 13))
-        thetas = gen.uniform(0.5, math.pi - 0.5, m)
-        sig2 = prediction_for("sphere", thetas, n).sigma_exact ** 2
-        oracle = _sphere_sigma_sq_bracket(thetas, n)
-        if oracle == 0.0:
-            if sig2 != 0.0:
-                worst = math.inf
-        else:
-            worst = max(worst, abs(sig2 - oracle) / oracle)
-    return CriterionResult(
-        criterion="C3",
-        description="sphere variance recursion against expanded oracle",
-        passed=worst <= 1e-12,
-        detail=f"max relative gap {worst:.2e} over 1000 schedules, M <= 8",
-    )
+    worst = _worst_gap(103, 1000, (1, 9), (3, 13), (0.5, math.pi - 0.5),
+                       lambda t, n: prediction_for("sphere", t, n).sigma_exact ** 2,
+                       _sphere_sigma_sq_bracket)
+    return worst <= 1e-12, f"max relative gap {worst:.2e} over 1000 schedules, M <= 8"
 
 
-def _c4_right_angle(workers):
+def _c4_right_angle(run):
     schedule = (math.pi / 3, math.pi / 2, 2 * math.pi / 3)
     pred = prediction_for("sphere", schedule, 50)
-    est = _run(workers, "sphere", 50, schedule, 10**5, 104)
-    return CriterionResult(
-        criterion="C4",
-        description="right-angle step forces exactly zero mean",
-        passed=pred.mean == 0.0 and abs(est.mean) <= 5.0 * est.std_error,
-        detail=f"prediction={pred.mean:.1f} mc={est.mean:+.2e} (5 SE = {5.0 * est.std_error:.2e})",
-    )
+    est = run.estimate("sphere", 50, schedule, 10**5, 104)
+    passed = pred.mean == 0.0 and abs(est.mean) <= 5.0 * est.std_error
+    return passed, f"prediction={pred.mean:.1f} mc={est.mean:+.2e} (5 SE = {5.0 * est.std_error:.2e})"
 
 
-def _c5_flat(workers):
-    est = _run(workers, "flat", 500, (1.0,) * 10, 10**5, 105)
-    z = (est.mean - 10.0) / est.std_error
+def _flat_fourth_recursion(ds, n):
+    pred = prediction_for("flat", ds, n)
+    return pred.mean * pred.mean + pred.sigma_exact * pred.sigma_exact
+
+
+def _c5_flat(run):
+    est = run.estimate("flat", 500, (1.0,) * 10, 10**5, 105)
+    z = _z(est, 10.0)
     ratio = est.sample_std / math.sqrt(4.0 * 45.0 / 500.0)
-    gen = RandomStream(155).generator
-    worst = 0.0
-    for _ in range(1000):
-        m = int(gen.integers(1, 7))
-        n = int(gen.integers(2, 501))
-        ds = gen.uniform(0.1, 2.0, m)
-        pred = prediction_for("flat", ds, n)
-        rec = pred.mean * pred.mean + pred.sigma_exact * pred.sigma_exact
-        closed = _flat_fourth_closed_form(ds, n)
-        worst = max(worst, abs(rec - closed) / closed)
-    return CriterionResult(
-        criterion="C5",
-        description="flat mean, std, and fourth-moment recursion",
-        passed=abs(z) <= 4.0 and 0.9 <= ratio <= 1.1 and worst <= 1e-12,
-        detail=f"mean z={z:+.2f} std ratio={ratio:.4f} recursion gap {worst:.2e}",
-    )
+    worst = _worst_gap(155, 1000, (1, 7), (2, 501), (0.1, 2.0),
+                       _flat_fourth_recursion, _flat_fourth_closed_form)
+    passed = abs(z) <= 4.0 and 0.9 <= ratio <= 1.1 and worst <= 1e-12
+    return passed, f"mean z={z:+.2f} std ratio={ratio:.4f} recursion gap {worst:.2e}"
 
 
-def _c6_flat_bound():
+def _c6_flat_bound(run):
     gen = RandomStream(106).generator
     ok = True
     tightest = 0.0
@@ -205,39 +220,26 @@ def _c6_flat_bound():
             ok = False
         if pred.sigma_bound > 0.0:
             tightest = max(tightest, pred.sigma_exact / pred.sigma_bound)
-    return CriterionResult(
-        criterion="C6",
-        description="flat sigma below its bound, steps at most dimension",
-        passed=ok,
-        detail=f"largest sigma/bound ratio {tightest:.4f} over 10000 draws",
-    )
+    return ok, f"largest sigma/bound ratio {tightest:.4f} over 10000 draws"
 
 
-def _c7_operator(workers):
+def _c7_operator(run):
     pred_ratio = prediction_for("operator", _LINEAR_SPECTRUM, 400, "norm_ratio")
     pred_cos = prediction_for("operator", _LINEAR_SPECTRUM, 400, "cosine")
-    est_ratio = _run(workers, *_C7_NORM_RATIO)
-    est_cos = _run(workers, *_C7_NORM_RATIO[:-1], "cosine")
-    z_ratio = (est_ratio.mean - pred_ratio.mean) / est_ratio.std_error
-    z_cos = (est_cos.mean - pred_cos.mean) / est_cos.std_error
-    row = CriterionResult(
-        criterion="C7",
-        description="operator norm ratio and cosine, linear spectrum j/400",
-        passed=abs(z_ratio) <= 4.0 and abs(z_cos) <= 4.0,
-        detail=(
-            f"norm ratio z={z_ratio:+.2f} (target {pred_ratio.mean:.6f}) "
-            f"cosine z={z_cos:+.2f} (target {pred_cos.mean:.6f})"
-        ),
+    z_ratio = _z(run.norm_ratio, pred_ratio.mean)
+    z_cos = _z(run.cosine, pred_cos.mean)
+    return abs(z_ratio) <= 4.0 and abs(z_cos) <= 4.0, (
+        f"norm ratio z={z_ratio:+.2f} (target {pred_ratio.mean:.6f}) "
+        f"cosine z={z_cos:+.2f} (target {pred_cos.mean:.6f})"
     )
-    return est_cos, est_ratio, row
 
 
-def _c8_operator_product(single_cos_est, workers):
+def _c8_operator_product(run):
     s = _LINEAR_SPECTRUM
-    est2 = _run(workers, "operator_product", 400, (s, s), 10**4, 208, "cosine")
-    target = single_cos_est.mean**2
-    se = math.hypot(est2.std_error, 2.0 * single_cos_est.mean * single_cos_est.std_error)
-    z = (est2.mean - target) / se
+    est2 = run.estimate("operator_product", 400, (s, s), 10**4, 208, "cosine")
+    single = run.cosine
+    se = math.hypot(est2.std_error, 2.0 * single.mean * single.std_error)
+    z = (est2.mean - single.mean**2) / se
     gen = RandomStream(158).generator
     nonneg = True
     for _ in range(10**4):
@@ -246,57 +248,33 @@ def _c8_operator_product(single_cos_est, workers):
         spectra = [Spectrum(gen.uniform(0.0, 1.0, n)) for _ in range(m)]
         if prediction_for("operator_product", spectra, n).mean < 0.0:
             nonneg = False
-    return CriterionResult(
-        criterion="C8",
-        description="two-factor cosine against squared single factor; PSD nonnegativity",
-        passed=abs(z) <= 5.0 and nonneg,
-        detail=f"two-factor z={z:+.2f} against squared single factor; PSD predictions nonnegative: {nonneg}",
-    )
+    detail = f"two-factor z={z:+.2f} against squared single factor; PSD predictions nonnegative: {nonneg}"
+    return abs(z) <= 5.0 and nonneg, detail
 
 
-def _c9_hyperbolic(workers):
+def _c9_hyperbolic(run):
     schedule = (1.0, 1.0, 1.0)
     pred = prediction_for("hyperbolic", schedule, 300)
-    est = _run(workers, "hyperbolic", 300, schedule, 10**5, 109)
-    z = (est.mean - pred.mean) / est.std_error
+    est = run.estimate("hyperbolic", 300, schedule, 10**5, 109)
+    z = _z(est, pred.mean)
     ratio = est.sample_std / pred.sigma_exact
-    # Arcs bounded away from zero for the same conditioning reason as the
-    # sphere oracle loop.
-    gen = RandomStream(159).generator
-    worst = 0.0
-    for _ in range(300):
-        m = int(gen.integers(2, 11))
-        n = int(gen.integers(3, 31))
-        xis = gen.uniform(0.3, 1.5, m)
-        sig2 = prediction_for("hyperbolic", xis, n).sigma_exact ** 2
-        oracle = _hyperbolic_sigma_sq_subset_sum(xis, n)
-        worst = max(worst, abs(sig2 - oracle) / oracle)
-    return CriterionResult(
-        criterion="C9",
-        description="hyperbolic mean, std, and variance subset-sum oracle",
-        passed=abs(z) <= 4.0 and 0.9 <= ratio <= 1.1 and worst <= 1e-10,
-        detail=f"mean z={z:+.2f} std ratio={ratio:.4f} subset-sum gap {worst:.2e}",
-    )
+    # Arcs bounded away from zero for the same conditioning reason as C3's.
+    worst = _worst_gap(159, 300, (2, 11), (3, 31), (0.3, 1.5),
+                       lambda x, n: prediction_for("hyperbolic", x, n).sigma_exact ** 2,
+                       _hyperbolic_sigma_sq_subset_sum)
+    passed = abs(z) <= 4.0 and 0.9 <= ratio <= 1.1 and worst <= 1e-10
+    return passed, f"mean z={z:+.2f} std ratio={ratio:.4f} subset-sum gap {worst:.2e}"
 
 
-def _c10_monomials(workers):
-    parts = []
-    ok = True
+def _c10_monomials(run):
+    zs = {}
     for kind, seed in (("x1_4", 110), ("x1sq_x2sq", 210)):
-        pred = prediction_for("monomial", kind, 10)
-        est = _run(workers, "monomial", 10, kind, 10**6, seed)
-        z = (est.mean - pred.mean) / est.std_error
-        ok = ok and abs(z) <= 4.0
-        parts.append(f"{kind} z={z:+.2f}")
-    return CriterionResult(
-        criterion="C10",
-        description="uniform sphere monomial moments, N=10, one million samples",
-        passed=ok,
-        detail=" ".join(parts),
-    )
+        est = run.estimate("monomial", 10, kind, 10**6, seed)
+        zs[kind] = _z(est, prediction_for("monomial", kind, 10).mean)
+    return all(abs(z) <= 4.0 for z in zs.values()), " ".join(f"{k} z={z:+.2f}" for k, z in zs.items())
 
 
-def _c11_marginal(workers):
+def _c11_marginal(run):
     # 64-node Gauss-Chebyshev rule of the second kind, exact to degree 127 against
     # sqrt(1 - t^2); over that weight, t^p rho(t) is Z t^p (1 - t^2)^48 at N = 100.
     rule = [(math.cos(a), np.pi / 65 * math.sin(a) ** 2) for a in np.arange(1, 65) * np.pi / 65]
@@ -305,23 +283,17 @@ def _c11_marginal(workers):
     worst_quad = 0.0
     for power in (2, 4, 6, 8):
         pred = prediction_for("marginal", power, 100)
-        est = _run(workers, "marginal", 100, power, 10**5, 1100 + power)
-        z = (est.mean - pred.mean) / est.std_error
+        z = _z(run.estimate("marginal", 100, power, 10**5, 1100 + power), pred.mean)
         ok = ok and abs(z) <= 4.0
         parts.append(f"t^{power} z={z:+.2f}")
         value = sum(w * t**power * coordinate_marginal_density(t, 100) / math.sqrt(1.0 - t * t)
                     for t, w in rule)
         worst_quad = max(worst_quad, abs(value - pred.mean) / pred.mean)
     parts.append(f"quadrature gap {worst_quad:.1e}")
-    return CriterionResult(
-        criterion="C11",
-        description="coordinate marginal moments: closed form vs Monte Carlo and vs quadrature, N=100",
-        passed=ok and worst_quad <= 1e-10,
-        detail=" ".join(parts),
-    )
+    return ok and worst_quad <= 1e-10, " ".join(parts)
 
 
-def _c12_proposition():
+def _c12_proposition(run):
     gen = RandomStream(112).generator
     slack = 1e-12
     ok = True
@@ -352,18 +324,13 @@ def _c12_proposition():
             kappa_ok = False
     equal = [(0.7, (1.3, 1.3, 1.3)), (0.2, (0.5, 0.5, 0.5))]
     kappa_ok = kappa_ok and abs(prediction_for("kappa", equal, 3).mean - 1.0) <= 1e-12
-    return CriterionResult(
-        criterion="C12",
-        description="probability-norm bounds and curvature cosine product",
-        passed=ok and spot_ok and kappa_ok,
-        detail=(
-            f"five inequalities on 100000 vectors: {ok}; "
-            f"cosine product <= 1 and equal-entry = 1: {kappa_ok}"
-        ),
+    return ok and spot_ok and kappa_ok, (
+        f"five inequalities on 100000 vectors: {ok}; "
+        f"cosine product <= 1 and equal-entry = 1: {kappa_ok}"
     )
 
 
-def _c13_pnorm():
+def _c13_pnorm(run):
     gen = RandomStream(113).generator
     slack = 1e-12
     mono_ok = True
@@ -385,33 +352,39 @@ def _c13_pnorm():
     for p in (1, 3, 4):
         whole = 2.0 * u_weights @ (2.0 * u) ** ((p - 1) // 2) if p % 2 else t_weights @ t**p
         worst_quad = max(worst_quad, abs(whole / math.sqrt(math.tau) - gaussian_abs_moment(p)))
-    return CriterionResult(
-        criterion="C13",
-        description="probability-norm monotonicity and gaussian moments",
-        passed=mono_ok and spot_ok and moment_ok and worst_quad <= 1e-8,
-        detail=(
-            f"monotone on 100000 vectors: {mono_ok}; "
-            f"quadrature gap {worst_quad:.1e}"
-        ),
-    )
+    passed = mono_ok and spot_ok and moment_ok and worst_quad <= 1e-8
+    return passed, f"monotone on 100000 vectors: {mono_ok}; quadrature gap {worst_quad:.1e}"
 
 
-def _c14_determinism(c2_est, ratio_est, rows_so_far, elapsed, workers):
-    bitwise = (
-        _run(workers, *_C2_RIGHT_ANGLE) == c2_est and _run(workers, *_C7_NORM_RATIO) == ratio_est
-    )
+def _c14_determinism(run):
+    elapsed = time.perf_counter() - run.start
+    rerun = _Run(run.workers)
+    bitwise = rerun.right_angle == run.right_angle and rerun.norm_ratio == run.norm_ratio
     # The report reads back as the fields it was written from.
-    stable = list(csv.reader(io.StringIO(render_csv(rows_so_far)))) == _csv_rows(rows_so_far)
+    stable = list(csv.reader(io.StringIO(render_csv(run.rows)))) == _csv_rows(run.rows)
     within_budget = elapsed < BATTERY_BUDGET_SECONDS
-    return CriterionResult(
-        criterion="C14",
-        description="determinism of reruns and battery runtime budget",
-        passed=bitwise and stable and within_budget,
-        detail=(
-            f"reruns bitwise equal: {bitwise}; report stable: {stable}; "
-            f"within budget: {within_budget}"
-        ),
-    )
+    detail = f"reruns bitwise equal: {bitwise}; report stable: {stable}; within budget: {within_budget}"
+    return bitwise and stable and within_budget, detail
+
+
+# The battery's criteria in report order: label, description, check(run).
+_CRITERIA = (
+    ("C1", "sphere mean concentration, N=200, five 60-degree steps", _c1_sphere_mean),
+    ("C2", "sphere sample std against exact sigma", _c2_sphere_std),
+    ("C3", "sphere variance recursion against expanded oracle", _c3_sphere_variance_oracle),
+    ("C4", "right-angle step forces exactly zero mean", _c4_right_angle),
+    ("C5", "flat mean, std, and fourth-moment recursion", _c5_flat),
+    ("C6", "flat sigma below its bound, steps at most dimension", _c6_flat_bound),
+    ("C7", "operator norm ratio and cosine, linear spectrum j/400", _c7_operator),
+    ("C8", "two-factor cosine against squared single factor; PSD nonnegativity", _c8_operator_product),
+    ("C9", "hyperbolic mean, std, and variance subset-sum oracle", _c9_hyperbolic),
+    ("C10", "uniform sphere monomial moments, N=10, one million samples", _c10_monomials),
+    ("C11", "coordinate marginal moments: closed form vs Monte Carlo and vs quadrature, N=100",
+     _c11_marginal),
+    ("C12", "probability-norm bounds and curvature cosine product", _c12_proposition),
+    ("C13", "probability-norm monotonicity and gaussian moments", _c13_pnorm),
+    ("C14", "determinism of reruns and battery runtime budget", _c14_determinism),
+)
 
 
 def run_battery(workers=1):
@@ -420,27 +393,10 @@ def run_battery(workers=1):
     workers caps the threads that run Monte Carlo chunks at once; every
     reported number is bitwise independent of it.
     """
-    start = time.perf_counter()
-    rows = []
-    c1_est, row1 = _c1_sphere_mean(workers)
-    rows.append(row1)
-    c2_est, row2 = _c2_sphere_std(c1_est, workers)
-    rows.append(row2)
-    rows.append(_c3_sphere_variance_oracle())
-    rows.append(_c4_right_angle(workers))
-    rows.append(_c5_flat(workers))
-    rows.append(_c6_flat_bound())
-    est_cos, est_ratio, row7 = _c7_operator(workers)
-    rows.append(row7)
-    rows.append(_c8_operator_product(est_cos, workers))
-    rows.append(_c9_hyperbolic(workers))
-    rows.append(_c10_monomials(workers))
-    rows.append(_c11_marginal(workers))
-    rows.append(_c12_proposition())
-    rows.append(_c13_pnorm())
-    elapsed = time.perf_counter() - start
-    rows.append(_c14_determinism(c2_est, est_ratio, rows, elapsed, workers))
-    return rows
+    run = _Run(workers)
+    for label, description, check in _CRITERIA:
+        run.rows.append(CriterionResult(label, description, *check(run)))
+    return run.rows
 
 
 def battery_passed(results):

@@ -111,8 +111,11 @@ def test_c14_selftest_determinism(battery, tmp_path, capsys):
 def test_c14_report_check_fails_on_a_report_that_loses_a_row(battery, monkeypatch):
     # C14 reads its CSV back; a report that drops the last row does not match.
     monkeypatch.setattr(selftest, "render_csv", lambda results: render_csv(results[:-1]))
-    row = selftest._c14_determinism(None, None, battery["_rows"][:13], 0.0, 1)
-    assert "report stable: False" in row.detail and not row.passed
+    run = selftest._Run(1)
+    run.rows = battery["_rows"][:13]
+    run.right_angle = run.norm_ratio = None
+    passed, detail = selftest._c14_determinism(run)
+    assert "report stable: False" in detail and not passed
 
 
 def test_selftest_csv_matches_its_pin(battery, pinned, repin):

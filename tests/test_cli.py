@@ -1061,7 +1061,8 @@ class TestParsing:
         # C11 and C13 integrate with Gauss rules built from numpy.
         self._fresh_import(
             "from randsteps import selftest; "
-            "assert selftest._c11_marginal(1).passed and selftest._c13_pnorm().passed; "
+            "run = selftest._Run(1); "
+            "assert selftest._c11_marginal(run)[0] and selftest._c13_pnorm(run)[0]; "
             "loaded = [m for m in sys.modules if m.startswith('scipy')]; assert not loaded, loaded"
         )
 

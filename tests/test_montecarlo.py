@@ -98,6 +98,28 @@ class TestExperimentSpec:
         spec = ExperimentSpec("flat", 5, [1, 2], 10, 1)
         assert spec.schedule == (1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RandomStream(True),
+            lambda: RandomStream(0, False),
+            lambda: ExperimentSpec("sphere", 3, [1.0], True, 1),
+            lambda: ExperimentSpec("sphere", 3, [1.0], 1, True),
+            lambda: ExperimentSpec("operator", True, [[2.0]], 1, 1),
+            lambda: prediction_for("marginal", True, 5),
+            lambda: prediction_for("operator", [2.0], True),
+            lambda: estimate(ExperimentSpec("sphere", 3, [1.0], 1, 1), workers=True),
+        ],
+        ids=["seed", "stream_id", "trials", "spec_seed", "n_dim", "power", "prediction_n", "workers"],
+    )
+    def test_a_bool_is_not_an_integer(self, call):
+        # Python counts True as the int 1; the library does not, as the CLI's config check does not.
+        with pytest.raises((TypeError, ValueError), match="integer"):
+            call()
+
+    def test_a_schedule_still_reads_true_as_one(self):
+        assert ExperimentSpec("flat", 5, [True, 2], 10, 1).schedule == (1.0, 2.0)
+
 
 def _spec_of_every_geometry():
     path = CurvaturePath([(1.0, (0.0, 0.5, 2.0)), (0.5, (1.0, 1.0, -0.5))])
@@ -1203,6 +1225,37 @@ class TestStepMaps:
             warnings.simplefilter("error")
             est = estimate(spec)
         assert (est.mean, est.sample_std) == (want, 0.0)
+
+
+class TestCurvatureLimitKernels:
+    """The kernel half of the curvature limit, trial by trial: at arcs d_i / R
+    the hyperbolic kernel at n and the flat kernel at n - 1 draw their
+    coordinates in R^(n-1) from the same stream, and 2R^2 (a - 1) meets the
+    flat r^2 to first order in 1/R^2; the sphere's 2R^2 (1 - c) meets the flat
+    map on -t."""
+
+    STEPS = (1.0, 0.7, 1.3)
+
+    @staticmethod
+    def _values(start, shift, update, n, steps):
+        gen = RandomStream(7, 0).generator
+        return montecarlo._chain_values(start, shift, update, gen, 2048, n, steps, None)
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    @pytest.mark.parametrize("radius", [1e2, 1e3], ids=lambda r: f"R{r:g}")
+    def test_curved_kernels_meet_the_flat_kernel(self, n, radius):
+        arcs = [d / radius for d in self.STEPS]
+        flat = self._values(0.0, 0, montecarlo._flat_step, n - 1, self.STEPS)
+        mirrored = self._values(
+            0.0, 0, lambda r2, d, t: montecarlo._flat_step(r2, d, -t), n - 1, self.STEPS
+        )
+        a = self._values(1.0, 1, montecarlo._hyperbolic_step, n, arcs)
+        c = self._values(1.0, 1, montecarlo._sphere_step, n, list(montecarlo._sphere_steps(arcs)))
+        for gap in (
+            np.abs(2.0 * radius**2 * (a - 1.0) / flat - 1.0),
+            np.abs(2.0 * radius**2 * (1.0 - c) / mirrored - 1.0),
+        ):
+            assert np.median(gap) <= radius**-2 and gap.max() <= 32.0 * radius**-2
 
 
 class TestChunkKernelLaw:
