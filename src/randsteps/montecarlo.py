@@ -76,9 +76,9 @@ from .predictors import (
     Prediction,
     _dimension,
     _exponent,
-    _is_integer,
     _flat,
     _hyperbolic,
+    _is_integer,
     _moment_prediction,
     _operator,
     _schedule_tuple,
