@@ -69,8 +69,12 @@ beside an unknown geometry; usage errors, among them flag text that does
 not parse or is not among the flag's choices; and the argvs that the full
 parser reads rather than a subcommand's own: none, --help, a first word
 that is no subcommand, a flag before the subcommand, and a stray word after
-a valid compare, beside compare --help and a flag abbreviation.  Every run
-has a fixed seed.
+a valid compare, beside compare --help and a flag abbreviation; and the
+subcommand argvs that the exact --flag value walk hands to the full parser:
+a value opening with "-" (--seed -3), an "=" form (--angles=1.0), a
+trailing flag with no value and a value outside the flag's choices (--output
+xml), beside a repeated flag and switch that the walk reads itself.  Every
+run has a fixed seed.
 
 Each line is "<values hashed> <hex digest>".  Run it on two commits to check
 that a change leaves these outputs byte-identical:
@@ -540,6 +544,12 @@ def _cli_cases():
         ["--seed", "1", "compare", *sphere, *run],
         ["compare", *sphere, *run, "stray"],
         ["compare", "--geom", "sphere", "--n-dim", "12", "--angles", "1.0", *run],
+        ["simulate", "--geometry", "flat", "--n-dim", "3", "--steps", "1,2", "--trials", "64",
+         "--seed", "-3"],
+        ["predict", "--geometry", "sphere", "--n-dim", "5", "--angles=1.0"],
+        ["compare", *sphere, *run, "--seed", "6", "--require-std", "--require-std"],
+        ["compare", *sphere, *run, "--seed"],
+        ["predict", "--geometry", "flat", "--steps", "1,2", "--output", "xml"],
     ]
     return cases
 

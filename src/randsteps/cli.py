@@ -8,9 +8,9 @@ re-parses to the exact values that produced it.
 
 Every option is one entry of _OPTIONS: the subcommands that take it, its
 kind, choices, default and help.  The parser's flags, the config-file keys
-and their checks, and the merged run configuration all come from it.  An
-argv that opens with a subcommand goes to that subcommand's parser alone;
-the full parser reads any other, or one with words left over, for its texts.
+and their checks, and the merged run configuration all come from it.  A
+subcommand and its exact --flag value pairs are read by a walk over the
+table; argparse reads any other argv, and writes every help and error text.
 
 Exit codes: 0 pass, 1 statistical fail, 2 usage or config error, 3 numeric
 failure (a closed-form moment below the double range, or an overflow no
@@ -513,7 +513,9 @@ def _comparison_row(cfg, spec, pred, est, report):
 
 
 def _prediction(cfg, schedule, n_dim):
-    pred = prediction_for(cfg.geometry, schedule, n_dim, observable=_observable(cfg))
+    """The prediction for a parsed schedule and dimension, its mean set by --expect-mean."""
+    row = _geometry(cfg.geometry)
+    pred = row.predict(schedule, n_dim, row.observable(_observable(cfg)))
     if cfg.expect_mean is not None:
         pred = replace(pred, mean=cfg.expect_mean)
     return pred
@@ -637,35 +639,60 @@ _SUBCOMMANDS = {
 
 
 @cache
-def _parsers():
+def _flags(command):
+    """command's flags, --name to (key, option), in the order its parser adds them."""
+    return {"--" + key.replace("_", "-"): (key, option)
+            for group in _SUBCOMMANDS[command][1]
+            for key, option in _OPTIONS.items() if option.group == group}
+
+
+@cache
+def build_parser():
     # Built once per process: parse_args reads the tree and never changes it.
     parser = argparse.ArgumentParser(
         prog="randsteps",
         description="Closed-form predictions and Monte Carlo checks for accumulated random steps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (text, groups, _) in _SUBCOMMANDS.items():
+    for command, (text, _, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=text)
-        for group in groups:
-            for key, option in _OPTIONS.items():
-                if option.group == group:
-                    sub.add_argument("--" + key.replace("_", "-"), **option.flag_arguments())
-    return parser, subs.choices  # the subcommands' parsers, by name
+        for flag, (_, option) in _flags(command).items():
+            sub.add_argument(flag, **option.flag_arguments())
+    return parser
 
 
-def build_parser():
-    return _parsers()[0]
+def _walk(argv):
+    """build_parser's Namespace for a subcommand and its exact --flag value pairs and
+    switches, each value of its kind and choices and not opening with "-"; else None."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    flags = _flags(argv[0])
+    args = dict.fromkeys(key for key, _ in flags.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        key, option = flags[token]
+        if option.kind == "switch":
+            args[key] = True
+            continue
+        text = next(tokens, "-")  # a trailing flag has no value
+        if text.startswith("-"):
+            return None
+        try:
+            value = _NUMBER_KINDS.get(option.kind, str)(text)
+        except ValueError:
+            return None
+        if option.choices and value not in option.choices:
+            return None
+        args[key] = [*(args[key] or ()), value] if option.append else value
+    return argparse.Namespace(command=argv[0], **args)
 
 
 def _parse(argv):
-    parser, subparsers = _parsers()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in subparsers:
-        args, rest = subparsers[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    args = _walk(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -807,27 +807,29 @@ def _exact_terms(x):
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
     2008, Lemma 3.3): for sigma = 2^k > |x_i| (len(x) + 1), q = (x + sigma) -
     sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
-    keep sum(q) and go on with the nonzero residuals; the list is what is
-    left and the round sums, so math.fsum of it is math.fsum(x.tolist()), bit
-    for bit.  The lemma needs only that x + sigma cannot overflow (subnormal
-    sums are exact), so only nan, inf, arrays whose sigma would pass 2^1023
-    (a largest |value| of 2^1011 or more at 2048 values), and values too
-    spread for rounds to pay stay in the list as they are.
+    keep sum(q) and go on with the nonzero residuals; the list is the nonzero
+    values left (none for a chunk of zeros) and the round sums, so math.fsum
+    of it is math.fsum(x.tolist()), bit for bit.  The lemma needs only that
+    x + sigma cannot overflow (subnormal sums are exact), so only nan, inf,
+    arrays whose sigma would pass 2^1023 (a largest |value| of 2^1011 or more
+    at 2048 values), and values too spread for rounds to pay stay in the list
+    as they are.
     """
     sums = []
     while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
-        top = float(np.abs(x).max())
+        top = max(float(x.max()), -float(x.min()))
         k = math.frexp(top)[1] + (x.size + 1).bit_length()
         if not (math.isfinite(top) and k < 1024):
             break
         sigma = math.ldexp(1.0, k)
-        q = (x + sigma) - sigma
+        q = x + sigma
+        q -= sigma
         if 2 * np.count_nonzero(q) < x.size:
             break
         sums.append(float(q.sum()))
         x = x - q
         x = x[x != 0.0]
-    return x.tolist() + sums
+    return (x if sums else x[x != 0.0]).tolist() + sums  # a round leaves no zero
 
 
 def _chunk_mean(terms, count, s=0):
@@ -857,8 +859,8 @@ def _chunk_stats(spec, index, count):
     frame, so a chunk holding one sums its values as they are.
     """
     values = _trial_values(spec, index, count)
-    s = _exponent(float(np.abs(values).max()))
-    x = np.ldexp(values, -s)
+    s = _exponent(max(float(values.max()), -float(values.min())))
+    x = np.ldexp(values, -s) if s else values
     terms = _exact_terms(x)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
         d = x - _chunk_mean(terms, count)
@@ -866,7 +868,8 @@ def _chunk_stats(spec, index, count):
         mean = _chunk_mean(values.tolist(), count)
     else:
         mean = _chunk_mean(terms, count, s)
-    return count, mean, math.fsum(_exact_terms(d * d)), s
+    d *= d
+    return count, mean, math.fsum(_exact_terms(d)), s
 
 
 def estimate(spec, workers=1):

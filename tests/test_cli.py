@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randsteps
 from randsteps.cli import (
-    EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, _parse, build_parser, main,
+    EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, _SUBCOMMANDS, _flags, _parse, _walk,
+    build_parser, main,
 )
 from randsteps.montecarlo import ExperimentSpec, compare, estimate, prediction_for
 from randsteps.predictors import CurvaturePath
@@ -707,6 +710,24 @@ class TestConfigFile:
                 texts["n_dim"], texts["trials"], texts["seed"], want
             ]
 
+    def test_spectrum_as_one_list_of_numbers(self, capsys, tmp_path):
+        # A config spectrum that is one JSON list of numbers is one factor,
+        # as the same numbers in a --spectrum flag are.
+        want = prediction_for("operator", [0.5, 1.0], 2)
+        for command, run in (("predict", {}), ("compare", {"trials": 64, "seed": 1})):
+            fields = {"geometry": "operator", "spectrum": [0.5, 1.0], "output": "csv", **run}
+            code, out, err = self._run_config(capsys, tmp_path, command, fields)
+            flags = [command, "--geometry", "operator", "--spectrum", "0.5,1", "--output", "csv"]
+            for key, value in run.items():
+                flags += ["--" + key, str(value)]
+            assert (code, out, err) == run_cli(capsys, *flags)
+            assert code in (EXIT_PASS, EXIT_FAIL), err
+            if command == "predict":
+                assert float(parse_field_csv(out)["mean"]) == want.mean
+            else:
+                row = parse_row_csv(out)[1][0]
+                assert (row["schedule"], float(row["prediction_mean"])) == ("1;0.5", want.mean)
+
     def test_integer_for_float_field_renders_as_float(self, capsys, tmp_path):
         fields = {**self._FLAT, "expect_mean": 2, "output": "json"}
         code, out, _ = self._run_config(capsys, tmp_path, "compare", fields)
@@ -927,6 +948,38 @@ class TestScheduleFlags:
 _SPHERE_RUN = ["--geometry", "sphere", "--n-dim", "12", "--angles", "1.0", "--trials", "64",
                "--seed", "5"]
 
+# Every subcommand's flags; values that their kinds and choices take or
+# reject, among them negative numbers and the empty text; and tokens that
+# only the full parser reads.
+_FLAG_OPTIONS = {flag: option for command in _SUBCOMMANDS
+                 for flag, (_, option) in _flags(command).items()}
+_FLAG_TOKENS = sorted(_FLAG_OPTIONS)
+_VALUE_TOKENS = ["3", " 7", "1.5", "1e3", "nan", "-2", "-0.5", "", "1,0.5", "3..5", "csv", "xml",
+                 "sphere", "bogus", "degrees", "norm_ratio", "x1_4"]
+_OTHER_TOKENS = ["--geom", "--angles=1.0", "--seed=1", "--out", "-h", "--help", "--", "stray"]
+
+
+def _fitting(flag):
+    # A value that the flag's kind and choices take.
+    option = _FLAG_OPTIONS[flag]
+    if option.choices:
+        return option.choices[-1]
+    return {"int": "12", "float": "0.25"}.get(option.kind, "1,0.5")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then 0 to 8 tokens: flag and value pairs, the flag its
+    own or another subcommand's; flags alone (a trailing one among them);
+    and the full parser's own tokens."""
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    flag = st.sampled_from(list(_flags(command))) | st.sampled_from(_FLAG_TOKENS)
+    value = st.sampled_from(_VALUE_TOKENS)
+    pair = flag.flatmap(lambda f: st.tuples(st.just(f), st.just(_fitting(f)) | value))
+    single = st.sampled_from(_FLAG_TOKENS + _OTHER_TOKENS + _VALUE_TOKENS).map(lambda t: (t,))
+    chunks = draw(st.lists(pair | single, max_size=4))
+    return [command, *(token for chunk in chunks for token in chunk)]
+
 
 class TestParsing:
     @pytest.mark.parametrize("argv", [
@@ -941,15 +994,28 @@ class TestParsing:
         ["table", "--geometry", "sphere", "--angles", "1", "--sweep-n-dim", "3..5",
          "--config", "run.json", "--output-path", "out.csv", "--workers", "2"],
         ["selftest", "--workers", "2", "--output", "csv"],
+        ["compare", "--seed", "1", "--seed", "2"],
     ])
     def test_subcommand_parser_gives_the_full_parsers_namespace(self, argv):
         assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_argvs())
+    def test_walk_reads_argv_as_the_full_parser_does(self, argv):
+        # The walk hands any argv it cannot read exactly to the full parser;
+        # what it reads, it reads to the same keys, in the same order, and
+        # to values of the same type (repr tells True from 1, and nan is
+        # not equal to itself).
+        args = _walk(argv)
+        if args is not None:
+            assert repr(vars(args)) == repr(vars(build_parser().parse_args(argv)))
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h"], ["compare", "--help"], ["bogus"], ["--seed", "1", "compare"],
         ["--seed", "1", "compare", *_SPHERE_RUN], ["compare", *_SPHERE_RUN, "stray"],
         ["compare", "--geom", "sphere", *_SPHERE_RUN[2:]], ["predict", "--bogus"],
         ["compare", *_SPHERE_RUN, "--trials", "1.5"], ["compare", "--", "x"],
+        ["compare", *_SPHERE_RUN, "--seed"], ["compare", *_SPHERE_RUN, "--output", "xml"],
     ])
     def test_outputs_match_the_full_parsers(self, capsys, monkeypatch, argv):
         # Exit code, stdout and stderr of main against main through the full

@@ -891,15 +891,18 @@ class TestExactSum:
         assert math.fsum(terms) == math.fsum(x.tolist())
 
     @pytest.mark.parametrize(
-        "spec",
-        [ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
-         ExperimentSpec("marginal", 10**6, 8, 2048, 5)],
-        ids=["sphere", "marginal-t8"],
+        "spec, most",
+        [(ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5), 64),
+         (ExperimentSpec("marginal", 10**6, 8, 2048, 5), 64),
+         (ExperimentSpec("sphere", 10, (0.7,), 2048, 5), 0),
+         (ExperimentSpec("sphere", 3, (0.0, 0.0), 2048, 5), 0)],
+        ids=["sphere", "marginal-t8", "sphere-one-step", "sphere-n3-theta0"],
     )
-    def test_chunk_sums_hand_fsum_few_values(self, spec, monkeypatch):
+    def test_chunk_sums_hand_fsum_few_values(self, spec, most, monkeypatch):
         # A chunk's means, in its frame and unscaled, reach their integer
         # sum, and its M2 math.fsum, as a few round sums and residuals, not
-        # as one float per trial.
+        # as one float per trial.  A constant chunk's squared deviations are
+        # all zero, and fsum gets none of them.
         sizes = {"fsum": [], "mean": []}
         fsum, chunk_mean = math.fsum, montecarlo._chunk_mean
 
@@ -915,7 +918,7 @@ class TestExactSum:
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         monkeypatch.setattr(montecarlo, "_chunk_mean", counting_mean)
         _chunk_stats(spec, 0, 2048)
-        assert len(sizes["fsum"]) == 1 and max(sizes["fsum"]) <= 64
+        assert len(sizes["fsum"]) == 1 and max(sizes["fsum"]) <= most
         assert len(sizes["mean"]) == 2 and max(sizes["mean"]) <= 64
 
 
