@@ -20,10 +20,10 @@ estimate() runs exactly `trials` independent trials of an experiment in
 fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
 from the stream addressed by (seed, k).  Each chunk works in its frame,
 its values scaled by a power of two so that the largest lies in [1/2, 1),
-where nothing overflows.  Error-free extraction leaves a few terms with the
-chunk's exact sum: its mean is that sum over the trial count, rounded once
-by integer division, and its sum of squared deviations, formed the same
-way and rounded by math.fsum, rides through the merge with its exponent.
+where nothing overflows.  Its mean is its exact sum over the trial count,
+rounded once, and its sum of squared deviations, rounded as math.fsum rounds
+it, rides through the merge with its exponent; one extraction round, with a
+certified bound on its residuals, settles each rounding (_certified).
 Chunks merge in chunk order, so the result is bitwise identical no matter
 how many workers participate or how the OS schedules them.  Chunks go to
 threads only where each draws at least 2^17 variates, 64 per trial.
@@ -75,6 +75,7 @@ from .predictors import (
     CurvaturePath,
     Prediction,
     _dimension,
+    _exact_terms,
     _exponent,
     _flat,
     _hyperbolic,
@@ -115,8 +116,6 @@ _BLOCK_DRAWS = 1 << 17
 # per trial): below it, hand-offs of the interpreter lock between numpy's
 # short calls cost about what the overlap saves, or more.
 _FANOUT_DRAWS = 1 << 17
-# Cap on _exact_terms' extraction rounds; chunk sums need two or three.
-_EXTRACT_ROUNDS = 4
 _UINT64_MAX = 2**64 - 1
 # Below this norm a draw is treated as degenerate and redrawn; the event has
 # probability zero in exact arithmetic.
@@ -414,10 +413,11 @@ def _hyperbolic_step(a, xi, t):
 
 def _chain_values(start, shift, update, gen, count, n, steps, observable):
     # The step maps of the module docstring, in dimension m = n - shift;
-    # update maps (value, step, t) to the next value.
-    value = np.full(count, start)
+    # update maps (value, step, t) to the next value.  The first step takes
+    # t = 0, so it is formed once, on one value, and broadcast.
     ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
-    for step, t in zip(steps, [0.0, *ts]):
+    value = np.full(count, update(np.full(1, start), steps[0], 0.0)[0] if steps else start)
+    for step, t in zip(steps[1:], ts):
         value = update(value, step, t)
     return value
 
@@ -801,37 +801,6 @@ def run_operator_product(spectra, u, rng):
     return float(ratio[0]), float(cosine[0])
 
 
-def _exact_terms(x):
-    """A short list of doubles whose exact sum is that of the 1-D float64 array x.
-
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
-    2008, Lemma 3.3): for sigma = 2^k > |x_i| (len(x) + 1), q = (x + sigma) -
-    sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
-    keep sum(q) and go on with the nonzero residuals; the list is the nonzero
-    values left (none for a chunk of zeros) and the round sums, so math.fsum
-    of it is math.fsum(x.tolist()), bit for bit.  The lemma needs only that
-    x + sigma cannot overflow (subnormal sums are exact), so only nan, inf,
-    arrays whose sigma would pass 2^1023 (a largest |value| of 2^1011 or more
-    at 2048 values), and values too spread for rounds to pay stay in the list
-    as they are.
-    """
-    sums = []
-    while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
-        top = max(float(x.max()), -float(x.min()))
-        k = math.frexp(top)[1] + (x.size + 1).bit_length()
-        if not (math.isfinite(top) and k < 1024):
-            break
-        sigma = math.ldexp(1.0, k)
-        q = x + sigma
-        q -= sigma
-        if 2 * np.count_nonzero(q) < x.size:
-            break
-        sums.append(float(q.sum()))
-        x = x - q
-        x = x[x != 0.0]
-    return (x if sums else x[x != 0.0]).tolist() + sums  # a round leaves no zero
-
-
 def _chunk_mean(terms, count, s=0):
     """The exact sum of terms over count, times 2^s, correctly rounded.
 
@@ -847,6 +816,33 @@ def _chunk_mean(terms, count, s=0):
     return total / (count << (1074 - s))
 
 
+def _certified(f, x, top):
+    """f of the exact sum of the 1-D float64 array x, whose largest |value| is top.
+
+    f maps terms to correctly rounded functions of their exact sum (math.fsum;
+    _chunk_mean at a count and scale), so it is monotone.  One extraction
+    round at sigma = 2^k, k = _exponent(top) + bit_length(len(x) + 1), splits
+    x into q, whose float sum S is exact (_exact_terms' lemma), and residuals
+    below 2^(k - 53), whose float sum R, in any order, is within B = 2^(k -
+    106 + 2 bit_length(len(x))) of their exact sum.  Where S + R -/+ B lie on
+    one side of 0 and f takes one value at both, that is f of the exact sum;
+    otherwise, and for a top that is not finite or puts sigma past 2^1023,
+    this is f(_exact_terms(x)).  Rump, Ogita and Oishi (2008), section 3.
+    """
+    if top == 0.0:
+        return f([])
+    k = _exponent(top) + (x.size + 1).bit_length()
+    if math.isfinite(top) and k < 1024:
+        sigma = math.ldexp(1.0, k)
+        q = x + sigma
+        q -= sigma
+        terms = [float(q.sum()), float((x - q).sum())]
+        b = math.ldexp(1.0, k - 106 + 2 * x.size.bit_length())
+        if abs(terms[0] + terms[1]) > 2.0 * b and (lo := f([*terms, -b])) == f([*terms, b]):
+            return lo
+    return f(_exact_terms(x))
+
+
 def _chunk_stats(spec, index, count):
     """Exact (count, mean, M2 / 4^s, s) for chunk index of spec; pure in its arguments.
 
@@ -855,21 +851,20 @@ def _chunk_stats(spec, index, count):
     and an M2 that is not 0 is at least 2^-110.  The mean is the exact sum
     over count, rounded once, subnormal or not, so a constant chunk gets its
     constant and a spread of 0; the deviations are taken from the frame's
-    own mean.  A value more than 2^1022 below the largest loses bits in the
-    frame, so a chunk holding one sums its values as they are.
+    own mean, and each sum is _certified's.  A value more than 2^1022 below
+    the largest loses bits in the frame, so such a chunk sums its values.
     """
     values = _trial_values(spec, index, count)
-    s = _exponent(max(float(values.max()), -float(values.min())))
-    x = np.ldexp(values, -s) if s else values
-    terms = _exact_terms(x)
+    top = max(float(values.max()), -float(values.min()))
+    s = _exponent(top)
+    x, top = (np.ldexp(values, -s), math.ldexp(top, -s)) if s else (values, top)
+    frame, mean = _certified(lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)), x, top)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
-        d = x - _chunk_mean(terms, count)
+        d = x - frame
     if s > 0 and not np.array_equal(np.ldexp(x, s), values):
         mean = _chunk_mean(values.tolist(), count)
-    else:
-        mean = _chunk_mean(terms, count, s)
     d *= d
-    return count, mean, math.fsum(_exact_terms(d)), s
+    return count, mean, _certified(math.fsum, d, float(d.max())), s
 
 
 def estimate(spec, workers=1):

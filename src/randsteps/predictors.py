@@ -57,6 +57,8 @@ __all__ = [
 _RIGHT_ANGLE_SNAP = 1e-12
 
 _TINY = float(np.finfo(np.float64).tiny)
+# Cap on _exact_terms' extraction rounds; chunk sums need two or three.
+_EXTRACT_ROUNDS = 4
 
 
 class PrecisionLossError(ArithmeticError):
@@ -79,6 +81,37 @@ def _exponent(x):
     # e with x 2^-e in [1/2, 1) for finite nonzero x, every frame's exponent;
     # for 0, one below every double's, and 0 for inf and nan, left unscaled.
     return math.frexp(x)[1] if x else -1100
+
+
+def _exact_terms(x):
+    """A short list of doubles whose exact sum is that of the 1-D float64 array x.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008, Lemma 3.3): for sigma = 2^k > |x_i| (len(x) + 1), q = (x + sigma) -
+    sigma and x - q split x exactly, and q sums exactly in any order.  Rounds
+    keep sum(q) and go on with the nonzero residuals; the list is the nonzero
+    values left (none for a chunk of zeros) and the round sums, so math.fsum
+    of it is math.fsum(x.tolist()), bit for bit.  The lemma needs only that
+    x + sigma cannot overflow (subnormal sums are exact), so only nan, inf,
+    arrays whose sigma would pass 2^1023 (a largest |value| of 2^1011 or more
+    at 2048 values), and values too spread for rounds to pay stay in the list
+    as they are.  Mixed-sign spectra and montecarlo._certified's fallback use it.
+    """
+    sums = []
+    while x.size > 16 and len(sums) < _EXTRACT_ROUNDS:
+        top = max(float(x.max()), -float(x.min()))
+        k = math.frexp(top)[1] + (x.size + 1).bit_length()
+        if not (math.isfinite(top) and k < 1024):
+            break
+        sigma = math.ldexp(1.0, k)
+        q = x + sigma
+        q -= sigma
+        if 2 * np.count_nonzero(q) < x.size:
+            break
+        sums.append(float(q.sum()))
+        x = x - q
+        x = x[x != 0.0]
+    return (x if sums else x[x != 0.0]).tolist() + sums  # a round leaves no zero
 
 
 def as_vector(values, name="vector"):
@@ -343,8 +376,9 @@ def _operator(values, observable):
     # curvatures.  Each factor runs in its frame, as in the kernel: a = s 2^-f,
     # f the _exponent of max|s| read off the ends, pnorm_pi(s, 2) = 2^f
     # sqrt(sum a^2 / N), and the cosine sum a / sqrt(N sum a^2) keeps its bits
-    # when s is scaled by a power of two.  The norm product is p 2^e: inf only
-    # past the double range, and 0 after a zero factor.
+    # when s is scaled by a power of two.  sum a is correctly rounded where s
+    # has both signs, and pairwise, within about log2 N ulps, elsewhere.  The
+    # norm product is p 2^e: inf only past the double range, 0 after a zero factor.
     p, e = 1.0, 0
     for s in values:
         top, n = max(s[0], -s[-1]), len(s)
@@ -357,7 +391,8 @@ def _operator(values, observable):
         a = np.ldexp(s, -f)
         q = float((a * a).sum())
         if observable == "cosine":
-            p *= float(a.sum()) / math.sqrt(n * q)
+            total = math.fsum(_exact_terms(a)) if s[0] > 0.0 > s[-1] else float(a.sum())
+            p *= total / math.sqrt(n * q)
         else:
             p, k = math.frexp(p * math.sqrt(q / n))
             e += k + f

@@ -7,6 +7,7 @@ import struct
 import threading
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from randsteps.montecarlo import (
     MonteCarloEstimate,
     RandomStream,
     Spectrum,
+    _certified,
     _chunk_mean,
     _chunk_stats,
     _coordinate_values,
@@ -41,7 +43,7 @@ from randsteps.montecarlo import (
     estimate,
     prediction_for,
 )
-from randsteps.predictors import CurvaturePath, PrecisionLossError, Prediction
+from randsteps.predictors import CurvaturePath, PrecisionLossError, Prediction, _exponent, _sphere_steps
 
 
 class TestExperimentSpec:
@@ -892,17 +894,17 @@ class TestExactSum:
 
     @pytest.mark.parametrize(
         "spec, most",
-        [(ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5), 64),
-         (ExperimentSpec("marginal", 10**6, 8, 2048, 5), 64),
+        [(ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5), 3),
+         (ExperimentSpec("marginal", 10**6, 8, 2048, 5), 3),
          (ExperimentSpec("sphere", 10, (0.7,), 2048, 5), 0),
          (ExperimentSpec("sphere", 3, (0.0, 0.0), 2048, 5), 0)],
         ids=["sphere", "marginal-t8", "sphere-one-step", "sphere-n3-theta0"],
     )
     def test_chunk_sums_hand_fsum_few_values(self, spec, most, monkeypatch):
         # A chunk's means, in its frame and unscaled, reach their integer
-        # sum, and its M2 math.fsum, as a few round sums and residuals, not
-        # as one float per trial.  A constant chunk's squared deviations are
-        # all zero, and fsum gets none of them.
+        # sum, and its M2 math.fsum, as one round sum, one residual sum and
+        # at most a bound, never as one float per trial.  A constant chunk's
+        # squared deviations are all zero, and fsum gets none of them.
         sizes = {"fsum": [], "mean": []}
         fsum, chunk_mean = math.fsum, montecarlo._chunk_mean
 
@@ -918,8 +920,127 @@ class TestExactSum:
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         monkeypatch.setattr(montecarlo, "_chunk_mean", counting_mean)
         _chunk_stats(spec, 0, 2048)
-        assert len(sizes["fsum"]) == 1 and max(sizes["fsum"]) <= most
-        assert len(sizes["mean"]) == 2 and max(sizes["mean"]) <= 64
+        assert sizes["fsum"] and max(sizes["fsum"]) <= most
+        assert sizes["mean"] and max(sizes["mean"]) <= 3
+        if most == 0:
+            assert sizes["fsum"] == [0]
+
+
+def _outcome(f, terms):
+    # f's result as bytes per float (zero signs and nan payloads count), or
+    # its exception's type and message.
+    try:
+        value = f(terms)
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return b"".join(struct.pack("<d", v) for v in (value if isinstance(value, tuple) else (value,)))
+
+
+def _top(x):
+    # The largest |value| as _chunk_stats takes it: nan wins, 0 for no values.
+    return max(float(x.max()), -float(x.min())) if x.size else 0.0
+
+
+def _certified_maps(count, s):
+    return {
+        "fsum": math.fsum,
+        "frame-mean": partial(_chunk_mean, count=count),
+        "scaled-mean": partial(_chunk_mean, count=count, s=s),
+        "pair": lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)),
+    }
+
+
+class TestCertifiedSum:
+    """_certified against the exact sum it stands for: f of _exact_terms."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_sum_inputs())
+    @example(np.array([1.0, 2.0**-53] + [0.0] * 15))
+    @example(np.array([0.1, -0.3, 0.7] * 683 + [-0.1, 0.3, -0.7] * 683))
+    @example(np.ldexp([0.75, -0.75 + 2**-48, -3 * 2**-51, -3 * 2**-51, -(2**-50) + 2**-92] + [0.0] * 12, -982))
+    def test_equals_f_of_the_exact_terms_bitwise(self, x):
+        # Each input is taken into its frame, as _chunk_stats does, and
+        # summed by every map _chunk_stats hands _certified.  In the last
+        # example S = 2^-48 and R = -2^-48 + 2^-92 straddle 0 within B =
+        # 2^-91: both ends of the unscaled mean round to a zero, of opposite
+        # signs, and only the sign test on S + R sends it to the fallback's +0.
+        s = _exponent(_top(x))
+        if x.size and math.isfinite(_top(x)):
+            x = np.ldexp(x, -s)
+        for name, f in _certified_maps(max(x.size, 1), s).items():
+            want = _outcome(f, _exact_terms(x))
+            assert _outcome(lambda _: _certified(f, x, _top(x)), None) == want, name
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([17, 100, 2047, 2048, 2049]),
+        shape=st.sampled_from(["uniform", "sorted", "alternating", "halves", "one-sign"]),
+    )
+    def test_residual_sum_is_within_its_bound(self, seed, size, shape):
+        # The residuals of the round lie below 2^(k - 53): here they fill
+        # that range with 60 exponents, sorted or in alternating signs.  Half
+        # the values are their own residual (q = 0) and keep all their bits,
+        # so numpy's sum of the residuals rounds.  The bound _certified hands
+        # f must cover the distance from S + R to the exact sum.
+        gen = np.random.default_rng(seed)
+        r = gen.uniform(-1.0, 1.0, size) * np.exp2(-gen.integers(0, 60, size).astype(float))
+        if shape == "sorted":
+            r = np.sort(r)
+        elif shape == "alternating":
+            r = np.abs(r) * np.where(np.arange(size) % 2, -1.0, 1.0)
+        elif shape == "halves":
+            r = np.where(abs(r) > 0.5, np.copysign(1.0 - 2.0**-53, r), 0.5)
+        elif shape == "one-sign":
+            r = np.abs(r)
+        k = (size + 1).bit_length()  # sigma = 2^k at a top in [1/2, 1)
+        m = gen.integers(-(2 ** (51 - k)), 2 ** (51 - k), size) * (gen.random(size) < 0.5)
+        x = m * 2.0 ** (k - 52) + r * 2.0 ** (k - 53)
+        x[0] = 0.75
+        calls = []
+        _certified(lambda terms: calls.append(terms), x, _top(x))
+        (S, R, lo), (_, _, hi) = calls
+        assert -lo == hi == 2.0**(k - 106 + 2 * size.bit_length())
+        exact = sum(map(Fraction, x.tolist()))
+        assert abs(exact - Fraction(S) - Fraction(R)) <= Fraction(hi)
+
+    def test_half_ulp_tie_takes_the_fallback(self, monkeypatch):
+        # 1 + 2^-53 is a midpoint: the round leaves its rounding open (the
+        # ends of S + R -/+ B round apart), so _exact_terms settles it.
+        calls = []
+        exact_terms = montecarlo._exact_terms
+        monkeypatch.setattr(montecarlo, "_exact_terms", lambda x: calls.append(x.size) or exact_terms(x))
+        x = np.array([1.0, 2.0**-53] + [0.0] * 15)
+        assert _certified(math.fsum, x, 1.0) == 1.0
+        assert calls == [17]
+
+    @pytest.mark.parametrize("exponent, fallbacks", [(1010, 0), (1011, 0), (1012, 1)])
+    def test_a_sigma_past_the_range_takes_the_fallback(self, exponent, fallbacks, monkeypatch):
+        # At 2048 values sigma is 2^12 above the top's exponent: 2^1023 for
+        # a top below 2^1011, and past the double range from 2^1011 on.
+        calls = []
+        exact_terms = montecarlo._exact_terms
+        monkeypatch.setattr(montecarlo, "_exact_terms", lambda x: calls.append(x.size) or exact_terms(x))
+        x = np.ldexp(np.random.default_rng(exponent).uniform(0.5, 1.0, 2048), exponent)
+        assert _certified(math.fsum, x, _top(x)) == math.fsum(x.tolist())
+        assert len(calls) == fallbacks
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
+         ExperimentSpec("flat", 7, (0.3, 1.9, 1.2), 2048, 5),
+         ExperimentSpec("hyperbolic", 12, (0.5, 1.4), 2048, 5),
+         ExperimentSpec("monomial", 10, "x1sq_x2sq", 2048, 5),
+         ExperimentSpec("marginal", 40, 3, 2048, 5)],
+        ids=lambda spec: spec.geometry,
+    )
+    def test_sweep_chunks_need_no_fallback(self, spec, monkeypatch):
+        # One round settles every sum of an ordinary chunk, which is what
+        # makes it cheaper than _exact_terms' rounds.
+        calls = []
+        monkeypatch.setattr(montecarlo, "_exact_terms", lambda x: calls.append(x.size))
+        _chunk_stats(spec, 0, 2048)
+        assert calls == []
 
 
 class TestOperatorFrame:
@@ -1228,6 +1349,70 @@ class TestStepMaps:
             warnings.simplefilter("error")
             est = estimate(spec)
         assert (est.mean, est.sample_std) == (want, 0.0)
+
+
+def _chain_values_stepping_all(start, shift, update, gen, count, n, steps, observable):
+    # _chain_values before its first step was formed once: every step, the
+    # first with t = 0, runs on all count values.
+    value = np.full(count, start)
+    ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
+    for step, t in zip(steps, [0.0, *ts]):
+        value = update(value, step, t)
+    return value
+
+
+class TestFirstChainStep:
+    """Each chain row against every trial stepped from the start: the first
+    step, formed once on one value and broadcast, gives the same bits, the
+    same warnings and the same OverflowError."""
+
+    ROWS = {
+        "sphere": (1.0, 1, montecarlo._sphere_step),
+        "flat": (0.0, 0, montecarlo._flat_step),
+        "hyperbolic": (1.0, 1, montecarlo._hyperbolic_step),
+    }
+
+    @staticmethod
+    def _outcome(kernel):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = kernel(RandomStream(4, 0).generator).tobytes()
+            except OverflowError as exc:
+                result = f"OverflowError: {exc}"
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    def _both(self, geometry, schedule, n, count=300):
+        start, shift, update = self.ROWS[geometry]
+        steps = list(_sphere_steps(schedule)) if geometry == "sphere" else schedule
+        row = montecarlo._GEOMETRY_TABLE[geometry]
+        got = self._outcome(lambda gen: row.kernel(gen, count, n, schedule, None))
+        want = self._outcome(
+            lambda gen: _chain_values_stepping_all(start, shift, update, gen, count, n, steps, None)
+        )
+        return got, want
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    @pytest.mark.parametrize(
+        "geometry, schedule",
+        [("sphere", ()), ("flat", ()), ("hyperbolic", ()),
+         ("sphere", (0.7,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
+         ("sphere", (math.pi / 2 + 1e-13, 1.1)), ("sphere", (1.1, math.pi / 2, 0.0, math.pi)),
+         ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)),
+         ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0))],
+    )
+    def test_rows_match_every_trial_stepped(self, geometry, schedule, n):
+        got, want = self._both(geometry, schedule, n)
+        assert got == want
+
+    def test_flat_overflow_warns_once_then_stays_inf(self):
+        (values, caught), _ = self._both("flat", (1e200, 1.0), 5)
+        assert np.all(np.frombuffer(values) == math.inf)
+        assert [message for _, message in caught] == ["overflow encountered in square"]
+
+    def test_far_arc_names_itself(self):
+        (result, caught), _ = self._both("hyperbolic", (711.0,), 5)
+        assert result == "OverflowError: cosh of the arc 711.0 overflows" and caught == []
 
 
 class TestCurvatureLimitKernels:

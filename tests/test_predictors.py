@@ -674,6 +674,33 @@ class TestOperatorPredictors:
             assert ratio_k == float(want)
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 1000), k=st.integers(-900, 900))
+    def test_cosine_of_a_mixed_sign_spectrum_within_4_ulp(self, seed, n, k):
+        # A standard-normal spectrum, scaled by 2^k, cancels in its sum: the
+        # cosine sum s / sqrt(N sum s^2) against 50 digits.  With numpy's
+        # pairwise sum of s it was off by up to 2,151 ulp.
+        s = np.ldexp(np.random.default_rng(seed).standard_normal(n), k)
+        assume(s.max() > 0.0 > s.min())
+        exact = [_MP.mpf(float(v)) for v in s]
+        want = _MP.fsum(exact) / _MP.sqrt(n * _MP.fsum(v * v for v in exact))
+        got = _mean("operator", s, n)
+        assert abs(_MP.mpf(got) - want) <= 4 * math.ulp(float(want))
+
+    @pytest.mark.parametrize(
+        "spectrum, exact_sums",
+        [([0.5, 1.0, 2.0], 0), ([-0.5, -1.0], 0), ([3.0, 3.0], 0), ([1.0, 0.0], 0), ([2.0, -1.0, 0.5], 1)],
+    )
+    def test_only_a_mixed_sign_spectrum_is_summed_exactly(self, spectrum, exact_sums, monkeypatch):
+        # One sign keeps numpy's pairwise sum, so predict-grid's positive
+        # spectra pay one comparison and no extraction.
+        calls = []
+        exact_terms = predictors._exact_terms
+        monkeypatch.setattr(predictors, "_exact_terms", lambda x: calls.append(x.size) or exact_terms(x))
+        _mean("operator", spectrum, len(spectrum))
+        assert len(calls) == exact_sums
+
+
 class TestCurvatureProducts:
     def test_hand_case(self):
         # one step, weights v = (1, 1, 1/3)
