@@ -17,9 +17,10 @@ under two labels (--run a=. --run b=.), and the paired statistics below
 show the spread of a ratio between identical trees.
 
 With two or more --run labels it then prints, for each workload and
-end-to-end metric, the runs of the first two labels paired by seed over the
-whole file: the pair count, the pairs the second label won by the metric's
-"better" direction (ties count for neither), the median of the per-pair
+end-to-end metric, the untraced runs of the first two labels paired by seed
+over the whole file (a traced run reports no end-to-end metric): the pair
+count, the pairs the second label won by the metric's "better" direction
+(ties count for neither), the median of the per-pair
 ratios second/first, the first label's interquartile range over its
 median, a distribution-free 95 % interval for the median per-pair log
 ratio: the Hodges-Lehmann interval, read off the sorted Walsh averages at
@@ -123,8 +124,8 @@ def paired_summary(records, first, second, end_to_end=BENCHMARK["end_to_end"]):
     lines = []
     for workload in dict.fromkeys(rec["workload"] for rec in records):
         pairs = [
-            (labels[first], labels[second]) for (w, _, _), labels in runs.items()
-            if w == workload and first in labels and second in labels
+            (labels[first], labels[second]) for (w, traced, _), labels in runs.items()
+            if w == workload and not traced and first in labels and second in labels
         ]
         if not pairs:
             continue

@@ -36,6 +36,9 @@ def test_pairs_by_workload_trace_and_seed():
         _record("parent", "sweep", 4, 1.0, 1.0),
         _record("change", "sweep", 4, 9.0, 9.0, trace=1),
         _record("other", "sweep", 1, 9.0, 9.0),
+        # A traced pair: per-layer metrics alone, so it pairs for no end-to-end one.
+        {**_record("parent", "sweep", 5, 0.0, 0.0, trace=1), "result": {"metrics": {}}},
+        {**_record("change", "sweep", 5, 0.0, 0.0, trace=1), "result": {"metrics": {}}},
         _record("parent", "grid", 7, 50.0, 1.0),
         _record("change", "grid", 7, 40.0, 0.5),
     ]

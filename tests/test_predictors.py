@@ -673,7 +673,6 @@ class TestOperatorPredictors:
         if sys.float_info.min <= want <= sys.float_info.max:
             assert ratio_k == float(want)
 
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 1000), k=st.integers(-900, 900))
     def test_cosine_of_a_mixed_sign_spectrum_within_4_ulp(self, seed, n, k):
