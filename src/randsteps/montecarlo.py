@@ -412,9 +412,8 @@ def _hyperbolic_step(a, xi, t):
 
 
 def _chain_values(start, shift, update, gen, count, n, steps, observable):
-    # The step maps of the module docstring, in dimension m = n - shift;
-    # update maps (value, step, t) to the next value.  The first step takes
-    # t = 0, so it is formed once, on one value, and broadcast.
+    # The step maps of the module docstring, in dimension m = n - shift; update
+    # maps (value, step, t) to the next value.  The t = 0 step is formed once.
     ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
     value = np.full(count, update(np.full(1, start), steps[0], 0.0)[0] if steps else start)
     for step, t in zip(steps[1:], ts):
@@ -834,8 +833,7 @@ def _certified(f, x, top):
     k = _exponent(top) + (x.size + 1).bit_length()
     if math.isfinite(top) and k < 1024:
         sigma = math.ldexp(1.0, k)
-        q = x + sigma
-        q -= sigma
+        q = x + sigma - sigma
         terms = [float(q.sum()), float((x - q).sum())]
         b = math.ldexp(1.0, k - 106 + 2 * x.size.bit_length())
         if abs(terms[0] + terms[1]) > 2.0 * b and (lo := f([*terms, -b])) == f([*terms, b]):
@@ -858,12 +856,14 @@ def _chunk_stats(spec, index, count):
     top = max(float(values.max()), -float(values.min()))
     s = _exponent(top)
     x, top = (np.ldexp(values, -s), math.ldexp(top, -s)) if s else (values, top)
-    frame, mean = _certified(lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)), x, top)
+    if s:
+        frame, mean = _certified(lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)), x, top)
+    else:
+        frame = mean = _certified(lambda t: _chunk_mean(t, count), x, top)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
-        d = x - frame
+        d = np.square(x - frame)
     if s > 0 and not np.array_equal(np.ldexp(x, s), values):
         mean = _chunk_mean(values.tolist(), count)
-    d *= d
     return count, mean, _certified(math.fsum, d, float(d.max())), s
 
 
