@@ -20,9 +20,7 @@ result can hold).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -460,9 +458,9 @@ def _cell(value, csv_text):
 
 
 def _csv_text(rows):
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue().rstrip("\n")
+    # No cell holds a comma, a quote or a line break, so the cells joined are
+    # what csv.writer writes: it quotes only such cells.
+    return "\n".join(",".join(row) for row in rows)
 
 
 def _pretty(fields):

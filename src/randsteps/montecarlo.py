@@ -21,9 +21,11 @@ fixed chunks of 2048.  Chunk k draws all its trials at once, vectorised,
 from the stream addressed by (seed, k).  Each chunk works in its frame,
 its values scaled by a power of two so that the largest lies in [1/2, 1),
 where nothing overflows.  Its mean is its exact sum over the trial count,
-rounded once, and its sum of squared deviations, rounded as math.fsum rounds
-it, rides through the merge with its exponent; one extraction round, with a
-certified bound on its residuals, settles each rounding (_certified).
+rounded once (by math.fsum and an exact power-of-two scale for a count of
+2^k, as every full chunk has, else by integer division), and its sum of
+squared deviations, rounded as math.fsum rounds it, rides through the merge
+with its exponent; one extraction round, with a certified bound on its
+residuals, settles each rounding (_certified).
 Chunks merge in chunk order, so the result is bitwise identical no matter
 how many workers participate or how the OS schedules them.  Chunks go to
 threads only where each draws at least 2^17 variates, 64 per trial.
@@ -122,6 +124,12 @@ _UINT64_MAX = 2**64 - 1
 _DEGENERATE_NORM = 1e-150
 
 
+def _sfc64(seed, stream_id):
+    # The generator of the stream (seed, stream_id), for integers already checked.
+    seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.SFC64(seq))
+
+
 class RandomStream:
     """Random stream addressed by (seed, stream_id).
 
@@ -149,8 +157,7 @@ class RandomStream:
     def generator(self):
         """The underlying numpy Generator, created on first use."""
         if self._generator is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-            self._generator = np.random.Generator(np.random.SFC64(seq))
+            self._generator = _sfc64(self.seed, self.stream_id)
         return self._generator
 
     def __repr__(self):
@@ -308,7 +315,7 @@ def _sphere_coordinate(gen, m, shape):
         return np.where(gen.random(shape) < 0.5, 1.0, -1.0)
     if m == 2:
         return _cos_pi(gen.random(shape))
-    uv = gen.random((*np.atleast_1d(shape), 2))
+    uv = gen.random((*shape, 2) if isinstance(shape, tuple) else (shape, 2))
     # r = sqrt(1 - (1 - U)^c), c = 2 / (m - 2), as sqrt(-expm1(c log1p(-U))):
     # no log(0), and full relative precision at any m.  Past m of about
     # 2^61, |c log1p(-U)| < 2^-54, where expm1 is the identity, and r is
@@ -393,29 +400,46 @@ def _pair_moments(gen, count, w):
 def _sphere_step(c, step, t):
     # step is (cos theta, sin theta); rounding past |c| = 1 clamps 1 - c^2 at 0.
     cos, sin = step
-    s = np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
-    return c * cos + t * s * sin
+    s = np.subtract(1.0, c)
+    s *= 1.0 + c
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    c *= cos
+    s *= t
+    s *= sin
+    c += s
+    return c
 
 
 def _flat_step(r2, d, t):
     r = np.sqrt(r2)
-    return (r - d) ** 2 + (2.0 * d) * (1.0 + t) * r
+    np.square(np.subtract(r, d, out=r2), out=r2)
+    r *= (2.0 * d) * (1.0 + t)
+    r2 += r
+    return r2
 
 
 def _hyperbolic_step(a, xi, t):
     # Two roots, as a^2 - 1 overflows past a = 1e154; a - 1 is clamped at 0.
-    s = np.sqrt(np.maximum(a - 1.0, 0.0)) * np.sqrt(a + 1.0)
+    s = np.subtract(a, 1.0)
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    s *= np.sqrt(a + 1.0)
     try:
-        return a * math.cosh(xi) + t * s * math.sinh(xi)
+        a *= math.cosh(xi)
     except OverflowError:
         raise OverflowError(f"cosh of the arc {xi!r} overflows") from None
+    s *= t
+    s *= math.sinh(xi)
+    a += s
+    return a
 
 
 def _chain_values(start, shift, update, gen, count, n, steps, observable):
     # The step maps of the module docstring, in dimension m = n - shift; update
-    # maps (value, step, t) to the next value.  The t = 0 step is formed once.
-    ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
+    # maps (value, step, t) to the next value in value's own array, by the
+    # docstring's IEEE operations in their order.  The t = 0 step is formed
+    # once, and a chain of one step draws nothing.
     value = np.full(count, update(np.full(1, start), steps[0], 0.0)[0] if steps else start)
+    ts = _sphere_coordinate(gen, n - shift, (len(steps) - 1, count)) if len(steps) > 1 else ()
     for step, t in zip(steps[1:], ts):
         value = update(value, step, t)
     return value
@@ -665,9 +689,8 @@ def prediction_for(geometry, schedule, n_dim, observable=None):
 
 def _trial_values(spec, index, count):
     """Observables of count trials of spec, all drawn from the stream (seed, index)."""
-    gen = RandomStream(spec.seed, index).generator
     row = _GEOMETRY_TABLE[spec.geometry]
-    return row.kernel(gen, count, spec.n_dim, spec.schedule, spec.observable)
+    return row.kernel(_sfc64(spec.seed, index), count, spec.n_dim, spec.schedule, spec.observable)
 
 
 def _one_trial(geometry, schedule, n, rng):
@@ -803,11 +826,21 @@ def run_operator_product(spectra, u, rng):
 def _chunk_mean(terms, count, s=0):
     """The exact sum of terms over count, times 2^s, correctly rounded.
 
-    Every finite double is an integer times 2^-1074, so the terms sum
-    exactly in those units, and integer true division rounds the quotient
-    once, correctly, subnormals included; s <= 1024.  A non-finite term
-    gives math.fsum(terms) / count, times 2^s.
+    For a count that is a power of two, math.fsum rounds the exact sum once
+    (Shewchuk's summation) and the power-of-two scale is exact wherever the
+    result is a normal, finite, nonzero double.  Otherwise, since every
+    finite double is an integer times 2^-1074, the terms sum exactly in
+    those units, and integer true division rounds the quotient once,
+    correctly, subnormals and the sign of a zero included; s <= 1024.  A
+    non-finite term gives math.fsum(terms) / count, times 2^s.
     """
+    if not count & (count - 1):
+        try:
+            mean = math.ldexp(math.fsum(terms), s + 1 - count.bit_length())
+            if 2.0**-1022 <= abs(mean) < math.inf:
+                return mean
+        except (OverflowError, ValueError):  # the division below gives the result or error
+            pass
     try:
         total = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
     except (OverflowError, ValueError):
@@ -853,18 +886,21 @@ def _chunk_stats(spec, index, count):
     the largest loses bits in the frame, so such a chunk sums its values.
     """
     values = _trial_values(spec, index, count)
-    top = max(float(values.max()), -float(values.min()))
-    s = _exponent(top)
-    x, top = (np.ldexp(values, -s), math.ldexp(top, -s)) if s else (values, top)
+    lo, hi = float(values.min()), float(values.max())
+    s = _exponent(max(hi, -lo))
+    x, lo, hi = np.ldexp(values, -s) if s else values, math.ldexp(lo, -s), math.ldexp(hi, -s)
+    top = max(hi, -lo)
     if s:
         frame, mean = _certified(lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)), x, top)
     else:
         frame = mean = _certified(lambda t: _chunk_mean(t, count), x, top)
     with np.errstate(invalid="ignore"):  # inf - inf, on a chunk with an inf
         d = np.square(x - frame)
-    if s > 0 and not np.array_equal(np.ldexp(x, s), values):
+    if s > 0 and not lo >= 2.0**-1022 and not np.array_equal(np.ldexp(x, s), values):
         mean = _chunk_mean(values.tolist(), count)
-    return count, mean, _certified(math.fsum, d, float(d.max())), s
+    # Rounding is monotone, so the largest square is an extreme value's.
+    top = max(abs(hi - frame), abs(lo - frame))
+    return count, mean, _certified(math.fsum, d, top * top), s
 
 
 def estimate(spec, workers=1):
@@ -892,8 +928,8 @@ def estimate(spec, workers=1):
         (spec, index, min(_CHUNK, spec.trials - start))
         for index, start in enumerate(range(0, spec.trials, _CHUNK))
     ]
-    draws = _GEOMETRY_TABLE[spec.geometry].draws(spec.schedule, spec.n_dim)
-    if workers == 1 or len(tasks) == 1 or _CHUNK * draws < _FANOUT_DRAWS:
+    draws = _GEOMETRY_TABLE[spec.geometry].draws
+    if workers == 1 or len(tasks) == 1 or _CHUNK * draws(spec.schedule, spec.n_dim) < _FANOUT_DRAWS:
         stats = [_chunk_stats(*t) for t in tasks]
     else:
         # Results are read once the pool has joined: waiting on each chunk in

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randsteps
+from randsteps import cli
 from randsteps.cli import (
     EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_PASS, _SUBCOMMANDS, _flags, _parse, _walk,
     build_parser, main,
 )
-from randsteps.montecarlo import ExperimentSpec, compare, estimate, prediction_for
-from randsteps.predictors import CurvaturePath
+from randsteps.montecarlo import (
+    GEOMETRIES, ExperimentSpec, Spectrum, compare, estimate, prediction_for,
+)
+from randsteps.predictors import _MONOMIAL_KINDS, CurvaturePath
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +219,70 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict", "--geometry", "sphere", "--n-dim", "5")
         assert code == EXIT_CONFIG
         assert "angles" in err
+
+
+# Every kind of cell an output row holds: its text, the schedule cell as
+# _schedule_cell writes a parsed schedule of each geometry, numbers of any
+# size, and floats that are None, +-0, subnormal, inf or nan.
+_FLOAT_CELLS = st.none() | st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_SCHEDULES = st.one_of(
+    st.tuples(st.floats()) | st.lists(st.floats(), max_size=6).map(tuple),
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+             min_size=1, max_size=3).map(lambda factors: tuple(Spectrum(f) for f in factors)),
+    st.sampled_from(_MONOMIAL_KINDS),
+    st.integers(1, 10**20),
+)
+_ROWS = st.fixed_dictionaries({
+    "experiment": st.sampled_from(["simulate", "compare", "table"]),
+    "geometry": st.sampled_from(GEOMETRIES),
+    "n_dim": st.integers(2, 10**300),
+    "schedule": _SCHEDULES.map(cli._schedule_cell),
+    "trials": st.integers(1, 10**20),
+    "seed": st.integers(0, 2**64 - 1),
+    **{column: _FLOAT_CELLS for column in cli._CSV_COLUMNS[6:14]},
+    "verdict": st.sampled_from([None, "pass", "fail", "indeterminate"]),
+})
+
+
+class TestCsvRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_ROWS, min_size=1, max_size=3))
+    def test_joined_rows_equal_csv_writers(self, rows):
+        # No cell holds a comma, a quote or a line break, so joining the
+        # cells writes what csv.writer writes, which would quote such a cell.
+        out = io.StringIO()
+        cells = [[cli._cell(row[column], True) for column in cli._CSV_COLUMNS] for row in rows]
+        csv.writer(out, lineterminator="\n").writerows([cli._CSV_COLUMNS, *cells])
+        assert cli._render_rows(rows, SimpleNamespace(output="csv")) == out.getvalue().rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--geometry", "flat", "--steps", "1,2"],
+         ["--geometry", "flat", "--n-dim", "5", "--steps", "1,2"],
+         ["--geometry", "sphere", "--angles", "0.7"],
+         ["--geometry", "sphere", "--n-dim", "5", "--angles", "0.7"],
+         ["--geometry", "hyperbolic", "--arcs", "0.5"],
+         ["--geometry", "hyperbolic", "--n-dim", "5", "--arcs", "0.5"],
+         ["--geometry", "operator", "--spectrum", "1,2,3"],
+         ["--geometry", "operator", "--spectrum", "1,2,3", "--observable", "norm_ratio"],
+         ["--geometry", "operator_product", "--spectrum", "1,2", "--spectrum", "3,4"],
+         *(["--geometry", "monomial", "--n-dim", "5", "--kind", kind] for kind in _MONOMIAL_KINDS),
+         ["--geometry", "marginal", "--n-dim", "5", "--power", "12"],
+         ["--geometry", "kappa"]],
+        ids=lambda argv: "-".join(argv[1::2]),
+    )
+    def test_predict_fields_equal_csv_writers(self, argv, tmp_path, monkeypatch, capsys):
+        # Every row's texts, its observable and deviation order among them,
+        # are written as csv.writer writes them.
+        if argv[-1] == "kappa":
+            (tmp_path / "path.txt").write_text("1.0 0.5 2.0\n0.5 1.0 -0.5\n")
+            argv = [*argv, "--curvature-file", str(tmp_path / "path.txt")]
+        seen, join = [], cli._csv_text
+        monkeypatch.setattr(cli, "_csv_text", lambda rows: seen.append(list(rows)) or join(seen[-1]))
+        assert main(["predict", *argv, "--output", "csv"]) == EXIT_PASS
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(seen[0])
+        assert capsys.readouterr().out == out.getvalue()
 
 
 class TestSimulate:

@@ -560,6 +560,20 @@ def _assert_nearest(got, exact):
             assert Fraction(got) / Fraction(math.ulp(got)) % 2 == 0, (got.hex(), exact)
 
 
+def _midpoint_below_the_frame():
+    # 64 positive values in the frame of 2^100: 0.75; 2^-54 - 2^-1023 as a
+    # telescoping sum of values no smaller than 2^-1023; and 2^-1023 +
+    # 2^-1075, which the frame rounds to even, to 2^-1023, the least value
+    # there.  Their exact sum lies 2^-1075 above the midpoint 0.75 + 2^-54,
+    # so the mean rounds up; the frame's sum lies on it and rounds down.
+    parts = [2.0 ** (-54 - 52 * k) - 2.0 ** (-106 - 52 * k) for k in range(18)]
+    parts += [2.0**-j for j in range(991, 1024)]
+    for j in range(991, 1002):
+        parts.remove(2.0**-j)
+        parts += [2.0 ** (-j - 1)] * 2
+    return np.array([math.ldexp(v, 100) for v in [0.75, *parts]] + [2.0**-923 + 2.0**-975])
+
+
 # Pairs that cancel beside values near 2^-976, one subnormal: their mean
 # lies below 2^-960, and fsum / 6 is 0.64 ulp off it.
 _CANCELLING = np.array([0.75, -0.75] + [float.fromhex(h) for h in (
@@ -723,6 +737,8 @@ class TestChunkStats:
     @example(_CANCELLING)
     @example(np.array([0.75 * 2.0**1000, -0.75 * 2.0**1000, 1.1 * 2.0**-30]))
     @example(np.array([0.75 * 2.0**60, -0.75 * 2.0**60, -1.3e-310]))
+    @example(np.array([0.75 * 2.0**100, 2.0**46, 2.0**-980, 2.0**-980]))
+    @example(_midpoint_below_the_frame())
     def test_chunk_mean_is_correctly_rounded(self, x):
         # The mean of a chunk's extracted terms against the exact mean in
         # fractions, and the chunk's mean, unscaled from its frame, subnormal
@@ -901,27 +917,33 @@ class TestExactSum:
         ids=["sphere", "marginal-t8", "sphere-one-step", "sphere-n3-theta0"],
     )
     def test_chunk_sums_hand_fsum_few_values(self, spec, most, monkeypatch):
-        # A chunk's means, in its frame and unscaled, reach their integer
-        # sum, and its M2 math.fsum, as one round sum, one residual sum and
-        # at most a bound, never as one float per trial.  A constant chunk's
-        # squared deviations are all zero, and fsum gets none of them.
-        sizes = {"fsum": [], "mean": []}
+        # A chunk's means, in its frame and unscaled, reach _chunk_mean, and
+        # its M2 math.fsum, as one round sum, one residual sum and at most a
+        # bound, never as one float per trial; _chunk_mean hands fsum only
+        # what it got.  A constant chunk's squared deviations are all zero,
+        # and the M2's fsum gets none of them.
+        sizes = {"fsum": [], "mean": [], "fsum in mean": []}
         fsum, chunk_mean = math.fsum, montecarlo._chunk_mean
+        inside = []
 
         def counting_fsum(values):
             values = list(values)
-            sizes["fsum"].append(len(values))
+            sizes["fsum in mean" if inside else "fsum"].append(len(values))
             return fsum(values)
 
         def counting_mean(terms, count, s=0):
             sizes["mean"].append(len(terms))
-            return chunk_mean(terms, count, s)
+            inside.append(1)
+            try:
+                return chunk_mean(terms, count, s)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(montecarlo.math, "fsum", counting_fsum)
         monkeypatch.setattr(montecarlo, "_chunk_mean", counting_mean)
         _chunk_stats(spec, 0, 2048)
         assert sizes["fsum"] and max(sizes["fsum"]) <= most
-        assert sizes["mean"] and max(sizes["mean"]) <= 3
+        assert sizes["mean"] and max(sizes["mean"] + sizes["fsum in mean"]) <= 3
         if most == 0:
             assert sizes["fsum"] == [0]
 
@@ -948,6 +970,16 @@ def _certified_maps(count, s):
         "scaled-mean": partial(_chunk_mean, count=count, s=s),
         "pair": lambda t: (_chunk_mean(t, count), _chunk_mean(t, count, s)),
     }
+
+
+# One chunk of each geometry of the benchmark's sweep; marginal t^3 has values of both signs.
+_SWEEP_CHUNKS = [
+    ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
+    ExperimentSpec("flat", 7, (0.3, 1.9, 1.2), 2048, 5),
+    ExperimentSpec("hyperbolic", 12, (0.5, 1.4), 2048, 5),
+    ExperimentSpec("monomial", 10, "x1sq_x2sq", 2048, 5),
+    ExperimentSpec("marginal", 40, 3, 2048, 5),
+]
 
 
 class TestCertifiedSum:
@@ -1025,15 +1057,14 @@ class TestCertifiedSum:
         assert _certified(math.fsum, x, _top(x)) == math.fsum(x.tolist())
         assert len(calls) == fallbacks
 
-    @pytest.mark.parametrize(
-        "spec",
-        [ExperimentSpec("sphere", 10, (0.7, 1.1, 2.0), 2048, 5),
-         ExperimentSpec("flat", 7, (0.3, 1.9, 1.2), 2048, 5),
-         ExperimentSpec("hyperbolic", 12, (0.5, 1.4), 2048, 5),
-         ExperimentSpec("monomial", 10, "x1sq_x2sq", 2048, 5),
-         ExperimentSpec("marginal", 40, 3, 2048, 5)],
-        ids=lambda spec: spec.geometry,
-    )
+    @pytest.mark.parametrize("spec", _SWEEP_CHUNKS, ids=lambda spec: spec.geometry)
+    def test_chunk_m2_is_fsum_of_its_squared_deviations(self, spec):
+        # The certified round takes M2's top from the chunk's extreme values.
+        count, mean, m2, s = _chunk_stats(spec, 0, 2048)
+        x = np.ldexp(_trial_values(spec, 0, 2048), -s)
+        assert m2 == math.fsum(np.square(x - math.fsum(x.tolist()) / 2048).tolist())
+
+    @pytest.mark.parametrize("spec", _SWEEP_CHUNKS, ids=lambda spec: spec.geometry)
     def test_sweep_chunks_need_no_fallback(self, spec, monkeypatch):
         # One round settles every sum of an ordinary chunk, which is what
         # makes it cheaper than _exact_terms' rounds.
@@ -1041,6 +1072,77 @@ class TestCertifiedSum:
         monkeypatch.setattr(montecarlo, "_exact_terms", lambda x: calls.append(x.size))
         _chunk_stats(spec, 0, 2048)
         assert calls == []
+
+
+def _chunk_mean_by_division(terms, count, s=0):
+    # _chunk_mean before its power-of-two path: integer true division of the
+    # exact sum, in units of 2^-1074, for every count.
+    try:
+        total = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
+    except (OverflowError, ValueError):
+        return math.ldexp(math.fsum(terms) / count, s)
+    return total / (count << (1074 - s))
+
+
+@st.composite
+def _mean_terms(draw):
+    """(terms, count, s) with counts 2^0 to 2^11 and others, s from -1100 to
+    1024, and up to four terms: any finite doubles; terms scaled so that the
+    mean is normal, or lies at or past an end of the normal range; a
+    subnormal midpoint (j + 1/2) 2^-1074 beside a term far below it, which
+    a rounded sum loses before it rounds again; zeros of either sign; sums
+    whose float adds overflow; and inf and nan terms."""
+    shape = draw(st.sampled_from(["any", "normal", "edge", "midpoint", "zero", "overflow", "special"]))
+    count = draw(st.sampled_from([2**k for k in range(12)]) | st.integers(1, 5000))
+    s = draw(st.integers(-1100, 1024))
+    terms = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    if shape in ("normal", "edge"):
+        # The mean's exponent, as frexp gives it, lies near target.
+        edges = [-1080, -1075, -1074, -1073, -1060, -1023, -1022, -1021, 1024, 1025]
+        target = draw(st.integers(-1021, 1023) if shape == "normal" else st.sampled_from(edges))
+        e = min(max(target - s + count.bit_length() - 1, -1200), 1023)
+        units = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+        terms = [math.ldexp(u, e) for u in units]
+    elif shape == "midpoint":
+        k, e = draw(st.integers(0, 11)), draw(st.integers(-1000, 20))
+        count, s = 2**k, k - 1075 - e
+        tiny = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** (e - 60)
+        terms = [math.ldexp(2 * draw(st.integers(0, 2**20)) + 1, e), tiny]
+    elif shape == "zero":
+        zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=3))
+        terms = zeros + draw(st.sampled_from([[], [*terms, *(-t for t in terms)]]))
+    elif shape == "overflow":
+        terms = [1.7e308, 1.7e308, *terms]
+    elif shape == "special":
+        specials = st.sampled_from([math.inf, -math.inf, math.nan])
+        for special in draw(st.lists(specials, min_size=1, max_size=2)):
+            terms.insert(draw(st.integers(0, len(terms))), special)
+    return terms, count, s
+
+
+class TestChunkMean:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_mean_terms())
+    @example(([1.0, 2.0**-53, 2.0**-160], 2, 0))
+    @example(([1.0, 2.0**-53], 2048, 0))
+    @example(([1.5, -(2.0**-60)], 1, -1074))
+    @example(([1.5, -(2.0**-60)], 2048, -1063))
+    @example(([-0.0], 2048, 0))
+    @example(([2.0**-1022, 2.0**-1074], 1, 0))
+    @example(([2.0**-1011], 2048, 0))
+    @example(([2.0**-1011, -(2.0**-1063)], 2048, 0))
+    @example(([0.75, 0.75], 1, 1023))
+    @example(([0.75, 0.75], 2, 1024))
+    @example(([1.7e308, 1.7e308], 4, 0))
+    @example(([math.inf, -math.inf], 2048, 0))
+    @example(([math.nan, 1.0], 2048, 0))
+    def test_power_of_two_path_equals_the_division(self, case):
+        # Byte for byte, zero signs included, or the same exception type and
+        # message: fsum rounds the exact sum once, and scaling by 2^(s - k)
+        # is exact where the mean is a normal double.
+        terms, count, s = case
+        want = _outcome(partial(_chunk_mean_by_division, count=count, s=s), terms)
+        assert _outcome(partial(_chunk_mean, count=count, s=s), terms) == want
 
 
 class TestOperatorFrame:
@@ -1351,6 +1453,27 @@ class TestStepMaps:
         assert (est.mean, est.sample_std) == (want, 0.0)
 
 
+# The step maps as the expressions of the module docstring, each operation
+# into a new array: the in-place maps must give their bits and warnings.
+def _sphere_step_by_expression(c, step, t):
+    cos, sin = step
+    s = np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
+    return c * cos + t * s * sin
+
+
+def _flat_step_by_expression(r2, d, t):
+    r = np.sqrt(r2)
+    return (r - d) ** 2 + (2.0 * d) * (1.0 + t) * r
+
+
+def _hyperbolic_step_by_expression(a, xi, t):
+    s = np.sqrt(np.maximum(a - 1.0, 0.0)) * np.sqrt(a + 1.0)
+    try:
+        return a * math.cosh(xi) + t * s * math.sinh(xi)
+    except OverflowError:
+        raise OverflowError(f"cosh of the arc {xi!r} overflows") from None
+
+
 def _chain_values_stepping_all(start, shift, update, gen, count, n, steps, observable):
     # _chain_values before its first step was formed once: every step, the
     # first with t = 0, runs on all count values.
@@ -1361,34 +1484,39 @@ def _chain_values_stepping_all(start, shift, update, gen, count, n, steps, obser
     return value
 
 
+def _warned(kernel, *args):
+    # kernel(*args) as its bytes (a tuple's, joined) or its OverflowError,
+    # and the warnings it raised, in order.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = kernel(*args)
+            result = b"".join(a.tobytes() for a in (result if isinstance(result, tuple) else (result,)))
+        except OverflowError as exc:
+            result = f"OverflowError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 class TestFirstChainStep:
-    """Each chain row against every trial stepped from the start: the first
-    step, formed once on one value and broadcast, gives the same bits, the
-    same warnings and the same OverflowError."""
+    """Each chain row against every trial stepped from the start, by the
+    step maps' expressions: the first step, formed once on one value and
+    broadcast, and the maps computed in place give the same bits, the same
+    warnings and the same OverflowError."""
 
     ROWS = {
-        "sphere": (1.0, 1, montecarlo._sphere_step),
-        "flat": (0.0, 0, montecarlo._flat_step),
-        "hyperbolic": (1.0, 1, montecarlo._hyperbolic_step),
+        "sphere": (1.0, 1, _sphere_step_by_expression),
+        "flat": (0.0, 0, _flat_step_by_expression),
+        "hyperbolic": (1.0, 1, _hyperbolic_step_by_expression),
     }
-
-    @staticmethod
-    def _outcome(kernel):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = kernel(RandomStream(4, 0).generator).tobytes()
-            except OverflowError as exc:
-                result = f"OverflowError: {exc}"
-        return result, [(w.category, str(w.message)) for w in caught]
 
     def _both(self, geometry, schedule, n, count=300):
         start, shift, update = self.ROWS[geometry]
         steps = list(_sphere_steps(schedule)) if geometry == "sphere" else schedule
         row = montecarlo._GEOMETRY_TABLE[geometry]
-        got = self._outcome(lambda gen: row.kernel(gen, count, n, schedule, None))
-        want = self._outcome(
-            lambda gen: _chain_values_stepping_all(start, shift, update, gen, count, n, steps, None)
+        got = _warned(row.kernel, RandomStream(4, 0).generator, count, n, schedule, None)
+        want = _warned(
+            _chain_values_stepping_all, start, shift, update, RandomStream(4, 0).generator,
+            count, n, steps, None,
         )
         return got, want
 
@@ -1399,11 +1527,51 @@ class TestFirstChainStep:
          ("sphere", (0.7,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
          ("sphere", (math.pi / 2 + 1e-13, 1.1)), ("sphere", (1.1, math.pi / 2, 0.0, math.pi)),
          ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)),
-         ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0))],
+         ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0)),
+         ("flat", (1e308, 1.0)), ("flat", (1.0, 1e308)), ("flat", (1e200, 1e200, 0.0)),
+         ("flat", (5e307,)), ("flat", (5e307, 1.0)),
+         ("hyperbolic", (300.0, 300.0, 300.0)), ("hyperbolic", (1.0, 710.0))],
     )
     def test_rows_match_every_trial_stepped(self, geometry, schedule, n):
         got, want = self._both(geometry, schedule, n)
         assert got == want
+
+    @pytest.mark.parametrize("geometry, schedule", [("sphere", ()), ("sphere", (0.7,)),
+                                                    ("flat", (1.3,)), ("hyperbolic", (0.4,))])
+    def test_a_chain_of_at_most_one_step_draws_nothing(self, geometry, schedule):
+        # Not even an empty draw: the kernel runs without a generator.
+        values = montecarlo._GEOMETRY_TABLE[geometry].kernel(None, 300, 5, schedule, None)
+        assert values.shape == (300,) and np.all(values == values[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operator_sphere_step_on_arrays(self, seed):
+        # The operator kernel's step takes (cos psi, sin psi) per trial,
+        # nan on dead rows, and c at or just past +-1.
+        gen = np.random.default_rng(seed)
+        c = np.concatenate([gen.uniform(-1.0, 1.0, 60), [1.0, -1.0, 1.0 + 2.0**-52, math.nan]])
+        psi = gen.uniform(0.0, math.pi, c.size)
+        step = (np.cos(psi), np.sin(psi))
+        step[0][:3], step[1][:3] = math.nan, math.nan
+        t = _sphere_coordinate(gen, 7, c.size)
+        got = _warned(montecarlo._sphere_step, c.copy(), step, t)
+        assert got == _warned(_sphere_step_by_expression, c, step, t)
+
+    @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
+    @pytest.mark.parametrize(
+        "factors",
+        [([1.0, 2.0, 3.0, 0.5],), ([0.5, -1.0, 2.0, 0.0], [-1.5] * 4, [1.0, 0.0, 0.0, 0.0])],
+        ids=["one-factor", "three-factors"],
+    )
+    def test_operator_kernel_matches_the_expression(self, factors, observable, monkeypatch):
+        spectra = tuple(Spectrum(values) for values in factors)
+        row = montecarlo._GEOMETRY_TABLE["operator_product"]
+
+        def kernel():
+            return row.kernel(RandomStream(6, 0).generator, 2049, 4, spectra, observable)
+
+        got = _warned(kernel)
+        monkeypatch.setattr(montecarlo, "_sphere_step", _sphere_step_by_expression)
+        assert got == _warned(kernel)
 
     def test_flat_overflow_warns_once_then_stays_inf(self):
         (values, caught), _ = self._both("flat", (1e200, 1.0), 5)
