@@ -32,34 +32,40 @@ threads only where each draws at least 2^17 variates, 64 per trial.
 
 Chains start from e1 on the sphere and hyperboloid (their laws are rotation
 and boost invariant), the origin in flat space, and e1 as the operator
-input.  Each observable then follows the paper's step map, with the law of
-the full walk, driven per step by one coordinate t of a uniform point on the
-unit sphere of R^m.  With c the cosine, r2 = ||x||^2, r = sqrt(r2) and a the
-Minkowski inner product:
+input.  Each follows the paper's step map, with the law of the full walk,
+driven per step by one coordinate t of a uniform point on the unit sphere of
+R^m (m = n, or n - 1 when curved), as one map at curvature kappa = +1, 0 and
+-1 on delta = 1 - c, r^2 / 2 or a - 1 (c the cosine, r = ||x||, a the
+Minkowski inner product).  With c_kappa = 1 - kappa delta, and each step's
+(V, C, S) = (2 sin^2(theta/2), cos theta, sin theta), (d^2 / 2, 1, d) or
+(2 sinh^2(xi/2), cosh xi, sinh xi), so that C + kappa V = 1,
 
-    sphere      c'  = c cos(theta) + t sqrt((1 - c)(1 + c)) sin(theta),   m = n - 1
-    flat        r2' = (r - d)^2 + 2 (1 + t) d r,                          m = n
-    hyperbolic  a'  = a cosh(xi) + t sqrt(a - 1) sqrt(a + 1) sinh(xi),    m = n - 1
+    delta' = V + C delta + t s S,    s = sqrt(delta (1 + c_kappa)).
 
-The first step takes t = 0, so one-step chains report their constant
-exactly, and the sphere's (cos theta, sin theta) are the predictor's own,
-snapped near 0, pi/2 and pi (predictors._sphere_steps).  One sampler draws
-every coordinate from two uniforms U and V, by the polar law of a uniform
-point's first two coordinates (Ulrich, Appl. Statist. 33(2), 1984):
-t = r cos(pi V) with r^2 = 1 - U^(2/(m - 2)), which is Beta(1, (m - 2)/2);
-m = 2 draws V alone, and m = 1 a fair sign.  Monomial and marginal trials
-take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one in R^(n-1),
-and raise them to integer powers by squaring, in IEEE multiplications alone.
-Operator factors need only the squares g_i^2 of a Gaussian row, drawn in
-Box-Muller pairs (Box and Muller, Ann. Math. Statist. 29, 1958):
-(g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 / (1 +
-tan^2(pi U / 2)), U uniform, at about half the cost of two normals; each
-factor works in its own frame, as a chunk does.  The run_* chain runners
-are one-trial calls of the same kernels: run_*(..., RandomStream(s, 0))
-returns the mean of a one-trial estimate with seed s, bit for bit, as a
-float, or as the pair (norm_ratio, cosine) from run_operator_product.
-compare() turns an estimate plus a closed-form Prediction into a
-pass/fail/indeterminate verdict on standardized z-scores.
+The sphere also steps eps = 1 + c by -t s S, reads c = (eps - delta) / 2,
+and reflects c -> -c (swaps delta and eps) before a step past pi/2, so no
+term but t s S cancels at either pole.  The flat chain steps by d 2^-e, e
+the exponent of the longest step, and scales r^2 by 4^e.  The first step
+with S != 0 starts at a pole and draws no t; a chain with no other reports
+the product of its Cs, or d^2, exactly.  The sphere's (cos theta, sin theta)
+are the predictor's own, snapped near 0, pi/2 and pi (_sphere_steps).
+One sampler draws every coordinate from two uniforms U and V, by the polar
+law of a uniform point's first two coordinates (Ulrich, Appl. Statist.
+33(2), 1984): t = r cos(pi V) with r^2 = 1 - U^(2/(m - 2)), which is Beta(1,
+(m - 2)/2); m = 2 draws V alone, and m = 1 a fair sign.  Monomial and
+marginal trials take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one
+in R^(n-1), and raise them to integer powers by squaring, in IEEE
+multiplications alone.  Operator factors need only the squares g_i^2 of a
+Gaussian row, drawn in Box-Muller pairs (Box and Muller, Ann. Math. Statist.
+29, 1958): (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 /
+(1 + tan^2(pi U / 2)), U uniform, at about half the cost of two normals;
+each factor works in its own frame, as a chunk does, and steps its cosine by
+the kappa = +1 map.  The run_* chain runners are one-trial calls of the same
+kernels: run_*(..., RandomStream(s, 0)) returns the mean of a one-trial
+estimate with seed s, bit for bit, as a float, or as the pair (norm_ratio,
+cosine) from run_operator_product.  compare() turns an estimate plus a
+closed-form Prediction into a pass/fail/indeterminate verdict on
+standardized z-scores.
 """
 
 import math
@@ -397,52 +403,78 @@ def _pair_moments(gen, count, w):
     return out
 
 
-def _sphere_step(c, step, t):
-    # step is (cos theta, sin theta); rounding past |c| = 1 clamps 1 - c^2 at 0.
-    cos, sin = step
-    s = np.subtract(1.0, c)
-    s *= 1.0 + c
-    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-    c *= cos
-    s *= t
-    s *= sin
-    c += s
-    return c
+def _chain_step(kappa, state, v, c, sin, t):
+    # The map on state = (delta, eps) in place, C >= 0; s is sqrt(delta eps),
+    # sqrt(2 delta) or two roots (delta (2 + delta) overflows past 1e154),
+    # with a delta rounded below 0 as 0, and 0 at a pole, where t is None.
+    delta, eps = state
+    if t is not None:
+        if kappa < 0:
+            s = np.sqrt(np.maximum(delta, 0.0))
+            s *= np.sqrt(delta + 2.0)
+        else:
+            s = np.multiply(delta, eps if kappa else 2.0)
+            np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+        s *= t
+        s *= sin
+    row = state if kappa > 0 else delta
+    row *= c
+    row += v
+    if t is not None:
+        delta += s
+        if kappa > 0:
+            eps -= s
 
 
-def _flat_step(r2, d, t):
-    r = np.sqrt(r2)
-    np.square(np.subtract(r, d, out=r2), out=r2)
-    r *= (2.0 * d) * (1.0 + t)
-    r2 += r
-    return r2
+def _displacements(kappa, steps, gen, count, m):
+    # (delta, eps) from the pole (0, 2), one column while all trials are
+    # alike.  C < 0 swaps them (c -> -c) before a step by -C, the identity if
+    # S = 0; each step with S != 0 but the first draws t in R^m per trial.
+    state = np.array([[0.0], [2.0]])
+    later = sum(s != 0.0 for _, _, s in steps) - 1
+    ts, t = iter(_sphere_coordinate(gen, m, (later, count)) if later > 0 else ()), None
+    for v, c, s in steps:
+        if c < 0.0:
+            state, c = state[::-1], -c
+        if s:
+            if t is not None and state.shape[1] == 1:
+                state = np.repeat(state, count, axis=1)
+            _chain_step(kappa, state, v, c, s, t)
+            t = next(ts, None)
+    return state
 
 
-def _hyperbolic_step(a, xi, t):
-    # Two roots, as a^2 - 1 overflows past a = 1e154; a - 1 is clamped at 0.
-    s = np.subtract(a, 1.0)
-    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-    s *= np.sqrt(a + 1.0)
+def _triples(kappa, schedule):
+    # (V, C, S) per step, and the flat frame's exponent e.  Sphere steps snap
+    # as _sphere_steps does, with V 1 where C is 0, and past pi/2 V is the
+    # step pi - theta's, 2 cos^2(theta/2); a step with S = 0 only reflects.
+    if kappa == 0:
+        e = _exponent(max(schedule, default=0.0))
+        return [(d * d / 2.0, 1.0, d) for d in (math.ldexp(x, -e) for x in schedule)], e
+    steps = []
     try:
-        a *= math.cosh(xi)
+        for x, snapped in zip(schedule, _sphere_steps(schedule) if kappa > 0 else schedule):
+            c, s = snapped if kappa > 0 else (math.cosh(x), math.sinh(x))
+            h = math.sinh(x / 2.0) if kappa < 0 else (math.sin if c > 0.0 else math.cos)(x / 2.0)
+            steps.append((1.0 if not c else 2.0 * h * h, c, s))
     except OverflowError:
-        raise OverflowError(f"cosh of the arc {xi!r} overflows") from None
-    s *= t
-    s *= math.sinh(xi)
-    a += s
-    return a
+        raise OverflowError(f"cosh of the arc {x!r} overflows") from None
+    return steps, 0
 
 
-def _chain_values(start, shift, update, gen, count, n, steps, observable):
-    # The step maps of the module docstring, in dimension m = n - shift; update
-    # maps (value, step, t) to the next value in value's own array, by the
-    # docstring's IEEE operations in their order.  The t = 0 step is formed
-    # once, and a chain of one step draws nothing.
-    value = np.full(count, update(np.full(1, start), steps[0], 0.0)[0] if steps else start)
-    ts = _sphere_coordinate(gen, n - shift, (len(steps) - 1, count)) if len(steps) > 1 else ()
-    for step, t in zip(steps[1:], ts):
-        value = update(value, step, t)
-    return value
+def _chain_values(kappa, gen, count, n, schedule, observable):
+    # The chain kernels: c, 2 delta 4^e or 1 + delta, or the product of the
+    # Cs where every trial is alike.
+    steps, e = _triples(kappa, schedule)
+    state = _displacements(kappa, steps, gen, count, n - abs(kappa))
+    if kappa == 0:
+        with np.errstate(over="ignore"):
+            values = np.ldexp(state[0], 2 * e + 1, out=state[0])
+    elif state.shape[1] == 1:
+        values = np.full(1, math.prod(c for _, c, _ in steps))
+    else:
+        values = (state[1] - state[0]) * 0.5 if kappa > 0 else np.add(state[0], 1.0, out=state[0])
+    return values if len(values) == count else np.full(count, values[0])
 
 
 def _coordinate_draws(m):
@@ -450,27 +482,29 @@ def _coordinate_draws(m):
     return 1 if m <= 2 else 2
 
 
-def _chain_draws(shift, steps, n):
-    # One coordinate in R^(n - shift) per step after the first, which takes t = 0.
-    return max(len(steps) - 1, 0) * _coordinate_draws(n - shift)
+def _chain_draws(kappa, schedule, n):
+    # One coordinate in R^(n - |kappa|) per step with S != 0 after the first.
+    moving = sum(s != 0.0 for _, _, s in _triples(kappa, schedule)[0])
+    return max(moving - 1, 0) * _coordinate_draws(n - abs(kappa))
 
 
 def _operator_trials(gen, count, n, spectra):
-    # (norm ratio, cosine, degenerate) of count products of random factors
-    # U^T diag(s) U, U Haar, applied to e1.  Per non-scalar factor: x = U v
-    # is uniform on the sphere, so the image has the component alpha =
-    # x.diag(s)x along the input v and beta orthogonal to it, pointing
-    # uniformly within v's complement.  So the cosine takes a sphere step
-    # with (cos psi, sin psi) = (alpha, beta) / r, and the norm grows by
-    # r = hypot(alpha, beta).  x_i^2 = g_i^2 / sum g^2 for a Gaussian row g,
-    # so alpha and beta need only sum g^2 times 1, a and a^2, a = s - mean(s),
-    # which _pair_moments draws; moments about the mean keep beta^2 =
-    # E[a^2] - E[a]^2 free of cancellation.  Scalar factors draw nothing.
-    # Each factor runs in its frame, s scaled by 2^-e with e the exponent of
-    # max |s|: a^2 stays in range, the cosine does not move, a row is dead
-    # where r <= _DEGENERATE_NORM relative to max |s|, and the norm ratio is
-    # a mantissa per row times 2^(sum of e), scaled once, inf past the range.
-    ratio, c = np.ones(count), np.ones(count)
+    # (norm ratio, cosine, degenerate) of count products of random factors U^T
+    # diag(s) U, U Haar, applied to e1.  Per non-scalar factor: x = U v is
+    # uniform on the sphere, so the image has the component alpha = x.diag(s)x
+    # along the input v and beta orthogonal to it, pointing uniformly within v's
+    # complement.  So the norm grows by r = hypot(alpha, beta), and the cosine
+    # takes the kappa = +1 step (C, S) = (|alpha|, beta) / r, V = S^2 / (1 +
+    # C), reflected first where alpha < 0, as by a negative scalar factor.
+    # x_i^2 = g_i^2 / sum g^2 for a Gaussian row g, so alpha and beta need only
+    # sum g^2 times 1, a and a^2, a = s - mean(s), which _pair_moments draws;
+    # moments about the mean keep beta^2 = E[a^2] - E[a]^2 free of cancellation.
+    # Scalar factors draw nothing.  Each factor runs in its frame, s scaled by
+    # 2^-e with e the exponent of max |s|: a^2 stays in range, the cosine does
+    # not move, a row is dead where r <= _DEGENERATE_NORM relative to max |s|,
+    # and the norm ratio is a mantissa per row times 2^(sum of e), scaled once,
+    # inf past the range.
+    ratio, state = np.ones(count), np.repeat([[0.0], [2.0]], count, axis=1)
     exponent = np.zeros(count, dtype=np.int64)
     dead = np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
@@ -478,7 +512,7 @@ def _operator_trials(gen, count, n, spectra):
         s = np.ldexp(s, -e)
         if np.all(s == s[0]):
             r = abs(s[0])
-            c = -c if s[0] < 0.0 else c
+            state = state[::-1] if s[0] < 0.0 else state
         else:
             shift = float(np.mean(s))
             a = s - shift
@@ -487,14 +521,16 @@ def _operator_trials(gen, count, n, spectra):
             alpha = shift + mom[:, 0]
             beta = np.sqrt(np.maximum(mom[:, 1] - mom[:, 0] ** 2, 0.0))
             r = np.hypot(alpha, beta)
+            state = np.where(alpha < 0.0, state[::-1], state)
             with np.errstate(invalid="ignore"):  # 0 / 0 only on rows now dead
-                step = (alpha / r, beta / r)
-            c = _sphere_step(c, step, _sphere_coordinate(gen, n - 1, count))
+                c, sin = np.abs(alpha) / r, beta / r
+            t = _sphere_coordinate(gen, n - 1, count)
+            _chain_step(1, state, sin * sin / (1.0 + c), c, sin, t)
         ratio, k = np.frexp(ratio * r)
         exponent += k + e
         dead |= r <= _DEGENERATE_NORM
     with np.errstate(over="ignore"):
-        return np.ldexp(ratio, exponent), c, dead
+        return np.ldexp(ratio, exponent), (state[1] - state[0]) * 0.5, dead
 
 
 def _operator_values(gen, count, n, spectra, observable):
@@ -616,30 +652,21 @@ _PRODUCT = dict(
     observables=_OPERATOR_OBSERVABLES,
 )
 
+
+def _chain_row(kappa, geometry, name, upper, least, predict):
+    return _Geometry(
+        partial(_parse_steps, name, upper, least, geometry),
+        lambda steps, n, _: predict(steps, n),
+        partial(_chain_values, kappa),
+        partial(_chain_draws, kappa),
+        dimfree=True,
+    )
+
+
 _GEOMETRY_TABLE = {
-    "flat": _Geometry(
-        partial(_parse_steps, "steps", math.inf, 2, "flat"),
-        lambda d, n, _: _flat(d, n),
-        partial(_chain_values, 0.0, 0, _flat_step),
-        partial(_chain_draws, 0),
-        dimfree=True,
-    ),
-    "sphere": _Geometry(
-        partial(_parse_steps, "angles", math.pi, 3, "sphere"),
-        lambda t, n, _: _sphere(t, n),
-        lambda gen, count, n, t, obs: _chain_values(
-            1.0, 1, _sphere_step, gen, count, n, list(_sphere_steps(t)), obs
-        ),
-        partial(_chain_draws, 1),
-        dimfree=True,
-    ),
-    "hyperbolic": _Geometry(
-        partial(_parse_steps, "arcs", math.inf, 3, "hyperbolic"),
-        lambda x, n, _: _hyperbolic(x, n),
-        partial(_chain_values, 1.0, 1, _hyperbolic_step),
-        partial(_chain_draws, 1),
-        dimfree=True,
-    ),
+    "flat": _chain_row(0, "flat", "steps", math.inf, 2, _flat),
+    "sphere": _chain_row(1, "sphere", "angles", math.pi, 3, _sphere),
+    "hyperbolic": _chain_row(-1, "hyperbolic", "arcs", math.inf, 3, _hyperbolic),
     "operator": _Geometry(_parse_operator, **_PRODUCT),
     "operator_product": _Geometry(_parse_product, **_PRODUCT),
     "monomial": _Geometry(

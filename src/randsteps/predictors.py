@@ -11,18 +11,21 @@ The checked entry to a Prediction is prediction_for in
 and runs one of the unchecked private cores below, each one pass over the
 schedule (one per operator factor) that forms the mean, sigma and bound
 together and returns them as its Prediction.  The sphere, flat and
-hyperbolic rows also predict at n = inf, where the mean alone is meaningful.  The hyperbolic mean is the cosh
-product itself, carried as a mantissa and an exponent.  The public
-functions here give numbers no Prediction field holds: the flat norm and
-the hyperbolic log-cosh sum, each finite where the row's mean passes the
-double range, and the sphere and Gaussian moment utilities.
+hyperbolic rows also predict at n = inf, where the mean alone is
+meaningful.  The hyperbolic mean is the cosh product itself, carried as a
+mantissa and an exponent.  The public functions here give numbers no
+Prediction field holds: the flat norm and the hyperbolic log-cosh sum, each
+finite where the row's mean passes the double range, and the sphere and
+Gaussian moment utilities.
 
-The sphere, flat and hyperbolic sigmas are each chain's own variance
-recursion, run from its step map.  Every term they add is non-negative, so
-no step cancels: each sigma keeps its relative precision wherever it is a
-normal double, and past the double range it is inf.  The monomial and marginal rows share one predictor of
-the sphere-coordinate moments, whose exact sigma is a product of moment
-ratios.
+The sphere, flat and hyperbolic sigmas run, each in its own scale, the one
+recursion of the engine's step map at curvature kappa = +1, 0 and -1 (t of
+variance 1/m, m = n - 1, flat n): from 0, Var(delta) and w = E[delta (2 -
+kappa delta)] go to C^2 Var + (S^2 / m) w and S^2 + (C^2 - kappa S^2 / m) w.
+Every term is non-negative, so no step cancels: each sigma keeps its
+relative precision wherever it is a normal double, and past the double range
+it is inf.  The monomial and marginal rows share one predictor of the
+sphere-coordinate moments, whose exact sigma is a product of moment ratios.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
 "probability p-norm" is pnorm_pi below.  Every sigma here is the standard
@@ -161,22 +164,13 @@ def _sphere_steps(t):
 def _sphere(t, n):
     # The Prediction of the sphere chain cosine from the angles t, a
     # sequence of floats in [0, pi], in dimension n >= 3 (inf for the mean
-    # alone).  The mean is prod_i cos theta_i.  Step k maps the cosine X to
-    # cos theta_k X + sin theta_k W, where W has mean 0 and variance
-    # (1 - X^2) / (n - 1) given X.  So the variance V_k of X after k steps
-    # and u_k = 1 - E[X^2] follow the recursion
-    #
-    #     q_k = sin^2 theta_k / (n - 1)
-    #     V_k = cos^2 theta_k V_{k-1} + q_k u_{k-1}
-    #     u_k = sin^2 theta_k + (cos^2 theta_k - q_k) u_{k-1}
-    #
-    # from V_0 = u_0 = 0, and sigma = sqrt(V_M).  No step subtracts nearly
-    # equal terms (q_k u_{k-1} <= sin^2 theta_k / 2).  The loop carries v =
-    # (n - 1) V, as _hyperbolic does: a snapped sine is 0 or above 1e-12, so
-    # v is 0 or a normal double at any n, and sigma = sqrt(v) / sqrt(n - 1)
-    # keeps its relative precision wherever it is a normal double.  The
-    # bound is sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One pass over the
-    # snapped _sphere_steps forms all three.
+    # alone).  The mean is prod_i cos theta_i; sigma comes from the module
+    # docstring's recursion at kappa = +1 (w is u = 1 - E[c^2]), carried as
+    # v = (n - 1) Var, as _hyperbolic does: a snapped sine is 0 or above
+    # 1e-12, so v is 0 or a normal double at any n, and sigma = sqrt(v) /
+    # sqrt(n - 1) keeps its relative precision wherever it is a normal
+    # double.  The bound is sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One
+    # pass over the snapped _sphere_steps forms all three.
     v = u = ss = s2 = 0.0
     prod = 1.0
     for cth, sth in _sphere_steps(t):
@@ -205,19 +199,15 @@ def _flat(ds, n):
     # The Prediction of the flat squared displacement for steps ds, a
     # sequence of floats >= 0, in dimension n >= 2 (inf for the mean alone).
     # The mean sum_i d_i^2 is sq 2^(2e), e the exponent of the longest step,
-    # so no square overflows (sq adds in schedule order).  Step k maps r2 =
-    # ||x||^2 to r2 + d_k^2 + 2 t d_k sqrt(r2), where t has mean 0 and
-    # variance 1/n given the past, so
-    #
-    #     sigma^2 = (4/n) sum_k d_k^2 S_{k-1},   S_k = sum_{j<=k} d_j^2,
-    #
-    # a sum of non-negative terms, symmetric in the steps.  Sorted longest
-    # first, S_{k-1} >= d_1^2, so S runs on the steps scaled by d_1's power
-    # of two and the d_k^2 factor on the steps scaled by d_2's: no square
-    # that matters overflows or underflows.  inf past the double range.  The
-    # bound sqrt(2 (n-1)) / n sum d^2 tends to 0 as n grows and is 0 at n =
-    # inf; it is left out where there are more steps than dimensions, where
-    # it may undershoot sigma.
+    # so no square overflows (sq adds in schedule order).  The recursion at
+    # kappa = 0 sums to sigma^2 = (4/n) sum_k d_k^2 S_{k-1}, S_k = sum_{j<=k}
+    # d_j^2, symmetric in the steps.  Sorted longest first, S_{k-1} >= d_1^2,
+    # so S runs on the steps scaled by d_1's power of two and the d_k^2
+    # factor on the steps scaled by d_2's: no square that matters overflows
+    # or underflows.  inf past the double range.  As
+    # sigma^2 = (2/n) ((sum d^2)^2 - sum d^4) and sum d^4 >= (sum d^2)^2 / M,
+    # the bound sqrt(2 (1 - 1/M) / n) sum d^2 holds for every M, with
+    # equality for equal steps; it is 0 at n = inf.
     if len(ds) < 2:
         e = _exponent(ds[0] if ds else 0.0)
         m = math.ldexp(ds[0], -e) if ds else 0.0
@@ -231,10 +221,7 @@ def _flat(ds, n):
         d = np.ldexp(d, -e)
         sq = float(d @ d)
         sigma = _ldexp_or_inf(2.0 * math.sqrt(pairs) / math.sqrt(n), e + f)
-    if len(ds) > n:
-        bound = None
-    else:
-        bound = 0.0 if n == math.inf else _ldexp_or_inf(math.sqrt(2.0 * (n - 1)) / n * sq, 2 * e)
+    bound = _ldexp_or_inf(math.sqrt(2.0 * (1.0 - 1.0 / max(len(ds), 1)) / n) * sq, 2 * e)
     return Prediction(
         "squared_norm", _ldexp_or_inf(sq, 2 * e), sigma, bound, "relative deviation O(1/sqrt(n))"
     )
@@ -272,17 +259,15 @@ _LOG_2 = math.log(2.0)
 def _hyperbolic(x, n):
     # The Prediction of the hyperbolic chain inner product X for arcs
     # x, a sequence of floats >= 0, in dimension n >= 3 (inf for the mean
-    # alone).  Step k maps X to cosh xi_k X + t sinh xi_k sqrt(X^2 - 1),
-    # where t has mean 0 and variance 1/(n - 1) given the past.  With mu
-    # the product of the cosh xi_i so far, the mean mu_M, v = Var X / mu^2
-    # and w = (E[X^2] - 1) / mu^2 follow the recursion
+    # alone).  With mu the product of the cosh xi_i so far, the mean mu_M,
+    # the recursion at kappa = -1 divided by mu^2 gives v = Var X / mu^2 and
+    # w = (E[X^2] - 1) / mu^2:
     #
     #     tq_k = tanh^2 xi_k / (n - 1)
     #     v_k = v_{k-1} + tq_k w_{k-1}
     #     w_k = tanh^2 xi_k / mu_{k-1}^2 + (1 + tq_k) w_{k-1}
     #
-    # from v_0 = w_0 = 0, and sigma = mu_M sqrt(v_M).  Every term is
-    # non-negative, so nothing cancels.  The loop carries (n - 1) v and w on
+    # and sigma = mu_M sqrt(v_M).  The loop carries (n - 1) v and w on
     # tanh xi scaled by 2^-h, h the mean exponent of the two largest tanh xi,
     # so the products that matter stay normal; mu as p 2^e, the product of
     # the cosh xi themselves, so one arc's mean is its cosh to the last bit;

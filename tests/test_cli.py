@@ -361,6 +361,18 @@ class TestSimulate:
             "std_error", "z_mean", "std_ratio", "verdict",
         ]
 
+    def test_flat_squared_norm_past_the_double_range_is_inf(self, capsys):
+        # The flat chain runs in the frame of its longest step, so steps of
+        # 1e200 overflow only in the final scale by 4^e: inf, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", "--geometry", "flat", "--n-dim", "3",
+                "--steps", "1e200,1e200", "--trials", "8", "--seed", "1", "--output", "json",
+            )
+        assert (code, err) == (EXIT_PASS, "")
+        assert parse_json(out)[0]["mc_mean"] == "inf"
+
     def test_operator_spectrum_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--geometry", "operator", "--spectrum", "1,1,1,1,1,1",

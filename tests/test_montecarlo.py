@@ -1424,6 +1424,13 @@ class TestStepMaps:
                 means.append(estimate(spec).mean)
         assert means[1] == (means[0] if observable == "cosine" else math.ldexp(means[0], 600))
 
+    @pytest.mark.parametrize("observable, want", [("cosine", -1.0), ("norm_ratio", 6.0)])
+    def test_one_dimensional_factors_are_scalars(self, observable, want):
+        # In one dimension every factor is a scalar: the cosine is the sign
+        # of the product, and the norm ratio its size, exactly.
+        est = estimate(ExperimentSpec("operator_product", 1, [[-2.0], [3.0]], 5, 1, observable))
+        assert (est.mean, est.sample_std) == (want, 0.0)
+
     def test_operator_norm_past_the_double_range_is_inf(self):
         spectra = [Spectrum([1e200, 0.0]), Spectrum([1e200, 0.0])]
         spec = ExperimentSpec("operator_product", 2, spectra, 8, 1, "norm_ratio")
@@ -1453,35 +1460,62 @@ class TestStepMaps:
         assert (est.mean, est.sample_std) == (want, 0.0)
 
 
-# The step maps as the expressions of the module docstring, each operation
-# into a new array: the in-place maps must give their bits and warnings.
-def _sphere_step_by_expression(c, step, t):
-    cos, sin = step
-    s = np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
-    return c * cos + t * s * sin
+# The chain kernels as the expressions of the module docstring, each
+# operation into a new array and every trial stepped from the start: the
+# kernels, which step in place and form the first step once on one value,
+# must give their bits, warnings and errors.
+def _chain_step_by_expression(kappa, delta, eps, v, c, sin, t):
+    if kappa < 0:
+        root = np.sqrt(np.maximum(delta, 0.0)) * np.sqrt(delta + 2.0)
+    else:
+        root = np.sqrt(np.maximum(delta * (eps if kappa else 2.0), 0.0))
+    move = root * t * sin
+    return v + c * delta + move, (v + c * eps - move if kappa > 0 else eps)
 
 
-def _flat_step_by_expression(r2, d, t):
-    r = np.sqrt(r2)
-    return (r - d) ** 2 + (2.0 * d) * (1.0 + t) * r
+def _triples_by_expression(kappa, schedule):
+    # (V, C, S) per step and the flat frame's exponent e.
+    if kappa > 0:
+        triples = []
+        for x, (c, s) in zip(schedule, _sphere_steps(schedule)):
+            half = math.sin(x / 2.0) if c >= 0.0 else math.cos(x / 2.0)
+            triples.append((1.0 if c == 0.0 else 2.0 * half * half, c, s))
+        return triples, 0
+    if kappa == 0:
+        e = _exponent(max(schedule, default=0.0))
+        scaled = [math.ldexp(d, -e) for d in schedule]
+        return [(d * d / 2.0, 1.0, d) for d in scaled], e
+    for x in schedule:
+        if x > 710.4758600739439:
+            raise OverflowError(f"cosh of the arc {x!r} overflows")
+    half = [math.sinh(x / 2.0) for x in schedule]
+    return [(2.0 * h * h, math.cosh(x), math.sinh(x)) for x, h in zip(schedule, half)], 0
 
 
-def _hyperbolic_step_by_expression(a, xi, t):
-    s = np.sqrt(np.maximum(a - 1.0, 0.0)) * np.sqrt(a + 1.0)
-    try:
-        return a * math.cosh(xi) + t * s * math.sinh(xi)
-    except OverflowError:
-        raise OverflowError(f"cosh of the arc {xi!r} overflows") from None
+def _chain_values_by_expression(kappa, gen, count, n, schedule):
+    # A step with C < 0 reflects first; one with S = 0 is then the identity.
+    # The first step with S != 0 takes t = 0, each later one a drawn t.
+    triples, e = _triples_by_expression(kappa, schedule)
+    moving = [(v, c, s) for v, c, s in triples if s != 0.0]
+    ts = _sphere_coordinate(gen, n - abs(kappa), (max(len(moving) - 1, 0), count))
+    ts = iter([0.0, *ts])
+    delta, eps = np.zeros(count), np.full(count, 2.0)
+    for v, c, s in triples:
+        if c < 0.0:
+            delta, eps, c = eps, delta, -c
+        if s != 0.0:
+            delta, eps = _chain_step_by_expression(kappa, delta, eps, v, c, s, next(ts))
+    if kappa == 0:
+        with np.errstate(over="ignore"):
+            return np.ldexp(delta, 2 * e + 1)
+    if len(moving) <= 1:
+        return np.full(count, math.prod(c for _, c, _ in triples))
+    return 1.0 + delta if kappa < 0 else (eps - delta) * 0.5
 
 
-def _chain_values_stepping_all(start, shift, update, gen, count, n, steps, observable):
-    # _chain_values before its first step was formed once: every step, the
-    # first with t = 0, runs on all count values.
-    value = np.full(count, start)
-    ts = _sphere_coordinate(gen, n - shift, (max(len(steps) - 1, 0), count))
-    for step, t in zip(steps, [0.0, *ts]):
-        value = update(value, step, t)
-    return value
+def _chain_step_into(kappa, state, v, c, sin, t):
+    # The kernels' step, by the expressions, written back into its state.
+    state[0], state[1] = _chain_step_by_expression(kappa, *state, v, c, sin, t)
 
 
 def _warned(kernel, *args):
@@ -1497,26 +1531,20 @@ def _warned(kernel, *args):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-class TestFirstChainStep:
-    """Each chain row against every trial stepped from the start, by the
-    step maps' expressions: the first step, formed once on one value and
-    broadcast, and the maps computed in place give the same bits, the same
-    warnings and the same OverflowError."""
+_KAPPA = {"sphere": 1, "flat": 0, "hyperbolic": -1}
 
-    ROWS = {
-        "sphere": (1.0, 1, _sphere_step_by_expression),
-        "flat": (0.0, 0, _flat_step_by_expression),
-        "hyperbolic": (1.0, 1, _hyperbolic_step_by_expression),
-    }
+
+class TestFirstChainStep:
+    """Each chain row against every trial stepped from the start by the
+    curvature-form map's expressions: the first step, formed once on one
+    value and broadcast, and the steps computed in place give the same
+    bits, the same warnings and the same OverflowError."""
 
     def _both(self, geometry, schedule, n, count=300):
-        start, shift, update = self.ROWS[geometry]
-        steps = list(_sphere_steps(schedule)) if geometry == "sphere" else schedule
         row = montecarlo._GEOMETRY_TABLE[geometry]
         got = _warned(row.kernel, RandomStream(4, 0).generator, count, n, schedule, None)
         want = _warned(
-            _chain_values_stepping_all, start, shift, update, RandomStream(4, 0).generator,
-            count, n, steps, None,
+            _chain_values_by_expression, _KAPPA[geometry], RandomStream(4, 0).generator, count, n, schedule
         )
         return got, want
 
@@ -1524,12 +1552,13 @@ class TestFirstChainStep:
     @pytest.mark.parametrize(
         "geometry, schedule",
         [("sphere", ()), ("flat", ()), ("hyperbolic", ()),
-         ("sphere", (0.7,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
+         ("sphere", (0.7,)), ("sphere", (2.5,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
          ("sphere", (math.pi / 2 + 1e-13, 1.1)), ("sphere", (1.1, math.pi / 2, 0.0, math.pi)),
-         ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)),
+         ("sphere", (2.9, 0.4, 3.1, 1e-5)), ("sphere", (math.pi, 1.4, 0.0)), ("sphere", (1e-5, 1e-5, 1.0)),
+         ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)), ("hyperbolic", (0.0, 1.3, 0.0)),
          ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0)),
          ("flat", (1e308, 1.0)), ("flat", (1.0, 1e308)), ("flat", (1e200, 1e200, 0.0)),
-         ("flat", (5e307,)), ("flat", (5e307, 1.0)),
+         ("flat", (5e307,)), ("flat", (5e307, 1.0)), ("flat", (1e-170, 1.0, 1e-300)),
          ("hyperbolic", (300.0, 300.0, 300.0)), ("hyperbolic", (1.0, 710.0))],
     )
     def test_rows_match_every_trial_stepped(self, geometry, schedule, n):
@@ -1543,24 +1572,50 @@ class TestFirstChainStep:
         values = montecarlo._GEOMETRY_TABLE[geometry].kernel(None, 300, 5, schedule, None)
         assert values.shape == (300,) and np.all(values == values[0])
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_operator_sphere_step_on_arrays(self, seed):
-        # The operator kernel's step takes (cos psi, sin psi) per trial,
-        # nan on dead rows, and c at or just past +-1.
+    @pytest.mark.parametrize(
+        "geometry, schedule, want",
+        [("sphere", (math.pi, 1.4198346486560234), -math.cos(1.4198346486560234)),
+         ("sphere", (0.0, 0.7, math.pi, 1e-13), -math.cos(0.7)),
+         ("hyperbolic", (0.0, 1.3, 0.0), math.cosh(1.3)),
+         ("flat", (0.0, 1.7, 0.0), 1.7 * 1.7)],
+    )
+    @pytest.mark.parametrize("trials", [1, 17, 2049])
+    def test_deterministic_chains_are_exact(self, geometry, schedule, want, trials):
+        # One step moves the observable off a pole; the others start at a
+        # pole or keep (or negate) it, so every trial reads the constant.
+        est = estimate(ExperimentSpec(geometry, 3, schedule, trials, 2))
+        assert (est.mean, est.sample_std) == (want, 0.0)
+
+    @pytest.mark.parametrize("kappa", [1, 0, -1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chain_step_on_arrays(self, kappa, seed):
+        # delta at 0, just below it, at 2 and nan; at kappa = +1 a (V, C, S)
+        # per trial, nan on dead rows, as the operator kernel steps, and
+        # else one (V, C) for every trial, as the chain kernels step.
         gen = np.random.default_rng(seed)
-        c = np.concatenate([gen.uniform(-1.0, 1.0, 60), [1.0, -1.0, 1.0 + 2.0**-52, math.nan]])
-        psi = gen.uniform(0.0, math.pi, c.size)
-        step = (np.cos(psi), np.sin(psi))
-        step[0][:3], step[1][:3] = math.nan, math.nan
-        t = _sphere_coordinate(gen, 7, c.size)
-        got = _warned(montecarlo._sphere_step, c.copy(), step, t)
-        assert got == _warned(_sphere_step_by_expression, c, step, t)
+        delta = np.concatenate([gen.uniform(0.0, 2.0, 60), [0.0, -2.0**-60, 2.0, math.nan]])
+        eps = 2.0 - delta
+        psi = gen.uniform(0.0, math.pi / 2, delta.size)
+        c, s = np.cos(psi), np.sin(psi)
+        v = s * s / (1.0 + c)
+        c[:3], s[:3], v[:3] = math.nan, math.nan, math.nan
+        if kappa <= 0:
+            v, c = (0.5, 1.0) if kappa == 0 else (2.0 * math.sinh(0.65) ** 2, math.cosh(1.3))
+        t = _sphere_coordinate(gen, 7, delta.size)
+
+        def in_place():
+            state = np.stack([delta, eps])
+            montecarlo._chain_step(kappa, state, v, c, s, t)
+            return tuple(state)
+
+        assert _warned(in_place) == _warned(_chain_step_by_expression, kappa, delta, eps, v, c, s, t)
 
     @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
     @pytest.mark.parametrize(
         "factors",
-        [([1.0, 2.0, 3.0, 0.5],), ([0.5, -1.0, 2.0, 0.0], [-1.5] * 4, [1.0, 0.0, 0.0, 0.0])],
-        ids=["one-factor", "three-factors"],
+        [([1.0, 2.0, 3.0, 0.5],), ([0.5, -1.0, 2.0, 0.0], [-1.5] * 4, [1.0, 0.0, 0.0, 0.0]),
+         ([-3.0, -1.0, 0.5, 0.25], [0.0] * 4, [1.0, 2.0, 2.0, 1.0])],
+        ids=["one-factor", "three-factors", "dead"],
     )
     def test_operator_kernel_matches_the_expression(self, factors, observable, monkeypatch):
         spectra = tuple(Spectrum(values) for values in factors)
@@ -1570,13 +1625,17 @@ class TestFirstChainStep:
             return row.kernel(RandomStream(6, 0).generator, 2049, 4, spectra, observable)
 
         got = _warned(kernel)
-        monkeypatch.setattr(montecarlo, "_sphere_step", _sphere_step_by_expression)
+        monkeypatch.setattr(montecarlo, "_chain_step", _chain_step_into)
         assert got == _warned(kernel)
 
-    def test_flat_overflow_warns_once_then_stays_inf(self):
-        (values, caught), _ = self._both("flat", (1e200, 1.0), 5)
-        assert np.all(np.frombuffer(values) == math.inf)
-        assert [message for _, message in caught] == ["overflow encountered in square"]
+    def test_flat_past_the_double_range_is_inf_without_warning(self):
+        # In the frame of the longest step nothing overflows; the scale by
+        # 4^e gives inf for a squared norm past the double range.
+        (values, caught), _ = self._both("flat", (1e200, 1e200), 3, count=8)
+        assert np.all(np.frombuffer(values) == math.inf) and caught == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate(ExperimentSpec("flat", 3, (1e200, 1e200), 8, 1)).mean == math.inf
 
     def test_far_arc_names_itself(self):
         (result, caught), _ = self._both("hyperbolic", (711.0,), 5)
@@ -1584,34 +1643,83 @@ class TestFirstChainStep:
 
 
 class TestCurvatureLimitKernels:
-    """The kernel half of the curvature limit, trial by trial: at arcs d_i / R
-    the hyperbolic kernel at n and the flat kernel at n - 1 draw their
-    coordinates in R^(n-1) from the same stream, and 2R^2 (a - 1) meets the
-    flat r^2 to first order in 1/R^2; the sphere's 2R^2 (1 - c) meets the flat
-    map on -t."""
+    """The kernel half of the curvature limit, trial by trial, on delta
+    itself: at arcs and angles d_i / R the hyperbolic and sphere kernels at
+    n and the flat kernel at n - 1 draw their coordinates in R^(n-1) from the
+    same stream, and R^2 delta meets the flat delta = r^2 / 2 to first order
+    in 1/R^2."""
 
     STEPS = (1.0, 0.7, 1.3)
 
     @staticmethod
-    def _values(start, shift, update, n, steps):
-        gen = RandomStream(7, 0).generator
-        return montecarlo._chain_values(start, shift, update, gen, 2048, n, steps, None)
+    def _delta(kappa, steps, m):
+        triples, e = _triples_by_expression(kappa, steps)
+        delta, _ = montecarlo._displacements(kappa, triples, RandomStream(7, 0).generator, 2048, m)
+        return np.ldexp(delta, 2 * e)
 
     @pytest.mark.parametrize("n", [3, 10, 200])
-    @pytest.mark.parametrize("radius", [1e2, 1e3], ids=lambda r: f"R{r:g}")
+    @pytest.mark.parametrize("radius", [1e2, 1e3, 1e4, 1e5, 1e6], ids=lambda r: f"R{r:g}")
     def test_curved_kernels_meet_the_flat_kernel(self, n, radius):
         arcs = [d / radius for d in self.STEPS]
-        flat = self._values(0.0, 0, montecarlo._flat_step, n - 1, self.STEPS)
-        mirrored = self._values(
-            0.0, 0, lambda r2, d, t: montecarlo._flat_step(r2, d, -t), n - 1, self.STEPS
-        )
-        a = self._values(1.0, 1, montecarlo._hyperbolic_step, n, arcs)
-        c = self._values(1.0, 1, montecarlo._sphere_step, n, list(montecarlo._sphere_steps(arcs)))
-        for gap in (
-            np.abs(2.0 * radius**2 * (a - 1.0) / flat - 1.0),
-            np.abs(2.0 * radius**2 * (1.0 - c) / mirrored - 1.0),
-        ):
+        flat = self._delta(0, self.STEPS, n - 1)
+        for kappa in (1, -1):
+            gap = np.abs(radius**2 * self._delta(kappa, arcs, n - 1) / flat - 1.0)
             assert np.median(gap) <= radius**-2 and gap.max() <= 32.0 * radius**-2
+
+
+def _displacement_50_digits(kappa, schedule, ts):
+    # (delta, eps, condition) of one trial in 50 digits, on the same doubles:
+    # the step angles or arcs and the coordinates t.  The condition is the
+    # product over steps of (V + C x + |t s S|) / x' for x = delta (and eps),
+    # the larger of the two: 1 where no term cancels.
+    with mpmath.workdps(50):
+        delta, eps, condition = mpmath.mpf(0), mpmath.mpf(2), mpmath.mpf(1)
+        for x, t in zip(schedule, [0.0, *ts]):
+            x, t = mpmath.mpf(x), mpmath.mpf(t)
+            if kappa > 0:
+                c, s = mpmath.cos(x), mpmath.sin(x)
+                if c < 0:
+                    delta, eps, c = eps, delta, -c
+                v = 1 - c
+            else:
+                v, c, s = mpmath.cosh(x) - 1, mpmath.cosh(x), mpmath.sinh(x)
+            move = t * mpmath.sqrt(delta * (eps if kappa > 0 else 2 + delta)) * s
+            old = (delta, eps) if kappa > 0 else (delta,)
+            delta, eps = v + c * delta + move, v + c * eps - move
+            condition *= max((v + c * a + abs(move)) / b for a, b in zip(old, (delta, eps)))
+        return delta, eps, condition
+
+
+class TestPoleDisplacements:
+    """delta at arcs and angles up to 1e-4, and eps at sphere angles near pi
+    (c near -1), against a 50-digit rerun of the same draws: no term of the
+    map cancels but t s S, so each keeps its relative precision, within
+    ULPS units of 2^-53 times the condition of _displacement_50_digits.
+    That condition exceeds 1 only where t s S meets V + C delta at t near -1
+    (near +1 for eps), the cancellation a (1 + t) split would remove.  On
+    the first four cases' draws (512 trials), the maps that stepped c and a
+    themselves put 1 - c and a - 1 off by 2.3e-10 to 1.8e-8."""
+
+    ULPS = 6
+    CASES = [
+        (-1, (1e-5, 1e-5, 1.0), 3), (-1, (1e-4, 2e-4, 3e-4, 1e-4), 10), (-1, (1e-5,) * 6, 3),
+        (1, (1e-5, 1e-5, 1.0), 3), (1, (1e-4, 2e-4, 3e-4, 1e-4), 10), (1, (1e-5,) * 6, 4),
+        (1, (math.pi - 1e-5, 1e-5, 2e-5), 3), (1, (3.14159, 1e-4, math.pi - 2e-5), 10),
+        (1, (1e-5, math.pi - 2e-5), 3),
+    ]
+
+    @pytest.mark.parametrize("kappa, schedule, n", CASES)
+    def test_matches_50_digits(self, kappa, schedule, n):
+        count = 256
+        triples, _ = _triples_by_expression(kappa, schedule)
+        delta, eps = montecarlo._displacements(kappa, triples, RandomStream(7, 0).generator, count, n - 1)
+        ts = _sphere_coordinate(RandomStream(7, 0).generator, n - 1, (len(schedule) - 1, count))
+        for i in range(count):
+            want_delta, want_eps, condition = _displacement_50_digits(kappa, schedule, ts[:, i].tolist())
+            pairs = ((delta[i], want_delta), (eps[i], want_eps))[: 2 if kappa > 0 else 1]
+            for got, want in pairs:
+                error = abs(mpmath.mpf(float(got)) - want) / want
+                assert error <= self.ULPS * 2.0**-53 * condition, (i, float(got), float(error))
 
 
 class TestChunkKernelLaw:

@@ -212,11 +212,9 @@ class TestFlatPredictors:
                 flat_expected_norm((1e200, 1e200)), math.sqrt(2.0) * 1e200, rtol=1e-15
             )
             assert _bound("flat", (1e200, 1e200), 3) == math.inf
-            # sqrt(2 (n - 1))/n * 2e300 at n = 1e10 is in range
+            # sqrt(2 (1 - 1/M) / n) * 2e300 at n = 1e10 is in range
             np.testing.assert_allclose(
-                _bound("flat", (1e150, 1e150), 10**10),
-                math.sqrt(2.0 * (1e10 - 1)) / 1e10 * 2e300,
-                rtol=1e-15,
+                _bound("flat", (1e150, 1e150), 10**10), math.sqrt(1.0 / 1e10) * 2e300, rtol=1e-15
             )
             np.testing.assert_allclose(
                 _mean_at_every_n("flat", (1e150, 1e150)), 2e300, rtol=1e-15
@@ -250,10 +248,31 @@ class TestFlatPredictors:
             pred = prediction_for("flat", ds, n)
             assert pred.sigma_exact <= pred.sigma_bound * (1.0 + 1e-12)
 
-    def test_prediction_omits_bound_when_steps_exceed_dims(self):
-        pred = prediction_for("flat", (1.0,) * 5, 3)
-        assert pred.sigma_bound is None
-        assert prediction_for("flat", (1.0,) * 3, 3).sigma_bound is not None
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.floats(0.0, 2.0), min_size=n + 1, max_size=n + 8),
+            )
+        )
+    )
+    def test_bound_holds_past_m_equal_n(self, case):
+        # sigma^2 = (2/n) ((sum d^2)^2 - sum d^4) and sum d^4 >= (sum d^2)^2 / M,
+        # so sqrt(2 (1 - 1/M) / n) sum d^2 bounds sigma at every M, also M > n,
+        # where the prediction rejects a sigma past it by 1e-12 relative.
+        n, ds = case
+        pred = prediction_for("flat", ds, n)
+        assert pred.sigma_bound is not None
+        assert pred.sigma_exact <= pred.sigma_bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m, n", [(5, 3), (40, 2), (3, 3), (2, 10), (1, 4)])
+    def test_bound_is_sigma_for_equal_steps(self, m, n):
+        # Equal steps d: sigma^2 = (2/n) (M^2 - M) d^4, which the bound meets.
+        pred = prediction_for("flat", (0.75,) * m, n)
+        np.testing.assert_allclose(pred.sigma_exact, pred.sigma_bound, rtol=1e-15, atol=0)
+        want = math.sqrt(2.0 * (m * m - m) / n) * 0.75**2
+        np.testing.assert_allclose(pred.sigma_bound, want, rtol=1e-15, atol=0)
 
 
 class TestHyperbolicPredictors:
@@ -977,13 +996,9 @@ class TestPredictionForRows:
                 want = math.hypot(*np.sin(t[:-1])) / math.sqrt(n - 1)
                 np.testing.assert_allclose(_bound("sphere", t, n), want, rtol=1e-14, atol=0)
 
-                # sqrt(2 (n - 1)) / n sum d^2, left out past M = n
-                bound = _bound("flat", d, n)
-                if m > n:
-                    assert bound is None
-                else:
-                    want = math.sqrt(2.0 * (n - 1)) / n * math.fsum(v * v for v in d)
-                    np.testing.assert_allclose(bound, want, rtol=1e-14, atol=0)
+                # sqrt(2 (1 - 1/M) / n) sum d^2, at every M
+                want = math.sqrt(2.0 * (1.0 - 1.0 / max(m, 1)) / n) * math.fsum(v * v for v in d)
+                np.testing.assert_allclose(_bound("flat", d, n), want, rtol=1e-14, atol=0)
 
                 # sqrt((n/(n-1))^(M-1) - 1) prod cosh xi_i, formed in logs
                 growth = math.expm1((m - 1) * math.log1p(1.0 / (n - 1))) if m else 0.0
