@@ -18,13 +18,13 @@ Prediction field holds: the flat norm and the hyperbolic log-cosh sum, each
 finite where the row's mean passes the double range, and the sphere and
 Gaussian moment utilities.
 
-The sphere, flat and hyperbolic sigmas run, each in its own scale, the one
-recursion of the engine's step map at curvature kappa = +1, 0 and -1 (t of
-variance 1/m, m = n - 1, flat n): from 0, Var(delta) and w = E[delta (2 -
-kappa delta)] go to C^2 Var + (S^2 / m) w and S^2 + (C^2 - kappa S^2 / m) w.
-Every term is non-negative, so no step cancels: each sigma keeps its
-relative precision wherever it is a normal double, and past the double range
-it is inf.  The monomial and marginal rows share one predictor of the
+The sphere, flat and hyperbolic sigmas run, each in its own scale, the
+recursion of the engine's step map at kappa = +1, 0 and -1 (m = n - 1, flat
+n): from 0, Var(delta) and w = E[delta (2 - kappa delta)] go to C^2 Var +
+(S^2 / m) w and S^2 + (C^2 - kappa S^2 / m) w.  No step cancels (the
+sphere's S^2 w / m is at most S^2 / 2): each sigma keeps its relative
+precision wherever it is a normal double, and past the double range it is
+inf.  The monomial and marginal rows share one predictor of the
 sphere-coordinate moments, whose exact sigma is a product of moment ratios.
 
 Conventions: angles are radians, spectra are plain eigenvalue lists, and a
@@ -165,8 +165,8 @@ def _sphere(t, n):
     # The Prediction of the sphere chain cosine from the angles t, a
     # sequence of floats in [0, pi], in dimension n >= 3 (inf for the mean
     # alone).  The mean is prod_i cos theta_i; sigma comes from the module
-    # docstring's recursion at kappa = +1 (w is u = 1 - E[c^2]), carried as
-    # v = (n - 1) Var, as _hyperbolic does: a snapped sine is 0 or above
+    # docstring's recursion at kappa = +1 (w is u = 1 - E[c^2] <= 1), as v =
+    # (n - 1) Var, as _hyperbolic does: a snapped sine is 0 or above
     # 1e-12, so v is 0 or a normal double at any n, and sigma = sqrt(v) /
     # sqrt(n - 1) keeps its relative precision wherever it is a normal
     # double.  The bound is sqrt(sum_{k<M} sin^2 theta_k / (n - 1)).  One
