@@ -1398,9 +1398,9 @@ class TestPower:
 
 
 class TestStepMaps:
-    # The chain kernels step the observable itself, with no inverse-trig
-    # state to recover: an arc of 400 takes a to about 1e173, whose square
-    # would overflow, and steps of 0 or pi keep c at exactly +-1.
+    # The chain kernels step the displacement, with no inverse-trig state
+    # to recover: an arc of 400 takes a to about 1e173, whose square would
+    # overflow, and steps of 0 or pi keep c at exactly +-1.
     @pytest.mark.parametrize("arcs", [(400.0, 1.0), (1.0, 400.0)])
     def test_far_arcs_without_warning(self, arcs):
         spec = ExperimentSpec("hyperbolic", 3, arcs, 4096, 5)
