@@ -430,8 +430,7 @@ def _displacements(kappa, steps, gen, count, m):
     # (delta, eps) from the pole (0, 2), one column while all trials are
     # alike.  C < 0 swaps them (c -> -c) before a step by -C, the identity if
     # S = 0; each step with S != 0 but the first draws t in R^m per trial.
-    state = np.array([[0.0], [2.0]])
-    later = sum(s != 0.0 for _, _, s in steps) - 1
+    state, later = np.array([[0.0], [2.0]]), sum(s != 0.0 for _, _, s in steps) - 1
     ts, t = iter(_sphere_coordinate(gen, m, (later, count)) if later > 0 else ()), None
     for v, c, s in steps:
         if c < 0.0:
@@ -452,11 +451,15 @@ def _triples(kappa, schedule):
         e = _exponent(max(schedule, default=0.0))
         return [(d * d / 2.0, 1.0, d) for d in (math.ldexp(x, -e) for x in schedule)], e
     steps = []
+    if kappa > 0:
+        for x, (c, s) in zip(schedule, _sphere_steps(schedule)):
+            h = (math.sin if c > 0.0 else math.cos)(x / 2.0)
+            steps.append((2.0 * h * h if c else 1.0, c, s))
+        return steps, 0
     try:
-        for x, snapped in zip(schedule, _sphere_steps(schedule) if kappa > 0 else schedule):
-            c, s = snapped if kappa > 0 else (math.cosh(x), math.sinh(x))
-            h = math.sinh(x / 2.0) if kappa < 0 else (math.sin if c > 0.0 else math.cos)(x / 2.0)
-            steps.append((1.0 if not c else 2.0 * h * h, c, s))
+        for x in schedule:
+            h = math.sinh(x / 2.0)
+            steps.append((2.0 * h * h, math.cosh(x), math.sinh(x)))
     except OverflowError:
         raise OverflowError(f"cosh of the arc {x!r} overflows") from None
     return steps, 0
@@ -464,14 +467,14 @@ def _triples(kappa, schedule):
 
 def _chain_values(kappa, gen, count, n, schedule, observable):
     # The chain kernels: c, 2 delta 4^e or 1 + delta, or the product of the
-    # Cs where every trial is alike.
+    # Cs where at most one step has S != 0 and so every trial is alike.
     steps, e = _triples(kappa, schedule)
+    if kappa and sum(s != 0.0 for _, _, s in steps) <= 1:
+        return np.full(count, math.prod(c for _, c, _ in steps))
     state = _displacements(kappa, steps, gen, count, n - abs(kappa))
     if kappa == 0:
         with np.errstate(over="ignore"):
             values = np.ldexp(state[0], 2 * e + 1, out=state[0])
-    elif state.shape[1] == 1:
-        values = np.full(1, math.prod(c for _, c, _ in steps))
     else:
         values = (state[1] - state[0]) * 0.5 if kappa > 0 else np.add(state[0], 1.0, out=state[0])
     return values if len(values) == count else np.full(count, values[0])
@@ -500,13 +503,11 @@ def _operator_trials(gen, count, n, spectra):
     # sum g^2 times 1, a and a^2, a = s - mean(s), which _pair_moments draws;
     # moments about the mean keep beta^2 = E[a^2] - E[a]^2 free of cancellation.
     # Scalar factors draw nothing.  Each factor runs in its frame, s scaled by
-    # 2^-e with e the exponent of max |s|: a^2 stays in range, the cosine does
-    # not move, a row is dead where r <= _DEGENERATE_NORM relative to max |s|,
-    # and the norm ratio is a mantissa per row times 2^(sum of e), scaled once,
-    # inf past the range.
+    # 2^-e, e the exponent of max |s|: a^2 stays in range, the cosine does not
+    # move, a row is dead where r <= _DEGENERATE_NORM relative to max |s|, and
+    # the norm ratio is a mantissa per row times 2^(sum of e), or inf.
     ratio, state = np.ones(count), np.repeat([[0.0], [2.0]], count, axis=1)
-    exponent = np.zeros(count, dtype=np.int64)
-    dead = np.zeros(count, dtype=bool)
+    exponent, dead = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
         e = _exponent(max(s[0], -s[-1]))
         s = np.ldexp(s, -e)
@@ -524,8 +525,7 @@ def _operator_trials(gen, count, n, spectra):
             state = np.where(alpha < 0.0, state[::-1], state)
             with np.errstate(invalid="ignore"):  # 0 / 0 only on rows now dead
                 c, sin = np.abs(alpha) / r, beta / r
-            t = _sphere_coordinate(gen, n - 1, count)
-            _chain_step(1, state, sin * sin / (1.0 + c), c, sin, t)
+            _chain_step(1, state, sin * sin / (1.0 + c), c, sin, _sphere_coordinate(gen, n - 1, count))
         ratio, k = np.frexp(ratio * r)
         exponent += k + e
         dead |= r <= _DEGENERATE_NORM

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from full_vector import operator_product_dense
+from scipy.stats import ks_2samp
+from full_vector import flat_walk, hyperbolic_walk, operator_product_dense, sphere_walk
 
 from randsteps import (
     ExperimentSpec,
@@ -83,6 +84,32 @@ class TestOneImplementation:
         assert ratio == 0.0 and math.isnan(cosine)
         assert _one_trial_mean("operator_product", 3, spectra, 5, "norm_ratio") == 0.0
         assert math.isnan(_one_trial_mean("operator_product", 3, spectra, 5, "cosine"))
+
+
+class TestRunnerLaw:
+    # One runner call per seed, against the full-vector walks of
+    # tests/full_vector.py: two-sample KS at fixed seeds.  Each chain has at
+    # least two moving steps, so every one-trial value is a random draw.
+    TRIALS = 2000
+
+    @pytest.mark.parametrize(
+        "geometry, n, schedule",
+        [("sphere", 3, (0.4, 1.2, 2.2)), ("sphere", 10, (0.0, 0.7, math.pi, 1.1)),
+         ("flat", 5, (1.0, 0.5, 2.0)), ("hyperbolic", 3, (0.5, 1.0, 0.3)),
+         ("hyperbolic", 10, (0.0, 1.2, 0.7))],
+    )
+    def test_one_trial_runners_follow_the_walk(self, geometry, n, schedule):
+        runner, walk, start = {
+            "sphere": (run_sphere_chain, sphere_walk, _e1(n)),
+            "flat": (run_flat_chain, flat_walk, None),
+            "hyperbolic": (run_hyperbolic_chain, hyperbolic_walk, _h0(n)),
+        }[geometry]
+        if start is None:
+            ones = [runner(schedule, n, RandomStream(i, 0)) for i in range(self.TRIALS)]
+        else:
+            ones = [runner(start, schedule, RandomStream(i, 0)) for i in range(self.TRIALS)]
+        full = [walk(n, schedule, RandomStream(66, i)) for i in range(self.TRIALS)]
+        assert ks_2samp(ones, full).pvalue > 1e-4
 
 
 class TestSingleStepExactness:

@@ -1548,22 +1548,52 @@ class TestFirstChainStep:
         )
         return got, want
 
+    ROWS = [
+        ("sphere", ()), ("flat", ()), ("hyperbolic", ()),
+        ("sphere", (0.7,)), ("sphere", (2.5,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
+        ("sphere", (math.pi / 2 + 1e-13, 1.1)), ("sphere", (1.1, math.pi / 2, 0.0, math.pi)),
+        ("sphere", (2.9, 0.4, 3.1, 1e-5)), ("sphere", (math.pi, 1.4, 0.0)), ("sphere", (1e-5, 1e-5, 1.0)),
+        ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)), ("hyperbolic", (0.0, 1.3, 0.0)),
+        ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0)),
+        ("flat", (1e308, 1.0)), ("flat", (1.0, 1e308)), ("flat", (1e200, 1e200, 0.0)),
+        ("flat", (5e307,)), ("flat", (5e307, 1.0)), ("flat", (1e-170, 1.0, 1e-300)),
+        ("hyperbolic", (300.0, 300.0, 300.0)), ("hyperbolic", (1.0, 710.0)),
+    ]
+
     @pytest.mark.parametrize("n", [3, 4, 10])
-    @pytest.mark.parametrize(
-        "geometry, schedule",
-        [("sphere", ()), ("flat", ()), ("hyperbolic", ()),
-         ("sphere", (0.7,)), ("sphere", (2.5,)), ("flat", (1.3,)), ("hyperbolic", (0.4,)),
-         ("sphere", (math.pi / 2 + 1e-13, 1.1)), ("sphere", (1.1, math.pi / 2, 0.0, math.pi)),
-         ("sphere", (2.9, 0.4, 3.1, 1e-5)), ("sphere", (math.pi, 1.4, 0.0)), ("sphere", (1e-5, 1e-5, 1.0)),
-         ("flat", (0.3, 1.9, 1.2)), ("hyperbolic", (0.5, 1.4, 2.0)), ("hyperbolic", (0.0, 1.3, 0.0)),
-         ("flat", (1e200, 1.0)), ("hyperbolic", (711.0,)), ("hyperbolic", (0.5, 711.0)),
-         ("flat", (1e308, 1.0)), ("flat", (1.0, 1e308)), ("flat", (1e200, 1e200, 0.0)),
-         ("flat", (5e307,)), ("flat", (5e307, 1.0)), ("flat", (1e-170, 1.0, 1e-300)),
-         ("hyperbolic", (300.0, 300.0, 300.0)), ("hyperbolic", (1.0, 710.0))],
-    )
+    @pytest.mark.parametrize("geometry, schedule", ROWS)
     def test_rows_match_every_trial_stepped(self, geometry, schedule, n):
         got, want = self._both(geometry, schedule, n)
         assert got == want
+
+    @pytest.mark.parametrize("count", [1, 2049])
+    @pytest.mark.parametrize("geometry, schedule", ROWS)
+    def test_rows_match_at_one_trial_and_past_a_chunk(self, geometry, schedule, count):
+        # One trial is one column from the start: it must still step by
+        # its drawn t, not report the chain's mean.
+        got, want = self._both(geometry, schedule, 4, count)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "geometry, schedule",
+        [("sphere", (0.4, 1.2, 2.2)), ("sphere", (0.0, 0.7, math.pi, 1.1)),
+         ("hyperbolic", (0.5, 1.4, 2.0)), ("hyperbolic", (0.0, 1.3, 0.0, 0.2)), ("flat", (0.3, 1.9))],
+    )
+    def test_one_trial_is_drawn(self, geometry, schedule):
+        # With two moving steps a one-trial chain is random: its value moves
+        # with the seed, and an estimate of 2049 trials, whose last chunk
+        # holds one trial, reads the reference's trials of streams (5, 0) and
+        # (5, 1).
+        kernel, kappa = montecarlo._GEOMETRY_TABLE[geometry].kernel, _KAPPA[geometry]
+        ones = {float(kernel(RandomStream(seed, 0).generator, 1, 10, schedule, None)[0]) for seed in range(8)}
+        assert len(ones) == 8
+        values = np.concatenate([
+            _chain_values_by_expression(kappa, RandomStream(5, k).generator, count, 10, schedule)
+            for k, count in ((0, 2048), (1, 1))
+        ])
+        est = estimate(ExperimentSpec(geometry, 10, schedule, 2049, 5))
+        assert math.isclose(est.mean, math.fsum(values) / 2049, rel_tol=1e-14)
+        assert math.isclose(est.sample_std, float(np.std(values, ddof=1)), rel_tol=1e-12)
 
     @pytest.mark.parametrize("geometry, schedule", [("sphere", ()), ("sphere", (0.7,)),
                                                     ("flat", (1.3,)), ("hyperbolic", (0.4,))])
