@@ -366,31 +366,27 @@ def _coordinate_values(gen, n, count, p0, p1):
 
 def _pair_moments(gen, count, w):
     # Rows (sum g^2 w) / 2 over count Gaussian rows g of length n = len(w),
-    # by Box-Muller pairs: (g_2j^2, g_2j+1^2) = 2E (1 - C, C), E exponential
-    # and C = cos^2(pi U / 2), U uniform, independent of it, formed as
-    # E / (1 + tan^2(pi U / 2)); an odd n adds g^2 / 2 of one normal.  Rows
-    # are drawn in blocks into one reused buffer, so the working set stays
-    # small at any n and no block pays fresh page faults, and a row of
-    # degenerate total (probability zero) is redrawn in place.
-    n, h = len(w), len(w) // 2
-    even = w[0 : 2 * h : 2]
-    step = w[1 : 2 * h : 2] - even
-    rows = max(1, _BLOCK_DRAWS // n)
-    buf = np.empty((2, min(rows, count), h))
+    # by Box-Muller pairs: (g_2j^2, g_2j+1^2) = 2E (1 - C, C), E = -log1p(-U)
+    # and C = 1 / (1 + tan^2(pi V / 2)) = cos^2(pi V / 2), U and V uniform.
+    # An odd n pads w with a zero row: its last pair adds E (1 - C) w[-1], g^2 / 2.
+    # Each block's Us, then Vs, come from one random call into one reused
+    # buffer (small at any n, no fresh page faults) and give the rows negated,
+    # from -E and -E C; a row of degenerate total (probability zero) is redrawn.
+    h = (len(w) + 1) // 2
+    w = np.concatenate([w, np.zeros((2 * h - len(w), w.shape[1]))])
+    even, step = w[0::2], w[1::2] - w[0::2]
+    rows = max(1, _BLOCK_DRAWS // (2 * h))
+    buf = np.empty(2 * min(rows, count) * h)
 
     def draw(k):
-        e = gen.standard_exponential(out=buf[0, :k])
-        ec = gen.random(out=buf[1, :k])
+        e, ec = gen.random(out=buf[: 2 * k * h].reshape(2, k, h))
+        np.log1p(np.negative(e, out=e), out=e)
         ec *= math.pi / 2
         np.tan(ec, out=ec)
         ec *= ec
         ec += 1.0
         np.divide(e, ec, out=ec)
-        mom = e @ even + ec @ step
-        if n % 2:
-            g = gen.standard_normal(k)
-            mom += (0.5 * g * g)[:, None] * w[-1]
-        return mom
+        return -(e @ even + ec @ step)
 
     out = np.empty((count, w.shape[1]))
     for lo in range(0, count, rows):
@@ -404,9 +400,10 @@ def _pair_moments(gen, count, w):
 
 
 def _chain_step(kappa, state, v, c, sin, t):
-    # The map on state = (delta, eps) in place, C >= 0; s is sqrt(delta eps),
-    # sqrt(2 delta) or two roots (delta (2 + delta) overflows past 1e154),
-    # with a delta rounded below 0 as 0, and 0 at a pole, where t is None.
+    # The map on state = (delta, eps) in place, C >= 0 (1 when flat, so no
+    # multiply); s is sqrt(delta eps), sqrt(2 delta) or two roots (delta (2 +
+    # delta) overflows past 1e154), with a delta rounded below 0 as 0, and 0
+    # at a pole, where t is None.
     delta, eps = state
     if t is not None:
         if kappa < 0:
@@ -418,7 +415,8 @@ def _chain_step(kappa, state, v, c, sin, t):
         s *= t
         s *= sin
     row = state if kappa > 0 else delta
-    row *= c
+    if kappa:
+        row *= c
     row += v
     if t is not None:
         delta += s
@@ -502,11 +500,13 @@ def _operator_trials(gen, count, n, spectra):
     # x_i^2 = g_i^2 / sum g^2 for a Gaussian row g, so alpha and beta need only
     # sum g^2 times 1, a and a^2, a = s - mean(s), which _pair_moments draws;
     # moments about the mean keep beta^2 = E[a^2] - E[a]^2 free of cancellation.
-    # Scalar factors draw nothing.  Each factor runs in its frame, s scaled by
-    # 2^-e, e the exponent of max |s|: a^2 stays in range, the cosine does not
-    # move, a row is dead where r <= _DEGENERATE_NORM relative to max |s|, and
-    # the norm ratio is a mantissa per row times 2^(sum of e), or inf.
-    ratio, state = np.ones(count), np.repeat([[0.0], [2.0]], count, axis=1)
+    # Scalar factors draw nothing, and the first other factor steps from a
+    # pole, where s = 0, so it draws no coordinate.  Each factor runs in its
+    # frame, s scaled by 2^-e, e the exponent of max |s|: a^2 stays in range,
+    # the cosine does not move, a row is dead where r <= _DEGENERATE_NORM
+    # relative to max |s|, and the norm ratio is a mantissa per row times
+    # 2^(sum of e), or inf.
+    ratio, state, moved = np.ones(count), np.repeat([[0.0], [2.0]], count, axis=1), False
     exponent, dead = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     for s in (sp.values for sp in spectra):
         e = _exponent(max(s[0], -s[-1]))
@@ -525,12 +525,21 @@ def _operator_trials(gen, count, n, spectra):
             state = np.where(alpha < 0.0, state[::-1], state)
             with np.errstate(invalid="ignore"):  # 0 / 0 only on rows now dead
                 c, sin = np.abs(alpha) / r, beta / r
-            _chain_step(1, state, sin * sin / (1.0 + c), c, sin, _sphere_coordinate(gen, n - 1, count))
+            t = _sphere_coordinate(gen, n - 1, count) if moved else None
+            _chain_step(1, state, sin * sin / (1.0 + c), c, sin, t)
+            moved = True
         ratio, k = np.frexp(ratio * r)
         exponent += k + e
         dead |= r <= _DEGENERATE_NORM
     with np.errstate(over="ignore"):
         return np.ldexp(ratio, exponent), (state[1] - state[0]) * 0.5, dead
+
+
+def _operator_draws(spectra, n):
+    # A U and a V per pair, n + n % 2 uniforms, per factor with more than one
+    # eigenvalue, and a coordinate per such factor after the first.
+    moving = sum(sp.values[0] != sp.values[-1] for sp in spectra)
+    return moving * (n + n % 2) + max(moving - 1, 0) * _coordinate_draws(n - 1)
 
 
 def _operator_values(gen, count, n, spectra, observable):
@@ -644,11 +653,7 @@ class _Geometry:
 _PRODUCT = dict(
     predict=lambda spectra, _, obs: _operator([sp.values for sp in spectra], obs),
     kernel=_operator_values,
-    # n / 2 exponentials and uniforms (n odd: and a normal), and a coordinate,
-    # per factor with more than one eigenvalue.
-    draws=lambda spectra, n: sum(
-        n + _coordinate_draws(n - 1) for sp in spectra if sp.values[0] != sp.values[-1]
-    ),
+    draws=_operator_draws,
     observables=_OPERATOR_OBSERVABLES,
 )
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and config handling."""
 
+import contextlib
 import csv
 import io
 import json
@@ -470,7 +471,7 @@ class TestCompare:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "compare", *argv)
         assert (code, err) == (EXIT_PASS, "")
-        assert parse_json(out)[0]["mc_mean"] == 2.3321017184794556e299
+        assert parse_json(out)[0]["mc_mean"] == 2.5832831611067217e299
 
     @pytest.mark.parametrize("observable", ["cosine", "norm_ratio"])
     def test_tiny_spectrum_is_measured(self, capsys, observable):
@@ -665,6 +666,43 @@ class TestCompare:
         assert len(rows) == 1
         for key in ("prediction_mean", "mc_mean", "mc_std", "std_error", "z_mean"):
             assert math.isfinite(float(rows[0][key]))
+
+
+# Operator spectra from magnitudes that reach the subnormals, the edge of
+# the double range and the values between, with either sign, zero included.
+_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-5, 0.5, 1.0, 20.0, 1e150, 1e308)
+
+
+@st.composite
+def _operator_argvs(draw):
+    # predict, simulate or compare on operator or operator_product, n in
+    # {1, 2, 3, 4, 7}, 1 to 64 trials; each spectrum in the --spectrum=
+    # form, so that a leading minus is a value, not a flag.
+    command = draw(st.sampled_from(["predict", "simulate", "compare"]))
+    geometry = draw(st.sampled_from(["operator", "operator_product"]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 7]))
+    value = st.builds(lambda m, sign: sign * m, st.sampled_from(_MAGNITUDES), st.sampled_from([1.0, -1.0]))
+    factors = draw(st.integers(1, 1 if geometry == "operator" else 3))
+    argv = [command, "--geometry", geometry, "--output", "json"]
+    for _ in range(factors):
+        argv.append("--spectrum=" + ",".join(repr(v) for v in draw(st.lists(value, min_size=n, max_size=n))))
+    argv += ["--observable", draw(st.sampled_from(["cosine", "norm_ratio"]))]
+    if command != "predict":
+        argv += ["--trials", str(draw(st.integers(1, 64))), "--seed", str(draw(st.integers(0, 9)))]
+    return argv
+
+
+class TestOperatorFuzz:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_operator_argvs())
+    def test_operator_rows_exit_with_a_documented_code(self, argv):
+        # No traceback and no warning over the operator rows' input domain:
+        # a result, a verdict, or a documented exit code.
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
 
 
 class TestConfigFile:

@@ -155,13 +155,16 @@ class _CountingGenerator:
 
 
 # Beside every geometry's spec: coordinates in R^2, which draw one uniform
-# each, an odd n, a scalar factor, which draws nothing, and marginal at n = 2.
+# each, an odd n, a scalar factor, which draws nothing, an odd-n product whose
+# first factor is scalar, so its second steps from a pole and draws no
+# coordinate, and marginal at n = 2.
 _DRAW_SPECS = _spec_of_every_geometry() + [
     ExperimentSpec("flat", 2, (1.0, 0.5, 2.0), 300, 1),
     ExperimentSpec("sphere", 3, (0.7, 1.1, 0.2), 300, 1),
     ExperimentSpec("hyperbolic", 3, (0.5,), 300, 1),
     ExperimentSpec("operator_product", 2, [[0.5, 1.0], [-1.5, -1.5], [2.0, 3.0]], 300, 1),
     ExperimentSpec("operator_product", 7, [np.arange(7.0), [2.0] * 7], 300, 1, "cosine"),
+    ExperimentSpec("operator_product", 5, [[-2.0] * 5, np.arange(5.0), [0.5, 1.0, 1.0, 2.0, 3.0]], 300, 1),
     ExperimentSpec("monomial", 3, "x1sq_x2sq", 300, 1),
     ExperimentSpec("marginal", 2, 3, 300, 1),
 ]
@@ -473,7 +476,7 @@ class TestChunkStreams:
 
     # chains-highdim's sphere spec draws 8 uniforms per trial, for 4
     # coordinates, below the fan-out cut of 2^17 variates per chunk, 64 per
-    # trial; the n = 400 operator spec draws 402.  Flat chains of 32 and 33
+    # trial; the n = 400 operator spec draws 400.  Flat chains of 32 and 33
     # steps draw 62 and 64, one each side of the cut.
     SPHERE_SPEC = ("sphere", 200, (math.pi / 3,) * 5, None)
     OPERATOR_SPEC = ("operator", 400, Spectrum(np.arange(1, 401) / 400), "norm_ratio")
@@ -1221,37 +1224,70 @@ class TestPairSampler:
             assert abs(z) <= 5.0
             assert abs(values.var(ddof=1) / var - 1.0) <= 0.05
 
-    class _ZeroedExponentials:
-        # The wrapped generator's draws, but the first exponential block has
-        # one row set to 0, so that row's total is degenerate.
+    class _ZeroedUniforms:
+        # The wrapped generator's draws, but in the first block one row's U
+        # half is set to 0, so that row's exponentials, and its total, are 0.
         def __init__(self, gen, row):
             self.gen, self.row, self.shapes = gen, row, []
 
-        def standard_exponential(self, out):
-            self.gen.standard_exponential(out=out)
+        def random(self, out):
+            self.gen.random(out=out)
             if not self.shapes:
-                out[self.row] = 0.0
+                out[0, self.row] = 0.0
             self.shapes.append(out.shape)
             return out
 
-        def random(self, out):
-            return self.gen.random(out=out)
+    @staticmethod
+    def _weights(n):
+        a = np.arange(n) - (n - 1) / 2
+        return np.stack([np.ones(n), a, a * a], axis=1)
 
-    def test_degenerate_total_is_redrawn(self):
-        n, count, row = 4, 5, 2
-        w = np.stack([np.ones(n), np.arange(n) - 1.5, (np.arange(n) - 1.5) ** 2], axis=1)
-        stub = self._ZeroedExponentials(RandomStream(3, 0).generator, row)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_degenerate_total_is_redrawn(self, n):
+        count, row, h = 5, 2, (n + 1) // 2
+        w = self._weights(n)
+        stub = self._ZeroedUniforms(RandomStream(3, 0).generator, row)
         got = montecarlo._pair_moments(stub, count, w)
-        assert stub.shapes == [(count, n // 2), (1, n // 2)]
+        assert stub.shapes == [(2, count, h), (2, 1, h)]
         plain = montecarlo._pair_moments(RandomStream(3, 0).generator, count, w)
         keep = np.arange(count) != row
         np.testing.assert_array_equal(got[keep], plain[keep])
         # the redrawn row is the next row the stream gives
         gen = RandomStream(3, 0).generator
-        gen.standard_exponential((count, n // 2))
-        gen.random((count, n // 2))
+        gen.random((2, count, h))
         np.testing.assert_array_equal(got[row], montecarlo._pair_moments(gen, 1, w)[0])
         assert got[row, 0] > 0.0
+
+    class _Constant:
+        # Every U is u and every V is v, but the first U of each row is 1/2,
+        # so no row's total is 0.
+        def __init__(self, u, v):
+            self.u, self.v = u, v
+
+        def random(self, out):
+            out[0], out[1] = self.u, self.v
+            out[0, :, 0] = 0.5
+            return out
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 401])
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("v", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_uniforms_give_finite_rows(self, n, u, v):
+        # U = 0 gives E = 0 and U = 1 - 2^-53 E = 53 log 2; V = 1 - 2^-53
+        # gives tan^2 of about 1.6e32 and C of about 6e-33.  Each row is
+        # (sum g^2 w) / 2 over pairs of squares E (1 - C, C).
+        w = self._weights(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo._pair_moments(self._Constant(u, v), 3, w)
+        assert np.all(np.isfinite(got)) and np.all(got[:, 0] > 0.0)
+        e = np.full((n + 1) // 2, -math.log1p(-u))
+        e[0] = -math.log1p(-0.5)
+        c = 1.0 / (1.0 + math.tan(math.pi / 2 * v) ** 2)
+        squares = np.stack([e * (1.0 - c), e * c], axis=1).ravel()[:n]
+        # within 1e-13 of the sum of the terms' sizes: the column of a cancels
+        scale = np.abs(squares) @ np.abs(w)
+        assert np.all(np.abs(got - squares @ w) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_bitwise_at_odd_and_even_n(self, n):
@@ -1463,8 +1499,11 @@ class TestStepMaps:
 # The chain kernels as the expressions of the module docstring, each
 # operation into a new array and every trial stepped from the start: the
 # kernels, which step in place and form the first step once on one value,
-# must give their bits, warnings and errors.
+# must give their bits, warnings and errors.  t = None is a step from a
+# pole, with no move.
 def _chain_step_by_expression(kappa, delta, eps, v, c, sin, t):
+    if t is None:
+        return v + c * delta, (v + c * eps if kappa > 0 else eps)
     if kappa < 0:
         root = np.sqrt(np.maximum(delta, 0.0)) * np.sqrt(delta + 2.0)
     else:
@@ -1616,12 +1655,14 @@ class TestFirstChainStep:
         est = estimate(ExperimentSpec(geometry, 3, schedule, trials, 2))
         assert (est.mean, est.sample_std) == (want, 0.0)
 
+    @pytest.mark.parametrize("pole", [False, True])
     @pytest.mark.parametrize("kappa", [1, 0, -1])
     @pytest.mark.parametrize("seed", range(3))
-    def test_chain_step_on_arrays(self, kappa, seed):
+    def test_chain_step_on_arrays(self, kappa, seed, pole):
         # delta at 0, just below it, at 2 and nan; at kappa = +1 a (V, C, S)
         # per trial, nan on dead rows, as the operator kernel steps, and
-        # else one (V, C) for every trial, as the chain kernels step.
+        # else one (V, C) for every trial, as the chain kernels step; at a
+        # pole t is None.
         gen = np.random.default_rng(seed)
         delta = np.concatenate([gen.uniform(0.0, 2.0, 60), [0.0, -2.0**-60, 2.0, math.nan]])
         eps = 2.0 - delta
@@ -1631,7 +1672,7 @@ class TestFirstChainStep:
         c[:3], s[:3], v[:3] = math.nan, math.nan, math.nan
         if kappa <= 0:
             v, c = (0.5, 1.0) if kappa == 0 else (2.0 * math.sinh(0.65) ** 2, math.cosh(1.3))
-        t = _sphere_coordinate(gen, 7, delta.size)
+        t = None if pole else _sphere_coordinate(gen, 7, delta.size)
 
         def in_place():
             state = np.stack([delta, eps])
