@@ -57,10 +57,10 @@ marginal trials take t0 in R^n and, if needed, t1 = sqrt(1 - t0^2) times one
 in R^(n-1), and raise them to integer powers by squaring, in IEEE
 multiplications alone.  Operator factors need only the squares g_i^2 of a
 Gaussian row, drawn in Box-Muller pairs (Box and Muller, Ann. Math. Statist.
-29, 1958): (g_2j^2, g_2j+1^2) = 2E (1 - C, C) with E exponential and C = 1 /
-(1 + tan^2(pi U / 2)), U uniform, at about half the cost of two normals;
-each factor works in its own frame, as a chunk does, and steps its cosine by
-the kappa = +1 map.  The run_* chain runners are one-trial calls of the same
+29, 1958) from uniforms alone: (g_2j^2, g_2j+1^2) = 2E (1 - C, C), E =
+-log1p(-U) and C = 1 / (1 + tan^2(pi V / 2)); an odd n pads a zero weight.
+Each factor works in its own frame, as a chunk does, and steps its cosine
+by the kappa = +1 map, the first non-scalar one from a pole, with no t.  The run_* chain runners are one-trial calls of the same
 kernels: run_*(..., RandomStream(s, 0)) returns the mean of a one-trial
 estimate with seed s, bit for bit, as a float, or as the pair (norm_ratio,
 cosine) from run_operator_product.  compare() turns an estimate plus a
@@ -117,8 +117,8 @@ __all__ = [
 # Trials are aggregated in fixed chunks of this size; the chunk layout is
 # part of the determinism contract and never depends on the worker count.
 _CHUNK = 2048
-# Operator factors draw their exponential and uniform rows in blocks of
-# about this many doubles (1 MiB), n per row.
+# Operator factors draw their rows of uniforms in blocks of about this
+# many doubles (1 MiB), n + n % 2 per row.
 _BLOCK_DRAWS = 1 << 17
 # A chunk goes to a thread only if it draws at least this many variates (64
 # per trial): below it, hand-offs of the interpreter lock between numpy's
