@@ -59,13 +59,13 @@ multiplications alone.  Operator factors need only the squares g_i^2 of a
 Gaussian row, drawn in Box-Muller pairs (Box and Muller, Ann. Math. Statist.
 29, 1958) from uniforms alone: (g_2j^2, g_2j+1^2) = 2E (1 - C, C), E =
 -log1p(-U) and C = 1 / (1 + tan^2(pi V / 2)); an odd n pads a zero weight.
-Each factor works in its own frame, as a chunk does, and steps its cosine
-by the kappa = +1 map, the first non-scalar one from a pole, with no t.  The run_* chain runners are one-trial calls of the same
-kernels: run_*(..., RandomStream(s, 0)) returns the mean of a one-trial
-estimate with seed s, bit for bit, as a float, or as the pair (norm_ratio,
-cosine) from run_operator_product.  compare() turns an estimate plus a
-closed-form Prediction into a pass/fail/indeterminate verdict on
-standardized z-scores.
+Each factor works in its own frame, as a chunk does, and steps its cosine by
+the kappa = +1 map, the first non-scalar one from a pole, with no t.  The
+run_* chain runners are one-trial calls of the same kernels: run_*(...,
+RandomStream(s, 0)) returns the mean of a one-trial estimate with seed s, bit
+for bit, as a float, or as the pair (norm_ratio, cosine) from
+run_operator_product.  compare() turns an estimate plus a closed-form
+Prediction into a pass/fail/indeterminate verdict on standardized z-scores.
 """
 
 import math

@@ -1225,15 +1225,16 @@ class TestPairSampler:
             assert abs(values.var(ddof=1) / var - 1.0) <= 0.05
 
     class _ZeroedUniforms:
-        # The wrapped generator's draws, but in the first block one row's U
-        # half is set to 0, so that row's exponentials, and its total, are 0.
-        def __init__(self, gen, row):
-            self.gen, self.row, self.shapes = gen, row, []
+        # The wrapped generator's draws, but one row's U half is set to u in
+        # the first block and in the first redraw: 0, or so small that the
+        # row's total is below the degenerate cut, or on it.
+        def __init__(self, gen, row, u):
+            self.gen, self.row, self.u, self.shapes = gen, row, u, []
 
         def random(self, out):
             self.gen.random(out=out)
-            if not self.shapes:
-                out[0, self.row] = 0.0
+            if len(self.shapes) < 2:
+                out[0, 0 if self.shapes else self.row] = self.u
             self.shapes.append(out.shape)
             return out
 
@@ -1242,19 +1243,27 @@ class TestPairSampler:
         a = np.arange(n) - (n - 1) / 2
         return np.stack([np.ones(n), a, a * a], axis=1)
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_degenerate_total_is_redrawn(self, n):
+    # At n = 4 a U of cut / 4, cut = _DEGENERATE_NORM^2, gives two
+    # exponentials of exactly cut / 4 (log1p(-u) is -u there), so twice the
+    # total is the cut itself, which counts as degenerate.
+    @pytest.mark.parametrize(
+        "n, u", [(4, 0.0), (5, 0.0), (4, 1e-310), (5, 1e-310), (4, montecarlo._DEGENERATE_NORM**2 / 4)]
+    )
+    def test_degenerate_total_is_redrawn(self, n, u):
         count, row, h = 5, 2, (n + 1) // 2
         w = self._weights(n)
-        stub = self._ZeroedUniforms(RandomStream(3, 0).generator, row)
-        got = montecarlo._pair_moments(stub, count, w)
-        assert stub.shapes == [(2, count, h), (2, 1, h)]
+        stub = self._ZeroedUniforms(RandomStream(3, 0).generator, row, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo._pair_moments(stub, count, w)
+        assert stub.shapes == [(2, count, h), (2, 1, h), (2, 1, h)]
         plain = montecarlo._pair_moments(RandomStream(3, 0).generator, count, w)
         keep = np.arange(count) != row
         np.testing.assert_array_equal(got[keep], plain[keep])
-        # the redrawn row is the next row the stream gives
+        # the redrawn row is the row the stream gives after the first redraw
         gen = RandomStream(3, 0).generator
         gen.random((2, count, h))
+        gen.random((2, 1, h))
         np.testing.assert_array_equal(got[row], montecarlo._pair_moments(gen, 1, w)[0])
         assert got[row, 0] > 0.0
 
@@ -1273,8 +1282,8 @@ class TestPairSampler:
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("v", [0.0, 1.0 - 2.0**-53])
     def test_extreme_uniforms_give_finite_rows(self, n, u, v):
-        # U = 0 gives E = 0 and U = 1 - 2^-53 E = 53 log 2; V = 1 - 2^-53
-        # gives tan^2 of about 1.6e32 and C of about 6e-33.  Each row is
+        # U = 0 gives E = 0, and U = 1 - 2^-53 gives E = 53 log 2; V = 1 -
+        # 2^-53 gives tan^2 of about 1.2e31 and C of about 8e-32.  Each row is
         # (sum g^2 w) / 2 over pairs of squares E (1 - C, C).
         w = self._weights(n)
         with warnings.catch_warnings():
